@@ -94,6 +94,10 @@ fn main() {
         match arg.as_str() {
             "--check" => check = true,
             "--ingest" => ingest = true,
+            "--help" | "-h" => {
+                println!("usage: bench_resolve [OUT_PATH] [--check] [--ingest]");
+                return;
+            }
             flag if flag.starts_with("--") => {
                 // A typo'd flag must not silently become the output path
                 // (it would skip the baseline diff and pass vacuously).

@@ -3,9 +3,10 @@
 //! CI, benches, and local runs can retune without recompiling.
 //!
 //! Every knob is catalogued — with defaults, semantics, and guidance on
-//! when to turn it — in `docs/TUNING.md` at the repository root. Keep
-//! that file and this module in sync: a knob added here without a
-//! TUNING.md entry (or vice versa) is a docs bug.
+//! when to turn it — in `docs/TUNING.md` at the repository root. The
+//! two are held in sync by `tests/knob_docs.rs`: a `QUERYER_*` name
+//! read anywhere under `crates/*/src` without a TUNING.md table row (or
+//! a row without a reader) fails that test.
 
 /// Number of property-test cases for the expensive suites, read from
 /// `QUERYER_PROPTEST_CASES` (falling back to `default` when unset or
@@ -40,16 +41,6 @@ pub fn env_flag(name: &str, default: bool) -> bool {
     }
 }
 
-/// Whether Edge Pruning builds its node-centric thresholds eagerly in
-/// one bulk sweep (`QUERYER_EP_BULK`, default `true`) instead of lazily
-/// caching them per entity. Bulk wins whenever the query touches a
-/// sizeable fraction of the table (the `resolve_all` / large-|QE| case);
-/// lazy wins for point queries that only ever examine a few
-/// neighbourhoods.
-pub fn ep_bulk_thresholds() -> bool {
-    env_flag("QUERYER_EP_BULK", true)
-}
-
 /// Worker-thread count for the Edge Pruning sweeps (`QUERYER_EP_THREADS`).
 /// `0` (the default) means "auto": use the machine's available
 /// parallelism.
@@ -61,13 +52,14 @@ pub fn ep_threads() -> usize {
 /// Pruning thresholds / surviving-neighbour lists + pair decision
 /// memoization) — the `QUERYER_EP_CACHE` / `ErConfig::ep_cache` knob.
 ///
-/// Every mode produces bit-identical decisions; the modes only trade
-/// *when* threshold work happens (never / on first touch / up front).
+/// Both modes produce bit-identical decisions; they only trade memory
+/// for repeated work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EpCacheMode {
-    /// No cross-query caching: Edge Pruning recomputes thresholds per
-    /// query (bulk sweep or lazy per-entity map, per `QUERYER_EP_BULK`)
-    /// and every surviving pair runs a comparison kernel.
+    /// No cross-query caching and no build-time CBS partials: node
+    /// thresholds always come from the bulk sweep, every query re-counts
+    /// and re-weights the neighbourhoods it examines, and every
+    /// surviving pair runs a comparison kernel.
     Off,
     /// Incremental (the default): thresholds and surviving-neighbour
     /// lists are computed only for nodes first touched by a query
@@ -75,11 +67,6 @@ pub enum EpCacheMode {
     /// memoized per pair.
     #[default]
     On,
-    /// Like `On`, but the node-threshold vector is prewarmed for every
-    /// node by the bulk sweep before the first frontier scan (the old
-    /// eager behaviour, now a cheap finishing pass over the build-time
-    /// CBS partials).
-    Prewarm,
 }
 
 impl EpCacheMode {
@@ -94,21 +81,19 @@ impl EpCacheMode {
         match self {
             EpCacheMode::Off => "off",
             EpCacheMode::On => "on",
-            EpCacheMode::Prewarm => "prewarm",
         }
     }
 }
 
-/// Cross-query resolve-cache mode (`QUERYER_EP_CACHE`): `off`/`0`,
-/// `on`/`1` (the default), or `prewarm`. Unknown values fall back to the
-/// default so a typo degrades to the stock configuration instead of
-/// panicking mid-pipeline.
+/// Cross-query resolve-cache mode (`QUERYER_EP_CACHE`): `off`/`0` or
+/// `on`/`1` (the default). Unknown values fall back to the default so a
+/// typo — or a value from a retired mode — degrades to the stock
+/// configuration instead of panicking mid-pipeline.
 pub fn ep_cache() -> EpCacheMode {
     match std::env::var("QUERYER_EP_CACHE") {
         Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
             "0" | "false" | "no" | "off" => EpCacheMode::Off,
             "1" | "true" | "yes" | "on" => EpCacheMode::On,
-            "prewarm" | "warm" | "2" => EpCacheMode::Prewarm,
             _ => EpCacheMode::default(),
         },
         Err(_) => EpCacheMode::default(),
@@ -316,10 +301,8 @@ mod tests {
     fn ep_cache_mode_flags_and_labels() {
         assert!(!EpCacheMode::Off.enabled());
         assert!(EpCacheMode::On.enabled());
-        assert!(EpCacheMode::Prewarm.enabled());
         assert_eq!(EpCacheMode::Off.label(), "off");
         assert_eq!(EpCacheMode::On.label(), "on");
-        assert_eq!(EpCacheMode::Prewarm.label(), "prewarm");
         assert_eq!(EpCacheMode::default(), EpCacheMode::On);
         // Only the unset path is asserted (see above on set/restore races).
         if std::env::var("QUERYER_EP_CACHE").is_err() {

@@ -149,19 +149,11 @@ pub struct ErConfig {
     /// every decision at its pair's position. Default comes from the
     /// `QUERYER_CMP_THREADS` env knob (`0`, i.e. auto).
     pub parallelism: usize,
-    /// Build node-centric EP thresholds eagerly in one bulk sweep over
-    /// all nodes (`true`, the default — wins whenever a query touches a
-    /// sizeable fraction of the table) instead of lazily caching them per
-    /// examined entity (wins for point queries). Both modes produce
-    /// bit-identical thresholds and pair sets. Only consulted when
-    /// `ep_cache` is [`EpCacheMode::Off`] — the cached path picks
-    /// bulk-vs-incremental itself from the frontier shape. Default comes
-    /// from the `QUERYER_EP_BULK` env knob.
-    pub ep_bulk_thresholds: bool,
     /// Worker threads for the Edge Pruning sweeps (bulk threshold pass +
-    /// frontier scan). `0` = auto (available parallelism). Thread count
-    /// never affects results — partitions are merged in deterministic
-    /// order. Default comes from the `QUERYER_EP_THREADS` env knob.
+    /// survivor fill / frontier scan). `0` = auto (available
+    /// parallelism). Thread count never affects results — partitions are
+    /// merged in deterministic order. Default comes from the
+    /// `QUERYER_EP_THREADS` env knob.
     pub ep_threads: usize,
     /// Worker threads for the [`TableErIndex::build`] sweeps —
     /// tokenization, interning, attribute lowering/metadata, and the
@@ -177,12 +169,12 @@ pub struct ErConfig {
     /// Cross-query resolve cache mode: incremental node-centric EP
     /// thresholds + surviving-neighbour lists memoized across queries,
     /// and pair-keyed comparison-decision memoization in
-    /// Comparison-Execution. `Off` restores the uncached per-query
-    /// behaviour, `On` (the default) fills the caches as queries touch
-    /// nodes/pairs, `Prewarm` additionally runs the bulk threshold
-    /// sweep up front. Every mode is bit-identical in its decisions
-    /// (pinned by `tests/cache_equivalence.rs`). Default comes from the
-    /// `QUERYER_EP_CACHE` env knob.
+    /// Comparison-Execution. `Off` memoizes nothing across queries and
+    /// builds no CBS partials (node thresholds then always come from
+    /// the bulk sweep), `On` (the default) fills the caches as queries
+    /// touch nodes/pairs. Both modes are bit-identical in their
+    /// decisions (pinned by `tests/cache_equivalence.rs`). Default comes
+    /// from the `QUERYER_EP_CACHE` env knob.
     pub ep_cache: EpCacheMode,
     /// Entry budget for each of the two cross-query Edge-Pruning caches
     /// (node thresholds, surviving-neighbour lists). `0` (the default)
@@ -214,7 +206,6 @@ impl Default for ErConfig {
             match_threshold: 0.85,
             transitive: true,
             parallelism: queryer_common::knobs::cmp_threads(),
-            ep_bulk_thresholds: queryer_common::knobs::ep_bulk_thresholds(),
             ep_threads: queryer_common::knobs::ep_threads(),
             build_threads: queryer_common::knobs::build_threads(),
             ep_cache: queryer_common::knobs::ep_cache(),
@@ -311,7 +302,6 @@ mod tests {
             assert_eq!(ErConfig::default().ep_cache, EpCacheMode::On);
         }
         assert!(EpCacheMode::On.enabled());
-        assert!(EpCacheMode::Prewarm.enabled());
         assert!(!EpCacheMode::Off.enabled());
     }
 

@@ -38,8 +38,8 @@
 //! A delta drops exactly the cached artefacts whose inputs changed and
 //! keeps everything else warm. Let *dirty* = records whose candidate
 //! neighbourhood (CBS row) changed, and *A* = dirty ∪ their current
-//! neighbours. Then every EP threshold, survivor list, and lazy
-//! threshold outside *A* is still a pure function of unchanged inputs
+//! neighbours. Then every memoized EP threshold and survivor list
+//! outside *A* is still a pure function of unchanged inputs
 //! (the candidate relation is symmetric: `q` co-occurs with `p` iff
 //! some retained block of `p` has `q` in its filtered contents), and
 //! every comparison decision not touching an updated/deleted profile is
@@ -720,6 +720,8 @@ impl TableErIndex {
         let targeted = !self.cfg.meta.edge_pruning()
             || (self.cfg.weight_scheme == WeightScheme::Cbs
                 && self.cfg.ep_scope == crate::config::EdgePruningScope::NodeCentric);
+        // The bulk threshold vector is all-or-nothing: any delta drops it.
+        *self.ep_thresholds.lock() = None;
         let affected = if targeted {
             let mut a_set: FxHashSet<RecordId> = dirty;
             for &rid in &dirty_list {
@@ -737,13 +739,6 @@ impl TableErIndex {
             }
             let mut a_list: Vec<RecordId> = a_set.into_iter().collect();
             a_list.sort_unstable();
-            {
-                let mut cache = self.ep_thresholds.lock();
-                cache.bulk = None;
-                for &rid in &a_list {
-                    cache.lazy.remove(&rid);
-                }
-            }
             let mut keys: Vec<u64> = Vec::with_capacity(a_list.len() * 3);
             for &rid in &a_list {
                 for scheme in [WeightScheme::Cbs, WeightScheme::Ecbs, WeightScheme::Js] {
@@ -754,11 +749,6 @@ impl TableErIndex {
             self.resolve_cache.survivors.remove_batch(&keys);
             Affected::Ids(a_list)
         } else {
-            {
-                let mut cache = self.ep_thresholds.lock();
-                cache.bulk = None;
-                cache.lazy.clear();
-            }
             self.resolve_cache.thresholds.clear();
             self.resolve_cache.survivors.clear();
             Affected::All

@@ -8,14 +8,13 @@
 //! query-stable) and global (WEP-style over the examined subgraph).
 
 use crate::config::WeightScheme;
-use crate::govern::{Governed, ResolveBudget, ResolveError, ResolveStage, Stop};
+use crate::govern::{fan_out, Governed, ResolveBudget, ResolveError, ResolveStage, Stop};
 use crate::index::{CooccurrenceScratch, TableErIndex};
-use queryer_common::failpoints;
 use queryer_storage::RecordId;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Numeric slack for threshold comparisons, shared by every pruning
-/// rule so the bulk and lazy paths can never drift apart.
+/// rule so the node-centric and global scopes can never drift apart.
 pub(crate) const EPS: f64 = 1e-12;
 
 /// The one threshold comparison all pruning rules are built from: the
@@ -29,7 +28,7 @@ pub(crate) fn keeps(w: f64, threshold: f64) -> bool {
 ///
 /// Owns a reusable [`CooccurrenceScratch`], so neighbourhood scans are
 /// dense counter sweeps instead of per-entity hash maps — hence the
-/// `&mut self` receivers on the scanning methods.
+/// `&mut self` receiver on [`EdgePruner::neighborhood`].
 pub struct EdgePruner<'a> {
     idx: &'a TableErIndex,
     scheme: WeightScheme,
@@ -100,40 +99,14 @@ impl<'a> EdgePruner<'a> {
             .map(|&(other, cbs)| (other, weight_of(idx, *scheme, *n_blocks, e, other, cbs)))
             .collect()
     }
-
-    /// Node-centric EP threshold of `e`: the mean weight over its
-    /// table-level neighbourhood (0 when isolated). Cached per entity on
-    /// the index — the cost the paper observes dominating small-|QE|
-    /// queries (Sec. 9.3) is exactly these neighbourhood scans. Large
-    /// frontiers should prefer the one-shot
-    /// [`bulk_node_thresholds`] sweep (bit-identical values).
-    pub fn node_threshold(&mut self, e: RecordId) -> f64 {
-        let Self {
-            idx,
-            scheme,
-            n_blocks,
-            scratch,
-        } = self;
-        idx.ep_threshold_cached(e, || {
-            node_threshold_uncached(idx, *scheme, *n_blocks, e, scratch)
-        })
-    }
-
-    /// Node-centric pair survival: the edge is kept when either incident
-    /// node keeps it (weight ≥ that node's mean) — the redefined-WNP
-    /// union semantics of the meta-blocking literature. Short-circuits so
-    /// `b`'s threshold is only computed when `a`'s vote fails.
-    pub fn survives_node_centric(&mut self, a: RecordId, b: RecordId, w: f64) -> bool {
-        keeps(w, self.node_threshold(a)) || keeps(w, self.node_threshold(b))
-    }
 }
 
 /// The WNP threshold accumulation over an already-materialized
-/// neighbourhood: mean edge weight in the given order. This is the
-/// single definition every threshold producer shares — the lazy
-/// per-entity cache, the bulk sweep, and the cross-query incremental
-/// cache all feed it the same neighbourhood in the same first-touch
-/// order, so their `f64` accumulation is bit-identical.
+/// neighbourhood: mean edge weight in the given order (0 when
+/// isolated). This is the single definition every threshold producer
+/// shares — the bulk sweep and the cross-query incremental memo feed it
+/// the same neighbourhood in the same first-touch order, so their `f64`
+/// accumulation is bit-identical.
 pub(crate) fn threshold_over(
     idx: &TableErIndex,
     scheme: WeightScheme,
@@ -151,34 +124,13 @@ pub(crate) fn threshold_over(
     sum / nbh.len() as f64
 }
 
-/// Uncached node-centric WNP threshold of `e`: reads the build-time CBS
-/// partials zero-copy when the index carries them (the bulk sweep then
-/// never copies a row), falling back to a counting sweep through
-/// `scratch`. Both sources hold the identical neighbourhood in the
-/// identical first-touch order.
-fn node_threshold_uncached(
-    idx: &TableErIndex,
-    scheme: WeightScheme,
-    n_blocks: f64,
-    e: RecordId,
-    scratch: &mut CooccurrenceScratch,
-) -> f64 {
-    if let Some(nbh) = idx.cbs_neighbourhood(e) {
-        return threshold_over(idx, scheme, n_blocks, e, nbh);
-    }
-    let nbh = idx.cooccurrences_into(e, scratch);
-    threshold_over(idx, scheme, n_blocks, e, nbh)
-}
-
 /// Node-centric EP survivors of `e` over an already-materialized
 /// neighbourhood: the neighbours whose edge `e` keeps under the
 /// redefined-WNP union rule (either endpoint's threshold admits the
 /// weight), in neighbourhood order. `th` resolves the *other*
 /// endpoint's threshold and is only consulted when `e`'s own vote
-/// fails, mirroring the short-circuit of
-/// [`EdgePruner::survives_node_centric`]. The returned list is exactly
-/// the pair-emission order of the uncached frontier scans, so a warm
-/// scan replaying it (through the same `PairSet` dedup) is
+/// fails. The returned list is in first-touch scan order, so a warm
+/// scan replaying a memoized list (through the same `PairSet` dedup) is
 /// bit-identical to a cold one.
 pub(crate) fn survivors_over(
     idx: &TableErIndex,
@@ -201,14 +153,12 @@ pub(crate) fn survivors_over(
 
 /// Bulk node-centric threshold pass: computes the WNP threshold of
 /// *every* node of the table in one sweep, partitioning the node set
-/// across `threads` workers (each with its own [`CooccurrenceScratch`])
-/// via `std::thread::scope`. Each slot of the returned vector depends
-/// only on its own node's neighbourhood, so the result is independent of
-/// the partitioning and bit-identical to the lazy per-entity path.
+/// across `threads` workers (each with its own [`CooccurrenceScratch`]).
+/// Each slot of the returned vector depends only on its own node's
+/// neighbourhood, so the result is independent of the partitioning.
 ///
-/// This replaces the per-entity locked threshold cache on the resolve
-/// hot path: one contiguous `Vec<f64>` instead of a mutex + hash lookup
-/// per examined edge endpoint.
+/// One contiguous `Vec<f64>` makes every survival check two array
+/// loads instead of a hash lookup per examined edge endpoint.
 pub fn bulk_node_thresholds(idx: &TableErIndex, threads: usize) -> Vec<f64> {
     // invariant: an unlimited budget never interrupts, so the governed
     // sweep can only come back Done; a worker panic is reported by
@@ -231,9 +181,9 @@ const BULK_POLL_NODES: usize = 1024;
 /// [`BULK_POLL_NODES`] nodes (plus a shared stop flag, so one tripped
 /// worker stops the others at their next poll) and the partial vector is
 /// discarded on interruption — callers only ever observe a complete
-/// sweep or none. A panicking worker is caught at its join and surfaced
-/// as [`ResolveError::WorkerPanicked`]; the output vector is dropped, so
-/// nothing half-written escapes.
+/// sweep or none. A panicking worker surfaces as
+/// [`ResolveError::WorkerPanicked`]; every worker's part is dropped with
+/// the error, so nothing half-written escapes.
 pub(crate) fn bulk_node_thresholds_governed(
     idx: &TableErIndex,
     threads: usize,
@@ -242,71 +192,38 @@ pub(crate) fn bulk_node_thresholds_governed(
     let n = idx.n_records();
     let scheme = idx.config().weight_scheme;
     let n_blocks = idx.n_unpurged_blocks().max(1) as f64;
-    let mut out = vec![0.0f64; n];
-    let threads = threads.clamp(1, n.max(1));
     let interruptible = !budget.is_unlimited();
-    if threads == 1 {
-        let mut scratch = CooccurrenceScratch::new();
-        for (e, slot) in out.iter_mut().enumerate() {
-            if interruptible && e % BULK_POLL_NODES == 0 {
-                if let Some(stop) = budget.interrupted() {
-                    return Ok(Governed::Interrupted(stop));
-                }
-            }
-            *slot = node_threshold_uncached(idx, scheme, n_blocks, e as RecordId, &mut scratch);
-        }
-        return Ok(Governed::Done(out));
-    }
-    let chunk = n.div_ceil(threads);
     let stopped = AtomicBool::new(false);
-    let mut panicked = false;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = out
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(i, slots)| {
-                let base = i * chunk;
-                let stopped = &stopped;
-                scope.spawn(move || {
-                    failpoints::fire("ep.bulk.worker");
-                    let mut scratch = CooccurrenceScratch::new();
-                    for (j, slot) in slots.iter_mut().enumerate() {
-                        if interruptible
-                            && j % BULK_POLL_NODES == 0
-                            && (stopped.load(Ordering::Relaxed) || budget.interrupted().is_some())
-                        {
-                            stopped.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                        *slot = node_threshold_uncached(
-                            idx,
-                            scheme,
-                            n_blocks,
-                            (base + j) as RecordId,
-                            &mut scratch,
-                        );
-                    }
-                })
-            })
-            .collect();
-        // Joining each handle converts a worker panic into a typed
-        // error instead of resuming the unwind in the resolver.
-        for h in handles {
-            panicked |= h.join().is_err();
-        }
-    });
-    if panicked {
-        return Err(ResolveError::WorkerPanicked {
-            stage: ResolveStage::EdgePruning,
-        });
-    }
+    let parts = fan_out(
+        n,
+        threads,
+        "ep.bulk.worker",
+        ResolveStage::EdgePruning,
+        |nodes| {
+            let mut scratch = CooccurrenceScratch::new();
+            let mut part = Vec::with_capacity(nodes.len());
+            for (j, e) in nodes.enumerate() {
+                if interruptible
+                    && j % BULK_POLL_NODES == 0
+                    && (stopped.load(Ordering::Relaxed) || budget.interrupted().is_some())
+                {
+                    stopped.store(true, Ordering::Relaxed);
+                    break;
+                }
+                let e = e as RecordId;
+                let nbh = idx.neighbourhood(e, &mut scratch);
+                part.push(threshold_over(idx, scheme, n_blocks, e, nbh));
+            }
+            part
+        },
+    )?;
     if stopped.load(Ordering::Relaxed) {
         // Cancellation is sticky and a passed deadline stays passed, so
         // re-polling here reproduces the reason a worker observed.
         let stop = budget.interrupted().unwrap_or(Stop::Deadline);
         return Ok(Governed::Interrupted(stop));
     }
-    Ok(Governed::Done(out))
+    Ok(Governed::Done(parts.concat()))
 }
 
 /// Global (WEP-style) pruning over an explicit edge list: keeps edges
@@ -362,53 +279,19 @@ mod tests {
     }
 
     #[test]
-    fn strong_edges_survive_weak_edges_pruned() {
+    fn bulk_thresholds_are_neighbourhood_means() {
+        // Node 0's mean weight is (4 + 1)/2 = 2.5; node 2 sees two
+        // weight-1 edges; the isolated node 3 gets 0 — for any thread
+        // count.
         let idx = idx();
-        let mut ep = EdgePruner::new(&idx);
-        // Node 0's mean weight is (4 + 1)/2 = 2.5.
-        let w_strong = 4.0;
-        let w_weak = 1.0;
-        assert!(ep.survives_node_centric(0, 1, w_strong));
-        // Weak edge (0,2): below 0's mean; node 2's mean is (1+1)/2 = 1,
-        // so node 2 keeps it — union semantics retains the pair.
-        assert!(ep.survives_node_centric(0, 2, w_weak));
-    }
-
-    #[test]
-    fn isolated_node_threshold_zero() {
-        let idx = idx();
-        let mut ep = EdgePruner::new(&idx);
-        assert_eq!(ep.node_threshold(3), 0.0);
-    }
-
-    #[test]
-    fn thresholds_cached_consistently() {
-        let idx = idx();
-        let mut ep = EdgePruner::new(&idx);
-        let t1 = ep.node_threshold(0);
-        let t2 = ep.node_threshold(0);
-        assert_eq!(t1, t2);
-    }
-
-    #[test]
-    fn bulk_thresholds_equal_lazy_bitwise() {
-        for scheme in [WeightScheme::Cbs, WeightScheme::Ecbs, WeightScheme::Js] {
-            let mut cfg = ErConfig::default().with_meta(MetaBlockingConfig::None);
-            cfg.weight_scheme = scheme;
-            let idx = TableErIndex::build(&table(), &cfg);
-            for threads in [1, 2, 7] {
-                let bulk = bulk_node_thresholds(&idx, threads);
-                idx.clear_ep_cache();
-                let mut ep = EdgePruner::new(&idx);
-                for e in 0..idx.n_records() as RecordId {
-                    assert_eq!(
-                        bulk[e as usize].to_bits(),
-                        ep.node_threshold(e).to_bits(),
-                        "node {e} scheme {scheme:?} threads {threads}"
-                    );
-                }
-            }
+        for threads in [1, 2, 7] {
+            let th = bulk_node_thresholds(&idx, threads);
+            assert_eq!(th, vec![2.5, 2.5, 1.0, 0.0], "threads {threads}");
         }
+        // Union semantics: the weak edge (0,2) fails node 0's vote but
+        // node 2 keeps it.
+        let th = bulk_node_thresholds(&idx, 1);
+        assert!(!keeps(1.0, th[0]) && keeps(1.0, th[2]));
     }
 
     #[test]

@@ -33,18 +33,19 @@
 //! index whose cache maintenance was torn by a panic refuses service
 //! with [`ResolveError::Poisoned`].
 //!
-//! All of the above applies unchanged to the shared-LI entry points
-//! ([`resolve_shared`](crate::TableErIndex::resolve_shared) and
-//! friends), with two sharpenings pinned by
-//! `crates/er/tests/concurrent_equivalence.rs`: a budget-stopped query
-//! commits only complete link-sets (truncated rounds never enter its
-//! delta's resolved marks), and an erroring query commits *nothing* —
-//! a worker panic or poisoned index leaves the shared Link Index
-//! byte-identical to before the call, so concurrent queries are fault-
-//! isolated from each other.
+//! All of the above holds on either kind of Link Index handle
+//! (`&mut LinkIndex` or `&RwLock<LinkIndex>`), with two sharpenings
+//! pinned by `crates/er/tests/concurrent_equivalence.rs` and
+//! `crates/er/tests/fault_injection.rs`: a budget-stopped query commits
+//! only complete link-sets (truncated rounds never enter its delta's
+//! resolved marks), and an erroring query commits *nothing* — a worker
+//! panic or poisoned index leaves the Link Index byte-identical to
+//! before the call, so concurrent queries are fault-isolated from each
+//! other and a failed call can simply be retried.
 
-use queryer_common::CancelToken;
+use queryer_common::{failpoints, CancelToken};
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -316,6 +317,49 @@ impl fmt::Display for ResolveError {
 }
 
 impl std::error::Error for ResolveError {}
+
+/// The one chunked fan-out every parallel resolve stage runs on: splits
+/// `0..n` into `workers` contiguous ranges, runs `work` on a scoped
+/// thread per range (firing the `site` failpoint first), and returns
+/// the per-range results in range order — so concatenating them
+/// reproduces what one sequential pass over `0..n` computes, whatever
+/// the worker count. One worker runs `work(0..n)` on the caller's
+/// thread: no spawn, no failpoint.
+///
+/// Every handle is joined before anything is reported — a
+/// short-circuiting collect would leave panicked workers unjoined and
+/// the scope would re-raise their panic at exit — so a lost worker
+/// surfaces as [`ResolveError::WorkerPanicked`] at `stage` and the
+/// surviving workers' results are dropped with the error.
+pub(crate) fn fan_out<R: Send>(
+    n: usize,
+    workers: usize,
+    site: &str,
+    stage: ResolveStage,
+    work: impl Fn(Range<usize>) -> R + Sync,
+) -> Result<Vec<R>, ResolveError> {
+    if workers <= 1 || n == 0 {
+        return Ok(vec![work(0..n)]);
+    }
+    let chunk = n.div_ceil(workers);
+    let work = &work;
+    let joined: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .step_by(chunk)
+            .map(|base| {
+                scope.spawn(move || {
+                    failpoints::fire(site);
+                    work(base..(base + chunk).min(n))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    joined
+        .into_iter()
+        .map(|r| r.map_err(|_| ResolveError::WorkerPanicked { stage }))
+        .collect()
+}
 
 /// RAII poison latch: arm it before a compound mutation, [`disarm`]
 /// after the last step. If a panic unwinds in between, `Drop` sets the

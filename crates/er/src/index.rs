@@ -37,7 +37,7 @@
 //!    build-thread pool.
 
 use crate::config::{ErConfig, WeightScheme};
-use crate::govern::{Governed, PoisonGuard, ResolveBudget, ResolveError, ResolveStage};
+use crate::govern::{fan_out, Governed, PoisonGuard, ResolveBudget, ResolveError, ResolveStage};
 use crate::purging::purge_flags;
 use crate::tokenizer::{record_keys, record_tokens};
 use parking_lot::Mutex;
@@ -177,17 +177,6 @@ impl CooccurrenceScratch {
     }
 }
 
-/// Cache of node-centric Edge Pruning thresholds, in either of its two
-/// build modes: a `bulk` vector covering every node (filled by one
-/// parallel sweep, the large-|QE| path) or `lazy` per-entity entries
-/// (point queries that only examine a few neighbourhoods). When `bulk`
-/// is present it wins — both modes compute bit-identical values.
-#[derive(Debug, Default)]
-pub(crate) struct EpThresholdCache {
-    pub(crate) lazy: FxHashMap<RecordId, f64>,
-    pub(crate) bulk: Option<Arc<Vec<f64>>>,
-}
-
 /// Tag of a weight scheme inside the cross-query cache keys, so one
 /// sharded map can hold entries for several schemes side by side.
 #[inline]
@@ -282,8 +271,9 @@ pub struct TableErIndex {
     pub(crate) attr_meta: Vec<AttrMeta>,
     /// Schema width (the `lower_attrs` stride).
     pub(crate) n_cols: usize,
-    /// Node-centric Edge Pruning thresholds (bulk vector or lazy map).
-    pub(crate) ep_thresholds: Mutex<EpThresholdCache>,
+    /// The bulk node-centric Edge Pruning threshold vector, one entry
+    /// per record, once a sweep has filled it.
+    pub(crate) ep_thresholds: Mutex<Option<Arc<Vec<f64>>>>,
     /// Weight-scheme-independent CBS partials, built once at index time
     /// when the config runs Edge Pruning: per node, its distinct
     /// co-occurring entities with their common-block counts, in the
@@ -439,7 +429,7 @@ impl TableErIndex {
             lower_attrs,
             attr_meta,
             n_cols,
-            ep_thresholds: Mutex::new(EpThresholdCache::default()),
+            ep_thresholds: Mutex::new(None),
             cbs_adj,
             resolve_cache: ResolveCache::for_config(cfg),
             poisoned: AtomicBool::new(false),
@@ -733,12 +723,22 @@ impl TableErIndex {
         self.cbs_adj.as_ref().map(|adj| adj.row(id as usize))
     }
 
-    /// Whether the build-time CBS partials exist (Edge Pruning on and
-    /// `ep_cache` enabled at build) — the precondition of the
-    /// cross-query cached pruning path.
+    /// The one neighbourhood accessor of the Edge Pruning paths: `id`'s
+    /// distinct co-occurring entities with their CBS counts, in
+    /// first-touch order — the zero-copy CBS-partials row when the index
+    /// carries partials, a counting sweep through `scratch` when it does
+    /// not (`ep_cache` off). Both sources hold the identical
+    /// neighbourhood in the identical order.
     #[inline]
-    pub(crate) fn has_cbs_partials(&self) -> bool {
-        self.cbs_adj.is_some()
+    pub(crate) fn neighbourhood<'s>(
+        &'s self,
+        id: RecordId,
+        scratch: &'s mut CooccurrenceScratch,
+    ) -> &'s [(RecordId, u32)] {
+        match self.cbs_neighbourhood(id) {
+            Some(row) => row,
+            None => self.cooccurrences_into(id, scratch),
+        }
     }
 
     /// TBI blocks matching an ad-hoc record that is *not* part of the
@@ -757,19 +757,6 @@ impl TableErIndex {
         .into_iter()
         .filter_map(|token| self.block_of_key(&token))
         .collect()
-    }
-
-    /// Cached node-centric EP threshold accessor; computes via `f` on
-    /// miss. A completed bulk sweep wins over the lazy map (the two build
-    /// modes are bit-identical). The lock is held across the computation
-    /// (entry-style), so a concurrent caller waits for the first
-    /// computation instead of redundantly recomputing the threshold.
-    pub(crate) fn ep_threshold_cached(&self, id: RecordId, f: impl FnOnce() -> f64) -> f64 {
-        let mut cache = self.ep_thresholds.lock();
-        if let Some(bulk) = &cache.bulk {
-            return bulk[id as usize];
-        }
-        *cache.lazy.entry(id).or_insert_with(f)
     }
 
     /// The bulk node-centric EP threshold vector — one entry per record,
@@ -800,7 +787,7 @@ impl TableErIndex {
         budget: &ResolveBudget,
     ) -> Result<Governed<Arc<Vec<f64>>>, ResolveError> {
         let mut cache = self.ep_thresholds.lock();
-        if let Some(bulk) = &cache.bulk {
+        if let Some(bulk) = &*cache {
             return Ok(Governed::Done(Arc::clone(bulk)));
         }
         match crate::edge_pruning::bulk_node_thresholds_governed(
@@ -810,17 +797,17 @@ impl TableErIndex {
         )? {
             Governed::Done(v) => {
                 let bulk = Arc::new(v);
-                cache.bulk = Some(Arc::clone(&bulk));
+                *cache = Some(Arc::clone(&bulk));
                 Ok(Governed::Done(bulk))
             }
             Governed::Interrupted(stop) => Ok(Governed::Interrupted(stop)),
         }
     }
 
-    /// A snapshot of the bulk threshold vector if one has been computed
-    /// (by the eager path or a prewarm), without triggering the sweep.
+    /// A snapshot of the bulk threshold vector if one has been computed,
+    /// without triggering the sweep.
     pub(crate) fn bulk_snapshot(&self) -> Option<Arc<Vec<f64>>> {
-        self.ep_thresholds.lock().bulk.clone()
+        self.ep_thresholds.lock().clone()
     }
 
     /// The cross-query node-threshold memo, keyed by
@@ -852,8 +839,8 @@ impl TableErIndex {
         )
     }
 
-    /// Drops every cached resolve artefact: EP thresholds (bulk and
-    /// lazy) and the cross-query threshold / survivor / decision memos
+    /// Drops every cached resolve artefact: the bulk EP threshold vector
+    /// and the cross-query threshold / survivor / decision memos
     /// (test/ablation helper; the perf smoke bench uses it to measure
     /// cold queries). The build-time CBS partials are index data, not
     /// cache, and are never dropped.
@@ -865,10 +852,7 @@ impl TableErIndex {
     /// instead of serving from state it can no longer vouch for.
     pub fn clear_ep_cache(&self) {
         let guard = PoisonGuard::new(&self.poisoned);
-        let mut cache = self.ep_thresholds.lock();
-        cache.lazy.clear();
-        cache.bulk = None;
-        drop(cache);
+        *self.ep_thresholds.lock() = None;
         failpoints::fire("cache.clear");
         self.resolve_cache.thresholds.clear();
         self.resolve_cache.survivors.clear();
@@ -1004,38 +988,16 @@ fn tokenize_table(
     skip_col: Option<usize>,
 ) -> Result<TokenizedTable, ResolveError> {
     let records = table.records();
-    let threads = cfg.effective_build_threads().clamp(1, records.len().max(1));
-    let chunk_size = records.len().div_ceil(threads).max(1);
-    let chunks: Vec<TokenizeChunk> = if threads == 1 {
-        vec![tokenize_chunk(records, cfg, skip_col)]
-    } else {
-        // Each worker owns private chunk-local buffers, so a panicking
-        // worker (caught at its join) leaves nothing shared half-written;
-        // the whole build is abandoned with a typed error.
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = records
-                .chunks(chunk_size)
-                .map(|recs| {
-                    scope.spawn(move || {
-                        failpoints::fire("build.tokenize.worker");
-                        tokenize_chunk(recs, cfg, skip_col)
-                    })
-                })
-                .collect();
-            // Join *every* handle before reporting: a short-circuiting
-            // collect would leave panicked workers unjoined and the
-            // scope would re-raise their panic at exit.
-            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            joined
-                .into_iter()
-                .map(|r| {
-                    r.map_err(|_| ResolveError::WorkerPanicked {
-                        stage: ResolveStage::Build,
-                    })
-                })
-                .collect::<Result<_, _>>()
-        })?
-    };
+    // Each worker owns private chunk-local buffers, so a panicking
+    // worker leaves nothing shared half-written; the whole build is
+    // abandoned with a typed error.
+    let chunks: Vec<TokenizeChunk> = fan_out(
+        records.len(),
+        cfg.effective_build_threads(),
+        "build.tokenize.worker",
+        ResolveStage::Build,
+        |range| tokenize_chunk(&records[range], cfg, skip_col),
+    )?;
 
     let n_cols = table.schema().len();
     let total_keys: usize = chunks.iter().map(|c| c.key_syms.len()).sum();
@@ -1147,23 +1109,24 @@ fn count_cooccurrences_into<'s>(
     &scratch.out
 }
 
+/// One worker's share of the parallel [`build_cbs_adjacency`] sweep:
+/// its chunk's row lengths plus the flattened row contents.
+type AdjacencyPart = (Vec<u32>, Vec<(RecordId, u32)>);
+
 /// Builds the CBS-partials adjacency — per node, its co-occurring
 /// entities with common-block counts — in one sweep over the post-BP/BF
 /// blocking graph, partitioned across `threads` workers. Each row
 /// depends only on its own node, so the result is independent of the
 /// partitioning.
-/// One worker's share of the parallel [`build_cbs_adjacency`] sweep:
-/// its chunk's row lengths plus the flattened row contents.
-type AdjacencyPart = (Vec<u32>, Vec<(RecordId, u32)>);
-
 fn build_cbs_adjacency(
     entity_retained: &Csr<BlockId>,
     filtered_blocks: &Csr<RecordId>,
     n_records: usize,
     threads: usize,
 ) -> Result<Csr<(RecordId, u32)>, ResolveError> {
-    let threads = threads.clamp(1, n_records.max(1));
-    if threads == 1 {
+    if threads <= 1 || n_records <= 1 {
+        // Rows go straight into the CSR: no per-worker parts, so a
+        // single-threaded build never holds the adjacency twice.
         let mut scratch = CooccurrenceScratch::new();
         let mut adj = Csr::with_capacity(n_records, n_records * 4);
         for id in 0..n_records {
@@ -1177,45 +1140,28 @@ fn build_cbs_adjacency(
         }
         return Ok(adj);
     }
-    let chunk = n_records.div_ceil(threads);
-    let mut parts: Vec<AdjacencyPart> = vec![Default::default(); n_records.div_ceil(chunk)];
-    let mut worker_panicked = false;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = parts
-            .iter_mut()
-            .enumerate()
-            .map(|(i, part)| {
-                let base = i * chunk;
-                let top = (base + chunk).min(n_records);
-                scope.spawn(move || {
-                    failpoints::fire("build.cbs.worker");
-                    let mut scratch = CooccurrenceScratch::new();
-                    let (lens, flat) = part;
-                    for id in base..top {
-                        let row = count_cooccurrences_into(
-                            entity_retained,
-                            filtered_blocks,
-                            n_records,
-                            id as RecordId,
-                            &mut scratch,
-                        );
-                        lens.push(row.len() as u32);
-                        flat.extend_from_slice(row);
-                    }
-                })
-            })
-            .collect();
-        // Joining each handle converts a worker panic into a typed
-        // build error instead of resuming the unwind in the caller.
-        for h in handles {
-            worker_panicked |= h.join().is_err();
-        }
-    });
-    if worker_panicked {
-        return Err(ResolveError::WorkerPanicked {
-            stage: ResolveStage::Build,
-        });
-    }
+    let parts: Vec<AdjacencyPart> = fan_out(
+        n_records,
+        threads,
+        "build.cbs.worker",
+        ResolveStage::Build,
+        |ids| {
+            let mut scratch = CooccurrenceScratch::new();
+            let (mut lens, mut flat) = AdjacencyPart::default();
+            for id in ids {
+                let row = count_cooccurrences_into(
+                    entity_retained,
+                    filtered_blocks,
+                    n_records,
+                    id as RecordId,
+                    &mut scratch,
+                );
+                lens.push(row.len() as u32);
+                flat.extend_from_slice(row);
+            }
+            (lens, flat)
+        },
+    )?;
     let total: usize = parts.iter().map(|(_, flat)| flat.len()).sum();
     let mut adj = Csr::with_capacity(n_records, total);
     for (lens, flat) in &parts {
@@ -1365,17 +1311,15 @@ mod tests {
         let mut cfg = ErConfig::default();
         cfg.ep_cache = EpCacheMode::On;
         let with_ep = TableErIndex::build(&table(), &cfg);
-        assert!(with_ep.has_cbs_partials());
         assert!(with_ep.cbs_neighbourhood(0).is_some());
         // No Edge Pruning → no partials, whatever the cache mode.
         let no_ep = TableErIndex::build(&table(), &cfg.clone().with_meta(MetaBlockingConfig::BpBf));
-        assert!(!no_ep.has_cbs_partials());
         assert!(no_ep.cbs_neighbourhood(0).is_none());
         // Cache off → no partials either: "off" restores the uncached
         // per-query memory footprint, not just the uncached code path.
         cfg.ep_cache = EpCacheMode::Off;
         let cache_off = TableErIndex::build(&table(), &cfg);
-        assert!(!cache_off.has_cbs_partials());
+        assert!(cache_off.cbs_neighbourhood(0).is_none());
     }
 
     #[test]

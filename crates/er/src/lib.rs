@@ -55,21 +55,21 @@
 //!   scans count common blocks in a reusable [`index::CooccurrenceScratch`]
 //!   (dense counters + first-touch list) instead of allocating a hash
 //!   map per frontier entity.
-//! * **Bulk-parallel EP thresholds** — node-centric Edge Pruning reads a
-//!   `Vec<f64>` of WNP thresholds computed for *every* node by one
-//!   `std::thread::scope` sweep over the CSR graph
+//! * **One node-centric enumerator** — node-centric Edge Pruning
+//!   produces each frontier entity's *survivor row* (the neighbours
+//!   whose edge it keeps, first-touch order) and emits the rows in
+//!   frontier order through one dedup; on the resolve-all shape a
+//!   frontier-rank ownership rule (each edge is emitted only by its
+//!   first-scanned endpoint) replaces the per-edge `PairSet` insert.
+//!   Broad frontiers (≥ 1/32 of the table) read a `Vec<f64>` of WNP
+//!   thresholds computed for *every* node by one chunked sweep
 //!   ([`edge_pruning::bulk_node_thresholds`], cached on the index), so a
-//!   survival check is two array loads instead of a mutex + hash lookup
-//!   per edge endpoint. The frontier scan fans out across the same
-//!   worker partitioning, and a frontier-rank ownership rule (each edge
-//!   is emitted only by its first-scanned endpoint) replaces the
-//!   per-edge-occurrence `PairSet` probe. `ErConfig::ep_bulk_thresholds`
-//!   / `ErConfig::ep_threads` (env knobs `QUERYER_EP_BULK`,
-//!   `QUERYER_EP_THREADS`) select eager-vs-lazy build and worker count;
-//!   both modes — and any thread count — are bit-identical.
+//!   survival check is two array loads. The survivor fill fans out over
+//!   the same worker partitioning (`ErConfig::ep_threads`, env knob
+//!   `QUERYER_EP_THREADS`); any thread count is bit-identical.
 //! * **Cross-query resolve cache** — work done resolving one query pays
 //!   for the next (`ErConfig::ep_cache` / env knob `QUERYER_EP_CACHE`,
-//!   modes `off`/`on`/`prewarm`; default `on`), in three layers:
+//!   modes `off`/`on`; default `on`), in three layers:
 //!   1. *CBS partials at build* — [`TableErIndex::build`] materializes
 //!      every node's co-occurrence neighbourhood (neighbour +
 //!      common-block count, the weight-scheme-independent half of all
@@ -82,9 +82,9 @@
 //!      touched by a query frontier and memoized across queries in
 //!      sharded [`queryer_common::ShardedMap`]s keyed by
 //!      `(weight scheme, node)`; frontiers covering a sizeable table
-//!      fraction (or `prewarm` mode) fill the bulk threshold vector in
-//!      one sweep instead. A warm frontier scan replays cached survivor
-//!      rows: no weighting, no threshold math.
+//!      fraction fill the bulk threshold vector in one sweep instead. A
+//!      warm frontier scan replays cached survivor rows: no weighting,
+//!      no threshold math.
 //!   3. *Decision memoization* — `execute_comparisons` consults a
 //!      pair-keyed decision cache before running any kernel, so
 //!      overlapping queries skip comparison work entirely.
@@ -92,9 +92,13 @@
 //!      hit/miss counters; `comparisons`/`candidate_pairs`/
 //!      `matches_found` never depend on cache state.
 //!
-//!   Every mode is bit-identical in decisions, DR sets, and links
-//!   (property-pinned by `tests/cache_equivalence.rs` over sequences of
-//!   overlapping point + range queries); on the pinned bench workload a
+//!   `off` runs the same enumerator with none of the layers —
+//!   neighbourhoods counted per query into a
+//!   [`index::CooccurrenceScratch`], every threshold from the bulk
+//!   vector, nothing memoized — and is bit-identical to `on` in
+//!   decisions, DR sets, and links (property-pinned by
+//!   `tests/cache_equivalence.rs` over sequences of overlapping point +
+//!   range queries); on the pinned bench workload a
 //!   warm repeated query runs `edge_pruning` ~4× and
 //!   `comparison_execution` ~9× faster than cold.
 //! * **Compiled comparison kernels** — `Matcher::compile` resolves the
@@ -109,22 +113,29 @@
 //!   similarity work, and the hybrid kernel decides the cheap overlap
 //!   merge first. `execute_comparisons` fans the pair batch out across
 //!   `ErConfig::parallelism` workers (`0` = auto, env knob
-//!   `QUERYER_CMP_THREADS`) in the same chunked `std::thread::scope`
-//!   shape as the EP sweep; decisions stay position-aligned, so thread
-//!   count never affects results.
+//!   `QUERYER_CMP_THREADS`) on the same chunked fan-out as the EP
+//!   sweep; decisions stay position-aligned, so thread count never
+//!   affects results.
+//! * **One Link-Index protocol** — a resolve only *reads* the Link
+//!   Index while it works, accumulates links and resolved marks in a
+//!   private [`LinkDelta`], and publishes them with one
+//!   [`LinkIndex::commit`], whether the caller passed `&mut LinkIndex`
+//!   or a shared `&RwLock<LinkIndex>` (see [`TableErIndex::run`]). A
+//!   resolve that returns `Err` commits nothing.
 //!
 //! The interned path is decision-identical to the record/string path
 //! (`Matcher::similarity`); `tests/interned_equivalence.rs` property-
 //! tests that equivalence across similarity kinds and random corpora,
-//! `tests/ep_equivalence.rs` pins the bulk-parallel EP path to the
-//! lazy per-entity path (thresholds, pair sequences, DR/links) across
-//! weight schemes, pruning scopes, frontier sizes, and thread counts,
+//! `tests/ep_equivalence.rs` pins the bulk threshold sweep to a
+//! mean-of-weights oracle and the enumerator's `off` mode to `on`
+//! (pair sequences, DR/links) across weight schemes, pruning scopes,
+//! frontier sizes, and thread counts,
 //! `tests/kernel_equivalence.rs` pins the compiled kernels and the
 //! parallel Comparison-Execution executor bit-identical (similarities,
 //! decisions, DR/links) to the uncompiled matcher across all similarity
 //! kinds, thresholds at the early-exit boundaries, and thread counts,
-//! and `tests/cache_equivalence.rs` pins every cross-query cache mode
-//! to the uncached path over query sequences sharing one Link Index.
+//! and `tests/cache_equivalence.rs` pins the cross-query cache to the
+//! uncached mode over query sequences sharing one Link Index.
 
 #![warn(missing_docs)]
 

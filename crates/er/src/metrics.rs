@@ -52,10 +52,10 @@ pub struct DedupMetrics {
     /// run whose outcome is [`Completion::Complete`](crate::Completion).
     pub pairs_uncompared: u64,
     /// Time spent waiting to acquire the shared Link Index lock
-    /// (read snapshots + the final delta commit) on the concurrent
-    /// resolve path (`resolve_shared*`). Always zero for the exclusive
-    /// `&mut LinkIndex` entry points, which never lock. This is the
-    /// contention signal `bench_throughput` reports per worker count.
+    /// (read snapshots + the final delta commit) when the request names
+    /// a `&RwLock<LinkIndex>`. Always zero on a `&mut LinkIndex`, which
+    /// takes no lock. This is the contention signal `bench_throughput`
+    /// reports per worker count.
     pub lock_wait: Duration,
 }
 

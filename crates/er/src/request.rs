@@ -1,15 +1,10 @@
 //! The unified resolve entry point: one [`ResolveRequest`] describes
-//! *what* to resolve (a query entity set or the whole table), *how* the
-//! Link Index is accessed (exclusive `&mut` or a shared `RwLock`), and
-//! the optional trimmings (a [`ResolveBudget`], a [`DedupMetrics`]
-//! sink) — executed by [`TableErIndex::run`].
-//!
-//! This replaces the historical seven-way `resolve*` method matrix
-//! (point/all × exclusive/shared × governed/ungoverned), which scaled
-//! multiplicatively with every new axis. The old names survive as thin
-//! `#[deprecated]` shims that build the equivalent request, so every
-//! path through them is *the* path: one entry check, one round loop,
-//! decision-identical by construction.
+//! *what* to resolve (a query entity set or the whole table), *which*
+//! Link Index handle it reads and commits to (an owned `&mut` or a
+//! shared `RwLock`), and the optional trimmings (a [`ResolveBudget`], a
+//! [`DedupMetrics`] sink) — executed by [`TableErIndex::run`]. Every
+//! resolve takes *the* path: one entry check, one round loop, one Link
+//! Index commit.
 //!
 //! ```
 //! use queryer_er::{ErConfig, LinkIndex, ResolveRequest, TableErIndex};
@@ -21,7 +16,7 @@
 //! let idx = TableErIndex::build(&table, &ErConfig::default());
 //! let mut li = LinkIndex::new(table.len());
 //!
-//! // Point query, exclusive LI:
+//! // Point query, owned LI:
 //! let out = idx.run(ResolveRequest::records(&table, &[0], &mut li)).unwrap();
 //! assert_eq!(out.dr, vec![0, 1]);
 //!
@@ -35,11 +30,12 @@
 
 use crate::govern::{ResolveBudget, ResolveError};
 use crate::index::TableErIndex;
-use crate::link_index::LinkIndex;
+use crate::link_index::{LinkDelta, LinkIndex};
 use crate::metrics::DedupMetrics;
 use crate::resolver::ResolveOutcome;
 use parking_lot::RwLock;
 use queryer_storage::{RecordId, Table};
+use std::time::{Duration, Instant};
 
 /// What a resolve targets: an explicit query entity set, or every
 /// record of the table (the batch-ER building block).
@@ -52,18 +48,51 @@ pub enum ResolveTarget<'a> {
     All,
 }
 
-/// How the resolve touches the Link Index: the historical exclusive
-/// `&mut` path, or the concurrent-serving shared path (short-lived read
-/// locks + one delta commit). Both `&mut LinkIndex` and
-/// `&RwLock<LinkIndex>` convert [`Into`] this, so call sites just pass
-/// whichever they hold.
+/// The Link Index handle a resolve runs against. Both `&mut LinkIndex`
+/// and `&RwLock<LinkIndex>` convert [`Into`] this, so call sites just
+/// pass whichever they hold; the resolve protocol is the same for both
+/// — read, accumulate privately, commit once — and the handle only
+/// decides whether reading and committing take a lock.
 pub enum LiMode<'a> {
-    /// Direct mutable access; bit-identical to the pre-concurrency
-    /// resolve path.
+    /// The caller owns the index for the call; no locking.
     Exclusive(&'a mut LinkIndex),
-    /// Lock-striped access for N concurrent resolvers over one shared
-    /// index.
+    /// N concurrent resolvers over one shared index: short-lived read
+    /// locks, one brief write lock for the commit.
     Shared(&'a RwLock<LinkIndex>),
+}
+
+impl LiMode<'_> {
+    /// Runs `f` over the Link Index as committed so far. A shared
+    /// handle holds a read lock for exactly this call — callers keep
+    /// `f` to hash probes, never Edge Pruning or comparison work — and
+    /// charges the time spent acquiring it to `wait`.
+    pub(crate) fn read<R>(&self, wait: &mut Duration, f: impl FnOnce(&LinkIndex) -> R) -> R {
+        match self {
+            LiMode::Exclusive(li) => f(li),
+            LiMode::Shared(lock) => {
+                let t0 = Instant::now();
+                let guard = lock.read();
+                *wait += t0.elapsed();
+                f(&guard)
+            }
+        }
+    }
+
+    /// Publishes a query's private delta with one [`LinkIndex::commit`]
+    /// (under one brief write lock on a shared handle, its acquisition
+    /// charged to `wait`). Returns how many of the delta's links were
+    /// new to the index.
+    pub(crate) fn commit(&mut self, delta: &LinkDelta, wait: &mut Duration) -> usize {
+        match self {
+            LiMode::Exclusive(li) => li.commit(delta),
+            LiMode::Shared(lock) => {
+                let t0 = Instant::now();
+                let mut guard = lock.write();
+                *wait += t0.elapsed();
+                guard.commit(delta)
+            }
+        }
+    }
 }
 
 impl<'a> From<&'a mut LinkIndex> for LiMode<'a> {
@@ -78,8 +107,8 @@ impl<'a> From<&'a RwLock<LinkIndex>> for LiMode<'a> {
     }
 }
 
-/// One resolve call, fully described: target, Link-Index access mode,
-/// and optional budget / metrics sink. Build with
+/// One resolve call, fully described: target, Link-Index handle, and
+/// optional budget / metrics sink. Build with
 /// [`ResolveRequest::records`] or [`ResolveRequest::all`], refine with
 /// the builder methods, execute with [`TableErIndex::run`].
 pub struct ResolveRequest<'a> {
@@ -92,7 +121,7 @@ pub struct ResolveRequest<'a> {
 
 impl<'a> ResolveRequest<'a> {
     /// A request resolving the query entities `qe` of `table`. `li`
-    /// accepts `&mut LinkIndex` (exclusive) or `&RwLock<LinkIndex>`
+    /// accepts `&mut LinkIndex` (owned) or `&RwLock<LinkIndex>`
     /// (shared/concurrent).
     pub fn records(table: &'a Table, qe: &'a [RecordId], li: impl Into<LiMode<'a>>) -> Self {
         Self {
@@ -116,8 +145,7 @@ impl<'a> ResolveRequest<'a> {
     }
 
     /// Governs the resolve with `budget` (deadline / comparison cap /
-    /// cancel token). Without this the run is unlimited — the
-    /// historical ungoverned path bit-for-bit.
+    /// cancel token). Without this the run is unlimited.
     pub fn budget(mut self, budget: ResolveBudget) -> Self {
         self.budget = Some(budget);
         self
@@ -132,10 +160,29 @@ impl<'a> ResolveRequest<'a> {
 }
 
 impl TableErIndex {
-    /// Executes a [`ResolveRequest`] — the one resolve entry point.
-    /// Every historical `resolve*` method is a shim over this; see the
-    /// [module docs](crate::request) for examples and the
-    /// deprecation rationale.
+    /// Executes a [`ResolveRequest`] — the one resolve entry point; see
+    /// the [module docs](crate::request) for examples.
+    ///
+    /// The call only *reads* the Link Index while it works, accumulates
+    /// its links and resolved marks in a private [`LinkDelta`], and
+    /// publishes them with one commit at the end; a call that returns
+    /// `Err` commits nothing. Budgets, partial outcomes and retry
+    /// convergence are described in [`crate::govern`].
+    ///
+    /// Concurrency contract: N threads may call this for N different
+    /// queries over one `Arc<TableErIndex>` and one `RwLock<LinkIndex>`
+    /// simultaneously. Each query resolves against short-lived read
+    /// snapshots (locks held for hash probes only, never across Edge
+    /// Pruning or comparison work) and commits in one brief write
+    /// critical section that dedups against concurrently-committed
+    /// links. Because every match decision is a pure function of the
+    /// immutable index, concurrent execution is serializable: any
+    /// interleaving leaves the LI (links + resolved marks) identical to
+    /// a serial execution of the same queries — races only cause
+    /// duplicate work, which the commit dedups (pinned by
+    /// `tests/concurrent_equivalence.rs`). A query that discovers
+    /// nothing new (the warm, fully-resolved common case) skips the
+    /// write lock entirely, so warm reads scale with reader concurrency.
     pub fn run(&self, req: ResolveRequest<'_>) -> Result<ResolveOutcome, ResolveError> {
         let ResolveRequest {
             table,
@@ -155,9 +202,6 @@ impl TableErIndex {
                 &all
             }
         };
-        match li {
-            LiMode::Exclusive(li) => self.run_exclusive(table, qe, li, metrics, &budget),
-            LiMode::Shared(lock) => self.run_shared(table, qe, lock, metrics, &budget),
-        }
+        self.resolve_and_commit(table, qe, li, metrics, &budget)
     }
 }

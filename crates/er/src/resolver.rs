@@ -11,21 +11,22 @@
 //! the foreign/ad-hoc probe path ([`TableErIndex::duplicates_of_record`]
 //! / [`crate::blocking::build_query_blocks`]).
 
-use crate::config::{EdgePruningScope, EpCacheMode, WeightScheme};
-use crate::edge_pruning::{keeps, prune_global, survivors_over, threshold_over, EdgePruner};
-use crate::govern::{Completion, Governed, ResolveBudget, ResolveError, ResolveStage, Stop};
+use crate::config::{EdgePruningScope, WeightScheme};
+use crate::edge_pruning::{prune_global, survivors_over, threshold_over, EdgePruner};
+use crate::govern::{
+    fan_out, Completion, Governed, ResolveBudget, ResolveError, ResolveStage, Stop,
+};
 use crate::index::{scheme_node_key, BlockId, CooccurrenceScratch, TableErIndex};
 use crate::kernel::{CompiledMatcher, KernelScratch, QuerySide};
 use crate::link_index::{LinkDelta, LinkIndex};
 use crate::matching::{Matcher, TokenizerScratch};
 use crate::metrics::DedupMetrics;
-use crate::request::ResolveRequest;
-use parking_lot::{RwLock, RwLockReadGuard};
+use crate::request::LiMode;
 use queryer_common::failpoints;
 use queryer_common::{pack_pair, FxHashMap, FxHashSet, PairSet, Stopwatch};
 use queryer_storage::{Record, RecordId, Table};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Minimum frontier size before the Edge Pruning scans fan out across
 /// threads; below this the per-thread scratch setup outweighs the win
@@ -73,350 +74,91 @@ struct CmpRun {
 }
 
 /// Per-query mutable resolve state. Everything a resolve mutates —
-/// the cross-round pair-seen set, link/comparison tallies, budget
-/// progress, completion status — lives here (or in the round-local
-/// frontier/scratch vectors), so N concurrent queries over one
-/// `Arc<TableErIndex>` share nothing mutable except the Link Index,
-/// which they touch only through [`LiAccess`].
+/// the cross-round pair-seen set, the links and resolved marks found so
+/// far, budget progress, completion status — lives here (or in the
+/// round-local frontier/scratch vectors), so N concurrent queries over
+/// one `Arc<TableErIndex>` share nothing mutable except the Link Index,
+/// which they only read until the one commit that ends the query.
 struct ResolveCtx {
     /// Pairs already emitted by earlier rounds of *this* query.
     pair_seen: PairSet,
-    /// Links this query added (exclusive path: counted at insert time;
-    /// shared path: overwritten with the commit's deduped count).
-    new_links: usize,
+    /// This query's links + resolved marks, private until committed.
+    delta: LinkDelta,
+    /// Time spent blocked on Link Index lock acquisitions, for
+    /// [`DedupMetrics::lock_wait`].
+    lock_wait: Duration,
     /// Comparisons executed so far, for budget accounting.
     comparisons_done: u64,
     /// How the run finished (or why it stopped early).
     completion: Completion,
 }
 
-impl ResolveCtx {
-    fn new() -> Self {
-        Self {
-            pair_seen: PairSet::new(),
-            new_links: 0,
-            comparisons_done: 0,
-            completion: Completion::Complete,
-        }
-    }
-}
-
-/// How a resolve touches the Link Index.
-///
-/// `Exclusive` is the historical `&mut LinkIndex` path: direct,
-/// lock-free mutation, bit-identical to pre-concurrency behaviour
-/// (pinned by `tests/budget_equivalence.rs` and the equivalence
-/// suites). `Shared` is the concurrent-serving path: reads go through
-/// short-lived read locks held only for hash probes — never across
-/// Edge Pruning or comparison work — writes accumulate in a private
-/// [`LinkDelta`], and the caller publishes the delta with one brief
-/// write critical section at the end ([`LinkIndex::commit`]).
-enum LiAccess<'a> {
-    /// Direct mutable access; the caller owns the index for the call.
-    Exclusive(&'a mut LinkIndex),
-    /// Lock-striped access for concurrent resolvers over one shared LI.
-    Shared {
-        /// The shared index; locked briefly per round, never across work.
-        lock: &'a RwLock<LinkIndex>,
-        /// This query's private links + resolved marks, commit-pending.
-        delta: LinkDelta,
-        /// Time spent blocked on lock acquisitions, for
-        /// [`DedupMetrics::lock_wait`].
-        lock_wait: Duration,
-    },
-}
-
-impl LiAccess<'_> {
-    /// Acquires a read guard, charging the wait to `lock_wait`.
-    fn timed_read<'l>(
-        lock: &'l RwLock<LinkIndex>,
-        wait: &mut Duration,
-    ) -> RwLockReadGuard<'l, LinkIndex> {
-        let t0 = Instant::now();
-        let guard = lock.read();
-        *wait += t0.elapsed();
-        guard
-    }
-
-    /// Whether a record counts as resolved for frontier pruning. In
-    /// shared mode a record is resolved if any committed query resolved
-    /// it *or* this query already did (in its own uncommitted delta).
-    fn dedup_unresolved(
-        &mut self,
-        idx: &TableErIndex,
-        candidates: impl ExactSizeIterator<Item = RecordId>,
-    ) -> Vec<RecordId> {
-        match self {
-            LiAccess::Exclusive(li) => idx.dedup_unresolved(li, candidates),
-            LiAccess::Shared {
-                lock,
-                delta,
-                lock_wait,
-            } => {
-                let g = Self::timed_read(lock, lock_wait);
-                idx.dedup_unresolved_where(|q| g.is_resolved(q) || delta.is_resolved(q), candidates)
-            }
-        }
-    }
-
-    /// Splits candidate pairs into already-linked partners and pairs
-    /// still needing comparison. One read lock for the whole batch in
-    /// shared mode — the loop body is hash probes only.
-    fn partition_pairs(
-        &mut self,
-        pairs: Vec<(RecordId, RecordId)>,
-        partners: &mut Vec<RecordId>,
-        to_compare: &mut Vec<(RecordId, RecordId)>,
-    ) {
-        match self {
-            LiAccess::Exclusive(li) => {
-                for (q, c) in pairs {
-                    if li.are_linked(q, c) {
-                        partners.push(c);
-                    } else {
-                        to_compare.push((q, c));
-                    }
-                }
-            }
-            LiAccess::Shared {
-                lock,
-                delta,
-                lock_wait,
-            } => {
-                let g = Self::timed_read(lock, lock_wait);
-                for (q, c) in pairs {
-                    if g.are_linked(q, c) || delta.are_linked(q, c) {
-                        partners.push(c);
-                    } else {
-                        to_compare.push((q, c));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Records a match. Returns `true` if new to this access view.
-    fn add_link(&mut self, q: RecordId, c: RecordId) -> bool {
-        match self {
-            LiAccess::Exclusive(li) => li.add_link(q, c),
-            LiAccess::Shared { delta, .. } => delta.add_link(q, c),
-        }
-    }
-
-    /// Marks a fully-compared frontier resolved (exclusive: directly;
-    /// shared: in the delta, published atomically with its links so the
-    /// LI never claims completeness for links not yet visible).
-    fn mark_frontier_resolved(&mut self, frontier: &[RecordId]) {
-        match self {
-            LiAccess::Exclusive(li) => {
-                for &q in frontier {
-                    li.mark_resolved(q);
-                }
-            }
-            LiAccess::Shared { delta, .. } => {
-                for &q in frontier {
-                    delta.mark_resolved(q);
-                }
-            }
-        }
-    }
-}
-
 impl TableErIndex {
-    /// Resolves the duplicates of `qe` within `table`, amending `li` with
-    /// every link found and `metrics` with stage timings and comparison
-    /// counts. Entities already resolved in the LI are served from it
-    /// ("we only need to compute the link-sets of those entities in QE_E
-    /// that are not already in LI_E", Sec. 6.1).
-    #[deprecated(note = "use `run(ResolveRequest::records(table, qe, li).metrics(metrics))`")]
-    pub fn resolve(
-        &self,
-        table: &Table,
-        qe: &[RecordId],
-        li: &mut LinkIndex,
-        metrics: &mut DedupMetrics,
-    ) -> Result<ResolveOutcome, ResolveError> {
-        self.run(ResolveRequest::records(table, qe, li).metrics(metrics))
-    }
-
-    /// [`TableErIndex::run`] with an exclusive-`&mut` Link Index — see
-    /// the [`crate::request`] module. The loop polls the budget at
-    /// round starts, the bulk Edge-Pruning sweep polls it between
-    /// worker chunks, and Comparison-Execution runs in budget-clamped
-    /// batches — so an exhausted budget or an external cancel stops
-    /// work at the next chunk boundary and the call returns a
-    /// partial-but-valid outcome whose [`ResolveOutcome::completion`]
-    /// reports the stage and comparison count.
+    /// The body of [`TableErIndex::run`]: resolves the duplicates of
+    /// `qe` against read-only views of `li`, accumulating every link
+    /// found and every completed round's resolved marks in a private
+    /// [`LinkDelta`], and publishes them with one [`LinkIndex::commit`]
+    /// at the end — the only write the call makes to the Link Index,
+    /// whichever kind of handle the caller passed. Entities already
+    /// resolved in the LI are served from it ("we only need to compute
+    /// the link-sets of those entities in QE_E that are not already in
+    /// LI_E", Sec. 6.1).
+    ///
+    /// The round loop polls the budget at round starts, the bulk
+    /// Edge-Pruning sweep polls it between worker chunks, and
+    /// Comparison-Execution runs in budget-clamped batches — so an
+    /// exhausted budget or an external cancel stops work at the next
+    /// chunk boundary and the call returns a partial-but-valid outcome
+    /// whose [`ResolveOutcome::completion`] reports the stage and
+    /// comparison count.
     ///
     /// Partial-run guarantees (pinned by `tests/budget_equivalence.rs`):
-    /// an unlimited budget takes the historical path bit-for-bit; under
-    /// any budget, every executed comparison's decision — and hence
-    /// every emitted link — equals the full run's, so the links are a
-    /// subset of the full run's links; and a truncated round never marks
-    /// its frontier resolved, so re-resolving with more budget converges
-    /// to the full answer.
-    pub(crate) fn run_exclusive(
+    /// under any budget, every executed comparison's decision — and
+    /// hence every committed link — equals the full run's, so the links
+    /// are a subset of the full run's links; and a truncated round's
+    /// marks never enter the delta, so re-resolving with more budget
+    /// converges to the full answer. On error (worker panic, poisoned
+    /// index) the delta is dropped uncommitted — a failed query leaves
+    /// the Link Index exactly as it found it.
+    pub(crate) fn resolve_and_commit(
         &self,
         table: &Table,
         qe: &[RecordId],
-        li: &mut LinkIndex,
+        mut li: LiMode<'_>,
         metrics: &mut DedupMetrics,
         budget: &ResolveBudget,
     ) -> Result<ResolveOutcome, ResolveError> {
         self.check_serve(table)?;
-        let mut access = LiAccess::Exclusive(li);
-        let ctx = self.resolve_rounds(&mut access, qe, metrics, budget)?;
-        let LiAccess::Exclusive(li) = access else {
-            unreachable!("exclusive access stays exclusive")
-        };
-        Ok(ResolveOutcome {
-            dr: self.dr_of(li, qe),
-            new_links: ctx.new_links,
-            completion: ctx.completion,
-        })
-    }
-
-    /// Budgeted point-query resolve with an exclusive Link Index.
-    #[deprecated(
-        note = "use `run(ResolveRequest::records(table, qe, li).budget(..).metrics(metrics))`"
-    )]
-    pub fn resolve_governed(
-        &self,
-        table: &Table,
-        qe: &[RecordId],
-        li: &mut LinkIndex,
-        metrics: &mut DedupMetrics,
-        budget: &ResolveBudget,
-    ) -> Result<ResolveOutcome, ResolveError> {
-        self.run(
-            ResolveRequest::records(table, qe, li)
-                .budget(budget.clone())
-                .metrics(metrics),
-        )
-    }
-
-    /// [`TableErIndex::resolve`] against a *shared* Link Index — the
-    /// concurrent-serving entry point. N threads may call this for N
-    /// different queries over one `Arc<TableErIndex>` and one
-    /// `RwLock<LinkIndex>` simultaneously: the query resolves against
-    /// short-lived read snapshots (locks held for hash probes only,
-    /// never across Edge Pruning or comparison work), accumulates its
-    /// links and resolved marks in a private [`LinkDelta`], and commits
-    /// them in one brief write critical section that dedups against
-    /// concurrently-committed links.
-    ///
-    /// Because every match decision is a pure function of the immutable
-    /// index, concurrent execution is serializable: any interleaving
-    /// leaves the LI (links + resolved marks) identical to a serial
-    /// execution of the same queries — races only cause duplicate work,
-    /// which the commit dedups (pinned by
-    /// `tests/concurrent_equivalence.rs`). A query that discovers
-    /// nothing new (the warm, fully-resolved common case) skips the
-    /// write lock entirely, so warm reads scale with reader concurrency.
-    #[deprecated(note = "use `run(ResolveRequest::records(table, qe, li).metrics(metrics))`")]
-    pub fn resolve_shared(
-        &self,
-        table: &Table,
-        qe: &[RecordId],
-        li: &RwLock<LinkIndex>,
-        metrics: &mut DedupMetrics,
-    ) -> Result<ResolveOutcome, ResolveError> {
-        self.run(ResolveRequest::records(table, qe, li).metrics(metrics))
-    }
-
-    /// [`TableErIndex::run`] with a shared `RwLock` Link Index, under a
-    /// [`ResolveBudget`] — the same polling points and partial-run
-    /// guarantees as [`TableErIndex::run_exclusive`], with one
-    /// addition: a truncated round's marks never enter the delta, so a
-    /// budget-stopped commit publishes only complete link-sets and
-    /// retrying with more budget converges exactly as on the exclusive
-    /// path. On error (worker panic, poisoned index) nothing is
-    /// committed — a failed query leaves the shared LI untouched.
-    pub(crate) fn run_shared(
-        &self,
-        table: &Table,
-        qe: &[RecordId],
-        li: &RwLock<LinkIndex>,
-        metrics: &mut DedupMetrics,
-        budget: &ResolveBudget,
-    ) -> Result<ResolveOutcome, ResolveError> {
-        self.check_serve(table)?;
-        let mut access = LiAccess::Shared {
-            lock: li,
+        let mut ctx = ResolveCtx {
+            pair_seen: PairSet::new(),
             delta: LinkDelta::new(),
             lock_wait: Duration::ZERO,
+            comparisons_done: 0,
+            completion: Completion::Complete,
         };
-        let rounds = self.resolve_rounds(&mut access, qe, metrics, budget);
-        let LiAccess::Shared {
-            delta,
-            mut lock_wait,
-            ..
-        } = access
-        else {
-            unreachable!("shared access stays shared")
-        };
-        let ctx = match rounds {
-            Ok(ctx) => ctx,
-            Err(e) => {
-                metrics.lock_wait += lock_wait;
-                return Err(e);
+        let rounds = self.resolve_rounds(&li, &mut ctx, qe, metrics, budget);
+        let outcome = rounds.map(|()| {
+            // The commit's return value is the link count reported: a
+            // link this query found may have been committed by a
+            // concurrent query meanwhile. Nothing to publish (the warm,
+            // fully-resolved common case) skips the write lock.
+            let new_links = if ctx.delta.is_empty() {
+                0
+            } else {
+                li.commit(&ctx.delta, &mut ctx.lock_wait)
+            };
+            // DR_E reads the post-commit LI, so this query's own links
+            // are visible; concurrent commits may enlarge clusters, which
+            // only moves the result closer to the full batch answer.
+            let dr = li.read(&mut ctx.lock_wait, |g| self.dr_of(g, qe));
+            ResolveOutcome {
+                dr,
+                new_links,
+                completion: ctx.completion,
             }
-        };
-        // Delta commit: the only write critical section of the query,
-        // skipped when there is nothing to publish. The commit's return
-        // value replaces the loop-time tally — a link this query found
-        // may have been committed by a concurrent query meanwhile.
-        let new_links = if delta.is_empty() {
-            0
-        } else {
-            let t0 = Instant::now();
-            let mut g = li.write();
-            lock_wait += t0.elapsed();
-            g.commit(&delta)
-        };
-        // DR_E reads the post-commit LI, so this query's own links are
-        // visible; concurrent commits may enlarge clusters, which only
-        // moves the result closer to the full batch answer.
-        let dr = {
-            let g = Self::timed_read_li(li, &mut lock_wait);
-            self.dr_of(&g, qe)
-        };
-        metrics.lock_wait += lock_wait;
-        Ok(ResolveOutcome {
-            dr,
-            new_links,
-            completion: ctx.completion,
-        })
-    }
-
-    /// Budgeted point-query resolve against a shared Link Index.
-    #[deprecated(
-        note = "use `run(ResolveRequest::records(table, qe, li).budget(..).metrics(metrics))`"
-    )]
-    pub fn resolve_shared_governed(
-        &self,
-        table: &Table,
-        qe: &[RecordId],
-        li: &RwLock<LinkIndex>,
-        metrics: &mut DedupMetrics,
-        budget: &ResolveBudget,
-    ) -> Result<ResolveOutcome, ResolveError> {
-        self.run(
-            ResolveRequest::records(table, qe, li)
-                .budget(budget.clone())
-                .metrics(metrics),
-        )
-    }
-
-    /// Whole-table resolve against a shared Link Index.
-    #[deprecated(note = "use `run(ResolveRequest::all(table, li).metrics(metrics))`")]
-    pub fn resolve_all_shared(
-        &self,
-        table: &Table,
-        li: &RwLock<LinkIndex>,
-        metrics: &mut DedupMetrics,
-    ) -> Result<ResolveOutcome, ResolveError> {
-        self.run(ResolveRequest::all(table, li).metrics(metrics))
+        });
+        metrics.lock_wait += ctx.lock_wait;
+        outcome
     }
 
     /// Entry checks shared by every resolve flavour.
@@ -436,18 +178,6 @@ impl TableErIndex {
         Ok(())
     }
 
-    /// Read-lock acquisition charged to `lock_wait` (outcome assembly
-    /// outside [`LiAccess`]).
-    fn timed_read_li<'l>(
-        lock: &'l RwLock<LinkIndex>,
-        wait: &mut Duration,
-    ) -> RwLockReadGuard<'l, LinkIndex> {
-        let t0 = Instant::now();
-        let g = lock.read();
-        *wait += t0.elapsed();
-        g
-    }
-
     /// DR_E: the query entities plus every duplicate reachable in `li`.
     fn dr_of(&self, li: &LinkIndex, qe: &[RecordId]) -> Vec<RecordId> {
         if self.config().transitive {
@@ -463,23 +193,24 @@ impl TableErIndex {
         }
     }
 
-    /// The resolve round loop, generic over Link Index access mode. The
-    /// `Exclusive` arm is the historical resolve bit-for-bit; `Shared`
-    /// differs only in *where* LI reads/writes land (guards + delta),
-    /// never in what is compared or decided.
+    /// The resolve round loop. Reads the Link Index only through
+    /// short-lived [`LiMode::read`] views (hash probes, never held
+    /// across Edge Pruning or comparison work) overlaid with this
+    /// query's own uncommitted `ctx.delta`, and writes only to that
+    /// delta.
     fn resolve_rounds(
         &self,
-        li: &mut LiAccess<'_>,
+        li: &LiMode<'_>,
+        ctx: &mut ResolveCtx,
         qe: &[RecordId],
         metrics: &mut DedupMetrics,
         budget: &ResolveBudget,
-    ) -> Result<ResolveCtx, ResolveError> {
+    ) -> Result<(), ResolveError> {
         // Compile the matcher once per resolve: similarity kind,
         // threshold, and attribute layout resolve here, never per pair.
         let matcher = Matcher::new(self.config(), self.skip_col()).compile(self);
-        let mut ctx = ResolveCtx::new();
 
-        let mut frontier: Vec<RecordId> = li.dedup_unresolved(self, qe.iter().copied());
+        let mut frontier = self.unresolved_frontier(li, ctx, qe.iter().copied());
 
         while !frontier.is_empty() {
             failpoints::fire("resolve.round");
@@ -541,12 +272,22 @@ impl TableErIndex {
             metrics.candidate_pairs += pairs.len() as u64;
 
             // (iv) Comparison-Execution. Pairs already linked by previous
-            // queries need no comparison but still contribute partners.
+            // queries (or earlier rounds of this one) need no comparison
+            // but still contribute partners. One LI view for the whole
+            // batch — the loop body is hash probes only.
             let mut sw = Stopwatch::new();
             sw.start();
             let mut partners: Vec<RecordId> = Vec::new();
             let mut to_compare: Vec<(RecordId, RecordId)> = Vec::with_capacity(pairs.len());
-            li.partition_pairs(pairs, &mut partners, &mut to_compare);
+            li.read(&mut ctx.lock_wait, |g| {
+                for (q, c) in pairs {
+                    if g.are_linked(q, c) || ctx.delta.are_linked(q, c) {
+                        partners.push(c);
+                    } else {
+                        to_compare.push((q, c));
+                    }
+                }
+            });
             let run = self.execute_comparisons_governed(
                 &matcher,
                 &to_compare,
@@ -558,9 +299,7 @@ impl TableErIndex {
             ctx.comparisons_done += run.executed as u64;
             for (&(q, c), matched) in to_compare[..run.executed].iter().zip(run.decisions) {
                 if matched {
-                    if li.add_link(q, c) {
-                        ctx.new_links += 1;
-                    }
+                    ctx.delta.add_link(q, c);
                     metrics.matches_found += 1;
                     partners.push(c);
                 }
@@ -572,89 +311,63 @@ impl TableErIndex {
                 // Truncated round: its frontier is NOT marked resolved —
                 // some of its pairs were never decided, and marking
                 // would make the Link Index claim completeness it does
-                // not have. Every decided link stands; a later resolve
-                // redoes this frontier and converges to the full answer.
+                // not have. Every decided link is still committed; a
+                // later resolve redoes this frontier and converges to
+                // the full answer.
                 metrics.pairs_uncompared += (to_compare.len() - run.executed) as u64;
                 ctx.completion =
                     stop.completion(ResolveStage::ComparisonExecution, ctx.comparisons_done);
                 break;
             }
 
+            // Marks are published atomically with the links, so the LI
+            // never claims completeness for links not yet visible.
             metrics.entities_processed += frontier.len() as u64;
-            li.mark_frontier_resolved(&frontier);
+            for &q in &frontier {
+                ctx.delta.mark_resolved(q);
+            }
 
             // Transitive expansion: newly discovered duplicates must be
             // resolved too, so DR groups equal batch connected components.
             frontier = if self.config().transitive {
-                li.dedup_unresolved(self, partners.into_iter())
+                self.unresolved_frontier(li, ctx, partners.into_iter())
             } else {
                 Vec::new()
             };
         }
-        Ok(ctx)
-    }
-
-    /// Resolves the entire table (the batch-ER building block).
-    #[deprecated(note = "use `run(ResolveRequest::all(table, li).metrics(metrics))`")]
-    pub fn resolve_all(
-        &self,
-        table: &Table,
-        li: &mut LinkIndex,
-        metrics: &mut DedupMetrics,
-    ) -> Result<ResolveOutcome, ResolveError> {
-        self.run(ResolveRequest::all(table, li).metrics(metrics))
-    }
-
-    /// Budgeted whole-table resolve with an exclusive Link Index.
-    #[deprecated(note = "use `run(ResolveRequest::all(table, li).budget(..).metrics(metrics))`")]
-    pub fn resolve_all_governed(
-        &self,
-        table: &Table,
-        li: &mut LinkIndex,
-        metrics: &mut DedupMetrics,
-        budget: &ResolveBudget,
-    ) -> Result<ResolveOutcome, ResolveError> {
-        self.run(
-            ResolveRequest::all(table, li)
-                .budget(budget.clone())
-                .metrics(metrics),
-        )
+        Ok(())
     }
 
     /// Order-preserving first-occurrence dedup of frontier candidates,
-    /// dropping entities already resolved in the Link Index. Point-query
-    /// shapes keep the hash-set probe; once the candidate list covers at
-    /// least 1/[`RANK_AMORTIZE`] of the table, a dense seen-array pass
-    /// (the same amortization rule as the EP frontier-rank ownership
-    /// scan) replaces the per-entity hashing — a `resolve_all` round
-    /// dedups with two array ops per candidate instead of a hash insert.
-    fn dedup_unresolved(
+    /// dropping entities already resolved — by a committed query, or by
+    /// an earlier round of this one (in its uncommitted delta).
+    /// Point-query shapes keep the hash-set probe; once the candidate
+    /// list covers at least 1/[`RANK_AMORTIZE`] of the table, a dense
+    /// seen-array pass (the same amortization rule as the EP
+    /// frontier-rank ownership scan) replaces the per-entity hashing — a
+    /// resolve-all round dedups with two array ops per candidate instead
+    /// of a hash insert.
+    fn unresolved_frontier(
         &self,
-        li: &LinkIndex,
+        li: &LiMode<'_>,
+        ctx: &mut ResolveCtx,
         candidates: impl ExactSizeIterator<Item = RecordId>,
     ) -> Vec<RecordId> {
-        self.dedup_unresolved_where(|q| li.is_resolved(q), candidates)
-    }
-
-    /// [`TableErIndex::dedup_unresolved`] over an arbitrary resolved
-    /// predicate — the shared-LI path filters against the committed
-    /// index *and* the query's own uncommitted delta in one pass.
-    fn dedup_unresolved_where(
-        &self,
-        is_resolved: impl Fn(RecordId) -> bool,
-        candidates: impl ExactSizeIterator<Item = RecordId>,
-    ) -> Vec<RecordId> {
-        if candidates.len() * RANK_AMORTIZE < self.n_records() {
-            let mut seen = FxHashSet::default();
-            candidates
-                .filter(|&q| !is_resolved(q) && seen.insert(q))
-                .collect()
-        } else {
-            let mut seen = vec![false; self.n_records()];
-            candidates
-                .filter(|&q| !is_resolved(q) && !std::mem::replace(&mut seen[q as usize], true))
-                .collect()
-        }
+        let delta = &ctx.delta;
+        li.read(&mut ctx.lock_wait, |g| {
+            let unresolved = |q: &RecordId| !g.is_resolved(*q) && !delta.is_resolved(*q);
+            if candidates.len() * RANK_AMORTIZE < self.n_records() {
+                let mut seen = FxHashSet::default();
+                candidates
+                    .filter(|q| unresolved(q) && seen.insert(*q))
+                    .collect()
+            } else {
+                let mut seen = vec![false; self.n_records()];
+                candidates
+                    .filter(|q| unresolved(q) && !std::mem::replace(&mut seen[*q as usize], true))
+                    .collect()
+            }
+        })
     }
 
     /// Assembles the enriched QBI of in-table query entities from the
@@ -705,51 +418,34 @@ impl TableErIndex {
     }
 
     /// EP pair generation: weight every edge incident to a frontier
-    /// entity and keep it per the configured pruning scope. Exposed so
-    /// the equivalence suites can pin the candidate pair sets of the
-    /// cached, bulk/parallel, and lazy/sequential paths against each
-    /// other.
-    ///
-    /// With `ErConfig::ep_cache` enabled (the default), node-centric
-    /// pruning goes through the cross-query resolve cache
-    /// (thresholds + surviving-neighbour lists memoized across
-    /// queries); with it off, `ep_bulk_thresholds` selects between the
-    /// per-query bulk threshold vector and the lazy per-entity map.
-    /// Every path — and any thread count — emits the bit-identical
-    /// pair sequence.
+    /// entity and keep it per the configured pruning scope, counting
+    /// survivor-memo hits and misses into `metrics`. Exposed so the
+    /// equivalence suites can pin the candidate pair sequence across
+    /// cache modes and thread counts — every configuration emits the
+    /// bit-identical sequence.
     ///
     /// `frontier` entries must be distinct (the resolve loop always
     /// deduplicates): the scans assign each edge to its first-scanned
     /// endpoint, and a repeated entity would own its edges twice.
     ///
     /// `pair_seen` carries already-emitted pairs across calls; emitted
-    /// pairs are recorded into it — except on the cached path's
+    /// pairs are recorded into it — except on the node-centric
     /// resolve-all shape (empty `pair_seen`, frontier spanning the whole
     /// table), where rank ownership performs the dedup and nothing is
     /// inserted. That shape exhausts every pair the index can emit, and
     /// the resolve loop marks its whole frontier resolved, so no later
     /// round can replay one of its pairs (pinned by
     /// `tests/ep_equivalence.rs`).
+    ///
+    /// Panics if an Edge Pruning worker thread panics.
     pub fn edge_pruned_pairs(
-        &self,
-        frontier: &[RecordId],
-        pair_seen: &mut PairSet,
-    ) -> Vec<(RecordId, RecordId)> {
-        let mut metrics = DedupMetrics::default();
-        self.edge_pruned_pairs_metered(frontier, pair_seen, &mut metrics)
-    }
-
-    /// [`TableErIndex::edge_pruned_pairs`] with cache hit/miss
-    /// accounting.
-    pub fn edge_pruned_pairs_metered(
         &self,
         frontier: &[RecordId],
         pair_seen: &mut PairSet,
         metrics: &mut DedupMetrics,
     ) -> Vec<(RecordId, RecordId)> {
         // invariant: an unlimited budget never interrupts a scan, so the
-        // governed dispatch can only come back Done; a worker panic is
-        // reported by panicking, preserving this historical API.
+        // governed dispatch can only come back Done.
         match self.edge_pruned_pairs_governed(
             frontier,
             pair_seen,
@@ -780,67 +476,32 @@ impl TableErIndex {
     ) -> Result<Governed<Vec<(RecordId, RecordId)>>, ResolveError> {
         match self.config().ep_scope {
             EdgePruningScope::NodeCentric => {
-                if self.config().ep_cache.enabled() && self.has_cbs_partials() {
-                    self.node_centric_pairs_cached(frontier, pair_seen, metrics, budget)
-                } else if self.config().ep_bulk_thresholds {
-                    self.node_centric_pairs_bulk(frontier, pair_seen, budget)
-                } else {
-                    Ok(Governed::Done(
-                        self.node_centric_pairs_lazy(frontier, pair_seen),
-                    ))
-                }
+                self.node_centric_pairs(frontier, pair_seen, metrics, budget)
             }
             EdgePruningScope::Global => self.global_pairs(frontier, pair_seen).map(Governed::Done),
         }
     }
 
-    /// Node-centric EP over the lazy per-entity threshold cache — the
-    /// point-query path: only the examined neighbourhoods are scanned.
-    fn node_centric_pairs_lazy(
-        &self,
-        frontier: &[RecordId],
-        pair_seen: &mut PairSet,
-    ) -> Vec<(RecordId, RecordId)> {
-        let mut pruner = EdgePruner::new(self);
-        // The pruner owns its own scratch for threshold neighbourhoods;
-        // this one serves the frontier scans, so the two never alias.
-        let mut scratch = CooccurrenceScratch::new();
-        let mut out = Vec::new();
-        for &q in frontier {
-            for &(c, cbs) in self.cooccurrences_into(q, &mut scratch) {
-                if pair_seen.contains(q, c) {
-                    continue;
-                }
-                let w = pruner.weight(q, c, cbs);
-                if pruner.survives_node_centric(q, c, w) && pair_seen.insert(q, c) {
-                    out.push((q, c));
-                }
-            }
-        }
-        out
-    }
-
-    /// Node-centric EP over the cross-query resolve cache: thresholds
-    /// and surviving-neighbour lists are computed only for nodes first
-    /// touched by a query frontier (or prewarmed in bulk under
-    /// [`EpCacheMode::Prewarm`]) and memoized on the index, so a warm
-    /// scan replays cached survivor rows — no neighbourhood weighting,
-    /// no threshold math. The emission loop is the lazy path's loop over
-    /// a survival-filtered neighbourhood, so the pair sequence is
-    /// bit-identical to the uncached modes (pinned by
-    /// `tests/cache_equivalence.rs`).
+    /// Node-centric EP, the one enumerator: each frontier entity's
+    /// *survivor row* — the neighbours whose edge it keeps, in
+    /// first-touch scan order — is produced (or, with `ep_cache` on,
+    /// replayed from the cross-query memo with no neighbourhood
+    /// weighting and no threshold math), then the rows are emitted in
+    /// frontier order through one dedup. A row is a pure function of the
+    /// immutable index, so memo state, eviction, and thread count never
+    /// change the emitted sequence (pinned by `tests/cache_equivalence.rs`
+    /// and `tests/ep_equivalence.rs`).
     ///
     /// For the resolve-all shape — a duplicate-free frontier spanning
-    /// the whole table with no pairs seen yet — the warm replay skips
-    /// the per-surviving-edge `PairSet` hash insert entirely: the
+    /// the whole table with no pairs seen yet — the emit loop skips the
+    /// per-surviving-edge `PairSet` hash insert entirely: the
     /// frontier-rank ownership rule (each edge emitted only by its
-    /// lower-rank endpoint, the same rule the bulk path uses) performs
-    /// the dedup with two array loads per edge. The emitted sequence is
-    /// bit-identical to the insert-probing loop (pinned by
-    /// `tests/ep_equivalence.rs`), and later rounds are unaffected: a
-    /// full-table round resolves every record, so no subsequent
-    /// frontier can replay one of its pairs.
-    fn node_centric_pairs_cached(
+    /// lower-rank endpoint) performs the dedup with two array loads per
+    /// edge. The emitted sequence is bit-identical to the insert-probing
+    /// loop, and later rounds are unaffected: a full-table round
+    /// resolves every record, so no subsequent frontier can replay one
+    /// of its pairs.
+    fn node_centric_pairs(
         &self,
         frontier: &[RecordId],
         pair_seen: &mut PairSet,
@@ -850,118 +511,77 @@ impl TableErIndex {
         // Threshold source: a frontier covering a sizeable fraction of
         // the table will need (nearly) every node's threshold anyway —
         // same amortization rule as the rank scans — so fill the bulk
-        // vector once (a cheap finishing sweep over the build-time CBS
-        // partials, persisted on the index) and make every lookup an
+        // vector once (persisted on the index) and make every lookup an
         // array load. Point queries stay incremental through the sharded
-        // memo; `Prewarm` forces the sweep regardless of frontier shape.
-        if self.config().ep_cache == EpCacheMode::Prewarm
-            || frontier.len() * RANK_AMORTIZE >= self.n_records()
-        {
+        // memo. With `ep_cache` off nothing may be memoized, so the bulk
+        // vector is the only source.
+        let memoize = self.config().ep_cache.enabled();
+        let bulk = if !memoize || frontier.len() * RANK_AMORTIZE >= self.n_records() {
             match self.try_bulk_ep_thresholds(budget)? {
-                Governed::Done(_) => {}
+                Governed::Done(bulk) => Some(bulk),
                 Governed::Interrupted(stop) => return Ok(Governed::Interrupted(stop)),
             }
-        }
+        } else {
+            self.bulk_snapshot()
+        };
+        let ep = NodeCentricEp {
+            idx: self,
+            scheme: self.config().weight_scheme,
+            n_blocks: self.n_unpurged_blocks().max(1) as f64,
+            bulk,
+            memoize,
+        };
+        // Survivor rows in frontier order, filled across disjoint
+        // frontier chunks when the frontier pays for the threads (racing
+        // neighbour-threshold computes are benign and bit-identical).
+        // Workers only ever publish *complete* rows to the memo, so a
+        // lost worker fails this call and leaves the caches sound. The
+        // rows themselves are handed to the emit loop: a capped memo may
+        // have evicted one again by then, and `off` never stored it.
+        let workers = if frontier.len() >= PAR_MIN_FRONTIER {
+            self.config().effective_ep_threads()
+        } else {
+            1
+        };
+        let rows = fan_out(
+            frontier.len(),
+            workers,
+            "ep.survivors.worker",
+            ResolveStage::EdgePruning,
+            |range| {
+                let mut scratch = CooccurrenceScratch::new();
+                let fill = |&q: &RecordId| ep.survivors(q, &mut scratch);
+                frontier[range].iter().map(fill).collect::<Vec<_>>()
+            },
+        )?;
         // Resolve-all fast path: rank-ownership dedup instead of a
         // `PairSet` insert per surviving edge. Only sound when no pair
         // has been recorded yet (nothing to dedup against) and the
         // frontier covers every record without duplicates (so every
         // edge endpoint has a rank and each edge one unambiguous
-        // owner); anything else falls back to the insert-probing loop.
+        // owner); anything else takes the insert-probing arm.
         let replay_ranks = if pair_seen.is_empty() && frontier.len() == self.n_records() {
             self.distinct_frontier_ranks(frontier)
         } else {
             None
         };
-        let ctx = EpCacheCtx::new(self);
-        let workers = self.config().effective_ep_threads();
-        if workers > 1 && frontier.len() >= PAR_MIN_FRONTIER {
-            // Fill missing survivor lists in parallel (disjoint frontier
-            // chunks; racing neighbour-threshold computes are benign and
-            // bit-identical), then emit sequentially in frontier order.
-            let chunk = frontier.len().div_ceil(workers);
-            let mut counters: Vec<(u64, u64)> = vec![(0, 0); frontier.len().div_ceil(chunk)];
-            let ctx_ref = &ctx;
-            let mut panicked = false;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = counters
-                    .iter_mut()
-                    .zip(frontier.chunks(chunk))
-                    .map(|(cnt, work)| {
-                        scope.spawn(move || {
-                            failpoints::fire("ep.survivors.worker");
-                            for &q in work {
-                                let (_, hit) = ctx_ref.survivors(q);
-                                if hit {
-                                    cnt.0 += 1;
-                                } else {
-                                    cnt.1 += 1;
-                                }
-                            }
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    panicked |= h.join().is_err();
-                }
-            });
-            if panicked {
-                // Workers only ever publish *complete* survivor lists
-                // (computed fully before the insert), so the caches are
-                // sound; only this resolve call fails.
-                return Err(ResolveError::WorkerPanicked {
-                    stage: ResolveStage::EdgePruning,
-                });
-            }
-            for (hits, misses) in counters {
-                metrics.ep_cache_hits += hits;
-                metrics.ep_cache_misses += misses;
-            }
-            let mut out = Vec::new();
-            if let Some(rank) = &replay_ranks {
-                for &q in frontier {
-                    // Guaranteed hit after the fill pass; not re-counted.
-                    let (surv, _) = ctx.survivors(q);
-                    let rq = rank[q as usize];
-                    for &c in surv.iter() {
-                        if rank[c as usize] < rq {
-                            continue;
-                        }
-                        out.push((q, c));
-                    }
-                }
-            } else {
-                for &q in frontier {
-                    let (surv, _) = ctx.survivors(q);
-                    for &c in surv.iter() {
-                        if pair_seen.insert(q, c) {
-                            out.push((q, c));
-                        }
-                    }
-                }
-            }
-            return Ok(Governed::Done(out));
-        }
         let mut out = Vec::new();
-        for &q in frontier {
-            let (surv, hit) = ctx.survivors(q);
-            if hit {
-                metrics.ep_cache_hits += 1;
-            } else {
-                metrics.ep_cache_misses += 1;
+        for (&q, (survivors, hit)) in frontier.iter().zip(rows.into_iter().flatten()) {
+            if memoize {
+                metrics.ep_cache_hits += u64::from(hit);
+                metrics.ep_cache_misses += u64::from(!hit);
             }
             match &replay_ranks {
                 Some(rank) => {
                     let rq = rank[q as usize];
-                    for &c in surv.iter() {
-                        if rank[c as usize] < rq {
-                            continue;
+                    for &c in survivors.iter() {
+                        if rank[c as usize] >= rq {
+                            out.push((q, c));
                         }
-                        out.push((q, c));
                     }
                 }
                 None => {
-                    for &c in surv.iter() {
+                    for &c in survivors.iter() {
                         if pair_seen.insert(q, c) {
                             out.push((q, c));
                         }
@@ -994,8 +614,8 @@ impl TableErIndex {
     /// endpoints are both in the frontier is visited twice by the scan;
     /// the endpoint with the lower rank *owns* it — emitting only at the
     /// owner reproduces the first-occurrence order (and the dedup) of
-    /// the lazy path's per-edge `pair_seen` probes without paying a hash
-    /// lookup per edge occurrence.
+    /// per-edge `PairSet` probes without paying a hash lookup per edge
+    /// occurrence.
     fn frontier_ranks(&self, frontier: &[RecordId]) -> Vec<u32> {
         let mut rank = vec![u32::MAX; self.n_records()];
         for (i, &q) in frontier.iter().enumerate() {
@@ -1007,132 +627,29 @@ impl TableErIndex {
         rank
     }
 
-    /// Node-centric EP over the bulk threshold vector: every survival
-    /// check is two array loads, and the frontier scan fans out across
-    /// threads when the frontier is large enough to pay for them.
-    fn node_centric_pairs_bulk(
-        &self,
-        frontier: &[RecordId],
-        pair_seen: &mut PairSet,
-        budget: &ResolveBudget,
-    ) -> Result<Governed<Vec<(RecordId, RecordId)>>, ResolveError> {
-        let th = match self.try_bulk_ep_thresholds(budget)? {
-            Governed::Done(th) => th,
-            Governed::Interrupted(stop) => return Ok(Governed::Interrupted(stop)),
-        };
-        let pruner = EdgePruner::new(self);
-        let workers = self.config().effective_ep_threads();
-        if workers == 1 || frontier.len() < PAR_MIN_FRONTIER {
-            let mut scratch = CooccurrenceScratch::new();
-            let mut out = Vec::new();
-            if frontier.len() * RANK_AMORTIZE < self.n_records() {
-                // Point-query shape: per-edge `pair_seen` probes dedup
-                // the two visits of an in-frontier edge — emission stays
-                // at the first visit, exactly like the rank rule below.
-                for &q in frontier {
-                    for &(c, cbs) in self.cooccurrences_into(q, &mut scratch) {
-                        if pair_seen.contains(q, c) {
-                            continue;
-                        }
-                        let w = pruner.weight(q, c, cbs);
-                        if (keeps(w, th[q as usize]) || keeps(w, th[c as usize]))
-                            && pair_seen.insert(q, c)
-                        {
-                            out.push((q, c));
-                        }
-                    }
-                }
-                return Ok(Governed::Done(out));
-            }
-            let rank = self.frontier_ranks(frontier);
-            for &q in frontier {
-                let rq = rank[q as usize];
-                for &(c, cbs) in self.cooccurrences_into(q, &mut scratch) {
-                    if rank[c as usize] < rq {
-                        continue; // c's scan owns this edge
-                    }
-                    let w = pruner.weight(q, c, cbs);
-                    if (keeps(w, th[q as usize]) || keeps(w, th[c as usize]))
-                        && pair_seen.insert(q, c)
-                    {
-                        out.push((q, c));
-                    }
-                }
-            }
-            return Ok(Governed::Done(out));
-        }
-        let rank = self.frontier_ranks(frontier);
-        // Parallel frontier scan: each worker chunk collects its owned
-        // survivors; the sequential merge below applies `pair_seen`
-        // insertion in frontier order, so pairs recorded by previous
-        // rounds/queries drop exactly as the sequential loop drops them.
-        let chunk = frontier.len().div_ceil(workers);
-        let mut parts: Vec<Vec<(RecordId, RecordId)>> =
-            vec![Vec::new(); frontier.len().div_ceil(chunk)];
-        let (th_ref, pruner_ref, rank_ref) = (&th, &pruner, &rank);
-        let mut panicked = false;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .iter_mut()
-                .zip(frontier.chunks(chunk))
-                .map(|(part, work)| {
-                    scope.spawn(move || {
-                        failpoints::fire("ep.scan.worker");
-                        let mut scratch = CooccurrenceScratch::new();
-                        for &q in work {
-                            let rq = rank_ref[q as usize];
-                            for &(c, cbs) in self.cooccurrences_into(q, &mut scratch) {
-                                if rank_ref[c as usize] < rq {
-                                    continue;
-                                }
-                                let w = pruner_ref.weight(q, c, cbs);
-                                if keeps(w, th_ref[q as usize]) || keeps(w, th_ref[c as usize]) {
-                                    part.push((q, c));
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                panicked |= h.join().is_err();
-            }
-        });
-        if panicked {
-            // Each part is worker-private; dropping them all with the
-            // error leaves `pair_seen` and the index untouched.
-            return Err(ResolveError::WorkerPanicked {
-                stage: ResolveStage::EdgePruning,
-            });
-        }
-        let mut out = Vec::new();
-        for part in parts {
-            for (q, c) in part {
-                if pair_seen.insert(q, c) {
-                    out.push((q, c));
-                }
-            }
-        }
-        Ok(Governed::Done(out))
-    }
-
     /// Global (WEP-style) EP: collect every distinct edge of the
-    /// examined subgraph (fanning out like the node-centric scan), prune
-    /// against the global mean, then de-duplicate against prior queries.
+    /// examined subgraph (fanning out across frontier chunks when the
+    /// frontier pays for the threads), prune against the global mean,
+    /// then de-duplicate against prior queries.
     fn global_pairs(
         &self,
         frontier: &[RecordId],
         pair_seen: &mut PairSet,
     ) -> Result<Vec<(RecordId, RecordId)>, ResolveError> {
         let pruner = EdgePruner::new(self);
-        let workers = self.config().effective_ep_threads();
-        let mut edges: Vec<(RecordId, RecordId, f64)> = Vec::new();
-        if workers == 1 || frontier.len() < PAR_MIN_FRONTIER {
-            let mut scratch = CooccurrenceScratch::new();
-            if frontier.len() * RANK_AMORTIZE < self.n_records() {
+        let workers = if frontier.len() >= PAR_MIN_FRONTIER {
+            self.config().effective_ep_threads()
+        } else {
+            1
+        };
+        let edges: Vec<(RecordId, RecordId, f64)> =
+            if workers == 1 && frontier.len() * RANK_AMORTIZE < self.n_records() {
                 // Point-query shape: hash-probe dedup instead of the
-                // O(n_records) rank fill (see `node_centric_pairs_bulk`).
+                // O(n_records) rank fill — a handful of neighbourhoods
+                // is cheaper to dedup per edge than a table-sized array.
+                let mut scratch = CooccurrenceScratch::new();
                 let mut edge_seen = PairSet::new();
+                let mut edges = Vec::new();
                 for &q in frontier {
                     for &(c, cbs) in self.cooccurrences_into(q, &mut scratch) {
                         if edge_seen.insert(q, c) {
@@ -1140,64 +657,33 @@ impl TableErIndex {
                         }
                     }
                 }
-                return Ok(prune_global(&edges)
-                    .into_iter()
-                    .filter(|&(a, b)| pair_seen.insert(a, b))
-                    .collect());
-            }
-            let rank = self.frontier_ranks(frontier);
-            for &q in frontier {
-                let rq = rank[q as usize];
-                for &(c, cbs) in self.cooccurrences_into(q, &mut scratch) {
-                    if rank[c as usize] < rq {
-                        continue; // c's scan owns this edge
-                    }
-                    edges.push((q, c, pruner.weight(q, c, cbs)));
-                }
-            }
-        } else {
-            let rank = self.frontier_ranks(frontier);
-            let chunk = frontier.len().div_ceil(workers);
-            let mut parts: Vec<Vec<(RecordId, RecordId, f64)>> =
-                vec![Vec::new(); frontier.len().div_ceil(chunk)];
-            let (pruner_ref, rank_ref) = (&pruner, &rank);
-            let mut panicked = false;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = parts
-                    .iter_mut()
-                    .zip(frontier.chunks(chunk))
-                    .map(|(part, work)| {
-                        scope.spawn(move || {
-                            failpoints::fire("ep.scan.worker");
-                            let mut scratch = CooccurrenceScratch::new();
-                            for &q in work {
-                                let rq = rank_ref[q as usize];
-                                for &(c, cbs) in self.cooccurrences_into(q, &mut scratch) {
-                                    if rank_ref[c as usize] < rq {
-                                        continue;
-                                    }
-                                    part.push((q, c, pruner_ref.weight(q, c, cbs)));
+                edges
+            } else {
+                // Rank ownership already makes each edge unique, so the
+                // parts concatenated in frontier order (and hence the
+                // pruning mean) equal one sequential collection exactly.
+                let rank = self.frontier_ranks(frontier);
+                fan_out(
+                    frontier.len(),
+                    workers,
+                    "ep.scan.worker",
+                    ResolveStage::EdgePruning,
+                    |range| {
+                        let mut scratch = CooccurrenceScratch::new();
+                        let mut part = Vec::new();
+                        for &q in &frontier[range] {
+                            let rq = rank[q as usize];
+                            for &(c, cbs) in self.cooccurrences_into(q, &mut scratch) {
+                                if rank[c as usize] >= rq {
+                                    part.push((q, c, pruner.weight(q, c, cbs)));
                                 }
                             }
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    panicked |= h.join().is_err();
-                }
-            });
-            if panicked {
-                return Err(ResolveError::WorkerPanicked {
-                    stage: ResolveStage::EdgePruning,
-                });
-            }
-            // Concatenate in frontier order: ownership already made each
-            // edge unique, so the merged list (and hence the pruning
-            // mean) equals the sequential collection exactly.
-            for part in parts {
-                edges.extend(part);
-            }
-        }
+                        }
+                        part
+                    },
+                )?
+                .concat()
+            };
         Ok(prune_global(&edges)
             .into_iter()
             .filter(|&(a, b)| pair_seen.insert(a, b))
@@ -1318,50 +804,36 @@ impl TableErIndex {
     /// Runs the match decisions through the compiled kernel, fanning out
     /// across `effective_parallelism()` workers (`parallelism: 0` = auto,
     /// `QUERYER_CMP_THREADS`) once the batch is big enough to pay for
-    /// them — the same chunked `std::thread::scope` shape as the EP
-    /// frontier sweep. Decisions are position-aligned with `pairs`, so
-    /// thread count never affects results. Every comparison reads the
-    /// kernel-ready per-record data built at index time (sorted symbol
-    /// slices, pre-lowercased attributes, attribute metadata), so this
-    /// stage tokenizes nothing and allocates nothing per pair.
+    /// them. Decisions are position-aligned with `pairs` — chunk results
+    /// concatenate in pair order — so thread count never affects
+    /// results; a lost worker's chunk is discarded with the `Err`. Every
+    /// comparison reads the kernel-ready per-record data built at index
+    /// time (sorted symbol slices, pre-lowercased attributes, attribute
+    /// metadata), so this stage tokenizes nothing and allocates nothing
+    /// per pair.
     fn run_comparison_kernels(
         &self,
         matcher: &CompiledMatcher<'_>,
         pairs: &[(RecordId, RecordId)],
     ) -> Result<Vec<bool>, ResolveError> {
-        let workers = self.config().effective_parallelism();
-        if workers == 1 || pairs.len() < PAR_MIN_PAIRS {
-            let mut scratch = KernelScratch::new();
-            let mut decisions = vec![false; pairs.len()];
-            decide_pairs_batched(matcher, pairs, &mut decisions, &mut scratch);
-            return Ok(decisions);
-        }
-        let chunk = pairs.len().div_ceil(workers);
-        let mut decisions = vec![false; pairs.len()];
-        let mut panicked = false;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for (slot, work) in decisions.chunks_mut(chunk).zip(pairs.chunks(chunk)) {
-                handles.push(scope.spawn(move || {
-                    failpoints::fire("cmp.worker");
-                    let mut scratch = KernelScratch::new();
-                    decide_pairs_batched(matcher, work, slot, &mut scratch);
-                }));
-            }
-            // Join each worker ourselves so a panic is consumed here
-            // instead of re-raised by the scope; a dead worker only
-            // leaves `false` defaults in its private slot, which are
-            // discarded with the Err.
-            for h in handles {
-                panicked |= h.join().is_err();
-            }
-        });
-        if panicked {
-            return Err(ResolveError::WorkerPanicked {
-                stage: ResolveStage::ComparisonExecution,
-            });
-        }
-        Ok(decisions)
+        let workers = if pairs.len() >= PAR_MIN_PAIRS {
+            self.config().effective_parallelism()
+        } else {
+            1
+        };
+        let parts = fan_out(
+            pairs.len(),
+            workers,
+            "cmp.worker",
+            ResolveStage::ComparisonExecution,
+            |range| {
+                let mut scratch = KernelScratch::new();
+                let mut decisions = vec![false; range.len()];
+                decide_pairs_batched(matcher, &pairs[range], &mut decisions, &mut scratch);
+                decisions
+            },
+        )?;
+        Ok(parts.concat())
     }
 
     /// Finds the in-table duplicates of an ad-hoc `record` that is *not*
@@ -1484,33 +956,24 @@ fn decide_pairs_batched(
     }
 }
 
-/// Shared context of the cached node-centric pruning path: the pruning
-/// parameters resolved once per call plus a snapshot of the bulk
-/// threshold vector (present after a prewarm or an eager sweep), so
-/// threshold lookups are an array load when prewarmed and a sharded
-/// memo probe otherwise. `Sync` — the parallel survivor fill shares it
-/// by reference.
-struct EpCacheCtx<'a> {
+/// Shared context of one node-centric pruning call: the pruning
+/// parameters resolved once, the bulk threshold vector when one is
+/// available (always, with `ep_cache` off), and whether the cross-query
+/// memos may be read and filled. `Sync` — the parallel survivor fill
+/// shares it by reference.
+struct NodeCentricEp<'a> {
     idx: &'a TableErIndex,
     scheme: WeightScheme,
     n_blocks: f64,
     bulk: Option<Arc<Vec<f64>>>,
+    memoize: bool,
 }
 
-impl<'a> EpCacheCtx<'a> {
-    fn new(idx: &'a TableErIndex) -> Self {
-        Self {
-            idx,
-            scheme: idx.config().weight_scheme,
-            n_blocks: idx.n_unpurged_blocks().max(1) as f64,
-            bulk: idx.bulk_snapshot(),
-        }
-    }
-
-    /// Node-centric threshold of `e` through the cache hierarchy: the
-    /// prewarmed bulk vector when present, else the cross-query sharded
-    /// memo (computed on first touch by the same accumulation every
-    /// other mode runs — bit-identical everywhere).
+impl NodeCentricEp<'_> {
+    /// Node-centric threshold of `e`: an array load from the bulk vector
+    /// when present, else the cross-query sharded memo (computed on
+    /// first touch by the same accumulation the bulk sweep runs —
+    /// bit-identical everywhere).
     fn threshold(&self, e: RecordId) -> f64 {
         if let Some(bulk) = &self.bulk {
             return bulk[e as usize];
@@ -1518,39 +981,46 @@ impl<'a> EpCacheCtx<'a> {
         self.idx
             .threshold_cache()
             .get_or_insert_with(scheme_node_key(self.scheme, e), || {
-                // invariant: EpCacheCtx is only constructed on the cached
-                // EP path, which `build()` gates on CBS partials existing.
+                // invariant: without a bulk vector `ep_cache` is on (off
+                // always sweeps first), and `build()` materializes CBS
+                // partials for every cache-enabled EP config.
                 let nbh = self
                     .idx
                     .cbs_neighbourhood(e)
-                    .expect("cached EP path requires build-time CBS partials");
+                    .expect("memoized EP thresholds require build-time CBS partials");
                 threshold_over(self.idx, self.scheme, self.n_blocks, e, nbh)
             })
     }
 
-    /// Surviving neighbours of `q` (first-touch order) through the
-    /// cross-query memo; the `bool` reports whether the list was served
-    /// from cache (`true`) or computed by this call.
-    fn survivors(&self, q: RecordId) -> (Arc<[RecordId]>, bool) {
+    /// Surviving neighbours of `q` (first-touch order); the `bool`
+    /// reports whether the row was served from the cross-query memo
+    /// (`true`) or computed by this call. `scratch` backs the
+    /// neighbourhood read of an index without CBS partials.
+    ///
+    /// Forced inline: inside the fill loop the threshold source and the
+    /// memo switch are loop-invariant and specialize away; left to the
+    /// inliner's discretion the cold fill of a 2k-record resolve-all ran
+    /// ~0.4 ms (~15 %) slower.
+    #[inline(always)]
+    fn survivors(&self, q: RecordId, scratch: &mut CooccurrenceScratch) -> (Arc<[RecordId]>, bool) {
         let key = scheme_node_key(self.scheme, q);
-        if let Some(cached) = self.idx.survivor_cache().get(key) {
-            return (cached, true);
+        if self.memoize {
+            if let Some(cached) = self.idx.survivor_cache().get(key) {
+                return (cached, true);
+            }
         }
-        // invariant: EpCacheCtx is only constructed on the cached EP
-        // path, which `build()` gates on CBS partials existing.
-        let nbh = self
-            .idx
-            .cbs_neighbourhood(q)
-            .expect("cached EP path requires build-time CBS partials");
+        let nbh = self.idx.neighbourhood(q, scratch);
         let th_q = self.threshold(q);
-        let survivors = survivors_over(self.idx, self.scheme, self.n_blocks, q, nbh, th_q, |c| {
-            self.threshold(c)
-        });
-        let stored = self
-            .idx
-            .survivor_cache()
-            .insert_if_absent(key, survivors.into());
-        (stored, false)
+        let row: Arc<[RecordId]> =
+            survivors_over(self.idx, self.scheme, self.n_blocks, q, nbh, th_q, |c| {
+                self.threshold(c)
+            })
+            .into();
+        if self.memoize {
+            (self.idx.survivor_cache().insert_if_absent(key, row), false)
+        } else {
+            (row, false)
+        }
     }
 }
 
@@ -1559,6 +1029,7 @@ impl<'a> EpCacheCtx<'a> {
 mod tests {
     use super::*;
     use crate::config::{ErConfig, MetaBlockingConfig, SimilarityKind};
+    use crate::request::ResolveRequest;
     use queryer_storage::{Schema, Table, Value};
 
     fn dirty_table() -> Table {
@@ -1943,86 +1414,5 @@ mod tests {
         assert_eq!(out.dr, vec![0, 1]);
         assert_eq!(m.comparisons, 0, "all-null records share no blocks");
         assert_eq!(li.link_count(), 0);
-    }
-
-    /// Every deprecated `resolve*` shim must produce exactly what the
-    /// equivalent [`ResolveRequest`] produces — same DR, same links,
-    /// same comparison count. Pins the delegation, so the shims can
-    /// never drift from the one real entry point.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_to_run() {
-        let table = dirty_table();
-        let cfg = ErConfig::default();
-        let idx = TableErIndex::build(&table, &cfg);
-        let budget = ResolveBudget::unlimited();
-        let qe: Vec<RecordId> = vec![0, 1];
-
-        let reference = |req_of: &dyn Fn(&mut LinkIndex, &mut DedupMetrics) -> ResolveOutcome| {
-            let mut li = LinkIndex::new(table.len());
-            let mut m = DedupMetrics::default();
-            let out = req_of(&mut li, &mut m);
-            (out.dr, li.link_count(), m.comparisons, m.matches_found)
-        };
-
-        // Point-query exclusive: resolve / resolve_governed vs run.
-        let want = reference(&|li, m| {
-            idx.run(ResolveRequest::records(&table, &qe, li).metrics(m))
-                .unwrap()
-        });
-        let got = reference(&|li, m| idx.resolve(&table, &qe, li, m).unwrap());
-        assert_eq!(got, want, "resolve shim drifted");
-        let got = reference(&|li, m| idx.resolve_governed(&table, &qe, li, m, &budget).unwrap());
-        assert_eq!(got, want, "resolve_governed shim drifted");
-
-        // Point-query shared: resolve_shared / resolve_shared_governed.
-        let shared_want = {
-            let li = RwLock::new(LinkIndex::new(table.len()));
-            let mut m = DedupMetrics::default();
-            let out = idx
-                .run(ResolveRequest::records(&table, &qe, &li).metrics(&mut m))
-                .unwrap();
-            let links = li.read().link_count();
-            (out.dr, links, m.comparisons)
-        };
-        let li = RwLock::new(LinkIndex::new(table.len()));
-        let mut m = DedupMetrics::default();
-        let out = idx.resolve_shared(&table, &qe, &li, &mut m).unwrap();
-        assert_eq!(
-            (out.dr, li.read().link_count(), m.comparisons),
-            shared_want,
-            "resolve_shared shim drifted"
-        );
-        let li = RwLock::new(LinkIndex::new(table.len()));
-        let mut m = DedupMetrics::default();
-        let out = idx
-            .resolve_shared_governed(&table, &qe, &li, &mut m, &budget)
-            .unwrap();
-        assert_eq!(
-            (out.dr, li.read().link_count(), m.comparisons),
-            shared_want,
-            "resolve_shared_governed shim drifted"
-        );
-
-        // Whole-table: resolve_all / resolve_all_governed /
-        // resolve_all_shared vs run(All).
-        let want = reference(&|li, m| idx.run(ResolveRequest::all(&table, li).metrics(m)).unwrap());
-        let got = reference(&|li, m| idx.resolve_all(&table, li, m).unwrap());
-        assert_eq!(got, want, "resolve_all shim drifted");
-        let got = reference(&|li, m| idx.resolve_all_governed(&table, li, m, &budget).unwrap());
-        assert_eq!(got, want, "resolve_all_governed shim drifted");
-        let li = RwLock::new(LinkIndex::new(table.len()));
-        let mut m = DedupMetrics::default();
-        let out = idx.resolve_all_shared(&table, &li, &mut m).unwrap();
-        assert_eq!(
-            (
-                out.dr,
-                li.read().link_count(),
-                m.comparisons,
-                m.matches_found
-            ),
-            want,
-            "resolve_all_shared shim drifted"
-        );
     }
 }

@@ -22,7 +22,7 @@
 //! | `index.lower_attrs`   | pre-lowercased attribute text                   |
 //! | `index.attr_meta`     | kernel metadata (48 bytes/attribute)            |
 //! | `index.cbs_adj`       | CBS partials CSR (when the config builds them)  |
-//! | `ep.thresholds`       | bulk EP threshold vector + lazy entries         |
+//! | `ep.thresholds`       | bulk EP threshold vector (+ a reserved 0 count) |
 //! | `cache.thresholds`    | cross-query threshold memo, sorted by key       |
 //! | `cache.survivors`     | cross-query survivor lists, sorted by key       |
 //! | `cache.decisions`     | pair-decision memo, sorted by key               |
@@ -52,7 +52,7 @@
 //! [`SnapshotError::Corrupt`] naming the section.
 
 use crate::config::ErConfig;
-use crate::index::{AttrMeta, EpThresholdCache, ResolveCache, TableErIndex, HIST_CLASSES};
+use crate::index::{AttrMeta, ResolveCache, TableErIndex, HIST_CLASSES};
 use crate::link_index::LinkIndex;
 use parking_lot::Mutex;
 use queryer_common::checksum::Fnv64;
@@ -115,8 +115,8 @@ pub fn content_fingerprint(table: &Table, cfg: &ErConfig) -> u64 {
         }
     }
 
-    // Decision-relevant configuration. Thread counts, bulk-vs-lazy EP,
-    // and cache capacities are excluded on purpose: they never change
+    // Decision-relevant configuration. Thread counts and cache
+    // capacities are excluded on purpose: they never change
     // decisions (property-pinned by the equivalence suites), so a
     // snapshot survives retuning them.
     match cfg.blocking {
@@ -306,28 +306,21 @@ pub fn write_index_snapshot(
     }
     snap.section("index.cbs_adj", w.into_bytes());
 
-    // EP thresholds: the bulk vector plus any lazily-memoized entries.
+    // EP thresholds: the bulk vector. The trailing count is where the
+    // per-entity threshold entries of earlier writers sat; it stays in
+    // the layout, always 0, so the format version need not move.
     let mut w = PayloadWriter::new();
-    {
-        let ep = index.ep_thresholds.lock();
-        match &ep.bulk {
-            None => w.put_u8(0),
-            Some(bulk) => {
-                w.put_u8(1);
-                w.put_u64(bulk.len() as u64);
-                for &t in bulk.iter() {
-                    w.put_f64(t);
-                }
+    match &*index.ep_thresholds.lock() {
+        None => w.put_u8(0),
+        Some(bulk) => {
+            w.put_u8(1);
+            w.put_u64(bulk.len() as u64);
+            for &t in bulk.iter() {
+                w.put_f64(t);
             }
         }
-        let mut lazy: Vec<(RecordId, f64)> = ep.lazy.iter().map(|(&k, &v)| (k, v)).collect();
-        lazy.sort_unstable_by_key(|&(k, _)| k);
-        w.put_u64(lazy.len() as u64);
-        for (k, v) in lazy {
-            w.put_u32(k);
-            w.put_f64(v);
-        }
     }
+    w.put_u64(0);
     snap.section("ep.thresholds", w.into_bytes());
 
     // Cross-query caches, sorted by key so the file image is
@@ -658,7 +651,7 @@ pub fn open_index_snapshot_with_caches(
     // (eviction never changes decisions).
     let resolve_cache = ResolveCache::for_config(cfg);
     let ep_thresholds = if !caches {
-        EpThresholdCache::default()
+        None
     } else {
         let mut r = section(&snap, "ep.thresholds")?;
         let bulk = match r.take_u8()? {
@@ -676,15 +669,10 @@ pub fn open_index_snapshot_with_caches(
             }
             _ => return Err(corrupt("ep.thresholds")),
         };
-        let n_lazy = r.take_len(12)?;
-        let mut lazy: FxHashMap<RecordId, f64> = FxHashMap::default();
-        lazy.reserve(n_lazy);
-        for _ in 0..n_lazy {
-            let k = r.take_u32()?;
-            if k as usize >= n_records {
-                return Err(corrupt("ep.thresholds"));
-            }
-            lazy.insert(k, r.take_f64()?);
+        // A file carrying per-entity threshold entries predates their
+        // removal; refuse it so the caller rebuilds.
+        if r.take_u64()? != 0 {
+            return Err(corrupt("ep.thresholds"));
         }
         finish(r, "ep.thresholds")?;
 
@@ -719,7 +707,7 @@ pub fn open_index_snapshot_with_caches(
             resolve_cache.decisions.insert_if_absent(k, v);
         }
         finish(r, "cache.decisions")?;
-        EpThresholdCache { lazy, bulk }
+        bulk
     };
 
     // Link Index.

@@ -1,9 +1,9 @@
 //! Equivalence of the cross-query resolve cache and the uncached path.
 //!
-//! The cached modes (`EpCacheMode::On` / `Prewarm`) memoize node-centric
-//! Edge Pruning thresholds, surviving-neighbour lists, and pair
-//! comparison decisions across queries; `Off` recomputes everything per
-//! query. These properties pin all three modes together over random
+//! The cached mode (`EpCacheMode::On`) memoizes node-centric Edge
+//! Pruning thresholds, surviving-neighbour lists, and pair comparison
+//! decisions across queries; `Off` recomputes everything per query.
+//! These properties pin the two modes together over random
 //! dirty corpora and *sequences* of overlapping point and range queries
 //! sharing one Link Index — the exact shape the cache exists for:
 //! bit-identical DR sets, links, and decision counts (comparisons /
@@ -96,7 +96,7 @@ fn meta_of(m: usize) -> MetaBlockingConfig {
     }
 }
 
-const MODES: [EpCacheMode; 3] = [EpCacheMode::Off, EpCacheMode::On, EpCacheMode::Prewarm];
+const MODES: [EpCacheMode; 2] = [EpCacheMode::Off, EpCacheMode::On];
 
 fn cfg_with(
     scheme: WeightScheme,
@@ -218,39 +218,40 @@ fn parallel_cached_scan_matches_uncached() {
                 4,
             ),
         );
-        for mode in [EpCacheMode::On, EpCacheMode::Prewarm] {
-            let cached = TableErIndex::build(
-                &table,
-                &cfg_with(
-                    scheme,
-                    EdgePruningScope::NodeCentric,
-                    MetaBlockingConfig::All,
-                    mode,
-                    4,
-                ),
+        let cached = TableErIndex::build(
+            &table,
+            &cfg_with(
+                scheme,
+                EdgePruningScope::NodeCentric,
+                MetaBlockingConfig::All,
+                EpCacheMode::On,
+                4,
+            ),
+        );
+        for frontier in [&all[..5], &all[..300], &all[..]] {
+            let mut seen_off = PairSet::new();
+            let mut seen_cold = PairSet::new();
+            let mut seen_warm = PairSet::new();
+            let pairs_off =
+                off.edge_pruned_pairs(frontier, &mut seen_off, &mut DedupMetrics::default());
+            let pairs_cold =
+                cached.edge_pruned_pairs(frontier, &mut seen_cold, &mut DedupMetrics::default());
+            let pairs_warm =
+                cached.edge_pruned_pairs(frontier, &mut seen_warm, &mut DedupMetrics::default());
+            assert_eq!(
+                pairs_cold,
+                pairs_off,
+                "cold on vs off, scheme {scheme:?} frontier {}",
+                frontier.len()
             );
-            for frontier in [&all[..5], &all[..300], &all[..]] {
-                let mut seen_off = PairSet::new();
-                let mut seen_cold = PairSet::new();
-                let mut seen_warm = PairSet::new();
-                let pairs_off = off.edge_pruned_pairs(frontier, &mut seen_off);
-                let pairs_cold = cached.edge_pruned_pairs(frontier, &mut seen_cold);
-                let pairs_warm = cached.edge_pruned_pairs(frontier, &mut seen_warm);
-                assert_eq!(
-                    pairs_cold,
-                    pairs_off,
-                    "cold {mode:?} vs off, scheme {scheme:?} frontier {}",
-                    frontier.len()
-                );
-                assert_eq!(
-                    pairs_warm,
-                    pairs_off,
-                    "warm {mode:?} vs off, scheme {scheme:?} frontier {}",
-                    frontier.len()
-                );
-                if frontier.len() == all.len() {
-                    assert!(!pairs_off.is_empty(), "workload must generate pairs");
-                }
+            assert_eq!(
+                pairs_warm,
+                pairs_off,
+                "warm on vs off, scheme {scheme:?} frontier {}",
+                frontier.len()
+            );
+            if frontier.len() == all.len() {
+                assert!(!pairs_off.is_empty(), "workload must generate pairs");
             }
         }
     }
@@ -265,48 +266,84 @@ fn capped_caches_identical_and_bounded() {
     let table = large_table(420);
     let all: Vec<RecordId> = (0..table.len() as RecordId).collect();
     let queries: Vec<&[RecordId]> = vec![&all[..5], &all[..300], &all[..], &all[..300], &all[..5]];
-    for mode in [EpCacheMode::On, EpCacheMode::Prewarm] {
-        let unbounded_cfg = cfg_with(
-            WeightScheme::Ecbs,
-            EdgePruningScope::NodeCentric,
-            MetaBlockingConfig::All,
-            mode,
-            4,
+    let unbounded_cfg = cfg_with(
+        WeightScheme::Ecbs,
+        EdgePruningScope::NodeCentric,
+        MetaBlockingConfig::All,
+        EpCacheMode::On,
+        4,
+    );
+    let mut capped_cfg = unbounded_cfg.clone();
+    capped_cfg.ep_cache_cap = 64;
+    capped_cfg.decision_cache_cap = 256;
+
+    let unbounded = TableErIndex::build(&table, &unbounded_cfg);
+    let capped = TableErIndex::build(&table, &capped_cfg);
+    let mut li_u = LinkIndex::new(table.len());
+    let mut li_c = LinkIndex::new(table.len());
+    for (i, qe) in queries.iter().enumerate() {
+        let mut m_u = DedupMetrics::default();
+        let mut m_c = DedupMetrics::default();
+        let out_u = unbounded
+            .run(ResolveRequest::records(&table, qe, &mut li_u).metrics(&mut m_u))
+            .unwrap();
+        let out_c = capped
+            .run(ResolveRequest::records(&table, qe, &mut li_c).metrics(&mut m_c))
+            .unwrap();
+        assert_eq!(out_c.dr, out_u.dr, "query {i}");
+        assert_eq!(out_c.new_links, out_u.new_links, "query {i}");
+        assert_eq!(m_c.comparisons, m_u.comparisons, "query {i}");
+        assert_eq!(m_c.candidate_pairs, m_u.candidate_pairs, "query {i}");
+        assert_eq!(m_c.matches_found, m_u.matches_found, "query {i}");
+
+        let (th, sv, dec) = capped.resolve_cache_sizes();
+        assert!(th <= 64, "threshold cache over budget: {th}");
+        assert!(sv <= 64, "survivor cache over budget: {sv}");
+        assert!(dec <= 256, "decision cache over budget: {dec}");
+    }
+    // The budgets really bit: the unbounded run kept more entries.
+    // (The threshold memo is exempt — once a broad frontier has filled
+    // the bulk vector, thresholds are served from it, leaving the memo
+    // legitimately small.)
+    let (_, sv_u, dec_u) = unbounded.resolve_cache_sizes();
+    assert!(sv_u > 64 && dec_u > 256, "caps must be exercised");
+}
+
+/// The parallel survivor fill hands its rows to the emit loop, so a
+/// memo too small to hold the frontier (64 entries against 300 nodes,
+/// filled by 2 workers) neither double-counts a re-probe nor perturbs
+/// the emission: every frontier entity is counted exactly once as a hit
+/// or a miss, and the pair sequence equals the uncapped run's.
+#[test]
+fn capped_parallel_fill_counts_each_node_once() {
+    let table = large_table(420);
+    let all: Vec<RecordId> = (0..table.len() as RecordId).collect();
+    let frontier = &all[..300];
+    let uncapped_cfg = cfg_with(
+        WeightScheme::Cbs,
+        EdgePruningScope::NodeCentric,
+        MetaBlockingConfig::All,
+        EpCacheMode::On,
+        2,
+    );
+    let mut capped_cfg = uncapped_cfg.clone();
+    capped_cfg.ep_cache_cap = 64;
+    let uncapped = TableErIndex::build(&table, &uncapped_cfg);
+    let capped = TableErIndex::build(&table, &capped_cfg);
+    let want =
+        uncapped.edge_pruned_pairs(frontier, &mut PairSet::new(), &mut DedupMetrics::default());
+    assert!(!want.is_empty(), "workload must generate pairs");
+    // Cold, then again over whatever the eviction left behind.
+    for pass in ["cold", "evicted"] {
+        let mut m = DedupMetrics::default();
+        let got = capped.edge_pruned_pairs(frontier, &mut PairSet::new(), &mut m);
+        assert_eq!(got, want, "{pass} pass");
+        assert_eq!(
+            m.ep_cache_hits + m.ep_cache_misses,
+            frontier.len() as u64,
+            "{pass} pass"
         );
-        let mut capped_cfg = unbounded_cfg.clone();
-        capped_cfg.ep_cache_cap = 64;
-        capped_cfg.decision_cache_cap = 256;
-
-        let unbounded = TableErIndex::build(&table, &unbounded_cfg);
-        let capped = TableErIndex::build(&table, &capped_cfg);
-        let mut li_u = LinkIndex::new(table.len());
-        let mut li_c = LinkIndex::new(table.len());
-        for (i, qe) in queries.iter().enumerate() {
-            let mut m_u = DedupMetrics::default();
-            let mut m_c = DedupMetrics::default();
-            let out_u = unbounded
-                .run(ResolveRequest::records(&table, qe, &mut li_u).metrics(&mut m_u))
-                .unwrap();
-            let out_c = capped
-                .run(ResolveRequest::records(&table, qe, &mut li_c).metrics(&mut m_c))
-                .unwrap();
-            assert_eq!(out_c.dr, out_u.dr, "query {i} mode {mode:?}");
-            assert_eq!(out_c.new_links, out_u.new_links, "query {i}");
-            assert_eq!(m_c.comparisons, m_u.comparisons, "query {i}");
-            assert_eq!(m_c.candidate_pairs, m_u.candidate_pairs, "query {i}");
-            assert_eq!(m_c.matches_found, m_u.matches_found, "query {i}");
-
-            let (th, sv, dec) = capped.resolve_cache_sizes();
-            assert!(th <= 64, "threshold cache over budget: {th}");
-            assert!(sv <= 64, "survivor cache over budget: {sv}");
-            assert!(dec <= 256, "decision cache over budget: {dec}");
-        }
-        // The budgets really bit: the unbounded run kept more entries.
-        // (The threshold memo is exempt — prewarmed bulk thresholds are
-        // served from the bulk vector, leaving the memo legitimately
-        // small.)
-        let (_, sv_u, dec_u) = unbounded.resolve_cache_sizes();
-        assert!(sv_u > 64 && dec_u > 256, "caps must be exercised");
+        assert!(m.ep_cache_misses > 64, "{pass} pass must overflow the memo");
     }
 }
 

@@ -1,8 +1,8 @@
 //! Serial-equivalence of concurrent query serving over one shared
 //! Link Index.
 //!
-//! The shared-LI protocol (`resolve_shared`) lets N threads resolve N
-//! queries against one `TableErIndex` simultaneously: each query reads
+//! A `ResolveRequest` over a `&RwLock<LinkIndex>` lets N threads resolve
+//! N queries against one `TableErIndex` simultaneously: each query reads
 //! the LI through short-lived read locks, accumulates its discoveries
 //! in a private `LinkDelta`, and publishes them in one brief write
 //! critical section whose commit dedups against links committed by
@@ -18,13 +18,14 @@
 //! - fully-overlapping concurrent warm-ups (every thread resolves the
 //!   whole table) are decision-identical to one sequential warm-up,
 //!   and every thread reports the full DR;
-//! - a single query through the shared path matches the exclusive path
-//!   bit-for-bit (DR, links, decision counts);
+//! - a single query on a shared handle matches the same query on an
+//!   owned `&mut LinkIndex` bit-for-bit (DR, links, decision counts);
 //! - `LinkDelta` commits are idempotent, dedup cross-thread duplicate
-//!   links, and never drop a concurrently-added neighbor;
-//! - with `--features failpoints`: a panicking comparison worker
-//!   commits *nothing* to the shared LI, and retrying after disarm
-//!   converges to the reference answer.
+//!   links, and never drop a concurrently-added neighbor.
+//!
+//! That concurrently *failing* queries commit nothing is pinned in
+//! `fault_injection.rs`: an armed failpoint is process-global, and only
+//! that binary serializes every one of its tests on one lock.
 
 #![allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 
@@ -365,115 +366,5 @@ proptest! {
                 prop_assert_eq!(li.closure([id]), li.closure([nb]));
             }
         }
-    }
-}
-
-/// A panicking comparison worker must surface as a typed error and
-/// commit nothing — the shared LI stays untouched, and retrying after
-/// the fault clears converges to the reference answer.
-#[cfg(feature = "failpoints")]
-mod faults {
-    use super::*;
-    use parking_lot::Mutex;
-    use queryer_common::failpoints::{self, FailAction};
-    use queryer_er::{ResolveError, ResolveStage};
-
-    /// Serializes with nothing in this binary, but keeps the idiom of
-    /// the fault_injection suite: failpoints are process-global state,
-    /// and the guard disarms every site even if an assertion fails.
-    static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-    struct FaultGuard<'a>(#[allow(dead_code)] parking_lot::MutexGuard<'a, ()>);
-
-    impl Drop for FaultGuard<'_> {
-        fn drop(&mut self) {
-            failpoints::disarm_all();
-        }
-    }
-
-    fn faults() -> FaultGuard<'static> {
-        let guard = FAULT_LOCK.lock();
-        failpoints::disarm_all();
-        FaultGuard(guard)
-    }
-
-    #[test]
-    fn worker_panic_commits_nothing_and_retry_converges() {
-        let _g = faults();
-        // Big enough that the first comparison round exceeds the
-        // parallel-comparison cutoff, so the armed worker site fires.
-        let table = workload(1000, 7);
-        let mut cfg = ErConfig::default();
-        cfg.parallelism = 2;
-        let idx = TableErIndex::build(&table, &cfg);
-
-        // Reference warm-up on a *separate* index build: running it on
-        // `idx` would fill the cross-query decision cache and shrink
-        // the faulted attempt's kernel batch below the parallel cutoff,
-        // so the armed worker site would never fire.
-        let idx_ref = TableErIndex::build(&table, &cfg);
-        let mut li_ref = LinkIndex::new(table.len());
-        let mut m_ref = DedupMetrics::default();
-        idx_ref
-            .run(ResolveRequest::all(&table, &mut li_ref).metrics(&mut m_ref))
-            .expect("reference warm-up");
-        let ref_fp = fingerprint(&li_ref);
-
-        failpoints::arm("cmp.worker", FailAction::Panic);
-
-        let li = RwLock::new(LinkIndex::new(table.len()));
-        let errors: Vec<ResolveError> = thread::scope(|s| {
-            let handles: Vec<_> = (0..3)
-                .map(|_| {
-                    let li = &li;
-                    let idx = &idx;
-                    let table = &table;
-                    s.spawn(move || {
-                        let mut m = DedupMetrics::default();
-                        idx.run(ResolveRequest::all(table, li).metrics(&mut m))
-                            .expect_err("armed worker must fail the resolve")
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("faulted thread"))
-                .collect()
-        });
-        for e in &errors {
-            assert!(
-                matches!(
-                    e,
-                    ResolveError::WorkerPanicked {
-                        stage: ResolveStage::ComparisonExecution
-                    }
-                ),
-                "expected a comparison-stage worker panic, got {e:?}"
-            );
-        }
-        {
-            let g = li.read();
-            assert_eq!(g.link_count(), 0, "failed queries must commit no links");
-            assert_eq!(g.resolved_count(), 0, "failed queries must mark nothing");
-        }
-
-        failpoints::disarm_all();
-        thread::scope(|s| {
-            for _ in 0..3 {
-                let li = &li;
-                let idx = &idx;
-                let table = &table;
-                s.spawn(move || {
-                    let mut m = DedupMetrics::default();
-                    idx.run(ResolveRequest::all(table, li).metrics(&mut m))
-                        .expect("retry after disarm");
-                });
-            }
-        });
-        assert_eq!(
-            fingerprint(&li.into_inner()),
-            ref_fp,
-            "retry after the fault converges to the reference answer"
-        );
     }
 }

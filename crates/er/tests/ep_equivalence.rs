@@ -1,16 +1,17 @@
-//! Equivalence of the CSR + bulk-parallel Edge Pruning path and the
-//! lazy per-entity path.
+//! Edge Pruning is one algorithm whatever feeds it.
 //!
-//! The resolve hot path prunes edges against a bulk-computed threshold
-//! vector (one multi-threaded sweep over the CSR blocking graph) and
-//! fans the frontier scan out across worker threads; the point-query
-//! path computes thresholds lazily per examined entity under a lock.
-//! These properties pin the two modes together over random dirty
-//! corpora: bit-identical thresholds for every node, identical candidate
-//! pair sets for every frontier size from 1 to the whole table, and
-//! identical DR sets / links / metrics counts after a full resolve —
-//! across every `WeightScheme`, both `EdgePruningScope`s, and several
-//! thread counts.
+//! Node-centric pruning has one enumerator, which reads neighbourhoods
+//! either from build-time CBS partials (`EpCacheMode::On`, thresholds
+//! and survivor rows memoized across queries) or by counting them per
+//! query (`EpCacheMode::Off`, thresholds always from the bulk sweep,
+//! nothing memoized), sequentially or fanned out across worker threads.
+//! These properties pin that down over random dirty corpora: the bulk
+//! threshold sweep is bit-equal to a plain in-test mean-of-weights
+//! oracle at every thread count, and `Off` at 1..8 threads emits the
+//! identical candidate pair sequence as sequential `On` for every
+//! frontier size from 1 to the whole table — and hence identical DR
+//! sets / links / metrics counts after a full resolve — across every
+//! `WeightScheme` and both `EdgePruningScope`s.
 
 #![allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 
@@ -19,8 +20,8 @@ use queryer_common::knobs::proptest_cases;
 use queryer_common::PairSet;
 use queryer_er::edge_pruning::{bulk_node_thresholds, EdgePruner};
 use queryer_er::{
-    DedupMetrics, EdgePruningScope, EpCacheMode, ErConfig, LinkIndex, MetaBlockingConfig,
-    ResolveRequest, TableErIndex, WeightScheme,
+    CooccurrenceScratch, DedupMetrics, EdgePruningScope, EpCacheMode, ErConfig, LinkIndex,
+    MetaBlockingConfig, ResolveRequest, TableErIndex, WeightScheme,
 };
 use queryer_storage::{RecordId, Schema, Table, Value};
 
@@ -90,8 +91,8 @@ fn meta_of(m: usize) -> MetaBlockingConfig {
     }
 }
 
-/// Builds two indexes over the same table: one on the bulk-parallel EP
-/// path (with `threads` workers), one on the lazy sequential path.
+/// Builds two indexes over the same table: `Off` (no CBS partials, no
+/// memo) with `threads` EP workers, and the sequential `On` reference.
 fn build_pair(
     table: &Table,
     scheme: WeightScheme,
@@ -99,28 +100,50 @@ fn build_pair(
     meta: MetaBlockingConfig,
     threads: usize,
 ) -> (TableErIndex, TableErIndex) {
-    let mut bulk_cfg = ErConfig::default().with_meta(meta);
-    bulk_cfg.weight_scheme = scheme;
-    bulk_cfg.ep_scope = scope;
-    bulk_cfg.ep_bulk_thresholds = true;
-    bulk_cfg.ep_threads = threads;
-    // This suite pins the two *uncached* modes against each other; the
-    // cross-query cache has its own suite (`cache_equivalence.rs`) and
-    // would otherwise shadow both paths under its default-on knob.
-    bulk_cfg.ep_cache = EpCacheMode::Off;
-    let mut lazy_cfg = bulk_cfg.clone();
-    lazy_cfg.ep_bulk_thresholds = false;
-    lazy_cfg.ep_threads = 1;
+    let mut off_cfg = ErConfig::default().with_meta(meta);
+    off_cfg.weight_scheme = scheme;
+    off_cfg.ep_scope = scope;
+    off_cfg.ep_threads = threads;
+    off_cfg.ep_cache = EpCacheMode::Off;
+    let mut on_cfg = off_cfg.clone();
+    on_cfg.ep_threads = 1;
+    on_cfg.ep_cache = EpCacheMode::On;
     (
-        TableErIndex::build(table, &bulk_cfg),
-        TableErIndex::build(table, &lazy_cfg),
+        TableErIndex::build(table, &off_cfg),
+        TableErIndex::build(table, &on_cfg),
     )
 }
 
+/// The oracle the bulk sweep is pinned to: a node's threshold is the
+/// mean weight of its edges, neighbourhood counted from the blocking
+/// graph, accumulated in first-touch order (0 when isolated).
+fn oracle_threshold(idx: &TableErIndex, e: RecordId) -> f64 {
+    let pruner = EdgePruner::new(idx);
+    let mut scratch = CooccurrenceScratch::new();
+    let nbh = idx.cooccurrences_into(e, &mut scratch);
+    if nbh.is_empty() {
+        return 0.0;
+    }
+    let mut sum = 0.0f64;
+    for &(other, cbs) in nbh {
+        sum += pruner.weight(e, other, cbs);
+    }
+    sum / nbh.len() as f64
+}
+
+/// `edge_pruned_pairs` without the hit/miss accounting.
+fn pairs_of(
+    idx: &TableErIndex,
+    frontier: &[RecordId],
+    seen: &mut PairSet,
+) -> Vec<(RecordId, RecordId)> {
+    idx.edge_pruned_pairs(frontier, seen, &mut DedupMetrics::default())
+}
+
 /// A deterministic pseudo-random table large enough (> the resolver's
-/// parallel-scan cutoff of 256) that the bulk path actually takes the
-/// multi-threaded frontier scan, which the small proptest corpora never
-/// reach.
+/// parallel cutoff of 256) that a broad frontier actually takes the
+/// multi-threaded survivor fill / frontier scan, which the small
+/// proptest corpora never reach.
 fn large_table(n: usize) -> Table {
     let mut t = Table::new("p", Schema::of_strings(&["id", "title", "venue"]));
     let mut state = 0x9e3779b97f4a7c15u64;
@@ -145,41 +168,43 @@ fn large_table(n: usize) -> Table {
     t
 }
 
-/// The bulk path's three scan shapes — hash-probe point query (frontier
-/// well under `n_records`/32), sequential rank scan, and the parallel
-/// fan-out (frontier ≥ 256 with several workers) — all emit exactly the
-/// lazy sequential pair sequence, for both EP scopes.
+/// The three frontier shapes — point query (frontier well under
+/// `n_records`/32), sequential broad frontier, and the parallel fan-out
+/// (frontier ≥ 256 with several workers) — all emit exactly the
+/// sequential `On` pair sequence under `Off`, for both EP scopes.
 #[test]
 fn parallel_frontier_scan_matches_sequential() {
     let table = large_table(420);
     let all: Vec<RecordId> = (0..table.len() as RecordId).collect();
     for scope in [EdgePruningScope::NodeCentric, EdgePruningScope::Global] {
         for scheme in [WeightScheme::Cbs, WeightScheme::Ecbs, WeightScheme::Js] {
-            let (bulk_idx, lazy_idx) =
-                build_pair(&table, scheme, scope, MetaBlockingConfig::All, 4);
+            let (off_idx, on_idx) = build_pair(&table, scheme, scope, MetaBlockingConfig::All, 4);
             for frontier in [&all[..5], &all[..300], &all[..]] {
-                let mut seen_bulk = PairSet::new();
-                let mut seen_lazy = PairSet::new();
-                let pairs_bulk = bulk_idx.edge_pruned_pairs(frontier, &mut seen_bulk);
-                let pairs_lazy = lazy_idx.edge_pruned_pairs(frontier, &mut seen_lazy);
+                let pairs_off = pairs_of(&off_idx, frontier, &mut PairSet::new());
+                let pairs_on = pairs_of(&on_idx, frontier, &mut PairSet::new());
                 assert_eq!(
-                    pairs_bulk,
-                    pairs_lazy,
+                    pairs_off,
+                    pairs_on,
                     "scope {scope:?} scheme {scheme:?} frontier {}",
                     frontier.len()
                 );
                 if frontier.len() == all.len() {
-                    assert!(!pairs_bulk.is_empty(), "workload must generate pairs");
+                    assert!(!pairs_off.is_empty(), "workload must generate pairs");
                 }
             }
+            assert_eq!(
+                off_idx.resolve_cache_sizes(),
+                (0, 0, 0),
+                "off must memoize nothing"
+            );
         }
     }
 }
 
-/// The cached path's resolve-all fast path — rank-ownership dedup with
+/// The enumerator's resolve-all fast path — rank-ownership dedup with
 /// no per-surviving-edge `PairSet` insert — emits the exact pair
-/// sequence of the insert-probing loop, sequentially and across the
-/// parallel fan-out. Seeding the carried set with the self-pair
+/// sequence of the insert-probing loop, in both cache modes,
+/// sequentially and across the parallel fan-out. Seeding the carried set with the self-pair
 /// `(0, 0)` forces the insert-probing loop (a non-empty `pair_seen`
 /// disables the fast path) without perturbing output, since EP
 /// survivor lists never contain self-pairs.
@@ -188,31 +213,34 @@ fn resolve_all_fast_path_matches_insert_probing() {
     let table = large_table(420);
     let all: Vec<RecordId> = (0..table.len() as RecordId).collect();
     for scheme in [WeightScheme::Cbs, WeightScheme::Ecbs, WeightScheme::Js] {
-        for threads in [1usize, 4] {
-            let mut cfg = ErConfig::default().with_meta(MetaBlockingConfig::All);
-            cfg.weight_scheme = scheme;
-            cfg.ep_threads = threads;
-            // `ep_cache` stays default-enabled: the fast path lives on
-            // the cached scan only.
-            let idx = TableErIndex::build(&table, &cfg);
+        for mode in [EpCacheMode::Off, EpCacheMode::On] {
+            for threads in [1usize, 4] {
+                let mut cfg = ErConfig::default().with_meta(MetaBlockingConfig::All);
+                cfg.weight_scheme = scheme;
+                cfg.ep_threads = threads;
+                cfg.ep_cache = mode;
+                let idx = TableErIndex::build(&table, &cfg);
+                let case = format!("scheme {scheme:?} mode {mode:?} threads {threads}");
 
-            let mut fresh = PairSet::new();
-            let fast = idx.edge_pruned_pairs(&all, &mut fresh);
-            // The fast path performs no inserts — an empty carried set
-            // after a full-table scan proves it actually ran (and pins
-            // the documented `pair_seen` contract for this shape).
-            assert!(
-                fresh.is_empty(),
-                "fast path must not populate pair_seen (scheme {scheme:?} threads {threads})"
-            );
+                let mut fresh = PairSet::new();
+                let fast = pairs_of(&idx, &all, &mut fresh);
+                // The fast path performs no inserts — an empty carried
+                // set after a full-table scan proves it actually ran
+                // (and pins the documented `pair_seen` contract for this
+                // shape).
+                assert!(
+                    fresh.is_empty(),
+                    "fast path must not populate pair_seen ({case})"
+                );
 
-            let mut seeded = PairSet::new();
-            seeded.insert(0, 0);
-            let classic = idx.edge_pruned_pairs(&all, &mut seeded);
-            assert!(seeded.len() > 1, "classic path must record its pairs");
+                let mut seeded = PairSet::new();
+                seeded.insert(0, 0);
+                let classic = pairs_of(&idx, &all, &mut seeded);
+                assert!(seeded.len() > 1, "classic path must record its pairs");
 
-            assert_eq!(fast, classic, "scheme {scheme:?} threads {threads}");
-            assert!(!fast.is_empty(), "workload must generate pairs");
+                assert_eq!(fast, classic, "{case}");
+                assert!(!fast.is_empty(), "workload must generate pairs");
+            }
         }
     }
 }
@@ -234,13 +262,13 @@ fn duplicate_full_frontier_falls_back_to_classic() {
     let mut dup: Vec<RecordId> = (0..(n - 1) as RecordId).collect();
     dup.push(0);
     let mut seen_dup = PairSet::new();
-    let pairs_dup = idx.edge_pruned_pairs(&dup, &mut seen_dup);
+    let pairs_dup = pairs_of(&idx, &dup, &mut seen_dup);
     assert!(
         !seen_dup.is_empty(),
         "duplicate frontier must take the insert-probing loop"
     );
     let mut seen_prefix = PairSet::new();
-    let pairs_prefix = idx.edge_pruned_pairs(&dup[..n - 1], &mut seen_prefix);
+    let pairs_prefix = pairs_of(&idx, &dup[..n - 1], &mut seen_prefix);
     assert_eq!(pairs_dup, pairs_prefix);
     assert!(!pairs_dup.is_empty(), "workload must generate pairs");
 }
@@ -251,52 +279,45 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// The bulk sweep computes, for every node and any thread count, the
-    /// exact bits the lazy per-entity threshold path computes.
+    /// The bulk sweep computes, for every node, at every thread count
+    /// from 1 to 8, and from either neighbourhood source (CBS partials
+    /// or counting), the exact bits of the mean-of-weights oracle.
     #[test]
-    fn bulk_thresholds_bit_equal_lazy(
+    fn bulk_thresholds_bit_equal_oracle(
         rows in rows(),
         scheme in 0usize..3,
         meta in 0usize..2,
+        mode in 0usize..2,
     ) {
         let table = build_table(&rows);
         let mut cfg = ErConfig::default().with_meta(meta_of(meta));
         cfg.weight_scheme = scheme_of(scheme);
+        cfg.ep_cache = [EpCacheMode::Off, EpCacheMode::On][mode];
         let idx = TableErIndex::build(&table, &cfg);
-        let reference = bulk_node_thresholds(&idx, 1);
-        for threads in [2usize, 3, 8] {
-            let swept = bulk_node_thresholds(&idx, threads);
-            prop_assert_eq!(swept.len(), reference.len());
-            for (e, (a, b)) in swept.iter().zip(&reference).enumerate() {
-                prop_assert_eq!(
-                    a.to_bits(), b.to_bits(),
-                    "threads {} diverged at node {}", threads, e
-                );
-            }
-        }
-        idx.clear_ep_cache();
-        let mut ep = EdgePruner::new(&idx);
-        for e in 0..idx.n_records() as RecordId {
-            prop_assert_eq!(
-                reference[e as usize].to_bits(),
-                ep.node_threshold(e).to_bits(),
-                "lazy threshold diverged at node {}", e
-            );
+        let oracle: Vec<u64> = (0..idx.n_records() as RecordId)
+            .map(|e| oracle_threshold(&idx, e).to_bits())
+            .collect();
+        for threads in 1usize..=8 {
+            let swept: Vec<u64> = bulk_node_thresholds(&idx, threads)
+                .iter()
+                .map(|t| t.to_bits())
+                .collect();
+            prop_assert_eq!(&swept, &oracle, "threads {}", threads);
         }
     }
 
-    /// `edge_pruned_pairs` emits the identical pair sequence on the
-    /// bulk-parallel and lazy-sequential paths for every frontier prefix
+    /// `edge_pruned_pairs` emits the identical pair sequence under `Off`
+    /// (any thread count) and sequential `On` for every frontier prefix
     /// of sizes 1..=n — including pairs carried over in `pair_seen`.
     #[test]
     fn pair_sets_identical_for_all_frontier_sizes(
         rows in rows(),
         scheme in 0usize..3,
         scope in 0usize..2,
-        threads in 1usize..5,
+        threads in 1usize..9,
     ) {
         let table = build_table(&rows);
-        let (bulk_idx, lazy_idx) = build_pair(
+        let (off_idx, on_idx) = build_pair(
             &table,
             scheme_of(scheme),
             scope_of(scope),
@@ -306,37 +327,39 @@ proptest! {
         let all: Vec<RecordId> = (0..table.len() as RecordId).collect();
         for size in 1..=all.len() {
             let frontier = &all[..size];
-            let mut seen_bulk = PairSet::new();
-            let mut seen_lazy = PairSet::new();
-            let pairs_bulk = bulk_idx.edge_pruned_pairs(frontier, &mut seen_bulk);
-            let pairs_lazy = lazy_idx.edge_pruned_pairs(frontier, &mut seen_lazy);
+            let mut seen_off = PairSet::new();
+            let mut seen_on = PairSet::new();
+            let pairs_off = pairs_of(&off_idx, frontier, &mut seen_off);
+            let pairs_on = pairs_of(&on_idx, frontier, &mut seen_on);
             prop_assert_eq!(
-                &pairs_bulk, &pairs_lazy,
+                &pairs_off, &pairs_on,
                 "pair sequences diverged at frontier size {}", size
             );
             // A second call with the same carried pair_seen must emit
-            // nothing on either path (all pairs already recorded).
-            let again = bulk_idx.edge_pruned_pairs(frontier, &mut seen_bulk);
-            prop_assert!(again.is_empty());
-            let again = lazy_idx.edge_pruned_pairs(frontier, &mut seen_lazy);
-            prop_assert!(again.is_empty());
+            // nothing in either mode (all pairs already recorded) —
+            // except after the node-centric resolve-all shape, which
+            // records nothing and so replays in full.
+            if !seen_off.is_empty() {
+                prop_assert!(pairs_of(&off_idx, frontier, &mut seen_off).is_empty());
+                prop_assert!(pairs_of(&on_idx, frontier, &mut seen_on).is_empty());
+            }
         }
     }
 
     /// Full resolve: DR sets, links, and decision counts
-    /// (candidate pairs, comparisons, matches) are identical between the
-    /// bulk-parallel and lazy paths.
+    /// (candidate pairs, comparisons, matches) are identical between
+    /// `Off` at any thread count and sequential `On`.
     #[test]
     fn resolve_decisions_identical(
         rows in rows(),
         scheme in 0usize..3,
         scope in 0usize..2,
         meta in 0usize..2,
-        threads in 1usize..5,
+        threads in 1usize..9,
         qe_mask in 1u32..255,
     ) {
         let table = build_table(&rows);
-        let (bulk_idx, lazy_idx) = build_pair(
+        let (off_idx, on_idx) = build_pair(
             &table,
             scheme_of(scheme),
             scope_of(scope),
@@ -347,24 +370,26 @@ proptest! {
             .filter(|&r| qe_mask & (1 << (r % 8)) != 0)
             .collect();
 
-        let mut li_bulk = LinkIndex::new(table.len());
-        let mut m_bulk = DedupMetrics::default();
-        let out_bulk = bulk_idx.run(ResolveRequest::records(&table, &qe, &mut li_bulk).metrics(&mut m_bulk)).unwrap();
+        let mut li_off = LinkIndex::new(table.len());
+        let mut m_off = DedupMetrics::default();
+        let out_off = off_idx.run(ResolveRequest::records(&table, &qe, &mut li_off).metrics(&mut m_off)).unwrap();
 
-        let mut li_lazy = LinkIndex::new(table.len());
-        let mut m_lazy = DedupMetrics::default();
-        let out_lazy = lazy_idx.run(ResolveRequest::records(&table, &qe, &mut li_lazy).metrics(&mut m_lazy)).unwrap();
+        let mut li_on = LinkIndex::new(table.len());
+        let mut m_on = DedupMetrics::default();
+        let out_on = on_idx.run(ResolveRequest::records(&table, &qe, &mut li_on).metrics(&mut m_on)).unwrap();
 
-        prop_assert_eq!(&out_bulk.dr, &out_lazy.dr, "DR sets diverged (qe {:?})", &qe);
-        prop_assert_eq!(out_bulk.new_links, out_lazy.new_links);
-        prop_assert_eq!(m_bulk.candidate_pairs, m_lazy.candidate_pairs);
-        prop_assert_eq!(m_bulk.comparisons, m_lazy.comparisons);
-        prop_assert_eq!(m_bulk.matches_found, m_lazy.matches_found);
+        prop_assert_eq!(&out_off.dr, &out_on.dr, "DR sets diverged (qe {:?})", &qe);
+        prop_assert_eq!(out_off.new_links, out_on.new_links);
+        prop_assert_eq!(m_off.candidate_pairs, m_on.candidate_pairs);
+        prop_assert_eq!(m_off.comparisons, m_on.comparisons);
+        prop_assert_eq!(m_off.matches_found, m_on.matches_found);
+        prop_assert_eq!(m_off.ep_cache_hits + m_off.ep_cache_misses, 0, "off counts no memo traffic");
+        prop_assert_eq!(off_idx.resolve_cache_sizes(), (0, 0, 0));
         for a in 0..table.len() as RecordId {
             for b in 0..table.len() as RecordId {
                 prop_assert_eq!(
-                    li_bulk.are_linked(a, b),
-                    li_lazy.are_linked(a, b),
+                    li_off.are_linked(a, b),
+                    li_on.are_linked(a, b),
                     "links diverged at ({}, {})", a, b
                 );
             }

@@ -12,6 +12,9 @@
 //!   byte-identical decisions to a freshly built one: the shared caches
 //!   only ever hold complete entries, so a lost worker cannot leave
 //!   half-written state behind;
+//! - a resolve that returns `Err` has committed nothing — the caller's
+//!   Link Index is exactly as it was, whichever kind of handle it passed
+//!   — so the call can simply be retried;
 //! - the one compound mutation (`clear_ep_cache`) poisons the index if
 //!   interrupted mid-flight, and a poisoned index refuses to resolve
 //!   with `ResolveError::Poisoned` instead of serving a half-cleared
@@ -25,13 +28,13 @@
 #![cfg(feature = "failpoints")]
 #![allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use queryer_common::failpoints::{self, FailAction};
 use queryer_er::{
-    DedupMetrics, EdgePruningScope, EpCacheMode, ErConfig, LinkIndex, ResolveError, ResolveRequest,
-    ResolveStage, TableErIndex,
+    DedupMetrics, EdgePruningScope, EpCacheMode, ErConfig, LinkIndex, MetaBlockingConfig,
+    ResolveError, ResolveRequest, ResolveStage, SimilarityKind, TableErIndex,
 };
-use queryer_storage::{RecordId, Table};
+use queryer_storage::{RecordId, Schema, Table};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Serializes tests: failpoints are process-global state.
@@ -183,39 +186,35 @@ fn cbs_worker_panic_fails_build_with_typed_error() {
 #[test]
 fn bulk_sweep_worker_panic_is_isolated() {
     let _guard = faults();
-    // Prewarm forces the bulk threshold sweep on the first resolve.
-    assert_worker_panic_isolated(
-        "ep.bulk.worker",
-        &cfg(EpCacheMode::Prewarm, EdgePruningScope::NodeCentric),
-        ResolveStage::EdgePruning,
-    );
+    // A whole-table frontier fills the bulk threshold vector first, in
+    // either cache mode.
+    for mode in [EpCacheMode::Off, EpCacheMode::On] {
+        assert_worker_panic_isolated(
+            "ep.bulk.worker",
+            &cfg(mode, EdgePruningScope::NodeCentric),
+            ResolveStage::EdgePruning,
+        );
+    }
 }
 
 #[test]
 fn survivor_fill_worker_panic_is_isolated() {
     let _guard = faults();
-    assert_worker_panic_isolated(
-        "ep.survivors.worker",
-        &cfg(EpCacheMode::On, EdgePruningScope::NodeCentric),
-        ResolveStage::EdgePruning,
-    );
-}
-
-#[test]
-fn bulk_scan_worker_panic_is_isolated() {
-    let _guard = faults();
-    // Cache off routes the full-frontier resolve through the uncached
-    // bulk-threshold scan, whose parallel branch owns this site.
-    assert_worker_panic_isolated(
-        "ep.scan.worker",
-        &cfg(EpCacheMode::Off, EdgePruningScope::NodeCentric),
-        ResolveStage::EdgePruning,
-    );
+    // One node-centric enumerator, one fill site: `Off` fans out the
+    // same survivor fill `On` does, it just memoizes none of the rows.
+    for mode in [EpCacheMode::Off, EpCacheMode::On] {
+        assert_worker_panic_isolated(
+            "ep.survivors.worker",
+            &cfg(mode, EdgePruningScope::NodeCentric),
+            ResolveStage::EdgePruning,
+        );
+    }
 }
 
 #[test]
 fn global_scan_worker_panic_is_isolated() {
     let _guard = faults();
+    // "ep.scan.worker" belongs to the Global (WEP) frontier scan alone.
     assert_worker_panic_isolated(
         "ep.scan.worker",
         &cfg(EpCacheMode::Off, EdgePruningScope::Global),
@@ -244,8 +243,8 @@ fn resolver_thread_panic_leaves_index_clean() {
 
     // "resolve.round" fires on the *caller's* thread, so the panic
     // unwinds out of resolve_all itself — the shape of a bug in resolver
-    // glue rather than in a worker. The index (and any links applied by
-    // completed rounds) must stay valid.
+    // glue rather than in a worker. The index must stay valid; the
+    // unwound call's uncommitted links are simply dropped.
     failpoints::arm("resolve.round", FailAction::Panic);
     let mut li = LinkIndex::new(table.len());
     let mut m = DedupMetrics::default();
@@ -257,6 +256,149 @@ fn resolver_thread_panic_leaves_index_clean() {
 
     failpoints::disarm("resolve.round");
     assert_serves_like_fresh(&idx, &table, &config);
+}
+
+/// A resolve that fails in a *later* round has, by then, found links
+/// and finished rounds — and still commits none of it. Round one here is
+/// a single entity with eight candidate pairs, so it runs sequentially
+/// and never reaches the armed site; it links the eight "hub" records,
+/// whose round-two frontier carries > 1024 candidate pairs and fans the
+/// comparison kernels out into the armed `cmp.worker`. The `&mut
+/// LinkIndex` must come back exactly as it went in, and a retry after
+/// disarming must converge to the full answer.
+#[test]
+fn failed_later_round_commits_nothing_and_retry_converges() {
+    let _guard = faults();
+    let mut table = Table::new("p", Schema::of_strings(&["id", "words"]));
+    let mut push = |words: String| {
+        let id = table.len().to_string();
+        table.push_row(vec![id.into(), words.into()]).unwrap();
+    };
+    push("alpha".into());
+    for _ in 0..8 {
+        push("alpha hub".into());
+    }
+    for i in 0..300 {
+        push(format!("hub filler{i}"));
+    }
+    // No meta-blocking: every co-occurring pair is a candidate, so the
+    // round sizes above are exact. Containment makes "alpha" match
+    // "alpha hub" (overlap coefficient 1) and nothing match a filler.
+    let mut config = ErConfig::default().with_meta(MetaBlockingConfig::None);
+    config.similarity = SimilarityKind::TokenOverlap;
+    config.match_threshold = 0.95;
+    config.parallelism = 4;
+    let idx = TableErIndex::build(&table, &config);
+
+    // Reference on a separate build, so `idx`'s decision cache stays
+    // cold and round two's kernel batch keeps its fan-out size.
+    let full = {
+        let mut li = LinkIndex::new(table.len());
+        let out = TableErIndex::build(&table, &config)
+            .run(ResolveRequest::records(&table, &[0], &mut li))
+            .unwrap();
+        assert_eq!(out.dr, (0..9).collect::<Vec<RecordId>>());
+        (out.dr, li.link_count(), li.resolved_count())
+    };
+
+    // A Link Index with prior content, so "unchanged" is not "empty".
+    let mut li = LinkIndex::new(table.len());
+    li.add_link(100, 101);
+    li.mark_resolved(100);
+    let before = (li.link_count(), li.resolved_count());
+
+    failpoints::arm("cmp.worker", FailAction::Panic);
+    let mut m = DedupMetrics::default();
+    let err = idx
+        .run(ResolveRequest::records(&table, &[0], &mut li).metrics(&mut m))
+        .unwrap_err();
+    assert_eq!(
+        err,
+        ResolveError::WorkerPanicked {
+            stage: ResolveStage::ComparisonExecution
+        }
+    );
+    assert!(
+        m.matches_found >= 8 && m.entities_processed >= 1,
+        "round one must have completed and found its links before the fault"
+    );
+    assert_eq!(
+        (li.link_count(), li.resolved_count()),
+        before,
+        "a failed resolve must commit nothing"
+    );
+    assert!(!li.are_linked(0, 1) && !li.is_resolved(0));
+
+    failpoints::disarm("cmp.worker");
+    let out = idx
+        .run(ResolveRequest::records(&table, &[0], &mut li))
+        .unwrap();
+    assert_eq!(out.dr, full.0);
+    assert_eq!(
+        (li.link_count(), li.resolved_count()),
+        (before.0 + full.1, before.1 + full.2),
+        "the retry must land the full answer next to the prior content"
+    );
+}
+
+/// The same contract on a shared handle, under concurrency: three
+/// queries that each lose a comparison worker commit nothing to the
+/// `RwLock<LinkIndex>`, and three retries after disarming converge to
+/// the reference links with every record resolved.
+#[test]
+fn concurrent_worker_panics_commit_nothing_and_retry_converges() {
+    let _guard = faults();
+    let table = workload();
+    let config = cfg(EpCacheMode::On, EdgePruningScope::NodeCentric);
+    let idx = TableErIndex::build(&table, &config);
+    // Reference on a *separate* build: running it on `idx` would fill
+    // the decision cache and shrink the faulted attempt's kernel batch
+    // below the parallel cutoff, so the armed site would never fire.
+    let reference = resolve_decisions(&TableErIndex::build(&table, &config), &table);
+
+    let li = RwLock::new(LinkIndex::new(table.len()));
+    let resolve_on_three_threads = || -> Vec<Result<(), ResolveError>> {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..3)
+                .map(|_| s.spawn(|| idx.run(ResolveRequest::all(&table, &li)).map(drop)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("resolver thread"))
+                .collect()
+        })
+    };
+
+    failpoints::arm("cmp.worker", FailAction::Panic);
+    for outcome in resolve_on_three_threads() {
+        assert_eq!(
+            outcome,
+            Err(ResolveError::WorkerPanicked {
+                stage: ResolveStage::ComparisonExecution
+            })
+        );
+    }
+    {
+        let g = li.read();
+        assert_eq!(g.link_count(), 0, "failed queries must commit no links");
+        assert_eq!(g.resolved_count(), 0, "failed queries must mark nothing");
+    }
+
+    failpoints::disarm("cmp.worker");
+    for outcome in resolve_on_three_threads() {
+        assert_eq!(outcome, Ok(()));
+    }
+    let li = li.into_inner();
+    assert_eq!(li.resolved_count(), table.len());
+    let n = table.len() as RecordId;
+    let links: Vec<bool> = (0..n)
+        .flat_map(|a| (0..n).map(move |b| (a, b)))
+        .map(|(a, b)| li.are_linked(a, b))
+        .collect();
+    assert_eq!(
+        links, reference.links,
+        "retry must converge to the reference"
+    );
 }
 
 #[test]

@@ -113,7 +113,7 @@ fn meta_of(m: usize) -> MetaBlockingConfig {
     }
 }
 
-const MODES: [EpCacheMode; 3] = [EpCacheMode::Off, EpCacheMode::On, EpCacheMode::Prewarm];
+const MODES: [EpCacheMode; 2] = [EpCacheMode::Off, EpCacheMode::On];
 
 fn cfg_of(scheme: usize, scope: usize, meta: usize, mode: usize, threads: usize) -> ErConfig {
     let mut cfg = ErConfig::default().with_meta(meta_of(meta));
@@ -243,7 +243,7 @@ proptest! {
         scheme in 0usize..3,
         scope in 0usize..2,
         meta in 0usize..5,
-        mode in 0usize..3,
+        mode in 0usize..2,
         threads in 1usize..5,
         probe in 0usize..64,
     ) {

@@ -108,11 +108,26 @@ fn blocking_of(b: usize) -> BlockingKind {
     }
 }
 
+/// The reference node-centric threshold: the plain mean of `e`'s edge
+/// weights over its counted neighbourhood (0 when isolated).
+fn mean_edge_weight(idx: &TableErIndex, pruner: &EdgePruner<'_>, e: RecordId) -> f64 {
+    let mut scratch = CooccurrenceScratch::new();
+    let nbh = idx.cooccurrences_into(e, &mut scratch);
+    if nbh.is_empty() {
+        return 0.0;
+    }
+    let mut sum = 0.0f64;
+    for &(other, cbs) in nbh {
+        sum += pruner.weight(e, other, cbs);
+    }
+    sum / nbh.len() as f64
+}
+
 /// The pre-interning resolve pipeline, replayed through public APIs with
 /// the record/string matcher: Query Blocking (`build_query_blocks`) →
 /// Block-Join (TBI key lookup) → BP → BF → EP/block pairs →
 /// string-path Comparison-Execution, with LI bookkeeping and transitive
-/// expansion. Returns DR_E exactly like `TableErIndex::resolve`.
+/// expansion. Returns DR_E exactly like `TableErIndex::run`.
 fn reference_resolve(
     table: &Table,
     idx: &TableErIndex,
@@ -151,7 +166,7 @@ fn reference_resolve(
             eqbi.retain(|(_, q_list)| !q_list.is_empty());
         }
         let pairs: Vec<(RecordId, RecordId)> = if cfg.meta.edge_pruning() {
-            let mut pruner = EdgePruner::new(idx);
+            let pruner = EdgePruner::new(idx);
             let mut scratch = CooccurrenceScratch::new();
             match cfg.ep_scope {
                 EdgePruningScope::NodeCentric => {
@@ -161,8 +176,12 @@ fn reference_resolve(
                             if pair_seen.contains(q, c) {
                                 continue;
                             }
+                            // Union rule: either endpoint's mean admits
+                            // the weight (same 1e-12 slack as production).
                             let w = pruner.weight(q, c, cbs);
-                            if pruner.survives_node_centric(q, c, w) && pair_seen.insert(q, c) {
+                            let kept = w + 1e-12 >= mean_edge_weight(idx, &pruner, q)
+                                || w + 1e-12 >= mean_edge_weight(idx, &pruner, c);
+                            if kept && pair_seen.insert(q, c) {
                                 out.push((q, c));
                             }
                         }

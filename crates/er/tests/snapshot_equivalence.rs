@@ -181,7 +181,7 @@ proptest! {
         rows in rows(),
         scheme in 0usize..3,
         scope in 0usize..2,
-        cache_mode in 0usize..3,
+        cache_mode in 0usize..2,
         threads in 1usize..4,
         warm_mask in 0u32..255,
         query_mask in 1u32..255,
@@ -195,10 +195,10 @@ proptest! {
         } else {
             EdgePruningScope::Global
         };
-        cfg.ep_cache = match cache_mode {
-            0 => EpCacheMode::Off,
-            1 => EpCacheMode::On,
-            _ => EpCacheMode::Prewarm,
+        cfg.ep_cache = if cache_mode == 0 {
+            EpCacheMode::Off
+        } else {
+            EpCacheMode::On
         };
         cfg.ep_threads = threads;
         let idx1 = TableErIndex::build(&table, &cfg);
@@ -418,7 +418,6 @@ fn drift_detected_as_stale_parallelism_retune_is_not_drift() {
     let mut par_cfg = cfg.clone();
     par_cfg.ep_threads = 7;
     par_cfg.parallelism = 3;
-    par_cfg.ep_bulk_thresholds = !par_cfg.ep_bulk_thresholds;
     let (idx2, _snapshot_links) =
         open_index_snapshot(&path, &table, &par_cfg).expect("parallelism retune must not drift");
     let idx_fresh = TableErIndex::build(&table, &cfg);
