@@ -284,6 +284,30 @@ impl<V: Clone> ShardedMap<V> {
         }
     }
 
+    /// Overwrites the value of every listed key that is *present*,
+    /// locking each shard at most once; absent keys stay absent. The
+    /// one exception to first-write-wins: the ingest path calls it when
+    /// a delta has changed the inputs a memoized value was computed
+    /// from, so the entry stays warm with its new value instead of
+    /// being dropped and recomputed.
+    pub fn update_batch(&self, entries: &[(u64, V)]) {
+        let keys: Vec<u64> = entries.iter().map(|&(k, _)| k).collect();
+        let (offsets, order) = self.group_by_shard(&keys);
+        for (shard_at, shard) in self.shards.iter().enumerate() {
+            let mine = &order[offsets[shard_at] as usize..offsets[shard_at + 1] as usize];
+            if mine.is_empty() {
+                continue;
+            }
+            let mut guard = shard.lock();
+            for &i in mine {
+                let (key, value) = &entries[i as usize];
+                if let Some(e) = guard.map.get_mut(key) {
+                    e.0 = value.clone();
+                }
+            }
+        }
+    }
+
     /// Grows each shard's hash capacity for about `additional` more
     /// entries across the map, so a bulk fill (e.g. the decision
     /// cache's insert pass for one comparison batch) never rehashes
@@ -599,6 +623,25 @@ mod tests {
                 assert_eq!(v, 402);
             }
         }
+    }
+
+    #[test]
+    fn update_batch_overwrites_present_keys_only() {
+        let m: ShardedMap<u64> = ShardedMap::bounded(1024);
+        for k in 0..50u64 {
+            m.insert_if_absent(k, k);
+        }
+        let entries: Vec<(u64, u64)> = (40..60u64).map(|k| (k, k + 1000)).collect();
+        m.update_batch(&entries);
+        for k in 0..60u64 {
+            let want = match k {
+                0..=39 => Some(k),
+                40..=49 => Some(k + 1000),
+                _ => None,
+            };
+            assert_eq!(m.get(k), want, "key {k}");
+        }
+        assert_eq!(m.len(), 50);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use queryer_er::{
 };
 use queryer_sql::{parse_select, plan_select, LogicalPlan, SchemaProvider, SelectStatement};
 use queryer_storage::{RecordId, Table};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Execution strategy for a query.
@@ -79,7 +79,11 @@ pub(crate) struct RegisteredTable {
     pub table: Arc<Table>,
     pub er: Arc<TableErIndex>,
     pub li: Arc<RwLock<LinkIndex>>,
-    pub stats: TableStats,
+    /// Sampled on the first [`QueryEngine::duplication_factor`] read
+    /// and emptied by every ingest: cleaning the sample is a resolve,
+    /// and neither registration nor a write should pay for one whose
+    /// result nobody has asked for.
+    pub stats: OnceLock<TableStats>,
     pub batch: Mutex<Option<Arc<BatchClean>>>,
 }
 
@@ -108,9 +112,8 @@ impl QueryEngine {
         &self.cfg
     }
 
-    /// Registers a table: builds its TBI/ITBI (once-off, Sec. 3), an
-    /// empty Link Index, and eagerly cleans a sample for the duplication
-    /// factor statistic. Returns the catalog index.
+    /// Registers a table: builds its TBI/ITBI (once-off, Sec. 3) and an
+    /// empty Link Index. Returns the catalog index.
     pub fn register_table(&mut self, table: Table) -> Result<usize> {
         let name = table.name().to_lowercase();
         if self.by_name.contains_key(&name) {
@@ -120,13 +123,12 @@ impl QueryEngine {
             )));
         }
         let (er, li) = self.open_or_build(&table)?;
-        let stats = compute_table_stats(&table, &er);
         let idx = self.tables.len();
         self.tables.push(RegisteredTable {
             table: Arc::new(table),
             er: Arc::new(er),
             li: Arc::new(RwLock::new(li)),
-            stats,
+            stats: OnceLock::new(),
             batch: Mutex::new(None),
         });
         self.by_name.insert(name, idx);
@@ -270,9 +272,9 @@ impl QueryEngine {
             }
         }
 
-        // Derived engine state: stats are recomputed (they sample the
-        // live index), batch cleanings and join percentages are stale.
-        rt.stats = compute_table_stats(&rt.table, &rt.er);
+        // Derived engine state: the sampled stats, batch cleanings and
+        // join percentages are stale.
+        rt.stats.take();
         *rt.batch.lock() = None;
 
         if queryer_common::knobs::delta_snapshot_refresh()
@@ -363,9 +365,16 @@ impl QueryEngine {
         self.tables[idx].table.clone()
     }
 
-    /// The eagerly-sampled duplication factor of a table (Sec. 7.2.1).
+    /// The sampled duplication factor of a table (Sec. 7.2.1), as of
+    /// its current rows: the first read after registration or an ingest
+    /// cleans the sample (through the table's own index, so it also
+    /// warms that index's resolve caches); later reads are served.
     pub fn duplication_factor(&self, name: &str) -> Result<f64> {
-        Ok(self.tables[self.table_idx(name)?].stats.duplication_factor)
+        let rt = &self.tables[self.table_idx(name)?];
+        let stats = rt
+            .stats
+            .get_or_init(|| compute_table_stats(&rt.table, &rt.er));
+        Ok(stats.duplication_factor)
     }
 
     /// The ER index of a table (for inspection/benchmarks).

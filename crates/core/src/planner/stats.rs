@@ -10,12 +10,15 @@ use queryer_common::FxHashSet;
 use queryer_er::{DedupMetrics, LinkIndex, ResolveRequest, TableErIndex};
 use queryer_storage::{RecordId, Table, Value};
 
-/// Records eagerly cleaned at load time for the df estimate.
+/// Records cleaned for the df estimate.
 const DF_SAMPLE_TARGET: usize = 400;
 /// Left-side records sampled for the join-percentage estimate.
 const JOIN_SAMPLE_TARGET: usize = 1000;
 
-/// Statistics computed once per registered table.
+/// Statistics of a registered table. The engine samples them on the
+/// first read after registration or an ingest, not at load time: the
+/// sample is cleaned through the table's own index, and no plan reads
+/// the result.
 #[derive(Debug, Clone)]
 pub struct TableStats {
     /// Duplication factor df = |DR_sample| / |sample| (≥ 1.0): a df of
@@ -26,7 +29,7 @@ pub struct TableStats {
     pub sample_size: usize,
 }
 
-/// Eagerly cleans a stride sample of the table (with a throwaway Link
+/// Cleans a stride sample of the table (with a throwaway Link
 /// Index, so the real LI stays cold) and derives the duplication factor
 /// as the average duplicate-cluster size of the resolved sample — the
 /// expansion |DR_E| / (distinct entities selected) a query should expect.

@@ -223,3 +223,75 @@ fn invalid_batches_are_rejected_atomically() {
     // And the engine still answers queries after every rejection.
     assert_eq!(e.execute(EDBT_DEDUP).unwrap().rows.len(), 2);
 }
+
+/// A four-record chain 0–1–2–3 (Jaccard ≥ 0.3 between neighbours, no
+/// token shared otherwise), fully resolved, then record 3 is rewritten
+/// with the same tokens. The write invalidates 3 and its neighbour 2;
+/// record 0 is two hops away, and a point query on it must still come
+/// back with the whole cluster — as a freshly registered engine does.
+#[test]
+fn point_query_after_a_write_sees_the_whole_cluster() {
+    let _env = CompactCap::new(None);
+    let mut cfg = ErConfig::default().with_meta(queryer_er::MetaBlockingConfig::None);
+    cfg.similarity = queryer_er::SimilarityKind::TokenJaccard;
+    cfg.match_threshold = 0.3;
+    let mut e = QueryEngine::new(cfg.clone());
+    e.register_csv_str(
+        "T",
+        "id,words\n0,a1 a2 a3\n1,a2 a3 b1 b2\n2,b1 b2 c1 c2\n3,c1 c2 d1\n4,zz yy\n",
+    )
+    .unwrap();
+    let point = "SELECT DEDUP words FROM T WHERE id = '0'";
+    assert_eq!(
+        e.execute("SELECT DEDUP words FROM T").unwrap().rows.len(),
+        2
+    );
+    let whole = e.execute(point).unwrap().canonical_rows();
+
+    e.ingest(
+        "T",
+        &[DeltaOp::Update {
+            id: 3,
+            values: vec!["3".into(), "d1 c2 c1".into()],
+        }],
+    )
+    .unwrap();
+
+    let mut fresh = QueryEngine::new(cfg);
+    fresh
+        .register_table((*e.table("T").unwrap()).clone())
+        .unwrap();
+    let live = e.execute(point).unwrap().canonical_rows();
+    assert_eq!(live, fresh.execute(point).unwrap().canonical_rows());
+    assert_eq!(live.len(), 1);
+    assert_ne!(live, whole, "the fused row carries record 3's new text");
+}
+
+/// The duplication factor is sampled when somebody reads it, not when
+/// a table is registered or written: neither leaves a trace of a
+/// resolve in the index's caches, and a read after a write equals the
+/// statistic computed from scratch on the written table.
+#[test]
+fn duplication_factor_is_sampled_on_read_and_follows_writes() {
+    let _env = CompactCap::new(None);
+    let mut e = engine();
+    let copy_of = |e: &QueryEngine, id| DeltaOp::Insert {
+        values: e.table("P").unwrap().record(id).unwrap().values.clone(),
+    };
+    e.ingest("P", &[copy_of(&e, 4)]).unwrap();
+    assert_eq!(
+        e.er_index("P").unwrap().resolve_cache_sizes(),
+        (0, 0, 0),
+        "register + ingest must not resolve anything"
+    );
+
+    let before = e.duplication_factor("P").unwrap();
+    e.ingest("P", &[copy_of(&e, 7), copy_of(&e, 7)]).unwrap();
+    let after = e.duplication_factor("P").unwrap();
+    assert!(after > before, "two more duplicates: {before} -> {after}");
+
+    let table = e.table("P").unwrap();
+    let rebuilt = queryer_er::TableErIndex::build(&table, &ErConfig::default());
+    let from_scratch = queryer_core::planner::stats::compute_table_stats(&table, &rebuilt);
+    assert_eq!(after, from_scratch.duplication_factor);
+}

@@ -25,36 +25,77 @@
 //!   the blocks a rebuild would not have).
 //! - **ITBI order is semantic**: the base sorts each record's blocks by
 //!   `(size, block id)`, and base block ids ascend in `(first member,
-//!   key position within that member)` order. Delta-affected rows are
-//!   re-sorted by that same `(size, first member, key position)` key,
-//!   which is precisely the order a rebuild would assign — so Block
-//!   Filtering retains the same prefix.
+//!   key position within that member)` order. A row holding a block
+//!   whose `(size, first member, key position)` key moved is put back
+//!   into that order — precisely the order a rebuild would assign — so
+//!   Block Filtering retains the same prefix. Blocks whose key did not
+//!   move are still in order among themselves, so only the moved ones
+//!   are compared with their neighbours and, if out of place,
+//!   re-inserted.
 //! - **Emptied blocks are force-purged** (even with purging disabled)
 //!   so the unpurged-block count — an input of the ECBS/JS edge
 //!   weights — matches the rebuild, which has no such blocks at all.
 //!
 //! # Targeted invalidation
 //!
-//! A delta drops exactly the cached artefacts whose inputs changed and
-//! keeps everything else warm. Let *dirty* = records whose candidate
-//! neighbourhood (CBS row) changed, and *A* = dirty ∪ their current
-//! neighbours. Then every memoized EP threshold and survivor list
-//! outside *A* is still a pure function of unchanged inputs
-//! (the candidate relation is symmetric: `q` co-occurs with `p` iff
-//! some retained block of `p` has `q` in its filtered contents), and
-//! every comparison decision not touching an updated/deleted profile is
-//! still valid. Only when the active config makes node weights depend
-//! on *global* index statistics (ECBS/JS read the unpurged-block count;
+//! A write costs what it changed. Call a record *dirty* when its
+//! candidate neighbourhood (CBS row) changed: the touched records, the
+//! records whose retained block *set* changed, and the current
+//! retainers of every block whose filtered contents changed. The
+//! candidate relation is symmetric (`q` co-occurs with `p` iff they
+//! retain a common block), so a changed edge weight makes *both*
+//! endpoints dirty. A dirty record's new row is counted afresh when its
+//! own retained set changed; a mere retainer's row differs from the old
+//! one by ±1 at each record that left or joined one of its blocks, and
+//! is patched in place. (A patched row keeps its entry order rather
+//! than the first-touch order a rebuild would give it — same edges,
+//! same threshold and survivors, emitted in another order. Under
+//! ECBS/JS the f64 sum behind a threshold depends on that order, so
+//! there every dirty row is recounted.)
+//!
+//! Under a config whose node weights are purely local — CBS weights
+//! with node-centric EP, or no EP at all — the apply then
+//!
+//! - overwrites each dirty record's slot of the bulk threshold vector
+//!   and of the threshold memo with the mean of its new row: no
+//!   threshold is dropped and nothing is swept again;
+//! - drops the memoized survivor row of each dirty record, and of a
+//!   non-dirty neighbour `q` only when the vote of a dirty `p` on
+//!   their edge *flips*. The edge's weight is unchanged (else `q`
+//!   would be dirty) and so is `q`'s own threshold, so under the union
+//!   rule the edge can change sides only through `keeps(w, th_old(p))
+//!   != keeps(w, th_new(p))`. CBS weights are whole numbers and a
+//!   patched row moves its threshold by about 1/|row|, so this is rare;
+//! - drops the comparison decisions that touch an updated or deleted
+//!   profile;
+//! - reports [`Affected::Ids`] = dirty ∪ flipped ∪ the current
+//!   neighbours of updated/deleted records.
+//!
+//! That set holds every record whose link-set can differ from a
+//! rebuild's. A record's links are its surviving candidate pairs that
+//! match. Its survivor row changes only if it is dirty or flipped. A
+//! match decision changes only if one of the two profiles did, and the
+//! other endpoint then either still neighbours the changed record (the
+//! third term) or lost it as a neighbour — which changed its own CBS
+//! row, so it is dirty. [`crate::LinkIndex::invalidate`] widens the ids
+//! to their whole duplicate clusters, which is what keeps a point query
+//! two links away from a write honest.
+//!
+//! Only when the active config makes node weights depend on *global*
+//! index statistics (ECBS/JS read the unpurged-block count;
 //! global-scope EP averages over every edge) does the apply fall back
-//! to a full cache clear and reports [`Affected::All`].
+//! to a full cache clear and report [`Affected::All`].
 
-use crate::config::WeightScheme;
-use crate::govern::{PoisonGuard, ResolveError};
-use crate::index::{cardinality, AttrMeta, BlockId, TableErIndex};
+use crate::config::{EdgePruningScope, WeightScheme};
+use crate::edge_pruning::{keeps, threshold_over, weight_of};
+use crate::govern::{PoisonGuard, ResolveBudget, ResolveError};
+use crate::index::{cardinality, scheme_node_key, AttrMeta, BlockId, TableErIndex};
 use crate::purging::purge_flags;
 use crate::tokenizer::{record_keys, record_tokens};
 use queryer_common::{failpoints, unpack_pair, FxHashMap, FxHashSet};
 use queryer_storage::{RecordId, StorageError, Table, Value};
+use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// One mutation of a live table, expressed against dense record ids.
 ///
@@ -119,9 +160,10 @@ impl DeltaOp {
 /// invalidated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Affected {
-    /// Targeted invalidation: exactly these records' cached thresholds,
-    /// survivor lists, and links are stale; everything else stays warm.
-    /// Sorted ascending, deduped.
+    /// Targeted invalidation: only these records' links can differ from
+    /// what a rebuild would find (see the module docs for why); the
+    /// Link Index entries of everything else stay valid, and the EP
+    /// caches were patched in place. Sorted ascending, deduped.
     Ids(Vec<RecordId>),
     /// The active config derives node weights from global index
     /// statistics, so every cached EP artefact (and the whole Link
@@ -193,7 +235,7 @@ pub(crate) struct DeltaIndex {
     /// Retained (post BP+BF) prefix for the same records.
     pub(crate) row_retained: FxHashMap<RecordId, Vec<BlockId>>,
     /// CBS partial rows for records whose candidate neighbourhood
-    /// changed, materialized eagerly at apply time (the cached EP path
+    /// changed, recounted or patched at apply time (the cached EP path
     /// requires partials for every record it touches). Only populated
     /// when the base has partials.
     pub(crate) cbs_rows: FxHashMap<RecordId, Vec<(RecordId, u32)>>,
@@ -301,48 +343,49 @@ impl DeltaIndex {
     }
 }
 
-/// The rebuild-equivalent ITBI sort key of a block: `(merged size,
+/// Per-apply memo behind [`rebuild_order`]: record → (blocking key →
+/// position in that record's key iteration).
+type KeyPositions = FxHashMap<RecordId, FxHashMap<String, u32>>;
+
+/// Orders two blocks the way a rebuild's ITBI would: by `(merged size,
 /// first raw member, position of the block's key within that member's
-/// key set)`. A rebuild assigns block ids in exactly this lexicographic
-/// order (a key is first seen at its lowest-id emitter, at that
-/// record's key-iteration position — a pure function of record
-/// content), so sorting a delta-affected row by it reproduces the
-/// rebuild's `(size, id)` order. Memoized per apply in `rank`; the
-/// per-record key→position maps are memoized in `keypos`.
-fn block_rank(
+/// key set)`. A rebuild assigns block ids in exactly the `(first member,
+/// key position)` order (a key is first seen at its lowest-id emitter,
+/// at that record's key-iteration position — a pure function of record
+/// content), so this reproduces its `(size, id)` order. `lens` holds the
+/// merged block sizes. The key position costs a tokenization of the
+/// first member (memoized in `keypos`) and is only looked at for two
+/// same-sized blocks first seen at the same record.
+fn rebuild_order(
     idx: &TableErIndex,
     d: &DeltaIndex,
     table: &Table,
+    lens: &[usize],
+    keypos: &mut KeyPositions,
+    a: BlockId,
     b: BlockId,
-    rank: &mut FxHashMap<BlockId, (RecordId, u32)>,
-    keypos: &mut FxHashMap<RecordId, FxHashMap<String, u32>>,
-) -> (RecordId, u32) {
-    if let Some(&r) = rank.get(&b) {
-        return r;
-    }
-    let row = d.raw_row(idx, b);
-    debug_assert!(
-        !row.is_empty(),
-        "ranked blocks come from ITBI rows, so they have members"
-    );
-    let fm = row[0];
-    let pos = keypos.entry(fm).or_insert_with(|| {
-        record_keys(
-            table.record_unchecked(fm),
-            idx.cfg.blocking,
-            idx.cfg.min_token_len,
-            idx.skip_col,
-        )
-        .into_iter()
-        .enumerate()
-        .map(|(i, k)| (k, i as u32))
-        .collect()
-    });
-    let epos = *pos
-        .get(d.key_of(idx, b))
-        .expect("a block's first member emits its key");
-    rank.insert(b, (fm, epos));
-    (fm, epos)
+) -> Ordering {
+    // Ranked blocks come from ITBI rows, so they have members.
+    let (first_a, first_b) = (d.raw_row(idx, a)[0], d.raw_row(idx, b)[0]);
+    lens[a as usize]
+        .cmp(&lens[b as usize])
+        .then(first_a.cmp(&first_b))
+        .then_with(|| {
+            let pos = keypos.entry(first_a).or_insert_with(|| {
+                record_keys(
+                    table.record_unchecked(first_a),
+                    idx.cfg.blocking,
+                    idx.cfg.min_token_len,
+                    idx.skip_col,
+                )
+                .into_iter()
+                .enumerate()
+                .map(|(i, k)| (k, i as u32))
+                .collect()
+            });
+            // A block's first member emits its key.
+            pos[d.key_of(idx, a)].cmp(&pos[d.key_of(idx, b)])
+        })
 }
 
 impl TableErIndex {
@@ -363,13 +406,15 @@ impl TableErIndex {
     /// validation error leaves the index untouched and serving.
     ///
     /// Every probe-time accessor then serves the merged (base ∪ delta)
-    /// view, and the cached resolve state is invalidated *targetedly*:
-    /// only records whose candidate neighbourhood or profile changed —
-    /// plus their current neighbours — lose their cached EP
-    /// thresholds, survivor lists, and comparison decisions (see
-    /// [`Affected`]). Configs whose edge weights read global index
-    /// statistics (ECBS / JS schemes, global-scope EP) get a full cache
-    /// clear instead.
+    /// view, and the cached resolve state follows the batch instead of
+    /// being dropped: the EP thresholds of the records whose candidate
+    /// neighbourhood changed are overwritten with their new values,
+    /// only those records (and the rare neighbour whose edge to one of
+    /// them changes sides) lose their survivor rows, and only pairs
+    /// with an updated or deleted record lose their comparison
+    /// decisions — see the module docs and [`Affected`]. Configs whose
+    /// edge weights read global index statistics (ECBS / JS schemes,
+    /// global-scope EP) get a full cache clear instead.
     ///
     /// Panic safety: like [`TableErIndex::clear_ep_cache`], the apply
     /// is a compound mutation under a poison latch — the `"delta.apply"`
@@ -443,6 +488,21 @@ impl TableErIndex {
                 affected: Affected::Ids(Vec::new()),
                 pending_ops: self.pending_delta_ops(),
             });
+        }
+
+        // Invalidation is targeted when node weights are purely local:
+        // CBS weights under node-centric EP, or no EP at all.
+        let targeted = !self.cfg.meta.edge_pruning()
+            || (self.cfg.weight_scheme == WeightScheme::Cbs
+                && self.cfg.ep_scope == EdgePruningScope::NodeCentric);
+        let ep_targeted = targeted && self.cfg.meta.edge_pruning();
+        if ep_targeted && self.cbs_adj.is_none() {
+            // `ep_cache` off keeps no CBS partials, so a record's old
+            // threshold cannot be recounted once the graph is patched.
+            // The bulk vector is that mode's one threshold store and
+            // every resolve fills it first; do the same here, so phase 5
+            // finds the old value in it.
+            self.try_bulk_ep_thresholds(&ResolveBudget::unlimited())?;
         }
 
         let guard = PoisonGuard::new(&self.poisoned);
@@ -584,67 +644,102 @@ impl TableErIndex {
         }
         d.n_unpurged = d.purged.iter().filter(|&&p| !p).count();
 
-        // -- Phase 3: the affected-row closure R. A row must be
-        // re-sorted/re-filtered when it holds a block whose size or
-        // purge flag changed — or whose rebuild id *would* change
-        // because its first member's key set changed (`t_rank`). --
-        let mut t_rank: FxHashSet<BlockId> = FxHashSet::default();
+        // -- Phase 3: the ITBI rows to revisit. A block's sort key
+        // `(size, first member, key position)` moved when its raw
+        // membership changed (`t0`) or when its first member's key set
+        // did; R = the touched rows plus every member of a block whose
+        // sort key or purge flag moved. --
+        let mut key_moved: Vec<BlockId> = t0.into_iter().collect();
         for &rid in &touched {
             for &b in &d.row_blocks[&rid] {
                 if d.raw_row(self, b).first() == Some(&rid) {
-                    t_rank.insert(b);
+                    key_moved.push(b);
                 }
             }
         }
+        let mut moved = vec![false; d.n_blocks];
         let mut r_set: FxHashSet<RecordId> = touched_set.clone();
-        for &b in t0.iter().chain(flips.iter()).chain(t_rank.iter()) {
+        for &b in &key_moved {
+            moved[b as usize] = true;
             r_set.extend(d.raw_row(self, b).iter().copied());
         }
-        let mut r_list: Vec<RecordId> = r_set.iter().copied().collect();
+        for &b in &flips {
+            r_set.extend(d.raw_row(self, b).iter().copied());
+        }
+        let mut r_list: Vec<RecordId> = r_set.into_iter().collect();
         r_list.sort_unstable();
 
-        // -- Phase 4: re-sort and re-filter every row in R; patch the
-        // filtered block contents it leaves/joins. --
-        let mut rank: FxHashMap<BlockId, (RecordId, u32)> = FxHashMap::default();
-        let mut keypos: FxHashMap<RecordId, FxHashMap<String, u32>> = FxHashMap::default();
-        let mut tf: FxHashSet<BlockId> = FxHashSet::default(); // filtered contents changed
+        // -- Phase 4: restore each row of R to its rebuild order and
+        // re-filter it; patch the filtered block contents it
+        // leaves/joins. Blocks whose key did not move are still in
+        // order among themselves, so an untouched row is only checked
+        // around its moved blocks and, if one is out of place, has just
+        // those re-inserted. `moves` records, per block, who left or
+        // joined its filtered contents; `recount` collects the records
+        // whose own retained set changed. --
+        let mut keypos = KeyPositions::default();
+        let mut moves: FxHashMap<BlockId, Vec<(RecordId, bool)>> = FxHashMap::default();
+        let mut recount: FxHashSet<RecordId> = touched_set.clone();
+        // ECBS/JS weights are fractions, so the f64 sum behind a node
+        // threshold depends on the order of the CBS row: under those
+        // schemes every stored row must keep a rebuild's first-touch
+        // order, which follows the retained *sequence*. CBS weights are
+        // small integers and sum exactly in any order.
+        let ordered_rows = self.cfg.weight_scheme != WeightScheme::Cbs;
+        let mut unpurged: Vec<BlockId> = Vec::new();
         for &rid in &r_list {
-            let row: Vec<BlockId> = if let Some(r) = d.row_blocks.get(&rid) {
-                r.clone()
-            } else {
-                self.entity_blocks.row(rid as usize).to_vec()
+            let cur: &[BlockId] = match d.row_blocks.get(&rid) {
+                Some(row) => row,
+                None => self.entity_blocks.row(rid as usize),
             };
-            let mut keyed: Vec<(usize, RecordId, u32, BlockId)> = Vec::with_capacity(row.len());
-            for &b in &row {
-                let (fm, epos) = block_rank(self, &d, table, b, &mut rank, &mut keypos);
-                keyed.push((d.raw_row(self, b).len(), fm, epos, b));
-            }
-            keyed.sort_unstable();
-            let row: Vec<BlockId> = keyed.iter().map(|k| k.3).collect();
+            let mut order = |a, b| rebuild_order(self, &d, table, &lens, &mut keypos, a, b);
+            let is_touched = touched_set.contains(&rid);
+            let resorted: Option<Vec<BlockId>> = if is_touched {
+                let mut row = cur.to_vec();
+                row.sort_unstable_by(|&a, &b| order(a, b));
+                Some(row)
+            } else if cur.iter().enumerate().all(|(i, &b)| {
+                !moved[b as usize]
+                    || ((i == 0 || order(cur[i - 1], b).is_lt())
+                        && (i + 1 == cur.len() || order(b, cur[i + 1]).is_lt()))
+            }) {
+                None
+            } else {
+                let (mut row, movers): (Vec<BlockId>, Vec<BlockId>) =
+                    cur.iter().partition(|&&b| !moved[b as usize]);
+                for b in movers {
+                    let at = row.partition_point(|&x| order(x, b).is_lt());
+                    row.insert(at, b);
+                }
+                Some(row)
+            };
 
-            let old_retained: Vec<BlockId> = if let Some(r) = d.row_retained.get(&rid) {
-                r.clone()
-            } else if (rid as usize) < d.base_n_records {
-                self.entity_retained.row(rid as usize).to_vec()
-            } else {
-                Vec::new()
-            };
-            let unpurged: Vec<BlockId> = row
-                .iter()
-                .copied()
-                .filter(|&b| !d.purged[b as usize])
-                .collect();
+            unpurged.clear();
+            unpurged.extend(
+                resorted
+                    .as_deref()
+                    .unwrap_or(cur)
+                    .iter()
+                    .copied()
+                    .filter(|&b| !d.purged[b as usize]),
+            );
             let keep = if self.cfg.meta.filtering() {
                 ((self.cfg.filtering_ratio * unpurged.len() as f64).ceil() as usize)
                     .min(unpurged.len())
             } else {
                 unpurged.len()
             };
-            let new_retained: Vec<BlockId> = unpurged[..keep].to_vec();
-            let new_rset: FxHashSet<BlockId> = new_retained.iter().copied().collect();
-            let old_rset: FxHashSet<BlockId> = old_retained.iter().copied().collect();
-            for &b in &old_retained {
-                if !new_rset.contains(&b) {
+            let new_retained = &unpurged[..keep];
+            let old_retained: &[BlockId] = match d.row_retained.get(&rid) {
+                Some(row) => row,
+                None if (rid as usize) < d.base_n_records => self.entity_retained.row(rid as usize),
+                None => &[],
+            };
+            if !is_touched && resorted.is_none() && new_retained == old_retained {
+                continue;
+            }
+            for &b in old_retained {
+                if !new_retained.contains(&b) {
                     let frow = d
                         .filtered_rows
                         .entry(b)
@@ -652,11 +747,12 @@ impl TableErIndex {
                     if let Ok(at) = frow.binary_search(&rid) {
                         frow.remove(at);
                     }
-                    tf.insert(b);
+                    moves.entry(b).or_default().push((rid, false));
+                    recount.insert(rid);
                 }
             }
-            for &b in &new_retained {
-                if !old_rset.contains(&b) {
+            for &b in new_retained {
+                if !old_retained.contains(&b) {
                     let frow = d.filtered_rows.entry(b).or_insert_with(|| {
                         if (b as usize) < d.base_n_blocks {
                             self.filtered_blocks.row(b as usize).to_vec()
@@ -667,86 +763,172 @@ impl TableErIndex {
                     if let Err(at) = frow.binary_search(&rid) {
                         frow.insert(at, rid);
                     }
-                    tf.insert(b);
+                    moves.entry(b).or_default().push((rid, true));
+                    recount.insert(rid);
                 }
             }
-            d.row_blocks.insert(rid, row);
-            d.row_retained.insert(rid, new_retained);
+            if ordered_rows && new_retained != old_retained {
+                recount.insert(rid);
+            }
+            d.row_retained.insert(rid, new_retained.to_vec());
+            if let Some(row) = resorted {
+                d.row_blocks.insert(rid, row);
+            }
         }
-
-        // -- Phase 5: the dirty set — records whose candidate
-        // neighbourhood (CBS row) changed: R itself, plus the current
-        // retainers of every block whose filtered contents changed.
-        // When the base carries CBS partials, their merged rows are
-        // materialized eagerly (the cached EP path requires a partial
-        // row for every record it touches). --
-        let mut dirty: FxHashSet<RecordId> = r_set;
-        for &b in &tf {
+        // -- Phase 5: the dirty set — the records whose candidate
+        // neighbourhood (CBS row) changed: `recount`, plus the current
+        // retainers of every block somebody left or joined — and their
+        // new rows. A retainer's row differs from its old one by ±1 at
+        // each mover, so when the base carries CBS partials (the cached
+        // EP path requires a partial row for every record it touches)
+        // the stored row is patched in place; only `recount` rows, every
+        // dirty row of an index without partials, and every dirty row
+        // under `ordered_rows` are counted afresh. A patched row keeps
+        // its old entry order, not the first-touch order a rebuild
+        // would give it: the same edges, so the same threshold and
+        // survivors, emitted in another order.
+        //
+        // Under a targeted config the old and new node thresholds fall
+        // out of the old and new rows, and with them the non-dirty
+        // neighbours whose surviving edge to the record flips; the new
+        // neighbours of an updated/deleted record are collected too —
+        // their links to it were decided against the old profile. --
+        let mut dirty: FxHashSet<RecordId> = recount.clone();
+        for &b in moves.keys() {
             dirty.extend(d.filtered_row(self, b).iter().copied());
         }
         let mut dirty_list: Vec<RecordId> = dirty.iter().copied().collect();
         dirty_list.sort_unstable();
-        if self.cbs_adj.is_some() {
-            let mut counts: Vec<u32> = vec![0; d.n_records];
-            let mut out: Vec<(RecordId, u32)> = Vec::new();
-            for &rid in &dirty_list {
-                out.clear();
-                for &b in d.retained_row(self, rid) {
-                    for &other in d.filtered_row(self, b) {
-                        if other != rid {
-                            let c = &mut counts[other as usize];
-                            if *c == 0 {
-                                out.push((other, 0));
+        let scheme = self.cfg.weight_scheme;
+        let n_blocks = d.n_unpurged.max(1) as f64;
+        let changed_profiles: FxHashSet<RecordId> = profile_changed.iter().copied().collect();
+        let mut bulk = self.ep_thresholds.get_mut().take();
+        let mut patched: Vec<(RecordId, f64)> = Vec::new();
+        let mut flipped: Vec<RecordId> = Vec::new();
+        let mut relinked: Vec<RecordId> = Vec::new();
+        let mut counts: Vec<u32> = vec![0; d.n_records];
+        let mut out: Vec<(RecordId, u32)> = Vec::new();
+        let mut movers: Vec<(RecordId, bool)> = Vec::new();
+        for &p in &dirty_list {
+            let relinks = targeted && changed_profiles.contains(&p);
+            if !(self.cbs_adj.is_some() || ep_targeted || relinks) {
+                continue;
+            }
+            // CBS weights read nothing but the count, so the shared
+            // threshold and weight definitions are safe to call while
+            // the delta side is detached from `self`.
+            let th_old = if !ep_targeted {
+                None
+            } else if let Some(adj) = &self.cbs_adj {
+                let old = d.cbs_rows.get(&p).map(Vec::as_slice);
+                old.or_else(|| ((p as usize) < d.base_n_records).then(|| adj.row(p as usize)))
+                    .map(|old| threshold_over(self, scheme, n_blocks, p, old))
+            } else {
+                bulk.as_ref().and_then(|v| v.get(p as usize).copied())
+            };
+            let row: &[(RecordId, u32)] = match &self.cbs_adj {
+                Some(adj) if !ordered_rows && !recount.contains(&p) => {
+                    movers.clear();
+                    for b in d.retained_row(self, p) {
+                        movers.extend(moves.get(b).into_iter().flatten());
+                    }
+                    let row = d
+                        .cbs_rows
+                        .entry(p)
+                        .or_insert_with(|| adj.row(p as usize).to_vec());
+                    // Amortized doubling would leave a table's worth of
+                    // rows holding twice their size.
+                    row.reserve_exact(movers.len());
+                    for &(x, joined) in &movers {
+                        match (row.iter().position(|&(q, _)| q == x), joined) {
+                            (Some(at), true) => row[at].1 += 1,
+                            (None, true) => row.push((x, 1)),
+                            (Some(at), false) if row[at].1 == 1 => {
+                                row.swap_remove(at);
                             }
-                            *c += 1;
+                            (Some(at), false) => row[at].1 -= 1,
+                            (None, false) => unreachable!("a mover that left was a neighbour"),
+                        }
+                    }
+                    row
+                }
+                partials => {
+                    out.clear();
+                    for &b in d.retained_row(self, p) {
+                        for &other in d.filtered_row(self, b) {
+                            if other != p {
+                                let c = &mut counts[other as usize];
+                                if *c == 0 {
+                                    out.push((other, 0));
+                                }
+                                *c += 1;
+                            }
+                        }
+                    }
+                    for (r, cnt) in &mut out {
+                        let c = &mut counts[*r as usize];
+                        *cnt = *c;
+                        *c = 0;
+                    }
+                    if partials.is_some() {
+                        d.cbs_rows.insert(p, out.clone());
+                    }
+                    &out
+                }
+            };
+            if ep_targeted {
+                let th_new = threshold_over(self, scheme, n_blocks, p, row);
+                // CBS weights are whole numbers and a patched row moves
+                // its threshold by about 1/|row|: unless a whole number
+                // separates the two thresholds no edge can flip, and
+                // the row need not be walked.
+                let may_flip = |th_old: f64| {
+                    let (lo, hi) = (th_old.min(th_new), th_old.max(th_new));
+                    (lo.floor() as i64 - 1..=hi.ceil() as i64 + 1)
+                        .any(|w| keeps(w as f64, lo) != keeps(w as f64, hi))
+                };
+                if let Some(th_old) = th_old.filter(|&th| may_flip(th)) {
+                    for &(q, cbs) in row {
+                        let w = weight_of(self, scheme, n_blocks, p, q, cbs);
+                        if keeps(w, th_old) != keeps(w, th_new) && !dirty.contains(&q) {
+                            flipped.push(q);
                         }
                     }
                 }
-                for (r, cnt) in &mut out {
-                    let c = &mut counts[*r as usize];
-                    *cnt = *c;
-                    *c = 0;
-                }
-                d.cbs_rows.insert(rid, out.clone());
+                patched.push((p, th_new));
+            }
+            if relinks {
+                relinked.extend(row.iter().map(|&(q, _)| q));
             }
         }
 
-        // -- Phase 6: invalidation. Targeted when node weights are
-        // purely local (CBS weights under node-centric EP, or no EP at
-        // all): A = dirty ∪ current neighbours of dirty. Every pair
-        // whose candidate status or weight inputs changed has both
-        // endpoints in A — removed pairs make both endpoints dirty, so
-        // chasing *current* neighbours suffices. --
-        let targeted = !self.cfg.meta.edge_pruning()
-            || (self.cfg.weight_scheme == WeightScheme::Cbs
-                && self.cfg.ep_scope == crate::config::EdgePruningScope::NodeCentric);
-        // The bulk threshold vector is all-or-nothing: any delta drops it.
-        *self.ep_thresholds.lock() = None;
+        // -- Phase 6: invalidation. Targeted: each dirty record's slot
+        // of the bulk vector and of the threshold memo takes its new
+        // value, and only the survivor rows of dirty and flipped
+        // records are dropped. Otherwise every cached EP artefact goes
+        // (the bulk vector was taken out above). --
         let affected = if targeted {
-            let mut a_set: FxHashSet<RecordId> = dirty;
-            for &rid in &dirty_list {
-                if let Some(row) = d.cbs_rows.get(&rid) {
-                    a_set.extend(row.iter().map(|&(other, _)| other));
-                } else {
-                    for &b in d.retained_row(self, rid) {
-                        for &other in d.filtered_row(self, b) {
-                            if other != rid {
-                                a_set.insert(other);
-                            }
-                        }
+            if ep_targeted {
+                if let Some(bulk) = &mut bulk {
+                    let bulk = Arc::make_mut(bulk);
+                    bulk.resize(d.n_records, 0.0);
+                    for &(p, th) in &patched {
+                        bulk[p as usize] = th;
                     }
                 }
+                let key = |&rid: &RecordId| scheme_node_key(scheme, rid);
+                let patched: Vec<(u64, f64)> =
+                    patched.iter().map(|(p, th)| (key(p), *th)).collect();
+                self.resolve_cache.thresholds.update_batch(&patched);
+                let stale: Vec<u64> = dirty_list.iter().chain(&flipped).map(key).collect();
+                self.resolve_cache.survivors.remove_batch(&stale);
             }
-            let mut a_list: Vec<RecordId> = a_set.into_iter().collect();
+            *self.ep_thresholds.get_mut() = bulk;
+            let mut a_list = dirty_list;
+            a_list.extend(flipped);
+            a_list.extend(relinked);
             a_list.sort_unstable();
-            let mut keys: Vec<u64> = Vec::with_capacity(a_list.len() * 3);
-            for &rid in &a_list {
-                for scheme in [WeightScheme::Cbs, WeightScheme::Ecbs, WeightScheme::Js] {
-                    keys.push(crate::index::scheme_node_key(scheme, rid));
-                }
-            }
-            self.resolve_cache.thresholds.remove_batch(&keys);
-            self.resolve_cache.survivors.remove_batch(&keys);
+            a_list.dedup();
             Affected::Ids(a_list)
         } else {
             self.resolve_cache.thresholds.clear();
@@ -757,10 +939,9 @@ impl TableErIndex {
         // only updated/deleted records can hold stale entries (inserts
         // never had any).
         if !profile_changed.is_empty() {
-            let changed: FxHashSet<RecordId> = profile_changed.iter().copied().collect();
             self.resolve_cache.decisions.retain(|key| {
                 let (a, b) = unpack_pair(key);
-                !changed.contains(&a) && !changed.contains(&b)
+                !changed_profiles.contains(&a) && !changed_profiles.contains(&b)
             });
         }
 

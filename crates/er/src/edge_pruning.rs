@@ -117,10 +117,19 @@ pub(crate) fn threshold_over(
     if nbh.is_empty() {
         return 0.0;
     }
-    let mut sum = 0.0f64;
-    for &(other, cbs) in nbh {
-        sum += weight_of(idx, scheme, n_blocks, e, other, cbs);
-    }
+    let sum = if scheme == WeightScheme::Cbs {
+        // Whole-number weights: summing the counts as integers gives
+        // the same f64 as accumulating them one by one (both are exact
+        // far beyond any neighbourhood's total) without the serial
+        // dependency of a float accumulator.
+        nbh.iter().map(|&(_, cbs)| u64::from(cbs)).sum::<u64>() as f64
+    } else {
+        let mut sum = 0.0f64;
+        for &(other, cbs) in nbh {
+            sum += weight_of(idx, scheme, n_blocks, e, other, cbs);
+        }
+        sum
+    };
     sum / nbh.len() as f64
 }
 

@@ -118,19 +118,26 @@ impl LinkIndex {
         }
     }
 
-    /// Drops everything the index claims about `ids`: their resolved
-    /// flags and every link incident to them (both directions, so the
-    /// adjacency stays symmetric). A record that *loses* an edge this
-    /// way is unresolved too — its stored link-set is no longer the
-    /// complete answer a resolved mark promises, so the next query must
-    /// recompute it. This is the ingest path's targeted invalidation —
-    /// everything not incident to an invalidated id stays warm.
+    /// Drops everything the index claims about `ids`: every link
+    /// incident to them (both directions, so the adjacency stays
+    /// symmetric) and the resolved flag of every member of their
+    /// duplicate clusters. A resolve seeds its frontier from the
+    /// *unresolved* query entities and answers with their closure, so a
+    /// resolved mark promises more than a complete link-set: every
+    /// member of the closure must be resolved too. Un-resolving only
+    /// `ids` and the records that lose an edge would leave the far end
+    /// of a chain a–b–c resolved after `invalidate([c])`, and a query on
+    /// `a` would answer {a, b} without ever looking at `c` again. This
+    /// is the ingest path's targeted invalidation — clusters are small,
+    /// and everything outside them stays warm.
     pub fn invalidate(&mut self, ids: &[RecordId]) {
+        for member in self.closure(ids.iter().copied()) {
+            if let Some(resolved) = self.resolved.get_mut(member as usize) {
+                *resolved = false;
+            }
+        }
         let set: FxHashSet<RecordId> = ids.iter().copied().collect();
         for &id in &set {
-            if (id as usize) < self.resolved.len() {
-                self.resolved[id as usize] = false;
-            }
             if let Some(ns) = self.adj.remove(&id) {
                 for n in ns {
                     if set.contains(&n) {
@@ -143,9 +150,6 @@ impl LinkIndex {
                         continue;
                     }
                     self.n_links -= 1;
-                    if (n as usize) < self.resolved.len() {
-                        self.resolved[n as usize] = false;
-                    }
                     if let Some(back) = self.adj.get_mut(&n) {
                         back.retain(|&x| x != id);
                         if back.is_empty() {
@@ -344,6 +348,29 @@ mod tests {
         assert!(d.is_resolved(1) && !d.is_resolved(2));
         assert!(!d.is_empty());
         assert!(LinkDelta::new().is_empty());
+    }
+
+    #[test]
+    fn invalidate_unresolves_the_whole_component() {
+        // Chain 1–2–3 plus a bystander pair 7–8, all resolved. A resolve
+        // seeds its frontier from the unresolved query entities only and
+        // answers with the closure, so if invalidating 3 left 1 resolved,
+        // a point query on 1 would answer {1, 2} and never look for 3.
+        let mut li = LinkIndex::new(10);
+        li.add_link(1, 2);
+        li.add_link(2, 3);
+        li.add_link(7, 8);
+        for id in [1, 2, 3, 7, 8] {
+            li.mark_resolved(id);
+        }
+        li.invalidate(&[3]);
+        assert!(!li.are_linked(2, 3) && li.are_linked(1, 2));
+        assert_eq!(li.link_count(), 2);
+        for id in li.closure([1]) {
+            assert!(!li.is_resolved(id), "{id} is in 1's closure");
+        }
+        assert!(!li.is_resolved(3));
+        assert!(li.is_resolved(7) && li.is_resolved(8), "7–8 is untouched");
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
+use queryer_er::edge_pruning::bulk_node_thresholds;
 use queryer_er::{
     Affected, DedupMetrics, DeltaOp, EdgePruningScope, EpCacheMode, ErConfig, LinkIndex,
     MetaBlockingConfig, ResolveRequest, TableErIndex, WeightScheme,
@@ -264,6 +265,67 @@ proptest! {
             let ops: Vec<DeltaOp> = batch.iter().map(|s| make_op(s, &mut table)).collect();
             let applied = idx.apply_delta(&table, &ops).unwrap();
             maintain_li(&mut li, &applied.affected, table.len());
+
+            // Point-query-only history, before anything resolves the
+            // whole table (which would repair a Link Index the delta
+            // left stale, or one `Affected` was too narrow for): a
+            // point query for every record, each on its own clone of
+            // the maintained LI, does the work a rebuilt index does
+            // from that same LI and answers with the rebuild's cluster.
+            let oracle = TableErIndex::build(&table, &cfg);
+            let mut li_all = LinkIndex::new(table.len());
+            oracle.run(ResolveRequest::all(&table, &mut li_all)).unwrap();
+            let query_stable =
+                !cfg.meta.edge_pruning() || cfg.ep_scope == EdgePruningScope::NodeCentric;
+
+            // The blocking graph the delta left behind is the rebuild's:
+            // every CBS row holds the same edges (in the rebuild's order
+            // too when the weights are fractions and the order decides
+            // the last bits of a threshold), and the node thresholds are
+            // bit-equal.
+            for r in 0..table.len() as RecordId {
+                let live = idx.cbs_neighbourhood(r).map(<[_]>::to_vec);
+                let rebuilt = oracle.cbs_neighbourhood(r).map(<[_]>::to_vec);
+                if cfg.weight_scheme == WeightScheme::Cbs {
+                    let sorted = |row: Option<Vec<(RecordId, u32)>>| {
+                        row.map(|mut row| {
+                            row.sort_unstable();
+                            row
+                        })
+                    };
+                    prop_assert_eq!(sorted(live), sorted(rebuilt), "CBS row of {}", r);
+                } else {
+                    prop_assert_eq!(live, rebuilt, "CBS row of {}", r);
+                }
+            }
+            if cfg.meta.edge_pruning() {
+                prop_assert_eq!(
+                    bulk_node_thresholds(&idx, threads),
+                    bulk_node_thresholds(&oracle, threads)
+                );
+            }
+            for r in 0..table.len() as RecordId {
+                let (mut li_l, mut li_o) = (li.clone(), li.clone());
+                let (mut m_l, mut m_o) = (DedupMetrics::default(), DedupMetrics::default());
+                let out_l = idx
+                    .run(ResolveRequest::records(&table, &[r], &mut li_l).metrics(&mut m_l))
+                    .unwrap();
+                let out_o = oracle
+                    .run(ResolveRequest::records(&table, &[r], &mut li_o).metrics(&mut m_o))
+                    .unwrap();
+                prop_assert_eq!(&out_l.dr, &out_o.dr, "point query {} after delta", r);
+                prop_assert_eq!(
+                    m_l.candidate_pairs, m_o.candidate_pairs,
+                    "point query {} candidate pairs after delta", r
+                );
+                if query_stable {
+                    prop_assert_eq!(
+                        out_l.dr, li_all.closure([r]),
+                        "point query {} on the maintained LI missed the rebuild's cluster", r
+                    );
+                }
+            }
+
             assert_rebuild_equivalent(&idx, &table, &cfg, &mut li);
 
             // Interleaved point queries between batches, compared
@@ -272,7 +334,6 @@ proptest! {
             // different edges under Global EP scope, so the oracle must
             // run the same sequence, not a different one).
             let qe = [(probe % table.len()) as RecordId];
-            let oracle = TableErIndex::build(&table, &cfg);
 
             // Cold path: both indexes resolve the point query from a
             // blank LI — pins the delta-aware blocking/EP point path.
@@ -461,6 +522,143 @@ fn update_that_changes_blocks() {
         .unwrap();
     assert!(li.are_linked(1, 3), "record links in its new blocks");
     assert_rebuild_equivalent(&idx, &table, &cfg, &mut li);
+}
+
+/// An insert that touches neither endpoint's profile nor the untouched
+/// endpoint's neighbourhood can still take a candidate pair away: the
+/// edge 0–1 (weight 2) survives only on record 0's vote (threshold 2;
+/// record 1's own is 3), the inserted record shares three blocks with
+/// record 0 alone, and record 0's threshold rises to 7/3. Record 1 is
+/// not dirty — its CBS row is what it was — yet its survivor row and
+/// its link to 0 are stale, and `Affected` must say so.
+#[test]
+fn threshold_flip_unlinks_an_untouched_neighbour() {
+    let mut cfg = ErConfig::default().with_meta(MetaBlockingConfig::BpEp);
+    cfg.similarity = queryer_er::SimilarityKind::TokenJaccard;
+    cfg.match_threshold = 0.15;
+    let mut table = Table::new("p", Schema::of_strings(&["id", "words"]));
+    for (id, words) in [
+        ("0", "t1 t2 t3 s1 s2 u1 u2"),
+        ("1", "s1 s2 v1 v2 v3 v4"),
+        ("2", "u1 u2"),
+        ("3", "v1 v2 v3 v4"),
+    ] {
+        table.push_row(vec![id.into(), words.into()]).unwrap();
+    }
+    let mut idx = TableErIndex::build(&table, &cfg);
+    let mut li = LinkIndex::new(table.len());
+    idx.run(ResolveRequest::all(&table, &mut li)).unwrap();
+    assert!(
+        li.are_linked(0, 1),
+        "0–1 is a candidate on 0's vote, and matches"
+    );
+
+    let op = DeltaOp::Insert {
+        values: vec!["4".into(), "t1 t2 t3".into()],
+    };
+    op.apply_to_table(&mut table).unwrap();
+    let applied = idx.apply_delta(&table, &[op]).unwrap();
+    let ids = applied
+        .affected
+        .ids()
+        .expect("CBS + node-centric is targeted");
+    assert!(ids.contains(&1), "record 1 lost a surviving edge: {ids:?}");
+    assert!(!ids.contains(&3), "record 3 is out of reach: {ids:?}");
+    maintain_li(&mut li, &applied.affected, table.len());
+    assert!(!li.are_linked(0, 1), "a rebuild never compares 0 and 1");
+    // A point query on 1 replays its survivor row; a resolve-all would
+    // hide a stale one behind 0's ownership of the pair.
+    let (mut m_l, mut m_o) = (DedupMetrics::default(), DedupMetrics::default());
+    idx.run(ResolveRequest::records(&table, &[1], &mut li.clone()).metrics(&mut m_l))
+        .unwrap();
+    TableErIndex::build(&table, &cfg)
+        .run(ResolveRequest::records(&table, &[1], &mut li.clone()).metrics(&mut m_o))
+        .unwrap();
+    assert_eq!(m_l.candidate_pairs, m_o.candidate_pairs);
+    assert_rebuild_equivalent(&idx, &table, &cfg, &mut li);
+    assert!(!li.are_linked(0, 1) && li.are_linked(0, 4) && li.are_linked(1, 3));
+}
+
+/// The cost shape of a single-row write under the default config, in
+/// counts: on a 1 000-row `dsd` table whose caches and Link Index are
+/// warm, 50 inserts / updates / deletes never invalidate everything,
+/// invalidate and drop the survivor rows of under a quarter of the
+/// table on average, drop no memoized threshold, and leave the bulk
+/// threshold vector what a sweep over a rebuilt index computes.
+#[test]
+fn single_row_writes_cost_what_they_changed() {
+    let cfg = ErConfig::default();
+    let mut table = queryer_datagen::scholarly::dblp_scholar(1000, 7).table;
+    let n0 = table.len();
+    let mut idx = TableErIndex::build(&table, &cfg);
+    // Point queries first (no bulk vector yet, so they fill the
+    // threshold memo), then everything: bulk vector, every survivor row.
+    for r in (0..n0 as RecordId).step_by(50) {
+        idx.run(ResolveRequest::records(
+            &table,
+            &[r],
+            &mut LinkIndex::new(n0),
+        ))
+        .unwrap();
+    }
+    let mut li = LinkIndex::new(n0);
+    idx.run(ResolveRequest::all(&table, &mut li)).unwrap();
+
+    let (mut affected, mut survivors_held, mut survivors_lost) = (0, 0, 0);
+    for i in 0..50usize {
+        let of = ((i * 7919 + 13) % n0) as RecordId;
+        let mut values = table.record(of).unwrap().values.clone();
+        let title = values[1].render().into_owned();
+        let op = match i % 10 {
+            // A near-copy: the title loses its first word.
+            0 | 2 | 4 | 6 | 8 => {
+                values[0] = Value::Int(table.len() as i64);
+                values[1] = Value::str(title.split_once(' ').map_or("", |(_, rest)| rest));
+                DeltaOp::Insert { values }
+            }
+            // Same blocks, new profile / new blocks.
+            1 | 9 => {
+                values[1] = Value::str(title.split(' ').rev().collect::<Vec<_>>().join(" "));
+                DeltaOp::Update { id: of, values }
+            }
+            5 => {
+                values[3] = table.record((of + 1) % n0 as RecordId).unwrap().values[3].clone();
+                DeltaOp::Update { id: of, values }
+            }
+            _ => DeltaOp::Delete { id: of },
+        };
+        op.apply_to_table(&mut table).unwrap();
+        let before = idx.resolve_cache_sizes();
+        let applied = idx.apply_delta(&table, &[op]).unwrap();
+        let after = idx.resolve_cache_sizes();
+        let ids = applied
+            .affected
+            .ids()
+            .expect("the default config never invalidates everything");
+        affected += ids.len();
+        assert_eq!(after.0, before.0, "thresholds are patched, never dropped");
+        survivors_held += before.1;
+        survivors_lost += before.1 - after.1;
+        let rebuilt = TableErIndex::build(&table, &cfg);
+        assert_eq!(*idx.bulk_ep_thresholds(), bulk_node_thresholds(&rebuilt, 1));
+
+        // The engine's maintenance, then reads that warm things again.
+        maintain_li(&mut li, &applied.affected, table.len());
+        idx.run(ResolveRequest::all(&table, &mut li)).unwrap();
+    }
+    // Means over the 50 writes. One write in ten here moves a record
+    // into or out of a block most of the table retains; every retainer's
+    // CBS row then changes by one, so that write alone is table-wide.
+    assert!(
+        affected / 50 <= table.len() / 4,
+        "mean affected {}",
+        affected / 50
+    );
+    // (`ep_cache` off memoizes nothing, and then loses nothing.)
+    assert!(
+        survivors_lost * 4 <= survivors_held,
+        "{survivors_lost} of {survivors_held}"
+    );
 }
 
 /// The empty batch is a true no-op: no delta side is created, nothing
