@@ -29,9 +29,9 @@
 //!   whose `(size, first member, key position)` key moved is put back
 //!   into that order — precisely the order a rebuild would assign — so
 //!   Block Filtering retains the same prefix. Blocks whose key did not
-//!   move are still in order among themselves, so only the moved ones
-//!   are compared with their neighbours and, if out of place,
-//!   re-inserted.
+//!   move are still in order among themselves, so a row whose moved
+//!   blocks all sit between the right neighbours is left alone and any
+//!   other row of R is sorted again.
 //! - **Emptied blocks are force-purged** (even with purging disabled)
 //!   so the unpurged-block count — an input of the ECBS/JS edge
 //!   weights — matches the rebuild, which has no such blocks at all.
@@ -40,18 +40,16 @@
 //!
 //! A write costs what it changed. Call a record *dirty* when its
 //! candidate neighbourhood (CBS row) changed: the touched records, the
-//! records whose retained block *set* changed, and the current
-//! retainers of every block whose filtered contents changed. The
-//! candidate relation is symmetric (`q` co-occurs with `p` iff they
-//! retain a common block), so a changed edge weight makes *both*
-//! endpoints dirty. A dirty record's new row is counted afresh when its
-//! own retained set changed; a mere retainer's row differs from the old
-//! one by ±1 at each record that left or joined one of its blocks, and
-//! is patched in place. (A patched row keeps its entry order rather
-//! than the first-touch order a rebuild would give it — same edges,
-//! same threshold and survivors, emitted in another order. Under
-//! ECBS/JS the f64 sum behind a threshold depends on that order, so
-//! there every dirty row is recounted.)
+//! records whose retained blocks changed, and the current retainers of
+//! every block whose filtered contents changed. The candidate relation
+//! is symmetric (`q` co-occurs with `p` iff they retain a common
+//! block), so a changed edge weight makes *both* endpoints dirty. Every
+//! dirty record's row is counted afresh, in the first-touch order a
+//! rebuild would give it. (A stored row follows the retained
+//! *sequence* — under ECBS/JS the f64 sum behind a threshold depends on
+//! that order — so a record whose retained prefix was merely reordered
+//! counts as dirty too: 137 of the 117 470 ids the traced `live_ingest`
+//! run invalidates.)
 //!
 //! Under a config whose node weights are purely local — CBS weights
 //! with node-centric EP, or no EP at all — the apply then
@@ -64,8 +62,8 @@
 //!   their edge *flips*. The edge's weight is unchanged (else `q`
 //!   would be dirty) and so is `q`'s own threshold, so under the union
 //!   rule the edge can change sides only through `keeps(w, th_old(p))
-//!   != keeps(w, th_new(p))`. CBS weights are whole numbers and a
-//!   patched row moves its threshold by about 1/|row|, so this is rare;
+//!   != keeps(w, th_new(p))`. CBS weights are whole numbers and one
+//!   mover shifts a threshold by about 1/|row|, so this is rare;
 //! - drops the comparison decisions that touch an updated or deleted
 //!   profile;
 //! - reports [`Affected::Ids`] = dirty ∪ flipped ∪ the current
@@ -235,7 +233,7 @@ pub(crate) struct DeltaIndex {
     /// Retained (post BP+BF) prefix for the same records.
     pub(crate) row_retained: FxHashMap<RecordId, Vec<BlockId>>,
     /// CBS partial rows for records whose candidate neighbourhood
-    /// changed, recounted or patched at apply time (the cached EP path
+    /// changed, recounted at apply time (the cached EP path
     /// requires partials for every record it touches). Only populated
     /// when the base has partials.
     pub(crate) cbs_rows: FxHashMap<RecordId, Vec<(RecordId, u32)>>,
@@ -672,20 +670,13 @@ impl TableErIndex {
         // -- Phase 4: restore each row of R to its rebuild order and
         // re-filter it; patch the filtered block contents it
         // leaves/joins. Blocks whose key did not move are still in
-        // order among themselves, so an untouched row is only checked
-        // around its moved blocks and, if one is out of place, has just
-        // those re-inserted. `moves` records, per block, who left or
-        // joined its filtered contents; `recount` collects the records
-        // whose own retained set changed. --
+        // order among themselves, so an untouched row whose moved blocks
+        // all sit between the right neighbours is left alone. `dirty`
+        // collects the records whose own retained blocks changed,
+        // `changed_blocks` the blocks somebody left or joined. --
         let mut keypos = KeyPositions::default();
-        let mut moves: FxHashMap<BlockId, Vec<(RecordId, bool)>> = FxHashMap::default();
-        let mut recount: FxHashSet<RecordId> = touched_set.clone();
-        // ECBS/JS weights are fractions, so the f64 sum behind a node
-        // threshold depends on the order of the CBS row: under those
-        // schemes every stored row must keep a rebuild's first-touch
-        // order, which follows the retained *sequence*. CBS weights are
-        // small integers and sum exactly in any order.
-        let ordered_rows = self.cfg.weight_scheme != WeightScheme::Cbs;
+        let mut dirty: FxHashSet<RecordId> = touched_set.clone();
+        let mut changed_blocks: FxHashSet<BlockId> = FxHashSet::default();
         let mut unpurged: Vec<BlockId> = Vec::new();
         for &rid in &r_list {
             let cur: &[BlockId] = match d.row_blocks.get(&rid) {
@@ -694,25 +685,17 @@ impl TableErIndex {
             };
             let mut order = |a, b| rebuild_order(self, &d, table, &lens, &mut keypos, a, b);
             let is_touched = touched_set.contains(&rid);
-            let resorted: Option<Vec<BlockId>> = if is_touched {
+            let in_order = !is_touched
+                && cur.iter().enumerate().all(|(i, &b)| {
+                    !moved[b as usize]
+                        || ((i == 0 || order(cur[i - 1], b).is_lt())
+                            && (i + 1 == cur.len() || order(b, cur[i + 1]).is_lt()))
+                });
+            let resorted: Option<Vec<BlockId>> = (!in_order).then(|| {
                 let mut row = cur.to_vec();
                 row.sort_unstable_by(|&a, &b| order(a, b));
-                Some(row)
-            } else if cur.iter().enumerate().all(|(i, &b)| {
-                !moved[b as usize]
-                    || ((i == 0 || order(cur[i - 1], b).is_lt())
-                        && (i + 1 == cur.len() || order(b, cur[i + 1]).is_lt()))
-            }) {
-                None
-            } else {
-                let (mut row, movers): (Vec<BlockId>, Vec<BlockId>) =
-                    cur.iter().partition(|&&b| !moved[b as usize]);
-                for b in movers {
-                    let at = row.partition_point(|&x| order(x, b).is_lt());
-                    row.insert(at, b);
-                }
-                Some(row)
-            };
+                row
+            });
 
             unpurged.clear();
             unpurged.extend(
@@ -735,7 +718,7 @@ impl TableErIndex {
                 None if (rid as usize) < d.base_n_records => self.entity_retained.row(rid as usize),
                 None => &[],
             };
-            if !is_touched && resorted.is_none() && new_retained == old_retained {
+            if in_order && new_retained == old_retained {
                 continue;
             }
             for &b in old_retained {
@@ -747,8 +730,7 @@ impl TableErIndex {
                     if let Ok(at) = frow.binary_search(&rid) {
                         frow.remove(at);
                     }
-                    moves.entry(b).or_default().push((rid, false));
-                    recount.insert(rid);
+                    changed_blocks.insert(b);
                 }
             }
             for &b in new_retained {
@@ -763,12 +745,14 @@ impl TableErIndex {
                     if let Err(at) = frow.binary_search(&rid) {
                         frow.insert(at, rid);
                     }
-                    moves.entry(b).or_default().push((rid, true));
-                    recount.insert(rid);
+                    changed_blocks.insert(b);
                 }
             }
-            if ordered_rows && new_retained != old_retained {
-                recount.insert(rid);
+            // A CBS row is stored in first-touch order over the
+            // retained *sequence*, so a reordered prefix is recounted
+            // even when it holds the same blocks.
+            if new_retained != old_retained {
+                dirty.insert(rid);
             }
             d.row_retained.insert(rid, new_retained.to_vec());
             if let Some(row) = resorted {
@@ -776,25 +760,19 @@ impl TableErIndex {
             }
         }
         // -- Phase 5: the dirty set — the records whose candidate
-        // neighbourhood (CBS row) changed: `recount`, plus the current
-        // retainers of every block somebody left or joined — and their
-        // new rows. A retainer's row differs from its old one by ±1 at
-        // each mover, so when the base carries CBS partials (the cached
-        // EP path requires a partial row for every record it touches)
-        // the stored row is patched in place; only `recount` rows, every
-        // dirty row of an index without partials, and every dirty row
-        // under `ordered_rows` are counted afresh. A patched row keeps
-        // its old entry order, not the first-touch order a rebuild
-        // would give it: the same edges, so the same threshold and
-        // survivors, emitted in another order.
+        // neighbourhood (CBS row) changed: those whose own retained
+        // blocks changed, plus the current retainers of every block
+        // somebody left or joined — and their new rows, counted afresh
+        // in a rebuild's first-touch order (stored only when the base
+        // carries CBS partials: the cached EP path requires a partial
+        // row for every record it touches).
         //
         // Under a targeted config the old and new node thresholds fall
         // out of the old and new rows, and with them the non-dirty
         // neighbours whose surviving edge to the record flips; the new
         // neighbours of an updated/deleted record are collected too —
         // their links to it were decided against the old profile. --
-        let mut dirty: FxHashSet<RecordId> = recount.clone();
-        for &b in moves.keys() {
+        for &b in &changed_blocks {
             dirty.extend(d.filtered_row(self, b).iter().copied());
         }
         let mut dirty_list: Vec<RecordId> = dirty.iter().copied().collect();
@@ -807,8 +785,7 @@ impl TableErIndex {
         let mut flipped: Vec<RecordId> = Vec::new();
         let mut relinked: Vec<RecordId> = Vec::new();
         let mut counts: Vec<u32> = vec![0; d.n_records];
-        let mut out: Vec<(RecordId, u32)> = Vec::new();
-        let mut movers: Vec<(RecordId, bool)> = Vec::new();
+        let mut row: Vec<(RecordId, u32)> = Vec::new();
         for &p in &dirty_list {
             let relinks = targeted && changed_profiles.contains(&p);
             if !(self.cbs_adj.is_some() || ep_targeted || relinks) {
@@ -826,60 +803,27 @@ impl TableErIndex {
             } else {
                 bulk.as_ref().and_then(|v| v.get(p as usize).copied())
             };
-            let row: &[(RecordId, u32)] = match &self.cbs_adj {
-                Some(adj) if !ordered_rows && !recount.contains(&p) => {
-                    movers.clear();
-                    for b in d.retained_row(self, p) {
-                        movers.extend(moves.get(b).into_iter().flatten());
-                    }
-                    let row = d
-                        .cbs_rows
-                        .entry(p)
-                        .or_insert_with(|| adj.row(p as usize).to_vec());
-                    // Amortized doubling would leave a table's worth of
-                    // rows holding twice their size.
-                    row.reserve_exact(movers.len());
-                    for &(x, joined) in &movers {
-                        match (row.iter().position(|&(q, _)| q == x), joined) {
-                            (Some(at), true) => row[at].1 += 1,
-                            (None, true) => row.push((x, 1)),
-                            (Some(at), false) if row[at].1 == 1 => {
-                                row.swap_remove(at);
-                            }
-                            (Some(at), false) => row[at].1 -= 1,
-                            (None, false) => unreachable!("a mover that left was a neighbour"),
+            row.clear();
+            for &b in d.retained_row(self, p) {
+                for &other in d.filtered_row(self, b) {
+                    if other != p {
+                        let c = &mut counts[other as usize];
+                        if *c == 0 {
+                            row.push((other, 0));
                         }
+                        *c += 1;
                     }
-                    row
                 }
-                partials => {
-                    out.clear();
-                    for &b in d.retained_row(self, p) {
-                        for &other in d.filtered_row(self, b) {
-                            if other != p {
-                                let c = &mut counts[other as usize];
-                                if *c == 0 {
-                                    out.push((other, 0));
-                                }
-                                *c += 1;
-                            }
-                        }
-                    }
-                    for (r, cnt) in &mut out {
-                        let c = &mut counts[*r as usize];
-                        *cnt = *c;
-                        *c = 0;
-                    }
-                    if partials.is_some() {
-                        d.cbs_rows.insert(p, out.clone());
-                    }
-                    &out
-                }
-            };
+            }
+            for (r, cnt) in &mut row {
+                let c = &mut counts[*r as usize];
+                *cnt = *c;
+                *c = 0;
+            }
             if ep_targeted {
-                let th_new = threshold_over(self, scheme, n_blocks, p, row);
-                // CBS weights are whole numbers and a patched row moves
-                // its threshold by about 1/|row|: unless a whole number
+                let th_new = threshold_over(self, scheme, n_blocks, p, &row);
+                // CBS weights are whole numbers and one mover shifts a
+                // threshold by about 1/|row|: unless a whole number
                 // separates the two thresholds no edge can flip, and
                 // the row need not be walked.
                 let may_flip = |th_old: f64| {
@@ -888,7 +832,7 @@ impl TableErIndex {
                         .any(|w| keeps(w as f64, lo) != keeps(w as f64, hi))
                 };
                 if let Some(th_old) = th_old.filter(|&th| may_flip(th)) {
-                    for &(q, cbs) in row {
+                    for &(q, cbs) in &row {
                         let w = weight_of(self, scheme, n_blocks, p, q, cbs);
                         if keeps(w, th_old) != keeps(w, th_new) && !dirty.contains(&q) {
                             flipped.push(q);
@@ -899,6 +843,9 @@ impl TableErIndex {
             }
             if relinks {
                 relinked.extend(row.iter().map(|&(q, _)| q));
+            }
+            if self.cbs_adj.is_some() {
+                d.cbs_rows.insert(p, row.clone());
             }
         }
 

@@ -279,24 +279,14 @@ proptest! {
                 !cfg.meta.edge_pruning() || cfg.ep_scope == EdgePruningScope::NodeCentric;
 
             // The blocking graph the delta left behind is the rebuild's:
-            // every CBS row holds the same edges (in the rebuild's order
-            // too when the weights are fractions and the order decides
-            // the last bits of a threshold), and the node thresholds are
-            // bit-equal.
+            // every CBS row holds the same edges in the same order, and
+            // the node thresholds are bit-equal.
             for r in 0..table.len() as RecordId {
-                let live = idx.cbs_neighbourhood(r).map(<[_]>::to_vec);
-                let rebuilt = oracle.cbs_neighbourhood(r).map(<[_]>::to_vec);
-                if cfg.weight_scheme == WeightScheme::Cbs {
-                    let sorted = |row: Option<Vec<(RecordId, u32)>>| {
-                        row.map(|mut row| {
-                            row.sort_unstable();
-                            row
-                        })
-                    };
-                    prop_assert_eq!(sorted(live), sorted(rebuilt), "CBS row of {}", r);
-                } else {
-                    prop_assert_eq!(live, rebuilt, "CBS row of {}", r);
-                }
+                prop_assert_eq!(
+                    idx.cbs_neighbourhood(r),
+                    oracle.cbs_neighbourhood(r),
+                    "CBS row of {}", r
+                );
             }
             if cfg.meta.edge_pruning() {
                 prop_assert_eq!(
@@ -582,9 +572,11 @@ fn threshold_flip_unlinks_an_untouched_neighbour() {
 /// The cost shape of a single-row write under the default config, in
 /// counts: on a 1 000-row `dsd` table whose caches and Link Index are
 /// warm, 50 inserts / updates / deletes never invalidate everything,
-/// invalidate and drop the survivor rows of under a quarter of the
-/// table on average, drop no memoized threshold, and leave the bulk
-/// threshold vector what a sweep over a rebuilt index computes.
+/// invalidate over a third of the table in at most 5 writes and under
+/// a quarter on average (survivor rows go for invalidated records
+/// only, under a quarter of those held on average), drop no memoized
+/// threshold, and leave the bulk threshold vector what a sweep over a
+/// rebuilt index computes.
 #[test]
 fn single_row_writes_cost_what_they_changed() {
     let cfg = ErConfig::default();
@@ -605,6 +597,7 @@ fn single_row_writes_cost_what_they_changed() {
     idx.run(ResolveRequest::all(&table, &mut li)).unwrap();
 
     let (mut affected, mut survivors_held, mut survivors_lost) = (0, 0, 0);
+    let mut wide = 0;
     for i in 0..50usize {
         let of = ((i * 7919 + 13) % n0) as RecordId;
         let mut values = table.record(of).unwrap().values.clone();
@@ -639,6 +632,11 @@ fn single_row_writes_cost_what_they_changed() {
         assert_eq!(after.0, before.0, "thresholds are patched, never dropped");
         survivors_held += before.1;
         survivors_lost += before.1 - after.1;
+        wide += usize::from(ids.len() * 3 > table.len());
+        assert!(
+            before.1 - after.1 <= ids.len(),
+            "only affected records lose their survivor row"
+        );
         let rebuilt = TableErIndex::build(&table, &cfg);
         assert_eq!(*idx.bulk_ep_thresholds(), bulk_node_thresholds(&rebuilt, 1));
 
@@ -646,9 +644,12 @@ fn single_row_writes_cost_what_they_changed() {
         maintain_li(&mut li, &applied.affected, table.len());
         idx.run(ResolveRequest::all(&table, &mut li)).unwrap();
     }
-    // Means over the 50 writes. One write in ten here moves a record
-    // into or out of a block most of the table retains; every retainer's
-    // CBS row then changes by one, so that write alone is table-wide.
+    // One write in ten here moves a record into or out of a block most
+    // of the table retains; every retainer's CBS row then changes by
+    // one, so that write alone is table-wide. Each of the other 45
+    // stays under a third of the table, and the mean over all 50 under
+    // a quarter.
+    assert!(wide <= 5, "{wide} table-wide writes");
     assert!(
         affected / 50 <= table.len() / 4,
         "mean affected {}",
