@@ -20,9 +20,9 @@
 //!   committed 500k matrix.
 //!
 //! Timings are informational and never gated (shared runners flake);
-//! only decision counts are pinned. Sizes ≤ 20k run
-//! `QUERYER_BENCH_REPS` repetitions (default 3, median); larger sizes
-//! run once — at 100k+ a single pass already dominates the noise floor.
+//! only decision counts are pinned. Sizes ≤ 20k run 3 repetitions
+//! (median); larger sizes run once — at 100k+ a single pass already
+//! dominates the noise floor.
 //!
 //! Memory columns come from `/proc/self/status`: `vm_rss_kb` is the
 //! resident set right after the size's resolve completes, `vm_hwm_kb`
@@ -37,9 +37,11 @@ use std::time::Instant;
 
 const SEED: u64 = 99;
 
-/// Matrix sizes. The 2k point doubles as a cross-check against
-/// `BENCH_resolve.json` (same dataset, seed, and resolve-all query).
+/// Matrix sizes. The 2k point is the pinned workload of the test
+/// suites (same dataset, seed, and resolve-all query: 21384 / 201).
 const MATRIX: [usize; 4] = [2_000, 20_000, 100_000, 500_000];
+/// Repetitions (median) at sizes ≤ 20k.
+const SMALL_REPS: usize = 3;
 /// Behind `QUERYER_SCALE=full` only: ~2× the 500k wall time again.
 const FULL_SIZE: usize = 1_000_000;
 
@@ -234,11 +236,6 @@ fn main() {
     } else {
         None
     };
-    let small_reps: usize = std::env::var("QUERYER_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-
     let full = std::env::var("QUERYER_SCALE").is_ok_and(|v| v.eq_ignore_ascii_case("full"));
     let mut sizes: Vec<usize> = MATRIX.to_vec();
     if full {
@@ -254,7 +251,7 @@ fn main() {
 
     let mut rows = Vec::with_capacity(sizes.len());
     for &n in &sizes {
-        let reps = if n <= 20_000 { small_reps.max(1) } else { 1 };
+        let reps = if n <= 20_000 { SMALL_REPS } else { 1 };
         eprintln!(
             "bench_scale: {n} records ({reps} rep{})",
             if reps == 1 { "" } else { "s" }

@@ -41,11 +41,15 @@ pub fn env_flag(name: &str, default: bool) -> bool {
     }
 }
 
-/// Worker-thread count for the Edge Pruning sweeps (`QUERYER_EP_THREADS`).
-/// `0` (the default) means "auto": use the machine's available
-/// parallelism.
-pub fn ep_threads() -> usize {
-    env_usize("QUERYER_EP_THREADS", 0)
+/// Worker-thread count for every parallel stage — the index-build
+/// sweeps, the Edge Pruning fan-outs and Comparison-Execution — read
+/// from `QUERYER_THREADS`. `0` (the default) means "auto": use the
+/// machine's available parallelism. Thread count never affects a built
+/// index or a decision: every stage merges its chunks in input order
+/// (property-pinned by `crates/er/tests/build_equivalence.rs`,
+/// `ep_equivalence.rs` and `kernel_equivalence.rs`).
+pub fn threads() -> usize {
+    env_usize("QUERYER_THREADS", 0)
 }
 
 /// Operating mode of the cross-query resolve cache (incremental Edge
@@ -98,18 +102,6 @@ pub fn ep_cache() -> EpCacheMode {
         },
         Err(_) => EpCacheMode::default(),
     }
-}
-
-/// Worker-thread count for the index-build sweeps — tokenization,
-/// interning, attribute lowering/metadata, and the CBS-partials pass —
-/// read from `QUERYER_BUILD_THREADS`. `0` (the default) means "auto":
-/// use the machine's available parallelism. Thread count never affects
-/// the built index — chunk results are merged in record order, so every
-/// symbol, block id, and CSR buffer is bit-identical to a
-/// single-threaded build (property-pinned by
-/// `crates/er/tests/build_equivalence.rs`).
-pub fn build_threads() -> usize {
-    env_usize("QUERYER_BUILD_THREADS", 0)
 }
 
 /// Entry budget of the cross-query Edge-Pruning caches — the
@@ -196,27 +188,6 @@ pub fn snapshot_dir() -> std::path::PathBuf {
     }
 }
 
-/// Worker-thread count for Comparison-Execution (`QUERYER_CMP_THREADS`).
-/// `0` (the default) means "auto": use the machine's available
-/// parallelism. Thread count never affects decisions — the executor
-/// chunks the pair list and every chunk's decisions land in their
-/// original positions.
-pub fn cmp_threads() -> usize {
-    env_usize("QUERYER_CMP_THREADS", 0)
-}
-
-/// Worker-thread count for concurrent query serving
-/// (`QUERYER_SERVE_THREADS`): how many resolver threads a serving
-/// harness drives against one shared index. `0` (the default) means
-/// "auto" — harnesses pick their own sweep (e.g. `bench_throughput`
-/// measures 1, 2, and 4 workers); a non-zero value pins a single
-/// worker count. Worker count never affects decisions: concurrent
-/// resolves are serializable against the shared Link Index (pinned by
-/// `crates/er/tests/concurrent_equivalence.rs`). See docs/TUNING.md.
-pub fn serve_threads() -> usize {
-    env_usize("QUERYER_SERVE_THREADS", 0)
-}
-
 /// Whether opening an index snapshot also decodes the persisted warm
 /// resolve caches (`QUERYER_SNAPSHOT_CACHES`, default `true`). `off`
 /// skips the EP-threshold / survivor / decision cache sections — the
@@ -240,29 +211,15 @@ pub fn delta_compact_ops() -> usize {
     env_usize("QUERYER_DELTA_COMPACT_OPS", 4096)
 }
 
-/// Whether `QueryEngine::ingest` refreshes the on-disk snapshot after a
-/// compaction when snapshots are enabled
-/// (`QUERYER_DELTA_SNAPSHOT_REFRESH`, default `false`). Off, a mutated
-/// table's stale snapshot is simply ignored on the next open (the
-/// content fingerprint no longer matches, so the engine rebuilds); on,
-/// each compaction also persists the fresh index so the next process
-/// start opens warm. See `docs/TUNING.md`.
-pub fn delta_snapshot_refresh() -> bool {
-    env_flag("QUERYER_DELTA_SNAPSHOT_REFRESH", false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn delta_knobs_fall_back_when_unset() {
+    fn delta_compact_ops_falls_back_when_unset() {
         // Only the unset path is asserted (see below on set/restore races).
         if std::env::var("QUERYER_DELTA_COMPACT_OPS").is_err() {
             assert_eq!(delta_compact_ops(), 4096);
-        }
-        if std::env::var("QUERYER_DELTA_SNAPSHOT_REFRESH").is_err() {
-            assert!(!delta_snapshot_refresh());
         }
     }
 
@@ -287,10 +244,10 @@ mod tests {
     }
 
     #[test]
-    fn serving_and_snapshot_cache_knobs_fall_back_when_unset() {
+    fn threads_and_snapshot_cache_knobs_fall_back_when_unset() {
         // Only the unset path is asserted (see above on set/restore races).
-        if std::env::var("QUERYER_SERVE_THREADS").is_err() {
-            assert_eq!(serve_threads(), 0);
+        if std::env::var("QUERYER_THREADS").is_err() {
+            assert_eq!(threads(), 0);
         }
         if std::env::var("QUERYER_SNAPSHOT_CACHES").is_err() {
             assert!(snapshot_caches());

@@ -185,9 +185,9 @@ impl QueryEngine {
     /// [`queryer_common::knobs::delta_compact_ops`] pending ops
     /// (`QUERYER_DELTA_COMPACT_OPS`, `0` = never), the index is
     /// compacted — folded into fresh base buffers — automatically;
-    /// [`QueryEngine::compact`] does it on demand. With
-    /// `QUERYER_DELTA_SNAPSHOT_REFRESH=1` and snapshots enabled, a
-    /// compaction-clean index is re-persisted best-effort.
+    /// [`QueryEngine::compact`] does it on demand. A snapshot written
+    /// before the write is stale afterwards and is ignored at the next
+    /// open (its content fingerprint no longer matches).
     pub fn ingest(&mut self, name: &str, ops: &[DeltaOp]) -> Result<AppliedDelta> {
         let idx = self.table_idx(name)?;
         let rt = &mut self.tables[idx];
@@ -276,16 +276,6 @@ impl QueryEngine {
         // join percentages are stale.
         rt.stats.take();
         *rt.batch.lock() = None;
-
-        if queryer_common::knobs::delta_snapshot_refresh()
-            && queryer_common::knobs::snapshot_mode().enabled()
-            && !rt.er.has_delta()
-        {
-            let dir = queryer_common::knobs::snapshot_dir();
-            let path = queryer_er::snapshot::snapshot_path(&dir, rt.table.name());
-            let li = rt.li.read();
-            let _ = queryer_er::write_index_snapshot(&path, &rt.er, &li, &rt.table);
-        }
 
         self.join_pct_cache
             .lock()

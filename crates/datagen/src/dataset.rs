@@ -160,7 +160,8 @@ pub(crate) fn scaled_vocab(pool_len: usize, n: usize) -> usize {
 /// Draws an index from a scaled vocabulary. Exactly one RNG draw; when
 /// `vocab == pool_len` the draw is uniform over the pool — bit-identical
 /// to [`pick`]'s `random_range`, so the pinned small workloads
-/// (including the `bench_resolve` corpus) are byte-for-byte unchanged.
+/// (including the 2000-record / seed-99 `dblp_scholar` corpus whose
+/// decision counts the test suites pin) are byte-for-byte unchanged.
 ///
 /// When the vocabulary outgrows the pool the uniform draw is mapped
 /// through `u^1.5`, giving token `j` a Zipf-ish density ∝

@@ -143,29 +143,19 @@ pub struct ErConfig {
     /// Resolve newly-found duplicates transitively until fixpoint, so the
     /// result groups equal the batch approach's connected components.
     pub transitive: bool,
-    /// Worker threads for Comparison-Execution. `0` = auto (machine
-    /// cores), `1` = sequential (the paper's single-machine setting).
-    /// Thread count never affects decisions — the chunked executor keeps
-    /// every decision at its pair's position. Default comes from the
-    /// `QUERYER_CMP_THREADS` env knob (`0`, i.e. auto).
-    pub parallelism: usize,
-    /// Worker threads for the Edge Pruning sweeps (bulk threshold pass +
-    /// survivor fill / frontier scan). `0` = auto (available
-    /// parallelism). Thread count never affects results — partitions are
-    /// merged in deterministic order. Default comes from the
-    /// `QUERYER_EP_THREADS` env knob.
-    pub ep_threads: usize,
-    /// Worker threads for the [`TableErIndex::build`] sweeps —
-    /// tokenization, interning, attribute lowering/metadata, and the
-    /// CBS-partials pass. `0` = auto (available parallelism). Thread
-    /// count never affects the built index: chunk outputs are merged in
-    /// record order, so symbols, block ids, and every CSR buffer are
-    /// bit-identical to a single-threaded build (pinned by
-    /// `tests/build_equivalence.rs`). Default comes from the
-    /// `QUERYER_BUILD_THREADS` env knob.
+    /// Worker threads for every parallel stage: the
+    /// [`TableErIndex::build`] sweeps (tokenization, interning,
+    /// attribute lowering/metadata, CBS partials), the Edge Pruning
+    /// fan-outs (bulk threshold pass, survivor fill, frontier scan) and
+    /// Comparison-Execution. `0` = auto (available parallelism), `1` =
+    /// sequential (the paper's single-machine setting). Thread count
+    /// never affects the built index or a decision: every stage merges
+    /// its chunks in input order (pinned by `tests/build_equivalence.rs`,
+    /// `tests/ep_equivalence.rs` and `tests/kernel_equivalence.rs`).
+    /// Default comes from the `QUERYER_THREADS` env knob.
     ///
     /// [`TableErIndex::build`]: crate::TableErIndex::build
-    pub build_threads: usize,
+    pub threads: usize,
     /// Cross-query resolve cache mode: incremental node-centric EP
     /// thresholds + surviving-neighbour lists memoized across queries,
     /// and pair-keyed comparison-decision memoization in
@@ -205,9 +195,7 @@ impl Default for ErConfig {
             similarity: SimilarityKind::Hybrid,
             match_threshold: 0.85,
             transitive: true,
-            parallelism: queryer_common::knobs::cmp_threads(),
-            ep_threads: queryer_common::knobs::ep_threads(),
-            build_threads: queryer_common::knobs::build_threads(),
+            threads: queryer_common::knobs::threads(),
             ep_cache: queryer_common::knobs::ep_cache(),
             ep_cache_cap: queryer_common::knobs::ep_cache_cap(),
             decision_cache_cap: queryer_common::knobs::decision_cache_cap(),
@@ -229,27 +217,11 @@ impl ErConfig {
         self
     }
 
-    /// The concrete EP worker-thread count: `ep_threads`, with `0`
-    /// resolved to the machine's available parallelism.
-    pub fn effective_ep_threads(&self) -> usize {
-        Self::resolve_auto(self.ep_threads)
-    }
-
-    /// The concrete Comparison-Execution worker count: `parallelism`,
-    /// with `0` resolved to the machine's available parallelism.
-    pub fn effective_parallelism(&self) -> usize {
-        Self::resolve_auto(self.parallelism)
-    }
-
-    /// The concrete index-build worker count: `build_threads`, with `0`
-    /// resolved to the machine's available parallelism.
-    pub fn effective_build_threads(&self) -> usize {
-        Self::resolve_auto(self.build_threads)
-    }
-
-    fn resolve_auto(n: usize) -> usize {
-        if n != 0 {
-            n
+    /// The concrete worker count: `threads`, with `0` resolved to the
+    /// machine's available parallelism.
+    pub fn effective_threads(&self) -> usize {
+        if self.threads != 0 {
+            self.threads
         } else {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -281,17 +253,17 @@ mod tests {
     }
 
     #[test]
-    fn effective_parallelism_resolves_auto() {
+    fn effective_threads_resolves_auto() {
         let pinned = ErConfig {
-            parallelism: 2,
+            threads: 2,
             ..ErConfig::default()
         };
-        assert_eq!(pinned.effective_parallelism(), 2);
+        assert_eq!(pinned.effective_threads(), 2);
         let auto = ErConfig {
-            parallelism: 0,
+            threads: 0,
             ..ErConfig::default()
         };
-        assert!(auto.effective_parallelism() >= 1);
+        assert!(auto.effective_threads() >= 1);
     }
 
     #[test]
@@ -303,33 +275,5 @@ mod tests {
         }
         assert!(EpCacheMode::On.enabled());
         assert!(!EpCacheMode::Off.enabled());
-    }
-
-    #[test]
-    fn effective_build_threads_resolves_auto() {
-        let pinned = ErConfig {
-            build_threads: 5,
-            ..ErConfig::default()
-        };
-        assert_eq!(pinned.effective_build_threads(), 5);
-        let auto = ErConfig {
-            build_threads: 0,
-            ..ErConfig::default()
-        };
-        assert!(auto.effective_build_threads() >= 1);
-    }
-
-    #[test]
-    fn effective_ep_threads_resolves_auto() {
-        let pinned = ErConfig {
-            ep_threads: 3,
-            ..ErConfig::default()
-        };
-        assert_eq!(pinned.effective_ep_threads(), 3);
-        let auto = ErConfig {
-            ep_threads: 0,
-            ..ErConfig::default()
-        };
-        assert!(auto.effective_ep_threads() >= 1);
     }
 }

@@ -17,9 +17,9 @@
 //!    records produces the blocking keys, the record→key CSR, the
 //!    profile-token interner and arena, and the pre-lowercased
 //!    attributes with their kernel metadata. The sweep is chunked across
-//!    `ErConfig::build_threads` workers (`QUERYER_BUILD_THREADS`, `0` =
-//!    auto); each worker interns into chunk-local tables and the
-//!    sequential merge re-interns the chunk vocabularies in chunk order,
+//!    `ErConfig::threads` workers (`QUERYER_THREADS`, `0` = auto); each
+//!    worker interns into chunk-local tables and the sequential merge
+//!    re-interns the chunk vocabularies in chunk order,
 //!    which reproduces the single-threaded first-seen symbol order
 //!    exactly — the built index is bit-identical for every thread count
 //!    (pinned by `tests/build_equivalence.rs`).
@@ -406,7 +406,7 @@ impl TableErIndex {
                 &entity_retained,
                 &filtered_blocks,
                 table.len(),
-                cfg.effective_build_threads(),
+                cfg.effective_threads(),
             )?)
         } else {
             None
@@ -792,7 +792,7 @@ impl TableErIndex {
         }
         match crate::edge_pruning::bulk_node_thresholds_governed(
             self,
-            self.cfg.effective_ep_threads(),
+            self.cfg.effective_threads(),
             budget,
         )? {
             Governed::Done(v) => {
@@ -969,8 +969,7 @@ fn tokenize_chunk(records: &[Record], cfg: &ErConfig, skip_col: Option<usize>) -
 }
 
 /// Phase 1 of [`TableErIndex::build`]: tokenize + intern the whole table
-/// in one sweep, chunked across `ErConfig::effective_build_threads`
-/// workers.
+/// in one sweep, chunked across `ErConfig::effective_threads` workers.
 ///
 /// Bit-identity across thread counts: a blocking key / profile token
 /// receives its global id at its first occurrence in record-scan order.
@@ -993,7 +992,7 @@ fn tokenize_table(
     // abandoned with a typed error.
     let chunks: Vec<TokenizeChunk> = fan_out(
         records.len(),
-        cfg.effective_build_threads(),
+        cfg.effective_threads(),
         "build.tokenize.worker",
         ResolveStage::Build,
         |range| tokenize_chunk(&records[range], cfg, skip_col),
@@ -1330,7 +1329,7 @@ mod tests {
         for threads in [1usize, 3] {
             let mut cfg = ErConfig::default();
             cfg.ep_cache = crate::config::EpCacheMode::On;
-            cfg.build_threads = threads;
+            cfg.threads = threads;
             let idx = TableErIndex::build(&table(), &cfg);
             let mut scratch = CooccurrenceScratch::new();
             for rid in 0..idx.n_records() as u32 {

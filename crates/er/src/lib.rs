@@ -65,8 +65,8 @@
 //!   thresholds computed for *every* node by one chunked sweep
 //!   ([`edge_pruning::bulk_node_thresholds`], cached on the index), so a
 //!   survival check is two array loads. The survivor fill fans out over
-//!   the same worker partitioning (`ErConfig::ep_threads`, env knob
-//!   `QUERYER_EP_THREADS`); any thread count is bit-identical.
+//!   the same worker partitioning (`ErConfig::threads`, env knob
+//!   `QUERYER_THREADS`); any thread count is bit-identical.
 //! * **Cross-query resolve cache** — work done resolving one query pays
 //!   for the next (`ErConfig::ep_cache` / env knob `QUERYER_EP_CACHE`,
 //!   modes `off`/`on`; default `on`), in three layers:
@@ -112,10 +112,9 @@
 //!   cutoff-carrying Levenshtein DP — before paying the O(len²)-ish
 //!   similarity work, and the hybrid kernel decides the cheap overlap
 //!   merge first. `execute_comparisons` fans the pair batch out across
-//!   `ErConfig::parallelism` workers (`0` = auto, env knob
-//!   `QUERYER_CMP_THREADS`) on the same chunked fan-out as the EP
-//!   sweep; decisions stay position-aligned, so thread count never
-//!   affects results.
+//!   the same `ErConfig::threads` workers on the same chunked fan-out
+//!   as the EP sweep; decisions stay position-aligned, so thread count
+//!   never affects results.
 //! * **One Link-Index protocol** — a resolve only *reads* the Link
 //!   Index while it works, accumulates links and resolved marks in a
 //!   private [`LinkDelta`], and publishes them with one

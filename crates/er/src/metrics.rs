@@ -54,8 +54,8 @@ pub struct DedupMetrics {
     /// Time spent waiting to acquire the shared Link Index lock
     /// (read snapshots + the final delta commit) when the request names
     /// a `&RwLock<LinkIndex>`. Always zero on a `&mut LinkIndex`, which
-    /// takes no lock. This is the contention signal `bench_throughput`
-    /// reports per worker count.
+    /// takes no lock. This is the contention signal qbench reports as
+    /// `er.link_index.lock_wait_ms`.
     pub lock_wait: Duration,
 }
 

@@ -539,7 +539,7 @@ impl TableErIndex {
         // rows themselves are handed to the emit loop: a capped memo may
         // have evicted one again by then, and `off` never stored it.
         let workers = if frontier.len() >= PAR_MIN_FRONTIER {
-            self.config().effective_ep_threads()
+            self.config().effective_threads()
         } else {
             1
         };
@@ -638,7 +638,7 @@ impl TableErIndex {
     ) -> Result<Vec<(RecordId, RecordId)>, ResolveError> {
         let pruner = EdgePruner::new(self);
         let workers = if frontier.len() >= PAR_MIN_FRONTIER {
-            self.config().effective_ep_threads()
+            self.config().effective_threads()
         } else {
             1
         };
@@ -773,8 +773,7 @@ impl TableErIndex {
                 stop: None,
             });
         }
-        let batch =
-            (self.config().effective_parallelism() * CMP_BATCH_PER_WORKER).max(PAR_MIN_PAIRS);
+        let batch = (self.config().effective_threads() * CMP_BATCH_PER_WORKER).max(PAR_MIN_PAIRS);
         let mut decisions: Vec<bool> = Vec::with_capacity(pairs.len());
         let mut at = 0usize;
         let mut stop = None;
@@ -802,8 +801,8 @@ impl TableErIndex {
     }
 
     /// Runs the match decisions through the compiled kernel, fanning out
-    /// across `effective_parallelism()` workers (`parallelism: 0` = auto,
-    /// `QUERYER_CMP_THREADS`) once the batch is big enough to pay for
+    /// across `effective_threads()` workers (`threads: 0` = auto,
+    /// `QUERYER_THREADS`) once the batch is big enough to pay for
     /// them. Decisions are position-aligned with `pairs` — chunk results
     /// concatenate in pair order — so thread count never affects
     /// results; a lost worker's chunk is discarded with the `Err`. Every
@@ -817,7 +816,7 @@ impl TableErIndex {
         pairs: &[(RecordId, RecordId)],
     ) -> Result<Vec<bool>, ResolveError> {
         let workers = if pairs.len() >= PAR_MIN_PAIRS {
-            self.config().effective_parallelism()
+            self.config().effective_threads()
         } else {
             1
         };
@@ -1263,7 +1262,7 @@ mod tests {
     fn parallel_matches_sequential() {
         let table = dirty_table();
         let mut cfg = ErConfig::default();
-        cfg.parallelism = 4;
+        cfg.threads = 4;
         let idx = TableErIndex::build(&table, &cfg);
         let mut li_par = LinkIndex::new(table.len());
         let mut m = DedupMetrics::default();

@@ -38,7 +38,7 @@
 //! which never change decisions), and whether CBS partials are built.
 //! Editing a row or retuning a decision knob therefore reopens as
 //! [`SnapshotError::StaleTableHash`] and the caller rebuilds; retuning
-//! a parallelism knob keeps the snapshot valid.
+//! the thread knob keeps the snapshot valid.
 //!
 //! # Validation
 //!

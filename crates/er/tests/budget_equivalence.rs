@@ -78,8 +78,7 @@ fn cfg_of(scheme: usize, mode: usize, threads: usize) -> ErConfig {
     let mut cfg = ErConfig::default().with_meta(MetaBlockingConfig::All);
     cfg.weight_scheme = scheme_of(scheme);
     cfg.ep_cache = [EpCacheMode::Off, EpCacheMode::On][mode % 2];
-    cfg.ep_threads = threads;
-    cfg.parallelism = threads;
+    cfg.threads = threads;
     cfg
 }
 
@@ -376,9 +375,10 @@ proptest! {
     }
 }
 
-/// The PR-pinned workload (2000 scholarly records, seed 99) resolved
-/// under an unlimited governed budget matches the committed ungoverned
-/// decision counts exactly: 21384 comparisons, 201 matches.
+/// The pinned workload (2000 scholarly records, seed 99): 21384
+/// candidate pairs, 21384 comparisons, 201 matches — cold, again warm
+/// (fresh Link Index, resolve caches left hot: cache state never
+/// changes a decision), and under an unlimited governed budget.
 #[test]
 fn pinned_workload_unlimited_governed_matches_baseline() {
     let ds = queryer_datagen::scholarly::dblp_scholar(2000, 99);
@@ -390,9 +390,22 @@ fn pinned_workload_unlimited_governed_matches_baseline() {
     let out_plain = idx
         .run(ResolveRequest::all(&ds.table, &mut li_plain).metrics(&mut m_plain))
         .unwrap();
+    assert_eq!(m_plain.candidate_pairs, 21384, "pinned candidate pairs");
     assert_eq!(m_plain.comparisons, 21384, "pinned comparison count");
     assert_eq!(m_plain.matches_found, 201, "pinned match count");
     assert_eq!(out_plain.completion, Completion::Complete);
+
+    let mut m_warm = DedupMetrics::default();
+    idx.run(
+        ResolveRequest::all(&ds.table, &mut LinkIndex::new(ds.table.len())).metrics(&mut m_warm),
+    )
+    .unwrap();
+    let warm = (
+        m_warm.candidate_pairs,
+        m_warm.comparisons,
+        m_warm.matches_found,
+    );
+    assert_eq!(warm, (21384, 21384, 201), "warm pass");
 
     idx.clear_ep_cache();
     let budget = ResolveBudget::unlimited()

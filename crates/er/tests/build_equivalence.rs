@@ -2,8 +2,8 @@
 //! single-threaded build.
 //!
 //! `TableErIndex::build` tokenizes, interns, and CSR-packs the blocking
-//! graph in one sweep chunked across `ErConfig::build_threads` workers
-//! (`QUERYER_BUILD_THREADS`). The merge re-interns each chunk's local
+//! graph in one sweep chunked across `ErConfig::threads` workers
+//! (`QUERYER_THREADS`). The merge re-interns each chunk's local
 //! vocabulary in chunk order, which must reproduce the single-threaded
 //! first-seen id assignment exactly — so the *entire* index (block keys
 //! and ids, CSR buffers in both directions, interned profiles, attribute
@@ -64,11 +64,8 @@ fn build_table(rows: &[(Vec<usize>, Vec<usize>)]) -> Table {
 
 fn cfg_with_threads(threads: usize) -> ErConfig {
     let mut cfg = ErConfig::default();
-    // Pin every other thread knob so only the build sweep varies, and
-    // keep the CBS partials on so they are part of what gets compared.
-    cfg.build_threads = threads;
-    cfg.ep_threads = 1;
-    cfg.parallelism = 1;
+    cfg.threads = threads;
+    // Keep the CBS partials on so they are part of what gets compared.
     cfg.ep_cache = EpCacheMode::On;
     cfg
 }
@@ -247,10 +244,10 @@ proptest! {
         assert_matches_build_blocks(&parallel, &table);
     }
 
-    /// Full-table resolve decisions are independent of the build thread
+    /// Full-table resolve decisions are independent of the thread
     /// count.
     #[test]
-    fn resolve_decisions_independent_of_build_threads(
+    fn resolve_decisions_independent_of_threads(
         rows in rows(),
         threads in 2usize..8,
     ) {

@@ -109,7 +109,7 @@ fn cfg_with(
     cfg.weight_scheme = scheme;
     cfg.ep_scope = scope;
     cfg.ep_cache = mode;
-    cfg.ep_threads = threads;
+    cfg.threads = threads;
     cfg
 }
 

@@ -21,7 +21,13 @@
 //! - a single query on a shared handle matches the same query on an
 //!   owned `&mut LinkIndex` bit-for-bit (DR, links, decision counts);
 //! - `LinkDelta` commits are idempotent, dedup cross-thread duplicate
-//!   links, and never drop a concurrently-added neighbor.
+//!   links, and never drop a concurrently-added neighbor;
+//! - on the pinned workload, a warm 512-query stream drained by four
+//!   workers answers every query as the serial drain does, and a
+//!   query / insert mix (readers under a read lock on the table and
+//!   index, `apply_delta` under the write lock) leaves the live
+//!   overlay, the maintained Link Index and the compacted index
+//!   deciding what a rebuild decides.
 //!
 //! That concurrently *failing* queries commit nothing is pinned in
 //! `fault_injection.rs`: an armed failpoint is process-global, and only
@@ -33,10 +39,12 @@ use parking_lot::RwLock;
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_er::{
-    DedupMetrics, ErConfig, LinkDelta, LinkIndex, ResolveOutcome, ResolveRequest, TableErIndex,
+    Affected, DedupMetrics, DeltaOp, ErConfig, LinkDelta, LinkIndex, ResolveOutcome,
+    ResolveRequest, TableErIndex,
 };
-use queryer_storage::{RecordId, Table};
+use queryer_storage::{RecordId, Table, Value};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 /// Canonical observable state of a Link Index: the sorted set of
@@ -259,6 +267,188 @@ fn single_shared_resolve_matches_exclusive() {
         assert_eq!(m_sh.matches_found, m_ex.matches_found);
         assert_eq!(fingerprint(&li.into_inner()), fingerprint(&li_ex));
     }
+}
+
+/// The seeded serving stream over the pinned workload: 512 queries,
+/// 60% point lookups, ~35% year ranges, ~5% whole-table resolves — the
+/// shapes the engine's Deduplicate operator hands the resolver.
+fn serving_stream(table: &Table) -> Vec<Vec<RecordId>> {
+    let n = table.len();
+    let year_col = table.schema().index_of("year").expect("a year column");
+    let years: Vec<i64> = (0..n as RecordId)
+        .map(|id| match table.record_unchecked(id).values[year_col] {
+            Value::Int(y) => y,
+            _ => 0,
+        })
+        .collect();
+    // Xorshift, so the stream is the same on every run and host.
+    let mut state = 99u64.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    (0..512)
+        .map(|_| {
+            let shape = next() % 20;
+            if shape == 0 {
+                return (0..n as RecordId).collect();
+            }
+            if shape < 8 {
+                let a = 1990 + (next() % 33) as i64;
+                let b = (a + (next() % 8) as i64).min(2022);
+                let qe: Vec<RecordId> = (0..n as RecordId)
+                    .filter(|&id| (a..=b).contains(&years[id as usize]))
+                    .collect();
+                if !qe.is_empty() {
+                    return qe;
+                }
+            }
+            vec![(next() % n as u64) as RecordId]
+        })
+        .collect()
+}
+
+/// `workers` threads pull item indices off one shared cursor until
+/// `len` are served; the results come back in item order.
+fn drain<T: Send>(len: usize, workers: usize, serve: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let cursor = AtomicUsize::new(0);
+    let mut served: Vec<(usize, T)> = thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= len {
+                            break mine;
+                        }
+                        mine.push((i, serve(i)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("drain worker"))
+            .collect()
+    });
+    assert_eq!(served.len(), len, "every item is served exactly once");
+    served.sort_by_key(|&(i, _)| i);
+    served.into_iter().map(|(_, t)| t).collect()
+}
+
+#[test]
+fn warm_stream_drained_by_four_workers_equals_serial() {
+    let table = workload(2000, 99);
+    let idx = TableErIndex::build(&table, &ErConfig::default());
+    let stream = serving_stream(&table);
+    // Serial warm-up: afterwards the Link Index answers every query, so
+    // each answer is a function of the stream alone.
+    let li = RwLock::new(LinkIndex::new(table.len()));
+    let mut m = DedupMetrics::default();
+    idx.run(ResolveRequest::all(&table, &li).metrics(&mut m))
+        .expect("warm-up");
+    assert_eq!((m.comparisons, m.matches_found), (21384, 201), "warm-up");
+
+    let drain_with = |workers| {
+        drain(stream.len(), workers, |i| {
+            let mut m = DedupMetrics::default();
+            let out = idx
+                .run(ResolveRequest::records(&table, &stream[i], &li).metrics(&mut m))
+                .expect("stream resolve");
+            (m.comparisons, m.matches_found, out.dr)
+        })
+    };
+    let serial = drain_with(1);
+    for (i, (concurrent, serial)) in drain_with(4).iter().zip(&serial).enumerate() {
+        assert_eq!(
+            concurrent, serial,
+            "query {i}: 4 workers vs the serial drain"
+        );
+    }
+    assert_eq!(serial.len(), 512);
+    assert!(serial.iter().all(|(cmp, matches, _)| cmp + matches == 0));
+    let dr_rows: usize = serial.iter().map(|(_, _, dr)| dr.len()).sum();
+    assert_eq!(dr_rows, 102111);
+}
+
+#[test]
+fn query_insert_mix_drained_by_four_workers_equals_a_rebuild() {
+    let cfg = ErConfig::default();
+    let base = workload(2000, 99);
+    let queries = serving_stream(&base);
+    // One lock over the (table, index) pair: a query can never see a
+    // table the index has not absorbed.
+    let state = RwLock::new((base.clone(), TableErIndex::build(&base, &cfg)));
+    let li = RwLock::new(LinkIndex::new(base.len()));
+    state
+        .read()
+        .1
+        .run(ResolveRequest::all(&base, &li))
+        .expect("warm-up");
+
+    // Every tenth item inserts a copy of a base row; the rest query.
+    let inserted = drain(256, 4, |i| {
+        if i % 10 != 9 {
+            let guard = state.read();
+            let (table, idx) = &*guard;
+            idx.run(ResolveRequest::records(table, &queries[i], &li))
+                .expect("query beside writers");
+            return false;
+        }
+        let op = DeltaOp::Insert {
+            values: base
+                .record_unchecked((i * 53 % 2000) as RecordId)
+                .values
+                .clone(),
+        };
+        let mut guard = state.write();
+        let (table, idx) = &mut *guard;
+        op.apply_to_table(table).expect("insert row");
+        let applied = idx.apply_delta(table, &[op]).expect("apply delta");
+        let mut li = li.write();
+        match &applied.affected {
+            Affected::Ids(ids) => {
+                li.grow(table.len());
+                li.invalidate(ids);
+            }
+            Affected::All => *li = LinkIndex::new(table.len()),
+        }
+        true
+    });
+    assert_eq!(inserted.iter().filter(|&&w| w).count(), 25);
+    assert_eq!(inserted.iter().filter(|&&w| !w).count(), 231);
+
+    let (table, mut idx) = state.into_inner();
+    assert_eq!(table.len(), 2025);
+    let resolve_all = |idx: &TableErIndex, mut li: LinkIndex| {
+        let mut m = DedupMetrics::default();
+        let out = idx
+            .run(ResolveRequest::all(&table, &mut li).metrics(&mut m))
+            .expect("resolve all");
+        (out.dr, fingerprint(&li), m.comparisons, m.matches_found)
+    };
+    let fresh = || LinkIndex::new(table.len());
+    let rebuilt = resolve_all(&TableErIndex::build(&table, &cfg), fresh());
+    assert!(rebuilt.3 > 201, "the copies must match their originals");
+    // (`assert!`, not `assert_eq!`: a failure should not print 2025 ids.)
+    assert!(
+        resolve_all(&idx, fresh()) == rebuilt,
+        "live overlay vs rebuilt"
+    );
+    let maintained = resolve_all(&idx, li.into_inner());
+    assert!(
+        maintained.0 == rebuilt.0 && maintained.1 == rebuilt.1,
+        "maintained Link Index vs rebuilt"
+    );
+    idx.compact(&table).expect("compact");
+    assert!(!idx.has_delta());
+    assert!(
+        resolve_all(&idx, fresh()) == rebuilt,
+        "compacted vs rebuilt"
+    );
 }
 
 #[test]

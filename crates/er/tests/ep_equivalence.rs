@@ -103,10 +103,10 @@ fn build_pair(
     let mut off_cfg = ErConfig::default().with_meta(meta);
     off_cfg.weight_scheme = scheme;
     off_cfg.ep_scope = scope;
-    off_cfg.ep_threads = threads;
+    off_cfg.threads = threads;
     off_cfg.ep_cache = EpCacheMode::Off;
     let mut on_cfg = off_cfg.clone();
-    on_cfg.ep_threads = 1;
+    on_cfg.threads = 1;
     on_cfg.ep_cache = EpCacheMode::On;
     (
         TableErIndex::build(table, &off_cfg),
@@ -217,7 +217,7 @@ fn resolve_all_fast_path_matches_insert_probing() {
             for threads in [1usize, 4] {
                 let mut cfg = ErConfig::default().with_meta(MetaBlockingConfig::All);
                 cfg.weight_scheme = scheme;
-                cfg.ep_threads = threads;
+                cfg.threads = threads;
                 cfg.ep_cache = mode;
                 let idx = TableErIndex::build(&table, &cfg);
                 let case = format!("scheme {scheme:?} mode {mode:?} threads {threads}");

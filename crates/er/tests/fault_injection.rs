@@ -69,9 +69,7 @@ fn cfg(mode: EpCacheMode, scope: EdgePruningScope) -> ErConfig {
     let mut cfg = ErConfig::default();
     cfg.ep_cache = mode;
     cfg.ep_scope = scope;
-    cfg.parallelism = 4;
-    cfg.ep_threads = 4;
-    cfg.build_threads = 4;
+    cfg.threads = 4;
     cfg
 }
 
@@ -287,7 +285,7 @@ fn failed_later_round_commits_nothing_and_retry_converges() {
     let mut config = ErConfig::default().with_meta(MetaBlockingConfig::None);
     config.similarity = SimilarityKind::TokenOverlap;
     config.match_threshold = 0.95;
-    config.parallelism = 4;
+    config.threads = 4;
     let idx = TableErIndex::build(&table, &config);
 
     // Reference on a separate build, so `idx`'s decision cache stays

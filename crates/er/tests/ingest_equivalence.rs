@@ -121,8 +121,7 @@ fn cfg_of(scheme: usize, scope: usize, meta: usize, mode: usize, threads: usize)
     cfg.weight_scheme = scheme_of(scheme);
     cfg.ep_scope = scope_of(scope);
     cfg.ep_cache = MODES[mode % MODES.len()];
-    cfg.ep_threads = threads;
-    cfg.parallelism = threads;
+    cfg.threads = threads;
     cfg
 }
 
@@ -659,6 +658,53 @@ fn single_row_writes_cost_what_they_changed() {
     assert!(
         survivors_lost * 4 <= survivors_held,
         "{survivors_lost} of {survivors_held}"
+    );
+}
+
+/// The pinned workload (2000 scholarly records, seed 99) under one
+/// batch of 64 near-duplicate inserts: the maintained Link Index
+/// re-resolves only what the batch invalidated (25455 comparisons, 278
+/// matches), links pinned before a compaction keep serving after it,
+/// and the compacted index decides what a rebuild decides.
+#[test]
+fn pinned_workload_batch_insert_then_compact() {
+    let cfg = ErConfig::default();
+    let mut table = queryer_datagen::scholarly::dblp_scholar(2000, 99).table;
+    let mut idx = TableErIndex::build(&table, &cfg);
+    let mut li = LinkIndex::new(table.len());
+    let counts = |idx: &TableErIndex, table: &Table, li: &mut LinkIndex| {
+        let mut m = DedupMetrics::default();
+        idx.run(ResolveRequest::all(table, li).metrics(&mut m))
+            .unwrap();
+        (m.comparisons, m.matches_found)
+    };
+    assert_eq!(counts(&idx, &table, &mut li), (21384, 201), "pre-ingest");
+
+    let ops: Vec<DeltaOp> = (0..64)
+        .map(|i| DeltaOp::Insert {
+            values: table.record(i * 37 % 2000).unwrap().values.clone(),
+        })
+        .collect();
+    for op in &ops {
+        op.apply_to_table(&mut table).unwrap();
+    }
+    let applied = idx.apply_delta(&table, &ops).unwrap();
+    maintain_li(&mut li, &applied.affected, table.len());
+    assert_eq!(counts(&idx, &table, &mut li), (25455, 278), "post-ingest");
+
+    idx.compact(&table).unwrap();
+    assert!(!idx.has_delta(), "compact must clear the delta side");
+    assert_eq!(
+        counts(&idx, &table, &mut li).0,
+        0,
+        "re-resolve after compact"
+    );
+
+    let rebuilt = TableErIndex::build(&table, &cfg);
+    assert_eq!(
+        counts(&idx, &table, &mut LinkIndex::new(table.len())),
+        counts(&rebuilt, &table, &mut LinkIndex::new(table.len())),
+        "compacted vs rebuilt"
     );
 }
 

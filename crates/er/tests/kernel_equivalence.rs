@@ -172,7 +172,7 @@ fn parallel_executor_matches_sequential() {
     let mut baseline: Option<(Vec<RecordId>, usize, u64, u64, u64)> = None;
     for workers in 1..=8usize {
         let mut cfg = ErConfig::default();
-        cfg.parallelism = workers;
+        cfg.threads = workers;
         let idx = TableErIndex::build(&table, &cfg);
         let mut li = LinkIndex::new(table.len());
         let mut m = DedupMetrics::default();
@@ -275,7 +275,7 @@ proptest! {
             let mut cfg = ErConfig::default();
             cfg.similarity = kind_of(kind);
             cfg.match_threshold = thr;
-            cfg.parallelism = workers;
+            cfg.threads = workers;
             let idx = TableErIndex::build(&table, &cfg);
             let mut li = LinkIndex::new(table.len());
             let mut m = DedupMetrics::default();

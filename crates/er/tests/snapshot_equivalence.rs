@@ -18,7 +18,7 @@
 //!   as content drift.
 //! - **Drift is detected as drift.** Editing a record or retuning a
 //!   decision-relevant knob reopens as
-//!   [`SnapshotError::StaleTableHash`]; retuning a parallelism knob
+//!   [`SnapshotError::StaleTableHash`]; retuning the thread knob
 //!   keeps the snapshot valid.
 //! - **Fallback-to-rebuild is decision-identical.** On the pinned bench
 //!   workload, a rebuild after a detected corruption serves the exact
@@ -200,7 +200,7 @@ proptest! {
         } else {
             EpCacheMode::On
         };
-        cfg.ep_threads = threads;
+        cfg.threads = threads;
         let idx1 = TableErIndex::build(&table, &cfg);
         let mut li1 = LinkIndex::new(table.len());
 
@@ -380,7 +380,7 @@ fn bit_flip_at_every_byte_detected() {
 }
 
 /// Content drift — an edited record, a retuned decision knob — reopens
-/// as `StaleTableHash`; a retuned parallelism knob does not invalidate,
+/// as `StaleTableHash`; a retuned thread knob does not invalidate,
 /// and the reopened index serves identical decisions.
 #[test]
 fn drift_detected_as_stale_parallelism_retune_is_not_drift() {
@@ -413,13 +413,12 @@ fn drift_detected_as_stale_parallelism_retune_is_not_drift() {
         other => panic!("decision-knob drift must reopen as StaleTableHash, got {other:?}"),
     }
 
-    // Retuned parallelism knobs: never decision-relevant, so the
+    // A retuned thread knob: never decision-relevant, so the
     // snapshot stays valid and decisions match the original run.
     let mut par_cfg = cfg.clone();
-    par_cfg.ep_threads = 7;
-    par_cfg.parallelism = 3;
+    par_cfg.threads = 7;
     let (idx2, _snapshot_links) =
-        open_index_snapshot(&path, &table, &par_cfg).expect("parallelism retune must not drift");
+        open_index_snapshot(&path, &table, &par_cfg).expect("thread retune must not drift");
     let idx_fresh = TableErIndex::build(&table, &cfg);
     let mut li_fresh = LinkIndex::new(table.len());
     let mut m_fresh = DedupMetrics::default();
@@ -522,7 +521,7 @@ mod faults {
         FaultGuard(guard)
     }
 
-    fn tmp_sibling(path: &PathBuf) -> PathBuf {
+    fn tmp_sibling(path: &std::path::Path) -> PathBuf {
         let mut s = path.as_os_str().to_os_string();
         s.push(".tmp");
         PathBuf::from(s)

@@ -1,5 +1,6 @@
 //! Knob/doc drift gate: the `QUERYER_*` environment names the workspace
-//! reads and the knob tables of `docs/TUNING.md` must be the same set.
+//! reads, the knob tables of `docs/TUNING.md` and the list below must
+//! be the same set.
 //! A knob added (or left behind) in one place without the other fails
 //! here instead of surfacing as a docs bug later.
 
@@ -61,10 +62,27 @@ fn names_documented(root: &Path) -> BTreeSet<String> {
         .collect()
 }
 
+/// The knob set itself. A new knob means editing this list, in a test
+/// that says how many there are.
+const KNOBS: [&str; 11] = [
+    "QUERYER_DECISION_CACHE_CAP",
+    "QUERYER_DELTA_COMPACT_OPS",
+    "QUERYER_EP_CACHE",
+    "QUERYER_EP_CACHE_CAP",
+    "QUERYER_FAILPOINT",
+    "QUERYER_PROPTEST_CASES",
+    "QUERYER_SCALE",
+    "QUERYER_SNAPSHOT",
+    "QUERYER_SNAPSHOT_CACHES",
+    "QUERYER_SNAPSHOT_DIR",
+    "QUERYER_THREADS",
+];
+
 #[test]
 fn tuning_md_documents_exactly_the_knobs_the_code_reads() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let read = names_read_by_code(root);
+    assert_eq!(read.iter().map(String::as_str).collect::<Vec<_>>(), KNOBS);
     let documented = names_documented(root);
     let undocumented: Vec<_> = read.difference(&documented).collect();
     let unread: Vec<_> = documented.difference(&read).collect();
