@@ -129,13 +129,6 @@ impl Fnv64 {
     }
 }
 
-/// One-shot FNV-1a 64 of `bytes`.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(bytes);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,9 +172,14 @@ mod tests {
     #[test]
     fn fnv_known_vectors() {
         // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        let fnv = |bytes: &[u8]| {
+            let mut h = Fnv64::new();
+            h.update(bytes);
+            h.finish()
+        };
+        assert_eq!(fnv(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

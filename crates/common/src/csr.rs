@@ -105,39 +105,6 @@ impl<T: Copy> Csr<T> {
     pub fn rows(&self) -> impl Iterator<Item = &[T]> {
         (0..self.n_rows()).map(move |i| self.row(i))
     }
-
-    /// The raw offsets table (`n_rows + 1` entries, first is always 0).
-    /// Exposed for flat serialization (the snapshot layer); use
-    /// [`Csr::row`] for access.
-    #[inline]
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    /// The raw flat data buffer. Exposed for flat serialization.
-    #[inline]
-    pub fn data(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Reassembles a CSR from raw `offsets` + `data` buffers (the
-    /// snapshot-open path). Returns `None` unless the buffers form a
-    /// valid CSR: non-empty offsets starting at 0, monotonically
-    /// non-decreasing, and ending exactly at `data.len()` — so a
-    /// corrupted-but-checksum-colliding snapshot can never produce a
-    /// CSR whose `row()` calls panic or alias.
-    pub fn from_raw_parts(offsets: Vec<u32>, data: Vec<T>) -> Option<Self> {
-        if offsets.first() != Some(&0) {
-            return None;
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return None;
-        }
-        if *offsets.last()? as usize != data.len() {
-            return None;
-        }
-        Some(Self { offsets, data })
-    }
 }
 
 impl<T: Copy + Default> Csr<T> {

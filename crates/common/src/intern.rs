@@ -61,14 +61,6 @@ impl TokenInterner {
     pub fn is_empty(&self) -> bool {
         self.strings.is_empty()
     }
-
-    /// Iterates the interned strings in symbol order (symbol `i` is the
-    /// `i`-th string). The snapshot layer serializes this sequence and
-    /// rebuilds the interner by re-interning in order, which reassigns
-    /// identical symbols.
-    pub fn strings(&self) -> impl Iterator<Item = &str> {
-        self.strings.iter().map(|s| s.as_ref())
-    }
 }
 
 /// Flat arena of `u32` slices — a thin wrapper over [`crate::Csr`] that
@@ -120,18 +112,6 @@ impl TokenArena {
     /// Total elements across all slices.
     pub fn total_elements(&self) -> usize {
         self.csr.total_len()
-    }
-
-    /// The backing CSR, for flat serialization.
-    #[inline]
-    pub fn as_csr(&self) -> &crate::Csr<u32> {
-        &self.csr
-    }
-
-    /// Wraps an already-validated CSR as an arena (the snapshot-open
-    /// path).
-    pub fn from_csr(csr: crate::Csr<u32>) -> Self {
-        Self { csr }
     }
 }
 

@@ -28,19 +28,6 @@ pub fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Reads a boolean knob (`1`/`true`/`yes` vs `0`/`false`/`no`,
-/// case-insensitive), falling back to `default` otherwise.
-pub fn env_flag(name: &str, default: bool) -> bool {
-    match std::env::var(name) {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "yes" | "on" => true,
-            "0" | "false" | "no" | "off" => false,
-            _ => default,
-        },
-        Err(_) => default,
-    }
-}
-
 /// Worker-thread count for every parallel stage — the index-build
 /// sweeps, the Edge Pruning fan-outs and Comparison-Execution — read
 /// from `QUERYER_THREADS`. `0` (the default) means "auto": use the
@@ -126,78 +113,6 @@ pub fn decision_cache_cap() -> usize {
     env_usize("QUERYER_DECISION_CACHE_CAP", 0)
 }
 
-/// Operating mode of the on-disk index snapshot layer — the
-/// `QUERYER_SNAPSHOT` knob. Snapshots trade cold-start time (O(open)
-/// instead of O(build)) for disk space; they never change decisions,
-/// because a snapshot that fails any validation check is discarded and
-/// the index is rebuilt from the table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotMode {
-    /// No snapshot I/O at all (the default): every registration builds
-    /// the index from the table.
-    #[default]
-    Off,
-    /// Open a valid snapshot when one exists; otherwise build from the
-    /// table and persist a fresh snapshot best-effort (a write failure
-    /// degrades to the in-memory index, never fails registration).
-    On,
-    /// Like `On`, but a snapshot that is missing, stale, or corrupt is
-    /// a hard error instead of a rebuild — for deployments that must
-    /// notice (rather than silently absorb) a cold start.
-    Required,
-}
-
-impl SnapshotMode {
-    /// Whether any snapshot I/O happens at all.
-    pub fn enabled(self) -> bool {
-        !matches!(self, SnapshotMode::Off)
-    }
-
-    /// Lowercase label, matching what `QUERYER_SNAPSHOT` accepts.
-    pub fn label(self) -> &'static str {
-        match self {
-            SnapshotMode::Off => "off",
-            SnapshotMode::On => "on",
-            SnapshotMode::Required => "required",
-        }
-    }
-}
-
-/// Snapshot-layer mode (`QUERYER_SNAPSHOT`): `off`/`0` (the default),
-/// `on`/`1`, or `required`. Unknown values fall back to the default so
-/// a typo degrades to the stock configuration instead of panicking.
-pub fn snapshot_mode() -> SnapshotMode {
-    match std::env::var("QUERYER_SNAPSHOT") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "0" | "false" | "no" | "off" => SnapshotMode::Off,
-            "1" | "true" | "yes" | "on" => SnapshotMode::On,
-            "required" | "require" | "2" => SnapshotMode::Required,
-            _ => SnapshotMode::default(),
-        },
-        Err(_) => SnapshotMode::default(),
-    }
-}
-
-/// Directory holding snapshot files (`QUERYER_SNAPSHOT_DIR`), one file
-/// per registered table. Defaults to `.queryer-snapshots` under the
-/// current working directory when unset or empty.
-pub fn snapshot_dir() -> std::path::PathBuf {
-    match std::env::var("QUERYER_SNAPSHOT_DIR") {
-        Ok(v) if !v.trim().is_empty() => std::path::PathBuf::from(v),
-        _ => std::path::PathBuf::from(".queryer-snapshots"),
-    }
-}
-
-/// Whether opening an index snapshot also decodes the persisted warm
-/// resolve caches (`QUERYER_SNAPSHOT_CACHES`, default `true`). `off`
-/// skips the EP-threshold / survivor / decision cache sections — the
-/// open gets cheaper and the first queries run cold, recomputing
-/// bit-identical entries on demand. Decisions are identical either way
-/// (cache state never changes a decision). See docs/TUNING.md.
-pub fn snapshot_caches() -> bool {
-    env_flag("QUERYER_SNAPSHOT_CACHES", true)
-}
-
 /// Auto-compaction trigger of the incremental-ingest path
 /// (`QUERYER_DELTA_COMPACT_OPS`): once a live index has absorbed this
 /// many delta operations since its last full build, the engine folds
@@ -238,19 +153,14 @@ mod tests {
         // Only the unset path is asserted (see above on set/restore races).
         if std::env::var("QUERYER_NO_SUCH_KNOB").is_err() {
             assert_eq!(env_usize("QUERYER_NO_SUCH_KNOB", 5), 5);
-            assert!(env_flag("QUERYER_NO_SUCH_KNOB", true));
-            assert!(!env_flag("QUERYER_NO_SUCH_KNOB", false));
         }
     }
 
     #[test]
-    fn threads_and_snapshot_cache_knobs_fall_back_when_unset() {
+    fn threads_knob_falls_back_when_unset() {
         // Only the unset path is asserted (see above on set/restore races).
         if std::env::var("QUERYER_THREADS").is_err() {
             assert_eq!(threads(), 0);
-        }
-        if std::env::var("QUERYER_SNAPSHOT_CACHES").is_err() {
-            assert!(snapshot_caches());
         }
     }
 
@@ -264,27 +174,6 @@ mod tests {
         // Only the unset path is asserted (see above on set/restore races).
         if std::env::var("QUERYER_EP_CACHE").is_err() {
             assert_eq!(ep_cache(), EpCacheMode::On);
-        }
-    }
-
-    #[test]
-    fn snapshot_mode_flags_and_labels() {
-        assert!(!SnapshotMode::Off.enabled());
-        assert!(SnapshotMode::On.enabled());
-        assert!(SnapshotMode::Required.enabled());
-        assert_eq!(SnapshotMode::Off.label(), "off");
-        assert_eq!(SnapshotMode::On.label(), "on");
-        assert_eq!(SnapshotMode::Required.label(), "required");
-        assert_eq!(SnapshotMode::default(), SnapshotMode::Off);
-        // Only the unset path is asserted (see above on set/restore races).
-        if std::env::var("QUERYER_SNAPSHOT").is_err() {
-            assert_eq!(snapshot_mode(), SnapshotMode::Off);
-        }
-        if std::env::var("QUERYER_SNAPSHOT_DIR").is_err() {
-            assert_eq!(
-                snapshot_dir(),
-                std::path::PathBuf::from(".queryer-snapshots")
-            );
         }
     }
 }

@@ -336,21 +336,6 @@ impl<V: Clone> ShardedMap<V> {
         self.shards.iter().all(|s| s.lock().map.is_empty())
     }
 
-    /// Calls `f` for every cached `(key, value)` pair, locking each
-    /// shard once. Iteration order is unspecified (shard-by-shard, hash
-    /// order within a shard) — callers wanting deterministic output
-    /// (e.g. snapshot serialization) must collect and sort by key.
-    /// Entries inserted concurrently during the walk may or may not be
-    /// seen.
-    pub fn for_each(&self, mut f: impl FnMut(u64, &V)) {
-        for s in self.shards.iter() {
-            let guard = s.lock();
-            for (&k, (v, _)) in guard.map.iter() {
-                f(k, v);
-            }
-        }
-    }
-
     /// Drops every cached entry, keeping shard allocations.
     pub fn clear(&self) {
         for s in self.shards.iter() {

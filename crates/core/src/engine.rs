@@ -122,7 +122,8 @@ impl QueryEngine {
                 table.name()
             )));
         }
-        let (er, li) = self.open_or_build(&table)?;
+        let er = TableErIndex::build(&table, &self.cfg);
+        let li = LinkIndex::new(table.len());
         let idx = self.tables.len();
         self.tables.push(RegisteredTable {
             table: Arc::new(table),
@@ -133,39 +134,6 @@ impl QueryEngine {
         });
         self.by_name.insert(name, idx);
         Ok(idx)
-    }
-
-    /// Obtains a table's ER index + Link Index: from the on-disk
-    /// snapshot when the snapshot layer is on and the file validates,
-    /// otherwise by building from the table.
-    ///
-    /// Any open failure — missing file, truncation, checksum mismatch,
-    /// version skew, stale content — degrades to a rebuild under
-    /// `QUERYER_SNAPSHOT=on` (re-persisting best-effort: a *write*
-    /// failure never fails registration either), and surfaces as
-    /// [`CoreError::Snapshot`] under `QUERYER_SNAPSHOT=required`.
-    fn open_or_build(&self, table: &Table) -> Result<(TableErIndex, LinkIndex)> {
-        let mode = queryer_common::knobs::snapshot_mode();
-        if !mode.enabled() {
-            return Ok((
-                TableErIndex::build(table, &self.cfg),
-                LinkIndex::new(table.len()),
-            ));
-        }
-        let dir = queryer_common::knobs::snapshot_dir();
-        let path = queryer_er::snapshot::snapshot_path(&dir, table.name());
-        match queryer_er::open_index_snapshot(&path, table, &self.cfg) {
-            Ok(opened) => Ok(opened),
-            Err(e) => {
-                if mode == queryer_common::SnapshotMode::Required {
-                    return Err(CoreError::Snapshot(e));
-                }
-                let er = TableErIndex::build(table, &self.cfg);
-                let li = LinkIndex::new(table.len());
-                let _ = queryer_er::write_index_snapshot(&path, &er, &li, table);
-                Ok((er, li))
-            }
-        }
     }
 
     /// Applies a batch of row mutations to a registered table and folds
@@ -185,9 +153,7 @@ impl QueryEngine {
     /// [`queryer_common::knobs::delta_compact_ops`] pending ops
     /// (`QUERYER_DELTA_COMPACT_OPS`, `0` = never), the index is
     /// compacted — folded into fresh base buffers — automatically;
-    /// [`QueryEngine::compact`] does it on demand. A snapshot written
-    /// before the write is stale afterwards and is ignored at the next
-    /// open (its content fingerprint no longer matches).
+    /// [`QueryEngine::compact`] does it on demand.
     pub fn ingest(&mut self, name: &str, ops: &[DeltaOp]) -> Result<AppliedDelta> {
         let idx = self.table_idx(name)?;
         let rt = &mut self.tables[idx];
@@ -284,9 +250,9 @@ impl QueryEngine {
     }
 
     /// Folds a table's pending ingest delta into fresh base buffers
-    /// (decision-identical, required before snapshotting). A no-op when
-    /// no delta is live; falls back to a rebuild when the index Arc is
-    /// still shared with an in-flight query context.
+    /// (decision-identical). A no-op when no delta is live; falls back
+    /// to a rebuild when the index Arc is still shared with an
+    /// in-flight query context.
     pub fn compact(&mut self, name: &str) -> Result<()> {
         let idx = self.table_idx(name)?;
         let rt = &mut self.tables[idx];

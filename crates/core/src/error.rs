@@ -11,10 +11,6 @@ pub enum CoreError {
     Sql(queryer_sql::SqlError),
     /// Engine-level planning or execution failure.
     Plan(String),
-    /// A snapshot open failed under `QUERYER_SNAPSHOT=required` — the
-    /// deployment asked to *notice* a missing/stale/corrupt snapshot
-    /// instead of silently absorbing a rebuild.
-    Snapshot(queryer_storage::SnapshotError),
     /// An ER-layer resolve or ingest operation failed (poisoned index,
     /// invalid delta batch, table mismatch, worker panic).
     Resolve(queryer_er::ResolveError),
@@ -26,7 +22,6 @@ impl fmt::Display for CoreError {
             CoreError::Storage(e) => write!(f, "storage error: {e}"),
             CoreError::Sql(e) => write!(f, "sql error: {e}"),
             CoreError::Plan(m) => write!(f, "plan error: {m}"),
-            CoreError::Snapshot(e) => write!(f, "snapshot required but unusable: {e}"),
             CoreError::Resolve(e) => write!(f, "resolve error: {e}"),
         }
     }
@@ -38,7 +33,6 @@ impl std::error::Error for CoreError {
             CoreError::Storage(e) => Some(e),
             CoreError::Sql(e) => Some(e),
             CoreError::Plan(_) => None,
-            CoreError::Snapshot(e) => Some(e),
             CoreError::Resolve(e) => Some(e),
         }
     }

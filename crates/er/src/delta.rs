@@ -387,8 +387,8 @@ fn rebuild_order(
 }
 
 impl TableErIndex {
-    /// Whether a delta side is live (served merged with the base; a
-    /// snapshot cannot be written until [`TableErIndex::compact`]).
+    /// Whether a delta side is live (served merged with the base until
+    /// [`TableErIndex::compact`]).
     pub fn has_delta(&self) -> bool {
         self.delta.is_some()
     }
@@ -920,5 +920,59 @@ impl TableErIndex {
         }
         *self = Self::try_build(table, &self.cfg)?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ErConfig;
+    use queryer_storage::Schema;
+
+    /// `compact()` with no live delta leaves the index as it was: the
+    /// same CSR buffers, purge flags and CBS rows, and the bulk
+    /// thresholds a resolve had already swept still in place.
+    #[test]
+    fn noop_compact_is_bit_identical() {
+        let mut table = Table::new("p", Schema::of_strings(&["id", "title", "venue"]));
+        for (id, title, venue) in [
+            ("0", "collective entity resolution", "edbt"),
+            ("1", "collective entity resolution", "edbt"),
+            ("2", "query driven entity resolution", "vldb"),
+            ("3", "deep learning for vision", "cvpr"),
+        ] {
+            table
+                .push_row(vec![id.into(), title.into(), venue.into()])
+                .unwrap();
+        }
+        // CBS rows exist only with the resolve cache on, whatever the
+        // environment says.
+        let cfg = ErConfig {
+            ep_cache: crate::config::EpCacheMode::On,
+            ..ErConfig::default()
+        };
+        let mut idx = TableErIndex::build(&table, &cfg);
+        idx.bulk_ep_thresholds();
+        let state = |idx: &TableErIndex| {
+            (
+                [
+                    idx.raw_blocks.clone(),
+                    idx.filtered_blocks.clone(),
+                    idx.entity_blocks.clone(),
+                    idx.entity_retained.clone(),
+                ],
+                idx.purged.clone(),
+                idx.cbs_adj.clone(),
+                idx.bulk_snapshot(),
+            )
+        };
+        let before = state(&idx);
+        assert!(before.2.is_some() && before.3.is_some());
+        idx.compact(&table).unwrap();
+        assert_eq!(
+            state(&idx),
+            before,
+            "no-op compact must leave the index bit-identical"
+        );
     }
 }

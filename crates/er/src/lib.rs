@@ -170,8 +170,5 @@ pub use metrics::DedupMetrics;
 pub use queryer_common::CancelToken;
 pub use request::{LiMode, ResolveRequest, ResolveTarget};
 pub use resolver::ResolveOutcome;
-pub use snapshot::{
-    content_fingerprint, open_index_snapshot, open_index_snapshot_with_caches, snapshot_path,
-    write_index_snapshot, SnapshotError,
-};
+pub use snapshot::{content_fingerprint, open_index_snapshot, write_index_snapshot, SnapshotError};
 pub use union_find::UnionFind;

@@ -4,24 +4,27 @@
 //! level (the container-level byte checks live in
 //! `queryer-storage/src/snapshot.rs`):
 //!
-//! - **Round trip is bit-identical.** Re-serializing a reopened
-//!   index + Link Index reproduces the original snapshot image byte for
-//!   byte — every CSR, interned string, cache entry, and link survives —
-//!   across weight schemes, pruning scopes, cache modes, thread counts,
-//!   warm and cold cache states, and degenerate (empty / one-record)
-//!   tables. A reopened index then *behaves* identically: same DR sets,
-//!   same decision counts, same cache hit/miss counters on the next
-//!   query.
+//! - **Round trip is bit-identical.** The file holds the Link Index;
+//!   re-serializing a reopened pair reproduces the original image byte
+//!   for byte — every resolved mark and link survives — across weight
+//!   schemes, pruning scopes, cache modes, thread counts, warm and cold
+//!   Link Indexes, and degenerate (empty / one-record) tables. A
+//!   reopened pair then *behaves* identically: same DR sets and
+//!   decision counts on the next query as the index that wrote it, and
+//!   the cache hit/miss counters of a fresh build holding the same
+//!   links. A resolved table stays resolved: on the pinned workload a
+//!   reopened resolve-all does no comparison at all.
 //! - **Damage is detected, typed, and never served.** Truncation at
 //!   every byte length and a bit flip at every byte reopen as a
 //!   structural [`SnapshotError`] — never `Ok`, and never misreported
 //!   as content drift.
 //! - **Drift is detected as drift.** Editing a record or retuning a
 //!   decision-relevant knob reopens as
-//!   [`SnapshotError::StaleTableHash`]; retuning the thread knob
-//!   keeps the snapshot valid.
-//! - **Fallback-to-rebuild is decision-identical.** On the pinned bench
-//!   workload, a rebuild after a detected corruption serves the exact
+//!   [`SnapshotError::StaleTableHash`]; retuning the thread knob or the
+//!   resolve-cache mode keeps the snapshot valid.
+//! - **Falling back to an empty Link Index is decision-identical.** On
+//!   the pinned bench workload, a build beside an empty Link Index after
+//!   a detected corruption serves the exact
 //!   decision counts (21384 comparisons / 201 matches) of a never-
 //!   persisted run, and so does an intact reopen.
 
@@ -31,17 +34,16 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_er::{
-    open_index_snapshot, open_index_snapshot_with_caches, write_index_snapshot, DedupMetrics,
-    EdgePruningScope, EpCacheMode, ErConfig, LinkIndex, MetaBlockingConfig, ResolveRequest,
-    SimilarityKind, SnapshotError, TableErIndex, WeightScheme,
+    open_index_snapshot, write_index_snapshot, DedupMetrics, EdgePruningScope, EpCacheMode,
+    ErConfig, LinkIndex, MetaBlockingConfig, ResolveRequest, SimilarityKind, SnapshotError,
+    TableErIndex, WeightScheme,
 };
 use queryer_storage::{RecordId, Schema, Table, Value};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// CI's snapshot-matrix legs arm the snapshot failpoint sites
-/// process-wide via `QUERYER_FAILPOINT` (exercising the *engine's*
-/// degrade-to-rebuild across the rest of the suite). Every test here
+/// A `QUERYER_FAILPOINT` spec can arm the snapshot failpoint sites
+/// process-wide. Every test here
 /// manages faults explicitly instead: it takes this lock and starts —
 /// and ends — with the snapshot sites disarmed. Disarming is a no-op
 /// without the `failpoints` feature, and surgical (per-site), so
@@ -172,10 +174,12 @@ proptest! {
 
     /// Build → resolve (warming caches and links) → persist → reopen:
     /// the reopened pair re-serializes to the identical byte image, and
-    /// behaves identically on the next query — same DR, same decision
-    /// counts, and same cache hit/miss counters (the caches came back
-    /// entry-for-entry). State evolution stays in lockstep: after the
-    /// follow-up query both sides re-serialize identically again.
+    /// behaves identically on the next query — the same DR and decision
+    /// counts as the index that wrote it, and the same cache hit/miss
+    /// counters as a fresh build holding the same links (a reopen is a
+    /// rebuild; its caches start cold). State evolution stays in
+    /// lockstep: after the follow-up query both sides re-serialize
+    /// identically again.
     #[test]
     fn round_trip_is_bit_identical_and_behaviour_preserving(
         rows in rows(),
@@ -204,9 +208,9 @@ proptest! {
         let idx1 = TableErIndex::build(&table, &cfg);
         let mut li1 = LinkIndex::new(table.len());
 
-        // Warm phase: resolve a subset so thresholds, survivor lists,
-        // decisions, and links all carry state into the snapshot. An
-        // empty mask snapshots the cold index.
+        // Warm phase: resolve a subset so links and resolved marks carry
+        // state into the snapshot. An empty mask snapshots an empty Link
+        // Index.
         let warm: Vec<RecordId> = (0..table.len() as RecordId)
             .filter(|&r| warm_mask & (1 << (r % 8)) != 0)
             .collect();
@@ -220,6 +224,7 @@ proptest! {
         write_index_snapshot(&path, &idx1, &li1, &table).expect("snapshot write");
         let image1 = std::fs::read(&path).expect("snapshot readback");
 
+        let mut li3 = li1.clone();
         let (idx2, mut li2) = open_index_snapshot(&path, &table, &cfg).expect("snapshot open");
         let image2 = snapshot_bytes(&idx2, &li2, &table, "reser");
         prop_assert_eq!(&image1, &image2, "re-serialized image diverged");
@@ -235,24 +240,14 @@ proptest! {
         prop_assert_eq!(&out1.dr, &out2.dr, "DR diverged after reopen");
         prop_assert_eq!(out1.new_links, out2.new_links);
         prop_assert_eq!(count_triple(&m1), count_triple(&m2));
-        prop_assert_eq!(
-            cache_counters(&m1),
-            cache_counters(&m2),
-            "cache state diverged after reopen"
-        );
-
-        // Caches-off open (the `QUERYER_SNAPSHOT_CACHES=off` knob):
-        // skips decoding the warm-cache sections, so the index opens
-        // cold — decisions, DR, and links must still be identical;
-        // only the cache hit counters may legitimately differ.
-        let (idx3, mut li3) =
-            open_index_snapshot_with_caches(&path, &table, &cfg, false)
-                .expect("caches-off snapshot open");
+        let idx3 = TableErIndex::build(&table, &cfg);
         let mut m3 = DedupMetrics::default();
-        let out3 = idx3.run(ResolveRequest::records(&table, &qe, &mut li3).metrics(&mut m3)).unwrap();
-        prop_assert_eq!(&out1.dr, &out3.dr, "DR diverged on caches-off reopen");
-        prop_assert_eq!(out1.new_links, out3.new_links);
-        prop_assert_eq!(count_triple(&m1), count_triple(&m3));
+        idx3.run(ResolveRequest::records(&table, &qe, &mut li3).metrics(&mut m3)).unwrap();
+        prop_assert_eq!(
+            cache_counters(&m2),
+            cache_counters(&m3),
+            "a reopen diverged from a build holding the same links"
+        );
 
         // State evolution stays in lockstep.
         let after1 = snapshot_bytes(&idx1, &li1, &table, "after1");
@@ -380,10 +375,10 @@ fn bit_flip_at_every_byte_detected() {
 }
 
 /// Content drift — an edited record, a retuned decision knob — reopens
-/// as `StaleTableHash`; a retuned thread knob does not invalidate,
-/// and the reopened index serves identical decisions.
+/// as `StaleTableHash`; a retuned thread knob or resolve-cache mode does
+/// not invalidate, and the reopened index serves identical decisions.
 #[test]
-fn drift_detected_as_stale_parallelism_retune_is_not_drift() {
+fn drift_detected_as_stale_thread_and_cache_retunes_are_not_drift() {
     let _io = snapshot_io();
     let (table, cfg, image) = small_snapshot();
     let path = fresh_path("drift");
@@ -413,35 +408,69 @@ fn drift_detected_as_stale_parallelism_retune_is_not_drift() {
         other => panic!("decision-knob drift must reopen as StaleTableHash, got {other:?}"),
     }
 
-    // A retuned thread knob: never decision-relevant, so the
-    // snapshot stays valid and decisions match the original run.
-    let mut par_cfg = cfg.clone();
-    par_cfg.threads = 7;
-    let (idx2, _snapshot_links) =
-        open_index_snapshot(&path, &table, &par_cfg).expect("thread retune must not drift");
+    // A retuned thread knob or cache mode: never decision-relevant, so
+    // the snapshot stays valid and decisions match the original run.
     let idx_fresh = TableErIndex::build(&table, &cfg);
     let mut li_fresh = LinkIndex::new(table.len());
     let mut m_fresh = DedupMetrics::default();
     let out_fresh = idx_fresh
         .run(ResolveRequest::all(&table, &mut li_fresh).metrics(&mut m_fresh))
         .unwrap();
-    // The snapshot carries the original run's links; resolve from a
-    // fresh Link Index view to compare pure decisions.
-    let mut li2 = LinkIndex::new(table.len());
-    idx2.clear_ep_cache();
-    let mut m2 = DedupMetrics::default();
-    let out2 = idx2
-        .run(ResolveRequest::all(&table, &mut li2).metrics(&mut m2))
+    let mut par_cfg = cfg.clone();
+    par_cfg.threads = 7;
+    let mut cache_cfg = cfg.clone();
+    cache_cfg.ep_cache = match cfg.ep_cache {
+        EpCacheMode::On => EpCacheMode::Off,
+        EpCacheMode::Off => EpCacheMode::On,
+    };
+    for (what, retuned) in [("thread", par_cfg), ("EP-cache", cache_cfg)] {
+        let (idx2, _snapshot_links) = open_index_snapshot(&path, &table, &retuned)
+            .unwrap_or_else(|e| panic!("{what} retune must not drift: {e}"));
+        // The snapshot carries the original run's links; resolve from a
+        // fresh Link Index view to compare pure decisions.
+        let mut li2 = LinkIndex::new(table.len());
+        let mut m2 = DedupMetrics::default();
+        let out2 = idx2
+            .run(ResolveRequest::all(&table, &mut li2).metrics(&mut m2))
+            .unwrap();
+        assert_eq!(out_fresh.dr, out2.dr, "{what} retune");
+        assert_eq!(count_triple(&m_fresh), count_triple(&m2), "{what} retune");
+    }
+}
+
+/// A resolved table stays resolved across a reopen: resolve all of the
+/// pinned workload (21384 comparisons, 201 matches), persist, reopen,
+/// and resolving all again does no comparison and returns the same DR.
+#[test]
+fn pinned_workload_stays_resolved_across_reopen() {
+    let _io = snapshot_io();
+    let ds = queryer_datagen::scholarly::dblp_scholar(2000, 99);
+    let cfg = ErConfig::default();
+    let idx = TableErIndex::build(&ds.table, &cfg);
+    let mut li = LinkIndex::new(ds.table.len());
+    let mut m = DedupMetrics::default();
+    let first = idx
+        .run(ResolveRequest::all(&ds.table, &mut li).metrics(&mut m))
         .unwrap();
-    assert_eq!(out_fresh.dr, out2.dr);
-    assert_eq!(count_triple(&m_fresh), count_triple(&m2));
+    assert_eq!((m.comparisons, m.matches_found), (21384, 201));
+
+    let path = fresh_path("warm");
+    let _cleanup = Cleanup(path.clone());
+    write_index_snapshot(&path, &idx, &li, &ds.table).expect("snapshot write");
+    let (opened, mut li_o) = open_index_snapshot(&path, &ds.table, &cfg).expect("snapshot open");
+    let mut m_o = DedupMetrics::default();
+    let again = opened
+        .run(ResolveRequest::all(&ds.table, &mut li_o).metrics(&mut m_o))
+        .unwrap();
+    assert_eq!(m_o.comparisons, 0, "a reopened resolved table re-resolved");
+    assert_eq!(again.dr, first.dr);
 }
 
 /// The acceptance scenario on the pinned bench workload: a corrupted
 /// snapshot is detected (typed, structural), never served, and the
-/// fallback rebuild — like an intact reopen — serves the exact pinned
-/// decision counts of a never-persisted run: 21384 comparisons / 201
-/// matches on `dblp_scholar(2000, 99)`.
+/// fallback to an empty Link Index — like an intact reopen — serves the
+/// exact pinned decision counts of a never-persisted run: 21384
+/// comparisons / 201 matches on `dblp_scholar(2000, 99)`.
 #[test]
 fn pinned_workload_recovers_identically_after_corruption() {
     let _io = snapshot_io();
@@ -473,7 +502,7 @@ fn pinned_workload_recovers_identically_after_corruption() {
         "pinned-workload corruption",
     );
 
-    // Fallback: rebuild from the table — decisions identical.
+    // Fallback: a build beside an empty Link Index — decisions identical.
     let rebuilt = TableErIndex::build(&ds.table, &cfg);
     let mut li_r = LinkIndex::new(ds.table.len());
     let mut m_r = DedupMetrics::default();

@@ -1,13 +1,12 @@
 //! Crash-safe sectioned snapshot container.
 //!
-//! This is the generic on-disk layer under the persistent ER index
-//! (ROADMAP item 1): a single file holding named binary *sections*,
+//! This is the generic on-disk layer under the ER snapshot (the
+//! persisted Link Index): a single file holding named binary *sections*,
 //! stamped and checksummed so that every way a file can be damaged —
 //! truncation, bit rot, a torn write, a version or content mismatch —
 //! is *detected at open* and surfaced as a typed [`SnapshotError`]
-//! instead of ever being served. Callers (the ER snapshot encoder, the
-//! engine's open-or-build path) convert any open failure into a
-//! transparent fallback-to-rebuild.
+//! instead of ever being served. A caller of the ER snapshot turns any
+//! open failure into a fallback to an empty Link Index.
 //!
 //! # File layout
 //!
@@ -56,7 +55,7 @@ pub const MAGIC: [u8; 8] = *b"QERSNAP1";
 
 /// Current snapshot format version. Bump on any layout change — an
 /// older or newer file then reopens as [`SnapshotError::VersionMismatch`]
-/// and the caller rebuilds.
+/// and the caller discards the file.
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Suffix of the temporary file a write stages into before its rename.
@@ -64,7 +63,7 @@ const TMP_SUFFIX: &str = ".tmp";
 
 /// Why a snapshot could not be written, or why an on-disk snapshot was
 /// rejected at open. Every rejection is *typed* so the caller can log
-/// the precise failure while degrading to a rebuild.
+/// the precise failure while discarding the file.
 #[derive(Debug)]
 pub enum SnapshotError {
     /// The file does not start with [`MAGIC`] — not a snapshot at all.
@@ -101,10 +100,6 @@ pub enum SnapshotError {
         /// Which section failed validation.
         section: String,
     },
-    /// The in-memory state carries un-compacted incremental changes
-    /// (a live ingest delta), so a snapshot of its base buffers would
-    /// not round-trip the served view. Compact first, then snapshot.
-    PendingDelta,
     /// An I/O error while reading or writing the snapshot.
     Io {
         /// What was being attempted.
@@ -133,10 +128,6 @@ impl fmt::Display for SnapshotError {
             SnapshotError::Corrupt { section } => {
                 write!(f, "snapshot: section '{section}' failed validation")
             }
-            SnapshotError::PendingDelta => write!(
-                f,
-                "snapshot: index has un-compacted incremental changes; compact before writing"
-            ),
             SnapshotError::Io { context, source } => {
                 write!(f, "snapshot: i/o error while {context}: {source}")
             }
@@ -485,13 +476,6 @@ pub mod wire {
             Self::default()
         }
 
-        /// Creates an empty payload with `cap` bytes reserved.
-        pub fn with_capacity(cap: usize) -> Self {
-            Self {
-                buf: Vec::with_capacity(cap),
-            }
-        }
-
         /// Appends one byte.
         pub fn put_u8(&mut self, v: u8) {
             self.buf.push(v);
@@ -505,23 +489,6 @@ pub mod wire {
         /// Appends a `u64` little-endian.
         pub fn put_u64(&mut self, v: u64) {
             self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-
-        /// Appends an `f64` as its IEEE-754 bit pattern (exact
-        /// round-trip, no formatting).
-        pub fn put_f64(&mut self, v: f64) {
-            self.put_u64(v.to_bits());
-        }
-
-        /// Appends raw bytes with no framing.
-        pub fn put_raw(&mut self, bytes: &[u8]) {
-            self.buf.extend_from_slice(bytes);
-        }
-
-        /// Appends a `u64` length prefix followed by the bytes.
-        pub fn put_framed(&mut self, bytes: &[u8]) {
-            self.put_u64(bytes.len() as u64);
-            self.put_raw(bytes);
         }
 
         /// Appends a `u32` slice as a length prefix plus raw LE words.
@@ -584,11 +551,6 @@ pub mod wire {
             Ok(u64::from_le_bytes(self.take_bytes(8)?.try_into().unwrap()))
         }
 
-        /// Takes an `f64` stored as its bit pattern.
-        pub fn take_f64(&mut self) -> Result<f64, SnapshotError> {
-            Ok(f64::from_bits(self.take_u64()?))
-        }
-
         /// Takes a `u64` length and validates it against the remaining
         /// bytes assuming `elem_size`-byte elements, so a corrupt length
         /// can never trigger a huge allocation.
@@ -600,13 +562,6 @@ pub mod wire {
                 return Err(SnapshotError::Truncated);
             }
             Ok(n)
-        }
-
-        /// Takes a length-prefixed byte string (inverse of
-        /// [`PayloadWriter::put_framed`]).
-        pub fn take_framed(&mut self) -> Result<&'a [u8], SnapshotError> {
-            let n = self.take_len(1)?;
-            self.take_bytes(n)
         }
 
         /// Takes a length-prefixed `u32` slice (inverse of
@@ -650,10 +605,10 @@ mod tests {
 
     #[test]
     fn round_trip_on_disk() {
-        // CI's snapshot-matrix legs arm the snapshot crash sites
-        // process-wide via QUERYER_FAILPOINT; this test asserts a clean
-        // round trip, so it runs with those sites disarmed (surgically —
-        // other sites keep their env arming; no-op without the feature).
+        // A QUERYER_FAILPOINT spec can arm the snapshot crash sites
+        // process-wide; this test asserts a clean round trip, so it runs
+        // with those sites disarmed (surgically — other sites keep their
+        // env arming; no-op without the feature).
         for site in [
             "snapshot.write.torn",
             "snapshot.write.crash-before-rename",
@@ -768,16 +723,12 @@ mod tests {
         w.put_u8(7);
         w.put_u32(0xABCD);
         w.put_u64(u64::MAX - 1);
-        w.put_f64(-0.5);
-        w.put_framed(b"text");
         w.put_u32_slice(&[1, 2, 3]);
         let bytes = w.into_bytes();
         let mut r = wire::PayloadReader::new(&bytes);
         assert_eq!(r.take_u8().unwrap(), 7);
         assert_eq!(r.take_u32().unwrap(), 0xABCD);
         assert_eq!(r.take_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.take_f64().unwrap(), -0.5);
-        assert_eq!(r.take_framed().unwrap(), b"text");
         assert_eq!(r.take_u32_vec().unwrap(), vec![1, 2, 3]);
         assert!(r.is_exhausted());
     }

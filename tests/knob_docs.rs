@@ -64,7 +64,7 @@ fn names_documented(root: &Path) -> BTreeSet<String> {
 
 /// The knob set itself. A new knob means editing this list, in a test
 /// that says how many there are.
-const KNOBS: [&str; 11] = [
+const KNOBS: [&str; 8] = [
     "QUERYER_DECISION_CACHE_CAP",
     "QUERYER_DELTA_COMPACT_OPS",
     "QUERYER_EP_CACHE",
@@ -72,9 +72,6 @@ const KNOBS: [&str; 11] = [
     "QUERYER_FAILPOINT",
     "QUERYER_PROPTEST_CASES",
     "QUERYER_SCALE",
-    "QUERYER_SNAPSHOT",
-    "QUERYER_SNAPSHOT_CACHES",
-    "QUERYER_SNAPSHOT_DIR",
     "QUERYER_THREADS",
 ];
 
