@@ -274,30 +274,21 @@ impl QueryEngine {
         self.register_table(table)
     }
 
-    /// Registers a table loaded from a CSV file.
+    /// Registers a table loaded from a CSV file (header row, inferred
+    /// all-string schema). The file is read once.
     pub fn register_csv_path(
         &mut self,
         name: &str,
         path: impl AsRef<std::path::Path>,
     ) -> Result<usize> {
-        let table = queryer_storage::csv::table_from_csv_path(
-            name,
-            queryer_storage::Schema::of_strings(&[]),
-            path.as_ref(),
-        );
-        // Schema inference needs the raw text; fall back to the infer API.
-        match table {
-            Ok(t) => self.register_table(t),
-            Err(_) => {
-                let text = std::fs::read_to_string(path.as_ref()).map_err(|source| {
-                    queryer_storage::StorageError::Io {
-                        context: format!("reading {}", path.as_ref().display()),
-                        source,
-                    }
-                })?;
-                self.register_csv_str(name, &text)
-            }
-        }
+        let path = path.as_ref();
+        let file =
+            std::fs::File::open(path).map_err(|source| queryer_storage::StorageError::Io {
+                context: format!("opening {}", path.display()),
+                source,
+            })?;
+        let table = queryer_storage::csv::table_from_reader_infer(name, file)?;
+        self.register_table(table)
     }
 
     /// Registered table names.

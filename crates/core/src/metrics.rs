@@ -26,6 +26,9 @@ pub struct QueryMetrics {
     pub dr_entities: u64,
     /// Result rows returned.
     pub rows_out: usize,
+    /// Base-table records the scans visited: every record of the table,
+    /// or only the selection index's candidates for a sargable filter.
+    pub rows_scanned: u64,
     /// Branch comparison estimates computed by the cost-based planner
     /// (left branch, right branch), when AES planned a join.
     pub estimated_comparisons: Option<(u64, u64)>,

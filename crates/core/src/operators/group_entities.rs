@@ -10,7 +10,7 @@
 use crate::binding::BoundSchema;
 use crate::operators::{drain, ExecContext, Operator};
 use crate::tuple::{EntityRef, Tuple};
-use queryer_common::{FxHashMap, Stopwatch};
+use queryer_common::{FxHashMap, FxHashSet, Stopwatch};
 use queryer_storage::{RecordId, Value};
 use std::sync::Arc;
 
@@ -44,40 +44,47 @@ impl GroupEntitiesOp {
         let mut sw = Stopwatch::new();
         sw.start();
 
-        // Group by the cluster-id combination, preserving first-seen order.
-        let mut order: Vec<Vec<RecordId>> = Vec::new();
-        let mut groups: FxHashMap<Vec<RecordId>, usize> = FxHashMap::default();
-        let mut representative: Vec<&Tuple> = Vec::new();
-        for t in &tuples {
-            let key = t.cluster_key();
-            if !groups.contains_key(&key) {
-                groups.insert(key.clone(), order.len());
-                order.push(key);
-                representative.push(t);
-            }
-        }
+        // Group by the cluster-id combination, preserving first-seen
+        // order. The keys of all tuples sit in one buffer, `width` ids
+        // each, and the set borrows its keys from there.
+        let width = self.schema.slots.len();
+        let keys: Vec<RecordId> = tuples
+            .iter()
+            .flat_map(|t| t.entities.iter().map(|e| e.cluster))
+            .collect();
+        debug_assert_eq!(keys.len(), tuples.len() * width, "one entity per slot");
+        let mut seen: FxHashSet<&[RecordId]> = FxHashSet::default();
+        let representatives: Vec<&Tuple> = keys
+            .chunks_exact(width)
+            .zip(&tuples)
+            .filter(|(key, _)| seen.insert(key))
+            .map(|(_, t)| t)
+            .collect();
 
-        // Memoised cluster membership per (table, cluster).
+        // Memoised membership of the multi-member clusters per
+        // (table, cluster); a cluster with no link is its own member.
         let mut members_cache: FxHashMap<(usize, RecordId), Vec<RecordId>> = FxHashMap::default();
-        let mut out = Vec::with_capacity(order.len());
-        for (gi, key) in order.iter().enumerate() {
-            let rep = representative[gi];
+        let mut distinct: Vec<&Value> = Vec::new();
+        let mut out = Vec::with_capacity(representatives.len());
+        for rep in representatives {
             let mut values: Vec<Value> = Vec::with_capacity(self.schema.len());
-            for (slot_pos, slot) in self.schema.slots.iter().enumerate() {
-                let cluster = key[slot_pos];
-                let members = members_cache
-                    .entry((slot.table_idx, cluster))
-                    .or_insert_with(|| {
-                        let li = self.ctx.li[slot.table_idx].read();
-                        li.closure([cluster])
-                    })
-                    .clone();
+            for (slot, e) in self.schema.slots.iter().zip(&rep.entities) {
                 let table = &self.ctx.tables[slot.table_idx];
+                let li = &self.ctx.li[slot.table_idx];
+                if li.read().neighbors(e.cluster).is_empty() {
+                    let record = table.record_unchecked(e.cluster);
+                    values.extend_from_slice(&record.values[..slot.n_cols]);
+                    continue;
+                }
+                let members = members_cache
+                    .entry((slot.table_idx, e.cluster))
+                    .or_insert_with(|| li.read().closure([e.cluster]));
                 for col in 0..slot.n_cols {
                     values.push(fuse_column(
                         members
                             .iter()
                             .map(|&m| table.record_unchecked(m).value(col)),
+                        &mut distinct,
                     ));
                 }
             }
@@ -105,24 +112,45 @@ impl GroupEntitiesOp {
 
 /// Fuses one attribute across cluster members: distinct non-null values
 /// in member order; a single distinct value keeps its original type,
-/// several concatenate with [`GROUP_SEPARATOR`], none is `Null`.
-fn fuse_column<'a>(member_values: impl Iterator<Item = &'a Value>) -> Value {
-    let mut distinct: Vec<&'a Value> = Vec::new();
-    let mut seen: Vec<String> = Vec::new();
+/// several concatenate with [`GROUP_SEPARATOR`], none is `Null`. Values
+/// are distinct when their renderings are, so `Int(7)` and `Str("7")`
+/// are one value; `distinct` is scratch space, cleared here.
+fn fuse_column<'a>(
+    member_values: impl Iterator<Item = &'a Value>,
+    distinct: &mut Vec<&'a Value>,
+) -> Value {
+    distinct.clear();
     for v in member_values {
-        if v.is_null() {
-            continue;
-        }
-        let rendered = v.render().into_owned();
-        if !seen.contains(&rendered) {
-            seen.push(rendered);
+        if !v.is_null() && !distinct.iter().any(|d| renders_same(d, v)) {
             distinct.push(v);
         }
     }
-    match distinct.len() {
-        0 => Value::Null,
-        1 => distinct[0].clone(),
-        _ => Value::str(seen.join(GROUP_SEPARATOR)),
+    match distinct.as_slice() {
+        [] => Value::Null,
+        [one] => (*one).clone(),
+        [first, rest @ ..] => {
+            let mut fused = first.render().into_owned();
+            for v in rest {
+                fused.push_str(GROUP_SEPARATOR);
+                fused.push_str(&v.render());
+            }
+            Value::str(fused)
+        }
+    }
+}
+
+/// `a.render() == b.render()`, rendering only across types. Within one
+/// type the renderings are equal exactly when the values are, except
+/// that every NaN renders `NaN` (and `-0.0` renders `-0`, distinct
+/// from `0`, as its bits are).
+fn renders_same(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Str(x), Value::Str(y)) => x == y,
+        (Value::Int(x), Value::Int(y)) => x == y,
+        (Value::Float(x), Value::Float(y)) => {
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+        }
+        _ => a.render() == b.render(),
     }
 }
 
@@ -234,11 +262,64 @@ mod tests {
         let a = Value::str("x");
         let b = Value::str("y");
         let n = Value::Null;
-        assert_eq!(fuse_column([&n, &n].into_iter()), Value::Null);
-        assert_eq!(fuse_column([&a, &n, &a].into_iter()), Value::str("x"));
-        assert_eq!(fuse_column([&a, &b].into_iter()), Value::str("x | y"));
+        let fuse = |vs: &[&Value]| fuse_column(vs.iter().copied(), &mut Vec::new());
+        assert_eq!(fuse(&[&n, &n]), Value::Null);
+        assert_eq!(fuse(&[&a, &n, &a]), Value::str("x"));
+        assert_eq!(fuse(&[&a, &b]), Value::str("x | y"));
         // Single distinct value keeps its type.
         let i = Value::Int(7);
-        assert_eq!(fuse_column([&i, &i].into_iter()), Value::Int(7));
+        assert_eq!(fuse(&[&i, &i]), Value::Int(7));
+        // Values are distinct by rendering: the first of the equal ones
+        // stays, whatever its type.
+        let (s7, f7) = (Value::str("7"), Value::Float(7.0));
+        assert_eq!(fuse(&[&s7, &i, &f7]), Value::str("7"));
+        let (zero, neg_zero) = (Value::Float(0.0), Value::Float(-0.0));
+        assert_eq!(fuse(&[&zero, &neg_zero]), Value::str("0 | -0"));
+        let (nan, neg_nan) = (Value::Float(f64::NAN), Value::Float(-f64::NAN));
+        assert!(matches!(fuse(&[&nan, &neg_nan]), Value::Float(f) if f.is_nan()));
+    }
+
+    /// The fusion rule as it was first written: distinct by rendered
+    /// text, one `String` per member value.
+    fn fuse_oracle(member_values: &[Value]) -> Value {
+        let mut distinct: Vec<&Value> = Vec::new();
+        let mut seen: Vec<String> = Vec::new();
+        for v in member_values.iter().filter(|v| !v.is_null()) {
+            let rendered = v.render().into_owned();
+            if !seen.contains(&rendered) {
+                seen.push(rendered);
+                distinct.push(v);
+            }
+        }
+        match distinct.len() {
+            0 => Value::Null,
+            1 => distinct[0].clone(),
+            _ => Value::str(seen.join(GROUP_SEPARATOR)),
+        }
+    }
+
+    fn member_value() -> impl proptest::strategy::Strategy<Value = Value> {
+        use proptest::prelude::*;
+        prop_oneof![
+            Just(Value::Null),
+            (-3i64..4).prop_map(Value::Int),
+            (-3i64..4).prop_map(|i| Value::Float(i as f64)),
+            Just(Value::Float(-0.0)),
+            Just(Value::Float(f64::NAN)),
+            Just(Value::Float(0.5)),
+            "-?[0-3]|0\\.5|NaN|-0|x".prop_map(Value::str),
+        ]
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fuse_column_is_bit_identical_to_the_rendering_rule(
+            members in proptest::collection::vec(member_value(), 0..6),
+        ) {
+            let fused = fuse_column(members.iter(), &mut Vec::new());
+            let expected = fuse_oracle(&members);
+            // Structural equality compares floats by bit pattern.
+            proptest::prop_assert_eq!(fused, expected, "{:?}", members);
+        }
     }
 }

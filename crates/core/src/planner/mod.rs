@@ -101,7 +101,7 @@ impl<'a> Planner<'a> {
 
     fn build_node(&mut self, plan: &LogicalPlan) -> Result<Built> {
         match plan {
-            LogicalPlan::Scan { table, alias } => self.build_scan(table, alias),
+            LogicalPlan::Scan { table, alias } => self.build_scan(table, alias, None),
             LogicalPlan::Filter { input, predicate } => self.build_filter(input, predicate),
             LogicalPlan::Join {
                 left,
@@ -126,7 +126,17 @@ impl<'a> Planner<'a> {
         }
     }
 
-    fn build_scan(&mut self, table: &str, alias: &str) -> Result<Built> {
+    /// Whether a filter over a base-table scan sees resolved data: Batch
+    /// scans carry batch clusters, NES-eager deduplicates right above
+    /// the scan. Such a filter keeps whole clusters, so it cannot run
+    /// inside the scan.
+    fn scan_is_resolved(&self) -> bool {
+        matches!(self.mode, ExecMode::Batch | ExecMode::NesEager)
+    }
+
+    /// A scan of `table`; with a `predicate`, the scan evaluates it and
+    /// emits only the records that pass.
+    fn build_scan(&mut self, table: &str, alias: &str, predicate: Option<Expr>) -> Result<Built> {
         let idx = self.engine.table_idx(table)?;
         let t = self.engine.table_by_idx(idx);
         let schema = BoundSchema::from_table(alias, idx, &t);
@@ -134,13 +144,19 @@ impl<'a> Planner<'a> {
             Some(map) => (Some(map.clone()), " [batch clusters]"),
             None => (None, ""),
         };
+        let mut op = TableScanOp::new(self.ctx.clone(), idx, cluster_of);
+        let mut label = format!("TableScan: {table} AS {alias}{batch_note}");
+        if let Some(pred) = &predicate {
+            op = op.with_predicate(bind(pred, &schema)?);
+            label = format!("{label} [filter: {pred}]");
+        }
         let mut built = Built {
-            op: Box::new(TableScanOp::new(self.ctx.clone(), idx, cluster_of)),
+            op: Box::new(op),
             schema,
-            explain: vec![format!("TableScan: {table} AS {alias}{batch_note}")],
+            explain: vec![label],
             resolved: self.mode == ExecMode::Batch,
             single_table: Some(idx),
-            predicate: None,
+            predicate,
         };
         // Fig. 5 naive plan: Deduplicate directly above the table scan.
         if self.mode == ExecMode::NesEager {
@@ -150,6 +166,13 @@ impl<'a> Planner<'a> {
     }
 
     fn build_filter(&mut self, input: &LogicalPlan, predicate: &Expr) -> Result<Built> {
+        // A filter over a base-table scan runs inside the scan, which
+        // then clones only the records that pass.
+        if !self.scan_is_resolved() {
+            if let Some((table, alias, pred)) = filtered_scan(input, predicate) {
+                return self.build_scan(table, alias, Some(pred));
+            }
+        }
         let child = self.build_node(input)?;
         let bound = bind(predicate, &child.schema)?;
         let (op, label): (Box<dyn Operator>, &str) = if child.resolved {
@@ -445,6 +468,27 @@ impl<'a> Planner<'a> {
             single_table: None,
             predicate: None,
         })
+    }
+}
+
+/// `input` filtered by `predicate`, when `input` is a base-table scan
+/// under any number of filters: the scan's table and alias, and the
+/// conjunction of every filter on the way, innermost first.
+fn filtered_scan<'p>(input: &'p LogicalPlan, predicate: &Expr) -> Option<(&'p str, &'p str, Expr)> {
+    match input {
+        LogicalPlan::Scan { table, alias } => Some((table, alias, predicate.clone())),
+        LogicalPlan::Filter {
+            input,
+            predicate: inner,
+        } => {
+            let (table, alias, below) = filtered_scan(input, inner)?;
+            Some((
+                table,
+                alias,
+                Expr::And(Box::new(below), Box::new(predicate.clone())),
+            ))
+        }
+        _ => None,
     }
 }
 

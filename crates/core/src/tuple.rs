@@ -32,12 +32,6 @@ impl Tuple {
         self.entities.extend(right.entities);
         self
     }
-
-    /// The cluster-id combination of this tuple — the grouping key of the
-    /// Group-Entities operator.
-    pub fn cluster_key(&self) -> Vec<RecordId> {
-        self.entities.iter().map(|e| e.cluster).collect()
-    }
 }
 
 /// Normalizes a value for equijoin key comparison: integral floats become
@@ -73,7 +67,8 @@ mod tests {
         };
         let c = a.concat(b);
         assert_eq!(c.values.len(), 2);
-        assert_eq!(c.cluster_key(), vec![0, 3]);
+        let clusters: Vec<RecordId> = c.entities.iter().map(|e| e.cluster).collect();
+        assert_eq!(clusters, vec![0, 3]);
     }
 
     #[test]

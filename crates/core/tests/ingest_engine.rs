@@ -224,6 +224,80 @@ fn invalid_batches_are_rejected_atomically() {
     assert_eq!(e.execute(EDBT_DEDUP).unwrap().rows.len(), 2);
 }
 
+/// Point and range filters are answered through the table's selection
+/// index, which every write drops: the very next query sees an
+/// inserted, updated or deleted row — and still visits only the rows
+/// the index hands it.
+#[test]
+fn point_and_range_queries_see_each_write_at_once() {
+    let _env = CompactCap::new(None);
+    let mut e = engine();
+    let ids = |e: &QueryEngine, filter: &str| {
+        let r = e
+            .execute(&format!("SELECT id FROM P WHERE {filter}"))
+            .unwrap();
+        let ids: Vec<String> = r.rows.iter().map(|row| row[0].to_string()).collect();
+        (ids, r.metrics.rows_scanned)
+    };
+    let point = "id = '8'";
+    let range = "year BETWEEN '2016' AND '2019'";
+    assert_eq!(ids(&e, point), (vec![], 0));
+    assert_eq!(
+        ids(&e, range),
+        (vec!["2".into(), "3".into(), "7".into()], 3)
+    );
+
+    let row = |id: &str, year: &str| -> Vec<queryer_storage::Value> {
+        vec![
+            id.into(),
+            "fresh".into(),
+            "new author".into(),
+            "vldb".into(),
+            year.into(),
+        ]
+    };
+    e.ingest(
+        "P",
+        &[DeltaOp::Insert {
+            values: row("8", "2018"),
+        }],
+    )
+    .unwrap();
+    assert_eq!(ids(&e, point), (vec!["8".into()], 1));
+    assert_eq!(ids(&e, range).0, ["2", "3", "7", "8"]);
+
+    e.ingest(
+        "P",
+        &[DeltaOp::Update {
+            id: 8,
+            values: row("8", "2001"),
+        }],
+    )
+    .unwrap();
+    assert_eq!(ids(&e, point), (vec!["8".into()], 1));
+    assert_eq!(
+        ids(&e, range),
+        (vec!["2".into(), "3".into(), "7".into()], 3)
+    );
+    e.ingest(
+        "P",
+        &[DeltaOp::Update {
+            id: 4,
+            values: row("4", "2016"),
+        }],
+    )
+    .unwrap();
+    assert_eq!(ids(&e, range).0, ["2", "3", "4", "7"]);
+
+    e.ingest("P", &[DeltaOp::Delete { id: 8 }, DeltaOp::Delete { id: 3 }])
+        .unwrap();
+    assert_eq!(ids(&e, point), (vec![], 0));
+    assert_eq!(
+        ids(&e, range),
+        (vec!["2".into(), "4".into(), "7".into()], 3)
+    );
+}
+
 /// A four-record chain 0–1–2–3 (Jaccard ≥ 0.3 between neighbours, no
 /// token shared otherwise), fully resolved, then record 3 is rewritten
 /// with the same tokens. The write invalidates 3 and its neighbour 2;

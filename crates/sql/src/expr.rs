@@ -3,7 +3,9 @@
 use crate::ast::{ColumnRef, CompareOp, Expr};
 use crate::error::{Result, SqlError};
 use queryer_storage::Value;
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::str::Chars;
 
 /// Resolves column references to positions in an evaluation row.
 pub trait ColumnBinder {
@@ -161,11 +163,11 @@ impl BoundExpr {
     }
 
     /// Evaluates as a predicate; SQL NULL semantics collapse to `false`.
+    /// Column and literal operands are compared in place, not cloned.
     pub fn eval_bool(&self, row: &[Value]) -> bool {
         match self {
             BoundExpr::Compare { left, op, right } => {
-                let l = left.eval(row);
-                let r = right.eval(row);
+                let (l, r) = (left.operand(row), right.operand(row));
                 if l.is_null() || r.is_null() {
                     return false;
                 }
@@ -186,11 +188,11 @@ impl BoundExpr {
                 list,
                 negated,
             } => {
-                let v = expr.eval(row);
+                let v = expr.operand(row);
                 if v.is_null() {
                     return false;
                 }
-                let found = list.iter().any(|e| v.sql_eq(&e.eval(row)));
+                let found = list.iter().any(|e| v.sql_eq(&e.operand(row)));
                 found != *negated
             }
             BoundExpr::Between {
@@ -199,9 +201,7 @@ impl BoundExpr {
                 high,
                 negated,
             } => {
-                let v = expr.eval(row);
-                let lo = low.eval(row);
-                let hi = high.eval(row);
+                let (v, lo, hi) = (expr.operand(row), low.operand(row), high.operand(row));
                 if v.is_null() || lo.is_null() || hi.is_null() {
                     return false;
                 }
@@ -213,45 +213,64 @@ impl BoundExpr {
                 expr,
                 pattern,
                 negated,
-            } => {
-                let v = expr.eval(row);
-                match v.as_str() {
-                    None => false,
-                    Some(s) => like_match(pattern, s) != *negated,
-                }
-            }
-            BoundExpr::IsNull { expr, negated } => expr.eval(row).is_null() != *negated,
+            } => match expr.operand(row).as_str() {
+                None => false,
+                Some(s) => like_match(pattern, s) != *negated,
+            },
+            BoundExpr::IsNull { expr, negated } => expr.operand(row).is_null() != *negated,
             BoundExpr::Column(_) | BoundExpr::Literal(_) | BoundExpr::Mod(..) => {
                 // Truthiness of a scalar: non-null, non-zero.
-                match self.eval(row) {
+                match &*self.operand(row) {
                     Value::Null => false,
-                    Value::Int(i) => i != 0,
-                    Value::Float(f) => f != 0.0,
+                    Value::Int(i) => *i != 0,
+                    Value::Float(f) => *f != 0.0,
                     Value::Str(s) => !s.is_empty(),
                 }
             }
+        }
+    }
+
+    /// The operand's value: borrowed from the row or the literal where
+    /// it is one, computed otherwise.
+    fn operand<'a>(&'a self, row: &'a [Value]) -> Cow<'a, Value> {
+        match self {
+            BoundExpr::Column(i) => Cow::Borrowed(&row[*i]),
+            BoundExpr::Literal(v) => Cow::Borrowed(v),
+            computed => Cow::Owned(computed.eval(row)),
         }
     }
 }
 
 /// SQL LIKE matching: `%` matches any run (including empty), `_` matches
 /// exactly one character. Case-sensitive, as in most engines.
+///
+/// Iterative and allocation-free: on a mismatch it backtracks only to
+/// the latest `%`, letting that `%` absorb one more character, which is
+/// enough because an earlier `%` could only absorb what the latest one
+/// already can. Worst case O(|pattern| · |text|).
 pub fn like_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    like_rec(&p, &t)
-}
-
-fn like_rec(p: &[char], t: &[char]) -> bool {
-    match p.first() {
-        None => t.is_empty(),
-        Some('%') => {
-            // Collapse consecutive %.
-            let rest = &p[1..];
-            (0..=t.len()).any(|k| like_rec(rest, &t[k..]))
+    let (mut p, mut t) = (pattern.chars(), text.chars());
+    // The pattern just past the latest `%`, and the text it resumes at.
+    let mut retry: Option<(Chars<'_>, Chars<'_>)> = None;
+    loop {
+        match p.next() {
+            Some('%') => retry = Some((p.clone(), t.clone())),
+            pc => {
+                match (pc, t.next()) {
+                    (None, None) => return true,
+                    (Some('_'), Some(_)) => continue,
+                    (Some(c), Some(tc)) if c == tc => continue,
+                    _ => {}
+                }
+                let Some((rp, rt)) = &mut retry else {
+                    return false;
+                };
+                if rt.next().is_none() {
+                    return false;
+                }
+                (p, t) = (rp.clone(), rt.clone());
+            }
         }
-        Some('_') => !t.is_empty() && like_rec(&p[1..], &t[1..]),
-        Some(&c) => t.first() == Some(&c) && like_rec(&p[1..], &t[1..]),
     }
 }
 
@@ -318,6 +337,45 @@ mod tests {
         let e = bound("a LIKE 'ed%'", vec!["a"]);
         assert!(e.eval_bool(&[Value::str("edbt")]));
         assert!(!e.eval_bool(&[Value::Int(3)]));
+    }
+
+    /// The recursive matcher `like_match` replaced: exponential on
+    /// several `%`, but its reading of the pattern is the definition.
+    fn like_oracle(pattern: &str, text: &str) -> bool {
+        fn rec(p: &[char], t: &[char]) -> bool {
+            match p.first() {
+                None => t.is_empty(),
+                Some('%') => (0..=t.len()).any(|k| rec(&p[1..], &t[k..])),
+                Some('_') => !t.is_empty() && rec(&p[1..], &t[1..]),
+                Some(&c) => t.first() == Some(&c) && rec(&p[1..], &t[1..]),
+            }
+        }
+        let p: Vec<char> = pattern.chars().collect();
+        let t: Vec<char> = text.chars().collect();
+        rec(&p, &t)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn like_match_equals_the_recursive_oracle(
+            pattern in "[ab\u{e9}%_]{0,8}",
+            text in "[ab\u{e9}\u{df}_%]{0,10}",
+        ) {
+            proptest::prop_assert_eq!(
+                like_match(&pattern, &text),
+                like_oracle(&pattern, &text),
+                "{:?} LIKE {:?}", text, pattern
+            );
+        }
+    }
+
+    #[test]
+    fn like_does_not_backtrack_exponentially() {
+        // Thirty `%` against a near-miss text: the recursive matcher
+        // takes exponentially many steps here; the iterative one does not.
+        let pattern = "%a".repeat(30) + "b";
+        assert!(!like_match(&pattern, &"a".repeat(60)));
+        assert!(like_match(&pattern, &("a".repeat(60) + "b")));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use queryer::core::engine::{ExecMode, QueryEngine};
 use queryer::prelude::*;
-use queryer::storage::csv;
+use queryer::storage::{csv, StorageError};
 
 #[test]
 fn csv_file_roundtrip_and_query() {
@@ -45,6 +45,44 @@ fn csv_file_roundtrip_and_query() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn csv_path_registers_the_rows_its_text_does() {
+    let text = "id,title,year\n0,\"entity resolution, revisited\",2008\n1,query plans,\n";
+    let dir = std::env::temp_dir().join(format!("queryer_csv_path_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("pubs.csv");
+    std::fs::write(&path, text).unwrap();
+
+    let mut from_path = QueryEngine::new(ErConfig::default());
+    from_path.register_csv_path("pubs", &path).unwrap();
+    let mut from_str = QueryEngine::new(ErConfig::default());
+    from_str.register_csv_str("pubs", text).unwrap();
+    let (a, b) = (
+        from_path.table("pubs").unwrap(),
+        from_str.table("pubs").unwrap(),
+    );
+    assert_eq!(a.schema().fields(), b.schema().fields());
+    assert_eq!(a.records(), b.records());
+    assert_eq!(a.len(), 2);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn missing_csv_path_is_an_open_error() {
+    let path = std::env::temp_dir().join(format!("queryer_no_such_{}.csv", std::process::id()));
+    let mut engine = QueryEngine::new(ErConfig::default());
+    let err = engine.register_csv_path("nope", &path).unwrap_err();
+    match err {
+        queryer::core::CoreError::Storage(StorageError::Io { context, source }) => {
+            assert!(context.starts_with("opening "), "{context}");
+            assert_eq!(source.kind(), std::io::ErrorKind::NotFound);
+        }
+        other => panic!("expected an I/O error, got {other:?}"),
+    }
+    assert!(engine.table_names().is_empty(), "nothing registered");
 }
 
 #[test]
