@@ -9,7 +9,7 @@ use queryer_storage::Table;
 pub struct Slot {
     /// Alias used by column references.
     pub alias: String,
-    /// Catalog index of the table.
+    /// Index of the table in the engine's catalog.
     pub table_idx: usize,
     /// Number of columns contributed by this slot.
     pub n_cols: usize,

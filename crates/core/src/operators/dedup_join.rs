@@ -38,7 +38,8 @@ pub struct DedupJoinOp {
     right_key: usize,
     /// Which side arrives dirty.
     dirty: DirtySide,
-    /// Catalog table index of the dirty side (always a single-table branch).
+    /// Index of the dirty side's table in the engine's catalog (always a
+    /// single-table branch).
     dirty_table: usize,
     output: std::vec::IntoIter<Tuple>,
     started: bool,

@@ -66,7 +66,8 @@ struct Built {
     explain: Vec<String>,
     /// Whether the stream is already resolved/cluster-annotated.
     resolved: bool,
-    /// Catalog table index when this is a single-table branch.
+    /// Index of the table in the engine's catalog when this is a
+    /// single-table branch.
     single_table: Option<usize>,
     /// Predicate pushed onto this branch (for cost estimation).
     predicate: Option<Expr>,

@@ -7,7 +7,7 @@ use queryer_storage::{RecordId, Value};
 /// deduplication, `cluster == record` (every record is its own cluster).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntityRef {
-    /// Catalog index of the base table.
+    /// Index of the base table in the engine's catalog.
     pub table: usize,
     /// Record id within the table.
     pub record: RecordId,

@@ -87,7 +87,9 @@
 use crate::config::{EdgePruningScope, WeightScheme};
 use crate::edge_pruning::{keeps, threshold_over, weight_of};
 use crate::govern::{PoisonGuard, ResolveBudget, ResolveError};
-use crate::index::{cardinality, scheme_node_key, AttrMeta, BlockId, TableErIndex};
+use crate::index::{
+    cardinality, count_cooccurrences, scheme_node_key, AttrMeta, BlockId, TableErIndex,
+};
 use crate::purging::purge_flags;
 use crate::tokenizer::{record_keys, record_tokens};
 use queryer_common::{failpoints, unpack_pair, FxHashMap, FxHashSet};
@@ -237,9 +239,8 @@ pub(crate) struct DeltaIndex {
     /// requires partials for every record it touches). Only populated
     /// when the base has partials.
     pub(crate) cbs_rows: FxHashMap<RecordId, Vec<(RecordId, u32)>>,
-    /// Profile tokens minted by deltas (symbol − base interner length).
-    pub(crate) ext_tokens: Vec<String>,
-    /// Token text → minted symbol.
+    /// Profile tokens minted by deltas → their symbols, which count up
+    /// from the base interner's length.
     pub(crate) ext_map: FxHashMap<String, u32>,
     /// Sorted profile-token symbols for touched records.
     pub(crate) row_tokens: FxHashMap<RecordId, Vec<u32>>,
@@ -269,7 +270,6 @@ impl DeltaIndex {
             row_blocks: FxHashMap::default(),
             row_retained: FxHashMap::default(),
             cbs_rows: FxHashMap::default(),
-            ext_tokens: Vec::new(),
             ext_map: FxHashMap::default(),
             row_tokens: FxHashMap::default(),
             row_attrs: FxHashMap::default(),
@@ -584,8 +584,7 @@ impl TableErIndex {
                 } else if let Some(&s) = d.ext_map.get(&tok) {
                     s
                 } else {
-                    let s = (self.interner.len() + d.ext_tokens.len()) as u32;
-                    d.ext_tokens.push(tok.clone());
+                    let s = (self.interner.len() + d.ext_map.len()) as u32;
                     d.ext_map.insert(tok, s);
                     s
                 };
@@ -803,23 +802,13 @@ impl TableErIndex {
             } else {
                 bulk.as_ref().and_then(|v| v.get(p as usize).copied())
             };
-            row.clear();
-            for &b in d.retained_row(self, p) {
-                for &other in d.filtered_row(self, b) {
-                    if other != p {
-                        let c = &mut counts[other as usize];
-                        if *c == 0 {
-                            row.push((other, 0));
-                        }
-                        *c += 1;
-                    }
-                }
-            }
-            for (r, cnt) in &mut row {
-                let c = &mut counts[*r as usize];
-                *cnt = *c;
-                *c = 0;
-            }
+            count_cooccurrences(
+                p,
+                d.retained_row(self, p),
+                |b| d.filtered_row(self, b),
+                &mut counts,
+                &mut row,
+            );
             if ep_targeted {
                 let th_new = threshold_over(self, scheme, n_blocks, p, &row);
                 // CBS weights are whole numbers and one mover shifts a

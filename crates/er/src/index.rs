@@ -42,7 +42,7 @@ use crate::purging::purge_flags;
 use crate::tokenizer::{record_keys, record_tokens};
 use parking_lot::Mutex;
 use queryer_common::failpoints;
-use queryer_common::{Csr, FxHashMap, FxHashSet, ShardedMap, TokenArena, TokenInterner};
+use queryer_common::{Csr, FxHashMap, ShardedMap, TokenArena, TokenInterner};
 use queryer_storage::{Record, RecordId, Table};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -159,7 +159,8 @@ impl AttrMeta {
 
 /// Reusable dense scratch for co-occurrence counting: a counts array
 /// indexed by record id plus a first-touch list, so each frontier entity
-/// is counted without allocating a fresh hash map.
+/// is counted (by `count_cooccurrences`) without allocating a fresh
+/// hash map.
 #[derive(Debug, Default)]
 pub struct CooccurrenceScratch {
     /// Dense per-record counters; only entries named in `out` are
@@ -174,6 +175,67 @@ impl CooccurrenceScratch {
     /// table size on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Counts `id`'s neighbourhood over a graph of `n_records` records
+    /// into this scratch (see [`count_cooccurrences`]). The returned
+    /// slice is valid until the next call.
+    #[inline]
+    fn count<'g>(
+        &mut self,
+        id: RecordId,
+        n_records: usize,
+        retained: &[BlockId],
+        members: impl Fn(BlockId) -> &'g [RecordId],
+    ) -> &[(RecordId, u32)] {
+        if self.counts.len() < n_records {
+            self.counts.resize(n_records, 0);
+        }
+        count_cooccurrences(id, retained, members, &mut self.counts, &mut self.out);
+        &self.out
+    }
+}
+
+/// The one co-occurrence counting loop: fills `out` with the distinct
+/// co-occurring entities of `id` — the other members of every block in
+/// its `retained` row, read through `members` — in first-touch order
+/// with their common-block (CBS) counts. `counts` is a dense per-record
+/// counter array (at least as long as the largest record id + 1) that is
+/// all zeroes on entry and again on return; only the touched counters
+/// are reset.
+///
+/// The build-time CBS-partials sweep, the query-time fallback over the
+/// base graph or the merged delta view
+/// ([`TableErIndex::cooccurrences_into`]), and the delta apply's
+/// recount of dirty rows all run this loop, so a materialized row, a
+/// cold count and a recounted row agree in contents and in order — the
+/// order `tests/build_equivalence.rs` and `tests/ingest_equivalence.rs`
+/// pin.
+#[inline]
+pub(crate) fn count_cooccurrences<'g>(
+    id: RecordId,
+    retained: &[BlockId],
+    members: impl Fn(BlockId) -> &'g [RecordId],
+    counts: &mut [u32],
+    out: &mut Vec<(RecordId, u32)>,
+) {
+    out.clear();
+    for &b in retained {
+        for &other in members(b) {
+            if other != id {
+                let c = &mut counts[other as usize];
+                if *c == 0 {
+                    out.push((other, 0));
+                }
+                *c += 1;
+            }
+        }
+    }
+    // Harvest and reset only the touched counters.
+    for (rid, cnt) in out.iter_mut() {
+        let c = &mut counts[*rid as usize];
+        *cnt = *c;
+        *c = 0;
     }
 }
 
@@ -555,16 +617,6 @@ impl TableErIndex {
         self.filtered_block(b).binary_search(&id).is_ok()
     }
 
-    /// Total block assignments Σ|b| over raw blocks.
-    pub fn total_assignments(&self) -> u64 {
-        match &self.delta {
-            Some(d) => (0..d.n_blocks)
-                .map(|b| d.raw_row(self, b as BlockId).len() as u64)
-                .sum(),
-            None => self.raw_blocks.total_len() as u64,
-        }
-    }
-
     /// Total comparisons ‖B‖ = Σ‖b‖ over raw blocks.
     pub fn total_comparisons(&self) -> u64 {
         match &self.delta {
@@ -623,25 +675,12 @@ impl TableErIndex {
         &self.attr_meta[base..base + self.n_cols]
     }
 
-    /// The profile-token interner (diagnostics and foreign probes).
-    /// With a live delta, tokens first seen through mutations carry
-    /// symbols at or above `interner().len()` and are not resolvable
-    /// here; [`TableErIndex::resolve_token`] covers both ranges.
+    /// The profile-token interner of the base build (diagnostics and
+    /// the build-equivalence suite). With a live delta, tokens first
+    /// seen through mutations carry symbols at or above
+    /// `interner().len()`, which this interner does not resolve.
     pub fn interner(&self) -> &TokenInterner {
         &self.interner
-    }
-
-    /// Resolves a profile-token symbol to its text across both the
-    /// base interner and the delta-minted extension range.
-    pub fn resolve_token(&self, sym: u32) -> &str {
-        if (sym as usize) < self.interner.len() {
-            return self.interner.resolve(sym);
-        }
-        let d = self
-            .delta
-            .as_ref()
-            .expect("symbols above the interner range exist only with a live delta");
-        &d.ext_tokens[sym as usize - self.interner.len()]
     }
 
     /// Scratch-based co-occurrence counting: fills `scratch` with the
@@ -657,54 +696,30 @@ impl TableErIndex {
         id: RecordId,
         scratch: &'s mut CooccurrenceScratch,
     ) -> &'s [(RecordId, u32)] {
-        if let Some(d) = &self.delta {
-            if let Some(row) = d.cbs_rows.get(&id) {
-                scratch.out.clear();
-                scratch.out.extend_from_slice(row);
-                return &scratch.out;
-            }
-            if let Some(adj) = &self.cbs_adj {
-                // Not dirty in any applied delta: the base partial row
-                // is still exact under the merged view.
-                scratch.out.clear();
-                scratch.out.extend_from_slice(adj.row(id as usize));
-                return &scratch.out;
-            }
-            // No partials: count live over the merged blocking graph.
-            if scratch.counts.len() < d.n_records {
-                scratch.counts.resize(d.n_records, 0);
-            }
+        if let Some(row) = self.delta.as_ref().and_then(|d| d.cbs_rows.get(&id)) {
             scratch.out.clear();
-            for &b in d.retained_row(self, id) {
-                for &other in d.filtered_row(self, b) {
-                    if other != id {
-                        let c = &mut scratch.counts[other as usize];
-                        if *c == 0 {
-                            scratch.out.push((other, 0));
-                        }
-                        *c += 1;
-                    }
-                }
-            }
-            for (rid, cnt) in &mut scratch.out {
-                let c = &mut scratch.counts[*rid as usize];
-                *cnt = *c;
-                *c = 0;
-            }
+            scratch.out.extend_from_slice(row);
             return &scratch.out;
         }
         if let Some(adj) = &self.cbs_adj {
+            // Not dirty in any applied delta: the base partial row is
+            // still exact under the merged view.
             scratch.out.clear();
             scratch.out.extend_from_slice(adj.row(id as usize));
             return &scratch.out;
         }
-        count_cooccurrences_into(
-            &self.entity_retained,
-            &self.filtered_blocks,
-            self.n_records,
-            id,
-            scratch,
-        )
+        // No partials: count live over the (merged) blocking graph.
+        match &self.delta {
+            Some(d) => scratch.count(id, d.n_records, d.retained_row(self, id), |b| {
+                d.filtered_row(self, b)
+            }),
+            None => scratch.count(
+                id,
+                self.n_records,
+                self.entity_retained.row(id as usize),
+                |b| self.filtered_blocks.row(b as usize),
+            ),
+        }
     }
 
     /// Zero-copy view of `id`'s CBS partials (neighbour + common-block
@@ -739,24 +754,6 @@ impl TableErIndex {
             Some(row) => row,
             None => self.cooccurrences_into(id, scratch),
         }
-    }
-
-    /// TBI blocks matching an ad-hoc record that is *not* part of the
-    /// indexed table (a foreign probe, e.g. a Deduplicate-Join key record
-    /// from another table): invokes the same blocking function the TBI
-    /// was built with — the query-time tokenization path — and joins the
-    /// keys against the TBI. In-table entities never take this path;
-    /// their blocks come pre-joined from [`TableErIndex::blocks_of`].
-    pub fn probe_blocks(&self, record: &Record) -> Vec<BlockId> {
-        record_keys(
-            record,
-            self.cfg.blocking,
-            self.cfg.min_token_len,
-            self.skip_col,
-        )
-        .into_iter()
-        .filter_map(|token| self.block_of_key(&token))
-        .collect()
     }
 
     /// The bulk node-centric EP threshold vector — one entry per record,
@@ -858,19 +855,6 @@ impl TableErIndex {
         self.resolve_cache.survivors.clear();
         self.resolve_cache.decisions.clear();
         guard.disarm();
-    }
-
-    /// The set of distinct entities appearing in a set of blocks
-    /// (raw contents) — used by the planner's comparison estimation.
-    pub fn entities_of_blocks(
-        &self,
-        blocks: impl IntoIterator<Item = BlockId>,
-    ) -> FxHashSet<RecordId> {
-        let mut out = FxHashSet::default();
-        for b in blocks {
-            out.extend(self.raw_block(b).iter().copied());
-        }
-        out
     }
 }
 
@@ -1070,44 +1054,6 @@ fn tokenize_table(
     })
 }
 
-/// The one co-occurrence counting definition: fills `scratch` with the
-/// distinct co-occurring entities of `id` in first-touch order with
-/// their CBS counts, reading the post-BP/BF blocking graph. Both the
-/// query-time fallback ([`TableErIndex::cooccurrences_into`]) and the
-/// build-time CBS-partials sweep ([`build_cbs_adjacency`]) run this
-/// exact loop, so the materialized adjacency rows are bit-identical —
-/// same contents, same order — to what a cold scan would produce.
-fn count_cooccurrences_into<'s>(
-    entity_retained: &Csr<BlockId>,
-    filtered_blocks: &Csr<RecordId>,
-    n_records: usize,
-    id: RecordId,
-    scratch: &'s mut CooccurrenceScratch,
-) -> &'s [(RecordId, u32)] {
-    if scratch.counts.len() < n_records {
-        scratch.counts.resize(n_records, 0);
-    }
-    scratch.out.clear();
-    for &b in entity_retained.row(id as usize) {
-        for &other in filtered_blocks.row(b as usize) {
-            if other != id {
-                let c = &mut scratch.counts[other as usize];
-                if *c == 0 {
-                    scratch.out.push((other, 0));
-                }
-                *c += 1;
-            }
-        }
-    }
-    // Harvest and reset only the touched counters.
-    for (rid, cnt) in &mut scratch.out {
-        let c = &mut scratch.counts[*rid as usize];
-        *cnt = *c;
-        *c = 0;
-    }
-    &scratch.out
-}
-
 /// One worker's share of the parallel [`build_cbs_adjacency`] sweep:
 /// its chunk's row lengths plus the flattened row contents.
 type AdjacencyPart = (Vec<u32>, Vec<(RecordId, u32)>);
@@ -1129,13 +1075,10 @@ fn build_cbs_adjacency(
         let mut scratch = CooccurrenceScratch::new();
         let mut adj = Csr::with_capacity(n_records, n_records * 4);
         for id in 0..n_records {
-            adj.push_row(count_cooccurrences_into(
-                entity_retained,
-                filtered_blocks,
-                n_records,
-                id as RecordId,
-                &mut scratch,
-            ));
+            let retained = entity_retained.row(id);
+            adj.push_row(scratch.count(id as RecordId, n_records, retained, |b| {
+                filtered_blocks.row(b as usize)
+            }));
         }
         return Ok(adj);
     }
@@ -1148,13 +1091,10 @@ fn build_cbs_adjacency(
             let mut scratch = CooccurrenceScratch::new();
             let (mut lens, mut flat) = AdjacencyPart::default();
             for id in ids {
-                let row = count_cooccurrences_into(
-                    entity_retained,
-                    filtered_blocks,
-                    n_records,
-                    id as RecordId,
-                    &mut scratch,
-                );
+                let retained = entity_retained.row(id);
+                let row = scratch.count(id as RecordId, n_records, retained, |b| {
+                    filtered_blocks.row(b as usize)
+                });
                 lens.push(row.len() as u32);
                 flat.extend_from_slice(row);
             }
@@ -1284,6 +1224,7 @@ mod tests {
         assert_eq!(co.get(&1), Some(&1));
         assert_eq!(co.get(&2), Some(&2));
         assert_eq!(co.get(&3), None);
+        assert_eq!(co.get(&0), None, "a record never co-occurs with itself");
     }
 
     #[test]
@@ -1333,14 +1274,12 @@ mod tests {
             let idx = TableErIndex::build(&table(), &cfg);
             let mut scratch = CooccurrenceScratch::new();
             for rid in 0..idx.n_records() as u32 {
-                let counted: Vec<(RecordId, u32)> = count_cooccurrences_into(
-                    &idx.entity_retained,
-                    &idx.filtered_blocks,
-                    idx.n_records,
-                    rid,
-                    &mut scratch,
-                )
-                .to_vec();
+                let retained = idx.entity_retained.row(rid as usize);
+                let counted: Vec<(RecordId, u32)> = scratch
+                    .count(rid, idx.n_records, retained, |b| {
+                        idx.filtered_blocks.row(b as usize)
+                    })
+                    .to_vec();
                 assert_eq!(
                     idx.cbs_neighbourhood(rid).unwrap(),
                     counted.as_slice(),
@@ -1386,16 +1325,43 @@ mod tests {
         assert!(texts.contains(&"resolution"));
     }
 
+    /// The three-record table the Token Blocking tests run on.
+    fn blocking_table() -> Table {
+        let mut t = Table::new("p", Schema::of_strings(&["title"]));
+        t.push_row(vec!["collective entity resolution".into()])
+            .unwrap();
+        t.push_row(vec!["collective e.r".into()]).unwrap();
+        t.push_row(vec!["big data".into()]).unwrap();
+        t
+    }
+
     #[test]
-    fn probe_blocks_joins_foreign_record_against_tbi() {
-        use queryer_storage::{Record, Value};
-        let idx = TableErIndex::build(&table(), &ErConfig::default());
-        let foreign = Record::new(
-            0,
-            vec![Value::str("x"), Value::str("collective unknowntoken")],
-        );
-        let blocks = idx.probe_blocks(&foreign);
-        assert_eq!(blocks.len(), 1, "only 'collective' exists in the TBI");
-        assert_eq!(idx.block_key(blocks[0]), "collective");
+    fn blocks_group_by_token() {
+        let idx = TableErIndex::build(&blocking_table(), &ErConfig::default());
+        let collective = idx.block_of_key("collective").unwrap();
+        assert_eq!(idx.raw_block(collective), &[0, 1]);
+        let entity = idx.block_of_key("entity").unwrap();
+        assert_eq!(idx.raw_block(entity), &[0]);
+        assert!(idx.block_of_key("e.r").is_some());
+        assert_eq!(idx.n_blocks(), 6); // collective, entity, resolution, e.r, big, data
+    }
+
+    #[test]
+    fn block_contents_sorted_unique() {
+        let idx = TableErIndex::build(&blocking_table(), &ErConfig::default());
+        for b in 0..idx.n_blocks() as BlockId {
+            let row = idx.raw_block(b);
+            assert!(row.windows(2).all(|w| w[0] < w[1]), "block {b}: {row:?}");
+        }
+    }
+
+    #[test]
+    fn itbi_row_is_the_query_blocks_of_the_record() {
+        // A record's ITBI row is its Query Blocking output already joined
+        // against the TBI: exactly the blocks of its own tokens.
+        let idx = TableErIndex::build(&blocking_table(), &ErConfig::default());
+        let mut keys: Vec<&str> = idx.blocks_of(1).iter().map(|&b| idx.block_key(b)).collect();
+        keys.sort_unstable();
+        assert_eq!(keys, ["collective", "e.r"]);
     }
 }

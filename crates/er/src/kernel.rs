@@ -2,11 +2,15 @@
 //! function specialized once per resolve instead of re-resolved per
 //! pair.
 //!
-//! [`crate::matching::Matcher::compile`] turns the configured
-//! [`SimilarityKind`] + threshold into a [`CompareKernel`] operating on
-//! the index's kernel-ready per-record data — pre-lowercased attribute
-//! text, per-attribute [`AttrMeta`] (character lengths, Winkler prefix
-//! bytes), and interned sorted token slices. Each kernel carries
+//! "We follow a schema-agnostic approach and we compare the values of all
+//! corresponding attributes between entity pairs" (Sec. 6.1(iv)). Entity
+//! matching itself is orthogonal to the framework (Sec. 4), so the
+//! similarity kind and threshold are pluggable:
+//! [`CompiledMatcher::new`] turns the configured [`SimilarityKind`] +
+//! threshold into a [`CompareKernel`] operating on the index's
+//! kernel-ready per-record data — pre-lowercased attribute text,
+//! per-attribute [`AttrMeta`] (character lengths, Winkler prefix bytes),
+//! and interned sorted token slices. Each kernel carries
 //! *threshold-aware early exits* that reject a pair before the
 //! O(len²)-ish similarity work whenever a cheap upper bound already
 //! proves the similarity cannot reach the threshold:
@@ -28,15 +32,15 @@
 //!
 //! # Decision equivalence
 //!
-//! Decisions are **bit-identical** to the uncompiled
-//! [`Matcher::is_match_interned`](crate::matching::Matcher) path, pinned
-//! the same way `ep_equivalence.rs` pins Edge Pruning
+//! Decisions are **bit-identical** to the canonical similarity
+//! [`CompiledMatcher::similarity`] compared against the threshold,
+//! pinned the same way `ep_equivalence.rs` pins Edge Pruning
 //! (`tests/kernel_equivalence.rs`). The argument has two halves:
 //!
 //! * *Exact when completed*: every value a kernel feeds into a decision
 //!   is produced by the same expressions the canonical path runs (the
-//!   `matching::mean_lowered` accumulation and the
-//!   `matching::similarity_interned_raw` dispatch are shared verbatim;
+//!   `mean_lowered` accumulation and the `similarity_interned_raw`
+//!   dispatch below are the one definition of each;
 //!   `jaro_winkler_ge` / `levenshtein_within` return bit-identical
 //!   scores when they return at all), so a pair that survives the
 //!   bounds gets the canonical comparison.
@@ -49,12 +53,15 @@
 //!   rejects a pair whose canonical similarity is certainly below the
 //!   threshold. Bounds inside the slack band fall through to the exact
 //!   computation.
+//!
+//! The canonical similarity itself is pinned to the raw records — render,
+//! lowercase, tokenize, compare — by `tests/interned_equivalence.rs`.
 
 use crate::config::SimilarityKind;
 use crate::index::{AttrMeta, InternedProfile, TableErIndex};
-use crate::matching::similarity_interned_raw;
 use crate::similarity::{
-    jaccard_sorted, jaro_winkler_ge, levenshtein_within, JaroScratch, BOUND_SLACK,
+    jaccard_sorted, jaro_winkler, jaro_winkler_ge, levenshtein_sim, levenshtein_within,
+    overlap_sorted, JaroScratch, BOUND_SLACK,
 };
 use queryer_storage::RecordId;
 
@@ -116,7 +123,12 @@ pub struct CompiledMatcher<'idx> {
 }
 
 impl<'idx> CompiledMatcher<'idx> {
-    pub(crate) fn new(kind: SimilarityKind, threshold: f64, idx: &'idx TableErIndex) -> Self {
+    /// Compiles `kind` at `threshold` against `idx`: the kernel and
+    /// attribute layout are resolved here, once, and every decision
+    /// then runs over the index's kernel-ready per-record data. The
+    /// resolver compiles the index's own configured kind and threshold;
+    /// tests vary both over one index.
+    pub fn new(kind: SimilarityKind, threshold: f64, idx: &'idx TableErIndex) -> Self {
         let kernel = match kind {
             SimilarityKind::MeanJaroWinkler => CompareKernel::JwMean,
             SimilarityKind::MeanLevenshtein => CompareKernel::LevMean,
@@ -143,8 +155,8 @@ impl<'idx> CompiledMatcher<'idx> {
     }
 
     /// Match decision for an indexed record pair — bit-identical to
-    /// `Matcher::is_match_interned` on the same profiles, but with the
-    /// threshold-aware early exits engaged.
+    /// `similarity(q, c) >= threshold`, but with the threshold-aware
+    /// early exits engaged.
     pub fn decide(&self, q: RecordId, c: RecordId, scratch: &mut KernelScratch) -> bool {
         self.decide_loaded(&self.load_query(q), c, scratch)
     }
@@ -191,10 +203,9 @@ impl<'idx> CompiledMatcher<'idx> {
     }
 
     /// Exact similarity of an indexed record pair — the canonical
-    /// computation (the same `similarity_interned_raw` dispatch
-    /// `Matcher::similarity_interned` runs), with no kernel early exits.
-    /// The equivalence suite pins this against the uncompiled path bit
-    /// for bit.
+    /// computation (`similarity_interned_raw`), with no kernel early
+    /// exits. `decide` is pinned to it bit for bit, and it is pinned to
+    /// the raw records by `tests/interned_equivalence.rs`.
     pub fn similarity(&self, q: RecordId, c: RecordId) -> f64 {
         similarity_interned_raw(
             self.kind,
@@ -228,7 +239,7 @@ impl<'idx> CompiledMatcher<'idx> {
     /// the values are folded **in canonical column order** through the
     /// verbatim [`mean_lowered`] accumulation (including its
     /// abort-on-unreachable check), so the accepted/rejected boundary is
-    /// bit-identical to the uncompiled path. All out-of-order rejection
+    /// bit-identical to the canonical path. All out-of-order rejection
     /// checks are conservative: they compare against the threshold with
     /// [`BOUND_SLACK`] in hand, which dwarfs the f64 re-association
     /// error of the bound sums.
@@ -323,6 +334,74 @@ impl<'idx> CompiledMatcher<'idx> {
         }
         sum / n >= t
     }
+}
+
+/// The canonical interned-similarity dispatch: the one definition of
+/// how each [`SimilarityKind`] computes over interned profiles, which
+/// [`CompiledMatcher::similarity`] runs as is and the kernels' exact
+/// paths reproduce, so the kind → computation mapping has one home.
+pub(crate) fn similarity_interned_raw(
+    kind: SimilarityKind,
+    threshold: f64,
+    a: InternedProfile<'_>,
+    b: InternedProfile<'_>,
+) -> f64 {
+    match kind {
+        SimilarityKind::MeanJaroWinkler => mean_lowered(a.attrs, b.attrs, threshold, jaro_winkler),
+        SimilarityKind::MeanLevenshtein => {
+            mean_lowered(a.attrs, b.attrs, threshold, levenshtein_sim)
+        }
+        SimilarityKind::TokenJaccard => jaccard_sorted(a.tokens, b.tokens),
+        SimilarityKind::TokenOverlap => overlap_sorted(a.tokens, b.tokens),
+        SimilarityKind::Hybrid => {
+            let jw = mean_lowered(a.attrs, b.attrs, threshold, jaro_winkler);
+            if jw >= threshold {
+                // Short-circuit: max(jw, overlap) already ≥ threshold.
+                return jw;
+            }
+            jw.max(overlap_sorted(a.tokens, b.tokens))
+        }
+    }
+}
+
+/// The canonical per-attribute mean over pre-lowercased attribute slices
+/// (`None` encodes NULL / skipped columns): mean similarity over the
+/// attributes where both sides are non-null, with an early abort once
+/// the remaining attributes cannot lift the mean to the threshold (each
+/// contributes at most 1.0). Shared verbatim by the canonical dispatch
+/// and the mean kernels' final fold — there is exactly one definition
+/// of this loop, which is what makes the kernel equivalence arguments
+/// hold.
+pub(crate) fn mean_lowered(
+    a: &[Option<Box<str>>],
+    b: &[Option<Box<str>>],
+    threshold: f64,
+    sim: fn(&str, &str) -> f64,
+) -> f64 {
+    let mut comparable: u32 = 0;
+    for (va, vb) in a.iter().zip(b.iter()) {
+        if va.is_some() && vb.is_some() {
+            comparable += 1;
+        }
+    }
+    if comparable == 0 {
+        return 0.0;
+    }
+    let n = comparable as f64;
+    let mut sum = 0.0;
+    let mut remaining = comparable;
+    for (va, vb) in a.iter().zip(b.iter()) {
+        let (Some(sa), Some(sb)) = (va, vb) else {
+            continue;
+        };
+        sum += sim(sa, sb);
+        remaining -= 1;
+        // Upper bound on the final mean; abort when unreachable.
+        if (sum + remaining as f64) / n < threshold {
+            return (sum + remaining as f64) / n;
+        }
+    }
+    sum / n
 }
 
 /// The query-side half of a comparison, loaded once per candidate run:
@@ -476,16 +555,7 @@ fn lev_sim_ge(a: &str, b: &str, lmax_chars: usize, min_sim: f64) -> Option<f64> 
 mod tests {
     use super::*;
     use crate::config::ErConfig;
-    use crate::matching::Matcher;
-    use queryer_storage::{Schema, Table};
-
-    fn cfg(kind: SimilarityKind, threshold: f64) -> ErConfig {
-        ErConfig {
-            similarity: kind,
-            match_threshold: threshold,
-            ..ErConfig::default()
-        }
-    }
+    use queryer_storage::{Schema, Table, Value};
 
     fn table() -> Table {
         let mut t = Table::new("p", Schema::of_strings(&["id", "title", "venue"]));
@@ -503,9 +573,31 @@ mod tests {
         t
     }
 
+    /// A table over `columns` whose rows are `rows`, `""` standing for
+    /// NULL, indexed under the default configuration (which skips a
+    /// column named `id`).
+    fn indexed(columns: &[&str], rows: &[&[&str]]) -> TableErIndex {
+        let mut t = Table::new("p", Schema::of_strings(columns));
+        for row in rows {
+            let values = row
+                .iter()
+                .map(|v| {
+                    if v.is_empty() {
+                        Value::Null
+                    } else {
+                        Value::str(*v)
+                    }
+                })
+                .collect();
+            t.push_row(values).unwrap();
+        }
+        TableErIndex::build(&t, &ErConfig::default())
+    }
+
     #[test]
-    fn decisions_match_uncompiled_for_all_kinds() {
+    fn decisions_match_canonical_similarity_for_all_kinds() {
         let t = table();
+        let idx = TableErIndex::build(&t, &ErConfig::default());
         for kind in [
             SimilarityKind::MeanJaroWinkler,
             SimilarityKind::MeanLevenshtein,
@@ -514,24 +606,14 @@ mod tests {
             SimilarityKind::Hybrid,
         ] {
             for thr in [0.0, 0.5, 0.85, 0.95, 1.0] {
-                let cfg = cfg(kind, thr);
-                let idx = TableErIndex::build(&t, &cfg);
-                let matcher = Matcher::new(&cfg, idx.skip_col());
-                let compiled = matcher.compile(&idx);
+                let compiled = CompiledMatcher::new(kind, thr, &idx);
                 let mut scratch = KernelScratch::new();
                 for q in 0..t.len() as RecordId {
                     for c in 0..t.len() as RecordId {
                         assert_eq!(
                             compiled.decide(q, c, &mut scratch),
-                            matcher.is_match_interned(idx.profile(q), idx.profile(c)),
+                            compiled.similarity(q, c) >= thr,
                             "decision diverged on ({q}, {c}) {kind:?} thr {thr}"
-                        );
-                        let s = compiled.similarity(q, c);
-                        let r = matcher.similarity_interned(idx.profile(q), idx.profile(c));
-                        assert_eq!(
-                            s.to_bits(),
-                            r.to_bits(),
-                            "similarity diverged on ({q}, {c}) {kind:?} thr {thr}: {s} vs {r}"
                         );
                     }
                 }
@@ -542,10 +624,89 @@ mod tests {
     #[test]
     fn kernel_resolution_follows_kind() {
         let t = table();
-        let cfg = cfg(SimilarityKind::Hybrid, 0.85);
-        let idx = TableErIndex::build(&t, &cfg);
-        let compiled = Matcher::new(&cfg, idx.skip_col()).compile(&idx);
+        let idx = TableErIndex::build(&t, &ErConfig::default());
+        let compiled = CompiledMatcher::new(SimilarityKind::Hybrid, 0.85, &idx);
         assert_eq!(compiled.kernel(), CompareKernel::Hybrid);
         assert!((compiled.threshold() - 0.85).abs() < 1e-12);
+    }
+
+    #[test]
+    fn typo_duplicates_match_with_jw() {
+        let idx = indexed(
+            &["name", "street", "city"],
+            &[
+                &["jonathan smith", "23 baker street", "london"],
+                &["jonathon smith", "23 baker stret", "london"],
+                &["maria garcia", "99 ocean avenue", "london"],
+            ],
+        );
+        let m = CompiledMatcher::new(SimilarityKind::MeanJaroWinkler, 0.85, &idx);
+        let mut scratch = KernelScratch::new();
+        assert!(m.decide(0, 1, &mut scratch));
+        assert!(!m.decide(0, 2, &mut scratch));
+    }
+
+    #[test]
+    fn nulls_are_skipped_not_penalized() {
+        let idx = indexed(
+            &["title", "year"],
+            &[
+                &["entity resolution", ""],
+                &["entity resolution", "2008"],
+                &["", ""],
+            ],
+        );
+        let m = CompiledMatcher::new(SimilarityKind::MeanJaroWinkler, 0.9, &idx);
+        let mut scratch = KernelScratch::new();
+        assert!(m.decide(0, 1, &mut scratch));
+        // An all-null record never matches, not even itself.
+        assert!(!m.decide(2, 2, &mut scratch));
+    }
+
+    #[test]
+    fn hybrid_catches_abbreviation_containment() {
+        let conference = "International Conference on Extending Database Technology";
+        let idx = indexed(
+            &["venue", "full_name"],
+            &[&["EDBT 2008", conference], &[conference, ""]],
+        );
+        let hybrid = CompiledMatcher::new(SimilarityKind::Hybrid, 0.8, &idx);
+        let jw = CompiledMatcher::new(SimilarityKind::MeanJaroWinkler, 0.8, &idx);
+        let mut scratch = KernelScratch::new();
+        // Pure mean-JW fails here, and so would Jaccard (6 / 8 tokens);
+        // token overlap (containment) succeeds.
+        assert!(!jw.decide(0, 1, &mut scratch));
+        assert!(hybrid.decide(0, 1, &mut scratch));
+    }
+
+    #[test]
+    fn skip_col_excluded_from_similarity() {
+        let idx = indexed(
+            &["id", "text"],
+            &[&["AAAA", "same text"], &["ZZZZ", "same text"]],
+        );
+        assert_eq!(idx.skip_col(), Some(0));
+        let m = CompiledMatcher::new(SimilarityKind::MeanJaroWinkler, 0.99, &idx);
+        let mut scratch = KernelScratch::new();
+        assert!(
+            m.decide(0, 1, &mut scratch),
+            "differing id column must not count"
+        );
+    }
+
+    #[test]
+    fn similarity_symmetric() {
+        let idx = indexed(
+            &["title", "venue"],
+            &[
+                &["entity resolution on big data", "sigmod"],
+                &["e.r on big data", "acm sigmod"],
+            ],
+        );
+        let m = CompiledMatcher::new(SimilarityKind::Hybrid, 0.8, &idx);
+        let mut scratch = KernelScratch::new();
+        let (s1, s2) = (m.similarity(0, 1), m.similarity(1, 0));
+        assert!((s1 - s2).abs() < 1e-12, "{s1} vs {s2}");
+        assert_eq!(m.decide(0, 1, &mut scratch), m.decide(1, 0, &mut scratch));
     }
 }

@@ -9,7 +9,8 @@
 //! * **Meta-Blocking**: Block Purging (BP), Block Filtering (BF) and Edge
 //!   Pruning (EP) applied in that strict order (Sec. 6.1(iii));
 //! * string **similarity functions** (Jaro-Winkler, Jaro, Levenshtein,
-//!   Jaccard, overlap) and a schema-agnostic profile **matcher**;
+//!   Jaccard, overlap) and the schema-agnostic profile matcher they are
+//!   compiled into ([`CompiledMatcher`]);
 //! * the **resolver**, i.e. the ER half of the Deduplicate operator:
 //!   Query Blocking → Block-Join → Meta-Blocking → Comparison-Execution.
 //!
@@ -34,17 +35,16 @@
 //!   hashing, no allocation.
 //! * **Pre-lowercased attributes** — mean Jaro-Winkler reads rendered,
 //!   lowercased attribute text stored per record × column (`None`
-//!   encodes NULLs and the skipped id column), killing the two
-//!   `to_lowercase` allocations the string path pays per attribute per
-//!   comparison. Both views travel as [`index::InternedProfile`].
-//! * **ITBI-backed Query Blocking** — for in-table query entities the
-//!   ITBI row of a record *is* its QBI already joined against the TBI,
-//!   so the resolve loop's Query Blocking + Block-Join stages are index
-//!   lookups: `DedupMetrics::qbi_tokenized_records` stays 0.
-//!   [`blocking::build_query_blocks`] still exists for foreign/ad-hoc
-//!   records ([`TableErIndex::duplicates_of_record`]), which are unknown
-//!   to the interner and must tokenize. The enriched QBI itself is one
-//!   flat `(block, entity)` vector grouped by a stable sort — no
+//!   encodes NULLs and the skipped id column), so no comparison renders
+//!   or case-folds a value. Both views travel as
+//!   [`index::InternedProfile`].
+//! * **ITBI-backed Query Blocking** — every query entity is a record of
+//!   the indexed table (QE_E for Deduplicate, the survivors QE′ for
+//!   Deduplicate-Join), and the ITBI row of a record *is* its QBI
+//!   already joined against the TBI, so the resolve loop's Query
+//!   Blocking + Block-Join stages are index lookups paid at build time
+//!   (`DedupMetrics::blocking` reads zero). The enriched QBI itself is
+//!   one flat `(block, entity)` vector grouped by a stable sort — no
 //!   per-block candidate `Vec` is allocated per query.
 //! * **CSR-packed blocking graph** — all four block-graph relations
 //!   (block→records raw and filtered, record→blocks full and retained)
@@ -101,7 +101,7 @@
 //!   range queries); on the pinned bench workload a
 //!   warm repeated query runs `edge_pruning` ~4× and
 //!   `comparison_execution` ~9× faster than cold.
-//! * **Compiled comparison kernels** — `Matcher::compile` resolves the
+//! * **Compiled comparison kernels** — [`CompiledMatcher::new`] resolves the
 //!   similarity kind, threshold, and attribute layout once into a
 //!   [`kernel::CompareKernel`] over kernel-ready per-record data
 //!   (pre-lowercased attributes, per-attribute [`index::AttrMeta`] with
@@ -122,23 +122,23 @@
 //!   or a shared `&RwLock<LinkIndex>` (see [`TableErIndex::run`]). A
 //!   resolve that returns `Err` commits nothing.
 //!
-//! The interned path is decision-identical to the record/string path
-//! (`Matcher::similarity`); `tests/interned_equivalence.rs` property-
-//! tests that equivalence across similarity kinds and random corpora,
-//! `tests/ep_equivalence.rs` pins the bulk threshold sweep to a
+//! `tests/interned_equivalence.rs` pins the index's interned profiles
+//! to the raw records (a test-side oracle that renders, lowercases and
+//! tokenizes per comparison) and a full `run` to a reference pipeline
+//! built from public accessors, across similarity kinds and random
+//! corpora; `tests/ep_equivalence.rs` pins the bulk threshold sweep to a
 //! mean-of-weights oracle and the enumerator's `off` mode to `on`
 //! (pair sequences, DR/links) across weight schemes, pruning scopes,
-//! frontier sizes, and thread counts,
+//! frontier sizes, and thread counts;
 //! `tests/kernel_equivalence.rs` pins the compiled kernels and the
-//! parallel Comparison-Execution executor bit-identical (similarities,
-//! decisions, DR/links) to the uncompiled matcher across all similarity
-//! kinds, thresholds at the early-exit boundaries, and thread counts,
-//! and `tests/cache_equivalence.rs` pins the cross-query cache to the
-//! uncached mode over query sequences sharing one Link Index.
+//! parallel Comparison-Execution executor bit-identical (decisions,
+//! DR/links) to the canonical [`CompiledMatcher::similarity`] across all
+//! similarity kinds, thresholds at the early-exit boundaries, and thread
+//! counts; and `tests/cache_equivalence.rs` pins the cross-query cache
+//! to the uncached mode over query sequences sharing one Link Index.
 
 #![warn(missing_docs)]
 
-pub mod blocking;
 pub mod config;
 pub mod delta;
 pub mod edge_pruning;
@@ -146,7 +146,6 @@ pub mod govern;
 pub mod index;
 pub mod kernel;
 pub mod link_index;
-pub mod matching;
 pub mod metrics;
 pub mod purging;
 pub mod request;
@@ -165,7 +164,6 @@ pub use govern::{Completion, ResolveBudget, ResolveError, ResolveStage};
 pub use index::{AttrMeta, BlockId, CooccurrenceScratch, InternedProfile, TableErIndex};
 pub use kernel::{CompareKernel, CompiledMatcher, KernelScratch, QuerySide};
 pub use link_index::{LinkDelta, LinkIndex};
-pub use matching::{Matcher, TokenizerScratch};
 pub use metrics::DedupMetrics;
 pub use queryer_common::CancelToken;
 pub use request::{LiMode, ResolveRequest, ResolveTarget};

@@ -6,7 +6,11 @@ use std::time::Duration;
 /// Timings and counters accumulated by one or more `resolve` calls.
 #[derive(Debug, Clone, Default)]
 pub struct DedupMetrics {
-    /// Query Blocking: building the QBI from the query entities.
+    /// Query Blocking: building the QBI from the query entities. Always
+    /// zero: every query entity is a record of the indexed table, whose
+    /// QBI⋈TBI is its ITBI row — an index lookup paid at build time
+    /// (the Block-Join lookup is timed in `block_join`). Kept so a
+    /// Table 6 breakdown still has the column.
     pub blocking: Duration,
     /// Block-Join: hash-joining QBI keys against the TBI.
     pub block_join: Duration,
@@ -28,11 +32,6 @@ pub struct DedupMetrics {
     pub matches_found: u64,
     /// Entities whose link-sets were computed (not served from the LI).
     pub entities_processed: u64,
-    /// Records tokenized at query time by Query Blocking. In-table query
-    /// entities are served from the ITBI (their token blocks were joined
-    /// at index-build time), so this stays 0 for `resolve`; only
-    /// foreign/ad-hoc record probes pay for tokenization.
-    pub qbi_tokenized_records: u64,
     /// Frontier nodes whose surviving-neighbour list was served from the
     /// cross-query Edge Pruning cache (`ErConfig::ep_cache`).
     pub ep_cache_hits: u64,
@@ -82,7 +81,6 @@ impl DedupMetrics {
         self.candidate_pairs += other.candidate_pairs;
         self.matches_found += other.matches_found;
         self.entities_processed += other.entities_processed;
-        self.qbi_tokenized_records += other.qbi_tokenized_records;
         self.ep_cache_hits += other.ep_cache_hits;
         self.ep_cache_misses += other.ep_cache_misses;
         self.decision_cache_hits += other.decision_cache_hits;
@@ -108,7 +106,6 @@ mod tests {
             blocking: Duration::from_millis(2),
             resolution: Duration::from_millis(5),
             comparisons: 5,
-            qbi_tokenized_records: 3,
             ep_cache_hits: 4,
             ep_cache_misses: 6,
             decision_cache_hits: 7,
@@ -120,7 +117,6 @@ mod tests {
         assert_eq!(a.blocking, Duration::from_millis(3));
         assert_eq!(a.comparisons, 15);
         assert_eq!(a.matches_found, 2);
-        assert_eq!(a.qbi_tokenized_records, 3);
         assert_eq!(a.ep_cache_hits, 4);
         assert_eq!(a.ep_cache_misses, 6);
         assert_eq!(a.decision_cache_hits, 7);

@@ -4,12 +4,10 @@
 //! transitive frontier expansion that makes Dedupe-query results equal
 //! the batch approach's connected components.
 //!
-//! For in-table query entities the first two stages collapse into ITBI
-//! lookups: a record's `entity_blocks` row *is* its QBI⋈TBI join, built
-//! once at index time, so `resolve` never re-tokenizes records and never
-//! hash-joins token strings. The only query-time tokenization left is
-//! the foreign/ad-hoc probe path ([`TableErIndex::duplicates_of_record`]
-//! / [`crate::blocking::build_query_blocks`]).
+//! Every query entity is a record of the indexed table, so the first two
+//! stages collapse into ITBI lookups: a record's `entity_blocks` row
+//! *is* its QBI⋈TBI join, built once at index time, so a resolve never
+//! tokenizes a record and never hash-joins token strings.
 
 use crate::config::{EdgePruningScope, WeightScheme};
 use crate::edge_pruning::{prune_global, survivors_over, threshold_over, EdgePruner};
@@ -19,12 +17,11 @@ use crate::govern::{
 use crate::index::{scheme_node_key, BlockId, CooccurrenceScratch, TableErIndex};
 use crate::kernel::{CompiledMatcher, KernelScratch, QuerySide};
 use crate::link_index::{LinkDelta, LinkIndex};
-use crate::matching::{Matcher, TokenizerScratch};
 use crate::metrics::DedupMetrics;
 use crate::request::LiMode;
 use queryer_common::failpoints;
 use queryer_common::{pack_pair, FxHashMap, FxHashSet, PairSet, Stopwatch};
-use queryer_storage::{Record, RecordId, Table};
+use queryer_storage::{RecordId, Table};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -208,7 +205,8 @@ impl TableErIndex {
     ) -> Result<(), ResolveError> {
         // Compile the matcher once per resolve: similarity kind,
         // threshold, and attribute layout resolve here, never per pair.
-        let matcher = Matcher::new(self.config(), self.skip_col()).compile(self);
+        let cfg = self.config();
+        let matcher = CompiledMatcher::new(cfg.similarity, cfg.match_threshold, self);
 
         let mut frontier = self.unresolved_frontier(li, ctx, qe.iter().copied());
 
@@ -245,8 +243,7 @@ impl TableErIndex {
                 // the QBI of that record already joined against the TBI
                 // (same blocking function, joined at build time).
                 // Assembling the enriched QBI is therefore a pure index
-                // lookup: no tokenization, no string hashing —
-                // `metrics.qbi_tokenized_records` stays 0.
+                // lookup: no tokenization, no string hashing.
                 let mut sw = Stopwatch::new();
                 let mut eqbi: Vec<(BlockId, RecordId)> =
                     sw.time(|| self.itbi_query_blocks(&frontier));
@@ -835,72 +832,6 @@ impl TableErIndex {
         Ok(parts.concat())
     }
 
-    /// Finds the in-table duplicates of an ad-hoc `record` that is *not*
-    /// part of the indexed table (a foreign probe, e.g. a
-    /// Deduplicate-Join key assembled from another table's values). This
-    /// is the one path that still tokenizes at query time — the record
-    /// is unknown to the interner — so it runs Query Blocking via
-    /// [`TableErIndex::probe_blocks`] and compares through the string
-    /// matcher. The record's schema must be positionally compatible with
-    /// the indexed table's. Returns matching record ids, ascending.
-    pub fn duplicates_of_record(
-        &self,
-        table: &Table,
-        record: &Record,
-        metrics: &mut DedupMetrics,
-    ) -> Vec<RecordId> {
-        let mut sw = Stopwatch::new();
-        let blocks = sw.time(|| self.probe_blocks(record));
-        metrics.blocking += sw.elapsed();
-        metrics.qbi_tokenized_records += 1;
-
-        let matcher = Matcher::new(self.config(), self.skip_col());
-        let probe_tokens = if matcher.needs_tokens() {
-            matcher.sorted_tokens(record)
-        } else {
-            Vec::new()
-        };
-        // One tokenizer scratch for the whole candidate loop: each
-        // candidate is tokenized into reused containers instead of a
-        // fresh `Vec<String>` + hash set per record.
-        let mut tok_scratch = TokenizerScratch::new();
-        let mut sw = Stopwatch::new();
-        sw.start();
-        let mut seen = FxHashSet::default();
-        let mut out = Vec::new();
-        for b in blocks {
-            if self.config().meta.purging() && self.is_purged(b) {
-                continue;
-            }
-            let others = if self.config().meta.filtering() {
-                self.filtered_block(b)
-            } else {
-                self.raw_block(b)
-            };
-            for &c in others {
-                if !seen.insert(c) {
-                    continue;
-                }
-                metrics.candidate_pairs += 1;
-                metrics.comparisons += 1;
-                let cand = table.record_unchecked(c);
-                let cand_tokens: &[String] = if matcher.needs_tokens() {
-                    matcher.sorted_tokens_into(cand, &mut tok_scratch)
-                } else {
-                    &[]
-                };
-                if matcher.is_match_with(record, cand, &probe_tokens, cand_tokens) {
-                    metrics.matches_found += 1;
-                    out.push(c);
-                }
-            }
-        }
-        sw.stop();
-        metrics.resolution += sw.elapsed();
-        out.sort_unstable();
-        out
-    }
-
     /// Duplicate clusters among `ids` according to the links in `li`
     /// (connected components, cluster id = min member id). Returns a map
     /// record → cluster id for every id in the closure of `ids`.
@@ -1068,34 +999,9 @@ mod tests {
     }
 
     #[test]
-    fn in_table_resolve_never_tokenizes() {
+    fn query_blocking_is_paid_at_build() {
         let (_, m, _) = resolve_qe(&ErConfig::default(), &[0, 1, 2, 3, 4]);
-        assert_eq!(
-            m.qbi_tokenized_records, 0,
-            "in-table query entities must be served from the ITBI"
-        );
         assert_eq!(m.blocking, std::time::Duration::ZERO);
-    }
-
-    #[test]
-    fn foreign_record_probe_finds_duplicates() {
-        use queryer_storage::Value;
-        let table = dirty_table();
-        let idx = TableErIndex::build(&table, &ErConfig::default());
-        let mut m = DedupMetrics::default();
-        // An ad-hoc record (not in the table) close to records 2/3.
-        let probe = Record::new(
-            0,
-            vec![
-                Value::Null,
-                Value::str("query driven entity resolution"),
-                Value::str("vldb"),
-            ],
-        );
-        let dups = idx.duplicates_of_record(&table, &probe, &mut m);
-        assert_eq!(dups, vec![2, 3]);
-        assert_eq!(m.qbi_tokenized_records, 1, "foreign probes do tokenize");
-        assert!(m.comparisons > 0);
     }
 
     #[test]

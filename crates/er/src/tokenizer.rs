@@ -81,22 +81,6 @@ pub fn record_tokens(
 ) -> FxHashSet<String> {
     let mut set = FxHashSet::default();
     let mut buf = Vec::new();
-    record_tokens_into(record, min_len, skip_col, &mut set, &mut buf);
-    set
-}
-
-/// [`record_tokens`] into caller-owned buffers: `set` is cleared and
-/// filled with the record's distinct tokens, `buf` is per-attribute
-/// scratch. Batch tokenizers (the foreign-probe comparison loop) reuse
-/// both across records instead of allocating a fresh hash set each time.
-pub fn record_tokens_into(
-    record: &Record,
-    min_len: usize,
-    skip_col: Option<usize>,
-    set: &mut FxHashSet<String>,
-    buf: &mut Vec<String>,
-) {
-    set.clear();
     for (i, v) in record.values.iter().enumerate() {
         if Some(i) == skip_col {
             continue;
@@ -106,9 +90,10 @@ pub fn record_tokens_into(
             continue;
         }
         buf.clear();
-        tokens_of(&rendered, min_len, buf);
+        tokens_of(&rendered, min_len, &mut buf);
         set.extend(buf.drain(..));
     }
+    set
 }
 
 #[cfg(test)]

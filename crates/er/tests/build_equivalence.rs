@@ -11,14 +11,17 @@
 //! for any thread count. These properties pin that, across thread counts
 //! 1..8 and corpora including the empty, single-record, and
 //! all-duplicate edge cases, and additionally pin the fused sweep's
-//! blocking output to the standalone `blocking::build_blocks` reference.
+//! blocking output to the standalone `build_blocks` reference below.
 
 #![allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
-use queryer_er::blocking::build_blocks;
-use queryer_er::{DedupMetrics, EpCacheMode, ErConfig, LinkIndex, ResolveRequest, TableErIndex};
+use queryer_common::{Csr, FxHashMap};
+use queryer_er::tokenizer::record_keys;
+use queryer_er::{
+    BlockingKind, DedupMetrics, EpCacheMode, ErConfig, LinkIndex, ResolveRequest, TableErIndex,
+};
 use queryer_storage::{RecordId, Schema, Table, Value};
 
 /// Small vocabulary so random records actually share blocking tokens.
@@ -174,15 +177,50 @@ fn assert_same_decisions(reference: &TableErIndex, parallel: &TableErIndex, tabl
     }
 }
 
+/// Raw token blocks of a table, before any meta-blocking: the block key
+/// and the CSR-packed contents (record ids, ascending) per block id.
+struct RawBlocks {
+    keys: Vec<String>,
+    blocks: Csr<RecordId>,
+}
+
+/// Token Blocking as a standalone pass (Sec. 6.1(i)): apply the blocking
+/// function to every record in id order, give each key the next block id
+/// at its first occurrence, and pack the `(block, record)` memberships
+/// into a CSR by counting sort.
+fn build_blocks(
+    table: &Table,
+    kind: BlockingKind,
+    min_token_len: usize,
+    skip_col: Option<usize>,
+) -> RawBlocks {
+    let mut key_to_block: FxHashMap<String, u32> = FxHashMap::default();
+    let mut keys: Vec<String> = Vec::new();
+    let mut memberships: Vec<(u32, RecordId)> = Vec::new();
+    for record in table.records() {
+        for token in record_keys(record, kind, min_token_len, skip_col) {
+            let bid = *key_to_block.entry(token.clone()).or_insert_with(|| {
+                keys.push(token);
+                (keys.len() - 1) as u32
+            });
+            memberships.push((bid, record.id));
+        }
+    }
+    // record_keys deduplicates per record and records are visited in id
+    // order, so each packed block row is already sorted and unique.
+    let blocks = Csr::from_pairs(keys.len(), &memberships);
+    RawBlocks { keys, blocks }
+}
+
 /// The fused tokenize sweep must produce exactly the blocking output of
 /// the standalone `build_blocks` reference path, for any thread count.
 fn assert_matches_build_blocks(idx: &TableErIndex, table: &Table) {
     let cfg = idx.config();
     let skip = idx.skip_col();
     let rb = build_blocks(table, cfg.blocking, cfg.min_token_len, skip);
-    assert_eq!(rb.len(), idx.n_blocks());
-    for b in 0..rb.len() {
-        assert_eq!(rb.keys[b], idx.block_key(b as u32));
+    assert_eq!(rb.keys.len(), idx.n_blocks());
+    for (b, key) in rb.keys.iter().enumerate() {
+        assert_eq!(key, idx.block_key(b as u32));
         assert_eq!(rb.blocks.row(b), idx.raw_block(b as u32));
     }
 }

@@ -1,29 +1,31 @@
-//! Decision-equivalence of the interned hot path and the string path.
+//! Decision-equivalence of the interned hot path and the raw records.
 //!
 //! The resolve loop compares interned profiles (sorted `u32` token
-//! symbols + pre-lowercased attributes) while `Matcher::similarity`
-//! tokenizes and lowercases records on the fly. These properties pin the
-//! two paths together over random dirty corpora and every
-//! `SimilarityKind`: identical similarity values per pair, identical
-//! match decisions, and identical DR sets / links when a full resolve is
-//! replayed through a reference implementation of the pre-interning
-//! pipeline (Query Blocking → Block-Join → BP → BF → EP →
-//! string-matcher Comparison-Execution).
+//! symbols + pre-lowercased attributes) built once per record. The
+//! string oracle below is what those profiles stand for: it renders,
+//! lowercases and tokenizes the two raw records on every comparison.
+//! These properties pin the two together over random dirty corpora and
+//! every `SimilarityKind`: identical similarity values per pair,
+//! identical match decisions, and identical DR sets / links when a full
+//! resolve is replayed through a reference implementation of the
+//! pipeline (tokenizing Query Blocking → Block-Join → BP → BF → EP →
+//! string-oracle Comparison-Execution).
 
 #![allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
-use queryer_common::{FxHashSet, PairSet};
-use queryer_er::blocking::build_query_blocks;
+use queryer_common::{FxHashMap, FxHashSet, PairSet};
 use queryer_er::config::EdgePruningScope;
 use queryer_er::edge_pruning::{prune_global, EdgePruner};
 use queryer_er::index::{BlockId, CooccurrenceScratch};
+use queryer_er::similarity::{jaccard_sorted, jaro_winkler, levenshtein_sim, overlap_sorted};
+use queryer_er::tokenizer::{record_keys, record_tokens};
 use queryer_er::{
-    BlockingKind, DedupMetrics, ErConfig, LinkIndex, Matcher, MetaBlockingConfig, ResolveRequest,
-    SimilarityKind, TableErIndex,
+    BlockingKind, CompiledMatcher, DedupMetrics, ErConfig, KernelScratch, LinkIndex,
+    MetaBlockingConfig, ResolveRequest, SimilarityKind, TableErIndex,
 };
-use queryer_storage::{RecordId, Schema, Table, Value};
+use queryer_storage::{Record, RecordId, Schema, Table, Value};
 
 /// Small vocabulary so random records actually share blocking tokens.
 const VOCAB: [&str; 14] = [
@@ -108,6 +110,117 @@ fn blocking_of(b: usize) -> BlockingKind {
     }
 }
 
+/// The string oracle: profile similarity computed from two raw records
+/// on every call — render, lowercase and tokenize, then the sorted-merge
+/// token measures or the per-attribute string mean.
+struct StringOracle {
+    kind: SimilarityKind,
+    threshold: f64,
+    min_token_len: usize,
+    skip_col: Option<usize>,
+}
+
+impl StringOracle {
+    fn new(cfg: &ErConfig, skip_col: Option<usize>) -> Self {
+        Self {
+            kind: cfg.similarity,
+            threshold: cfg.match_threshold,
+            min_token_len: cfg.min_token_len,
+            skip_col,
+        }
+    }
+
+    /// The sorted, deduplicated profile token set of a record.
+    fn sorted_tokens(&self, rec: &Record) -> Vec<String> {
+        let mut v: Vec<String> = record_tokens(rec, self.min_token_len, self.skip_col)
+            .into_iter()
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    fn similarity(&self, a: &Record, b: &Record) -> f64 {
+        let tokens = || (self.sorted_tokens(a), self.sorted_tokens(b));
+        match self.kind {
+            SimilarityKind::MeanJaroWinkler => self.mean_string(a, b, jaro_winkler),
+            SimilarityKind::MeanLevenshtein => self.mean_string(a, b, levenshtein_sim),
+            SimilarityKind::TokenJaccard => {
+                let (ta, tb) = tokens();
+                jaccard_sorted(&ta, &tb)
+            }
+            SimilarityKind::TokenOverlap => {
+                let (ta, tb) = tokens();
+                overlap_sorted(&ta, &tb)
+            }
+            SimilarityKind::Hybrid => {
+                let jw = self.mean_string(a, b, jaro_winkler);
+                if jw >= self.threshold {
+                    // Short-circuit: max(jw, overlap) already ≥ threshold.
+                    return jw;
+                }
+                let (ta, tb) = tokens();
+                jw.max(overlap_sorted(&ta, &tb))
+            }
+        }
+    }
+
+    fn is_match(&self, a: &Record, b: &Record) -> bool {
+        self.similarity(a, b) >= self.threshold
+    }
+
+    /// Mean per-attribute similarity over attributes where both sides
+    /// are non-null (the id column skipped), with an early abort once
+    /// the remaining attributes cannot lift the mean to the threshold.
+    fn mean_string(&self, a: &Record, b: &Record, sim: fn(&str, &str) -> f64) -> f64 {
+        let mut comparable: u32 = 0;
+        for (i, (va, vb)) in a.values.iter().zip(b.values.iter()).enumerate() {
+            if Some(i) != self.skip_col && !va.is_null() && !vb.is_null() {
+                comparable += 1;
+            }
+        }
+        if comparable == 0 {
+            return 0.0;
+        }
+        let n = comparable as f64;
+        let mut sum = 0.0;
+        let mut remaining = comparable;
+        for (i, (va, vb)) in a.values.iter().zip(b.values.iter()).enumerate() {
+            if Some(i) == self.skip_col || va.is_null() || vb.is_null() {
+                continue;
+            }
+            let sa = va.render();
+            let sb = vb.render();
+            sum += sim(&sa.to_lowercase(), &sb.to_lowercase());
+            remaining -= 1;
+            // Upper bound on the final mean; abort when unreachable.
+            if (sum + remaining as f64) / n < self.threshold {
+                return (sum + remaining as f64) / n;
+            }
+        }
+        sum / n
+    }
+}
+
+/// Query Blocking by tokenization: the Query Block Index (QBI) of the
+/// entities `qe`, built "by invoking the same blocking function that was
+/// used for the construction of the TBI". Maps token → query-entity ids.
+fn build_query_blocks(
+    table: &Table,
+    qe: &[RecordId],
+    kind: BlockingKind,
+    min_token_len: usize,
+    skip_col: Option<usize>,
+) -> FxHashMap<String, Vec<RecordId>> {
+    let mut qbi: FxHashMap<String, Vec<RecordId>> = FxHashMap::default();
+    for &id in qe {
+        let record = table.record_unchecked(id);
+        for token in record_keys(record, kind, min_token_len, skip_col) {
+            qbi.entry(token).or_default().push(id);
+        }
+    }
+    qbi
+}
+
 /// The reference node-centric threshold: the plain mean of `e`'s edge
 /// weights over its counted neighbourhood (0 when isolated).
 fn mean_edge_weight(idx: &TableErIndex, pruner: &EdgePruner<'_>, e: RecordId) -> f64 {
@@ -123,11 +236,11 @@ fn mean_edge_weight(idx: &TableErIndex, pruner: &EdgePruner<'_>, e: RecordId) ->
     sum / nbh.len() as f64
 }
 
-/// The pre-interning resolve pipeline, replayed through public APIs with
-/// the record/string matcher: Query Blocking (`build_query_blocks`) →
-/// Block-Join (TBI key lookup) → BP → BF → EP/block pairs →
-/// string-path Comparison-Execution, with LI bookkeeping and transitive
-/// expansion. Returns DR_E exactly like `TableErIndex::run`.
+/// The resolve pipeline, replayed through public APIs with the string
+/// oracle: tokenizing Query Blocking (`build_query_blocks`) → Block-Join
+/// (TBI key lookup) → BP → BF → EP/block pairs → string-oracle
+/// Comparison-Execution, with LI bookkeeping and transitive expansion.
+/// Returns DR_E exactly like `TableErIndex::run`.
 fn reference_resolve(
     table: &Table,
     idx: &TableErIndex,
@@ -135,7 +248,7 @@ fn reference_resolve(
     li: &mut LinkIndex,
 ) -> Vec<RecordId> {
     let cfg = idx.config();
-    let matcher = Matcher::new(cfg, idx.skip_col());
+    let oracle = StringOracle::new(cfg, idx.skip_col());
     let mut pair_seen = PairSet::new();
     let mut frontier: Vec<RecordId> = {
         let mut seen = FxHashSet::default();
@@ -228,8 +341,8 @@ fn reference_resolve(
                 partners.push(c);
                 continue;
             }
-            // The string path: tokenize + lowercase per comparison.
-            if matcher.is_match(table.record_unchecked(q), table.record_unchecked(c)) {
+            // The string oracle: tokenize + lowercase per comparison.
+            if oracle.is_match(table.record_unchecked(q), table.record_unchecked(c)) {
                 li.add_link(q, c);
                 partners.push(c);
             }
@@ -266,8 +379,9 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Pairwise: similarity values and match decisions of the interned
-    /// path are identical to the string path for every record pair and
+    /// Pairwise: similarity values and match decisions of the compiled
+    /// matcher over the index's interned profiles are identical to the
+    /// string oracle over the raw records, for every record pair and
     /// every similarity kind.
     #[test]
     fn interned_similarity_equals_string_similarity(
@@ -280,29 +394,31 @@ proptest! {
         cfg.similarity = kind_of(kind);
         cfg.match_threshold = thr;
         let idx = TableErIndex::build(&table, &cfg);
-        let matcher = Matcher::new(&cfg, idx.skip_col());
+        let oracle = StringOracle::new(&cfg, idx.skip_col());
+        let matcher = CompiledMatcher::new(cfg.similarity, thr, &idx);
+        let mut scratch = KernelScratch::new();
         for a in 0..table.len() as RecordId {
             for b in 0..table.len() as RecordId {
                 let ra = table.record_unchecked(a);
                 let rb = table.record_unchecked(b);
-                let s_str = matcher.similarity(ra, rb);
-                let s_int = matcher.similarity_interned(idx.profile(a), idx.profile(b));
+                let s_str = oracle.similarity(ra, rb);
+                let s_int = matcher.similarity(a, b);
                 prop_assert_eq!(
                     s_str.to_bits(), s_int.to_bits(),
                     "similarity diverged on ({}, {}) kind {:?}: {} vs {}",
                     a, b, cfg.similarity, s_str, s_int
                 );
                 prop_assert_eq!(
-                    matcher.is_match(ra, rb),
-                    matcher.is_match_interned(idx.profile(a), idx.profile(b)),
+                    oracle.is_match(ra, rb),
+                    matcher.decide(a, b, &mut scratch),
                     "decision diverged on ({}, {})", a, b
                 );
             }
         }
     }
 
-    /// End-to-end: a full `resolve` over the interned/ITBI path yields
-    /// exactly the links and DR set of the pre-interning reference
+    /// End-to-end: a full `run` over the interned/ITBI path yields
+    /// exactly the links and DR set of the tokenizing reference
     /// pipeline, across meta-blocking configs and similarity kinds.
     #[test]
     fn resolve_equals_reference_pipeline(
@@ -326,7 +442,6 @@ proptest! {
         let mut li_hot = LinkIndex::new(table.len());
         let mut m = DedupMetrics::default();
         let out = idx.run(ResolveRequest::records(&table, &qe, &mut li_hot).metrics(&mut m)).unwrap();
-        prop_assert_eq!(m.qbi_tokenized_records, 0, "hot path must not tokenize");
 
         idx.clear_ep_cache();
         let mut li_ref = LinkIndex::new(table.len());

@@ -1,18 +1,19 @@
 //! Equivalence of the compiled comparison kernels + parallel
-//! Comparison-Execution executor and the uncompiled interned matcher.
+//! Comparison-Execution executor and the canonical similarity.
 //!
-//! The resolve hot path decides pairs through `Matcher::compile`'s
+//! The resolve hot path decides pairs through `CompiledMatcher`'s
 //! per-attribute kernels, whose threshold-aware early exits (Jaro
 //! length/prefix/histogram bounds with in-scan cutoffs, Jaccard
 //! size-ratio bound, banded Levenshtein, overlap merge aborts) must
 //! never flip a decision, and whose executor fans pair batches across
-//! worker threads. These properties pin the compiled path bit-identical
-//! to the pre-compilation reference (`Matcher::similarity_interned` /
-//! `is_match_interned`) over random dirty corpora: similarities and
-//! decisions per pair, and DR sets / links / decision counts after full
-//! resolves — across every `SimilarityKind`, thresholds sitting exactly
-//! on the early-exit decision boundaries, thread counts 1..8, and
-//! non-ASCII / oversized / NULL attributes.
+//! worker threads. These properties pin the compiled decisions
+//! bit-identical to the canonical similarity
+//! (`CompiledMatcher::similarity`, no early exits) compared against the
+//! threshold, over random dirty corpora: decisions per pair, and DR
+//! sets / links / decision counts after full resolves — across every
+//! `SimilarityKind`, thresholds sitting exactly on the early-exit
+//! decision boundaries, thread counts 1..8, and non-ASCII / oversized /
+//! NULL attributes.
 
 #![allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 
@@ -23,8 +24,8 @@ type ResolveKey = (Vec<RecordId>, Vec<(RecordId, RecordId)>, u64, u64, u64);
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_er::{
-    DedupMetrics, ErConfig, KernelScratch, LinkIndex, Matcher, ResolveRequest, SimilarityKind,
-    TableErIndex,
+    CompiledMatcher, DedupMetrics, ErConfig, KernelScratch, LinkIndex, ResolveRequest,
+    SimilarityKind, TableErIndex,
 };
 use queryer_storage::{RecordId, Schema, Table, Value};
 
@@ -94,19 +95,15 @@ fn next_up(x: f64) -> f64 {
     f64::from_bits(x.to_bits() + 1)
 }
 
-/// Pins compiled decisions + similarities against the uncompiled
-/// matcher for every pair of `table` under `kind`/`threshold`.
+/// Pins compiled decisions against the canonical similarity for every
+/// pair of `table` under `kind`/`threshold`.
 fn assert_pairs_equivalent(
     table: &Table,
     idx: &TableErIndex,
     kind: SimilarityKind,
     threshold: f64,
 ) {
-    let mut cfg = ErConfig::default();
-    cfg.similarity = kind;
-    cfg.match_threshold = threshold;
-    let matcher = Matcher::new(&cfg, idx.skip_col());
-    let compiled = matcher.compile(idx);
+    let compiled = CompiledMatcher::new(kind, threshold, idx);
     let mut scratch = KernelScratch::new();
     for a in 0..table.len() as RecordId {
         // The executor batches comparisons by query record: one
@@ -115,7 +112,7 @@ fn assert_pairs_equivalent(
         // flip a decision against the per-pair decide path.
         let qs = compiled.load_query(a);
         for b in 0..table.len() as RecordId {
-            let reference = matcher.is_match_interned(idx.profile(a), idx.profile(b));
+            let reference = compiled.similarity(a, b) >= threshold;
             let decided = compiled.decide(a, b, &mut scratch);
             assert_eq!(
                 decided, reference,
@@ -125,13 +122,6 @@ fn assert_pairs_equivalent(
             assert_eq!(
                 batched, reference,
                 "batched decision diverged on ({a}, {b}) kind {kind:?} thr {threshold}"
-            );
-            let s_ref = matcher.similarity_interned(idx.profile(a), idx.profile(b));
-            let s_ker = compiled.similarity(a, b);
-            assert_eq!(
-                s_ref.to_bits(),
-                s_ker.to_bits(),
-                "similarity diverged on ({a}, {b}) kind {kind:?}: {s_ref} vs {s_ker}"
             );
         }
     }
@@ -205,9 +195,9 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Compiled kernels decide and score every pair exactly like the
-    /// uncompiled matcher, for every similarity kind at a spread of
-    /// fixed thresholds.
+    /// Compiled kernels decide every pair exactly like the canonical
+    /// similarity, for every similarity kind at a spread of fixed
+    /// thresholds.
     #[test]
     fn kernel_decisions_equal_reference(
         rows in rows(),
@@ -233,15 +223,15 @@ proptest! {
         let table = build_table(&rows);
         let idx = TableErIndex::build(&table, &ErConfig::default());
         let kind = kind_of(kind);
-        // Collect boundary thresholds from actual pair similarities.
-        let mut cfg = ErConfig::default();
-        cfg.similarity = kind;
-        let probe = Matcher::new(&cfg, idx.skip_col());
+        // Collect boundary thresholds from actual pair similarities
+        // (the mean kinds' early abort reads the threshold, so probe at
+        // the default one).
+        let probe = CompiledMatcher::new(kind, ErConfig::default().match_threshold, &idx);
         let n = table.len() as RecordId;
         let mut thresholds: Vec<f64> = Vec::new();
         'outer: for a in 0..n {
             for b in (a + 1)..n {
-                let s = probe.similarity_interned(idx.profile(a), idx.profile(b));
+                let s = probe.similarity(a, b);
                 if s.is_finite() && s > 0.0 && s < 1.0 {
                     thresholds.push(s);
                     thresholds.push(next_up(s));

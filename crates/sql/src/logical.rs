@@ -21,7 +21,7 @@ pub trait SchemaProvider {
 pub enum LogicalPlan {
     /// Base-table scan.
     Scan {
-        /// Catalog table name.
+        /// Table name in the engine's catalog.
         table: String,
         /// Alias used by column references.
         alias: String,

@@ -4,11 +4,11 @@
 //! parquet) or a relational table, although no PKs and FKs are considered"
 //! (Sec. 4). This crate provides exactly that model: dynamically-typed
 //! [`Value`]s, [`Schema`]s, row-oriented [`Table`]s whose records are
-//! addressed by dense [`RecordId`]s, a from-scratch CSV reader/writer, a
-//! small [`Catalog`], and the crash-safe sectioned [`snapshot`]
-//! container the persistent ER index serializes into.
+//! addressed by dense [`RecordId`]s, a from-scratch CSV reader/writer,
+//! and the crash-safe sectioned [`snapshot`] container the persistent ER
+//! index serializes into. Naming tables is the engine's business: it
+//! keeps its own name → table map.
 
-pub mod catalog;
 pub mod csv;
 pub mod error;
 pub mod record;
@@ -17,7 +17,6 @@ pub mod snapshot;
 pub mod table;
 pub mod value;
 
-pub use catalog::Catalog;
 pub use error::{Result, StorageError};
 pub use record::{Record, RecordId};
 pub use schema::{DataType, Field, Schema};
