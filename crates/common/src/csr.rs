@@ -48,8 +48,7 @@ impl<T: Copy> Csr<T> {
     /// width). At that point the offsets would silently wrap and every
     /// later row would alias earlier data, so the builder fails loudly
     /// instead — million-record tables sit orders of magnitude below the
-    /// cap, but a runaway quadratic (e.g. an unpurged stop-word block
-    /// exploding a co-occurrence adjacency) hits it first.
+    /// cap.
     pub fn push_row(&mut self, row: &[T]) -> usize {
         let total = self.data.len() + row.len();
         assert!(
@@ -107,46 +106,16 @@ impl<T: Copy> Csr<T> {
     }
 }
 
-impl<T: Copy + Default> Csr<T> {
-    /// Builds a CSR with `n_rows` rows from `(row, value)` pairs via a
-    /// stable two-pass counting sort: within each row, values keep the
-    /// order they appear in `pairs`. This is how the ER index inverts a
-    /// membership relation (entity→block into block→entity and back)
-    /// without ever allocating a `Vec` per row.
-    pub fn from_pairs(n_rows: usize, pairs: &[(u32, T)]) -> Self {
-        assert!(
-            pairs.len() <= u32::MAX as usize,
-            "Csr overflow: {} elements exceed the u32 offset range",
-            pairs.len()
-        );
-        let mut offsets = vec![0u32; n_rows + 1];
-        for &(r, _) in pairs {
-            offsets[r as usize + 1] += 1;
-        }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let mut cursor: Vec<u32> = offsets[..n_rows].to_vec();
-        let mut data = vec![T::default(); pairs.len()];
-        for &(r, v) in pairs {
-            let c = &mut cursor[r as usize];
-            data[*c as usize] = v;
-            *c += 1;
-        }
-        Self { offsets, data }
-    }
-}
-
 impl Csr<u32> {
     /// Inverts an adjacency in two counting passes: element `v` of row
     /// `r` becomes element `r` of output row `v`. `n_out_rows` must
     /// exceed every stored value.
     ///
     /// Within each output row the stored source-row indices ascend (rows
-    /// are scanned in order), which is exactly the guarantee
-    /// [`Csr::from_pairs`] gives when pairs are emitted row-major — so
-    /// the ER index can invert block↔record memberships without ever
-    /// materializing the intermediate `(row, value)` pair vector.
+    /// are scanned in order) — the order a stable counting sort of the
+    /// row-major `(value, row)` pairs gives — so the ER index can invert
+    /// block↔record memberships without ever materializing that
+    /// intermediate pair vector.
     pub fn transpose(&self, n_out_rows: usize) -> Csr<u32> {
         let mut offsets = vec![0u32; n_out_rows + 1];
         for &v in &self.data {
@@ -172,6 +141,27 @@ impl Csr<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pair-vector inversion [`Csr::transpose`] replaces: a stable
+    /// two-pass counting sort of `(row, value)` pairs, so within each
+    /// row values keep the order they appear in `pairs`.
+    fn from_pairs(n_rows: usize, pairs: &[(u32, u32)]) -> Csr<u32> {
+        let mut offsets = vec![0u32; n_rows + 1];
+        for &(r, _) in pairs {
+            offsets[r as usize + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut cursor: Vec<u32> = offsets[..n_rows].to_vec();
+        let mut data = vec![0u32; pairs.len()];
+        for &(r, v) in pairs {
+            let c = &mut cursor[r as usize];
+            data[*c as usize] = v;
+            *c += 1;
+        }
+        Csr { offsets, data }
+    }
 
     #[test]
     fn push_and_read_rows() {
@@ -199,29 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn from_pairs_is_stable_within_rows() {
-        // Pairs arrive scattered across rows; within a row, insertion
-        // order must be preserved (the ER inversions rely on it to keep
-        // block contents ascending by record id).
-        let pairs: &[(u32, u32)] = &[(1, 10), (0, 20), (1, 11), (2, 30), (1, 12)];
-        let c = Csr::from_pairs(4, pairs);
-        assert_eq!(c.n_rows(), 4);
-        assert_eq!(c.row(0), &[20]);
-        assert_eq!(c.row(1), &[10, 11, 12]);
-        assert_eq!(c.row(2), &[30]);
-        assert_eq!(c.row(3), &[] as &[u32]);
-    }
-
-    #[test]
-    fn from_pairs_empty() {
-        let c: Csr<u32> = Csr::from_pairs(0, &[]);
-        assert_eq!(c.n_rows(), 0);
-        let c: Csr<u32> = Csr::from_pairs(3, &[]);
-        assert_eq!(c.n_rows(), 3);
-        assert_eq!(c.row(1), &[] as &[u32]);
-    }
-
-    #[test]
     fn with_capacity_behaves_like_new() {
         let mut c: Csr<u16> = Csr::with_capacity(2, 8);
         c.push_row(&[7]);
@@ -245,7 +212,7 @@ mod tests {
                 pairs.push((r, b as u32));
             }
         }
-        let via_pairs: Csr<u32> = Csr::from_pairs(n_records, &pairs);
+        let via_pairs = from_pairs(n_records, &pairs);
         let via_transpose = blocks.transpose(n_records);
         assert_eq!(via_pairs, via_transpose);
         // Round trip restores the original.

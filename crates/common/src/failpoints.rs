@@ -1,7 +1,7 @@
 //! Fault-injection sites for the robustness test suites.
 //!
 //! A *failpoint* is a named no-op planted at a stage boundary or inside
-//! a worker chunk (e.g. `"cmp.worker"`, `"ep.bulk.worker"`). In normal
+//! a worker chunk (e.g. `"cmp.worker"`, `"ep.survivors.worker"`). In normal
 //! builds [`fire`] compiles to nothing. With the `failpoints` cargo
 //! feature enabled, a site can be *armed* with a [`FailAction`] — panic
 //! at the site, or delay to widen race/cancellation windows — either
@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! QUERYER_FAILPOINT=<site>:<panic|delay-ms>[,<site>:<action>...]
-//! # e.g. QUERYER_FAILPOINT=cmp.worker:delay-2,ep.bulk.worker:panic
+//! # e.g. QUERYER_FAILPOINT=cmp.worker:delay-2,ep.survivors.worker:panic
 //! ```
 //!
 //! The environment is read once, on the first [`fire`] call. The

@@ -39,64 +39,11 @@ pub fn threads() -> usize {
     env_usize("QUERYER_THREADS", 0)
 }
 
-/// Operating mode of the cross-query resolve cache (incremental Edge
-/// Pruning thresholds / surviving-neighbour lists + pair decision
-/// memoization) — the `QUERYER_EP_CACHE` / `ErConfig::ep_cache` knob.
-///
-/// Both modes produce bit-identical decisions; they only trade memory
-/// for repeated work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EpCacheMode {
-    /// No cross-query caching and no build-time CBS partials: node
-    /// thresholds always come from the bulk sweep, every query re-counts
-    /// and re-weights the neighbourhoods it examines, and every
-    /// surviving pair runs a comparison kernel.
-    Off,
-    /// Incremental (the default): thresholds and surviving-neighbour
-    /// lists are computed only for nodes first touched by a query
-    /// frontier and memoized across queries; comparison decisions are
-    /// memoized per pair.
-    #[default]
-    On,
-}
-
-impl EpCacheMode {
-    /// Whether any cross-query caching (thresholds, survivors, pair
-    /// decisions) is active.
-    pub fn enabled(self) -> bool {
-        !matches!(self, EpCacheMode::Off)
-    }
-
-    /// Lowercase label, matching what `QUERYER_EP_CACHE` accepts.
-    pub fn label(self) -> &'static str {
-        match self {
-            EpCacheMode::Off => "off",
-            EpCacheMode::On => "on",
-        }
-    }
-}
-
-/// Cross-query resolve-cache mode (`QUERYER_EP_CACHE`): `off`/`0` or
-/// `on`/`1` (the default). Unknown values fall back to the default so a
-/// typo — or a value from a retired mode — degrades to the stock
-/// configuration instead of panicking mid-pipeline.
-pub fn ep_cache() -> EpCacheMode {
-    match std::env::var("QUERYER_EP_CACHE") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "0" | "false" | "no" | "off" => EpCacheMode::Off,
-            "1" | "true" | "yes" | "on" => EpCacheMode::On,
-            _ => EpCacheMode::default(),
-        },
-        Err(_) => EpCacheMode::default(),
-    }
-}
-
-/// Entry budget of the cross-query Edge-Pruning caches — the
-/// node-threshold and surviving-neighbour [`crate::ShardedMap`]s —
-/// read from `QUERYER_EP_CACHE_CAP`. `0` (the default) means
-/// *unbounded*, preserving the historical always-grow behaviour; any
-/// other value caps each of the two maps at that many entries with
-/// per-shard CLOCK eviction. Eviction never changes a decision — every
+/// Entry budget of the cross-query Edge-Pruning cache — the
+/// surviving-neighbour [`crate::ShardedMap`] — read from
+/// `QUERYER_EP_CACHE_CAP`. `0` (the default) means *unbounded*,
+/// preserving the historical always-grow behaviour; any other value
+/// caps the map at that many entries with per-shard CLOCK eviction. Eviction never changes a decision — every
 /// cached value is a pure function of the immutable index, so an
 /// evicted entry is recomputed identically on next touch (pinned by
 /// `crates/er/tests/cache_equivalence.rs`). See `docs/TUNING.md`.
@@ -161,19 +108,6 @@ mod tests {
         // Only the unset path is asserted (see above on set/restore races).
         if std::env::var("QUERYER_THREADS").is_err() {
             assert_eq!(threads(), 0);
-        }
-    }
-
-    #[test]
-    fn ep_cache_mode_flags_and_labels() {
-        assert!(!EpCacheMode::Off.enabled());
-        assert!(EpCacheMode::On.enabled());
-        assert_eq!(EpCacheMode::Off.label(), "off");
-        assert_eq!(EpCacheMode::On.label(), "on");
-        assert_eq!(EpCacheMode::default(), EpCacheMode::On);
-        // Only the unset path is asserted (see above on set/restore races).
-        if std::env::var("QUERYER_EP_CACHE").is_err() {
-            assert_eq!(ep_cache(), EpCacheMode::On);
         }
     }
 }

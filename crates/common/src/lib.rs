@@ -26,7 +26,6 @@ pub use checksum::{crc32c, Crc32c, Fnv64};
 pub use csr::Csr;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use intern::{Symbol, TokenArena, TokenInterner};
-pub use knobs::EpCacheMode;
 pub use pairkey::{pack_pair, unpack_pair, PairSet};
 pub use sharded::ShardedMap;
 pub use timing::Stopwatch;

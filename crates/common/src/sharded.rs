@@ -1,16 +1,16 @@
 //! A sharded concurrent memo map for deterministic, idempotent values.
 //!
 //! The cross-query resolve caches of the ER crate (node-centric Edge
-//! Pruning thresholds, surviving-neighbour lists, pair comparison
-//! decisions) share one access pattern: many readers and writers hit a
+//! Pruning surviving-neighbour lists, pair comparison decisions) share
+//! one access pattern: many readers and writers hit a
 //! `u64`-keyed map from parallel sweeps, every value is a pure function
 //! of its key (plus immutable index state), and a racing recomputation
 //! is wasted work but never wrong. [`ShardedMap`] serves that pattern
 //! with `N` parking_lot-mutexed [`FxHashMap`] shards: lookups lock one
-//! shard for a single probe, and the value closure of
-//! [`ShardedMap::get_or_insert_with`] runs *outside* any lock, so a
-//! slow computation never serializes unrelated keys (and can itself
-//! recurse into the map for other keys without deadlocking).
+//! shard for a single probe, and callers compute a missing value
+//! between a [`ShardedMap::get`] and a [`ShardedMap::insert_if_absent`]
+//! with no lock held, so a slow computation never serializes unrelated
+//! keys.
 //!
 //! # Bounded mode
 //!
@@ -188,25 +188,9 @@ impl<V: Clone> ShardedMap<V> {
         })
     }
 
-    /// Returns the value under `key`, computing it via `f` on a miss.
-    ///
-    /// `f` runs with no lock held: concurrent callers may compute
-    /// redundantly, and whichever insertion lands first is the value
-    /// every caller returns — callers must only memoize deterministic
-    /// values, which makes the race benign. (In a bounded map an entry
-    /// may be evicted between the insert and a later call, in which
-    /// case `f` simply recomputes the identical value.)
-    pub fn get_or_insert_with(&self, key: u64, f: impl FnOnce() -> V) -> V {
-        if let Some(v) = self.get(key) {
-            return v;
-        }
-        let v = f();
-        self.insert_if_absent(key, v)
-    }
-
     /// Inserts `value` unless the key is already present; returns the
     /// stored value (the existing one on conflict — first write wins,
-    /// matching [`ShardedMap::get_or_insert_with`]).
+    /// so racing computations of one deterministic value agree).
     pub fn insert_if_absent(&self, key: u64, value: V) -> V {
         insert_into(&mut self.shard(key).lock(), self.shard_cap, key, value)
     }
@@ -280,30 +264,6 @@ impl<V: Clone> ShardedMap<V> {
             for &i in mine {
                 let (key, value) = &entries[i as usize];
                 insert_into(&mut guard, self.shard_cap, *key, value.clone());
-            }
-        }
-    }
-
-    /// Overwrites the value of every listed key that is *present*,
-    /// locking each shard at most once; absent keys stay absent. The
-    /// one exception to first-write-wins: the ingest path calls it when
-    /// a delta has changed the inputs a memoized value was computed
-    /// from, so the entry stays warm with its new value instead of
-    /// being dropped and recomputed.
-    pub fn update_batch(&self, entries: &[(u64, V)]) {
-        let keys: Vec<u64> = entries.iter().map(|&(k, _)| k).collect();
-        let (offsets, order) = self.group_by_shard(&keys);
-        for (shard_at, shard) in self.shards.iter().enumerate() {
-            let mine = &order[offsets[shard_at] as usize..offsets[shard_at + 1] as usize];
-            if mine.is_empty() {
-                continue;
-            }
-            let mut guard = shard.lock();
-            for &i in mine {
-                let (key, value) = &entries[i as usize];
-                if let Some(e) = guard.map.get_mut(key) {
-                    e.0 = value.clone();
-                }
             }
         }
     }
@@ -412,26 +372,6 @@ impl<V: Clone> Default for ShardedMap<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn miss_computes_hit_reuses() {
-        let m: ShardedMap<u64> = ShardedMap::new();
-        let calls = AtomicUsize::new(0);
-        let v = m.get_or_insert_with(7, || {
-            calls.fetch_add(1, Ordering::SeqCst);
-            42
-        });
-        assert_eq!(v, 42);
-        let v = m.get_or_insert_with(7, || {
-            calls.fetch_add(1, Ordering::SeqCst);
-            99
-        });
-        assert_eq!(v, 42, "second call must serve the memoized value");
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-        assert_eq!(m.get(7), Some(42));
-        assert_eq!(m.get(8), None);
-    }
 
     #[test]
     fn first_insert_wins() {
@@ -493,9 +433,9 @@ mod tests {
             for _ in 0..8 {
                 s.spawn(|| {
                     for k in 0..256u64 {
-                        // Deterministic value per key: racing computes
+                        // Deterministic value per key: racing inserts
                         // agree, so every thread must read k * 3.
-                        assert_eq!(m.get_or_insert_with(k, || k * 3), k * 3);
+                        assert_eq!(m.insert_if_absent(k, k * 3), k * 3);
                     }
                 });
             }
@@ -611,25 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn update_batch_overwrites_present_keys_only() {
-        let m: ShardedMap<u64> = ShardedMap::bounded(1024);
-        for k in 0..50u64 {
-            m.insert_if_absent(k, k);
-        }
-        let entries: Vec<(u64, u64)> = (40..60u64).map(|k| (k, k + 1000)).collect();
-        m.update_batch(&entries);
-        for k in 0..60u64 {
-            let want = match k {
-                0..=39 => Some(k),
-                40..=49 => Some(k + 1000),
-                _ => None,
-            };
-            assert_eq!(m.get(k), want, "key {k}");
-        }
-        assert_eq!(m.len(), 50);
-    }
-
-    #[test]
     fn reserve_never_breaks_semantics() {
         let unbounded: ShardedMap<u64> = ShardedMap::new();
         unbounded.reserve(10_000);
@@ -648,7 +569,7 @@ mod tests {
         // Eviction must never serve a torn/wrong value mid-read: every
         // get that hits must return the key's deterministic value, and
         // the budget must hold at every point, under 8 threads racing
-        // get_or_insert_with over a keyspace 16× the cap.
+        // insert_if_absent over a keyspace 16× the cap.
         let m: ShardedMap<u64> = ShardedMap::bounded(64);
         std::thread::scope(|s| {
             for t in 0..8u64 {
@@ -656,7 +577,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..2048u64 {
                         let k = (i * 7 + t * 131) % 1024;
-                        assert_eq!(m.get_or_insert_with(k, || k * 3), k * 3);
+                        assert_eq!(m.insert_if_absent(k, k * 3), k * 3);
                         if let Some(v) = m.get((k + 13) % 1024) {
                             assert_eq!(v, ((k + 13) % 1024) * 3);
                         }

@@ -1,7 +1,5 @@
 //! Configuration of the ER pipeline.
 
-pub use queryer_common::knobs::EpCacheMode;
-
 /// Which meta-blocking methods run, mirroring the configurations of
 /// Table 8 in the paper: `ALL` (BP + BF + EP), `BP+BF`, `BP+EP`, plus
 /// `BP`-only and `None` for ablations.
@@ -145,8 +143,8 @@ pub struct ErConfig {
     pub transitive: bool,
     /// Worker threads for every parallel stage: the
     /// [`TableErIndex::build`] sweeps (tokenization, interning,
-    /// attribute lowering/metadata, CBS partials), the Edge Pruning
-    /// fan-outs (bulk threshold pass, survivor fill, frontier scan) and
+    /// attribute lowering/metadata, WNP thresholds), the Edge Pruning
+    /// fan-outs (survivor fill, frontier scan) and
     /// Comparison-Execution. `0` = auto (available parallelism), `1` =
     /// sequential (the paper's single-machine setting). Thread count
     /// never affects the built index or a decision: every stage merges
@@ -156,23 +154,12 @@ pub struct ErConfig {
     ///
     /// [`TableErIndex::build`]: crate::TableErIndex::build
     pub threads: usize,
-    /// Cross-query resolve cache mode: incremental node-centric EP
-    /// thresholds + surviving-neighbour lists memoized across queries,
-    /// and pair-keyed comparison-decision memoization in
-    /// Comparison-Execution. `Off` memoizes nothing across queries and
-    /// builds no CBS partials (node thresholds then always come from
-    /// the bulk sweep), `On` (the default) fills the caches as queries
-    /// touch nodes/pairs. Both modes are bit-identical in their
-    /// decisions (pinned by `tests/cache_equivalence.rs`). Default comes
-    /// from the `QUERYER_EP_CACHE` env knob.
-    pub ep_cache: EpCacheMode,
-    /// Entry budget for each of the two cross-query Edge-Pruning caches
-    /// (node thresholds, surviving-neighbour lists). `0` (the default)
-    /// means unbounded; any other value caps each map at that many
-    /// entries with per-shard CLOCK eviction. Eviction trades
-    /// recomputation for memory and never changes a decision (pinned by
-    /// `tests/cache_equivalence.rs`). Default comes from the
-    /// `QUERYER_EP_CACHE_CAP` env knob.
+    /// Entry budget for the cross-query surviving-neighbour memo of
+    /// node-centric Edge Pruning. `0` (the default) means unbounded;
+    /// any other value caps the map at that many entries with per-shard
+    /// CLOCK eviction. Eviction trades recomputation for memory and
+    /// never changes a decision (pinned by `tests/cache_equivalence.rs`).
+    /// Default comes from the `QUERYER_EP_CACHE_CAP` env knob.
     pub ep_cache_cap: usize,
     /// Entry budget for the pair-keyed comparison-decision cache. `0`
     /// (the default) means unbounded; any other value caps the map with
@@ -196,7 +183,6 @@ impl Default for ErConfig {
             match_threshold: 0.85,
             transitive: true,
             threads: queryer_common::knobs::threads(),
-            ep_cache: queryer_common::knobs::ep_cache(),
             ep_cache_cap: queryer_common::knobs::ep_cache_cap(),
             decision_cache_cap: queryer_common::knobs::decision_cache_cap(),
         }
@@ -215,6 +201,12 @@ impl ErConfig {
     pub fn with_threshold(mut self, t: f64) -> Self {
         self.match_threshold = t;
         self
+    }
+
+    /// Whether this config runs node-centric (WNP) Edge Pruning — the
+    /// configs whose index carries a threshold per record.
+    pub fn node_centric_ep(&self) -> bool {
+        self.meta.edge_pruning() && self.ep_scope == EdgePruningScope::NodeCentric
     }
 
     /// The concrete worker count: `threads`, with `0` resolved to the
@@ -264,16 +256,5 @@ mod tests {
             ..ErConfig::default()
         };
         assert!(auto.effective_threads() >= 1);
-    }
-
-    #[test]
-    fn ep_cache_default_follows_knob() {
-        // Only the unset-env path is asserted (set/restore would race
-        // other tests in the same process).
-        if std::env::var("QUERYER_EP_CACHE").is_err() {
-            assert_eq!(ErConfig::default().ep_cache, EpCacheMode::On);
-        }
-        assert!(EpCacheMode::On.enabled());
-        assert!(!EpCacheMode::Off.enabled());
     }
 }

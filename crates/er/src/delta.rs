@@ -54,9 +54,8 @@
 //! Under a config whose node weights are purely local — CBS weights
 //! with node-centric EP, or no EP at all — the apply then
 //!
-//! - overwrites each dirty record's slot of the bulk threshold vector
-//!   and of the threshold memo with the mean of its new row: no
-//!   threshold is dropped and nothing is swept again;
+//! - overwrites each dirty record's slot of the index's threshold
+//!   vector with the mean of its new row: nothing is swept again;
 //! - drops the memoized survivor row of each dirty record, and of a
 //!   non-dirty neighbour `q` only when the vote of a dirty `p` on
 //!   their edge *flips*. The edge's weight is unchanged (else `q`
@@ -82,20 +81,19 @@
 //! Only when the active config makes node weights depend on *global*
 //! index statistics (ECBS/JS read the unpurged-block count;
 //! global-scope EP averages over every edge) does the apply fall back
-//! to a full cache clear and report [`Affected::All`].
+//! to a full cache clear and report [`Affected::All`]; under
+//! node-centric EP it then re-sweeps the whole threshold vector once,
+//! since every node's weights may have moved.
 
 use crate::config::{EdgePruningScope, WeightScheme};
-use crate::edge_pruning::{keeps, threshold_over, weight_of};
-use crate::govern::{PoisonGuard, ResolveBudget, ResolveError};
-use crate::index::{
-    cardinality, count_cooccurrences, scheme_node_key, AttrMeta, BlockId, TableErIndex,
-};
+use crate::edge_pruning::{bulk_node_thresholds, keeps, threshold_over, weight_of};
+use crate::govern::{PoisonGuard, ResolveError};
+use crate::index::{cardinality, count_cooccurrences, AttrMeta, BlockId, TableErIndex};
 use crate::purging::purge_flags;
 use crate::tokenizer::{record_keys, record_tokens};
 use queryer_common::{failpoints, unpack_pair, FxHashMap, FxHashSet};
 use queryer_storage::{RecordId, StorageError, Table, Value};
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 /// One mutation of a live table, expressed against dense record ids.
 ///
@@ -234,11 +232,6 @@ pub(crate) struct DeltaIndex {
     pub(crate) row_blocks: FxHashMap<RecordId, Vec<BlockId>>,
     /// Retained (post BP+BF) prefix for the same records.
     pub(crate) row_retained: FxHashMap<RecordId, Vec<BlockId>>,
-    /// CBS partial rows for records whose candidate neighbourhood
-    /// changed, recounted at apply time (the cached EP path
-    /// requires partials for every record it touches). Only populated
-    /// when the base has partials.
-    pub(crate) cbs_rows: FxHashMap<RecordId, Vec<(RecordId, u32)>>,
     /// Profile tokens minted by deltas → their symbols, which count up
     /// from the base interner's length.
     pub(crate) ext_map: FxHashMap<String, u32>,
@@ -269,7 +262,6 @@ impl DeltaIndex {
             n_unpurged,
             row_blocks: FxHashMap::default(),
             row_retained: FxHashMap::default(),
-            cbs_rows: FxHashMap::default(),
             ext_map: FxHashMap::default(),
             row_tokens: FxHashMap::default(),
             row_attrs: FxHashMap::default(),
@@ -404,15 +396,16 @@ impl TableErIndex {
     /// validation error leaves the index untouched and serving.
     ///
     /// Every probe-time accessor then serves the merged (base ∪ delta)
-    /// view, and the cached resolve state follows the batch instead of
-    /// being dropped: the EP thresholds of the records whose candidate
+    /// view, and the resolve state follows the batch instead of being
+    /// dropped: the EP thresholds of the records whose candidate
     /// neighbourhood changed are overwritten with their new values,
     /// only those records (and the rare neighbour whose edge to one of
     /// them changes sides) lose their survivor rows, and only pairs
     /// with an updated or deleted record lose their comparison
     /// decisions — see the module docs and [`Affected`]. Configs whose
     /// edge weights read global index statistics (ECBS / JS schemes,
-    /// global-scope EP) get a full cache clear instead.
+    /// global-scope EP) get a full cache clear instead, and ECBS / JS
+    /// under node-centric EP one threshold re-sweep.
     ///
     /// Panic safety: like [`TableErIndex::clear_ep_cache`], the apply
     /// is a compound mutation under a poison latch — the `"delta.apply"`
@@ -494,14 +487,6 @@ impl TableErIndex {
             || (self.cfg.weight_scheme == WeightScheme::Cbs
                 && self.cfg.ep_scope == EdgePruningScope::NodeCentric);
         let ep_targeted = targeted && self.cfg.meta.edge_pruning();
-        if ep_targeted && self.cbs_adj.is_none() {
-            // `ep_cache` off keeps no CBS partials, so a record's old
-            // threshold cannot be recounted once the graph is patched.
-            // The bulk vector is that mode's one threshold store and
-            // every resolve fills it first; do the same here, so phase 5
-            // finds the old value in it.
-            self.try_bulk_ep_thresholds(&ResolveBudget::unlimited())?;
-        }
 
         let guard = PoisonGuard::new(&self.poisoned);
         failpoints::fire("delta.apply");
@@ -762,13 +747,12 @@ impl TableErIndex {
         // neighbourhood (CBS row) changed: those whose own retained
         // blocks changed, plus the current retainers of every block
         // somebody left or joined — and their new rows, counted afresh
-        // in a rebuild's first-touch order (stored only when the base
-        // carries CBS partials: the cached EP path requires a partial
-        // row for every record it touches).
+        // in a rebuild's first-touch order.
         //
-        // Under a targeted config the old and new node thresholds fall
-        // out of the old and new rows, and with them the non-dirty
-        // neighbours whose surviving edge to the record flips; the new
+        // Under a targeted config the old threshold is the record's slot
+        // of the index's vector and the new one falls out of the new
+        // row, and with them the non-dirty neighbours whose surviving
+        // edge to the record flips; the new
         // neighbours of an updated/deleted record are collected too —
         // their links to it were decided against the old profile. --
         for &b in &changed_blocks {
@@ -779,7 +763,6 @@ impl TableErIndex {
         let scheme = self.cfg.weight_scheme;
         let n_blocks = d.n_unpurged.max(1) as f64;
         let changed_profiles: FxHashSet<RecordId> = profile_changed.iter().copied().collect();
-        let mut bulk = self.ep_thresholds.get_mut().take();
         let mut patched: Vec<(RecordId, f64)> = Vec::new();
         let mut flipped: Vec<RecordId> = Vec::new();
         let mut relinked: Vec<RecordId> = Vec::new();
@@ -787,20 +770,17 @@ impl TableErIndex {
         let mut row: Vec<(RecordId, u32)> = Vec::new();
         for &p in &dirty_list {
             let relinks = targeted && changed_profiles.contains(&p);
-            if !(self.cbs_adj.is_some() || ep_targeted || relinks) {
+            if !(ep_targeted || relinks) {
                 continue;
             }
             // CBS weights read nothing but the count, so the shared
             // threshold and weight definitions are safe to call while
-            // the delta side is detached from `self`.
-            let th_old = if !ep_targeted {
-                None
-            } else if let Some(adj) = &self.cbs_adj {
-                let old = d.cbs_rows.get(&p).map(Vec::as_slice);
-                old.or_else(|| ((p as usize) < d.base_n_records).then(|| adj.row(p as usize)))
-                    .map(|old| threshold_over(self, scheme, n_blocks, p, old))
+            // the delta side is detached from `self`. A record inserted
+            // by this batch has no old threshold.
+            let th_old = if ep_targeted {
+                self.ep_thresholds.get(p as usize).copied()
             } else {
-                bulk.as_ref().and_then(|v| v.get(p as usize).copied())
+                None
             };
             count_cooccurrences(
                 p,
@@ -833,33 +813,25 @@ impl TableErIndex {
             if relinks {
                 relinked.extend(row.iter().map(|&(q, _)| q));
             }
-            if self.cbs_adj.is_some() {
-                d.cbs_rows.insert(p, row.clone());
-            }
         }
 
         // -- Phase 6: invalidation. Targeted: each dirty record's slot
-        // of the bulk vector and of the threshold memo takes its new
-        // value, and only the survivor rows of dirty and flipped
-        // records are dropped. Otherwise every cached EP artefact goes
-        // (the bulk vector was taken out above). --
+        // of the threshold vector takes its new value, and only the
+        // survivor rows of dirty and flipped records are dropped.
+        // Otherwise every survivor row goes. --
         let affected = if targeted {
             if ep_targeted {
-                if let Some(bulk) = &mut bulk {
-                    let bulk = Arc::make_mut(bulk);
-                    bulk.resize(d.n_records, 0.0);
-                    for &(p, th) in &patched {
-                        bulk[p as usize] = th;
-                    }
+                self.ep_thresholds.resize(d.n_records, 0.0);
+                for &(p, th) in &patched {
+                    self.ep_thresholds[p as usize] = th;
                 }
-                let key = |&rid: &RecordId| scheme_node_key(scheme, rid);
-                let patched: Vec<(u64, f64)> =
-                    patched.iter().map(|(p, th)| (key(p), *th)).collect();
-                self.resolve_cache.thresholds.update_batch(&patched);
-                let stale: Vec<u64> = dirty_list.iter().chain(&flipped).map(key).collect();
+                let stale: Vec<u64> = dirty_list
+                    .iter()
+                    .chain(&flipped)
+                    .map(|&r| u64::from(r))
+                    .collect();
                 self.resolve_cache.survivors.remove_batch(&stale);
             }
-            *self.ep_thresholds.get_mut() = bulk;
             let mut a_list = dirty_list;
             a_list.extend(flipped);
             a_list.extend(relinked);
@@ -867,7 +839,6 @@ impl TableErIndex {
             a_list.dedup();
             Affected::Ids(a_list)
         } else {
-            self.resolve_cache.thresholds.clear();
             self.resolve_cache.survivors.clear();
             Affected::All
         };
@@ -884,6 +855,13 @@ impl TableErIndex {
         d.pending_ops += ops.len();
         let pending_ops = d.pending_ops;
         self.delta = Some(Box::new(d));
+        // ECBS / JS weights read the merged unpurged-block count, so
+        // under node-centric EP every threshold may have moved: one
+        // sweep over the merged graph replaces the vector. A worker
+        // panic leaves the index poisoned (the delta is already in).
+        if !targeted && self.cfg.node_centric_ep() {
+            self.ep_thresholds = bulk_node_thresholds(self, self.cfg.effective_threads())?;
+        }
         guard.disarm();
         Ok(AppliedDelta {
             affected,
@@ -919,8 +897,7 @@ mod tests {
     use queryer_storage::Schema;
 
     /// `compact()` with no live delta leaves the index as it was: the
-    /// same CSR buffers, purge flags and CBS rows, and the bulk
-    /// thresholds a resolve had already swept still in place.
+    /// same CSR buffers, purge flags and WNP thresholds.
     #[test]
     fn noop_compact_is_bit_identical() {
         let mut table = Table::new("p", Schema::of_strings(&["id", "title", "venue"]));
@@ -934,14 +911,7 @@ mod tests {
                 .push_row(vec![id.into(), title.into(), venue.into()])
                 .unwrap();
         }
-        // CBS rows exist only with the resolve cache on, whatever the
-        // environment says.
-        let cfg = ErConfig {
-            ep_cache: crate::config::EpCacheMode::On,
-            ..ErConfig::default()
-        };
-        let mut idx = TableErIndex::build(&table, &cfg);
-        idx.bulk_ep_thresholds();
+        let mut idx = TableErIndex::build(&table, &ErConfig::default());
         let state = |idx: &TableErIndex| {
             (
                 [
@@ -951,12 +921,14 @@ mod tests {
                     idx.entity_retained.clone(),
                 ],
                 idx.purged.clone(),
-                idx.cbs_adj.clone(),
-                idx.bulk_snapshot(),
+                idx.ep_thresholds
+                    .iter()
+                    .map(|t| t.to_bits())
+                    .collect::<Vec<u64>>(),
             )
         };
         let before = state(&idx);
-        assert!(before.2.is_some() && before.3.is_some());
+        assert_eq!(before.2.len(), table.len(), "the build swept thresholds");
         idx.compact(&table).unwrap();
         assert_eq!(
             state(&idx),

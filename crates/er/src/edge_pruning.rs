@@ -8,10 +8,9 @@
 //! query-stable) and global (WEP-style over the examined subgraph).
 
 use crate::config::WeightScheme;
-use crate::govern::{fan_out, Governed, ResolveBudget, ResolveError, ResolveStage, Stop};
+use crate::govern::{fan_out, ResolveError, ResolveStage};
 use crate::index::{CooccurrenceScratch, TableErIndex};
 use queryer_storage::RecordId;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Numeric slack for threshold comparisons, shared by every pruning
 /// rule so the node-centric and global scopes can never drift apart.
@@ -104,8 +103,8 @@ impl<'a> EdgePruner<'a> {
 /// The WNP threshold accumulation over an already-materialized
 /// neighbourhood: mean edge weight in the given order (0 when
 /// isolated). This is the single definition every threshold producer
-/// shares — the bulk sweep and the cross-query incremental memo feed it
-/// the same neighbourhood in the same first-touch order, so their `f64`
+/// shares — the build's sweep and the delta apply's patch feed it the
+/// same neighbourhood in the same first-touch order, so their `f64`
 /// accumulation is bit-identical.
 pub(crate) fn threshold_over(
     idx: &TableErIndex,
@@ -166,73 +165,30 @@ pub(crate) fn survivors_over(
 /// Each slot of the returned vector depends only on its own node's
 /// neighbourhood, so the result is independent of the partitioning.
 ///
-/// One contiguous `Vec<f64>` makes every survival check two array
-/// loads instead of a hash lookup per examined edge endpoint.
-pub fn bulk_node_thresholds(idx: &TableErIndex, threads: usize) -> Vec<f64> {
-    // invariant: an unlimited budget never interrupts, so the governed
-    // sweep can only come back Done; a worker panic is reported by
-    // panicking here, preserving this historical API's behaviour.
-    match bulk_node_thresholds_governed(idx, threads, &ResolveBudget::unlimited()) {
-        Ok(Governed::Done(v)) => v,
-        Ok(Governed::Interrupted(_)) => {
-            unreachable!("unlimited budget cannot interrupt the bulk sweep")
-        }
-        Err(e) => panic!("bulk EP threshold sweep failed: {e}"),
-    }
-}
-
-/// Node interval between budget polls inside the bulk sweep: small
-/// enough that a cancel/deadline stops within microseconds of work,
-/// large enough that the poll is invisible in the sweep's profile.
-const BULK_POLL_NODES: usize = 1024;
-
-/// Budget-aware [`bulk_node_thresholds`]. Workers poll the budget every
-/// [`BULK_POLL_NODES`] nodes (plus a shared stop flag, so one tripped
-/// worker stops the others at their next poll) and the partial vector is
-/// discarded on interruption — callers only ever observe a complete
-/// sweep or none. A panicking worker surfaces as
-/// [`ResolveError::WorkerPanicked`]; every worker's part is dropped with
-/// the error, so nothing half-written escapes.
-pub(crate) fn bulk_node_thresholds_governed(
-    idx: &TableErIndex,
-    threads: usize,
-    budget: &ResolveBudget,
-) -> Result<Governed<Vec<f64>>, ResolveError> {
-    let n = idx.n_records();
+/// [`TableErIndex::build`] runs it once and keeps the vector, as does a
+/// delta apply whose weights read global statistics (ECBS / JS). A
+/// panicking worker surfaces as [`ResolveError::WorkerPanicked`] at the
+/// build stage, and every worker's part is dropped with the error.
+pub fn bulk_node_thresholds(idx: &TableErIndex, threads: usize) -> Result<Vec<f64>, ResolveError> {
     let scheme = idx.config().weight_scheme;
     let n_blocks = idx.n_unpurged_blocks().max(1) as f64;
-    let interruptible = !budget.is_unlimited();
-    let stopped = AtomicBool::new(false);
     let parts = fan_out(
-        n,
+        idx.n_records(),
         threads,
-        "ep.bulk.worker",
-        ResolveStage::EdgePruning,
+        "build.thresholds.worker",
+        ResolveStage::Build,
         |nodes| {
             let mut scratch = CooccurrenceScratch::new();
-            let mut part = Vec::with_capacity(nodes.len());
-            for (j, e) in nodes.enumerate() {
-                if interruptible
-                    && j % BULK_POLL_NODES == 0
-                    && (stopped.load(Ordering::Relaxed) || budget.interrupted().is_some())
-                {
-                    stopped.store(true, Ordering::Relaxed);
-                    break;
-                }
-                let e = e as RecordId;
-                let nbh = idx.neighbourhood(e, &mut scratch);
-                part.push(threshold_over(idx, scheme, n_blocks, e, nbh));
-            }
-            part
+            nodes
+                .map(|e| {
+                    let e = e as RecordId;
+                    let nbh = idx.cooccurrences_into(e, &mut scratch);
+                    threshold_over(idx, scheme, n_blocks, e, nbh)
+                })
+                .collect::<Vec<f64>>()
         },
     )?;
-    if stopped.load(Ordering::Relaxed) {
-        // Cancellation is sticky and a passed deadline stays passed, so
-        // re-polling here reproduces the reason a worker observed.
-        let stop = budget.interrupted().unwrap_or(Stop::Deadline);
-        return Ok(Governed::Interrupted(stop));
-    }
-    Ok(Governed::Done(parts.concat()))
+    Ok(parts.concat())
 }
 
 /// Global (WEP-style) pruning over an explicit edge list: keeps edges
@@ -294,25 +250,27 @@ mod tests {
         // count.
         let idx = idx();
         for threads in [1, 2, 7] {
-            let th = bulk_node_thresholds(&idx, threads);
+            let th = bulk_node_thresholds(&idx, threads).unwrap();
             assert_eq!(th, vec![2.5, 2.5, 1.0, 0.0], "threads {threads}");
         }
         // Union semantics: the weak edge (0,2) fails node 0's vote but
         // node 2 keeps it.
-        let th = bulk_node_thresholds(&idx, 1);
+        let th = bulk_node_thresholds(&idx, 1).unwrap();
         assert!(!keeps(1.0, th[0]) && keeps(1.0, th[2]));
     }
 
     #[test]
-    fn bulk_vector_cached_on_index_until_cleared() {
-        let idx = idx();
-        let a = idx.bulk_ep_thresholds();
-        let b = idx.bulk_ep_thresholds();
-        assert!(std::sync::Arc::ptr_eq(&a, &b), "second call must be cached");
+    fn bulk_vector_is_index_data_and_survives_clear() {
+        // The build swept the vector; reads return the same buffer and a
+        // cache clear leaves it in place.
+        let idx = TableErIndex::build(&table(), &ErConfig::default());
+        let swept = bulk_node_thresholds(&idx, 1).unwrap();
+        assert_eq!(swept.len(), idx.n_records());
+        assert_eq!(idx.bulk_ep_thresholds(), swept.as_slice());
+        let before = idx.bulk_ep_thresholds().as_ptr();
         idx.clear_ep_cache();
-        let c = idx.bulk_ep_thresholds();
-        assert!(!std::sync::Arc::ptr_eq(&a, &c), "clear must drop the cache");
-        assert_eq!(a.as_slice(), c.as_slice());
+        assert_eq!(idx.bulk_ep_thresholds().as_ptr(), before);
+        assert_eq!(idx.bulk_ep_thresholds(), swept.as_slice());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! A [`ResolveBudget`] bounds how much work one resolve call may do —
 //! a wall-clock deadline, a comparison cap, a [`CancelToken`] flipped by
 //! another thread, or any combination. The resolver polls the budget at
-//! cheap boundaries only (round starts, bulk-sweep worker chunks,
-//! comparison batches), so an exhausted budget or an external cancel
-//! stops work at the *next chunk boundary* and the call returns a
+//! cheap boundaries only (round starts and comparison batches), so an
+//! exhausted budget or an external cancel stops work at the *next
+//! round or batch boundary* and the call returns a
 //! partial-but-valid [`ResolveOutcome`](crate::ResolveOutcome) whose
 //! [`Completion`] says which stage stopped and how many comparisons ran.
 //!
@@ -53,10 +53,10 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResolveStage {
     /// Index construction ([`TableErIndex::build`](crate::TableErIndex::build)
-    /// tokenization / CBS-partials fan-outs).
+    /// tokenization / WNP-threshold fan-outs, and the threshold re-sweep
+    /// of a delta apply under ECBS / JS weights).
     Build,
-    /// Meta-Blocking's Edge Pruning: bulk threshold sweep, survivor
-    /// fill, frontier scan.
+    /// Meta-Blocking's Edge Pruning: survivor fill, frontier scan.
     EdgePruning,
     /// Comparison-Execution: the chunked kernel executor.
     ComparisonExecution,
@@ -141,17 +141,6 @@ impl Stop {
     }
 }
 
-/// Result of an interruptible sweep: either it finished, or it stopped
-/// early for `Stop`'s reason with only a prefix of the work done.
-#[derive(Debug)]
-pub(crate) enum Governed<T> {
-    /// The sweep ran to the end.
-    Done(T),
-    /// The sweep was interrupted; partial work was discarded or kept
-    /// per-callsite (documented there).
-    Interrupted(Stop),
-}
-
 /// Work limits for one resolve call. The default ([`unlimited`]) never
 /// interrupts and adds no overhead — the resolver takes the historical
 /// ungoverned path bit-for-bit.
@@ -202,7 +191,7 @@ impl ResolveBudget {
 
     /// Stop (with [`Completion::Budget`]) after at most `n` comparisons.
     /// Cache-served decisions count too, so the cap is deterministic
-    /// across cache modes.
+    /// whatever the memos hold.
     pub fn with_max_comparisons(mut self, n: u64) -> Self {
         self.max_comparisons = Some(n);
         self

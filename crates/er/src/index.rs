@@ -31,16 +31,18 @@
 //!    `(block size, block id)`; no second buffer.
 //! 5. **Block Filtering** — each record's retained prefix is appended to
 //!    the `entity_retained` CSR; `filtered_blocks` is its transpose.
-//! 6. **CBS partials** — when Edge Pruning and the resolve cache are on,
-//!    every node's co-occurrence neighbourhood is materialized by a
-//!    chunked parallel sweep (`build_cbs_adjacency`) on the same
-//!    build-thread pool.
+//! 6. **WNP thresholds** — under node-centric Edge Pruning, every
+//!    node's threshold (the mean edge weight of its neighbourhood in the
+//!    whole blocking graph) is swept once
+//!    ([`crate::edge_pruning::bulk_node_thresholds`]) on the same
+//!    build-thread pool and kept as one `Vec<f64>`, a table-level fact
+//!    like the purge threshold and the retained prefixes.
 
-use crate::config::{ErConfig, WeightScheme};
-use crate::govern::{fan_out, Governed, PoisonGuard, ResolveBudget, ResolveError, ResolveStage};
+use crate::config::ErConfig;
+use crate::edge_pruning::bulk_node_thresholds;
+use crate::govern::{fan_out, PoisonGuard, ResolveError, ResolveStage};
 use crate::purging::purge_flags;
 use crate::tokenizer::{record_keys, record_tokens};
-use parking_lot::Mutex;
 use queryer_common::failpoints;
 use queryer_common::{Csr, FxHashMap, ShardedMap, TokenArena, TokenInterner};
 use queryer_storage::{Record, RecordId, Table};
@@ -204,13 +206,12 @@ impl CooccurrenceScratch {
 /// all zeroes on entry and again on return; only the touched counters
 /// are reset.
 ///
-/// The build-time CBS-partials sweep, the query-time fallback over the
-/// base graph or the merged delta view
-/// ([`TableErIndex::cooccurrences_into`]), and the delta apply's
-/// recount of dirty rows all run this loop, so a materialized row, a
-/// cold count and a recounted row agree in contents and in order — the
-/// order `tests/build_equivalence.rs` and `tests/ingest_equivalence.rs`
-/// pin.
+/// Every neighbourhood the index serves — the build-time threshold
+/// sweep and the query-time scans over the base graph or the merged
+/// delta view ([`TableErIndex::cooccurrences_into`]), and the delta
+/// apply's recount of dirty rows — runs this loop, so a threshold
+/// swept at build and one patched by a delta accumulate their weights
+/// in the same first-touch order (pinned by `tests/ingest_equivalence.rs`).
 #[inline]
 pub(crate) fn count_cooccurrences<'g>(
     id: RecordId,
@@ -239,41 +240,20 @@ pub(crate) fn count_cooccurrences<'g>(
     }
 }
 
-/// Tag of a weight scheme inside the cross-query cache keys, so one
-/// sharded map can hold entries for several schemes side by side.
-#[inline]
-pub(crate) fn scheme_tag(scheme: WeightScheme) -> u64 {
-    match scheme {
-        WeightScheme::Cbs => 0,
-        WeightScheme::Ecbs => 1,
-        WeightScheme::Js => 2,
-    }
-}
-
-/// Cache key of a `(weight scheme, node)` entry.
-#[inline]
-pub(crate) fn scheme_node_key(scheme: WeightScheme, e: RecordId) -> u64 {
-    (scheme_tag(scheme) << 32) | e as u64
-}
-
 /// The cross-query resolve cache (see the "hot resolve path" docs in
-/// `lib.rs`): incremental node-centric EP thresholds and
-/// surviving-neighbour lists keyed by `(weight scheme, node)`, plus the
-/// pair-keyed comparison-decision memo. All three only ever hold values
-/// that are pure functions of the immutable index, so serving them
-/// across queries can never change a decision — which is also why the
-/// maps can be capped ([`ErConfig::ep_cache_cap`] /
+/// `lib.rs`): node-centric surviving-neighbour lists keyed by record id,
+/// plus the pair-keyed comparison-decision memo. Both only ever hold
+/// values that are pure functions of the index, so serving them across
+/// queries can never change a decision — which is also why the maps can
+/// be capped ([`ErConfig::ep_cache_cap`] /
 /// [`ErConfig::decision_cache_cap`]): evicting an entry only ever costs
 /// recomputation.
 #[derive(Debug, Default)]
 pub(crate) struct ResolveCache {
-    /// Node-centric EP threshold per `(scheme, node)` — filled as query
-    /// frontiers first touch a node (or its neighbours).
-    pub(crate) thresholds: ShardedMap<f64>,
-    /// Surviving neighbours per `(scheme, node)`, in the first-touch
-    /// scan order of [`TableErIndex::cooccurrences_into`] — exactly the
-    /// edges node-centric EP keeps for that node, so a warm frontier
-    /// scan never re-weights an edge.
+    /// Surviving neighbours per node, in the first-touch scan order of
+    /// [`TableErIndex::cooccurrences_into`] — exactly the edges
+    /// node-centric EP keeps for that node, so a warm frontier scan
+    /// never re-weights an edge.
     pub(crate) survivors: ShardedMap<Arc<[RecordId]>>,
     /// Comparison decision per packed unordered pair
     /// ([`queryer_common::pack_pair`]).
@@ -281,11 +261,10 @@ pub(crate) struct ResolveCache {
 }
 
 impl ResolveCache {
-    /// Builds the three maps with the config's entry budgets (`0` =
+    /// Builds the two maps with the config's entry budgets (`0` =
     /// unbounded, the historical behaviour).
     pub(crate) fn for_config(cfg: &ErConfig) -> Self {
         Self {
-            thresholds: ShardedMap::bounded(cfg.ep_cache_cap),
             survivors: ShardedMap::bounded(cfg.ep_cache_cap),
             decisions: ShardedMap::bounded(cfg.decision_cache_cap),
         }
@@ -333,18 +312,12 @@ pub struct TableErIndex {
     pub(crate) attr_meta: Vec<AttrMeta>,
     /// Schema width (the `lower_attrs` stride).
     pub(crate) n_cols: usize,
-    /// The bulk node-centric Edge Pruning threshold vector, one entry
-    /// per record, once a sweep has filled it.
-    pub(crate) ep_thresholds: Mutex<Option<Arc<Vec<f64>>>>,
-    /// Weight-scheme-independent CBS partials, built once at index time
-    /// when the config runs Edge Pruning: per node, its distinct
-    /// co-occurring entities with their common-block counts, in the
-    /// first-touch order of [`TableErIndex::cooccurrences_into`]. With
-    /// this in place every neighbourhood "scan" is a contiguous row
-    /// read, and per-scheme node thresholds are a cheap finishing pass.
-    pub(crate) cbs_adj: Option<Csr<(RecordId, u32)>>,
-    /// The cross-query resolve cache (thresholds / survivors /
-    /// decisions), active when `cfg.ep_cache` enables it.
+    /// The node-centric (WNP) Edge Pruning threshold of every record,
+    /// swept at build for node-centric EP configs (empty otherwise) and
+    /// patched in place by [`TableErIndex::apply_delta`]. Index data,
+    /// not cache: nothing clears it.
+    pub(crate) ep_thresholds: Vec<f64>,
+    /// The cross-query resolve cache (survivors / decisions).
     pub(crate) resolve_cache: ResolveCache,
     /// Set when a panic unwound through this index's own cache
     /// maintenance ([`TableErIndex::clear_ep_cache`]); every later
@@ -455,26 +428,7 @@ impl TableErIndex {
 
         let n_cols = table.schema().len();
 
-        // Phase 6, CBS partials: when the config runs Edge Pruning with
-        // the cross-query cache enabled, materialize every node's
-        // co-occurrence neighbourhood (neighbour + common-block count)
-        // once, here, instead of re-counting it on every cold query.
-        // This is the weight-scheme-independent part of all EP
-        // threshold/weight math. `EpCacheMode::Off` skips it — the memory
-        // is O(examined edges), and "off" promises the uncached
-        // per-query footprint, not just the uncached code path.
-        let cbs_adj = if cfg.meta.edge_pruning() && cfg.ep_cache.enabled() {
-            Some(build_cbs_adjacency(
-                &entity_retained,
-                &filtered_blocks,
-                table.len(),
-                cfg.effective_threads(),
-            )?)
-        } else {
-            None
-        };
-
-        Ok(Self {
+        let mut idx = Self {
             cfg: cfg.clone(),
             skip_col,
             n_records: table.len(),
@@ -491,12 +445,18 @@ impl TableErIndex {
             lower_attrs,
             attr_meta,
             n_cols,
-            ep_thresholds: Mutex::new(None),
-            cbs_adj,
+            ep_thresholds: Vec::new(),
             resolve_cache: ResolveCache::for_config(cfg),
             poisoned: AtomicBool::new(false),
             delta: None,
-        })
+        };
+        // Phase 6, WNP thresholds: one sweep over the finished blocking
+        // graph gives every node its node-centric EP threshold, so no
+        // query ever computes one.
+        if cfg.node_centric_ep() {
+            idx.ep_thresholds = bulk_node_thresholds(&idx, cfg.effective_threads())?;
+        }
+        Ok(idx)
     }
 
     /// Whether a panic unwound through this index's cache maintenance;
@@ -685,30 +645,14 @@ impl TableErIndex {
 
     /// Scratch-based co-occurrence counting: fills `scratch` with the
     /// distinct co-occurring entities of `id` (first-touch order) and
-    /// their CBS counts, reusing the dense counters across calls. The
-    /// returned slice is valid until the next call with this scratch.
-    ///
-    /// With the build-time CBS partials present the "count" is a
-    /// contiguous row copy; the counting fallback serves indexes built
-    /// without them (no Edge Pruning, or `ep_cache` off).
+    /// their CBS counts, reusing the dense counters across calls, over
+    /// the (merged) blocking graph. The returned slice is valid until the
+    /// next call with this scratch.
     pub fn cooccurrences_into<'s>(
         &self,
         id: RecordId,
         scratch: &'s mut CooccurrenceScratch,
     ) -> &'s [(RecordId, u32)] {
-        if let Some(row) = self.delta.as_ref().and_then(|d| d.cbs_rows.get(&id)) {
-            scratch.out.clear();
-            scratch.out.extend_from_slice(row);
-            return &scratch.out;
-        }
-        if let Some(adj) = &self.cbs_adj {
-            // Not dirty in any applied delta: the base partial row is
-            // still exact under the merged view.
-            scratch.out.clear();
-            scratch.out.extend_from_slice(adj.row(id as usize));
-            return &scratch.out;
-        }
-        // No partials: count live over the (merged) blocking graph.
         match &self.delta {
             Some(d) => scratch.count(id, d.n_records, d.retained_row(self, id), |b| {
                 d.filtered_row(self, b)
@@ -722,99 +666,15 @@ impl TableErIndex {
         }
     }
 
-    /// Zero-copy view of `id`'s CBS partials (neighbour + common-block
-    /// count, first-touch order), when the index was built with Edge
-    /// Pruning and a cache-enabled `ErConfig::ep_cache`. With a live
-    /// delta, records whose neighbourhood a mutation touched serve
-    /// their eagerly re-materialized delta row instead.
-    #[inline]
-    pub fn cbs_neighbourhood(&self, id: RecordId) -> Option<&[(RecordId, u32)]> {
-        self.cbs_adj.as_ref()?;
-        if let Some(d) = &self.delta {
-            if let Some(row) = d.cbs_rows.get(&id) {
-                return Some(row);
-            }
-        }
-        self.cbs_adj.as_ref().map(|adj| adj.row(id as usize))
+    /// The node-centric EP threshold of every record — the vector the
+    /// build swept ([`crate::edge_pruning::bulk_node_thresholds`]) and
+    /// every delta since has patched. Empty unless the config runs
+    /// node-centric Edge Pruning.
+    pub fn bulk_ep_thresholds(&self) -> &[f64] {
+        &self.ep_thresholds
     }
 
-    /// The one neighbourhood accessor of the Edge Pruning paths: `id`'s
-    /// distinct co-occurring entities with their CBS counts, in
-    /// first-touch order — the zero-copy CBS-partials row when the index
-    /// carries partials, a counting sweep through `scratch` when it does
-    /// not (`ep_cache` off). Both sources hold the identical
-    /// neighbourhood in the identical order.
-    #[inline]
-    pub(crate) fn neighbourhood<'s>(
-        &'s self,
-        id: RecordId,
-        scratch: &'s mut CooccurrenceScratch,
-    ) -> &'s [(RecordId, u32)] {
-        match self.cbs_neighbourhood(id) {
-            Some(row) => row,
-            None => self.cooccurrences_into(id, scratch),
-        }
-    }
-
-    /// The bulk node-centric EP threshold vector — one entry per record,
-    /// computed on first use by a single multi-threaded sweep over the
-    /// CSR blocking graph ([`crate::edge_pruning::bulk_node_thresholds`])
-    /// and cached until [`TableErIndex::clear_ep_cache`]. The lock is
-    /// held across the sweep so concurrent resolvers share one pass.
-    pub fn bulk_ep_thresholds(&self) -> Arc<Vec<f64>> {
-        // invariant: an unlimited budget never interrupts, so the sweep
-        // can only come back Done (or surface a worker panic, which this
-        // historical API reports by panicking on the caller's thread).
-        match self.try_bulk_ep_thresholds(&ResolveBudget::unlimited()) {
-            Ok(Governed::Done(bulk)) => bulk,
-            Ok(Governed::Interrupted(_)) => {
-                unreachable!("unlimited budget cannot interrupt the bulk sweep")
-            }
-            Err(e) => panic!("bulk EP threshold sweep failed: {e}"),
-        }
-    }
-
-    /// Budget-aware [`TableErIndex::bulk_ep_thresholds`]: the sweep
-    /// checks `budget` between worker chunks and comes back
-    /// `Interrupted` when it trips. Only *complete* vectors are cached —
-    /// an interrupted sweep's partial output is discarded, so the cache
-    /// never serves a half-filled threshold vector.
-    pub(crate) fn try_bulk_ep_thresholds(
-        &self,
-        budget: &ResolveBudget,
-    ) -> Result<Governed<Arc<Vec<f64>>>, ResolveError> {
-        let mut cache = self.ep_thresholds.lock();
-        if let Some(bulk) = &*cache {
-            return Ok(Governed::Done(Arc::clone(bulk)));
-        }
-        match crate::edge_pruning::bulk_node_thresholds_governed(
-            self,
-            self.cfg.effective_threads(),
-            budget,
-        )? {
-            Governed::Done(v) => {
-                let bulk = Arc::new(v);
-                *cache = Some(Arc::clone(&bulk));
-                Ok(Governed::Done(bulk))
-            }
-            Governed::Interrupted(stop) => Ok(Governed::Interrupted(stop)),
-        }
-    }
-
-    /// A snapshot of the bulk threshold vector if one has been computed,
-    /// without triggering the sweep.
-    pub(crate) fn bulk_snapshot(&self) -> Option<Arc<Vec<f64>>> {
-        self.ep_thresholds.lock().clone()
-    }
-
-    /// The cross-query node-threshold memo, keyed by
-    /// [`scheme_node_key`].
-    pub(crate) fn threshold_cache(&self) -> &ShardedMap<f64> {
-        &self.resolve_cache.thresholds
-    }
-
-    /// The cross-query surviving-neighbour memo, keyed by
-    /// [`scheme_node_key`].
+    /// The cross-query surviving-neighbour memo, keyed by record id.
     pub(crate) fn survivor_cache(&self) -> &ShardedMap<Arc<[RecordId]>> {
         &self.resolve_cache.survivors
     }
@@ -825,22 +685,22 @@ impl TableErIndex {
         &self.resolve_cache.decisions
     }
 
-    /// Sizes of the three cross-query resolve caches:
-    /// `(thresholds, survivor lists, pair decisions)` currently
-    /// memoized. Diagnostics for benches and ablations.
+    /// Sizes of the cross-query resolve caches: `(0, survivor lists,
+    /// pair decisions)` currently memoized. The first slot is always 0
+    /// and stays so that callers destructuring three sizes keep
+    /// compiling. Diagnostics for benches and ablations.
     pub fn resolve_cache_sizes(&self) -> (usize, usize, usize) {
         (
-            self.resolve_cache.thresholds.len(),
+            0,
             self.resolve_cache.survivors.len(),
             self.resolve_cache.decisions.len(),
         )
     }
 
-    /// Drops every cached resolve artefact: the bulk EP threshold vector
-    /// and the cross-query threshold / survivor / decision memos
-    /// (test/ablation helper; the perf smoke bench uses it to measure
-    /// cold queries). The build-time CBS partials are index data, not
-    /// cache, and are never dropped.
+    /// Drops the cross-query survivor and decision memos
+    /// (test/ablation helper; the benchmark uses it to measure cold
+    /// queries). The WNP thresholds are index data, not cache, and are
+    /// never dropped.
     /// Panic safety: clearing is the one compound mutation of the
     /// index's shared state, so it runs under a poison latch — if a
     /// panic unwinds mid-clear (the `"cache.clear"` failpoint stands in
@@ -849,10 +709,8 @@ impl TableErIndex {
     /// instead of serving from state it can no longer vouch for.
     pub fn clear_ep_cache(&self) {
         let guard = PoisonGuard::new(&self.poisoned);
-        *self.ep_thresholds.lock() = None;
-        failpoints::fire("cache.clear");
-        self.resolve_cache.thresholds.clear();
         self.resolve_cache.survivors.clear();
+        failpoints::fire("cache.clear");
         self.resolve_cache.decisions.clear();
         guard.disarm();
     }
@@ -1054,65 +912,6 @@ fn tokenize_table(
     })
 }
 
-/// One worker's share of the parallel [`build_cbs_adjacency`] sweep:
-/// its chunk's row lengths plus the flattened row contents.
-type AdjacencyPart = (Vec<u32>, Vec<(RecordId, u32)>);
-
-/// Builds the CBS-partials adjacency — per node, its co-occurring
-/// entities with common-block counts — in one sweep over the post-BP/BF
-/// blocking graph, partitioned across `threads` workers. Each row
-/// depends only on its own node, so the result is independent of the
-/// partitioning.
-fn build_cbs_adjacency(
-    entity_retained: &Csr<BlockId>,
-    filtered_blocks: &Csr<RecordId>,
-    n_records: usize,
-    threads: usize,
-) -> Result<Csr<(RecordId, u32)>, ResolveError> {
-    if threads <= 1 || n_records <= 1 {
-        // Rows go straight into the CSR: no per-worker parts, so a
-        // single-threaded build never holds the adjacency twice.
-        let mut scratch = CooccurrenceScratch::new();
-        let mut adj = Csr::with_capacity(n_records, n_records * 4);
-        for id in 0..n_records {
-            let retained = entity_retained.row(id);
-            adj.push_row(scratch.count(id as RecordId, n_records, retained, |b| {
-                filtered_blocks.row(b as usize)
-            }));
-        }
-        return Ok(adj);
-    }
-    let parts: Vec<AdjacencyPart> = fan_out(
-        n_records,
-        threads,
-        "build.cbs.worker",
-        ResolveStage::Build,
-        |ids| {
-            let mut scratch = CooccurrenceScratch::new();
-            let (mut lens, mut flat) = AdjacencyPart::default();
-            for id in ids {
-                let retained = entity_retained.row(id);
-                let row = scratch.count(id as RecordId, n_records, retained, |b| {
-                    filtered_blocks.row(b as usize)
-                });
-                lens.push(row.len() as u32);
-                flat.extend_from_slice(row);
-            }
-            (lens, flat)
-        },
-    )?;
-    let total: usize = parts.iter().map(|(_, flat)| flat.len()).sum();
-    let mut adj = Csr::with_capacity(n_records, total);
-    for (lens, flat) in &parts {
-        let mut at = 0usize;
-        for &len in lens {
-            adj.push_row(&flat[at..at + len as usize]);
-            at += len as usize;
-        }
-    }
-    Ok(adj)
-}
-
 /// `n(n-1)/2`. Zero for the empty block (deltas can drain a block that
 /// a from-scratch build would simply not have).
 #[inline]
@@ -1246,43 +1045,40 @@ mod tests {
     }
 
     #[test]
-    fn cbs_partials_require_edge_pruning_and_cache() {
-        use crate::config::EpCacheMode;
-        let mut cfg = ErConfig::default();
-        cfg.ep_cache = EpCacheMode::On;
-        let with_ep = TableErIndex::build(&table(), &cfg);
-        assert!(with_ep.cbs_neighbourhood(0).is_some());
-        // No Edge Pruning → no partials, whatever the cache mode.
-        let no_ep = TableErIndex::build(&table(), &cfg.clone().with_meta(MetaBlockingConfig::BpBf));
-        assert!(no_ep.cbs_neighbourhood(0).is_none());
-        // Cache off → no partials either: "off" restores the uncached
-        // per-query memory footprint, not just the uncached code path.
-        cfg.ep_cache = EpCacheMode::Off;
-        let cache_off = TableErIndex::build(&table(), &cfg);
-        assert!(cache_off.cbs_neighbourhood(0).is_none());
+    fn thresholds_swept_only_for_node_centric_ep() {
+        let with_ep = TableErIndex::build(&table(), &ErConfig::default());
+        assert_eq!(with_ep.bulk_ep_thresholds().len(), with_ep.n_records());
+        // No Edge Pruning, or global-scope EP → no per-node thresholds.
+        let no_ep = ErConfig::default().with_meta(MetaBlockingConfig::BpBf);
+        assert!(TableErIndex::build(&table(), &no_ep)
+            .bulk_ep_thresholds()
+            .is_empty());
+        let mut global = ErConfig::default();
+        global.ep_scope = crate::config::EdgePruningScope::Global;
+        assert!(TableErIndex::build(&table(), &global)
+            .bulk_ep_thresholds()
+            .is_empty());
     }
 
     #[test]
-    fn cbs_partials_match_counting_exactly() {
-        // The materialized adjacency rows must equal the counting sweep
-        // bit for bit — same contents, same first-touch order — for any
-        // build thread count.
+    fn stored_thresholds_are_neighbourhood_means() {
+        // The build's sweep must leave, for any thread count, each
+        // node's mean CBS weight over its counted neighbourhood.
         for threads in [1usize, 3] {
             let mut cfg = ErConfig::default();
-            cfg.ep_cache = crate::config::EpCacheMode::On;
             cfg.threads = threads;
             let idx = TableErIndex::build(&table(), &cfg);
             let mut scratch = CooccurrenceScratch::new();
             for rid in 0..idx.n_records() as u32 {
-                let retained = idx.entity_retained.row(rid as usize);
-                let counted: Vec<(RecordId, u32)> = scratch
-                    .count(rid, idx.n_records, retained, |b| {
-                        idx.filtered_blocks.row(b as usize)
-                    })
-                    .to_vec();
+                let nbh = idx.cooccurrences_into(rid, &mut scratch);
+                let mean = if nbh.is_empty() {
+                    0.0
+                } else {
+                    nbh.iter().map(|&(_, c)| f64::from(c)).sum::<f64>() / nbh.len() as f64
+                };
                 assert_eq!(
-                    idx.cbs_neighbourhood(rid).unwrap(),
-                    counted.as_slice(),
+                    idx.bulk_ep_thresholds()[rid as usize],
+                    mean,
                     "record {rid} threads {threads}"
                 );
             }
@@ -1290,14 +1086,15 @@ mod tests {
     }
 
     #[test]
-    fn clear_ep_cache_drops_resolve_caches() {
+    fn clear_ep_cache_drops_memos_and_keeps_thresholds() {
         let idx = TableErIndex::build(&table(), &ErConfig::default());
-        idx.threshold_cache().insert_if_absent(1, 0.5);
+        let thresholds = idx.bulk_ep_thresholds().to_vec();
         idx.survivor_cache().insert_if_absent(1, vec![2u32].into());
         idx.decision_cache().insert_if_absent(7, true);
-        assert_eq!(idx.resolve_cache_sizes(), (1, 1, 1));
+        assert_eq!(idx.resolve_cache_sizes(), (0, 1, 1));
         idx.clear_ep_cache();
         assert_eq!(idx.resolve_cache_sizes(), (0, 0, 0));
+        assert_eq!(idx.bulk_ep_thresholds(), thresholds.as_slice());
     }
 
     #[test]

@@ -55,52 +55,41 @@
 //!   scans count common blocks in a reusable [`index::CooccurrenceScratch`]
 //!   (dense counters + first-touch list) instead of allocating a hash
 //!   map per frontier entity.
-//! * **One node-centric enumerator** — node-centric Edge Pruning
-//!   produces each frontier entity's *survivor row* (the neighbours
-//!   whose edge it keeps, first-touch order) and emits the rows in
-//!   frontier order through one dedup; on the resolve-all shape a
-//!   frontier-rank ownership rule (each edge is emitted only by its
+//! * **WNP thresholds at build** — node-centric Edge Pruning's
+//!   per-node threshold (the mean edge weight of the node's
+//!   neighbourhood in the whole blocking graph) is a table-level fact
+//!   like the purge threshold, so [`TableErIndex::build`] sweeps it once
+//!   for every node ([`edge_pruning::bulk_node_thresholds`], chunked
+//!   over `ErConfig::threads`) into one `Vec<f64>`
+//!   ([`TableErIndex::bulk_ep_thresholds`]). A delta patches the slots
+//!   whose neighbourhood changed; no query computes a threshold, and a
+//!   survival check is two array loads.
+//! * **One node-centric enumerator** — node-centric Edge Pruning counts
+//!   each frontier entity's neighbourhood into a
+//!   [`index::CooccurrenceScratch`] and produces its *survivor row* (the
+//!   neighbours whose edge it keeps, first-touch order), then emits the
+//!   rows in frontier order through one dedup; on the resolve-all shape
+//!   a frontier-rank ownership rule (each edge is emitted only by its
 //!   first-scanned endpoint) replaces the per-edge `PairSet` insert.
-//!   Broad frontiers (≥ 1/32 of the table) read a `Vec<f64>` of WNP
-//!   thresholds computed for *every* node by one chunked sweep
-//!   ([`edge_pruning::bulk_node_thresholds`], cached on the index), so a
-//!   survival check is two array loads. The survivor fill fans out over
-//!   the same worker partitioning (`ErConfig::threads`, env knob
-//!   `QUERYER_THREADS`); any thread count is bit-identical.
-//! * **Cross-query resolve cache** — work done resolving one query pays
-//!   for the next (`ErConfig::ep_cache` / env knob `QUERYER_EP_CACHE`,
-//!   modes `off`/`on`; default `on`), in three layers:
-//!   1. *CBS partials at build* — [`TableErIndex::build`] materializes
-//!      every node's co-occurrence neighbourhood (neighbour +
-//!      common-block count, the weight-scheme-independent half of all
-//!      EP math) into one CSR
-//!      ([`TableErIndex::cbs_neighbourhood`]), so cold neighbourhood
-//!      "scans" are contiguous row reads and per-scheme thresholds are
-//!      a cheap finishing pass instead of a block-expansion count.
-//!   2. *Incremental thresholds + survivors* — node-centric thresholds
-//!      and surviving-neighbour lists are computed only for nodes first
-//!      touched by a query frontier and memoized across queries in
-//!      sharded [`queryer_common::ShardedMap`]s keyed by
-//!      `(weight scheme, node)`; frontiers covering a sizeable table
-//!      fraction fill the bulk threshold vector in one sweep instead. A
-//!      warm frontier scan replays cached survivor rows: no weighting,
-//!      no threshold math.
-//!   3. *Decision memoization* — `execute_comparisons` consults a
-//!      pair-keyed decision cache before running any kernel, so
-//!      overlapping queries skip comparison work entirely.
-//!      `DedupMetrics` reports `ep_cache_*` and `decision_cache_*`
-//!      hit/miss counters; `comparisons`/`candidate_pairs`/
-//!      `matches_found` never depend on cache state.
+//!   The survivor fill fans out over the same worker partitioning
+//!   (`ErConfig::threads`, env knob `QUERYER_THREADS`); any thread count
+//!   is bit-identical.
+//! * **Cross-query memos** — work done resolving one query pays for the
+//!   next, in two memos that only ever hold pure functions of the index:
+//!   1. *Survivor rows* — keyed by record id in a sharded
+//!      [`queryer_common::ShardedMap`] (cap `ErConfig::ep_cache_cap`). A
+//!      warm frontier scan replays cached rows: no counting, no
+//!      weighting.
+//!   2. *Decisions* — `execute_comparisons` consults a pair-keyed
+//!      decision memo (cap `ErConfig::decision_cache_cap`) before
+//!      running any kernel, so overlapping queries skip comparison work
+//!      entirely.
 //!
-//!   `off` runs the same enumerator with none of the layers —
-//!   neighbourhoods counted per query into a
-//!   [`index::CooccurrenceScratch`], every threshold from the bulk
-//!   vector, nothing memoized — and is bit-identical to `on` in
-//!   decisions, DR sets, and links (property-pinned by
-//!   `tests/cache_equivalence.rs` over sequences of overlapping point +
-//!   range queries); on the pinned bench workload a
-//!   warm repeated query runs `edge_pruning` ~4× and
-//!   `comparison_execution` ~9× faster than cold.
+//!   `DedupMetrics` reports `ep_cache_*` and `decision_cache_*` hit/miss
+//!   counters; `comparisons`/`candidate_pairs`/`matches_found` never
+//!   depend on memo state (property-pinned by
+//!   `tests/cache_equivalence.rs` against cleared memos over sequences
+//!   of overlapping point + range queries).
 //! * **Compiled comparison kernels** — [`CompiledMatcher::new`] resolves the
 //!   similarity kind, threshold, and attribute layout once into a
 //!   [`kernel::CompareKernel`] over kernel-ready per-record data
@@ -126,16 +115,16 @@
 //! to the raw records (a test-side oracle that renders, lowercases and
 //! tokenizes per comparison) and a full `run` to a reference pipeline
 //! built from public accessors, across similarity kinds and random
-//! corpora; `tests/ep_equivalence.rs` pins the bulk threshold sweep to a
-//! mean-of-weights oracle and the enumerator's `off` mode to `on`
-//! (pair sequences, DR/links) across weight schemes, pruning scopes,
-//! frontier sizes, and thread counts;
+//! corpora; `tests/ep_equivalence.rs` pins the threshold sweep and the
+//! stored vector to a mean-of-weights oracle and the enumerator across
+//! thread counts (pair sequences, DR/links), weight schemes, pruning
+//! scopes, and frontier sizes;
 //! `tests/kernel_equivalence.rs` pins the compiled kernels and the
 //! parallel Comparison-Execution executor bit-identical (decisions,
 //! DR/links) to the canonical [`CompiledMatcher::similarity`] across all
 //! similarity kinds, thresholds at the early-exit boundaries, and thread
-//! counts; and `tests/cache_equivalence.rs` pins the cross-query cache
-//! to the uncached mode over query sequences sharing one Link Index.
+//! counts; and `tests/cache_equivalence.rs` pins the cross-query memos
+//! to cleared ones over query sequences sharing one Link Index.
 
 #![warn(missing_docs)]
 
@@ -156,8 +145,7 @@ pub mod tokenizer;
 pub mod union_find;
 
 pub use config::{
-    BlockingKind, EdgePruningScope, EpCacheMode, ErConfig, MetaBlockingConfig, SimilarityKind,
-    WeightScheme,
+    BlockingKind, EdgePruningScope, ErConfig, MetaBlockingConfig, SimilarityKind, WeightScheme,
 };
 pub use delta::{Affected, AppliedDelta, DeltaOp};
 pub use govern::{Completion, ResolveBudget, ResolveError, ResolveStage};

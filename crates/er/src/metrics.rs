@@ -33,7 +33,7 @@ pub struct DedupMetrics {
     /// Entities whose link-sets were computed (not served from the LI).
     pub entities_processed: u64,
     /// Frontier nodes whose surviving-neighbour list was served from the
-    /// cross-query Edge Pruning cache (`ErConfig::ep_cache`).
+    /// cross-query Edge Pruning memo (capped by `ErConfig::ep_cache_cap`).
     pub ep_cache_hits: u64,
     /// Frontier nodes whose surviving-neighbour list had to be computed
     /// (and was then memoized) by this query.

@@ -10,11 +10,9 @@
 //! tokenizes a record and never hash-joins token strings.
 
 use crate::config::{EdgePruningScope, WeightScheme};
-use crate::edge_pruning::{prune_global, survivors_over, threshold_over, EdgePruner};
-use crate::govern::{
-    fan_out, Completion, Governed, ResolveBudget, ResolveError, ResolveStage, Stop,
-};
-use crate::index::{scheme_node_key, BlockId, CooccurrenceScratch, TableErIndex};
+use crate::edge_pruning::{prune_global, survivors_over, EdgePruner};
+use crate::govern::{fan_out, Completion, ResolveBudget, ResolveError, ResolveStage, Stop};
+use crate::index::{BlockId, CooccurrenceScratch, TableErIndex};
 use crate::kernel::{CompiledMatcher, KernelScratch, QuerySide};
 use crate::link_index::{LinkDelta, LinkIndex};
 use crate::metrics::DedupMetrics;
@@ -34,11 +32,11 @@ const PAR_MIN_FRONTIER: usize = 256;
 /// threads; below this the thread spawn overhead outweighs the win.
 const PAR_MIN_PAIRS: usize = 1024;
 
-/// A sequential EP scan builds the O(`n_records`) frontier-rank array
-/// only when the frontier covers at least 1/`RANK_AMORTIZE` of the
-/// table; below that a point query's handful of neighbourhoods is
-/// cheaper to dedup with per-edge `PairSet` probes than to pay a
-/// table-sized fill per round.
+/// A sequential global-EP scan (and the frontier dedup) builds an
+/// O(`n_records`) array only when the frontier covers at least
+/// 1/`RANK_AMORTIZE` of the table; below that a point query's handful
+/// of neighbourhoods is cheaper to dedup with per-edge hash probes than
+/// to pay a table-sized fill per round.
 const RANK_AMORTIZE: usize = 32;
 
 /// Pairs each worker decides between budget polls when a comparison
@@ -101,13 +99,12 @@ impl TableErIndex {
     /// the link-sets of those entities in QE_E that are not already in
     /// LI_E", Sec. 6.1).
     ///
-    /// The round loop polls the budget at round starts, the bulk
-    /// Edge-Pruning sweep polls it between worker chunks, and
+    /// The round loop polls the budget at round starts and
     /// Comparison-Execution runs in budget-clamped batches — so an
     /// exhausted budget or an external cancel stops work at the next
-    /// chunk boundary and the call returns a partial-but-valid outcome
-    /// whose [`ResolveOutcome::completion`] reports the stage and
-    /// comparison count.
+    /// round or batch boundary and the call returns a partial-but-valid
+    /// outcome whose [`ResolveOutcome::completion`] reports the stage
+    /// and comparison count.
     ///
     /// Partial-run guarantees (pinned by `tests/budget_equivalence.rs`):
     /// under any budget, every executed comparison's decision — and
@@ -225,18 +222,10 @@ impl TableErIndex {
             let pairs: Vec<(RecordId, RecordId)> = if self.config().meta.edge_pruning() {
                 let mut sw = Stopwatch::new();
                 sw.start();
-                let scanned =
-                    self.edge_pruned_pairs_governed(&frontier, &mut ctx.pair_seen, metrics, budget);
+                let scanned = self.try_edge_pruned_pairs(&frontier, &mut ctx.pair_seen, metrics);
                 sw.stop();
                 metrics.edge_pruning += sw.elapsed();
-                match scanned? {
-                    Governed::Done(pairs) => pairs,
-                    Governed::Interrupted(stop) => {
-                        ctx.completion =
-                            stop.completion(ResolveStage::EdgePruning, ctx.comparisons_done);
-                        break;
-                    }
-                }
+                scanned?
             } else {
                 // (i) Query Blocking + (ii) Block-Join — for in-table
                 // query entities the ITBI row of each record is exactly
@@ -418,7 +407,7 @@ impl TableErIndex {
     /// entity and keep it per the configured pruning scope, counting
     /// survivor-memo hits and misses into `metrics`. Exposed so the
     /// equivalence suites can pin the candidate pair sequence across
-    /// cache modes and thread counts — every configuration emits the
+    /// memo states and thread counts — every configuration emits the
     /// bit-identical sequence.
     ///
     /// `frontier` entries must be distinct (the resolve loop always
@@ -441,53 +430,40 @@ impl TableErIndex {
         pair_seen: &mut PairSet,
         metrics: &mut DedupMetrics,
     ) -> Vec<(RecordId, RecordId)> {
-        // invariant: an unlimited budget never interrupts a scan, so the
-        // governed dispatch can only come back Done.
-        match self.edge_pruned_pairs_governed(
-            frontier,
-            pair_seen,
-            metrics,
-            &ResolveBudget::unlimited(),
-        ) {
-            Ok(Governed::Done(pairs)) => pairs,
-            Ok(Governed::Interrupted(_)) => {
-                unreachable!("unlimited budget cannot interrupt edge pruning")
-            }
+        match self.try_edge_pruned_pairs(frontier, pair_seen, metrics) {
+            Ok(pairs) => pairs,
             Err(e) => panic!("edge pruning failed: {e}"),
         }
     }
 
-    /// Budget-aware EP pair generation — the resolve loop's entry point.
-    /// Only the bulk threshold sweep has in-stage interruption points;
-    /// the frontier scans and survivor fills run to completion once
-    /// started (they are bounded by the frontier, not the table) but are
+    /// EP pair generation — the resolve loop's entry point. The
+    /// frontier scans and survivor fills run to completion once started
+    /// (they are bounded by the frontier, not the table) but are
     /// panic-hardened: a lost worker surfaces as
     /// [`ResolveError::WorkerPanicked`] with all shared caches holding
     /// only complete entries.
-    fn edge_pruned_pairs_governed(
+    fn try_edge_pruned_pairs(
         &self,
         frontier: &[RecordId],
         pair_seen: &mut PairSet,
         metrics: &mut DedupMetrics,
-        budget: &ResolveBudget,
-    ) -> Result<Governed<Vec<(RecordId, RecordId)>>, ResolveError> {
+    ) -> Result<Vec<(RecordId, RecordId)>, ResolveError> {
         match self.config().ep_scope {
-            EdgePruningScope::NodeCentric => {
-                self.node_centric_pairs(frontier, pair_seen, metrics, budget)
-            }
-            EdgePruningScope::Global => self.global_pairs(frontier, pair_seen).map(Governed::Done),
+            EdgePruningScope::NodeCentric => self.node_centric_pairs(frontier, pair_seen, metrics),
+            EdgePruningScope::Global => self.global_pairs(frontier, pair_seen),
         }
     }
 
     /// Node-centric EP, the one enumerator: each frontier entity's
     /// *survivor row* — the neighbours whose edge it keeps, in
-    /// first-touch scan order — is produced (or, with `ep_cache` on,
-    /// replayed from the cross-query memo with no neighbourhood
-    /// weighting and no threshold math), then the rows are emitted in
-    /// frontier order through one dedup. A row is a pure function of the
-    /// immutable index, so memo state, eviction, and thread count never
-    /// change the emitted sequence (pinned by `tests/cache_equivalence.rs`
-    /// and `tests/ep_equivalence.rs`).
+    /// first-touch scan order — is produced from its counted
+    /// neighbourhood and the build-time threshold vector (or replayed
+    /// from the cross-query memo with no neighbourhood weighting at
+    /// all), then the rows are emitted in frontier order through one
+    /// dedup. A row is a pure function of the index, so memo state,
+    /// eviction, and thread count never change the emitted sequence
+    /// (pinned by `tests/cache_equivalence.rs` and
+    /// `tests/ep_equivalence.rs`).
     ///
     /// For the resolve-all shape — a duplicate-free frontier spanning
     /// the whole table with no pairs seen yet — the emit loop skips the
@@ -503,38 +479,19 @@ impl TableErIndex {
         frontier: &[RecordId],
         pair_seen: &mut PairSet,
         metrics: &mut DedupMetrics,
-        budget: &ResolveBudget,
-    ) -> Result<Governed<Vec<(RecordId, RecordId)>>, ResolveError> {
-        // Threshold source: a frontier covering a sizeable fraction of
-        // the table will need (nearly) every node's threshold anyway —
-        // same amortization rule as the rank scans — so fill the bulk
-        // vector once (persisted on the index) and make every lookup an
-        // array load. Point queries stay incremental through the sharded
-        // memo. With `ep_cache` off nothing may be memoized, so the bulk
-        // vector is the only source.
-        let memoize = self.config().ep_cache.enabled();
-        let bulk = if !memoize || frontier.len() * RANK_AMORTIZE >= self.n_records() {
-            match self.try_bulk_ep_thresholds(budget)? {
-                Governed::Done(bulk) => Some(bulk),
-                Governed::Interrupted(stop) => return Ok(Governed::Interrupted(stop)),
-            }
-        } else {
-            self.bulk_snapshot()
-        };
+    ) -> Result<Vec<(RecordId, RecordId)>, ResolveError> {
         let ep = NodeCentricEp {
             idx: self,
             scheme: self.config().weight_scheme,
             n_blocks: self.n_unpurged_blocks().max(1) as f64,
-            bulk,
-            memoize,
         };
         // Survivor rows in frontier order, filled across disjoint
         // frontier chunks when the frontier pays for the threads (racing
-        // neighbour-threshold computes are benign and bit-identical).
-        // Workers only ever publish *complete* rows to the memo, so a
-        // lost worker fails this call and leaves the caches sound. The
-        // rows themselves are handed to the emit loop: a capped memo may
-        // have evicted one again by then, and `off` never stored it.
+        // fills of one row are benign and bit-identical). Workers only
+        // ever publish *complete* rows to the memo, so a lost worker
+        // fails this call and leaves the caches sound. The rows
+        // themselves are handed to the emit loop: a capped memo may
+        // have evicted one again by then.
         let workers = if frontier.len() >= PAR_MIN_FRONTIER {
             self.config().effective_threads()
         } else {
@@ -564,10 +521,8 @@ impl TableErIndex {
         };
         let mut out = Vec::new();
         for (&q, (survivors, hit)) in frontier.iter().zip(rows.into_iter().flatten()) {
-            if memoize {
-                metrics.ep_cache_hits += u64::from(hit);
-                metrics.ep_cache_misses += u64::from(!hit);
-            }
+            metrics.ep_cache_hits += u64::from(hit);
+            metrics.ep_cache_misses += u64::from(!hit);
             match &replay_ranks {
                 Some(rank) => {
                     let rq = rank[q as usize];
@@ -586,7 +541,7 @@ impl TableErIndex {
                 }
             }
         }
-        Ok(Governed::Done(out))
+        Ok(out)
     }
 
     /// [`TableErIndex::frontier_ranks`], but `None` when the frontier
@@ -688,7 +643,7 @@ impl TableErIndex {
     }
 
     /// Runs the match decisions for `pairs`, consulting the pair-keyed
-    /// decision cache first when `ErConfig::ep_cache` enables it: pairs
+    /// decision cache first: pairs
     /// decided by any earlier (overlapping) query skip kernel work
     /// entirely, and fresh decisions are memoized for the next query.
     /// Cache state never changes a decision — a cached value is exactly
@@ -701,9 +656,6 @@ impl TableErIndex {
         pairs: &[(RecordId, RecordId)],
         metrics: &mut DedupMetrics,
     ) -> Result<Vec<bool>, ResolveError> {
-        if !self.config().ep_cache.enabled() {
-            return self.run_comparison_kernels(matcher, pairs);
-        }
         let cache = self.decision_cache();
         let keys: Vec<u64> = pairs.iter().map(|&(q, c)| pack_pair(q, c)).collect();
         // First query on a fresh cache: skip the probe pass entirely —
@@ -887,70 +839,40 @@ fn decide_pairs_batched(
 }
 
 /// Shared context of one node-centric pruning call: the pruning
-/// parameters resolved once, the bulk threshold vector when one is
-/// available (always, with `ep_cache` off), and whether the cross-query
-/// memos may be read and filled. `Sync` — the parallel survivor fill
-/// shares it by reference.
+/// parameters resolved once. `Sync` — the parallel survivor fill shares
+/// it by reference.
 struct NodeCentricEp<'a> {
     idx: &'a TableErIndex,
     scheme: WeightScheme,
     n_blocks: f64,
-    bulk: Option<Arc<Vec<f64>>>,
-    memoize: bool,
 }
 
 impl NodeCentricEp<'_> {
-    /// Node-centric threshold of `e`: an array load from the bulk vector
-    /// when present, else the cross-query sharded memo (computed on
-    /// first touch by the same accumulation the bulk sweep runs —
-    /// bit-identical everywhere).
-    fn threshold(&self, e: RecordId) -> f64 {
-        if let Some(bulk) = &self.bulk {
-            return bulk[e as usize];
-        }
-        self.idx
-            .threshold_cache()
-            .get_or_insert_with(scheme_node_key(self.scheme, e), || {
-                // invariant: without a bulk vector `ep_cache` is on (off
-                // always sweeps first), and `build()` materializes CBS
-                // partials for every cache-enabled EP config.
-                let nbh = self
-                    .idx
-                    .cbs_neighbourhood(e)
-                    .expect("memoized EP thresholds require build-time CBS partials");
-                threshold_over(self.idx, self.scheme, self.n_blocks, e, nbh)
-            })
-    }
-
     /// Surviving neighbours of `q` (first-touch order); the `bool`
     /// reports whether the row was served from the cross-query memo
-    /// (`true`) or computed by this call. `scratch` backs the
-    /// neighbourhood read of an index without CBS partials.
-    ///
-    /// Forced inline: inside the fill loop the threshold source and the
-    /// memo switch are loop-invariant and specialize away; left to the
-    /// inliner's discretion the cold fill of a 2k-record resolve-all ran
-    /// ~0.4 ms (~15 %) slower.
+    /// (`true`) or computed by this call from `q`'s counted
+    /// neighbourhood (through `scratch`) and the index's threshold
+    /// vector — two array loads per edge. Forced inline: it is the body
+    /// of the survivor-fill loop.
     #[inline(always)]
     fn survivors(&self, q: RecordId, scratch: &mut CooccurrenceScratch) -> (Arc<[RecordId]>, bool) {
-        let key = scheme_node_key(self.scheme, q);
-        if self.memoize {
-            if let Some(cached) = self.idx.survivor_cache().get(key) {
-                return (cached, true);
-            }
+        let memo = self.idx.survivor_cache();
+        if let Some(cached) = memo.get(u64::from(q)) {
+            return (cached, true);
         }
-        let nbh = self.idx.neighbourhood(q, scratch);
-        let th_q = self.threshold(q);
-        let row: Arc<[RecordId]> =
-            survivors_over(self.idx, self.scheme, self.n_blocks, q, nbh, th_q, |c| {
-                self.threshold(c)
-            })
-            .into();
-        if self.memoize {
-            (self.idx.survivor_cache().insert_if_absent(key, row), false)
-        } else {
-            (row, false)
-        }
+        let th = &self.idx.ep_thresholds;
+        let nbh = self.idx.cooccurrences_into(q, scratch);
+        let row: Arc<[RecordId]> = survivors_over(
+            self.idx,
+            self.scheme,
+            self.n_blocks,
+            q,
+            nbh,
+            th[q as usize],
+            |c| th[c as usize],
+        )
+        .into();
+        (memo.insert_if_absent(u64::from(q), row), false)
     }
 }
 
@@ -1007,9 +929,7 @@ mod tests {
     #[test]
     fn warm_resolve_is_served_from_caches() {
         let table = dirty_table();
-        let mut cfg = ErConfig::default();
-        cfg.ep_cache = crate::config::EpCacheMode::On;
-        let idx = TableErIndex::build(&table, &cfg);
+        let idx = TableErIndex::build(&table, &ErConfig::default());
 
         let mut li_cold = LinkIndex::new(table.len());
         let mut m_cold = DedupMetrics::default();
@@ -1043,9 +963,7 @@ mod tests {
     #[test]
     fn cached_point_query_stays_incremental() {
         let table = dirty_table();
-        let mut cfg = ErConfig::default();
-        cfg.ep_cache = crate::config::EpCacheMode::On;
-        let idx = TableErIndex::build(&table, &cfg);
+        let idx = TableErIndex::build(&table, &ErConfig::default());
         let mut li = LinkIndex::new(table.len());
         let mut m = DedupMetrics::default();
         idx.run(ResolveRequest::records(&table, &[0], &mut li).metrics(&mut m))
@@ -1056,21 +974,6 @@ mod tests {
             "survivor lists exist only for processed frontier nodes"
         );
         assert!(survivors < table.len(), "point query must stay partial");
-    }
-
-    #[test]
-    fn cache_off_leaves_caches_empty() {
-        let table = dirty_table();
-        let mut cfg = ErConfig::default();
-        cfg.ep_cache = crate::config::EpCacheMode::Off;
-        let idx = TableErIndex::build(&table, &cfg);
-        let mut li = LinkIndex::new(table.len());
-        let mut m = DedupMetrics::default();
-        idx.run(ResolveRequest::all(&table, &mut li).metrics(&mut m))
-            .unwrap();
-        assert_eq!(idx.resolve_cache_sizes(), (0, 0, 0));
-        assert_eq!(m.ep_cache_hits + m.ep_cache_misses, 0);
-        assert_eq!(m.decision_cache_hits + m.decision_cache_misses, 0);
     }
 
     #[test]

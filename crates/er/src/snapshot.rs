@@ -12,7 +12,7 @@
 //! | `links` | resolved flag per record + duplicate adjacency      |
 //!
 //! and [`open_index_snapshot`] rebuilds the blocking graph, profiles and
-//! CBS partials with [`TableErIndex::build`]. Decoding those structures
+//! WNP thresholds with [`TableErIndex::build`]. Decoding those structures
 //! measured no cheaper than building them at any table size, so a
 //! reopened index is by construction a rebuild and cannot diverge from
 //! one; the resolve caches start cold, as after any build.
@@ -23,11 +23,11 @@
 //! over the schema, every record value (type-tagged and framed), and the
 //! *decision-relevant* configuration fields (blocking scheme, token
 //! length, meta-blocking mode, weight scheme, EP scope, similarity,
-//! threshold, transitivity — not thread counts, cache modes or cache
-//! capacities, which never change decisions). Editing a row or retuning
+//! threshold, transitivity — not thread counts or cache capacities,
+//! which never change decisions). Editing a row or retuning
 //! a decision knob therefore reopens as
 //! [`SnapshotError::StaleTableHash`], and the caller falls back to an
-//! empty Link Index; retuning the thread or cache knobs keeps the
+//! empty Link Index; retuning the thread or cache-cap knobs keeps the
 //! snapshot valid.
 //!
 //! # Validation
@@ -102,8 +102,8 @@ pub fn content_fingerprint(table: &Table, cfg: &ErConfig) -> u64 {
         }
     }
 
-    // Decision-relevant configuration. Thread counts, cache modes and
-    // cache capacities are excluded on purpose: they never change
+    // Decision-relevant configuration. Thread counts and cache
+    // capacities are excluded on purpose: they never change
     // decisions (property-pinned by the equivalence suites), so a
     // snapshot survives retuning them.
     match cfg.blocking {
@@ -124,7 +124,11 @@ pub fn content_fingerprint(table: &Table, cfg: &ErConfig) -> u64 {
         crate::config::MetaBlockingConfig::Bp => 3,
         crate::config::MetaBlockingConfig::None => 4,
     });
-    h.update_u64(crate::index::scheme_tag(cfg.weight_scheme));
+    h.update_u64(match cfg.weight_scheme {
+        crate::config::WeightScheme::Cbs => 0,
+        crate::config::WeightScheme::Ecbs => 1,
+        crate::config::WeightScheme::Js => 2,
+    });
     h.update_u64(match cfg.ep_scope {
         crate::config::EdgePruningScope::NodeCentric => 0,
         crate::config::EdgePruningScope::Global => 1,

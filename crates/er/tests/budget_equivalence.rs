@@ -19,8 +19,8 @@
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_er::{
-    CancelToken, Completion, DedupMetrics, EpCacheMode, ErConfig, LinkIndex, MetaBlockingConfig,
-    ResolveBudget, ResolveRequest, TableErIndex, WeightScheme,
+    CancelToken, Completion, DedupMetrics, ErConfig, LinkIndex, MetaBlockingConfig, ResolveBudget,
+    ResolveRequest, TableErIndex, WeightScheme,
 };
 use queryer_storage::{RecordId, Schema, Table, Value};
 use std::time::{Duration, Instant};
@@ -74,10 +74,9 @@ fn scheme_of(w: usize) -> WeightScheme {
     }
 }
 
-fn cfg_of(scheme: usize, mode: usize, threads: usize) -> ErConfig {
+fn cfg_of(scheme: usize, threads: usize) -> ErConfig {
     let mut cfg = ErConfig::default().with_meta(MetaBlockingConfig::All);
     cfg.weight_scheme = scheme_of(scheme);
-    cfg.ep_cache = [EpCacheMode::Off, EpCacheMode::On][mode % 2];
     cfg.threads = threads;
     cfg
 }
@@ -108,11 +107,10 @@ proptest! {
     fn non_tripping_budgets_are_bit_identical(
         rows in rows(),
         scheme in 0usize..3,
-        mode in 0usize..2,
         threads in 1usize..5,
     ) {
         let table = build_table(&rows);
-        let cfg = cfg_of(scheme, mode, threads);
+        let cfg = cfg_of(scheme, threads);
 
         let plain_idx = TableErIndex::build(&table, &cfg);
         let mut li_plain = LinkIndex::new(table.len());
@@ -156,12 +154,11 @@ proptest! {
     fn capped_runs_respect_cap_and_emit_subset(
         rows in rows(),
         scheme in 0usize..3,
-        mode in 0usize..2,
         threads in 1usize..5,
         cap_pct in 0u64..=100,
     ) {
         let table = build_table(&rows);
-        let cfg = cfg_of(scheme, mode, threads);
+        let cfg = cfg_of(scheme, threads);
 
         let full_idx = TableErIndex::build(&table, &cfg);
         let mut li_full = LinkIndex::new(table.len());
@@ -214,10 +211,9 @@ proptest! {
     fn retry_with_growing_cap_converges(
         rows in rows(),
         scheme in 0usize..3,
-        mode in 0usize..2,
     ) {
         let table = build_table(&rows);
-        let cfg = cfg_of(scheme, mode, 1);
+        let cfg = cfg_of(scheme, 1);
 
         let full_idx = TableErIndex::build(&table, &cfg);
         let mut li_full = LinkIndex::new(table.len());
@@ -257,11 +253,10 @@ proptest! {
     fn cancel_and_zero_deadline_stop_cleanly(
         rows in rows(),
         scheme in 0usize..3,
-        mode in 0usize..2,
         threads in 1usize..5,
     ) {
         let table = build_table(&rows);
-        let cfg = cfg_of(scheme, mode, threads);
+        let cfg = cfg_of(scheme, threads);
         let idx = TableErIndex::build(&table, &cfg);
 
         // Pre-cancelled token: Cancelled at the first poll, zero work.
@@ -323,7 +318,7 @@ proptest! {
         delay_us in 0u64..200,
     ) {
         let table = build_table(&rows);
-        let cfg = cfg_of(scheme, 1, 2);
+        let cfg = cfg_of(scheme, 2);
 
         let full_idx = TableErIndex::build(&table, &cfg);
         let mut li_full = LinkIndex::new(table.len());

@@ -7,7 +7,7 @@
 //! vocabulary in chunk order, which must reproduce the single-threaded
 //! first-seen id assignment exactly — so the *entire* index (block keys
 //! and ids, CSR buffers in both directions, interned profiles, attribute
-//! metadata, CBS partials) and every downstream decision is bit-identical
+//! metadata, WNP thresholds) and every downstream decision is bit-identical
 //! for any thread count. These properties pin that, across thread counts
 //! 1..8 and corpora including the empty, single-record, and
 //! all-duplicate edge cases, and additionally pin the fused sweep's
@@ -17,11 +17,9 @@
 
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
-use queryer_common::{Csr, FxHashMap};
+use queryer_common::FxHashMap;
 use queryer_er::tokenizer::record_keys;
-use queryer_er::{
-    BlockingKind, DedupMetrics, EpCacheMode, ErConfig, LinkIndex, ResolveRequest, TableErIndex,
-};
+use queryer_er::{BlockingKind, DedupMetrics, ErConfig, LinkIndex, ResolveRequest, TableErIndex};
 use queryer_storage::{RecordId, Schema, Table, Value};
 
 /// Small vocabulary so random records actually share blocking tokens.
@@ -68,15 +66,13 @@ fn build_table(rows: &[(Vec<usize>, Vec<usize>)]) -> Table {
 fn cfg_with_threads(threads: usize) -> ErConfig {
     let mut cfg = ErConfig::default();
     cfg.threads = threads;
-    // Keep the CBS partials on so they are part of what gets compared.
-    cfg.ep_cache = EpCacheMode::On;
     cfg
 }
 
 /// Asserts that two indexes over the same table are bit-identical in
 /// every buffer the build produces: block vocabulary and contents (raw
 /// and filtered, both directions), purging decisions, interned profiles,
-/// attribute text + metadata, and the CBS partials.
+/// attribute text + metadata, and the WNP threshold vector.
 fn assert_same_index(reference: &TableErIndex, parallel: &TableErIndex, label: &str) {
     assert_eq!(reference.n_records(), parallel.n_records(), "{label}");
     assert_eq!(reference.n_blocks(), parallel.n_blocks(), "{label}");
@@ -143,12 +139,21 @@ fn assert_same_index(reference: &TableErIndex, parallel: &TableErIndex, label: &
                 "{label}: symbol {sym} text"
             );
         }
-        assert_eq!(
-            reference.cbs_neighbourhood(rid),
-            parallel.cbs_neighbourhood(rid),
-            "{label}: CBS partials {rid}"
-        );
     }
+    // The default config runs node-centric EP, so the build swept one
+    // threshold per record; compare the bits, not the floats.
+    let bits = |idx: &TableErIndex| -> Vec<u64> {
+        idx.bulk_ep_thresholds()
+            .iter()
+            .map(|t| t.to_bits())
+            .collect()
+    };
+    assert_eq!(
+        bits(reference).len(),
+        reference.n_records(),
+        "{label}: one threshold per record"
+    );
+    assert_eq!(bits(reference), bits(parallel), "{label}: WNP thresholds");
 }
 
 /// Resolves the whole table on both indexes and asserts identical
@@ -178,16 +183,15 @@ fn assert_same_decisions(reference: &TableErIndex, parallel: &TableErIndex, tabl
 }
 
 /// Raw token blocks of a table, before any meta-blocking: the block key
-/// and the CSR-packed contents (record ids, ascending) per block id.
+/// and the contents (record ids, ascending) per block id.
 struct RawBlocks {
     keys: Vec<String>,
-    blocks: Csr<RecordId>,
+    blocks: Vec<Vec<RecordId>>,
 }
 
 /// Token Blocking as a standalone pass (Sec. 6.1(i)): apply the blocking
 /// function to every record in id order, give each key the next block id
-/// at its first occurrence, and pack the `(block, record)` memberships
-/// into a CSR by counting sort.
+/// at its first occurrence, and append the record to that block.
 fn build_blocks(
     table: &Table,
     kind: BlockingKind,
@@ -196,19 +200,19 @@ fn build_blocks(
 ) -> RawBlocks {
     let mut key_to_block: FxHashMap<String, u32> = FxHashMap::default();
     let mut keys: Vec<String> = Vec::new();
-    let mut memberships: Vec<(u32, RecordId)> = Vec::new();
+    let mut blocks: Vec<Vec<RecordId>> = Vec::new();
     for record in table.records() {
         for token in record_keys(record, kind, min_token_len, skip_col) {
             let bid = *key_to_block.entry(token.clone()).or_insert_with(|| {
                 keys.push(token);
+                blocks.push(Vec::new());
                 (keys.len() - 1) as u32
             });
-            memberships.push((bid, record.id));
+            blocks[bid as usize].push(record.id);
         }
     }
     // record_keys deduplicates per record and records are visited in id
-    // order, so each packed block row is already sorted and unique.
-    let blocks = Csr::from_pairs(keys.len(), &memberships);
+    // order, so each block row is already sorted and unique.
     RawBlocks { keys, blocks }
 }
 
@@ -221,7 +225,7 @@ fn assert_matches_build_blocks(idx: &TableErIndex, table: &Table) {
     assert_eq!(rb.keys.len(), idx.n_blocks());
     for (b, key) in rb.keys.iter().enumerate() {
         assert_eq!(key, idx.block_key(b as u32));
-        assert_eq!(rb.blocks.row(b), idx.raw_block(b as u32));
+        assert_eq!(rb.blocks[b], idx.raw_block(b as u32));
     }
 }
 

@@ -1,25 +1,26 @@
-//! Equivalence of the cross-query resolve cache and the uncached path.
+//! Equivalence of the cross-query resolve cache and cold memos.
 //!
-//! The cached mode (`EpCacheMode::On`) memoizes node-centric Edge
-//! Pruning thresholds, surviving-neighbour lists, and pair comparison
-//! decisions across queries; `Off` recomputes everything per query.
-//! These properties pin the two modes together over random
-//! dirty corpora and *sequences* of overlapping point and range queries
-//! sharing one Link Index — the exact shape the cache exists for:
-//! bit-identical DR sets, links, and decision counts (comparisons /
-//! candidate pairs / matches) after every query of the sequence, across
-//! every `WeightScheme`, both `EdgePruningScope`s, and several thread
-//! counts. A warm repeat of a query must also emit the identical
-//! candidate pair sequence the cold scan emitted.
+//! An index memoizes node-centric Edge Pruning surviving-neighbour
+//! lists and pair comparison decisions across queries. These properties
+//! pin that memo state never shows: over random dirty corpora and
+//! *sequences* of overlapping point and range queries sharing one Link
+//! Index — the exact shape the cache exists for — an index whose memos
+//! carry over from query to query matches one whose memos are cleared
+//! before every query (bit-identical DR sets, links, and decision counts
+//! after every query of the sequence), across every `WeightScheme`, both
+//! `EdgePruningScope`s, and several thread counts. Cold and warm
+//! frontier scans must also emit the pair sequence of an in-test
+//! oracle that prunes against a fresh threshold sweep.
 
 #![allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_common::PairSet;
+use queryer_er::edge_pruning::{bulk_node_thresholds, EdgePruner};
 use queryer_er::{
-    DedupMetrics, EdgePruningScope, EpCacheMode, ErConfig, LinkIndex, MetaBlockingConfig,
-    ResolveRequest, TableErIndex, WeightScheme,
+    DedupMetrics, EdgePruningScope, ErConfig, LinkIndex, MetaBlockingConfig, ResolveRequest,
+    TableErIndex, WeightScheme,
 };
 use queryer_storage::{RecordId, Schema, Table, Value};
 
@@ -96,21 +97,37 @@ fn meta_of(m: usize) -> MetaBlockingConfig {
     }
 }
 
-const MODES: [EpCacheMode; 2] = [EpCacheMode::Off, EpCacheMode::On];
-
 fn cfg_with(
     scheme: WeightScheme,
     scope: EdgePruningScope,
     meta: MetaBlockingConfig,
-    mode: EpCacheMode,
     threads: usize,
 ) -> ErConfig {
     let mut cfg = ErConfig::default().with_meta(meta);
     cfg.weight_scheme = scheme;
     cfg.ep_scope = scope;
-    cfg.ep_cache = mode;
     cfg.threads = threads;
     cfg
+}
+
+/// Node-centric EP from public accessors alone: every neighbourhood
+/// weighted by `EdgePruner`, every threshold from a fresh sweep (not
+/// the index's stored vector), an edge kept when either endpoint's
+/// threshold admits it, each pair emitted once in frontier order.
+fn oracle_pairs(idx: &TableErIndex, frontier: &[RecordId]) -> Vec<(RecordId, RecordId)> {
+    let th = bulk_node_thresholds(idx, 1).unwrap();
+    let keeps = |w: f64, t: f64| w + 1e-12 >= t;
+    let mut pruner = EdgePruner::new(idx);
+    let mut seen = PairSet::new();
+    let mut out = Vec::new();
+    for &q in frontier {
+        for (c, w) in pruner.neighborhood(q) {
+            if (keeps(w, th[q as usize]) || keeps(w, th[c as usize])) && seen.insert(q, c) {
+                out.push((q, c));
+            }
+        }
+    }
+    out
 }
 
 /// Materialized query list for one table: point queries as singletons,
@@ -142,15 +159,20 @@ struct QueryTrace {
 }
 
 /// Runs a query sequence over one shared Link Index and returns per-query
-/// traces plus the final link matrix.
+/// traces plus the final link matrix. With `cold`, the index's memos
+/// are cleared before every query.
 fn run_sequence(
     table: &Table,
     idx: &TableErIndex,
     queries: &[Vec<RecordId>],
+    cold: bool,
 ) -> (Vec<QueryTrace>, Vec<bool>) {
     let mut li = LinkIndex::new(table.len());
     let mut traces = Vec::with_capacity(queries.len());
     for qe in queries {
+        if cold {
+            idx.clear_ep_cache();
+        }
         let mut m = DedupMetrics::default();
         let out = idx
             .run(ResolveRequest::records(table, qe, &mut li).metrics(&mut m))
@@ -174,7 +196,7 @@ fn run_sequence(
 }
 
 /// A deterministic pseudo-random table large enough (> the resolver's
-/// parallel-scan cutoff of 256) that the cached path takes its parallel
+/// parallel-scan cutoff of 256) that the scan takes its parallel
 /// survivor-fill branch, which the small proptest corpora never reach.
 fn large_table(n: usize) -> Table {
     let mut t = Table::new("p", Schema::of_strings(&["id", "title", "venue"]));
@@ -200,58 +222,36 @@ fn large_table(n: usize) -> Table {
     t
 }
 
-/// Cold and warm cached frontier scans — including the parallel
-/// survivor-fill branch — emit exactly the uncached pair sequence, for
-/// every weight scheme and cache mode.
+/// Cold and warm frontier scans — including the parallel survivor-fill
+/// branch — emit exactly the oracle's pair sequence, for every weight
+/// scheme.
 #[test]
-fn parallel_cached_scan_matches_uncached() {
+fn parallel_memo_scan_matches_oracle() {
     let table = large_table(420);
     let all: Vec<RecordId> = (0..table.len() as RecordId).collect();
     for scheme in [WeightScheme::Cbs, WeightScheme::Ecbs, WeightScheme::Js] {
-        let off = TableErIndex::build(
+        let idx = TableErIndex::build(
             &table,
             &cfg_with(
                 scheme,
                 EdgePruningScope::NodeCentric,
                 MetaBlockingConfig::All,
-                EpCacheMode::Off,
-                4,
-            ),
-        );
-        let cached = TableErIndex::build(
-            &table,
-            &cfg_with(
-                scheme,
-                EdgePruningScope::NodeCentric,
-                MetaBlockingConfig::All,
-                EpCacheMode::On,
                 4,
             ),
         );
         for frontier in [&all[..5], &all[..300], &all[..]] {
-            let mut seen_off = PairSet::new();
-            let mut seen_cold = PairSet::new();
-            let mut seen_warm = PairSet::new();
-            let pairs_off =
-                off.edge_pruned_pairs(frontier, &mut seen_off, &mut DedupMetrics::default());
-            let pairs_cold =
-                cached.edge_pruned_pairs(frontier, &mut seen_cold, &mut DedupMetrics::default());
-            let pairs_warm =
-                cached.edge_pruned_pairs(frontier, &mut seen_warm, &mut DedupMetrics::default());
-            assert_eq!(
-                pairs_cold,
-                pairs_off,
-                "cold on vs off, scheme {scheme:?} frontier {}",
-                frontier.len()
-            );
-            assert_eq!(
-                pairs_warm,
-                pairs_off,
-                "warm on vs off, scheme {scheme:?} frontier {}",
-                frontier.len()
-            );
+            let want = oracle_pairs(&idx, frontier);
+            idx.clear_ep_cache();
+            let (mut seen_cold, mut seen_warm) = (PairSet::new(), PairSet::new());
+            let cold =
+                idx.edge_pruned_pairs(frontier, &mut seen_cold, &mut DedupMetrics::default());
+            let warm =
+                idx.edge_pruned_pairs(frontier, &mut seen_warm, &mut DedupMetrics::default());
+            let case = format!("scheme {scheme:?} frontier {}", frontier.len());
+            assert_eq!(cold, want, "cold vs oracle, {case}");
+            assert_eq!(warm, want, "warm vs oracle, {case}");
             if frontier.len() == all.len() {
-                assert!(!pairs_off.is_empty(), "workload must generate pairs");
+                assert!(!want.is_empty(), "workload must generate pairs");
             }
         }
     }
@@ -270,7 +270,6 @@ fn capped_caches_identical_and_bounded() {
         WeightScheme::Ecbs,
         EdgePruningScope::NodeCentric,
         MetaBlockingConfig::All,
-        EpCacheMode::On,
         4,
     );
     let mut capped_cfg = unbounded_cfg.clone();
@@ -296,15 +295,11 @@ fn capped_caches_identical_and_bounded() {
         assert_eq!(m_c.candidate_pairs, m_u.candidate_pairs, "query {i}");
         assert_eq!(m_c.matches_found, m_u.matches_found, "query {i}");
 
-        let (th, sv, dec) = capped.resolve_cache_sizes();
-        assert!(th <= 64, "threshold cache over budget: {th}");
+        let (_, sv, dec) = capped.resolve_cache_sizes();
         assert!(sv <= 64, "survivor cache over budget: {sv}");
         assert!(dec <= 256, "decision cache over budget: {dec}");
     }
     // The budgets really bit: the unbounded run kept more entries.
-    // (The threshold memo is exempt — once a broad frontier has filled
-    // the bulk vector, thresholds are served from it, leaving the memo
-    // legitimately small.)
     let (_, sv_u, dec_u) = unbounded.resolve_cache_sizes();
     assert!(sv_u > 64 && dec_u > 256, "caps must be exercised");
 }
@@ -323,7 +318,6 @@ fn capped_parallel_fill_counts_each_node_once() {
         WeightScheme::Cbs,
         EdgePruningScope::NodeCentric,
         MetaBlockingConfig::All,
-        EpCacheMode::On,
         2,
     );
     let mut capped_cfg = uncapped_cfg.clone();
@@ -372,7 +366,6 @@ proptest! {
             scheme_of(scheme),
             EdgePruningScope::NodeCentric,
             meta_of(meta),
-            EpCacheMode::On,
             threads,
         );
         let mut capped_cfg = base.clone();
@@ -380,7 +373,7 @@ proptest! {
         capped_cfg.decision_cache_cap = dec_cap;
 
         let unbounded = TableErIndex::build(&table, &base);
-        let want = run_sequence(&table, &unbounded, &qs);
+        let want = run_sequence(&table, &unbounded, &qs, false);
 
         let capped = TableErIndex::build(&table, &capped_cfg);
         let mut li = LinkIndex::new(table.len());
@@ -395,8 +388,7 @@ proptest! {
                 candidate_pairs: m.candidate_pairs,
                 matches_found: m.matches_found,
             });
-            let (th, sv, dec) = capped.resolve_cache_sizes();
-            prop_assert!(th <= ep_cap, "threshold cache {} over cap {}", th, ep_cap);
+            let (_, sv, dec) = capped.resolve_cache_sizes();
             prop_assert!(sv <= ep_cap, "survivor cache {} over cap {}", sv, ep_cap);
             prop_assert!(dec <= dec_cap, "decision cache {} over cap {}", dec, dec_cap);
         }
@@ -412,12 +404,13 @@ proptest! {
     }
 
     /// Sequences of overlapping point + range queries produce identical
-    /// per-query DR sets, links, and decision counts in every cache mode
-    /// — the cached index serves later queries from memoized thresholds,
-    /// survivor lists, and decisions, and none of it may change a single
+    /// per-query DR sets, links, and decision counts whether the memos
+    /// carry over between queries (at `threads` workers) or start cold
+    /// before every query (sequentially) — later queries served from
+    /// memoized survivor lists and decisions may not change a single
     /// observable.
     #[test]
-    fn query_sequences_identical_across_cache_modes(
+    fn query_sequences_identical_with_cold_memos(
         rows in rows(),
         spec in queries(),
         scheme in 0usize..3,
@@ -427,25 +420,13 @@ proptest! {
     ) {
         let table = build_table(&rows);
         let qs = concrete_queries(&spec, table.len());
-        let mut reference: Option<(Vec<QueryTrace>, Vec<bool>)> = None;
-        for mode in MODES {
-            let cfg = cfg_with(scheme_of(scheme), scope_of(scope), meta_of(meta), mode, threads);
-            let idx = TableErIndex::build(&table, &cfg);
-            let got = run_sequence(&table, &idx, &qs);
-            match &reference {
-                None => reference = Some(got),
-                Some(want) => {
-                    prop_assert_eq!(
-                        &got.0, &want.0,
-                        "query traces diverged in mode {:?} (queries {:?})", mode, &qs
-                    );
-                    prop_assert_eq!(
-                        &got.1, &want.1,
-                        "final links diverged in mode {:?}", mode
-                    );
-                }
-            }
-        }
+        let cfg = cfg_with(scheme_of(scheme), scope_of(scope), meta_of(meta), threads);
+        let got = run_sequence(&table, &TableErIndex::build(&table, &cfg), &qs, false);
+        let mut seq_cfg = cfg.clone();
+        seq_cfg.threads = 1;
+        let want = run_sequence(&table, &TableErIndex::build(&table, &seq_cfg), &qs, true);
+        prop_assert_eq!(&got.0, &want.0, "query traces diverged (queries {:?})", &qs);
+        prop_assert_eq!(&got.1, &want.1, "final links diverged");
     }
 
     /// Re-running the *same* sequence against the same cached index
@@ -465,11 +446,10 @@ proptest! {
             scheme_of(scheme),
             EdgePruningScope::NodeCentric,
             meta_of(meta),
-            EpCacheMode::On,
             1,
         );
         let idx = TableErIndex::build(&table, &cfg);
-        let cold = run_sequence(&table, &idx, &qs);
+        let cold = run_sequence(&table, &idx, &qs, false);
         let mut li = LinkIndex::new(table.len());
         let mut warm_traces = Vec::new();
         for qe in &qs {

@@ -1,17 +1,15 @@
 //! Edge Pruning is one algorithm whatever feeds it.
 //!
-//! Node-centric pruning has one enumerator, which reads neighbourhoods
-//! either from build-time CBS partials (`EpCacheMode::On`, thresholds
-//! and survivor rows memoized across queries) or by counting them per
-//! query (`EpCacheMode::Off`, thresholds always from the bulk sweep,
-//! nothing memoized), sequentially or fanned out across worker threads.
-//! These properties pin that down over random dirty corpora: the bulk
-//! threshold sweep is bit-equal to a plain in-test mean-of-weights
-//! oracle at every thread count, and `Off` at 1..8 threads emits the
-//! identical candidate pair sequence as sequential `On` for every
-//! frontier size from 1 to the whole table — and hence identical DR
-//! sets / links / metrics counts after a full resolve — across every
-//! `WeightScheme` and both `EdgePruningScope`s.
+//! Node-centric pruning has one enumerator, which counts each frontier
+//! node's neighbourhood and reads the thresholds the build swept,
+//! sequentially or fanned out across worker threads. These properties
+//! pin that down over random dirty corpora: the threshold sweep — and
+//! the vector the build stored — is bit-equal to a plain in-test
+//! mean-of-weights oracle at every thread count, and an index at 1..8
+//! threads emits the identical candidate pair sequence as a sequential
+//! one for every frontier size from 1 to the whole table — and hence
+//! identical DR sets / links / metrics counts after a full resolve —
+//! across every `WeightScheme` and both `EdgePruningScope`s.
 
 #![allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 
@@ -20,8 +18,8 @@ use queryer_common::knobs::proptest_cases;
 use queryer_common::PairSet;
 use queryer_er::edge_pruning::{bulk_node_thresholds, EdgePruner};
 use queryer_er::{
-    CooccurrenceScratch, DedupMetrics, EdgePruningScope, EpCacheMode, ErConfig, LinkIndex,
-    MetaBlockingConfig, ResolveRequest, TableErIndex, WeightScheme,
+    CooccurrenceScratch, DedupMetrics, EdgePruningScope, ErConfig, LinkIndex, MetaBlockingConfig,
+    ResolveRequest, TableErIndex, WeightScheme,
 };
 use queryer_storage::{RecordId, Schema, Table, Value};
 
@@ -91,8 +89,8 @@ fn meta_of(m: usize) -> MetaBlockingConfig {
     }
 }
 
-/// Builds two indexes over the same table: `Off` (no CBS partials, no
-/// memo) with `threads` EP workers, and the sequential `On` reference.
+/// Builds two indexes over the same table: one with `threads` workers
+/// and the sequential reference.
 fn build_pair(
     table: &Table,
     scheme: WeightScheme,
@@ -100,21 +98,19 @@ fn build_pair(
     meta: MetaBlockingConfig,
     threads: usize,
 ) -> (TableErIndex, TableErIndex) {
-    let mut off_cfg = ErConfig::default().with_meta(meta);
-    off_cfg.weight_scheme = scheme;
-    off_cfg.ep_scope = scope;
-    off_cfg.threads = threads;
-    off_cfg.ep_cache = EpCacheMode::Off;
-    let mut on_cfg = off_cfg.clone();
-    on_cfg.threads = 1;
-    on_cfg.ep_cache = EpCacheMode::On;
+    let mut par_cfg = ErConfig::default().with_meta(meta);
+    par_cfg.weight_scheme = scheme;
+    par_cfg.ep_scope = scope;
+    par_cfg.threads = threads;
+    let mut seq_cfg = par_cfg.clone();
+    seq_cfg.threads = 1;
     (
-        TableErIndex::build(table, &off_cfg),
-        TableErIndex::build(table, &on_cfg),
+        TableErIndex::build(table, &par_cfg),
+        TableErIndex::build(table, &seq_cfg),
     )
 }
 
-/// The oracle the bulk sweep is pinned to: a node's threshold is the
+/// The oracle the threshold sweep is pinned to: a node's threshold is the
 /// mean weight of its edges, neighbourhood counted from the blocking
 /// graph, accumulated in first-touch order (0 when isolated).
 fn oracle_threshold(idx: &TableErIndex, e: RecordId) -> f64 {
@@ -171,39 +167,34 @@ fn large_table(n: usize) -> Table {
 /// The three frontier shapes — point query (frontier well under
 /// `n_records`/32), sequential broad frontier, and the parallel fan-out
 /// (frontier ≥ 256 with several workers) — all emit exactly the
-/// sequential `On` pair sequence under `Off`, for both EP scopes.
+/// sequential index's pair sequence, for both EP scopes.
 #[test]
 fn parallel_frontier_scan_matches_sequential() {
     let table = large_table(420);
     let all: Vec<RecordId> = (0..table.len() as RecordId).collect();
     for scope in [EdgePruningScope::NodeCentric, EdgePruningScope::Global] {
         for scheme in [WeightScheme::Cbs, WeightScheme::Ecbs, WeightScheme::Js] {
-            let (off_idx, on_idx) = build_pair(&table, scheme, scope, MetaBlockingConfig::All, 4);
+            let (par_idx, seq_idx) = build_pair(&table, scheme, scope, MetaBlockingConfig::All, 4);
             for frontier in [&all[..5], &all[..300], &all[..]] {
-                let pairs_off = pairs_of(&off_idx, frontier, &mut PairSet::new());
-                let pairs_on = pairs_of(&on_idx, frontier, &mut PairSet::new());
+                let pairs_par = pairs_of(&par_idx, frontier, &mut PairSet::new());
+                let pairs_seq = pairs_of(&seq_idx, frontier, &mut PairSet::new());
                 assert_eq!(
-                    pairs_off,
-                    pairs_on,
+                    pairs_par,
+                    pairs_seq,
                     "scope {scope:?} scheme {scheme:?} frontier {}",
                     frontier.len()
                 );
                 if frontier.len() == all.len() {
-                    assert!(!pairs_off.is_empty(), "workload must generate pairs");
+                    assert!(!pairs_par.is_empty(), "workload must generate pairs");
                 }
             }
-            assert_eq!(
-                off_idx.resolve_cache_sizes(),
-                (0, 0, 0),
-                "off must memoize nothing"
-            );
         }
     }
 }
 
 /// The enumerator's resolve-all fast path — rank-ownership dedup with
 /// no per-surviving-edge `PairSet` insert — emits the exact pair
-/// sequence of the insert-probing loop, in both cache modes,
+/// sequence of the insert-probing loop, on cold and warm memos,
 /// sequentially and across the parallel fan-out. Seeding the carried set with the self-pair
 /// `(0, 0)` forces the insert-probing loop (a non-empty `pair_seen`
 /// disables the fast path) without perturbing output, since EP
@@ -213,14 +204,14 @@ fn resolve_all_fast_path_matches_insert_probing() {
     let table = large_table(420);
     let all: Vec<RecordId> = (0..table.len() as RecordId).collect();
     for scheme in [WeightScheme::Cbs, WeightScheme::Ecbs, WeightScheme::Js] {
-        for mode in [EpCacheMode::Off, EpCacheMode::On] {
-            for threads in [1usize, 4] {
-                let mut cfg = ErConfig::default().with_meta(MetaBlockingConfig::All);
-                cfg.weight_scheme = scheme;
-                cfg.threads = threads;
-                cfg.ep_cache = mode;
-                let idx = TableErIndex::build(&table, &cfg);
-                let case = format!("scheme {scheme:?} mode {mode:?} threads {threads}");
+        for threads in [1usize, 4] {
+            let mut cfg = ErConfig::default().with_meta(MetaBlockingConfig::All);
+            cfg.weight_scheme = scheme;
+            cfg.threads = threads;
+            let idx = TableErIndex::build(&table, &cfg);
+            // The first pass starts on empty memos, the second replays them.
+            for pass in ["cold", "warm"] {
+                let case = format!("scheme {scheme:?} threads {threads} {pass}");
 
                 let mut fresh = PairSet::new();
                 let fast = pairs_of(&idx, &all, &mut fresh);
@@ -279,36 +270,33 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// The bulk sweep computes, for every node, at every thread count
-    /// from 1 to 8, and from either neighbourhood source (CBS partials
-    /// or counting), the exact bits of the mean-of-weights oracle.
+    /// The threshold sweep computes, for every node, at every thread
+    /// count from 1 to 8, the exact bits of the mean-of-weights oracle —
+    /// and so does the vector the build stored.
     #[test]
     fn bulk_thresholds_bit_equal_oracle(
         rows in rows(),
         scheme in 0usize..3,
         meta in 0usize..2,
-        mode in 0usize..2,
     ) {
         let table = build_table(&rows);
         let mut cfg = ErConfig::default().with_meta(meta_of(meta));
         cfg.weight_scheme = scheme_of(scheme);
-        cfg.ep_cache = [EpCacheMode::Off, EpCacheMode::On][mode];
         let idx = TableErIndex::build(&table, &cfg);
         let oracle: Vec<u64> = (0..idx.n_records() as RecordId)
             .map(|e| oracle_threshold(&idx, e).to_bits())
             .collect();
+        let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(&bits(idx.bulk_ep_thresholds()), &oracle, "stored vector");
         for threads in 1usize..=8 {
-            let swept: Vec<u64> = bulk_node_thresholds(&idx, threads)
-                .iter()
-                .map(|t| t.to_bits())
-                .collect();
-            prop_assert_eq!(&swept, &oracle, "threads {}", threads);
+            let swept = bulk_node_thresholds(&idx, threads).unwrap();
+            prop_assert_eq!(&bits(&swept), &oracle, "threads {}", threads);
         }
     }
 
-    /// `edge_pruned_pairs` emits the identical pair sequence under `Off`
-    /// (any thread count) and sequential `On` for every frontier prefix
-    /// of sizes 1..=n — including pairs carried over in `pair_seen`.
+    /// `edge_pruned_pairs` emits the identical pair sequence at any
+    /// thread count and sequentially for every frontier prefix of sizes
+    /// 1..=n — including pairs carried over in `pair_seen`.
     #[test]
     fn pair_sets_identical_for_all_frontier_sizes(
         rows in rows(),
@@ -317,7 +305,7 @@ proptest! {
         threads in 1usize..9,
     ) {
         let table = build_table(&rows);
-        let (off_idx, on_idx) = build_pair(
+        let (par_idx, seq_idx) = build_pair(
             &table,
             scheme_of(scheme),
             scope_of(scope),
@@ -327,28 +315,28 @@ proptest! {
         let all: Vec<RecordId> = (0..table.len() as RecordId).collect();
         for size in 1..=all.len() {
             let frontier = &all[..size];
-            let mut seen_off = PairSet::new();
-            let mut seen_on = PairSet::new();
-            let pairs_off = pairs_of(&off_idx, frontier, &mut seen_off);
-            let pairs_on = pairs_of(&on_idx, frontier, &mut seen_on);
+            let mut seen_par = PairSet::new();
+            let mut seen_seq = PairSet::new();
+            let pairs_par = pairs_of(&par_idx, frontier, &mut seen_par);
+            let pairs_seq = pairs_of(&seq_idx, frontier, &mut seen_seq);
             prop_assert_eq!(
-                &pairs_off, &pairs_on,
+                &pairs_par, &pairs_seq,
                 "pair sequences diverged at frontier size {}", size
             );
             // A second call with the same carried pair_seen must emit
-            // nothing in either mode (all pairs already recorded) —
+            // nothing on either index (all pairs already recorded) —
             // except after the node-centric resolve-all shape, which
             // records nothing and so replays in full.
-            if !seen_off.is_empty() {
-                prop_assert!(pairs_of(&off_idx, frontier, &mut seen_off).is_empty());
-                prop_assert!(pairs_of(&on_idx, frontier, &mut seen_on).is_empty());
+            if !seen_par.is_empty() {
+                prop_assert!(pairs_of(&par_idx, frontier, &mut seen_par).is_empty());
+                prop_assert!(pairs_of(&seq_idx, frontier, &mut seen_seq).is_empty());
             }
         }
     }
 
     /// Full resolve: DR sets, links, and decision counts
-    /// (candidate pairs, comparisons, matches) are identical between
-    /// `Off` at any thread count and sequential `On`.
+    /// (candidate pairs, comparisons, matches) are identical at any
+    /// thread count and sequentially.
     #[test]
     fn resolve_decisions_identical(
         rows in rows(),
@@ -359,7 +347,7 @@ proptest! {
         qe_mask in 1u32..255,
     ) {
         let table = build_table(&rows);
-        let (off_idx, on_idx) = build_pair(
+        let (par_idx, seq_idx) = build_pair(
             &table,
             scheme_of(scheme),
             scope_of(scope),
@@ -370,26 +358,24 @@ proptest! {
             .filter(|&r| qe_mask & (1 << (r % 8)) != 0)
             .collect();
 
-        let mut li_off = LinkIndex::new(table.len());
-        let mut m_off = DedupMetrics::default();
-        let out_off = off_idx.run(ResolveRequest::records(&table, &qe, &mut li_off).metrics(&mut m_off)).unwrap();
+        let mut li_par = LinkIndex::new(table.len());
+        let mut m_par = DedupMetrics::default();
+        let out_par = par_idx.run(ResolveRequest::records(&table, &qe, &mut li_par).metrics(&mut m_par)).unwrap();
 
-        let mut li_on = LinkIndex::new(table.len());
-        let mut m_on = DedupMetrics::default();
-        let out_on = on_idx.run(ResolveRequest::records(&table, &qe, &mut li_on).metrics(&mut m_on)).unwrap();
+        let mut li_seq = LinkIndex::new(table.len());
+        let mut m_seq = DedupMetrics::default();
+        let out_seq = seq_idx.run(ResolveRequest::records(&table, &qe, &mut li_seq).metrics(&mut m_seq)).unwrap();
 
-        prop_assert_eq!(&out_off.dr, &out_on.dr, "DR sets diverged (qe {:?})", &qe);
-        prop_assert_eq!(out_off.new_links, out_on.new_links);
-        prop_assert_eq!(m_off.candidate_pairs, m_on.candidate_pairs);
-        prop_assert_eq!(m_off.comparisons, m_on.comparisons);
-        prop_assert_eq!(m_off.matches_found, m_on.matches_found);
-        prop_assert_eq!(m_off.ep_cache_hits + m_off.ep_cache_misses, 0, "off counts no memo traffic");
-        prop_assert_eq!(off_idx.resolve_cache_sizes(), (0, 0, 0));
+        prop_assert_eq!(&out_par.dr, &out_seq.dr, "DR sets diverged (qe {:?})", &qe);
+        prop_assert_eq!(out_par.new_links, out_seq.new_links);
+        prop_assert_eq!(m_par.candidate_pairs, m_seq.candidate_pairs);
+        prop_assert_eq!(m_par.comparisons, m_seq.comparisons);
+        prop_assert_eq!(m_par.matches_found, m_seq.matches_found);
         for a in 0..table.len() as RecordId {
             for b in 0..table.len() as RecordId {
                 prop_assert_eq!(
-                    li_off.are_linked(a, b),
-                    li_on.are_linked(a, b),
+                    li_par.are_linked(a, b),
+                    li_seq.are_linked(a, b),
                     "links diverged at ({}, {})", a, b
                 );
             }

@@ -31,8 +31,8 @@
 use parking_lot::{Mutex, RwLock};
 use queryer_common::failpoints::{self, FailAction};
 use queryer_er::{
-    DedupMetrics, EdgePruningScope, EpCacheMode, ErConfig, LinkIndex, MetaBlockingConfig,
-    ResolveError, ResolveRequest, ResolveStage, SimilarityKind, TableErIndex,
+    DedupMetrics, DeltaOp, EdgePruningScope, ErConfig, LinkIndex, MetaBlockingConfig, ResolveError,
+    ResolveRequest, ResolveStage, SimilarityKind, TableErIndex, WeightScheme,
 };
 use queryer_storage::{RecordId, Schema, Table};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -64,10 +64,9 @@ fn workload() -> Table {
 }
 
 /// All knobs pinned to 4 threads so the scoped fan-outs (and their
-/// failpoints) run on every machine, plus a choice of EP mode.
-fn cfg(mode: EpCacheMode, scope: EdgePruningScope) -> ErConfig {
+/// failpoints) run on every machine, plus a choice of EP scope.
+fn cfg(scope: EdgePruningScope) -> ErConfig {
     let mut cfg = ErConfig::default();
-    cfg.ep_cache = mode;
     cfg.ep_scope = scope;
     cfg.threads = 4;
     cfg
@@ -144,7 +143,7 @@ fn assert_worker_panic_isolated(site: &str, config: &ErConfig, stage: ResolveSta
 fn tokenize_worker_panic_fails_build_with_typed_error() {
     let _guard = faults();
     let table = workload();
-    let config = cfg(EpCacheMode::On, EdgePruningScope::NodeCentric);
+    let config = cfg(EdgePruningScope::NodeCentric);
 
     failpoints::arm("build.tokenize.worker", FailAction::Panic);
     let err = TableErIndex::try_build(&table, &config).unwrap_err();
@@ -161,13 +160,13 @@ fn tokenize_worker_panic_fails_build_with_typed_error() {
 }
 
 #[test]
-fn cbs_worker_panic_fails_build_with_typed_error() {
+fn threshold_worker_panic_fails_build_with_typed_error() {
     let _guard = faults();
     let table = workload();
-    // CBS partials are only built for cache-enabled EP configs.
-    let config = cfg(EpCacheMode::On, EdgePruningScope::NodeCentric);
+    // WNP thresholds are swept at build for node-centric EP configs.
+    let config = cfg(EdgePruningScope::NodeCentric);
 
-    failpoints::arm("build.cbs.worker", FailAction::Panic);
+    failpoints::arm("build.thresholds.worker", FailAction::Panic);
     let err = TableErIndex::try_build(&table, &config).unwrap_err();
     assert_eq!(
         err,
@@ -176,37 +175,57 @@ fn cbs_worker_panic_fails_build_with_typed_error() {
         }
     );
 
-    failpoints::disarm("build.cbs.worker");
+    failpoints::disarm("build.thresholds.worker");
     let idx = TableErIndex::try_build(&table, &config).unwrap();
     assert_serves_like_fresh(&idx, &table, &config);
 }
 
+/// Under ECBS weights a delta re-sweeps every threshold after the
+/// overlay is in. A worker lost there fails the apply with a typed
+/// error and poisons the index — its thresholds no longer match its
+/// graph — and a compaction (a rebuild of the mutated table) recovers
+/// it.
 #[test]
-fn bulk_sweep_worker_panic_is_isolated() {
+fn threshold_resweep_panic_poisons_the_apply_until_compact() {
     let _guard = faults();
-    // A whole-table frontier fills the bulk threshold vector first, in
-    // either cache mode.
-    for mode in [EpCacheMode::Off, EpCacheMode::On] {
-        assert_worker_panic_isolated(
-            "ep.bulk.worker",
-            &cfg(mode, EdgePruningScope::NodeCentric),
-            ResolveStage::EdgePruning,
-        );
-    }
+    let mut table = workload();
+    let mut config = cfg(EdgePruningScope::NodeCentric);
+    config.weight_scheme = WeightScheme::Ecbs;
+    let mut idx = TableErIndex::build(&table, &config);
+    let op = DeltaOp::Insert {
+        values: table.record(0).unwrap().values.clone(),
+    };
+    op.apply_to_table(&mut table).unwrap();
+
+    failpoints::arm("build.thresholds.worker", FailAction::Panic);
+    let err = idx.apply_delta(&table, &[op]).unwrap_err();
+    assert_eq!(
+        err,
+        ResolveError::WorkerPanicked {
+            stage: ResolveStage::Build
+        }
+    );
+    assert!(idx.is_poisoned(), "a torn threshold re-sweep must poison");
+    let mut li = LinkIndex::new(table.len());
+    assert_eq!(
+        idx.run(ResolveRequest::all(&table, &mut li)).unwrap_err(),
+        ResolveError::Poisoned
+    );
+
+    failpoints::disarm("build.thresholds.worker");
+    idx.compact(&table).unwrap();
+    assert!(!idx.is_poisoned(), "compaction rebuilds a sound index");
+    assert_serves_like_fresh(&idx, &table, &config);
 }
 
 #[test]
 fn survivor_fill_worker_panic_is_isolated() {
     let _guard = faults();
-    // One node-centric enumerator, one fill site: `Off` fans out the
-    // same survivor fill `On` does, it just memoizes none of the rows.
-    for mode in [EpCacheMode::Off, EpCacheMode::On] {
-        assert_worker_panic_isolated(
-            "ep.survivors.worker",
-            &cfg(mode, EdgePruningScope::NodeCentric),
-            ResolveStage::EdgePruning,
-        );
-    }
+    assert_worker_panic_isolated(
+        "ep.survivors.worker",
+        &cfg(EdgePruningScope::NodeCentric),
+        ResolveStage::EdgePruning,
+    );
 }
 
 #[test]
@@ -215,7 +234,7 @@ fn global_scan_worker_panic_is_isolated() {
     // "ep.scan.worker" belongs to the Global (WEP) frontier scan alone.
     assert_worker_panic_isolated(
         "ep.scan.worker",
-        &cfg(EpCacheMode::Off, EdgePruningScope::Global),
+        &cfg(EdgePruningScope::Global),
         ResolveStage::EdgePruning,
     );
 }
@@ -223,20 +242,18 @@ fn global_scan_worker_panic_is_isolated() {
 #[test]
 fn comparison_worker_panic_is_isolated() {
     let _guard = faults();
-    for mode in [EpCacheMode::Off, EpCacheMode::On] {
-        assert_worker_panic_isolated(
-            "cmp.worker",
-            &cfg(mode, EdgePruningScope::NodeCentric),
-            ResolveStage::ComparisonExecution,
-        );
-    }
+    assert_worker_panic_isolated(
+        "cmp.worker",
+        &cfg(EdgePruningScope::NodeCentric),
+        ResolveStage::ComparisonExecution,
+    );
 }
 
 #[test]
 fn resolver_thread_panic_leaves_index_clean() {
     let _guard = faults();
     let table = workload();
-    let config = cfg(EpCacheMode::On, EdgePruningScope::NodeCentric);
+    let config = cfg(EdgePruningScope::NodeCentric);
     let idx = TableErIndex::build(&table, &config);
 
     // "resolve.round" fires on the *caller's* thread, so the panic
@@ -347,7 +364,7 @@ fn failed_later_round_commits_nothing_and_retry_converges() {
 fn concurrent_worker_panics_commit_nothing_and_retry_converges() {
     let _guard = faults();
     let table = workload();
-    let config = cfg(EpCacheMode::On, EdgePruningScope::NodeCentric);
+    let config = cfg(EdgePruningScope::NodeCentric);
     let idx = TableErIndex::build(&table, &config);
     // Reference on a *separate* build: running it on `idx` would fill
     // the decision cache and shrink the faulted attempt's kernel batch
@@ -403,7 +420,7 @@ fn concurrent_worker_panics_commit_nothing_and_retry_converges() {
 fn interrupted_cache_clear_poisons_the_index() {
     let _guard = faults();
     let table = workload();
-    let config = cfg(EpCacheMode::On, EdgePruningScope::NodeCentric);
+    let config = cfg(EdgePruningScope::NodeCentric);
     let idx = TableErIndex::build(&table, &config);
 
     // Warm the caches so the clear actually has state to tear down.
@@ -412,8 +429,8 @@ fn interrupted_cache_clear_poisons_the_index() {
     idx.run(ResolveRequest::all(&table, &mut li).metrics(&mut m))
         .unwrap();
 
-    // "cache.clear" sits between the EP-threshold clear and the resolve
-    // cache clears — a panic there leaves the hierarchy half-cleared,
+    // "cache.clear" sits between the survivor-memo clear and the
+    // decision-memo clear — a panic there leaves the memos half-cleared,
     // which is exactly what the poison latch exists to fence off.
     failpoints::arm("cache.clear", FailAction::Panic);
     let unwound = catch_unwind(AssertUnwindSafe(|| idx.clear_ep_cache()));
@@ -438,7 +455,7 @@ fn interrupted_cache_clear_poisons_the_index() {
 fn delay_actions_change_no_decisions() {
     let _guard = faults();
     let table = workload();
-    let config = cfg(EpCacheMode::On, EdgePruningScope::NodeCentric);
+    let config = cfg(EdgePruningScope::NodeCentric);
 
     let baseline = {
         let idx = TableErIndex::build(&table, &config);
@@ -449,8 +466,7 @@ fn delay_actions_change_no_decisions() {
     // widen scheduling windows. Everything must stay bit-identical.
     for site in [
         "build.tokenize.worker",
-        "build.cbs.worker",
-        "ep.bulk.worker",
+        "build.thresholds.worker",
         "ep.survivors.worker",
         "ep.scan.worker",
         "cmp.worker",

@@ -20,7 +20,9 @@
 //! decisions surviving compaction (the no-op `compact()` is a unit test
 //! in `src/delta.rs`) — and a property test drives
 //! random op/query interleavings across weight schemes, EP scopes,
-//! meta-blocking configs, thread counts, and cache modes.
+//! meta-blocking configs, and thread counts, checking after every batch
+//! that the threshold vector the index patched (or re-swept) is the
+//! rebuild's, bit for bit.
 
 #![allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 
@@ -28,7 +30,7 @@ use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_er::edge_pruning::bulk_node_thresholds;
 use queryer_er::{
-    Affected, DedupMetrics, DeltaOp, EdgePruningScope, EpCacheMode, ErConfig, LinkIndex,
+    Affected, CooccurrenceScratch, DedupMetrics, DeltaOp, EdgePruningScope, ErConfig, LinkIndex,
     MetaBlockingConfig, ResolveRequest, TableErIndex, WeightScheme,
 };
 use queryer_storage::{RecordId, Schema, Table, Value};
@@ -115,13 +117,10 @@ fn meta_of(m: usize) -> MetaBlockingConfig {
     }
 }
 
-const MODES: [EpCacheMode; 2] = [EpCacheMode::Off, EpCacheMode::On];
-
-fn cfg_of(scheme: usize, scope: usize, meta: usize, mode: usize, threads: usize) -> ErConfig {
+fn cfg_of(scheme: usize, scope: usize, meta: usize, threads: usize) -> ErConfig {
     let mut cfg = ErConfig::default().with_meta(meta_of(meta));
     cfg.weight_scheme = scheme_of(scheme);
     cfg.ep_scope = scope_of(scope);
-    cfg.ep_cache = MODES[mode % MODES.len()];
     cfg.threads = threads;
     cfg
 }
@@ -235,8 +234,7 @@ proptest! {
 
     /// Random interleavings of delta batches and resolves are
     /// decision-identical to rebuild-from-scratch after every batch,
-    /// across schemes × scopes × meta configs × thread counts × cache
-    /// modes.
+    /// across schemes × scopes × meta configs × thread counts.
     #[test]
     fn interleaved_deltas_equal_rebuild(
         rows in rows(),
@@ -244,11 +242,10 @@ proptest! {
         scheme in 0usize..3,
         scope in 0usize..2,
         meta in 0usize..5,
-        mode in 0usize..2,
         threads in 1usize..5,
         probe in 0usize..64,
     ) {
-        let cfg = cfg_of(scheme, scope, meta, mode, threads);
+        let cfg = cfg_of(scheme, scope, meta, threads);
         let mut table = build_table(&rows);
         let mut idx = TableErIndex::build(&table, &cfg);
         let mut li = LinkIndex::new(table.len());
@@ -279,21 +276,29 @@ proptest! {
                 !cfg.meta.edge_pruning() || cfg.ep_scope == EdgePruningScope::NodeCentric;
 
             // The blocking graph the delta left behind is the rebuild's:
-            // every CBS row holds the same edges in the same order, and
-            // the node thresholds are bit-equal.
+            // every neighbourhood holds the same edges in the same order,
+            // and the threshold vector the apply patched in place (CBS)
+            // or re-swept (ECBS / JS) is bit-equal to a sweep over the
+            // rebuild.
+            let (mut s_l, mut s_o) = (CooccurrenceScratch::new(), CooccurrenceScratch::new());
             for r in 0..table.len() as RecordId {
                 prop_assert_eq!(
-                    idx.cbs_neighbourhood(r),
-                    oracle.cbs_neighbourhood(r),
-                    "CBS row of {}", r
+                    idx.cooccurrences_into(r, &mut s_l),
+                    oracle.cooccurrences_into(r, &mut s_o),
+                    "neighbourhood of {}", r
                 );
             }
-            if cfg.meta.edge_pruning() {
-                prop_assert_eq!(
-                    bulk_node_thresholds(&idx, threads),
-                    bulk_node_thresholds(&oracle, threads)
-                );
-            }
+            let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<u64>>();
+            let want = if cfg.node_centric_ep() {
+                bulk_node_thresholds(&oracle, threads).unwrap()
+            } else {
+                Vec::new()
+            };
+            prop_assert_eq!(
+                bits(idx.bulk_ep_thresholds()),
+                bits(&want),
+                "stored thresholds diverged from a sweep over the rebuild"
+            );
             for r in 0..table.len() as RecordId {
                 let (mut li_l, mut li_o) = (li.clone(), li.clone());
                 let (mut m_l, mut m_o) = (DedupMetrics::default(), DedupMetrics::default());
@@ -372,7 +377,7 @@ proptest! {
         scheme in 0usize..3,
         meta in 0usize..5,
     ) {
-        let cfg = cfg_of(scheme, 0, meta, 1, 2);
+        let cfg = cfg_of(scheme, 0, meta, 2);
         let mut table = build_table(&rows);
         let mut idx = TableErIndex::build(&table, &cfg);
         let mut li = LinkIndex::new(table.len());
@@ -574,17 +579,15 @@ fn threshold_flip_unlinks_an_untouched_neighbour() {
 /// warm, 50 inserts / updates / deletes never invalidate everything,
 /// invalidate over a third of the table in at most 5 writes and under
 /// a quarter on average (survivor rows go for invalidated records
-/// only, under a quarter of those held on average), drop no memoized
-/// threshold, and leave the bulk threshold vector what a sweep over a
-/// rebuilt index computes.
+/// only, under a quarter of those held on average), and leave the
+/// threshold vector what the build of a rebuilt index sweeps.
 #[test]
 fn single_row_writes_cost_what_they_changed() {
     let cfg = ErConfig::default();
     let mut table = queryer_datagen::scholarly::dblp_scholar(1000, 7).table;
     let n0 = table.len();
     let mut idx = TableErIndex::build(&table, &cfg);
-    // Point queries first (no bulk vector yet, so they fill the
-    // threshold memo), then everything: bulk vector, every survivor row.
+    // Point queries first, then everything: every survivor row.
     for r in (0..n0 as RecordId).step_by(50) {
         idx.run(ResolveRequest::records(
             &table,
@@ -629,7 +632,6 @@ fn single_row_writes_cost_what_they_changed() {
             .ids()
             .expect("the default config never invalidates everything");
         affected += ids.len();
-        assert_eq!(after.0, before.0, "thresholds are patched, never dropped");
         survivors_held += before.1;
         survivors_lost += before.1 - after.1;
         wide += usize::from(ids.len() * 3 > table.len());
@@ -638,7 +640,7 @@ fn single_row_writes_cost_what_they_changed() {
             "only affected records lose their survivor row"
         );
         let rebuilt = TableErIndex::build(&table, &cfg);
-        assert_eq!(*idx.bulk_ep_thresholds(), bulk_node_thresholds(&rebuilt, 1));
+        assert_eq!(idx.bulk_ep_thresholds(), rebuilt.bulk_ep_thresholds());
 
         // The engine's maintenance, then reads that warm things again.
         maintain_li(&mut li, &applied.affected, table.len());
@@ -655,7 +657,6 @@ fn single_row_writes_cost_what_they_changed() {
         "mean affected {}",
         affected / 50
     );
-    // (`ep_cache` off memoizes nothing, and then loses nothing.)
     assert!(
         survivors_lost * 4 <= survivors_held,
         "{survivors_lost} of {survivors_held}"

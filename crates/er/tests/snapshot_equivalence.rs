@@ -7,7 +7,7 @@
 //! - **Round trip is bit-identical.** The file holds the Link Index;
 //!   re-serializing a reopened pair reproduces the original image byte
 //!   for byte — every resolved mark and link survives — across weight
-//!   schemes, pruning scopes, cache modes, thread counts, warm and cold
+//!   schemes, pruning scopes, thread counts, warm and cold
 //!   Link Indexes, and degenerate (empty / one-record) tables. A
 //!   reopened pair then *behaves* identically: same DR sets and
 //!   decision counts on the next query as the index that wrote it, and
@@ -20,8 +20,8 @@
 //!   as content drift.
 //! - **Drift is detected as drift.** Editing a record or retuning a
 //!   decision-relevant knob reopens as
-//!   [`SnapshotError::StaleTableHash`]; retuning the thread knob or the
-//!   resolve-cache mode keeps the snapshot valid.
+//!   [`SnapshotError::StaleTableHash`]; retuning the thread knob or a
+//!   resolve-cache cap keeps the snapshot valid.
 //! - **Falling back to an empty Link Index is decision-identical.** On
 //!   the pinned bench workload, a build beside an empty Link Index after
 //!   a detected corruption serves the exact
@@ -34,9 +34,8 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_er::{
-    open_index_snapshot, write_index_snapshot, DedupMetrics, EdgePruningScope, EpCacheMode,
-    ErConfig, LinkIndex, MetaBlockingConfig, ResolveRequest, SimilarityKind, SnapshotError,
-    TableErIndex, WeightScheme,
+    open_index_snapshot, write_index_snapshot, DedupMetrics, EdgePruningScope, ErConfig, LinkIndex,
+    MetaBlockingConfig, ResolveRequest, SimilarityKind, SnapshotError, TableErIndex, WeightScheme,
 };
 use queryer_storage::{RecordId, Schema, Table, Value};
 use std::path::PathBuf;
@@ -185,7 +184,6 @@ proptest! {
         rows in rows(),
         scheme in 0usize..3,
         scope in 0usize..2,
-        cache_mode in 0usize..2,
         threads in 1usize..4,
         warm_mask in 0u32..255,
         query_mask in 1u32..255,
@@ -198,11 +196,6 @@ proptest! {
             EdgePruningScope::NodeCentric
         } else {
             EdgePruningScope::Global
-        };
-        cfg.ep_cache = if cache_mode == 0 {
-            EpCacheMode::Off
-        } else {
-            EpCacheMode::On
         };
         cfg.threads = threads;
         let idx1 = TableErIndex::build(&table, &cfg);
@@ -375,7 +368,7 @@ fn bit_flip_at_every_byte_detected() {
 }
 
 /// Content drift — an edited record, a retuned decision knob — reopens
-/// as `StaleTableHash`; a retuned thread knob or resolve-cache mode does
+/// as `StaleTableHash`; a retuned thread knob or resolve-cache cap does
 /// not invalidate, and the reopened index serves identical decisions.
 #[test]
 fn drift_detected_as_stale_thread_and_cache_retunes_are_not_drift() {
@@ -408,7 +401,7 @@ fn drift_detected_as_stale_thread_and_cache_retunes_are_not_drift() {
         other => panic!("decision-knob drift must reopen as StaleTableHash, got {other:?}"),
     }
 
-    // A retuned thread knob or cache mode: never decision-relevant, so
+    // A retuned thread knob or cache cap: never decision-relevant, so
     // the snapshot stays valid and decisions match the original run.
     let idx_fresh = TableErIndex::build(&table, &cfg);
     let mut li_fresh = LinkIndex::new(table.len());
@@ -419,11 +412,9 @@ fn drift_detected_as_stale_thread_and_cache_retunes_are_not_drift() {
     let mut par_cfg = cfg.clone();
     par_cfg.threads = 7;
     let mut cache_cfg = cfg.clone();
-    cache_cfg.ep_cache = match cfg.ep_cache {
-        EpCacheMode::On => EpCacheMode::Off,
-        EpCacheMode::Off => EpCacheMode::On,
-    };
-    for (what, retuned) in [("thread", par_cfg), ("EP-cache", cache_cfg)] {
+    cache_cfg.ep_cache_cap = 7;
+    cache_cfg.decision_cache_cap = 11;
+    for (what, retuned) in [("thread", par_cfg), ("cache-cap", cache_cfg)] {
         let (idx2, _snapshot_links) = open_index_snapshot(&path, &table, &retuned)
             .unwrap_or_else(|e| panic!("{what} retune must not drift: {e}"));
         // The snapshot carries the original run's links; resolve from a
