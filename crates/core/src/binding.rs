@@ -69,6 +69,19 @@ impl BoundSchema {
         self.slots[..slot_pos].iter().map(|s| s.n_cols).sum()
     }
 
+    /// Where offset `offset` lives: its slot, and its column in the
+    /// slot's table.
+    pub fn location(&self, offset: usize) -> (usize, usize) {
+        let slot = self.columns[offset].0;
+        (slot, offset - self.slot_offset(slot))
+    }
+
+    /// [`BoundSchema::location`] of every offset, in order: where a
+    /// [`crate::tuple::RefRow`] reads each column of the layout.
+    pub fn locations(&self) -> Vec<(usize, usize)> {
+        (0..self.len()).map(|o| self.location(o)).collect()
+    }
+
     /// Resolves a column reference to a tuple offset. Qualified
     /// references match their slot alias; bare references must be unique
     /// across slots.
@@ -170,6 +183,10 @@ mod tests {
         let s = schema();
         assert_eq!(s.slot_offset(0), 0);
         assert_eq!(s.slot_offset(1), 3);
+        assert_eq!(
+            s.locations(),
+            vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::metrics::QueryMetrics;
-use crate::operators::{drain, ExecContext};
+use crate::operators::{drain_rows, ExecContext};
 use crate::planner::stats::{compute_table_stats, join_percentage, TableStats};
 use crate::planner::{PlanOutput, Planner};
 use crate::result::QueryResult;
@@ -318,10 +318,11 @@ impl QueryEngine {
     /// warms that index's resolve caches); later reads are served.
     pub fn duplication_factor(&self, name: &str) -> Result<f64> {
         let rt = &self.tables[self.table_idx(name)?];
-        let stats = rt
-            .stats
-            .get_or_init(|| compute_table_stats(&rt.table, &rt.er));
-        Ok(stats.duplication_factor)
+        if let Some(stats) = rt.stats.get() {
+            return Ok(stats.duplication_factor);
+        }
+        let stats = compute_table_stats(&rt.table, &rt.er)?;
+        Ok(rt.stats.get_or_init(|| stats).duplication_factor)
     }
 
     /// The ER index of a table (for inspection/benchmarks).
@@ -352,7 +353,7 @@ impl QueryEngine {
         f: impl FnOnce(&LinkIndex) -> R,
     ) -> Result<R> {
         let idx = self.table_idx(name)?;
-        let batch = self.ensure_batch(idx);
+        let batch = self.ensure_batch(idx)?;
         let li = batch.li.read();
         Ok(f(&li))
     }
@@ -390,12 +391,13 @@ impl QueryEngine {
     }
 
     /// Batch-cleans a table (cached): the offline ER pass of the Batch
-    /// Approach, producing complete links and cluster assignments.
-    pub(crate) fn ensure_batch(&self, idx: usize) -> Arc<BatchClean> {
+    /// Approach, producing complete links and cluster assignments. A
+    /// failed resolve (a poisoned index, a lost worker) caches nothing.
+    pub(crate) fn ensure_batch(&self, idx: usize) -> Result<Arc<BatchClean>> {
         let rt = &self.tables[idx];
         let mut guard = rt.batch.lock();
         if let Some(b) = guard.as_ref() {
-            return b.clone();
+            return Ok(b.clone());
         }
         let t0 = Instant::now();
         // The batch LI is born shared: resolve_all goes through the same
@@ -404,11 +406,8 @@ impl QueryEngine {
         // hands out the same lock) never observe a half-applied round.
         let li = Arc::new(RwLock::new(LinkIndex::new(rt.table.len())));
         let mut metrics = DedupMetrics::default();
-        // invariant: batch cleaning resolves the table its own index was
-        // built from, so the governed resolve cannot report a mismatch.
         rt.er
-            .run(ResolveRequest::all(&rt.table, &*li).metrics(&mut metrics))
-            .expect("resolve against the table's own index");
+            .run(ResolveRequest::all(&rt.table, &*li).metrics(&mut metrics))?;
         let all: Vec<RecordId> = (0..rt.table.len() as RecordId).collect();
         let cluster_map = rt.er.cluster_map(&li.read(), &all);
         let cluster_of: Vec<RecordId> = all
@@ -422,7 +421,7 @@ impl QueryEngine {
             metrics,
         });
         *guard = Some(batch.clone());
-        batch
+        Ok(batch)
     }
 
     /// Drops cached batch cleanings (to re-measure cleaning time).
@@ -449,20 +448,20 @@ impl QueryEngine {
         Ok(plan_select(stmt, &EngineSchemas(self))?)
     }
 
-    fn make_context(&self, mode: ExecMode) -> ContextSetup {
+    fn make_context(&self, mode: ExecMode) -> Result<ContextSetup> {
         let mut batch_clusters = FxHashMap::default();
         let mut batch_duration = Duration::ZERO;
         let mut batch_metrics = DedupMetrics::default();
         let li: Vec<Arc<RwLock<LinkIndex>>> = if mode == ExecMode::Batch {
             (0..self.tables.len())
                 .map(|i| {
-                    let b = self.ensure_batch(i);
+                    let b = self.ensure_batch(i)?;
                     batch_clusters.insert(i, b.cluster_of.clone());
                     batch_duration += b.duration;
                     batch_metrics.merge(&b.metrics);
-                    b.li.clone()
+                    Ok(b.li.clone())
                 })
-                .collect()
+                .collect::<Result<_>>()?
         } else {
             self.tables.iter().map(|t| t.li.clone()).collect()
         };
@@ -472,7 +471,7 @@ impl QueryEngine {
             li,
             metrics: Mutex::new(QueryMetrics::default()),
         });
-        (ctx, batch_clusters, batch_duration, batch_metrics)
+        Ok((ctx, batch_clusters, batch_duration, batch_metrics))
     }
 
     /// Parses, plans and executes a query with automatic strategy choice
@@ -487,7 +486,7 @@ impl QueryEngine {
         let stmt = parse_select(sql)?;
         let mode = Self::resolve_mode(&stmt, mode);
         let logical = self.logical_plan(&stmt)?;
-        let (ctx, batch_clusters, batch_duration, batch_metrics) = self.make_context(mode);
+        let (ctx, batch_clusters, batch_duration, batch_metrics) = self.make_context(mode)?;
         let mut planner = Planner {
             engine: self,
             ctx: &ctx,
@@ -503,8 +502,7 @@ impl QueryEngine {
             estimated,
         } = planner.build(&logical)?;
 
-        let tuples = drain(root.as_mut());
-        let rows: Vec<Vec<queryer_storage::Value>> = tuples.into_iter().map(|t| t.values).collect();
+        let rows = drain_rows(root.as_mut())?;
         drop(root);
 
         let mut metrics = ctx.metrics.lock().clone();
@@ -526,7 +524,7 @@ impl QueryEngine {
         let stmt = parse_select(sql)?;
         let mode = Self::resolve_mode(&stmt, mode);
         let logical = self.logical_plan(&stmt)?;
-        let (ctx, batch_clusters, _, _) = self.make_context(mode);
+        let (ctx, batch_clusters, _, _) = self.make_context(mode)?;
         let mut planner = Planner {
             engine: self,
             ctx: &ctx,

@@ -4,8 +4,8 @@
 //! Group-Entities, so `COUNT(*)` counts real-world entities rather than
 //! dirty records.
 
-use crate::operators::{drain, Operator};
-use crate::tuple::Tuple;
+use crate::error::Result;
+use crate::operators::Operator;
 use queryer_sql::BoundExpr;
 use queryer_storage::Value;
 
@@ -38,7 +38,8 @@ impl AggFunc {
     }
 }
 
-/// One aggregate to compute; `arg` is `None` for `COUNT(*)`.
+/// One aggregate to compute; `arg` is `None` for `COUNT(*)` and bound
+/// against the input rows otherwise.
 pub struct AggSpec {
     /// The function.
     pub func: AggFunc,
@@ -46,20 +47,18 @@ pub struct AggSpec {
     pub arg: Option<BoundExpr>,
 }
 
-/// Computes all aggregates in one pass, emitting a single tuple.
+/// Computes all aggregates in one pass, emitting a single row.
 pub struct AggregateOp {
-    input: Option<Box<dyn Operator>>,
+    input: Option<Box<dyn Operator<Vec<Value>>>>,
     specs: Vec<AggSpec>,
-    done: bool,
 }
 
 impl AggregateOp {
     /// Creates the aggregate operator.
-    pub fn new(input: Box<dyn Operator>, specs: Vec<AggSpec>) -> Self {
+    pub fn new(input: Box<dyn Operator<Vec<Value>>>, specs: Vec<AggSpec>) -> Self {
         Self {
             input: Some(input),
             specs,
-            done: false,
         }
     }
 }
@@ -109,21 +108,18 @@ impl Accumulator {
     }
 }
 
-impl Operator for AggregateOp {
-    fn next(&mut self) -> Option<Tuple> {
-        if self.done {
-            return None;
-        }
-        self.done = true;
-        let mut input = self.input.take()?;
-        let tuples = drain(input.as_mut());
+impl Operator<Vec<Value>> for AggregateOp {
+    fn next(&mut self) -> Result<Option<Vec<Value>>> {
+        let Some(mut input) = self.input.take() else {
+            return Ok(None);
+        };
         let mut star_count = 0u64;
         let mut accs: Vec<Accumulator> = self.specs.iter().map(|_| Accumulator::new()).collect();
-        for t in &tuples {
+        while let Some(row) = input.next()? {
             star_count += 1;
             for (spec, acc) in self.specs.iter().zip(accs.iter_mut()) {
                 if let Some(arg) = &spec.arg {
-                    acc.push(arg.eval(&t.values));
+                    acc.push(arg.eval(&row));
                 }
             }
         }
@@ -152,37 +148,38 @@ impl Operator for AggregateOp {
                 (AggFunc::Max, _) => acc.max.unwrap_or(Value::Null),
             })
             .collect();
-        Some(Tuple {
-            values,
-            entities: Vec::new(),
-        })
+        Ok(Some(values))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::VecOperator;
+    use crate::operators::drain_rows;
 
-    fn tuples() -> Vec<Tuple> {
-        [1i64, 5, 3]
-            .iter()
-            .map(|&v| Tuple {
-                values: vec![Value::Int(v)],
-                entities: vec![],
-            })
-            .chain(std::iter::once(Tuple {
-                values: vec![Value::Null],
-                entities: vec![],
-            }))
-            .collect()
+    /// Row operator over fixed one-column rows.
+    struct Rows(std::vec::IntoIter<Value>);
+
+    impl Operator<Vec<Value>> for Rows {
+        fn next(&mut self) -> Result<Option<Vec<Value>>> {
+            Ok(self.0.next().map(|v| vec![v]))
+        }
+    }
+
+    fn rows(values: Vec<Value>) -> Box<dyn Operator<Vec<Value>>> {
+        Box::new(Rows(values.into_iter()))
     }
 
     fn run(specs: Vec<AggSpec>) -> Vec<Value> {
-        let mut op = AggregateOp::new(Box::new(VecOperator::new(tuples())), specs);
-        let out = drain(&mut op);
+        let input = rows(vec![
+            Value::Int(1),
+            Value::Int(5),
+            Value::Int(3),
+            Value::Null,
+        ]);
+        let out = drain_rows(&mut AggregateOp::new(input, specs)).unwrap();
         assert_eq!(out.len(), 1);
-        out.into_iter().next().unwrap().values
+        out.into_iter().next().unwrap()
     }
 
     #[test]
@@ -222,7 +219,7 @@ mod tests {
     #[test]
     fn empty_input() {
         let mut op = AggregateOp::new(
-            Box::new(VecOperator::new(vec![])),
+            rows(vec![]),
             vec![
                 AggSpec {
                     func: AggFunc::Count,
@@ -234,7 +231,7 @@ mod tests {
                 },
             ],
         );
-        let out = drain(&mut op);
-        assert_eq!(out[0].values, vec![Value::Int(0), Value::Null]);
+        let out = drain_rows(&mut op).unwrap();
+        assert_eq!(out, vec![vec![Value::Int(0), Value::Null]]);
     }
 }

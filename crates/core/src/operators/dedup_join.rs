@@ -11,11 +11,13 @@
 //! sets (line 11). Dirty-Left mirrors the sides. The output is always a
 //! consistent resolved stream so that multi-join plans can chain it.
 
-use crate::operators::deduplicate::resolve_to_tuples;
-use crate::operators::{drain, ExecContext, Operator};
-use crate::tuple::{join_key, Tuple};
+use crate::error::Result;
+use crate::operators::deduplicate::resolve_to_refs;
+use crate::operators::{drain, non_empty, ExecContext, Operator};
+use crate::tuple::{join_key, Batch, EntityRef};
 use queryer_common::{FxHashMap, FxHashSet, Stopwatch};
 use queryer_storage::{RecordId, Value};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Which input of the join is the dirty (unresolved) one.
@@ -32,30 +34,29 @@ pub struct DedupJoinOp {
     ctx: Arc<ExecContext>,
     left: Option<Box<dyn Operator>>,
     right: Option<Box<dyn Operator>>,
-    /// Offset of the join column within left tuples.
-    left_key: usize,
-    /// Offset of the join column within right tuples.
-    right_key: usize,
+    /// `(slot, column)` of the join column within left rows.
+    left_key: (usize, usize),
+    /// `(slot, column)` of the join column within right rows.
+    right_key: (usize, usize),
     /// Which side arrives dirty.
     dirty: DirtySide,
     /// Index of the dirty side's table in the engine's catalog (always a
     /// single-table branch).
     dirty_table: usize,
-    output: std::vec::IntoIter<Tuple>,
-    started: bool,
 }
 
 impl DedupJoinOp {
     /// Creates a Deduplicate-Join. The clean side must already be a
     /// resolved stream (output of Deduplicate or of another
     /// Deduplicate-Join); the dirty side is a plain scan/filter branch of
-    /// `dirty_table`.
+    /// `dirty_table`. Each key is the `(slot, column)` its side's rows
+    /// read the join value from.
     pub fn new(
         ctx: Arc<ExecContext>,
         left: Box<dyn Operator>,
         right: Box<dyn Operator>,
-        left_key: usize,
-        right_key: usize,
+        left_key: (usize, usize),
+        right_key: (usize, usize),
         dirty: DirtySide,
         dirty_table: usize,
     ) -> Self {
@@ -67,24 +68,25 @@ impl DedupJoinOp {
             right_key,
             dirty,
             dirty_table,
-            output: Vec::new().into_iter(),
-            started: false,
         }
     }
 
-    fn materialize(&mut self) {
-        let mut left = self.left.take().expect("left input present");
-        let mut right = self.right.take().expect("right input present");
-        let (clean_tuples, dirty_tuples, clean_key, dirty_key) = match self.dirty {
+    /// The join key of a row, read from its table in place.
+    fn key<'a>(&'a self, refs: &[EntityRef], (slot, col): (usize, usize)) -> Cow<'a, Value> {
+        join_key(refs[slot].value(&self.ctx.tables, col))
+    }
+
+    fn join(&self, mut left: Box<dyn Operator>, mut right: Box<dyn Operator>) -> Result<Batch> {
+        let (clean, dirty, clean_key, dirty_key) = match self.dirty {
             DirtySide::Right => (
-                drain(left.as_mut()),
-                drain(right.as_mut()),
+                drain(left.as_mut())?,
+                drain(right.as_mut())?,
                 self.left_key,
                 self.right_key,
             ),
             DirtySide::Left => (
-                drain(right.as_mut()),
-                drain(left.as_mut()),
+                drain(right.as_mut())?,
+                drain(left.as_mut())?,
                 self.right_key,
                 self.left_key,
             ),
@@ -95,64 +97,66 @@ impl DedupJoinOp {
         // member records.
         let mut sw = Stopwatch::new();
         sw.start();
-        let clean_keys: FxHashSet<Value> = clean_tuples
-            .iter()
-            .map(|t| join_key(&t.values[clean_key]))
+        let clean_keys: FxHashSet<Cow<'_, Value>> = clean
+            .rows()
+            .map(|refs| self.key(refs, clean_key))
             .filter(|v| !v.is_null())
             .collect();
-        let qe: Vec<RecordId> = dirty_tuples
-            .iter()
-            .filter(|t| clean_keys.contains(&join_key(&t.values[dirty_key])))
-            .map(|t| t.entities[0].record)
+        let qe: Vec<RecordId> = dirty
+            .rows()
+            .filter(|refs| clean_keys.contains(&self.key(refs, dirty_key)))
+            .map(|refs| refs[0].record)
             .collect();
         sw.stop();
         self.ctx.metrics.lock().join += sw.elapsed();
 
         // Alg. 1 line 5: resolve the surviving dirty entities.
-        let resolved_dirty = resolve_to_tuples(&self.ctx, self.dirty_table, &qe);
+        let resolved_dirty = resolve_to_refs(&self.ctx, self.dirty_table, &qe)?;
 
         // Alg. 1 line 11 / Alg. 2: join the two resolved sets at record
         // level; Group-Entities later expands witnessed cluster pairs to
         // full membership, which realises the E_left × E_right semantics.
         let mut sw = Stopwatch::new();
         sw.start();
-        let mut table: FxHashMap<Value, Vec<usize>> = FxHashMap::default();
-        for (i, t) in resolved_dirty.iter().enumerate() {
-            let k = join_key(&t.values[dirty_key]);
+        let mut table: FxHashMap<Cow<'_, Value>, Vec<usize>> = FxHashMap::default();
+        for (i, refs) in resolved_dirty.rows().enumerate() {
+            let k = self.key(refs, dirty_key);
             if !k.is_null() {
                 table.entry(k).or_default().push(i);
             }
         }
-        let mut out = Vec::new();
-        for ct in &clean_tuples {
-            let k = join_key(&ct.values[clean_key]);
+        let mut out = Batch::new(clean.width() + resolved_dirty.width());
+        for clean_refs in clean.rows() {
+            let k = self.key(clean_refs, clean_key);
             if k.is_null() {
                 continue;
             }
-            if let Some(matches) = table.get(&k) {
-                for &di in matches {
-                    let dt = &resolved_dirty[di];
-                    let combined = match self.dirty {
-                        DirtySide::Right => ct.clone().concat(dt.clone()),
-                        DirtySide::Left => dt.clone().concat(ct.clone()),
-                    };
-                    out.push(combined);
+            for &di in table.get(&k).into_iter().flatten() {
+                let dirty_refs = resolved_dirty.row(di);
+                match self.dirty {
+                    DirtySide::Right => {
+                        out.push(clean_refs);
+                        out.push(dirty_refs);
+                    }
+                    DirtySide::Left => {
+                        out.push(dirty_refs);
+                        out.push(clean_refs);
+                    }
                 }
             }
         }
         sw.stop();
         self.ctx.metrics.lock().join += sw.elapsed();
-        self.output = out.into_iter();
+        Ok(out)
     }
 }
 
 impl Operator for DedupJoinOp {
-    fn next(&mut self) -> Option<Tuple> {
-        if !self.started {
-            self.started = true;
-            self.materialize();
-        }
-        self.output.next()
+    fn next(&mut self) -> Result<Option<Batch>> {
+        let (Some(left), Some(right)) = (self.left.take(), self.right.take()) else {
+            return Ok(None);
+        };
+        Ok(non_empty(self.join(left, right)?))
     }
 }
 
@@ -234,39 +238,33 @@ mod tests {
     fn dirty_right_resolves_and_joins() {
         let ctx = make_ctx();
         // Left: resolved P restricted to QE = {0} (venue = 'edbt').
-        let p_scan = TableScanOp::new(ctx.clone(), 0, None);
-        let mut s = p_scan;
-        let mut qe_tuples = Vec::new();
-        while let Some(t) = s.next() {
-            if t.entities[0].record == 0 {
-                qe_tuples.push(t);
-            }
-        }
-        let left = DeduplicateOp::new(ctx.clone(), Box::new(VecOperator::new(qe_tuples)), 0);
+        let mut qe = drain(&mut TableScanOp::new(ctx.clone(), 0, None)).unwrap();
+        qe.retain(|refs| refs[0].record == 0);
+        let left = DeduplicateOp::new(ctx.clone(), Box::new(VecOperator::new(qe)), 0);
         // Right: dirty V scan.
         let right = TableScanOp::new(ctx.clone(), 1, None);
         let mut j = DedupJoinOp::new(
             ctx.clone(),
             Box::new(left),
             Box::new(right),
-            2, // p.venue
-            1, // v.title
+            (0, 2), // p.venue
+            (0, 1), // v.title
             DirtySide::Right,
             1,
         );
-        let out = drain(&mut j);
+        let out = drain(&mut j).unwrap();
         // P0 joins V0 ("edbt"), and P0's duplicate P1 joins V1 (full
         // name) — both V members were resolved into one cluster.
         assert_eq!(out.len(), 2);
-        for t in &out {
-            assert_eq!(t.entities.len(), 2);
-            assert_eq!(t.entities[0].table, 0);
-            assert_eq!(t.entities[1].table, 1);
+        assert_eq!(out.width(), 2);
+        for refs in out.rows() {
+            assert_eq!(refs[0].table, 0);
+            assert_eq!(refs[1].table, 1);
         }
-        let v_clusters: FxHashSet<RecordId> = out.iter().map(|t| t.entities[1].cluster).collect();
+        let v_clusters: FxHashSet<RecordId> = out.rows().map(|refs| refs[1].cluster).collect();
         assert_eq!(v_clusters.len(), 1, "V0 and V1 share one cluster");
         // V2 ("vldb") was discarded before cleaning: QE' excluded it.
-        assert!(out.iter().all(|t| t.entities[1].record != 2));
+        assert!(out.rows().all(|refs| refs[1].record != 2));
     }
 
     #[test]
@@ -280,19 +278,19 @@ mod tests {
             ctx.clone(),
             Box::new(left),
             Box::new(right),
-            2,
-            1,
+            (0, 2),
+            (0, 1),
             DirtySide::Left,
             0,
         );
-        let out = drain(&mut j);
+        let out = drain(&mut j).unwrap();
         // Output slot order must stay (P, V) even though P was dirty.
         assert!(!out.is_empty());
-        for t in &out {
-            assert_eq!(t.entities[0].table, 0);
-            assert_eq!(t.entities[1].table, 1);
+        for refs in out.rows() {
+            assert_eq!(refs[0].table, 0);
+            assert_eq!(refs[1].table, 1);
         }
         // P2 ("sigmod") joins nothing and is absent.
-        assert!(out.iter().all(|t| t.entities[0].record != 2));
+        assert!(out.rows().all(|refs| refs[0].record != 2));
     }
 }

@@ -8,55 +8,51 @@
 //! Comparison-Execution, Fig. 3) lives in `queryer_er::resolver`; this
 //! operator contributes the relational plumbing and metrics accounting.
 
-use crate::operators::{drain, ExecContext, Operator};
-use crate::tuple::{EntityRef, Tuple};
+use crate::error::Result;
+use crate::operators::{drain, non_empty, ExecContext, Operator};
+use crate::tuple::{Batch, EntityRef};
 use queryer_er::{DedupMetrics, ResolveRequest};
 use queryer_storage::RecordId;
 use std::sync::Arc;
 
-/// Pipeline-breaking Deduplicate operator over one table's tuples.
+/// Pipeline-breaking Deduplicate operator over one table's rows.
 pub struct DeduplicateOp {
     ctx: Arc<ExecContext>,
     input: Option<Box<dyn Operator>>,
     table_idx: usize,
-    output: std::vec::IntoIter<Tuple>,
 }
 
 impl DeduplicateOp {
-    /// Creates the operator; `input` must produce tuples of table
+    /// Creates the operator; `input` must produce rows of table
     /// `table_idx` only.
     pub fn new(ctx: Arc<ExecContext>, input: Box<dyn Operator>, table_idx: usize) -> Self {
         Self {
             ctx,
             input: Some(input),
             table_idx,
-            output: Vec::new().into_iter(),
         }
-    }
-
-    fn materialize(&mut self, mut input: Box<dyn Operator>) {
-        let qe: Vec<RecordId> = drain(input.as_mut())
-            .into_iter()
-            .map(|t| t.entities[0].record)
-            .collect();
-        let tuples = resolve_to_tuples(&self.ctx, self.table_idx, &qe);
-        self.output = tuples.into_iter();
     }
 }
 
 impl Operator for DeduplicateOp {
-    fn next(&mut self) -> Option<Tuple> {
-        if let Some(input) = self.input.take() {
-            self.materialize(input);
-        }
-        self.output.next()
+    fn next(&mut self) -> Result<Option<Batch>> {
+        let Some(mut input) = self.input.take() else {
+            return Ok(None);
+        };
+        let qe: Vec<RecordId> = drain(input.as_mut())?
+            .rows()
+            .map(|refs| refs[0].record)
+            .collect();
+        Ok(non_empty(resolve_to_refs(&self.ctx, self.table_idx, &qe)?))
     }
 }
 
 /// Shared resolution plumbing (also used by the Deduplicate-Join
 /// operator): resolves `qe` against its table, merges ER metrics into the
-/// query metrics, and renders DR_E as cluster-annotated tuples.
-pub fn resolve_to_tuples(ctx: &Arc<ExecContext>, table_idx: usize, qe: &[RecordId]) -> Vec<Tuple> {
+/// query metrics, and returns DR_E as one-slot rows annotated with their
+/// clusters. A failed resolve (a poisoned index, a lost worker) is the
+/// query's error.
+pub fn resolve_to_refs(ctx: &ExecContext, table_idx: usize, qe: &[RecordId]) -> Result<Batch> {
     let table = &ctx.tables[table_idx];
     let er = &ctx.er[table_idx];
     let mut er_metrics = DedupMetrics::default();
@@ -65,41 +61,36 @@ pub fn resolve_to_tuples(ctx: &Arc<ExecContext>, table_idx: usize, qe: &[RecordI
     // simultaneously — the resolver takes short read locks for its LI
     // probes and one brief write section to commit its link delta,
     // instead of owning the write lock for the whole resolve.
-    //
-    // invariant: the engine resolves a table against its own index
-    // (same ctx slot), so the lengths always agree, and an unlimited
-    // budget never reports WorkerPanicked unless a kernel truly died.
-    let outcome = er
-        .run(ResolveRequest::records(table, qe, &*ctx.li[table_idx]).metrics(&mut er_metrics))
-        .expect("resolve against the table's own index");
+    let outcome =
+        er.run(ResolveRequest::records(table, qe, &*ctx.li[table_idx]).metrics(&mut er_metrics))?;
 
-    let cluster_of = {
-        let li = ctx.li[table_idx].read();
-        er.cluster_map(&li, &outcome.dr)
-    };
-
+    // One cluster pass over DR_E, which is already a closure: a record
+    // with no link is its own cluster, and only the linked rest goes
+    // through the union-find.
+    let mut refs = Batch::with_capacity(1, outcome.dr.len());
     {
-        let mut m = ctx.metrics.lock();
-        m.er.merge(&er_metrics);
-        m.qe_entities += qe.len() as u64;
-        m.dr_entities += outcome.dr.len() as u64;
+        let li = ctx.li[table_idx].read();
+        let linked: Vec<RecordId> = outcome
+            .dr
+            .iter()
+            .copied()
+            .filter(|&id| !li.neighbors(id).is_empty())
+            .collect();
+        let cluster_of = er.cluster_map(&li, &linked);
+        for &id in &outcome.dr {
+            refs.push(&[EntityRef {
+                table: table_idx,
+                record: id,
+                cluster: *cluster_of.get(&id).unwrap_or(&id),
+            }]);
+        }
     }
 
-    outcome
-        .dr
-        .iter()
-        .map(|&id| {
-            let record = table.record_unchecked(id);
-            Tuple {
-                values: record.values.clone(),
-                entities: vec![EntityRef {
-                    table: table_idx,
-                    record: id,
-                    cluster: *cluster_of.get(&id).unwrap_or(&id),
-                }],
-            }
-        })
-        .collect()
+    let mut m = ctx.metrics.lock();
+    m.er.merge(&er_metrics);
+    m.qe_entities += qe.len() as u64;
+    m.dr_entities += outcome.dr.len() as u64;
+    Ok(refs)
 }
 
 #[cfg(test)]
@@ -134,19 +125,13 @@ mod tests {
     fn emits_qe_plus_duplicates_with_clusters() {
         let ctx = make_ctx();
         // QE = {0} only; its duplicate 1 must be pulled in.
-        let scan = TableScanOp::new(ctx.clone(), 0, None);
-        let mut only_zero = Vec::new();
-        let mut s = scan;
-        while let Some(t) = s.next() {
-            if t.entities[0].record == 0 {
-                only_zero.push(t);
-            }
-        }
+        let mut only_zero = drain(&mut TableScanOp::new(ctx.clone(), 0, None)).unwrap();
+        only_zero.retain(|refs| refs[0].record == 0);
         let mut op = DeduplicateOp::new(ctx.clone(), Box::new(VecOperator::new(only_zero)), 0);
-        let out = drain(&mut op);
-        let ids: Vec<RecordId> = out.iter().map(|t| t.entities[0].record).collect();
+        let out = drain(&mut op).unwrap();
+        let ids: Vec<RecordId> = out.rows().map(|refs| refs[0].record).collect();
         assert_eq!(ids, vec![0, 1]);
-        assert_eq!(out[0].entities[0].cluster, out[1].entities[0].cluster);
+        assert_eq!(out.row(0)[0].cluster, out.row(1)[0].cluster);
         let m = ctx.metrics.lock();
         assert_eq!(m.qe_entities, 1);
         assert_eq!(m.dr_entities, 2);
@@ -158,9 +143,9 @@ mod tests {
         let ctx = make_ctx();
         let scan = TableScanOp::new(ctx.clone(), 0, None);
         let mut op = DeduplicateOp::new(ctx.clone(), Box::new(scan), 0);
-        let out = drain(&mut op);
+        let out = drain(&mut op).unwrap();
         assert_eq!(out.len(), 3);
-        let t2 = out.iter().find(|t| t.entities[0].record == 2).unwrap();
-        assert_eq!(t2.entities[0].cluster, 2);
+        let r2 = out.rows().find(|refs| refs[0].record == 2).unwrap();
+        assert_eq!(r2[0].cluster, 2);
     }
 }

@@ -1,34 +1,68 @@
 //! Row filters: the plain relational filter plus the cluster-aware
 //! variant needed when a filter is evaluated over already-deduplicated
-//! (or batch-cleaned) data.
+//! (or batch-cleaned) data. Both read the predicate's columns from the
+//! stored tables through each row's refs.
 
-use crate::operators::{drain, Operator};
-use crate::tuple::Tuple;
+use crate::binding::BoundSchema;
+use crate::error::Result;
+use crate::operators::{drain, non_empty, ExecContext, Operator};
+use crate::tuple::{Batch, EntityRef, RefRow};
 use queryer_common::FxHashSet;
 use queryer_sql::BoundExpr;
 use queryer_storage::RecordId;
+use std::sync::Arc;
 
-/// Plain relational filter (tuple-at-a-time).
+/// A predicate bound against a layout, ready to test refs rows.
+struct RowPredicate {
+    ctx: Arc<ExecContext>,
+    predicate: BoundExpr,
+    locations: Vec<(usize, usize)>,
+}
+
+impl RowPredicate {
+    fn holds(&self, refs: &[EntityRef]) -> bool {
+        self.predicate.eval_bool(&RefRow {
+            tables: &self.ctx.tables,
+            locations: &self.locations,
+            refs,
+        })
+    }
+}
+
+/// Plain relational filter (batch-at-a-time).
 pub struct FilterOp {
     input: Box<dyn Operator>,
-    predicate: BoundExpr,
+    predicate: RowPredicate,
 }
 
 impl FilterOp {
-    /// Creates a filter over `input`.
-    pub fn new(input: Box<dyn Operator>, predicate: BoundExpr) -> Self {
-        Self { input, predicate }
+    /// Creates a filter over `input`, whose rows have layout `schema`.
+    pub fn new(
+        ctx: Arc<ExecContext>,
+        input: Box<dyn Operator>,
+        predicate: BoundExpr,
+        schema: &BoundSchema,
+    ) -> Self {
+        Self {
+            input,
+            predicate: RowPredicate {
+                ctx,
+                predicate,
+                locations: schema.locations(),
+            },
+        }
     }
 }
 
 impl Operator for FilterOp {
-    fn next(&mut self) -> Option<Tuple> {
-        loop {
-            let t = self.input.next()?;
-            if self.predicate.eval_bool(&t.values) {
-                return Some(t);
+    fn next(&mut self) -> Result<Option<Batch>> {
+        while let Some(mut batch) = self.input.next()? {
+            batch.retain(|refs| self.predicate.holds(refs));
+            if !batch.is_empty() {
+                return Ok(Some(batch));
             }
         }
+        Ok(None)
     }
 }
 
@@ -40,44 +74,46 @@ impl Operator for FilterOp {
 /// by the Fig. 5 naive plan where Deduplicate sits below the filter.
 pub struct ClusterFilterOp {
     input: Option<Box<dyn Operator>>,
-    predicate: BoundExpr,
-    buffered: std::vec::IntoIter<Tuple>,
+    predicate: RowPredicate,
 }
 
 impl ClusterFilterOp {
-    /// Creates a cluster-aware filter over `input`.
-    pub fn new(input: Box<dyn Operator>, predicate: BoundExpr) -> Self {
+    /// Creates a cluster-aware filter over `input`, whose rows have
+    /// layout `schema`.
+    pub fn new(
+        ctx: Arc<ExecContext>,
+        input: Box<dyn Operator>,
+        predicate: BoundExpr,
+        schema: &BoundSchema,
+    ) -> Self {
         Self {
             input: Some(input),
-            predicate,
-            buffered: Vec::new().into_iter(),
+            predicate: RowPredicate {
+                ctx,
+                predicate,
+                locations: schema.locations(),
+            },
         }
     }
 }
 
 impl Operator for ClusterFilterOp {
-    fn next(&mut self) -> Option<Tuple> {
-        if let Some(mut input) = self.input.take() {
-            let tuples = drain(input.as_mut());
-            let mut passing_clusters: FxHashSet<(usize, RecordId)> = FxHashSet::default();
-            for t in &tuples {
-                if self.predicate.eval_bool(&t.values) {
-                    for e in &t.entities {
-                        passing_clusters.insert((e.table, e.cluster));
-                    }
-                }
+    fn next(&mut self) -> Result<Option<Batch>> {
+        let Some(mut input) = self.input.take() else {
+            return Ok(None);
+        };
+        let mut rows = drain(input.as_mut())?;
+        let mut passing_clusters: FxHashSet<(usize, RecordId)> = FxHashSet::default();
+        for refs in rows.rows() {
+            if self.predicate.holds(refs) {
+                passing_clusters.extend(refs.iter().map(|e| (e.table, e.cluster)));
             }
-            let kept: Vec<Tuple> = tuples
-                .into_iter()
-                .filter(|t| {
-                    t.entities
-                        .iter()
-                        .all(|e| passing_clusters.contains(&(e.table, e.cluster)))
-                })
-                .collect();
-            self.buffered = kept.into_iter();
         }
-        self.buffered.next()
+        rows.retain(|refs| {
+            refs.iter()
+                .all(|e| passing_clusters.contains(&(e.table, e.cluster)))
+        });
+        Ok(non_empty(rows))
     }
 }
 
@@ -85,68 +121,76 @@ impl Operator for ClusterFilterOp {
 mod tests {
     use super::*;
     use crate::operators::VecOperator;
-    use crate::tuple::EntityRef;
-    use queryer_sql::{bind, parse_select, ColumnBinder, ColumnRef};
-    use queryer_storage::Value;
+    use parking_lot::Mutex;
+    use queryer_sql::{bind, parse_select};
+    use queryer_storage::{Schema, Table, Value};
 
-    struct OneCol;
-    impl ColumnBinder for OneCol {
-        fn resolve(&self, c: &ColumnRef) -> queryer_sql::Result<usize> {
-            if c.column == "a" {
-                Ok(0)
-            } else {
-                Err(queryer_sql::SqlError::Bind {
-                    message: "no".into(),
-                })
-            }
+    /// One column `a` holding 0..10; the filters see it through refs.
+    fn setup() -> (Arc<ExecContext>, BoundSchema) {
+        let mut t = Table::new("t", Schema::of_strings(&["a"]));
+        for v in 0..10 {
+            t.push_row(vec![Value::Int(v)]).unwrap();
         }
+        let schema = BoundSchema::from_table("t", 0, &t);
+        let ctx = Arc::new(ExecContext {
+            tables: vec![Arc::new(t)],
+            er: vec![],
+            li: vec![],
+            metrics: Mutex::new(Default::default()),
+        });
+        (ctx, schema)
     }
 
-    fn pred(s: &str) -> BoundExpr {
+    fn pred(schema: &BoundSchema, s: &str) -> BoundExpr {
         let stmt = parse_select(&format!("SELECT * FROM t WHERE {s}")).unwrap();
-        bind(&stmt.where_clause.unwrap(), &OneCol).unwrap()
+        bind(&stmt.where_clause.unwrap(), schema).unwrap()
     }
 
-    fn tup(v: i64, cluster: RecordId) -> Tuple {
-        Tuple {
-            values: vec![Value::Int(v)],
-            entities: vec![EntityRef {
+    /// Rows of `(record, cluster)` pairs.
+    fn input(rows: &[(RecordId, RecordId)]) -> Box<dyn Operator> {
+        let mut b = Batch::new(1);
+        for &(record, cluster) in rows {
+            b.push(&[EntityRef {
                 table: 0,
-                record: v as RecordId,
+                record,
                 cluster,
-            }],
+            }]);
         }
+        Box::new(VecOperator::new(b))
+    }
+
+    fn records(b: &Batch) -> Vec<RecordId> {
+        b.rows().map(|r| r[0].record).collect()
     }
 
     #[test]
     fn plain_filter_drops_rows() {
-        let mut f = FilterOp::new(
-            Box::new(VecOperator::new(vec![tup(1, 1), tup(5, 5)])),
-            pred("a >= 3"),
-        );
-        let out = drain(&mut f);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].values[0], Value::Int(5));
+        let (ctx, schema) = setup();
+        let p = pred(&schema, "a >= 3");
+        let mut f = FilterOp::new(ctx, input(&[(1, 1), (5, 5)]), p, &schema);
+        let out = drain(&mut f).unwrap();
+        assert_eq!(records(&out), vec![5]);
     }
 
     #[test]
     fn cluster_filter_keeps_whole_cluster() {
         // Records 1 and 2 share cluster 1; only record 2 passes.
-        let mut f = ClusterFilterOp::new(
-            Box::new(VecOperator::new(vec![tup(1, 1), tup(2, 1), tup(9, 9)])),
-            pred("a = 2"),
+        let (ctx, schema) = setup();
+        let p = pred(&schema, "a = 2");
+        let mut f = ClusterFilterOp::new(ctx, input(&[(1, 1), (2, 1), (9, 9)]), p, &schema);
+        let out = drain(&mut f).unwrap();
+        assert_eq!(
+            records(&out),
+            vec![1, 2],
+            "both members of cluster 1 survive"
         );
-        let out = drain(&mut f);
-        assert_eq!(out.len(), 2, "both members of cluster 1 survive");
-        assert!(out.iter().all(|t| t.entities[0].cluster == 1));
     }
 
     #[test]
     fn cluster_filter_drops_fully_failing_cluster() {
-        let mut f = ClusterFilterOp::new(
-            Box::new(VecOperator::new(vec![tup(1, 1), tup(2, 1)])),
-            pred("a = 99"),
-        );
-        assert!(drain(&mut f).is_empty());
+        let (ctx, schema) = setup();
+        let p = pred(&schema, "a = 99");
+        let mut f = ClusterFilterOp::new(ctx, input(&[(1, 1), (2, 1)]), p, &schema);
+        assert!(f.next().unwrap().is_none());
     }
 }

@@ -8,105 +8,138 @@
 //! empty — exactly the hyper-entity presentation of Table 3.
 
 use crate::binding::BoundSchema;
+use crate::error::Result;
 use crate::operators::{drain, ExecContext, Operator};
-use crate::tuple::{EntityRef, Tuple};
+use crate::tuple::{Batch, EntityRef};
+use parking_lot::RwLockReadGuard;
 use queryer_common::{FxHashMap, FxHashSet, Stopwatch};
+use queryer_er::LinkIndex;
 use queryer_storage::{RecordId, Value};
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// Separator used when fusing contradicting attribute values.
 pub const GROUP_SEPARATOR: &str = " | ";
 
-/// Pipeline-breaking grouping operator: one output tuple per distinct
-/// cluster combination, rendering each slot's columns over the **full**
-/// cluster membership (fetched through the Link Index closure, so
-/// members that never passed the filter still contribute their values).
+/// Pipeline-breaking grouping operator, and the materialisation point of
+/// every ER plan: one output row per distinct cluster combination,
+/// rendering each requested column over the **full** cluster membership
+/// (fetched through the Link Index closure, so members that never passed
+/// the filter still contribute their values). It builds only the
+/// columns the operator above it reads.
 pub struct GroupEntitiesOp {
     ctx: Arc<ExecContext>,
     input: Option<Box<dyn Operator>>,
-    schema: BoundSchema,
-    output: std::vec::IntoIter<Tuple>,
+    /// Catalog index of each slot's table.
+    slot_tables: Vec<usize>,
+    /// `(slot, column)` of each output column.
+    columns: Vec<(usize, usize)>,
+    output: std::vec::IntoIter<Vec<Value>>,
 }
 
 impl GroupEntitiesOp {
-    /// Creates the operator; `schema` is the layout of the input tuples.
-    pub fn new(ctx: Arc<ExecContext>, input: Box<dyn Operator>, schema: BoundSchema) -> Self {
+    /// Creates the operator over `input`, whose rows have layout
+    /// `schema`; each output row holds the layout offsets `columns`, in
+    /// that order.
+    pub fn new(
+        ctx: Arc<ExecContext>,
+        input: Box<dyn Operator>,
+        schema: &BoundSchema,
+        columns: &[usize],
+    ) -> Self {
+        let locations = schema.locations();
         Self {
             ctx,
             input: Some(input),
-            schema,
+            slot_tables: schema.slots.iter().map(|s| s.table_idx).collect(),
+            columns: columns.iter().map(|&c| locations[c]).collect(),
             output: Vec::new().into_iter(),
         }
     }
 
-    fn materialize(&mut self, mut input: Box<dyn Operator>) {
-        let tuples = drain(input.as_mut());
-        let mut sw = Stopwatch::new();
-        sw.start();
-
+    fn materialize(&self, rows: &Batch) -> Vec<Vec<Value>> {
         // Group by the cluster-id combination, preserving first-seen
-        // order. The keys of all tuples sit in one buffer, `width` ids
-        // each, and the set borrows its keys from there.
-        let width = self.schema.slots.len();
-        let keys: Vec<RecordId> = tuples
+        // order. A one-slot stream groups by the cluster id; a wider one
+        // by the slices of one buffer holding every row's key.
+        let representatives: Vec<&[EntityRef]> = if rows.width() == 1 {
+            let mut seen: FxHashSet<RecordId> = FxHashSet::default();
+            rows.rows().filter(|r| seen.insert(r[0].cluster)).collect()
+        } else {
+            let keys: Vec<RecordId> = rows.rows().flatten().map(|e| e.cluster).collect();
+            let mut seen: FxHashSet<&[RecordId]> = FxHashSet::default();
+            keys.chunks_exact(rows.width().max(1))
+                .zip(rows.rows())
+                .filter(|(key, _)| seen.insert(key))
+                .map(|(_, r)| r)
+                .collect()
+        };
+
+        // One Link-Index read guard per table for the whole pass.
+        let mut guards: Vec<(usize, RwLockReadGuard<'_, LinkIndex>)> = Vec::new();
+        for &t in &self.slot_tables {
+            if guards.iter().all(|(g, _)| *g != t) {
+                guards.push((t, self.ctx.li[t].read()));
+            }
+        }
+        let slot_li: Vec<&LinkIndex> = self
+            .slot_tables
             .iter()
-            .flat_map(|t| t.entities.iter().map(|e| e.cluster))
-            .collect();
-        debug_assert_eq!(keys.len(), tuples.len() * width, "one entity per slot");
-        let mut seen: FxHashSet<&[RecordId]> = FxHashSet::default();
-        let representatives: Vec<&Tuple> = keys
-            .chunks_exact(width)
-            .zip(&tuples)
-            .filter(|(key, _)| seen.insert(key))
-            .map(|(_, t)| t)
+            .map(|&t| &*guards.iter().find(|(g, _)| *g == t).expect("guarded").1)
             .collect();
 
-        // Memoised membership of the multi-member clusters per
+        // Membership of the multi-member clusters, computed once per
         // (table, cluster); a cluster with no link is its own member.
-        let mut members_cache: FxHashMap<(usize, RecordId), Vec<RecordId>> = FxHashMap::default();
+        let mut member_lists: Vec<Vec<RecordId>> = Vec::new();
+        let mut list_of: FxHashMap<(usize, RecordId), usize> = FxHashMap::default();
+        let mut slot_members: Vec<Option<usize>> = Vec::new();
         let mut distinct: Vec<&Value> = Vec::new();
+        let mut scratch = String::new();
         let mut out = Vec::with_capacity(representatives.len());
         for rep in representatives {
-            let mut values: Vec<Value> = Vec::with_capacity(self.schema.len());
-            for (slot, e) in self.schema.slots.iter().zip(&rep.entities) {
-                let table = &self.ctx.tables[slot.table_idx];
-                let li = &self.ctx.li[slot.table_idx];
-                if li.read().neighbors(e.cluster).is_empty() {
-                    let record = table.record_unchecked(e.cluster);
-                    values.extend_from_slice(&record.values[..slot.n_cols]);
-                    continue;
-                }
-                let members = members_cache
-                    .entry((slot.table_idx, e.cluster))
-                    .or_insert_with(|| li.read().closure([e.cluster]));
-                for col in 0..slot.n_cols {
-                    values.push(fuse_column(
-                        members
-                            .iter()
-                            .map(|&m| table.record_unchecked(m).value(col)),
-                        &mut distinct,
-                    ));
-                }
-            }
-            out.push(Tuple {
-                values,
-                entities: rep
-                    .entities
-                    .iter()
-                    .map(|e| EntityRef {
-                        table: e.table,
-                        record: e.cluster,
-                        cluster: e.cluster,
+            slot_members.clear();
+            for (slot, e) in rep.iter().enumerate() {
+                let li = slot_li[slot];
+                slot_members.push((!li.neighbors(e.cluster).is_empty()).then(|| {
+                    *list_of.entry((e.table, e.cluster)).or_insert_with(|| {
+                        member_lists.push(li.closure([e.cluster]));
+                        member_lists.len() - 1
                     })
-                    .collect(),
-            });
+                }));
+            }
+            let row = self
+                .columns
+                .iter()
+                .map(|&(slot, col)| {
+                    let table = &self.ctx.tables[self.slot_tables[slot]];
+                    match slot_members[slot] {
+                        None => table.record_unchecked(rep[slot].cluster).value(col).clone(),
+                        Some(list) => fuse_column(
+                            member_lists[list]
+                                .iter()
+                                .map(|&m| table.record_unchecked(m).value(col)),
+                            &mut distinct,
+                            &mut scratch,
+                        ),
+                    }
+                })
+                .collect();
+            out.push(row);
         }
-        sw.stop();
-        {
-            let mut m = self.ctx.metrics.lock();
-            m.grouping += sw.elapsed();
+        out
+    }
+}
+
+impl Operator<Vec<Value>> for GroupEntitiesOp {
+    fn next(&mut self) -> Result<Option<Vec<Value>>> {
+        if let Some(mut input) = self.input.take() {
+            let rows = drain(input.as_mut())?;
+            let mut sw = Stopwatch::new();
+            sw.start();
+            self.output = self.materialize(&rows).into_iter();
+            sw.stop();
+            self.ctx.metrics.lock().grouping += sw.elapsed();
         }
-        self.output = out.into_iter();
+        Ok(self.output.next())
     }
 }
 
@@ -114,10 +147,13 @@ impl GroupEntitiesOp {
 /// in member order; a single distinct value keeps its original type,
 /// several concatenate with [`GROUP_SEPARATOR`], none is `Null`. Values
 /// are distinct when their renderings are, so `Int(7)` and `Str("7")`
-/// are one value; `distinct` is scratch space, cleared here.
+/// are one value. `distinct` and `scratch` are scratch space, cleared
+/// here: the renderings are written into `scratch`, so a fused value
+/// costs one allocation, its own.
 fn fuse_column<'a>(
     member_values: impl Iterator<Item = &'a Value>,
     distinct: &mut Vec<&'a Value>,
+    scratch: &mut String,
 ) -> Value {
     distinct.clear();
     for v in member_values {
@@ -129,12 +165,13 @@ fn fuse_column<'a>(
         [] => Value::Null,
         [one] => (*one).clone(),
         [first, rest @ ..] => {
-            let mut fused = first.render().into_owned();
+            scratch.clear();
+            // invariant: writing to a `String` cannot fail.
+            let _ = write!(scratch, "{first}");
             for v in rest {
-                fused.push_str(GROUP_SEPARATOR);
-                fused.push_str(&v.render());
+                let _ = write!(scratch, "{GROUP_SEPARATOR}{v}");
             }
-            Value::str(fused)
+            Value::Str(Arc::from(scratch.as_str()))
         }
     }
 }
@@ -154,21 +191,12 @@ fn renders_same(a: &Value, b: &Value) -> bool {
     }
 }
 
-impl Operator for GroupEntitiesOp {
-    fn next(&mut self) -> Option<Tuple> {
-        if let Some(input) = self.input.take() {
-            self.materialize(input);
-        }
-        self.output.next()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::VecOperator;
+    use crate::operators::{drain_rows, VecOperator};
     use parking_lot::{Mutex, RwLock};
-    use queryer_er::{ErConfig, LinkIndex, TableErIndex};
+    use queryer_er::{ErConfig, TableErIndex};
     use queryer_storage::{Schema, Table};
 
     fn make_ctx() -> (Arc<ExecContext>, BoundSchema) {
@@ -198,63 +226,84 @@ mod tests {
         )
     }
 
-    fn tup(ctx: &Arc<ExecContext>, record: RecordId, cluster: RecordId) -> Tuple {
-        Tuple {
-            values: ctx.tables[0].record_unchecked(record).values.clone(),
-            entities: vec![EntityRef {
+    /// Groups one-slot rows of `(record, cluster)` into rows of the
+    /// layout offsets `columns`.
+    fn group(
+        ctx: &Arc<ExecContext>,
+        schema: &BoundSchema,
+        rows: &[(RecordId, RecordId)],
+        columns: &[usize],
+    ) -> Vec<Vec<Value>> {
+        let mut input = Batch::new(1);
+        for &(record, cluster) in rows {
+            input.push(&[EntityRef {
                 table: 0,
                 record,
                 cluster,
-            }],
+            }]);
         }
+        let input = Box::new(VecOperator::new(input));
+        drain_rows(&mut GroupEntitiesOp::new(
+            ctx.clone(),
+            input,
+            schema,
+            columns,
+        ))
+        .unwrap()
     }
 
     #[test]
     fn groups_cluster_into_single_row() {
         let (ctx, schema) = make_ctx();
-        let input = vec![tup(&ctx, 0, 0), tup(&ctx, 1, 0), tup(&ctx, 2, 2)];
-        let mut op = GroupEntitiesOp::new(ctx.clone(), Box::new(VecOperator::new(input)), schema);
-        let out = drain(&mut op);
+        let out = group(&ctx, &schema, &[(0, 0), (1, 0), (2, 2)], &[0, 1, 2]);
         assert_eq!(out.len(), 2);
         // Contradicting titles concatenate; missing year is filled from
         // the non-null member (Table 3 semantics).
         assert_eq!(
-            out[0].values[1],
+            out[0][1],
             Value::str("collective entity resolution | collective e.r")
         );
-        assert_eq!(out[0].values[2], Value::str("2008"));
-        assert_eq!(out[1].values[1], Value::str("other paper"));
+        assert_eq!(out[0][2], Value::str("2008"));
+        assert_eq!(out[1][1], Value::str("other paper"));
+    }
+
+    #[test]
+    fn builds_only_the_requested_columns_in_their_order() {
+        let (ctx, schema) = make_ctx();
+        let out = group(&ctx, &schema, &[(0, 0), (1, 0), (2, 2)], &[2, 1]);
+        assert_eq!(
+            out,
+            vec![
+                vec![
+                    Value::str("2008"),
+                    Value::str("collective entity resolution | collective e.r")
+                ],
+                vec![Value::str("2017"), Value::str("other paper")],
+            ]
+        );
+        assert_eq!(group(&ctx, &schema, &[(2, 2)], &[]), vec![Vec::new()]);
     }
 
     #[test]
     fn membership_pulled_from_link_index_closure() {
         let (ctx, schema) = make_ctx();
-        // Only record 0's tuple arrives, but the grouped row must still
+        // Only record 0's row arrives, but the grouped row must still
         // include record 1's values via the LI closure.
-        let input = vec![tup(&ctx, 0, 0)];
-        let mut op = GroupEntitiesOp::new(ctx.clone(), Box::new(VecOperator::new(input)), schema);
-        let out = drain(&mut op);
+        let out = group(&ctx, &schema, &[(0, 0)], &[0, 1, 2]);
         assert_eq!(out.len(), 1);
-        assert!(out[0].values[1].render().contains("collective e.r"));
+        assert!(out[0][1].render().contains("collective e.r"));
     }
 
     #[test]
     fn all_null_column_stays_null() {
         let (ctx, schema) = make_ctx();
-        let mut only_1 = tup(&ctx, 1, 1);
-        only_1.entities[0].cluster = 1;
         // Pretend record 1 is its own cluster (no link): year stays null.
         {
             let mut li = ctx.li[0].write();
             li.clear();
         }
-        let mut op = GroupEntitiesOp::new(
-            ctx.clone(),
-            Box::new(VecOperator::new(vec![only_1])),
-            schema,
-        );
-        let out = drain(&mut op);
-        assert!(out[0].values[2].is_null());
+        let out = group(&ctx, &schema, &[(1, 1)], &[0, 1, 2]);
+        assert!(out[0][2].is_null());
     }
 
     #[test]
@@ -262,7 +311,8 @@ mod tests {
         let a = Value::str("x");
         let b = Value::str("y");
         let n = Value::Null;
-        let fuse = |vs: &[&Value]| fuse_column(vs.iter().copied(), &mut Vec::new());
+        let fuse =
+            |vs: &[&Value]| fuse_column(vs.iter().copied(), &mut Vec::new(), &mut String::new());
         assert_eq!(fuse(&[&n, &n]), Value::Null);
         assert_eq!(fuse(&[&a, &n, &a]), Value::str("x"));
         assert_eq!(fuse(&[&a, &b]), Value::str("x | y"));
@@ -316,7 +366,7 @@ mod tests {
         fn fuse_column_is_bit_identical_to_the_rendering_rule(
             members in proptest::collection::vec(member_value(), 0..6),
         ) {
-            let fused = fuse_column(members.iter(), &mut Vec::new());
+            let fused = fuse_column(members.iter(), &mut Vec::new(), &mut String::new());
             let expected = fuse_oracle(&members);
             // Structural equality compares floats by bit pattern.
             proptest::prop_assert_eq!(fused, expected, "{:?}", members);

@@ -7,31 +7,37 @@
 //! each witnessed cluster pair to its full membership — equivalent to
 //! Alg. 2's `E_left × E_right` Cartesian products after grouping.
 
+use crate::error::Result;
 use crate::operators::{drain, ExecContext, Operator};
-use crate::tuple::{join_key, Tuple};
+use crate::tuple::{join_key, Batch, EntityRef};
 use queryer_common::{FxHashMap, Stopwatch};
 use queryer_storage::Value;
 use std::sync::Arc;
 
-/// Hash join: builds on the right input, probes with the left.
+/// Hash join: builds on the right input, probes with the left, and
+/// emits one batch of joined rows per left batch that matched.
 pub struct HashJoinOp {
     ctx: Arc<ExecContext>,
     left: Box<dyn Operator>,
     right: Option<Box<dyn Operator>>,
-    left_key: usize,
-    right_key: usize,
-    table: FxHashMap<Value, Vec<Tuple>>,
-    pending: Vec<Tuple>,
+    /// `(slot, column)` of the join column within left rows.
+    left_key: (usize, usize),
+    /// `(slot, column)` of the join column within right rows.
+    right_key: (usize, usize),
+    /// The right rows, and the rows of each non-NULL key among them.
+    build: Batch,
+    table: FxHashMap<Value, Vec<usize>>,
 }
 
 impl HashJoinOp {
-    /// Creates a join on `left.values[left_key] = right.values[right_key]`.
+    /// Creates a join on `left[left_key] = right[right_key]`, each key
+    /// the `(slot, column)` its side's rows read the join value from.
     pub fn new(
         ctx: Arc<ExecContext>,
         left: Box<dyn Operator>,
         right: Box<dyn Operator>,
-        left_key: usize,
-        right_key: usize,
+        left_key: (usize, usize),
+        right_key: (usize, usize),
     ) -> Self {
         Self {
             ctx,
@@ -39,43 +45,52 @@ impl HashJoinOp {
             right: Some(right),
             left_key,
             right_key,
+            build: Batch::default(),
             table: FxHashMap::default(),
-            pending: Vec::new(),
         }
+    }
+
+    fn key(&self, refs: &[EntityRef], (slot, col): (usize, usize)) -> &Value {
+        refs[slot].value(&self.ctx.tables, col)
     }
 }
 
 impl Operator for HashJoinOp {
-    fn next(&mut self) -> Option<Tuple> {
+    fn next(&mut self) -> Result<Option<Batch>> {
         // Build phase on first call.
         if let Some(mut right) = self.right.take() {
             let mut sw = Stopwatch::new();
             sw.start();
-            for t in drain(right.as_mut()) {
-                let key = join_key(&t.values[self.right_key]);
-                if key.is_null() {
-                    continue;
+            self.build = drain(right.as_mut())?;
+            let mut table: FxHashMap<Value, Vec<usize>> = FxHashMap::default();
+            for (i, refs) in self.build.rows().enumerate() {
+                let key = join_key(self.key(refs, self.right_key));
+                if !key.is_null() {
+                    table.entry(key.into_owned()).or_default().push(i);
                 }
-                self.table.entry(key).or_default().push(t);
             }
+            self.table = table;
             sw.stop();
             self.ctx.metrics.lock().join += sw.elapsed();
         }
-        loop {
-            if let Some(t) = self.pending.pop() {
-                return Some(t);
-            }
-            let left = self.left.next()?;
-            let key = join_key(&left.values[self.left_key]);
-            if key.is_null() {
-                continue;
-            }
-            if let Some(matches) = self.table.get(&key) {
-                for r in matches {
-                    self.pending.push(left.clone().concat(r.clone()));
+        while let Some(left) = self.left.next()? {
+            let mut out = Batch::new(left.width() + self.build.width());
+            for left_refs in left.rows() {
+                let key = join_key(self.key(left_refs, self.left_key));
+                if key.is_null() {
+                    continue;
+                }
+                // Each left row's matches come out last-built first.
+                for &ri in self.table.get(&*key).into_iter().flatten().rev() {
+                    out.push(left_refs);
+                    out.push(self.build.row(ri));
                 }
             }
+            if !out.is_empty() {
+                return Ok(Some(out));
+            }
         }
+        Ok(None)
     }
 }
 
@@ -83,82 +98,68 @@ impl Operator for HashJoinOp {
 mod tests {
     use super::*;
     use crate::operators::VecOperator;
-    use crate::tuple::EntityRef;
     use parking_lot::Mutex;
+    use queryer_storage::{Schema, Table};
 
-    fn ctx() -> Arc<ExecContext> {
+    /// Table 0 holds the left keys, table 1 the right ones, one column.
+    fn ctx(left: Vec<Value>, right: Vec<Value>) -> Arc<ExecContext> {
+        let table = |name, keys: Vec<Value>| {
+            let mut t = Table::new(name, Schema::of_strings(&["k"]));
+            for k in keys {
+                t.push_row(vec![k]).unwrap();
+            }
+            Arc::new(t)
+        };
         Arc::new(ExecContext {
-            tables: vec![],
+            tables: vec![table("l", left), table("r", right)],
             er: vec![],
             li: vec![],
             metrics: Mutex::new(Default::default()),
         })
     }
 
-    fn tup(table: usize, id: u32, key: &str) -> Tuple {
-        Tuple {
-            values: vec![Value::str(key)],
-            entities: vec![EntityRef {
+    /// Every record of table `table` as a one-slot row.
+    fn scan(ctx: &ExecContext, table: usize) -> Box<dyn Operator> {
+        let mut b = Batch::new(1);
+        for record in 0..ctx.tables[table].len() as u32 {
+            b.push(&[EntityRef {
                 table,
-                record: id,
-                cluster: id,
-            }],
+                record,
+                cluster: record,
+            }]);
         }
+        Box::new(VecOperator::new(b))
+    }
+
+    fn join(ctx: Arc<ExecContext>) -> Batch {
+        let (l, r) = (scan(&ctx, 0), scan(&ctx, 1));
+        drain(&mut HashJoinOp::new(ctx, l, r, (0, 0), (0, 0))).unwrap()
     }
 
     #[test]
     fn joins_matching_keys() {
-        let left = vec![tup(0, 0, "edbt"), tup(0, 1, "vldb"), tup(0, 2, "none")];
-        let right = vec![tup(1, 0, "edbt"), tup(1, 1, "edbt"), tup(1, 2, "vldb")];
-        let mut j = HashJoinOp::new(
-            ctx(),
-            Box::new(VecOperator::new(left)),
-            Box::new(VecOperator::new(right)),
-            0,
-            0,
+        let keys = |ks: &[&str]| ks.iter().map(Value::str).collect();
+        let ctx = ctx(
+            keys(&["edbt", "vldb", "none"]),
+            keys(&["edbt", "edbt", "vldb"]),
         );
-        let out = drain(&mut j);
+        let out = join(ctx.clone());
         assert_eq!(out.len(), 3); // edbt×2 + vldb×1
-        for t in &out {
-            assert_eq!(t.values.len(), 2);
-            assert_eq!(t.entities.len(), 2);
-            assert_eq!(t.values[0], t.values[1]);
+        let pairs: Vec<(u32, u32)> = out.rows().map(|r| (r[0].record, r[1].record)).collect();
+        assert_eq!(pairs, vec![(0, 1), (0, 0), (1, 2)]);
+        for r in out.rows() {
+            assert_eq!(r[0].value(&ctx.tables, 0), r[1].value(&ctx.tables, 0));
         }
     }
 
     #[test]
     fn null_keys_never_join() {
-        let null_tup = Tuple {
-            values: vec![Value::Null],
-            entities: vec![],
-        };
-        let mut j = HashJoinOp::new(
-            ctx(),
-            Box::new(VecOperator::new(vec![null_tup.clone()])),
-            Box::new(VecOperator::new(vec![null_tup])),
-            0,
-            0,
-        );
-        assert!(drain(&mut j).is_empty());
+        assert!(join(ctx(vec![Value::Null], vec![Value::Null])).is_empty());
     }
 
     #[test]
     fn numeric_cross_type_join() {
-        let l = Tuple {
-            values: vec![Value::Int(3)],
-            entities: vec![],
-        };
-        let r = Tuple {
-            values: vec![Value::Float(3.0)],
-            entities: vec![],
-        };
-        let mut j = HashJoinOp::new(
-            ctx(),
-            Box::new(VecOperator::new(vec![l])),
-            Box::new(VecOperator::new(vec![r])),
-            0,
-            0,
-        );
-        assert_eq!(drain(&mut j).len(), 1);
+        let out = join(ctx(vec![Value::Int(3)], vec![Value::Float(3.0)]));
+        assert_eq!(out.len(), 1);
     }
 }

@@ -1,17 +1,18 @@
 //! Row-count limit.
 
+use crate::error::Result;
 use crate::operators::Operator;
-use crate::tuple::Tuple;
+use queryer_storage::Value;
 
-/// Stops the stream after `n` tuples.
+/// Stops the stream after `n` rows.
 pub struct LimitOp {
-    input: Box<dyn Operator>,
+    input: Box<dyn Operator<Vec<Value>>>,
     remaining: usize,
 }
 
 impl LimitOp {
     /// Creates a limit.
-    pub fn new(input: Box<dyn Operator>, n: usize) -> Self {
+    pub fn new(input: Box<dyn Operator<Vec<Value>>>, n: usize) -> Self {
         Self {
             input,
             remaining: n,
@@ -19,39 +20,40 @@ impl LimitOp {
     }
 }
 
-impl Operator for LimitOp {
-    fn next(&mut self) -> Option<Tuple> {
+impl Operator<Vec<Value>> for LimitOp {
+    fn next(&mut self) -> Result<Option<Vec<Value>>> {
         if self.remaining == 0 {
-            return None;
+            return Ok(None);
         }
-        let t = self.input.next()?;
-        self.remaining -= 1;
-        Some(t)
+        let row = self.input.next()?;
+        self.remaining -= row.is_some() as usize;
+        Ok(row)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{drain, VecOperator};
-    use queryer_storage::Value;
+    use crate::operators::drain_rows;
 
-    fn tup(v: i64) -> Tuple {
-        Tuple {
-            values: vec![Value::Int(v)],
-            entities: vec![],
+    struct Count(i64);
+
+    impl Operator<Vec<Value>> for Count {
+        fn next(&mut self) -> Result<Option<Vec<Value>>> {
+            self.0 -= 1;
+            Ok((self.0 >= 0).then(|| vec![Value::Int(self.0)]))
         }
     }
 
     #[test]
     fn truncates_stream() {
-        let mut l = LimitOp::new(Box::new(VecOperator::new(vec![tup(1), tup(2), tup(3)])), 2);
-        assert_eq!(drain(&mut l).len(), 2);
+        let mut l = LimitOp::new(Box::new(Count(3)), 2);
+        assert_eq!(drain_rows(&mut l).unwrap().len(), 2);
     }
 
     #[test]
     fn zero_limit_empty() {
-        let mut l = LimitOp::new(Box::new(VecOperator::new(vec![tup(1)])), 0);
-        assert!(drain(&mut l).is_empty());
+        let mut l = LimitOp::new(Box::new(Count(1)), 0);
+        assert!(drain_rows(&mut l).unwrap().is_empty());
     }
 }

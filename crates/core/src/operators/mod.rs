@@ -2,10 +2,24 @@
 //!
 //! QueryER "utilizes the established database pipelining architecture
 //! where the output of an operator is passed to its parent by
-//! implementing the Iterator Interface" (Sec. 7.2.2). Streaming operators
-//! (scan, filter, project) pipeline tuple-at-a-time; the ER operators are
-//! pipeline breakers that materialise their input on first `next`, like
-//! sorts in a classical engine.
+//! implementing the Iterator Interface" (Sec. 7.2.2). Every operator
+//! implements [`Operator`]; its `next` is fallible, so a failed resolve
+//! reaches `QueryEngine::execute` as an error, not a panic.
+//!
+//! A row's values are needed only at the top of a plan, so they are
+//! built once, there. Below that **materialisation point** operators
+//! exchange [`Batch`]es of entity refs (table, record, cluster), and
+//! read a value from the stored table only where they need one: the
+//! scan for its predicate, the joins for their keys, a filter above a
+//! join. The materialisation point — Group-Entities in an ER plan,
+//! [`project::MaterializeOp`] in a plain one — builds each output row
+//! with only the columns the Project or Aggregate above it reads, and
+//! emits it as a `Vec<Value>`.
+//!
+//! Scan and filter stream batches of up to [`scan::BATCH_ROWS`] rows;
+//! the ER operators and the joins' build sides are pipeline breakers
+//! that drain their input on first `next`, like sorts in a classical
+//! engine.
 
 pub mod aggregate;
 pub mod dedup_join;
@@ -17,17 +31,21 @@ pub mod limit;
 pub mod project;
 pub mod scan;
 
+use crate::error::Result;
 use crate::metrics::QueryMetrics;
-use crate::tuple::Tuple;
+use crate::tuple::Batch;
 use parking_lot::{Mutex, RwLock};
 use queryer_er::{LinkIndex, TableErIndex};
-use queryer_storage::Table;
+use queryer_storage::{Table, Value};
 use std::sync::Arc;
 
-/// The Volcano iterator interface.
-pub trait Operator {
-    /// Produces the next tuple, or `None` when exhausted.
-    fn next(&mut self) -> Option<Tuple>;
+/// The Volcano iterator interface. Below the materialisation point an
+/// operator produces [`Batch`]es of refs; above it, one row of values
+/// (`Operator<Vec<Value>>`) at a time.
+pub trait Operator<T = Batch> {
+    /// Produces the next batch (never an empty one) or row, `Ok(None)`
+    /// when exhausted, or the error that stopped the plan.
+    fn next(&mut self) -> Result<Option<T>>;
 }
 
 /// Shared execution state: the catalog slice visible to this query plus
@@ -45,31 +63,47 @@ pub struct ExecContext {
     pub metrics: Mutex<QueryMetrics>,
 }
 
-/// Drains an operator into a vector.
-pub fn drain(op: &mut dyn Operator) -> Vec<Tuple> {
-    let mut out = Vec::new();
-    while let Some(t) = op.next() {
-        out.push(t);
+/// Drains a refs operator into one batch.
+pub fn drain(op: &mut dyn Operator) -> Result<Batch> {
+    let mut all = Batch::default();
+    while let Some(batch) = op.next()? {
+        all.append(batch);
     }
-    out
+    Ok(all)
 }
 
-/// A pre-materialised operator (test helper and plan glue).
+/// Drains a row operator.
+pub fn drain_rows(op: &mut dyn Operator<Vec<Value>>) -> Result<Vec<Vec<Value>>> {
+    let mut rows = Vec::new();
+    while let Some(row) = op.next()? {
+        rows.push(row);
+    }
+    Ok(rows)
+}
+
+/// A pre-built batch as an operator (test helper).
 pub struct VecOperator {
-    tuples: std::vec::IntoIter<Tuple>,
+    batch: Option<Batch>,
 }
 
 impl VecOperator {
-    /// Wraps a tuple vector as an operator.
-    pub fn new(tuples: Vec<Tuple>) -> Self {
+    /// Emits `batch`, unless it is empty.
+    pub fn new(batch: Batch) -> Self {
         Self {
-            tuples: tuples.into_iter(),
+            batch: non_empty(batch),
         }
     }
 }
 
 impl Operator for VecOperator {
-    fn next(&mut self) -> Option<Tuple> {
-        self.tuples.next()
+    fn next(&mut self) -> Result<Option<Batch>> {
+        Ok(self.batch.take())
     }
+}
+
+/// `batch` as the next output of an operator, which never emits an
+/// empty batch. A pipeline breaker returns all it has this way from its
+/// first `next`, and `Ok(None)` after.
+fn non_empty(batch: Batch) -> Option<Batch> {
+    Some(batch).filter(|b| !b.is_empty())
 }

@@ -1,17 +1,21 @@
 //! Table scan, with the filter over a base table evaluated inside it.
 
-use crate::operators::{ExecContext, Operator};
-use crate::tuple::{EntityRef, Tuple};
+use crate::error::Result;
+use crate::operators::{non_empty, ExecContext, Operator};
+use crate::tuple::{Batch, EntityRef};
 use queryer_sql::{BoundExpr, CompareOp};
 use queryer_storage::{RecordId, Table, Value};
 use std::ops::Bound;
 use std::sync::Arc;
 
-/// Scans a base table, emitting one tuple per record. In Batch mode the
-/// scan annotates each record with its batch-computed cluster; otherwise
-/// every record starts as its own cluster.
+/// Rows per batch the streaming operators emit.
+pub const BATCH_ROWS: usize = 1024;
+
+/// Scans a base table, emitting one ref per record, in batches. In
+/// Batch mode the scan annotates each record with its batch-computed
+/// cluster; otherwise every record starts as its own cluster.
 ///
-/// With a predicate, the scan tests each record in place and clones only
+/// With a predicate, the scan tests each record in place and emits only
 /// the records that pass. When a conjunct of the predicate is sargable,
 /// the table's selection index narrows the records visited to its
 /// candidates; the full predicate is still tested on each, so the output
@@ -58,7 +62,7 @@ impl TableScanOp {
 }
 
 impl Operator for TableScanOp {
-    fn next(&mut self) -> Option<Tuple> {
+    fn next(&mut self) -> Result<Option<Batch>> {
         let table = &self.ctx.tables[self.table_idx];
         let predicate = self.predicate.as_ref();
         let rows = self.rows.get_or_insert_with(|| {
@@ -69,32 +73,39 @@ impl Operator for TableScanOp {
             self.ctx.metrics.lock().rows_scanned += visits as u64;
             rows
         });
-        loop {
+        // A candidate list is the batch's exact bound; a full scan's
+        // predicate may reject most records, so its batch grows.
+        let mut batch = match rows {
+            Rows::Candidates(ids) => Batch::with_capacity(1, ids.len().min(BATCH_ROWS)),
+            Rows::All(_) => Batch::new(1),
+        };
+        while batch.len() < BATCH_ROWS {
             let id = match rows {
-                Rows::All(next) => {
-                    let id = *next;
+                Rows::All(next) if (*next as usize) < table.len() => {
                     *next += 1;
-                    id
+                    *next - 1
                 }
-                Rows::Candidates(ids) => ids.next()?,
+                Rows::Candidates(ids) => match ids.next() {
+                    Some(id) => id,
+                    None => break,
+                },
+                Rows::All(_) => break,
             };
-            let record = table.record(id)?;
-            if predicate.is_some_and(|p| !p.eval_bool(&record.values)) {
+            let values = &table.record_unchecked(id).values;
+            if predicate.is_some_and(|p| !p.eval_bool(values)) {
                 continue;
             }
             let cluster = match &self.cluster_of {
                 Some(map) => map[id as usize],
                 None => id,
             };
-            return Some(Tuple {
-                values: record.values.clone(),
-                entities: vec![EntityRef {
-                    table: self.table_idx,
-                    record: id,
-                    cluster,
-                }],
-            });
+            batch.push(&[EntityRef {
+                table: self.table_idx,
+                record: id,
+                cluster,
+            }]);
         }
+        Ok(non_empty(batch))
     }
 }
 

@@ -14,7 +14,11 @@
 //!   clusters with hyper-entity (any-member) predicate semantics.
 //!
 //! All ER strategies place Group-Entities directly before the final
-//! Project (Sec. 7.2.1(ii)).
+//! Project (Sec. 7.2.1(ii)). It is the plan's materialisation point:
+//! everything below it passes entity refs, and it builds only the
+//! columns the Project or Aggregate above it reads. A plain plan has a
+//! `Materialize` there instead, which builds the same columns without
+//! grouping.
 
 pub mod cost;
 pub mod stats;
@@ -29,18 +33,18 @@ use crate::operators::filter::{ClusterFilterOp, FilterOp};
 use crate::operators::group_entities::GroupEntitiesOp;
 use crate::operators::hash_join::HashJoinOp;
 use crate::operators::limit::LimitOp;
-use crate::operators::project::ProjectOp;
+use crate::operators::project::{MaterializeOp, ProjectOp};
 use crate::operators::scan::TableScanOp;
 use crate::operators::{ExecContext, Operator};
 use queryer_common::FxHashMap;
-use queryer_sql::{bind, Expr, LogicalPlan, SelectItem};
-use queryer_storage::RecordId;
+use queryer_sql::{bind, BoundExpr, Expr, LogicalPlan, SelectItem};
+use queryer_storage::{RecordId, Value};
 use std::sync::Arc;
 
 /// A fully built physical plan.
 pub struct PlanOutput {
-    /// Root operator.
-    pub root: Box<dyn Operator>,
+    /// Root operator: the result rows.
+    pub root: Box<dyn Operator<Vec<Value>>>,
     /// Output column labels.
     pub columns: Vec<String>,
     /// Rendered plan (EXPLAIN).
@@ -60,6 +64,11 @@ pub(crate) struct Planner<'a> {
     pub out_columns: Vec<String>,
 }
 
+/// A plan's top, above its materialisation point: the row operator and
+/// its EXPLAIN lines.
+type Top = (Box<dyn Operator<Vec<Value>>>, Vec<String>);
+
+/// A plan below its materialisation point: a refs stream.
 struct Built {
     op: Box<dyn Operator>,
     schema: BoundSchema,
@@ -79,13 +88,28 @@ fn indent(lines: Vec<String>) -> Vec<String> {
 
 impl<'a> Planner<'a> {
     pub(crate) fn build(&mut self, plan: &LogicalPlan) -> Result<PlanOutput> {
-        let built = self.build_node(plan)?;
+        let (root, explain) = self.build_rows(plan)?;
         Ok(PlanOutput {
-            root: built.op,
+            root,
             columns: std::mem::take(&mut self.out_columns),
-            explain: built.explain.join("\n"),
+            explain: explain.join("\n"),
             estimated: self.estimated,
         })
+    }
+
+    /// The top of a plan, above its materialisation point: a projection
+    /// or an aggregate, under any number of LIMITs.
+    fn build_rows(&mut self, plan: &LogicalPlan) -> Result<Top> {
+        match plan {
+            LogicalPlan::Limit { input, n } => {
+                let (op, child) = self.build_rows(input)?;
+                let mut explain = vec![format!("Limit: {n}")];
+                explain.extend(indent(child));
+                Ok((Box::new(LimitOp::new(op, *n)), explain))
+            }
+            LogicalPlan::Project { input, items, .. } => self.build_project(input, items),
+            _ => Err(CoreError::Plan("a plan must end in a projection".into())),
+        }
     }
 
     fn er_mode(&self) -> bool {
@@ -110,20 +134,9 @@ impl<'a> Planner<'a> {
                 left_col,
                 right_col,
             } => self.build_join(left, right, left_col, right_col),
-            LogicalPlan::Project { input, items, .. } => self.build_project(input, items),
-            LogicalPlan::Limit { input, n } => {
-                let child = self.build_node(input)?;
-                let mut explain = vec![format!("Limit: {n}")];
-                explain.extend(indent(child.explain));
-                Ok(Built {
-                    op: Box::new(LimitOp::new(child.op, *n)),
-                    schema: child.schema,
-                    explain,
-                    resolved: child.resolved,
-                    single_table: child.single_table,
-                    predicate: child.predicate,
-                })
-            }
+            LogicalPlan::Project { .. } | LogicalPlan::Limit { .. } => Err(CoreError::Plan(
+                "a projection or LIMIT must be at the top of a plan".into(),
+            )),
         }
     }
 
@@ -176,15 +189,19 @@ impl<'a> Planner<'a> {
         }
         let child = self.build_node(input)?;
         let bound = bind(predicate, &child.schema)?;
+        let ctx = self.ctx.clone();
         let (op, label): (Box<dyn Operator>, &str) = if child.resolved {
             // Filtering resolved/cluster-annotated data must keep whole
             // clusters (hyper-entity any-member semantics).
             (
-                Box::new(ClusterFilterOp::new(child.op, bound)),
+                Box::new(ClusterFilterOp::new(ctx, child.op, bound, &child.schema)),
                 "ClusterFilter",
             )
         } else {
-            (Box::new(FilterOp::new(child.op, bound)), "Filter")
+            (
+                Box::new(FilterOp::new(ctx, child.op, bound, &child.schema)),
+                "Filter",
+            )
         };
         let mut explain = vec![format!("{label}: {predicate}")];
         explain.extend(indent(child.explain));
@@ -238,8 +255,8 @@ impl<'a> Planner<'a> {
     ) -> Result<Built> {
         let mut l = self.build_node(left)?;
         let mut r = self.build_node(right)?;
-        let left_key = l.schema.offset_of(left_col)?;
-        let right_key = r.schema.offset_of(right_col)?;
+        let left_key = l.schema.location(l.schema.offset_of(left_col)?);
+        let right_key = r.schema.location(r.schema.offset_of(right_col)?);
         let schema = BoundSchema::concat(&l.schema, &r.schema);
         let join_desc = format!("{left_col} = {right_col}");
 
@@ -365,38 +382,22 @@ impl<'a> Planner<'a> {
         })
     }
 
-    fn build_project(&mut self, input: &LogicalPlan, items: &[SelectItem]) -> Result<Built> {
+    fn build_project(&mut self, input: &LogicalPlan, items: &[SelectItem]) -> Result<Top> {
         let mut child = self.build_node(input)?;
-
-        // ER strategies: resolve SP branches and group before projecting.
-        if self.er_mode() {
-            if !child.resolved {
-                child = self.wrap_deduplicate(child)?;
-            }
-            let mut explain = vec!["GroupEntities".to_string()];
-            explain.extend(indent(child.explain));
-            child = Built {
-                op: Box::new(GroupEntitiesOp::new(
-                    self.ctx.clone(),
-                    child.op,
-                    child.schema.clone(),
-                )),
-                schema: child.schema,
-                explain,
-                resolved: true,
-                single_table: child.single_table,
-                predicate: child.predicate,
-            };
+        // ER strategies: resolve SP branches before grouping.
+        if self.er_mode() && !child.resolved {
+            child = self.wrap_deduplicate(child)?;
         }
 
-        // Aggregates?
+        // The output, bound against the child's layout.
         let has_agg = items.iter().any(|i| {
             matches!(i, SelectItem::Expr { expr: Expr::Func { name, .. }, .. }
                 if AggFunc::from_name(name).is_some())
         });
+        let mut labels = Vec::new();
+        let mut exprs: Vec<BoundExpr> = Vec::new();
+        let mut specs: Vec<AggSpec> = Vec::new();
         if has_agg {
-            let mut specs = Vec::new();
-            let mut labels = Vec::new();
             for item in items {
                 let SelectItem::Expr { expr, alias } = item else {
                     return Err(CoreError::Sql(queryer_sql::SqlError::Unsupported(
@@ -425,50 +426,64 @@ impl<'a> Planner<'a> {
                 specs.push(AggSpec { func, arg });
                 labels.push(alias.clone().unwrap_or_else(|| expr.to_string()));
             }
-            let mut explain = vec![format!("Aggregate: {}", labels.join(", "))];
-            explain.extend(indent(child.explain));
-            return Ok(Built {
-                op: Box::new(AggregateOp::new(child.op, specs)),
-                schema: out_schema(&labels),
-                explain: {
-                    self.out_columns = labels;
-                    explain
-                },
-                resolved: true,
-                single_table: None,
-                predicate: None,
-            });
-        }
-
-        // Plain projection; Star expands to every column.
-        let mut exprs = Vec::new();
-        let mut labels = Vec::new();
-        let all_labels = child.schema.column_labels();
-        for item in items {
-            match item {
-                SelectItem::Star => {
-                    for (offset, label) in all_labels.iter().enumerate() {
-                        exprs.push(queryer_sql::BoundExpr::Column(offset));
-                        labels.push(label.clone());
+        } else {
+            // Star expands to every column.
+            let all_labels = child.schema.column_labels();
+            for item in items {
+                match item {
+                    SelectItem::Star => {
+                        for (offset, label) in all_labels.iter().enumerate() {
+                            exprs.push(BoundExpr::Column(offset));
+                            labels.push(label.clone());
+                        }
                     }
-                }
-                SelectItem::Expr { expr, alias } => {
-                    exprs.push(bind(expr, &child.schema)?);
-                    labels.push(alias.clone().unwrap_or_else(|| expr.to_string()));
+                    SelectItem::Expr { expr, alias } => {
+                        exprs.push(bind(expr, &child.schema)?);
+                        labels.push(alias.clone().unwrap_or_else(|| expr.to_string()));
+                    }
                 }
             }
         }
-        let mut explain = vec![format!("Project: {}", labels.join(", "))];
-        explain.extend(indent(child.explain));
-        self.out_columns = labels.clone();
-        Ok(Built {
-            op: Box::new(ProjectOp::new(child.op, exprs)),
-            schema: out_schema(&labels),
-            explain,
-            resolved: true,
-            single_table: None,
-            predicate: None,
-        })
+
+        // The columns the output reads, in the order it first reads
+        // them: the materialisation point builds exactly these, and the
+        // output is rebound to their positions in its rows.
+        let mut columns: Vec<usize> = Vec::new();
+        let mut position = |offset: usize| {
+            columns
+                .iter()
+                .position(|&c| c == offset)
+                .unwrap_or_else(|| {
+                    columns.push(offset);
+                    columns.len() - 1
+                })
+        };
+        let args = specs.iter_mut().filter_map(|s| s.arg.as_mut());
+        for e in exprs.iter_mut().chain(args) {
+            e.remap_columns(&mut position);
+        }
+
+        let (rows, point): (Box<dyn Operator<Vec<Value>>>, &str) = if self.er_mode() {
+            let op = GroupEntitiesOp::new(self.ctx.clone(), child.op, &child.schema, &columns);
+            (Box::new(op), "GroupEntities")
+        } else {
+            let op = MaterializeOp::new(self.ctx.clone(), child.op, &child.schema, &columns);
+            (Box::new(op), "Materialize")
+        };
+        let mut below = vec![point.to_string()];
+        below.extend(indent(child.explain));
+
+        let (op, label): (Box<dyn Operator<Vec<Value>>>, String) = if has_agg {
+            let label = format!("Aggregate: {}", labels.join(", "));
+            (Box::new(AggregateOp::new(rows, specs)), label)
+        } else {
+            let label = format!("Project: {}", labels.join(", "));
+            (Box::new(ProjectOp::new(rows, exprs)), label)
+        };
+        let mut explain = vec![label];
+        explain.extend(indent(below));
+        self.out_columns = labels;
+        Ok((op, explain))
     }
 }
 
@@ -490,17 +505,5 @@ fn filtered_scan<'p>(input: &'p LogicalPlan, predicate: &Expr) -> Option<(&'p st
             ))
         }
         _ => None,
-    }
-}
-
-/// Synthetic schema for projected/aggregated outputs (labels only).
-fn out_schema(labels: &[String]) -> BoundSchema {
-    BoundSchema {
-        slots: vec![crate::binding::Slot {
-            alias: String::new(),
-            table_idx: usize::MAX,
-            n_cols: labels.len(),
-        }],
-        columns: labels.iter().map(|l| (0, l.clone())).collect(),
     }
 }

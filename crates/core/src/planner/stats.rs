@@ -5,6 +5,7 @@
 //! duplication factor df." — and — "we pre-compute for every table pair
 //! the percentage of entities that join."
 
+use crate::error::Result;
 use crate::tuple::join_key;
 use queryer_common::FxHashSet;
 use queryer_er::{DedupMetrics, LinkIndex, ResolveRequest, TableErIndex};
@@ -33,27 +34,25 @@ pub struct TableStats {
 /// Index, so the real LI stays cold) and derives the duplication factor
 /// as the average duplicate-cluster size of the resolved sample — the
 /// expansion |DR_E| / (distinct entities selected) a query should expect.
-pub fn compute_table_stats(table: &Table, er: &TableErIndex) -> TableStats {
+/// A failed resolve (a poisoned index, a lost worker) is the error.
+pub fn compute_table_stats(table: &Table, er: &TableErIndex) -> Result<TableStats> {
     let n = table.len();
     if n == 0 {
-        return TableStats {
+        return Ok(TableStats {
             duplication_factor: 1.0,
             sample_size: 0,
-        };
+        });
     }
     let stride = n.div_ceil(DF_SAMPLE_TARGET).max(1);
     let sample: Vec<RecordId> = (0..n).step_by(stride).map(|i| i as RecordId).collect();
     let mut li = LinkIndex::new(n);
     let mut metrics = DedupMetrics::default();
-    // invariant: stats sample the table its own index was built from.
-    let outcome = er
-        .run(ResolveRequest::records(table, &sample, &mut li).metrics(&mut metrics))
-        .expect("resolve against the table's own index");
+    let outcome = er.run(ResolveRequest::records(table, &sample, &mut li).metrics(&mut metrics))?;
     let clusters: FxHashSet<RecordId> = er.cluster_map(&li, &outcome.dr).into_values().collect();
-    TableStats {
+    Ok(TableStats {
         duplication_factor: (outcome.dr.len() as f64 / clusters.len().max(1) as f64).max(1.0),
         sample_size: sample.len(),
-    }
+    })
 }
 
 /// Percentage (0..=1) of sampled `left` records whose `left_col` value
@@ -65,7 +64,7 @@ pub fn join_percentage(left: &Table, left_col: usize, right: &Table, right_col: 
     let right_keys: FxHashSet<Value> = right
         .records()
         .iter()
-        .map(|r| join_key(r.value(right_col)))
+        .map(|r| join_key(r.value(right_col)).into_owned())
         .filter(|v| !v.is_null())
         .collect();
     let stride = left.len().div_ceil(JOIN_SAMPLE_TARGET).max(1);
@@ -75,7 +74,7 @@ pub fn join_percentage(left: &Table, left_col: usize, right: &Table, right_col: 
     while i < left.len() {
         sampled += 1;
         let key = join_key(left.record_unchecked(i as RecordId).value(left_col));
-        if !key.is_null() && right_keys.contains(&key) {
+        if !key.is_null() && right_keys.contains(&*key) {
             hits += 1;
         }
         i += stride;
@@ -108,7 +107,7 @@ mod tests {
             .unwrap();
         }
         let er = TableErIndex::build(&t, &ErConfig::default());
-        let stats = compute_table_stats(&t, &er);
+        let stats = compute_table_stats(&t, &er).unwrap();
         assert!(stats.duplication_factor > 1.0, "{stats:?}");
         assert!(stats.sample_size > 0);
     }
@@ -124,7 +123,7 @@ mod tests {
             .unwrap();
         }
         let er = TableErIndex::build(&t, &ErConfig::default());
-        let stats = compute_table_stats(&t, &er);
+        let stats = compute_table_stats(&t, &er).unwrap();
         assert!((stats.duplication_factor - 1.0).abs() < 1e-9);
     }
 
@@ -148,7 +147,7 @@ mod tests {
     fn empty_tables_are_safe() {
         let t = Table::new("e", Schema::of_strings(&["id"]));
         let er = TableErIndex::build(&t, &ErConfig::default());
-        let stats = compute_table_stats(&t, &er);
+        let stats = compute_table_stats(&t, &er).unwrap();
         assert_eq!(stats.sample_size, 0);
         assert_eq!(join_percentage(&t, 0, &t, 0), 0.0);
     }

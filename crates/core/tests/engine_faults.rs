@@ -1,0 +1,60 @@
+//! Faults at the SQL surface: a resolve that fails under a query comes
+//! back from `QueryEngine::execute` as a typed error, never as a panic.
+//!
+//! The sites are armed through `queryer_common::failpoints`, which is
+//! compiled in only with `--features queryer-er/failpoints`; without it
+//! arming is a no-op and the test returns at once.
+
+use queryer_common::failpoints::{self, FailAction};
+use queryer_core::{CoreError, QueryEngine};
+use queryer_er::{DeltaOp, ErConfig, ResolveError, ResolveStage, WeightScheme};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Dirty publications: duplicate clusters {0,1}, {2,3} and a singleton.
+const PUBS: &str = "\
+id,title,authors,venue,year
+0,collective entity resolution,allan blake,edbt,2008
+1,collective entity resolution,a. blake,extending database technology,2008
+2,entity resolution on big data,jane davids,sigmod,2017
+3,entity resolution on big data,j. davids,sigmod,2017
+4,query optimization survey,maria lopez,vldb,2015
+";
+
+/// Under ECBS weights an ingest re-sweeps every WNP threshold. A worker
+/// lost there fails the ingest and poisons the index; the next dedup
+/// query reaches the poisoned index through Deduplicate and returns
+/// `Resolve(Poisoned)` instead of unwinding.
+#[test]
+fn poisoned_index_is_an_error_of_the_query_not_a_panic() {
+    let mut e = QueryEngine::new(ErConfig {
+        weight_scheme: WeightScheme::Ecbs,
+        ..ErConfig::default()
+    });
+    e.register_csv_str("P", PUBS).unwrap();
+    let copy = DeltaOp::Insert {
+        values: e.table("P").unwrap().record(4).unwrap().values.clone(),
+    };
+    failpoints::arm("build.thresholds.worker", FailAction::Panic);
+    if !failpoints::is_armed("build.thresholds.worker") {
+        return; // failpoints are not compiled in
+    }
+    let ingested = e.ingest("P", &[copy]);
+    failpoints::disarm("build.thresholds.worker");
+    assert!(
+        matches!(
+            ingested,
+            Err(CoreError::Resolve(ResolveError::WorkerPanicked {
+                stage: ResolveStage::Build
+            }))
+        ),
+        "{ingested:?}"
+    );
+
+    let sql = "SELECT DEDUP title, venue FROM P WHERE year >= 2008";
+    let answer = catch_unwind(AssertUnwindSafe(|| e.execute(sql))).expect("execute unwound");
+    assert!(
+        matches!(answer, Err(CoreError::Resolve(ResolveError::Poisoned))),
+        "{:?}",
+        answer.map(|r| r.rows)
+    );
+}

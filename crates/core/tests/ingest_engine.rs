@@ -366,6 +366,6 @@ fn duplication_factor_is_sampled_on_read_and_follows_writes() {
 
     let table = e.table("P").unwrap();
     let rebuilt = queryer_er::TableErIndex::build(&table, &ErConfig::default());
-    let from_scratch = queryer_core::planner::stats::compute_table_stats(&table, &rebuilt);
+    let from_scratch = queryer_core::planner::stats::compute_table_stats(&table, &rebuilt).unwrap();
     assert_eq!(after, from_scratch.duplication_factor);
 }

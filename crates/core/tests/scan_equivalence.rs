@@ -13,8 +13,8 @@ use queryer_core::operators::deduplicate::DeduplicateOp;
 use queryer_core::operators::filter::FilterOp;
 use queryer_core::operators::group_entities::GroupEntitiesOp;
 use queryer_core::operators::scan::TableScanOp;
-use queryer_core::operators::{drain, ExecContext};
-use queryer_core::tuple::Tuple;
+use queryer_core::operators::{drain, drain_rows, ExecContext};
+use queryer_core::tuple::Batch;
 use queryer_core::{ExecMode, QueryEngine};
 use queryer_er::{DeltaOp, ErConfig};
 use queryer_sql::{bind, parse_select, BoundExpr};
@@ -213,8 +213,12 @@ fn scan_context(table: &Arc<Table>) -> Arc<ExecContext> {
 /// What `SELECT * FROM t WHERE pred` returned before the scan
 /// evaluated predicates: the unfused pair's rows.
 fn unfused_rows(e: &QueryEngine, pred: &str) -> Vec<Vec<Value>> {
-    let (_, unfused, _) = both_scans(&e.table("t").unwrap(), pred);
-    unfused.into_iter().map(|t| t.values).collect()
+    let table = e.table("t").unwrap();
+    let (_, unfused, _) = both_scans(&table, pred);
+    unfused
+        .rows()
+        .map(|refs| table.record_unchecked(refs[0].record).values.clone())
+        .collect()
 }
 
 /// What the plans built before the scan evaluated predicates produce
@@ -231,26 +235,26 @@ fn unfused_dedup_rows(e: &QueryEngine, pred: &str) -> Vec<Vec<Value>> {
         ))],
         metrics: Mutex::new(Default::default()),
     });
-    let scan = TableScanOp::new(ctx.clone(), 0, None);
-    let filter = FilterOp::new(Box::new(scan), bound(&table, pred));
-    let dedup = DeduplicateOp::new(ctx.clone(), Box::new(filter), 0);
     let schema = BoundSchema::from_table("t", 0, &table);
-    let mut group = GroupEntitiesOp::new(ctx, Box::new(dedup), schema);
-    drain(&mut group).into_iter().map(|t| t.values).collect()
+    let scan = TableScanOp::new(ctx.clone(), 0, None);
+    let filter = FilterOp::new(ctx.clone(), Box::new(scan), bound(&table, pred), &schema);
+    let dedup = DeduplicateOp::new(ctx.clone(), Box::new(filter), 0);
+    let every_column: Vec<usize> = (0..schema.len()).collect();
+    let mut group = GroupEntitiesOp::new(ctx, Box::new(dedup), &schema, &every_column);
+    drain_rows(&mut group).unwrap()
 }
 
 /// Drains `WHERE pred` over `table` through the fused scan and through
 /// the unfused pair, and counts the records the fused scan visited.
-fn both_scans(table: &Arc<Table>, pred: &str) -> (Vec<Tuple>, Vec<Tuple>, u64) {
+fn both_scans(table: &Arc<Table>, pred: &str) -> (Batch, Batch, u64) {
     let ctx = scan_context(table);
     let p = bound(table, pred);
     let fused = drain(&mut TableScanOp::new(ctx.clone(), 0, None).with_predicate(p.clone()));
     let visited = ctx.metrics.lock().rows_scanned;
-    let unfused = drain(&mut FilterOp::new(
-        Box::new(TableScanOp::new(ctx, 0, None)),
-        p,
-    ));
-    (fused, unfused, visited)
+    let schema = BoundSchema::from_table("t", 0, table);
+    let scan = Box::new(TableScanOp::new(ctx.clone(), 0, None));
+    let unfused = drain(&mut FilterOp::new(ctx, scan, p, &schema));
+    (fused.unwrap(), unfused.unwrap(), visited)
 }
 
 /// Applies the next write, if any, to the table in place: the Arc is

@@ -423,26 +423,12 @@ impl TableErIndex {
     /// round can replay one of its pairs (pinned by
     /// `tests/ep_equivalence.rs`).
     ///
-    /// Panics if an Edge Pruning worker thread panics.
-    pub fn edge_pruned_pairs(
-        &self,
-        frontier: &[RecordId],
-        pair_seen: &mut PairSet,
-        metrics: &mut DedupMetrics,
-    ) -> Vec<(RecordId, RecordId)> {
-        match self.try_edge_pruned_pairs(frontier, pair_seen, metrics) {
-            Ok(pairs) => pairs,
-            Err(e) => panic!("edge pruning failed: {e}"),
-        }
-    }
-
-    /// EP pair generation — the resolve loop's entry point. The
-    /// frontier scans and survivor fills run to completion once started
-    /// (they are bounded by the frontier, not the table) but are
-    /// panic-hardened: a lost worker surfaces as
-    /// [`ResolveError::WorkerPanicked`] with all shared caches holding
-    /// only complete entries.
-    fn try_edge_pruned_pairs(
+    /// This is the resolve loop's entry point. The frontier scans and
+    /// survivor fills run to completion once started (they are bounded
+    /// by the frontier, not the table) but are panic-hardened: a lost
+    /// worker surfaces as [`ResolveError::WorkerPanicked`] with all
+    /// shared caches holding only complete entries.
+    pub fn try_edge_pruned_pairs(
         &self,
         frontier: &[RecordId],
         pair_seen: &mut PairSet,
@@ -546,7 +532,7 @@ impl TableErIndex {
 
     /// [`TableErIndex::frontier_ranks`], but `None` when the frontier
     /// contains a duplicate — the resolve loop always deduplicates its
-    /// frontiers, but the public `edge_pruned_pairs` API does not
+    /// frontiers, but the public `try_edge_pruned_pairs` API does not
     /// promise it, and rank ownership would emit a duplicated node's
     /// edges twice.
     fn distinct_frontier_ranks(&self, frontier: &[RecordId]) -> Option<Vec<u32>> {

@@ -243,10 +243,12 @@ fn parallel_memo_scan_matches_oracle() {
             let want = oracle_pairs(&idx, frontier);
             idx.clear_ep_cache();
             let (mut seen_cold, mut seen_warm) = (PairSet::new(), PairSet::new());
-            let cold =
-                idx.edge_pruned_pairs(frontier, &mut seen_cold, &mut DedupMetrics::default());
-            let warm =
-                idx.edge_pruned_pairs(frontier, &mut seen_warm, &mut DedupMetrics::default());
+            let cold = idx
+                .try_edge_pruned_pairs(frontier, &mut seen_cold, &mut DedupMetrics::default())
+                .expect("edge pruning");
+            let warm = idx
+                .try_edge_pruned_pairs(frontier, &mut seen_warm, &mut DedupMetrics::default())
+                .expect("edge pruning");
             let case = format!("scheme {scheme:?} frontier {}", frontier.len());
             assert_eq!(cold, want, "cold vs oracle, {case}");
             assert_eq!(warm, want, "warm vs oracle, {case}");
@@ -324,13 +326,16 @@ fn capped_parallel_fill_counts_each_node_once() {
     capped_cfg.ep_cache_cap = 64;
     let uncapped = TableErIndex::build(&table, &uncapped_cfg);
     let capped = TableErIndex::build(&table, &capped_cfg);
-    let want =
-        uncapped.edge_pruned_pairs(frontier, &mut PairSet::new(), &mut DedupMetrics::default());
+    let want = uncapped
+        .try_edge_pruned_pairs(frontier, &mut PairSet::new(), &mut DedupMetrics::default())
+        .expect("edge pruning");
     assert!(!want.is_empty(), "workload must generate pairs");
     // Cold, then again over whatever the eviction left behind.
     for pass in ["cold", "evicted"] {
         let mut m = DedupMetrics::default();
-        let got = capped.edge_pruned_pairs(frontier, &mut PairSet::new(), &mut m);
+        let got = capped
+            .try_edge_pruned_pairs(frontier, &mut PairSet::new(), &mut m)
+            .expect("edge pruning");
         assert_eq!(got, want, "{pass} pass");
         assert_eq!(
             m.ep_cache_hits + m.ep_cache_misses,

@@ -127,13 +127,14 @@ fn oracle_threshold(idx: &TableErIndex, e: RecordId) -> f64 {
     sum / nbh.len() as f64
 }
 
-/// `edge_pruned_pairs` without the hit/miss accounting.
+/// `try_edge_pruned_pairs` without the hit/miss accounting.
 fn pairs_of(
     idx: &TableErIndex,
     frontier: &[RecordId],
     seen: &mut PairSet,
 ) -> Vec<(RecordId, RecordId)> {
-    idx.edge_pruned_pairs(frontier, seen, &mut DedupMetrics::default())
+    idx.try_edge_pruned_pairs(frontier, seen, &mut DedupMetrics::default())
+        .expect("edge pruning")
 }
 
 /// A deterministic pseudo-random table large enough (> the resolver's
@@ -294,7 +295,7 @@ proptest! {
         }
     }
 
-    /// `edge_pruned_pairs` emits the identical pair sequence at any
+    /// `try_edge_pruned_pairs` emits the identical pair sequence at any
     /// thread count and sequentially for every frontier prefix of sizes
     /// 1..=n — including pairs carried over in `pair_seen`.
     #[test]

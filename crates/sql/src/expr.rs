@@ -7,6 +7,36 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::str::Chars;
 
+/// A row an expression reads its columns from, by position. Operators
+/// evaluate predicates and projections over whatever row shape they
+/// hold (a slice of values, or references into stored tables) without
+/// first copying it into a scratch row.
+pub trait Row {
+    /// The value at position `i`.
+    fn column(&self, i: usize) -> &Value;
+}
+
+impl Row for [Value] {
+    #[inline]
+    fn column(&self, i: usize) -> &Value {
+        &self[i]
+    }
+}
+
+impl Row for Vec<Value> {
+    #[inline]
+    fn column(&self, i: usize) -> &Value {
+        &self[i]
+    }
+}
+
+impl<const N: usize> Row for [Value; N] {
+    #[inline]
+    fn column(&self, i: usize) -> &Value {
+        &self[i]
+    }
+}
+
 /// Resolves column references to positions in an evaluation row.
 pub trait ColumnBinder {
     /// Position of the column in the row, or a bind error.
@@ -150,9 +180,9 @@ pub fn bind(expr: &Expr, binder: &dyn ColumnBinder) -> Result<BoundExpr> {
 impl BoundExpr {
     /// Evaluates to a scalar value. Boolean sub-expressions evaluate to
     /// `Int(1)` / `Int(0)`.
-    pub fn eval(&self, row: &[Value]) -> Value {
+    pub fn eval<R: Row + ?Sized>(&self, row: &R) -> Value {
         match self {
-            BoundExpr::Column(i) => row[*i].clone(),
+            BoundExpr::Column(i) => row.column(*i).clone(),
             BoundExpr::Literal(v) => v.clone(),
             BoundExpr::Mod(l, r) => match (l.eval(row).as_int(), r.eval(row).as_int()) {
                 (Some(a), Some(b)) if b != 0 => Value::Int(a.rem_euclid(b)),
@@ -164,7 +194,7 @@ impl BoundExpr {
 
     /// Evaluates as a predicate; SQL NULL semantics collapse to `false`.
     /// Column and literal operands are compared in place, not cloned.
-    pub fn eval_bool(&self, row: &[Value]) -> bool {
+    pub fn eval_bool<R: Row + ?Sized>(&self, row: &R) -> bool {
         match self {
             BoundExpr::Compare { left, op, right } => {
                 let (l, r) = (left.operand(row), right.operand(row));
@@ -232,11 +262,43 @@ impl BoundExpr {
 
     /// The operand's value: borrowed from the row or the literal where
     /// it is one, computed otherwise.
-    fn operand<'a>(&'a self, row: &'a [Value]) -> Cow<'a, Value> {
+    fn operand<'a, R: Row + ?Sized>(&'a self, row: &'a R) -> Cow<'a, Value> {
         match self {
-            BoundExpr::Column(i) => Cow::Borrowed(&row[*i]),
+            BoundExpr::Column(i) => Cow::Borrowed(row.column(*i)),
             BoundExpr::Literal(v) => Cow::Borrowed(v),
             computed => Cow::Owned(computed.eval(row)),
+        }
+    }
+
+    /// Rewrites every column position `i` the expression reads to
+    /// `f(i)`, visiting the columns left to right (repeats included).
+    pub fn remap_columns(&mut self, f: &mut impl FnMut(usize) -> usize) {
+        match self {
+            BoundExpr::Column(i) => *i = f(*i),
+            BoundExpr::Literal(_) => {}
+            BoundExpr::Compare {
+                left: l, right: r, ..
+            }
+            | BoundExpr::And(l, r)
+            | BoundExpr::Or(l, r)
+            | BoundExpr::Mod(l, r) => {
+                l.remap_columns(f);
+                r.remap_columns(f);
+            }
+            BoundExpr::Not(e)
+            | BoundExpr::Like { expr: e, .. }
+            | BoundExpr::IsNull { expr: e, .. } => e.remap_columns(f),
+            BoundExpr::InList { expr, list, .. } => {
+                expr.remap_columns(f);
+                list.iter_mut().for_each(|e| e.remap_columns(f));
+            }
+            BoundExpr::Between {
+                expr, low, high, ..
+            } => {
+                expr.remap_columns(f);
+                low.remap_columns(f);
+                high.remap_columns(f);
+            }
         }
     }
 }
@@ -398,6 +460,22 @@ mod tests {
         // Negative operands: rem_euclid keeps the result non-negative.
         let e = bound("id % 10 = 7", vec!["id"]);
         assert!(e.eval_bool(&[Value::Int(-3)]));
+    }
+
+    #[test]
+    fn remap_visits_columns_left_to_right() {
+        let mut e = bound(
+            "c IN (a, 1) AND MOD(b, 2) = 0 OR NOT c LIKE 'x'",
+            vec!["a", "b", "c"],
+        );
+        let mut seen = Vec::new();
+        e.remap_columns(&mut |i| {
+            seen.push(i);
+            2 - i
+        });
+        assert_eq!(seen, vec![2, 0, 1, 2]);
+        assert!(e.eval_bool(&[Value::str("y"), Value::Int(4), Value::str("y")]));
+        assert!(!e.eval_bool(&[Value::str("x"), Value::Int(4), Value::str("y")]));
     }
 
     #[test]

@@ -21,6 +21,6 @@ pub mod parser;
 
 pub use ast::{ColumnRef, CompareOp, Expr, JoinClause, SelectItem, SelectStatement, TableRef};
 pub use error::{Result, SqlError};
-pub use expr::{bind, like_match, BoundExpr, ColumnBinder};
+pub use expr::{bind, like_match, BoundExpr, ColumnBinder, Row};
 pub use logical::{plan_select, LogicalPlan, SchemaProvider};
 pub use parser::parse_select;

@@ -62,13 +62,13 @@ impl Value {
     }
 
     /// Renders the value as display text; `Null` renders empty, which is
-    /// the representation the Group-Entities operator uses.
+    /// the representation the Group-Entities operator uses. The
+    /// [`fmt::Display`] impl writes the same text without allocating.
     pub fn render(&self) -> Cow<'_, str> {
         match self {
             Value::Null => Cow::Borrowed(""),
-            Value::Int(i) => Cow::Owned(i.to_string()),
-            Value::Float(f) => Cow::Owned(format_float(*f)),
             Value::Str(s) => Cow::Borrowed(s),
+            number => Cow::Owned(number.to_string()),
         }
     }
 
@@ -110,8 +110,8 @@ impl Value {
 /// Formats a float the way the CSV writer and `render` expose it:
 /// integral floats print without the trailing `.0` noise removed — we keep
 /// Rust's shortest-roundtrip formatting for lossless CSV round-trips.
-fn format_float(f: f64) -> String {
-    format!("{f}")
+fn format_float(out: &mut fmt::Formatter<'_>, f: f64) -> fmt::Result {
+    write!(out, "{f}")
 }
 
 /// Structural equality (used for hash-join keys and result comparison).
@@ -154,7 +154,12 @@ impl Hash for Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
+        match self {
+            Value::Null => Ok(()),
+            Value::Int(i) => write!(f, "{i}"),
+            Value::Float(x) => format_float(f, *x),
+            Value::Str(s) => f.write_str(s),
+        }
     }
 }
 
