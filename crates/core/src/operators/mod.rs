@@ -81,11 +81,13 @@ pub fn drain_rows(op: &mut dyn Operator<Vec<Value>>) -> Result<Vec<Vec<Value>>> 
     Ok(rows)
 }
 
-/// A pre-built batch as an operator (test helper).
-pub struct VecOperator {
+/// A pre-built batch as an operator.
+#[cfg(test)]
+pub(crate) struct VecOperator {
     batch: Option<Batch>,
 }
 
+#[cfg(test)]
 impl VecOperator {
     /// Emits `batch`, unless it is empty.
     pub fn new(batch: Batch) -> Self {
@@ -95,6 +97,7 @@ impl VecOperator {
     }
 }
 
+#[cfg(test)]
 impl Operator for VecOperator {
     fn next(&mut self) -> Result<Option<Batch>> {
         Ok(self.batch.take())

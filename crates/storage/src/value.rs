@@ -67,8 +67,9 @@ impl Value {
     pub fn render(&self) -> Cow<'_, str> {
         match self {
             Value::Null => Cow::Borrowed(""),
+            Value::Int(i) => Cow::Owned(i.to_string()),
+            Value::Float(f) => Cow::Owned(format_float(*f)),
             Value::Str(s) => Cow::Borrowed(s),
-            number => Cow::Owned(number.to_string()),
         }
     }
 
@@ -110,8 +111,9 @@ impl Value {
 /// Formats a float the way the CSV writer and `render` expose it:
 /// integral floats print without the trailing `.0` noise removed — we keep
 /// Rust's shortest-roundtrip formatting for lossless CSV round-trips.
-fn format_float(out: &mut fmt::Formatter<'_>, f: f64) -> fmt::Result {
-    write!(out, "{f}")
+/// `Display` writes the same text.
+fn format_float(f: f64) -> String {
+    format!("{f}")
 }
 
 /// Structural equality (used for hash-join keys and result comparison).
@@ -157,7 +159,7 @@ impl fmt::Display for Value {
         match self {
             Value::Null => Ok(()),
             Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => format_float(f, *x),
+            Value::Float(x) => write!(f, "{x}"),
             Value::Str(s) => f.write_str(s),
         }
     }
