@@ -1,8 +1,8 @@
 //! The Deduplicate operator (Sec. 6.1) — "the key concept of ER
 //! integration into traditional query processing".
 //!
-//! It consumes the (filtered) tuples of a single table — the query entity
-//! set QE_E — and emits its super-set DR_E: one tuple per record of
+//! It consumes the (filtered) rows of a single table — the query entity
+//! set QE_E — and emits its super-set DR_E: one ref per record of
 //! QE_E ∪ duplicates, each annotated with its duplicate-cluster id. The
 //! internal pipeline (Query Blocking → Block-Join → Meta-Blocking →
 //! Comparison-Execution, Fig. 3) lives in `queryer_er::resolver`; this
