@@ -113,7 +113,8 @@ impl QueryEngine {
     }
 
     /// Registers a table: builds its TBI/ITBI (once-off, Sec. 3) and an
-    /// empty Link Index. Returns the catalog index.
+    /// empty Link Index. Returns the catalog index. A failed index build
+    /// is a [`CoreError::Resolve`] and registers nothing.
     pub fn register_table(&mut self, table: Table) -> Result<usize> {
         let name = table.name().to_lowercase();
         if self.by_name.contains_key(&name) {
@@ -122,7 +123,7 @@ impl QueryEngine {
                 table.name()
             )));
         }
-        let er = TableErIndex::build(&table, &self.cfg);
+        let er = TableErIndex::try_build(&table, &self.cfg)?;
         let li = LinkIndex::new(table.len());
         let idx = self.tables.len();
         self.tables.push(RegisteredTable {
@@ -154,6 +155,9 @@ impl QueryEngine {
     /// (`QUERYER_DELTA_COMPACT_OPS`, `0` = never), the index is
     /// compacted — folded into fresh base buffers — automatically;
     /// [`QueryEngine::compact`] does it on demand.
+    ///
+    /// A delta apply or fallback rebuild that fails is a
+    /// [`CoreError::Resolve`]; the table then already holds the batch.
     pub fn ingest(&mut self, name: &str, ops: &[DeltaOp]) -> Result<AppliedDelta> {
         let idx = self.table_idx(name)?;
         let rt = &mut self.tables[idx];
@@ -217,7 +221,7 @@ impl QueryEngine {
                 applied
             }
             None => {
-                rt.er = Arc::new(TableErIndex::build(table, &self.cfg));
+                rt.er = Arc::new(TableErIndex::try_build(table, &self.cfg)?);
                 AppliedDelta {
                     affected: queryer_er::Affected::All,
                     pending_ops: 0,
@@ -252,7 +256,8 @@ impl QueryEngine {
     /// Folds a table's pending ingest delta into fresh base buffers
     /// (decision-identical). A no-op when no delta is live; falls back
     /// to a rebuild when the index Arc is still shared with an
-    /// in-flight query context.
+    /// in-flight query context. A failed fold or rebuild is a
+    /// [`CoreError::Resolve`] and keeps the index it would replace.
     pub fn compact(&mut self, name: &str) -> Result<()> {
         let idx = self.table_idx(name)?;
         let rt = &mut self.tables[idx];
@@ -260,7 +265,7 @@ impl QueryEngine {
             Some(er) => er.compact(&rt.table)?,
             None => {
                 if rt.er.has_delta() {
-                    rt.er = Arc::new(TableErIndex::build(&rt.table, &self.cfg));
+                    rt.er = Arc::new(TableErIndex::try_build(&rt.table, &self.cfg)?);
                 }
             }
         }

@@ -5,10 +5,31 @@
 //! compiled in only with `--features queryer-er/failpoints`; without it
 //! arming is a no-op and the test returns at once.
 
+use parking_lot::{Mutex, MutexGuard};
 use queryer_common::failpoints::{self, FailAction};
 use queryer_core::{CoreError, QueryEngine};
 use queryer_er::{DeltaOp, ErConfig, ResolveError, ResolveStage, WeightScheme};
+use queryer_storage::csv::table_from_csv_str_infer;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Serializes the tests: failpoints are process-global state.
+static FAULT_LOCK: Mutex<()> = Mutex::new(());
+
+/// Holds the test lock and disarms every site on drop, so a failing
+/// assertion cannot leak an armed site into the next test.
+struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl Drop for FaultGuard {
+    fn drop(&mut self) {
+        failpoints::disarm_all();
+    }
+}
+
+fn faults() -> FaultGuard {
+    let guard = FAULT_LOCK.lock();
+    failpoints::disarm_all();
+    FaultGuard(guard)
+}
 
 /// Dirty publications: duplicate clusters {0,1}, {2,3} and a singleton.
 const PUBS: &str = "\
@@ -26,6 +47,7 @@ id,title,authors,venue,year
 /// `Resolve(Poisoned)` instead of unwinding.
 #[test]
 fn poisoned_index_is_an_error_of_the_query_not_a_panic() {
+    let _faults = faults();
     let mut e = QueryEngine::new(ErConfig {
         weight_scheme: WeightScheme::Ecbs,
         ..ErConfig::default()
@@ -57,4 +79,31 @@ fn poisoned_index_is_an_error_of_the_query_not_a_panic() {
         "{:?}",
         answer.map(|r| r.rows)
     );
+}
+
+/// The default configuration sweeps the WNP thresholds while it builds a
+/// table's index. A worker lost there fails `register_table` with a typed
+/// error, and the table is not registered.
+#[test]
+fn failed_build_is_an_error_of_register_table_not_a_panic() {
+    let _faults = faults();
+    let mut e = QueryEngine::new(ErConfig::default());
+    let table = table_from_csv_str_infer("P", PUBS).unwrap();
+    failpoints::arm("build.thresholds.worker", FailAction::Panic);
+    if !failpoints::is_armed("build.thresholds.worker") {
+        return; // failpoints are not compiled in
+    }
+    let registered =
+        catch_unwind(AssertUnwindSafe(|| e.register_table(table))).expect("register unwound");
+    failpoints::disarm("build.thresholds.worker");
+    assert!(
+        matches!(
+            registered,
+            Err(CoreError::Resolve(ResolveError::WorkerPanicked {
+                stage: ResolveStage::Build
+            }))
+        ),
+        "{registered:?}"
+    );
+    assert!(e.table("P").is_err(), "a failed build registers nothing");
 }

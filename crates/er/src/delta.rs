@@ -88,7 +88,9 @@
 use crate::config::{EdgePruningScope, WeightScheme};
 use crate::edge_pruning::{bulk_node_thresholds, keeps, threshold_over, weight_of};
 use crate::govern::{PoisonGuard, ResolveError};
-use crate::index::{cardinality, count_cooccurrences, AttrMeta, BlockId, TableErIndex};
+use crate::index::{
+    cardinality, count_cooccurrences, token_sig, AttrMeta, BlockId, TableErIndex, TokenSig,
+};
 use crate::purging::purge_flags;
 use crate::tokenizer::{record_keys, record_tokens};
 use queryer_common::{failpoints, unpack_pair, FxHashMap, FxHashSet};
@@ -235,8 +237,10 @@ pub(crate) struct DeltaIndex {
     /// Profile tokens minted by deltas → their symbols, which count up
     /// from the base interner's length.
     pub(crate) ext_map: FxHashMap<String, u32>,
-    /// Sorted profile-token symbols for touched records.
-    pub(crate) row_tokens: FxHashMap<RecordId, Vec<u32>>,
+    /// Sorted profile-token symbols for touched records, with their
+    /// [`token_sig`]. A delta-minted symbol never equals a base one, so
+    /// signatures bound intersections across base and delta rows alike.
+    pub(crate) row_tokens: FxHashMap<RecordId, (Vec<u32>, TokenSig)>,
     /// Pre-lowercased attributes for touched records (schema width).
     pub(crate) row_attrs: FxHashMap<RecordId, Vec<Option<Box<str>>>>,
     /// Kernel attribute metadata for touched records (schema width).
@@ -576,7 +580,8 @@ impl TableErIndex {
                 syms.push(s);
             }
             syms.sort_unstable();
-            d.row_tokens.insert(rid, syms);
+            let sig = token_sig(&syms);
+            d.row_tokens.insert(rid, (syms, sig));
             let mut lower: Vec<Option<Box<str>>> = Vec::with_capacity(self.n_cols);
             let mut meta: Vec<AttrMeta> = Vec::with_capacity(self.n_cols);
             for (i, v) in record.values.iter().enumerate() {
@@ -935,5 +940,49 @@ mod tests {
             before,
             "no-op compact must leave the index bit-identical"
         );
+    }
+
+    /// A row of words `w<n>` for each `n`, as one title value.
+    fn words(ns: &[u32]) -> Value {
+        let text: Vec<String> = ns.iter().map(|n| format!("w{n}")).collect();
+        Value::str(text.join(" "))
+    }
+
+    proptest::proptest! {
+        /// Rows a delta touches carry the signature of their tokens, like
+        /// built rows do. Inserts and updates draw words beyond the base
+        /// vocabulary, so some symbols are minted by the delta; one
+        /// insert has 300 tokens, past the signature's `u8::MAX` guard.
+        #[test]
+        fn delta_rows_carry_the_signature_of_their_tokens(
+            base in proptest::collection::vec(proptest::collection::vec(0u32..40, 0..6), 1..12),
+            ops in proptest::collection::vec(
+                (proptest::prelude::any::<bool>(), 0u32..64, proptest::collection::vec(0u32..80, 0..8)),
+                1..10,
+            ),
+        ) {
+            let mut table = Table::new("p", Schema::of_strings(&["title"]));
+            for row in &base {
+                table.push_row(vec![words(row)]).unwrap();
+            }
+            let mut idx = TableErIndex::build(&table, &ErConfig::default());
+            let long: Vec<u32> = (1000..1300).collect();
+            let mut batch = vec![DeltaOp::Insert { values: vec![words(&long)] }];
+            for (insert, id, row) in &ops {
+                batch.push(if *insert {
+                    DeltaOp::Insert { values: vec![words(row)] }
+                } else {
+                    DeltaOp::Update { id: id % base.len() as u32, values: vec![words(row)] }
+                });
+            }
+            for op in &batch {
+                op.apply_to_table(&mut table).unwrap();
+            }
+            idx.apply_delta(&table, &batch).unwrap();
+            for id in 0..idx.n_records() as RecordId {
+                let p = idx.profile(id);
+                proptest::prop_assert_eq!(*p.sig, token_sig(p.tokens), "record {}", id);
+            }
+        }
     }
 }

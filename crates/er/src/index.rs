@@ -65,6 +65,68 @@ pub struct InternedProfile<'a> {
     /// The record's distinct profile tokens as interned symbols, sorted
     /// ascending.
     pub tokens: &'a [u32],
+    /// The [`TokenSig`] of `tokens`: the fixed-width summary the token
+    /// kernels bound the intersection with before any merge.
+    pub sig: &'a TokenSig,
+}
+
+/// Buckets of a [`TokenSig`].
+pub const SIG_BUCKETS: usize = 32;
+
+/// A record's token signature: per bucket, how many of its distinct
+/// interned symbols hash there, under a multiplicative hash of the
+/// symbol. For two records, `Σ_i min(a[i], b[i])` is an upper bound on
+/// their number of common tokens. A record with more than `u8::MAX`
+/// tokens gets the all-`u8::MAX` signature, which bounds nothing.
+pub type TokenSig = [u8; SIG_BUCKETS];
+
+/// The signature of a record with more than `u8::MAX` tokens, whose
+/// bucket counts could overflow: every bucket full, so it bounds nothing.
+const SATURATED_SIG: TokenSig = [u8::MAX; SIG_BUCKETS];
+
+/// The tokens and signature of a delta row that has none stored.
+static NO_TOKENS: (Vec<u32>, TokenSig) = (Vec::new(), [0; SIG_BUCKETS]);
+
+/// The signature bucket of a symbol: the top five bits of a
+/// multiplicative (Fibonacci) hash, which spreads the dense interned
+/// symbol range evenly over the buckets.
+#[inline]
+fn sig_bucket(sym: u32) -> usize {
+    (sym.wrapping_mul(0x9E37_79B9) >> (32 - SIG_BUCKETS.trailing_zeros())) as usize
+}
+
+/// The token signature of a sorted, deduplicated symbol slice: bucket
+/// counts of its symbols, or the all-`u8::MAX` signature when it holds
+/// more than `u8::MAX` symbols (a count could not be stored).
+pub(crate) fn token_sig(tokens: &[u32]) -> TokenSig {
+    if tokens.len() > u8::MAX as usize {
+        return SATURATED_SIG;
+    }
+    let mut sig = [0u8; SIG_BUCKETS];
+    for &t in tokens {
+        sig[sig_bucket(t)] += 1;
+    }
+    sig
+}
+
+/// `Σ_i min(a[i], b[i])`: an upper bound on the intersection size of the
+/// two symbol sets the signatures summarise. A common symbol lands in
+/// the same bucket on both sides, so each bucket's common symbols are at
+/// most its smaller count. When both sides are saturated the sum says
+/// nothing, and `usize::MAX` is returned; a single saturated side still
+/// yields the other side's size, which bounds the intersection.
+#[inline]
+pub(crate) fn sig_common(a: &TokenSig, b: &TokenSig) -> usize {
+    let sum: u16 = a
+        .iter()
+        .zip(b.iter())
+        .map(|(&x, &y)| u16::from(x.min(y)))
+        .sum();
+    if sum == SIG_BUCKETS as u16 * u16::from(u8::MAX) {
+        usize::MAX
+    } else {
+        usize::from(sum)
+    }
 }
 
 /// Kernel-ready per-attribute metadata, precomputed at index-build time
@@ -149,13 +211,18 @@ impl AttrMeta {
     /// Σ per-class min of two histograms: an upper bound on the number
     /// of equal-character pairings between the two attributes. Only
     /// meaningful when both sides are `hist_valid`.
+    ///
+    /// The sum runs in `u8` lanes, which vectorise, and is exact: a
+    /// `hist_valid` attribute holds at most 128 bytes, so its counts sum
+    /// to at most 128, and the per-class minima of two of them to at most
+    /// 128 < 256. An attribute that is not `hist_valid` has an all-zero
+    /// histogram and adds nothing.
     #[inline]
     pub fn hist_common(&self, other: &AttrMeta) -> usize {
         self.hist
             .iter()
             .zip(other.hist.iter())
-            .map(|(&x, &y)| x.min(y) as usize)
-            .sum()
+            .fold(0u8, |acc, (&x, &y)| acc.wrapping_add(x.min(y))) as usize
     }
 }
 
@@ -303,6 +370,8 @@ pub struct TableErIndex {
     pub(crate) interner: TokenInterner,
     /// Per record, its sorted interned profile-token slice.
     pub(crate) profile_tokens: TokenArena,
+    /// Per record, the [`token_sig`] of its `profile_tokens` slice.
+    pub(crate) profile_sigs: Vec<TokenSig>,
     /// Per record × column (stride = schema width), the pre-lowercased
     /// rendered attribute text; `None` for NULLs and the id column.
     pub(crate) lower_attrs: Vec<Option<Box<str>>>,
@@ -370,6 +439,7 @@ impl TableErIndex {
             entity_keys,
             interner,
             profile_tokens,
+            profile_sigs,
             lower_attrs,
             attr_meta,
         } = tokenize_table(table, cfg, skip_col)?;
@@ -442,6 +512,7 @@ impl TableErIndex {
             entity_retained,
             interner,
             profile_tokens,
+            profile_sigs,
             lower_attrs,
             attr_meta,
             n_cols,
@@ -588,26 +659,25 @@ impl TableErIndex {
     }
 
     /// The record's interned comparison profile (pre-lowercased
-    /// attributes + sorted token symbols) — the Comparison-Execution
-    /// hot-path view. Symbols minted for delta-only tokens sit above
-    /// [`TableErIndex::interner`]'s range; the kernels compare symbols
-    /// only for equality, which stays exact across base and delta
-    /// records (a token textually present in the base always reuses
-    /// its base symbol).
+    /// attributes + sorted token symbols + their signature) — the
+    /// Comparison-Execution hot-path view. Symbols minted for delta-only
+    /// tokens sit above [`TableErIndex::interner`]'s range; the kernels
+    /// compare symbols only for equality, which stays exact across base
+    /// and delta records (a token textually present in the base always
+    /// reuses its base symbol).
     #[inline]
     pub fn profile(&self, id: RecordId) -> InternedProfile<'_> {
         if let Some(d) = &self.delta {
             if let Some(attrs) = d.row_attrs.get(&id) {
-                return InternedProfile {
-                    attrs,
-                    tokens: d.row_tokens.get(&id).map(Vec::as_slice).unwrap_or(&[]),
-                };
+                let (tokens, sig) = d.row_tokens.get(&id).unwrap_or(&NO_TOKENS);
+                return InternedProfile { attrs, tokens, sig };
             }
         }
         let base = id as usize * self.n_cols;
         InternedProfile {
             attrs: &self.lower_attrs[base..base + self.n_cols],
             tokens: self.profile_tokens.get(id as usize),
+            sig: &self.profile_sigs[id as usize],
         }
     }
 
@@ -615,7 +685,7 @@ impl TableErIndex {
     #[inline]
     pub fn profile_tokens(&self, id: RecordId) -> &[u32] {
         if let Some(d) = &self.delta {
-            if let Some(tokens) = d.row_tokens.get(&id) {
+            if let Some((tokens, _)) = d.row_tokens.get(&id) {
                 return tokens;
             }
         }
@@ -718,8 +788,9 @@ impl TableErIndex {
 
 /// Everything phase 1 of [`TableErIndex::build`] produces in one sweep
 /// over the records: the blocking-key vocabulary, the record→key CSR
-/// (the pre-sort ITBI), the profile-token interner + arena, and the
-/// lowered attributes with kernel metadata.
+/// (the pre-sort ITBI), the profile-token interner + arena with the
+/// per-record token signatures, and the lowered attributes with kernel
+/// metadata.
 struct TokenizedTable {
     /// Block key (token) per block id, in table-first-seen order.
     keys: Vec<String>,
@@ -732,6 +803,8 @@ struct TokenizedTable {
     interner: TokenInterner,
     /// Per record, its sorted interned profile-token slice.
     profile_tokens: TokenArena,
+    /// Per record, the signature of its profile-token slice.
+    profile_sigs: Vec<TokenSig>,
     /// Per record × column, the pre-lowercased rendered attribute text.
     lower_attrs: Vec<Option<Box<str>>>,
     /// Per record × column, kernel-ready attribute metadata.
@@ -848,6 +921,7 @@ fn tokenize_table(
     let mut interner = TokenInterner::new();
     let mut entity_keys: Csr<BlockId> = Csr::with_capacity(records.len(), total_keys);
     let mut profile_tokens = TokenArena::with_capacity(records.len(), total_tokens);
+    let mut profile_sigs: Vec<TokenSig> = Vec::with_capacity(records.len());
     let mut lower_attrs: Vec<Option<Box<str>>> = Vec::with_capacity(records.len() * n_cols);
     let mut attr_meta: Vec<AttrMeta> = Vec::with_capacity(records.len() * n_cols);
     let mut row: Vec<u32> = Vec::new();
@@ -895,6 +969,7 @@ fn tokenize_table(
             );
             row.sort_unstable();
             profile_tokens.push(&row);
+            profile_sigs.push(token_sig(&row));
             at += len as usize;
         }
         lower_attrs.extend(chunk.lower);
@@ -907,6 +982,7 @@ fn tokenize_table(
         entity_keys,
         interner,
         profile_tokens,
+        profile_sigs,
         lower_attrs,
         attr_meta,
     })
@@ -1120,6 +1196,77 @@ mod tests {
             .collect();
         assert!(texts.contains(&"collective"));
         assert!(texts.contains(&"resolution"));
+    }
+
+    /// `n` distinct symbols that all land in signature bucket 0, so that
+    /// more than `u8::MAX` of them would overflow a bucket count.
+    fn one_bucket_symbols(n: usize) -> Vec<u32> {
+        (0u32..).filter(|&s| sig_bucket(s) == 0).take(n).collect()
+    }
+
+    proptest::proptest! {
+        /// `sig_common` never undercounts an intersection: two windows
+        /// `[0, n_a)` and `[shift, shift + n_b)` over a pool of distinct
+        /// symbols, 0–300 each (so past the `u8::MAX` guard), drawn either
+        /// from a dense symbol range or from symbols that all share one
+        /// bucket.
+        #[test]
+        fn sig_common_bounds_the_intersection(
+            n_a in 0usize..301,
+            n_b in 0usize..301,
+            shift in 0usize..301,
+            dense_from in 0u32..1_000_000,
+            one_bucket in proptest::prelude::any::<bool>(),
+        ) {
+            let pool: Vec<u32> = if one_bucket {
+                one_bucket_symbols(601)
+            } else {
+                (dense_from..dense_from + 601).collect()
+            };
+            let (a, b) = (&pool[..n_a], &pool[shift..shift + n_b]);
+            let inter = n_a.min(shift + n_b).saturating_sub(shift);
+            let bound = sig_common(&token_sig(a), &token_sig(b));
+            proptest::prop_assert!(bound >= inter, "bound {} < |A∩B| {}", bound, inter);
+        }
+
+        /// The `u8`-lane fold of `hist_common` equals the per-class sum
+        /// widened to `usize` for every pair of `hist_valid` attributes.
+        #[test]
+        fn hist_common_u8_fold_is_exact(
+            a in proptest::collection::vec(0usize..4, 0..301),
+            b in proptest::collection::vec(0usize..4, 0..301),
+        ) {
+            let text = |v: &[usize]| -> String { v.iter().map(|&c| ['a', 'b', '7', ' '][c]).collect() };
+            let (ma, mb) = (AttrMeta::of(&text(&a)), AttrMeta::of(&text(&b)));
+            if ma.hist_valid && mb.hist_valid {
+                let wide: usize = ma
+                    .hist
+                    .iter()
+                    .zip(mb.hist.iter())
+                    .map(|(&x, &y)| usize::from(x.min(y)))
+                    .sum();
+                proptest::prop_assert_eq!(ma.hist_common(&mb), wide);
+            }
+        }
+    }
+
+    #[test]
+    fn saturated_signatures_bound_nothing() {
+        let many = one_bucket_symbols(300);
+        assert_eq!(token_sig(&many), SATURATED_SIG);
+        assert_eq!(sig_common(&SATURATED_SIG, &SATURATED_SIG), usize::MAX);
+        // One saturated side still bounds by the other side's size.
+        assert_eq!(sig_common(&SATURATED_SIG, &token_sig(&many[..7])), 7);
+        assert_eq!(sig_common(&token_sig(&[]), &token_sig(&many[..7])), 0);
+    }
+
+    #[test]
+    fn every_record_carries_the_signature_of_its_tokens() {
+        let idx = TableErIndex::build(&table(), &ErConfig::default());
+        for rid in 0..idx.n_records() as RecordId {
+            let p = idx.profile(rid);
+            assert_eq!(*p.sig, token_sig(p.tokens), "record {rid}");
+        }
     }
 
     /// The three-record table the Token Blocking tests run on.

@@ -10,22 +10,33 @@
 //! threshold into a [`CompareKernel`] operating on the index's
 //! kernel-ready per-record data — pre-lowercased attribute text,
 //! per-attribute [`AttrMeta`] (character lengths, Winkler prefix bytes),
-//! and interned sorted token slices. Each kernel carries
-//! *threshold-aware early exits* that reject a pair before the
-//! O(len²)-ish similarity work whenever a cheap upper bound already
-//! proves the similarity cannot reach the threshold:
+//! and interned sorted token slices with their fixed-width token
+//! signatures. Each kernel carries *threshold-aware early exits* that
+//! reject a pair before the O(len²)-ish similarity work whenever a cheap
+//! upper bound already proves the similarity cannot reach the threshold.
+//! Filter before verify: every kernel first decides from fixed-width
+//! bounds — signatures, lengths, prefix bytes, histograms — and sorts the
+//! attribute order, merges token slices or reads attribute text only for
+//! the pairs those bounds leave open:
 //!
+//! * **Token signature** (overlap, Jaccard, the overlap half of hybrid)
+//!   — `Σ_b min(sA[b], sB[b])` over the two records' 32 bucket counts
+//!   ([`crate::index::InternedProfile::sig`]) is an exact integer upper
+//!   bound on `|A∩B|`, read in one vectorised pass with no merge.
 //! * **JW-mean / hybrid** — per-attribute Jaro upper bounds from the
 //!   length difference (a match count can never exceed the shorter
 //!   length) plus the exact Winkler common prefix read off the stored
 //!   prefix bytes; a whole pair is rejected when the bounds cannot lift
-//!   the attribute mean to the threshold, and each attribute's Jaro scan
-//!   itself aborts once the matches found plus the characters left
-//!   cannot reach the per-attribute requirement
-//!   ([`crate::similarity::jaro_winkler_ge`]).
-//! * **Jaccard-interned** — the size-ratio bound
-//!   `|A∩B|/|A∪B| ≤ min(|A|,|B|)/max(|A|,|B|)` over the token-slice
-//!   lengths, read off the interned profiles with no merge at all.
+//!   the attribute mean to the threshold — tested before the evaluation
+//!   order is sorted — and each attribute's Jaro scan itself aborts once
+//!   the matches found plus the characters left cannot reach the
+//!   per-attribute requirement ([`crate::similarity::jaro_winkler_ge`]).
+//! * **Jaccard-interned** — `|A∩B|/|A∪B| ≤ U/(|A|+|B|−U)` with
+//!   `U = min(signature bound, min(|A|,|B|))`, which is never looser
+//!   than the size-ratio bound `min(|A|,|B|)/max(|A|,|B|)`.
+//! * **Overlap-interned** — the signature bound against the smallest
+//!   intersection that reaches the threshold, then a merge that aborts
+//!   once the intersection can no longer reach it.
 //! * **Levenshtein-mean** — the length-difference lower bound on edit
 //!   distance plus a banded two-row DP with a threshold-derived cutoff
 //!   ([`crate::similarity::levenshtein_within`]).
@@ -58,7 +69,7 @@
 //! lowercase, tokenize, compare — by `tests/interned_equivalence.rs`.
 
 use crate::config::SimilarityKind;
-use crate::index::{AttrMeta, InternedProfile, TableErIndex};
+use crate::index::{sig_common, AttrMeta, InternedProfile, TableErIndex};
 use crate::similarity::{
     jaccard_sorted, jaro_winkler, jaro_winkler_ge, levenshtein_sim, levenshtein_within,
     overlap_sorted, JaroScratch, BOUND_SLACK,
@@ -99,10 +110,11 @@ pub enum CompareKernel {
     /// Mean Levenshtein similarity with the length-difference distance
     /// bound and a banded, cutoff-carrying DP.
     LevMean,
-    /// Jaccard over interned token slices with the size-ratio bound.
+    /// Jaccard over interned token slices with the signature and
+    /// size-ratio bound.
     JaccardInterned,
-    /// Overlap coefficient over interned token slices (already a single
-    /// cheap sorted merge; 1.0-capped, so no useful upper bound exists).
+    /// Overlap coefficient over interned token slices: the signature
+    /// bound, then a sorted merge with a required-count cutoff.
     OverlapInterned,
     /// `max(JW-mean, overlap)` — the overlap half is the cheap one, so
     /// the kernel decides it first and only falls into the JW-mean
@@ -189,14 +201,14 @@ impl<'idx> CompiledMatcher<'idx> {
         match self.kernel {
             CompareKernel::JwMean => self.decide_mean(qs, c, b, scratch, MeanAttr::JaroWinkler),
             CompareKernel::LevMean => self.decide_mean(qs, c, b, scratch, MeanAttr::Levenshtein),
-            CompareKernel::JaccardInterned => self.decide_jaccard(a.tokens, b.tokens),
-            CompareKernel::OverlapInterned => overlap_ge(a.tokens, b.tokens, self.threshold),
+            CompareKernel::JaccardInterned => self.decide_jaccard(a, b),
+            CompareKernel::OverlapInterned => overlap_ge(a, b, self.threshold),
             CompareKernel::Hybrid => {
-                // Decision = (overlap ≥ t) ∨ (jw-mean ≥ t); the sorted
-                // u32 merge is orders cheaper than the Jaro scans, so it
-                // goes first (the canonical path computes jw first only
-                // because it must *return* the max).
-                overlap_ge(a.tokens, b.tokens, self.threshold)
+                // Decision = (overlap ≥ t) ∨ (jw-mean ≥ t); the signature
+                // bound and sorted u32 merge are orders cheaper than the
+                // Jaro scans, so they go first (the canonical path computes
+                // jw first only because it must *return* the max).
+                overlap_ge(a, b, self.threshold)
                     || self.decide_mean(qs, c, b, scratch, MeanAttr::JaroWinkler)
             }
         }
@@ -215,15 +227,20 @@ impl<'idx> CompiledMatcher<'idx> {
         )
     }
 
-    /// Jaccard with the size-ratio upper bound: `|A∩B| ≤ min` and
-    /// `|A∪B| ≥ max`, so `J ≤ min/max` — checked on the token-slice
-    /// lengths alone before any merge work.
-    fn decide_jaccard(&self, ta: &[u32], tb: &[u32]) -> bool {
-        let (lmin, lmax) = (ta.len().min(tb.len()), ta.len().max(tb.len()));
-        if lmax > 0 && (lmin as f64 / lmax as f64) < self.threshold - BOUND_SLACK {
-            return false;
+    /// Jaccard with an upper bound checked before any merge work:
+    /// `|A∩B| ≤ U = min(sig_common, min(|A|,|B|))`, and `x/(|A|+|B|−x)`
+    /// grows with `x`, so `J ≤ U/(|A|+|B|−U)` — the canonical expression
+    /// evaluated at `U`, so f64 monotonicity carries the inequality. With
+    /// an uninformative signature it is the size-ratio bound `min/max`.
+    fn decide_jaccard(&self, a: InternedProfile<'_>, b: InternedProfile<'_>) -> bool {
+        let (la, lb) = (a.tokens.len(), b.tokens.len());
+        if la + lb > 0 {
+            let u = sig_common(a.sig, b.sig).min(la.min(lb));
+            if (u as f64 / (la + lb - u) as f64) < self.threshold - BOUND_SLACK {
+                return false;
+            }
         }
-        jaccard_sorted(ta, tb) >= self.threshold
+        jaccard_sorted(a.tokens, b.tokens) >= self.threshold
     }
 
     /// The shared mean-over-attributes decision kernel.
@@ -257,13 +274,12 @@ impl<'idx> CompiledMatcher<'idx> {
         let t = self.threshold;
         let n_cols = a.attrs.len();
 
-        // Bound pass: per-column upper bounds + the evaluation order
-        // (comparable columns, cheapest string comparison first).
+        // Bound pass: per-column upper bounds (0.0 for non-comparable
+        // columns) and their sum.
         let mut comparable: u32 = 0;
         let mut rest_ub = 0.0f64;
         scratch.ub.clear();
         scratch.ub.resize(n_cols, 0.0);
-        scratch.order.clear();
         for i in 0..n_cols {
             if a.attrs[i].is_some() && b.attrs[i].is_some() {
                 comparable += 1;
@@ -273,16 +289,28 @@ impl<'idx> CompiledMatcher<'idx> {
                 };
                 scratch.ub[i] = ub;
                 rest_ub += ub;
-                scratch.order.push(i as u32);
             }
         }
         if comparable == 0 {
             return 0.0 >= t; // canonical value for no comparable attrs
         }
-        let cost = |i: u32| ma[i as usize].chars.max(mb[i as usize].chars);
-        scratch.order.sort_unstable_by_key(|&i| cost(i));
         let n = comparable as f64;
         let tn = t * n;
+        // Whole-pair bound before the evaluation order is built: the
+        // condition the exact pass's first iteration tests (`sum_exact`
+        // is still 0).
+        if rest_ub < tn - BOUND_SLACK {
+            return false;
+        }
+        // Evaluation order: comparable columns, cheapest string
+        // comparison first.
+        scratch.order.clear();
+        scratch.order.extend(
+            (0..n_cols as u32)
+                .filter(|&i| a.attrs[i as usize].is_some() && b.attrs[i as usize].is_some()),
+        );
+        let cost = |i: u32| ma[i as usize].chars.max(mb[i as usize].chars);
+        scratch.order.sort_unstable_by_key(|&i| cost(i));
 
         // Exact pass in evaluation order: `rest_ub` always bounds the
         // not-yet-computed columns, `sum_exact` accumulates computed ones.
@@ -456,17 +484,16 @@ fn jw_attr_ub(a: &AttrMeta, b: &AttrMeta) -> f64 {
     j_ub + prefix_ub(a, b) as f64 * PREFIX_SCALE * (1.0 - j_ub)
 }
 
-/// Upper bound on (or the exact value of) the Winkler common prefix.
+/// Upper bound on (or the exact value of) the Winkler common prefix:
+/// the index of the first differing prefix byte (the lowest set byte of
+/// the XOR, read little-endian), capped at the shorter prefix. Branch
+/// free, since the first difference is data-dependent.
 fn prefix_ub(a: &AttrMeta, b: &AttrMeta) -> usize {
     if !(a.ascii_prefix && b.ascii_prefix) {
         return 4;
     }
-    let n = a.prefix_len.min(b.prefix_len) as usize;
-    let mut p = 0;
-    while p < n && a.prefix[p] == b.prefix[p] {
-        p += 1;
-    }
-    p
+    let diff = u32::from_le_bytes(a.prefix) ^ u32::from_le_bytes(b.prefix);
+    ((diff.trailing_zeros() / 8) as usize).min(a.prefix_len.min(b.prefix_len) as usize)
 }
 
 /// Upper bound on the Levenshtein similarity of two attributes: every
@@ -487,13 +514,15 @@ fn lev_attr_ub(a: &AttrMeta, b: &AttrMeta) -> f64 {
     1.0 - d_min as f64 / lmax as f64
 }
 
-/// Decision-only overlap test: `overlap_sorted(a, b) ≥ t`, with the
-/// merge aborting as soon as the intersection found plus the elements
-/// left on the shorter side cannot reach the required count. The
-/// required count is the smallest integer whose overlap clears
-/// `t - BOUND_SLACK`, so an abort certifies the canonical value is below
+/// Decision-only overlap test: `overlap_sorted(a, b) ≥ t`. The required
+/// count is the smallest integer whose overlap clears `t - BOUND_SLACK`;
+/// a pair whose signature bound ([`sig_common`]) is below it is rejected
+/// with no merge, and the merge itself aborts as soon as the
+/// intersection found plus the elements left on the shorter side cannot
+/// reach it. Either rejection certifies the canonical value is below
 /// `t`; a completed merge compares the canonical expression itself.
-fn overlap_ge(a: &[u32], b: &[u32], t: f64) -> bool {
+fn overlap_ge(pa: InternedProfile<'_>, pb: InternedProfile<'_>, t: f64) -> bool {
+    let (a, b) = (pa.tokens, pb.tokens);
     if a.is_empty() && b.is_empty() {
         return 1.0 >= t; // canonical value for two empty token sets
     }
@@ -512,6 +541,9 @@ fn overlap_ge(a: &[u32], b: &[u32], t: f64) -> bool {
     };
     while req <= lmin && (req as f64 / lminf) < t - BOUND_SLACK {
         req += 1;
+    }
+    if sig_common(pa.sig, pb.sig) < req {
+        return false; // the intersection is at most the signature bound
     }
     let (mut i, mut j, mut inter) = (0usize, 0usize, 0usize);
     while i < a.len() && j < b.len() {
@@ -619,6 +651,88 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Token-kernel decisions at the overlap threshold. Per size `l`, a
+    /// record of `l` words is paired with records sharing exactly
+    /// `⌈0.85·l⌉` of them and one fewer, each as long as it and three
+    /// words longer. Every pair is decided like the canonical similarity
+    /// under the three token kinds, and of the pairs one short of the
+    /// threshold the signature rejects some while the merge decides the
+    /// others.
+    #[test]
+    fn token_kernels_decide_at_the_overlap_threshold() {
+        let t = 0.85;
+        let mut titles: Vec<String> = Vec::new();
+        let mut pairs: Vec<(RecordId, RecordId, usize)> = Vec::new();
+        for l in [5usize, 7, 10, 13, 17, 20, 27, 33, 40, 60] {
+            let req = (85 * l).div_ceil(100);
+            let a = titles.len() as RecordId;
+            let own = |i: usize| format!("a{l}x{i}");
+            titles.push((0..l).map(own).collect::<Vec<_>>().join(" "));
+            for (shared, extra) in [(req, 0), (req - 1, 0), (req, 3), (req - 1, 3)] {
+                let fresh = (0..l - shared + extra).map(|i| format!("f{l}s{shared}e{extra}x{i}"));
+                let words: Vec<String> = (0..shared).map(own).chain(fresh).collect();
+                pairs.push((a, titles.len() as RecordId, shared));
+                titles.push(words.join(" "));
+            }
+        }
+        let rows: Vec<[&str; 1]> = titles.iter().map(|title| [title.as_str()]).collect();
+        let rows: Vec<&[&str]> = rows.iter().map(|r| r.as_slice()).collect();
+        let idx = indexed(&["title"], &rows);
+
+        let mut scratch = KernelScratch::new();
+        for kind in [
+            SimilarityKind::TokenOverlap,
+            SimilarityKind::TokenJaccard,
+            SimilarityKind::Hybrid,
+        ] {
+            let m = CompiledMatcher::new(kind, t, &idx);
+            for &(a, b, _) in &pairs {
+                assert_eq!(
+                    m.decide(a, b, &mut scratch),
+                    m.similarity(a, b) >= t,
+                    "({a}, {b}) {kind:?}"
+                );
+            }
+        }
+        let overlap = CompiledMatcher::new(SimilarityKind::TokenOverlap, t, &idx);
+        let (mut sig_rejects, mut merge_decides) = (0, 0);
+        for &(a, b, shared) in &pairs {
+            let (pa, pb) = (idx.profile(a), idx.profile(b));
+            let req = (85 * pa.tokens.len()).div_ceil(100);
+            assert_eq!(
+                overlap.decide(a, b, &mut scratch),
+                shared == req,
+                "({a}, {b})"
+            );
+            if shared < req {
+                if sig_common(pa.sig, pb.sig) < req {
+                    sig_rejects += 1;
+                } else {
+                    merge_decides += 1;
+                }
+            }
+        }
+        assert!(
+            sig_rejects > 0 && merge_decides > 0,
+            "{sig_rejects} / {merge_decides}"
+        );
+    }
+
+    #[test]
+    fn prefix_ub_is_the_common_prefix_of_ascii_prefixes() {
+        let words = [
+            "", "a", "ab", "abc", "abcd", "abce", "abd", "b", "ba", "abcdz", "a1c", "ab d",
+        ];
+        for x in words {
+            for y in words {
+                let (mx, my) = (AttrMeta::of(x), AttrMeta::of(y));
+                let common = x.bytes().zip(y.bytes()).take(4).take_while(|(p, q)| p == q);
+                assert_eq!(prefix_ub(&mx, &my), common.count(), "{x:?} {y:?}");
+            }
+        }
+        assert_eq!(prefix_ub(&AttrMeta::of("é"), &AttrMeta::of("e")), 4);
     }
 
     #[test]

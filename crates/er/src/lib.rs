@@ -94,13 +94,15 @@
 //!   similarity kind, threshold, and attribute layout once into a
 //!   [`kernel::CompareKernel`] over kernel-ready per-record data
 //!   (pre-lowercased attributes, per-attribute [`index::AttrMeta`] with
-//!   character lengths and Winkler prefix bytes, interned token slices).
-//!   Each kernel rejects pairs through threshold-aware early exits —
-//!   length-difference + common-prefix Jaro-Winkler upper bounds with an
-//!   in-scan match-count cutoff, the Jaccard size-ratio bound, a banded
-//!   cutoff-carrying Levenshtein DP — before paying the O(len²)-ish
-//!   similarity work, and the hybrid kernel decides the cheap overlap
-//!   merge first. `execute_comparisons` fans the pair batch out across
+//!   character lengths and Winkler prefix bytes, interned token slices
+//!   with a fixed-width token signature). Each kernel decides from
+//!   fixed-width bounds first — the signature bound on the token
+//!   intersection, the whole-pair length-difference + common-prefix
+//!   Jaro-Winkler mean bound, the Jaccard size-ratio bound — and only
+//!   then sorts, merges or scans text, where an in-scan match-count
+//!   cutoff and a banded cutoff-carrying Levenshtein DP cut the
+//!   O(len²)-ish similarity work short; the hybrid kernel decides the
+//!   cheap overlap half first. `execute_comparisons` fans the pair batch out across
 //!   the same `ErConfig::threads` workers on the same chunked fan-out
 //!   as the EP sweep; decisions stay position-aligned, so thread count
 //!   never affects results.
