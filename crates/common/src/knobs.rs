@@ -39,23 +39,13 @@ pub fn threads() -> usize {
     env_usize("QUERYER_THREADS", 0)
 }
 
-/// Entry budget of the cross-query Edge-Pruning cache — the
-/// surviving-neighbour [`crate::ShardedMap`] — read from
-/// `QUERYER_EP_CACHE_CAP`. `0` (the default) means *unbounded*,
-/// preserving the historical always-grow behaviour; any other value
-/// caps the map at that many entries with per-shard CLOCK eviction. Eviction never changes a decision — every
-/// cached value is a pure function of the immutable index, so an
-/// evicted entry is recomputed identically on next touch (pinned by
-/// `crates/er/tests/cache_equivalence.rs`). See `docs/TUNING.md`.
-pub fn ep_cache_cap() -> usize {
-    env_usize("QUERYER_EP_CACHE_CAP", 0)
-}
-
 /// Entry budget of the pair-keyed comparison-decision cache, read from
 /// `QUERYER_DECISION_CACHE_CAP`. `0` (the default) means *unbounded*;
 /// any other value caps the decision [`crate::ShardedMap`] with
-/// per-shard CLOCK eviction. As with [`ep_cache_cap`], eviction only
-/// ever costs recomputation, never correctness. See `docs/TUNING.md`.
+/// per-shard CLOCK eviction. Eviction never changes a decision — every
+/// cached value is a pure function of the index, so an evicted entry is
+/// recomputed identically on next touch (pinned by
+/// `crates/er/tests/cache_equivalence.rs`). See `docs/TUNING.md`.
 pub fn decision_cache_cap() -> usize {
     env_usize("QUERYER_DECISION_CACHE_CAP", 0)
 }

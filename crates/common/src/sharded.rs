@@ -1,16 +1,15 @@
 //! A sharded concurrent memo map for deterministic, idempotent values.
 //!
-//! The cross-query resolve caches of the ER crate (node-centric Edge
-//! Pruning surviving-neighbour lists, pair comparison decisions) share
-//! one access pattern: many readers and writers hit a
-//! `u64`-keyed map from parallel sweeps, every value is a pure function
-//! of its key (plus immutable index state), and a racing recomputation
+//! The cross-query comparison-decision memo of the ER crate has this
+//! access pattern: many readers and writers hit a `u64`-keyed map (a
+//! packed record pair) from parallel sweeps, every value is a pure
+//! function of its key (plus index state), and a racing recomputation
 //! is wasted work but never wrong. [`ShardedMap`] serves that pattern
-//! with `N` parking_lot-mutexed [`FxHashMap`] shards: lookups lock one
-//! shard for a single probe, and callers compute a missing value
-//! between a [`ShardedMap::get`] and a [`ShardedMap::insert_if_absent`]
-//! with no lock held, so a slow computation never serializes unrelated
-//! keys.
+//! with `N` parking_lot-mutexed [`FxHashMap`] shards: the batch paths
+//! ([`ShardedMap::get_batch`], [`ShardedMap::insert_batch`]) lock each
+//! shard once per call, and callers compute the missing values between
+//! the two with no lock held, so a slow computation never serializes
+//! unrelated keys.
 //!
 //! # Bounded mode
 //!
@@ -306,28 +305,6 @@ impl<V: Clone> ShardedMap<V> {
         }
     }
 
-    /// Removes the given keys (absent keys are ignored), locking each
-    /// shard at most once. This is the targeted-invalidation primitive
-    /// of the incremental-ingest path: a delta drops exactly the memo
-    /// entries whose neighbourhoods it touched, leaving the rest warm.
-    pub fn remove_batch(&self, keys: &[u64]) {
-        let (offsets, order) = self.group_by_shard(keys);
-        for (shard_at, shard) in self.shards.iter().enumerate() {
-            let mine = &order[offsets[shard_at] as usize..offsets[shard_at + 1] as usize];
-            if mine.is_empty() {
-                continue;
-            }
-            let mut guard = shard.lock();
-            let mut removed = false;
-            for &i in mine {
-                removed |= guard.map.remove(&keys[i as usize]).is_some();
-            }
-            if removed {
-                rebuild_ring(&mut guard, self.shard_cap);
-            }
-        }
-    }
-
     /// Keeps only the entries for which `pred(key)` holds, locking each
     /// shard once. Used by the ingest path to drop e.g. every cached
     /// pair decision that touches a mutated record without enumerating
@@ -513,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_batch_and_retain_drop_only_their_keys() {
+    fn retain_drops_only_its_keys() {
         for bounded in [false, true] {
             let m: ShardedMap<u64> = if bounded {
                 ShardedMap::bounded(1024)
@@ -523,21 +500,19 @@ mod tests {
             for k in 0..100u64 {
                 m.insert_if_absent(k, k * 2);
             }
-            // Remove a scattered subset, plus keys that were never there.
-            let gone: Vec<u64> = (0..100u64).filter(|k| k % 3 == 0).collect();
-            m.remove_batch(&gone);
-            m.remove_batch(&[5000, 6000]);
+            // Drop a scattered subset, then another slice of the rest.
+            m.retain(|k| k % 3 != 0);
             for k in 0..100u64 {
                 let want = (k % 3 != 0).then_some(k * 2);
                 assert_eq!(m.get(k), want, "bounded={bounded} key {k}");
             }
-            // retain drops another slice, keeps the rest.
             m.retain(|k| k % 5 != 1);
             for k in 0..100u64 {
                 let want = (k % 3 != 0 && k % 5 != 1).then_some(k * 2);
                 assert_eq!(m.get(k), want, "bounded={bounded} key {k}");
             }
-            // The survivors still accept inserts and (bounded) evictions.
+            // The survivors still accept inserts and (bounded) evictions:
+            // the CLOCK hand must never meet a slot of a dropped key.
             for k in 200..2200u64 {
                 m.insert_if_absent(k, k * 2);
                 if bounded {

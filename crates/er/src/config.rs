@@ -154,17 +154,12 @@ pub struct ErConfig {
     ///
     /// [`TableErIndex::build`]: crate::TableErIndex::build
     pub threads: usize,
-    /// Entry budget for the cross-query surviving-neighbour memo of
-    /// node-centric Edge Pruning. `0` (the default) means unbounded;
-    /// any other value caps the map at that many entries with per-shard
-    /// CLOCK eviction. Eviction trades recomputation for memory and
-    /// never changes a decision (pinned by `tests/cache_equivalence.rs`).
-    /// Default comes from the `QUERYER_EP_CACHE_CAP` env knob.
-    pub ep_cache_cap: usize,
     /// Entry budget for the pair-keyed comparison-decision cache. `0`
-    /// (the default) means unbounded; any other value caps the map with
-    /// per-shard CLOCK eviction, again decision-identical. Default
-    /// comes from the `QUERYER_DECISION_CACHE_CAP` env knob.
+    /// (the default) means unbounded; any other value caps the map at
+    /// that many entries with per-shard CLOCK eviction. Eviction trades
+    /// recomputation for memory and never changes a decision (pinned by
+    /// `tests/cache_equivalence.rs`). Default comes from the
+    /// `QUERYER_DECISION_CACHE_CAP` env knob.
     pub decision_cache_cap: usize,
 }
 
@@ -183,7 +178,6 @@ impl Default for ErConfig {
             match_threshold: 0.85,
             transitive: true,
             threads: queryer_common::knobs::threads(),
-            ep_cache_cap: queryer_common::knobs::ep_cache_cap(),
             decision_cache_cap: queryer_common::knobs::decision_cache_cap(),
         }
     }

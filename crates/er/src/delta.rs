@@ -56,13 +56,13 @@
 //!
 //! - overwrites each dirty record's slot of the index's threshold
 //!   vector with the mean of its new row: nothing is swept again;
-//! - drops the memoized survivor row of each dirty record, and of a
-//!   non-dirty neighbour `q` only when the vote of a dirty `p` on
-//!   their edge *flips*. The edge's weight is unchanged (else `q`
-//!   would be dirty) and so is `q`'s own threshold, so under the union
-//!   rule the edge can change sides only through `keeps(w, th_old(p))
-//!   != keeps(w, th_new(p))`. CBS weights are whole numbers and one
-//!   mover shifts a threshold by about 1/|row|, so this is rare;
+//! - finds the non-dirty neighbours `q` whose survivor row changes:
+//!   those where the vote of a dirty `p` on their edge *flips*. The
+//!   edge's weight is unchanged (else `q` would be dirty) and so is
+//!   `q`'s own threshold, so under the union rule the edge can change
+//!   sides only through `keeps(w, th_old(p)) != keeps(w, th_new(p))`.
+//!   CBS weights are whole numbers and one mover shifts a threshold by
+//!   about 1/|row|, so this is rare;
 //! - drops the comparison decisions that touch an updated or deleted
 //!   profile;
 //! - reports [`Affected::Ids`] = dirty ∪ flipped ∪ the current
@@ -81,9 +81,9 @@
 //! Only when the active config makes node weights depend on *global*
 //! index statistics (ECBS/JS read the unpurged-block count;
 //! global-scope EP averages over every edge) does the apply fall back
-//! to a full cache clear and report [`Affected::All`]; under
-//! node-centric EP it then re-sweeps the whole threshold vector once,
-//! since every node's weights may have moved.
+//! to reporting [`Affected::All`]; under node-centric EP it then
+//! re-sweeps the whole threshold vector once, since every node's
+//! weights may have moved.
 
 use crate::config::{EdgePruningScope, WeightScheme};
 use crate::edge_pruning::{bulk_node_thresholds, keeps, threshold_over, weight_of};
@@ -163,11 +163,11 @@ pub enum Affected {
     /// Targeted invalidation: only these records' links can differ from
     /// what a rebuild would find (see the module docs for why); the
     /// Link Index entries of everything else stay valid, and the EP
-    /// caches were patched in place. Sorted ascending, deduped.
+    /// thresholds were patched in place. Sorted ascending, deduped.
     Ids(Vec<RecordId>),
     /// The active config derives node weights from global index
-    /// statistics, so every cached EP artefact (and the whole Link
-    /// Index) had to be dropped.
+    /// statistics, so any record's links may have moved and the whole
+    /// Link Index has to be dropped.
     All,
 }
 
@@ -404,12 +404,12 @@ impl TableErIndex {
     /// dropped: the EP thresholds of the records whose candidate
     /// neighbourhood changed are overwritten with their new values,
     /// only those records (and the rare neighbour whose edge to one of
-    /// them changes sides) lose their survivor rows, and only pairs
-    /// with an updated or deleted record lose their comparison
-    /// decisions — see the module docs and [`Affected`]. Configs whose
-    /// edge weights read global index statistics (ECBS / JS schemes,
-    /// global-scope EP) get a full cache clear instead, and ECBS / JS
-    /// under node-centric EP one threshold re-sweep.
+    /// them changes sides) are reported affected, and only pairs with
+    /// an updated or deleted record lose their comparison decisions —
+    /// see the module docs and [`Affected`]. Configs whose edge weights
+    /// read global index statistics (ECBS / JS schemes, global-scope
+    /// EP) report [`Affected::All`] instead, and ECBS / JS under
+    /// node-centric EP get one threshold re-sweep.
     ///
     /// Panic safety: like [`TableErIndex::clear_ep_cache`], the apply
     /// is a compound mutation under a poison latch — the `"delta.apply"`
@@ -821,21 +821,15 @@ impl TableErIndex {
         }
 
         // -- Phase 6: invalidation. Targeted: each dirty record's slot
-        // of the threshold vector takes its new value, and only the
-        // survivor rows of dirty and flipped records are dropped.
-        // Otherwise every survivor row goes. --
+        // of the threshold vector takes its new value, and the affected
+        // ids are the records whose survivor rows or decisions can have
+        // changed. --
         let affected = if targeted {
             if ep_targeted {
                 self.ep_thresholds.resize(d.n_records, 0.0);
                 for &(p, th) in &patched {
                     self.ep_thresholds[p as usize] = th;
                 }
-                let stale: Vec<u64> = dirty_list
-                    .iter()
-                    .chain(&flipped)
-                    .map(|&r| u64::from(r))
-                    .collect();
-                self.resolve_cache.survivors.remove_batch(&stale);
             }
             let mut a_list = dirty_list;
             a_list.extend(flipped);
@@ -844,14 +838,13 @@ impl TableErIndex {
             a_list.dedup();
             Affected::Ids(a_list)
         } else {
-            self.resolve_cache.survivors.clear();
             Affected::All
         };
         // Comparison decisions are pure functions of the two profiles:
         // only updated/deleted records can hold stale entries (inserts
         // never had any).
         if !profile_changed.is_empty() {
-            self.resolve_cache.decisions.retain(|key| {
+            self.decisions.retain(|key| {
                 let (a, b) = unpack_pair(key);
                 !changed_profiles.contains(&a) && !changed_profiles.contains(&b)
             });

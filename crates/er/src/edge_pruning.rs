@@ -133,30 +133,27 @@ pub(crate) fn threshold_over(
 }
 
 /// Node-centric EP survivors of `e` over an already-materialized
-/// neighbourhood: the neighbours whose edge `e` keeps under the
-/// redefined-WNP union rule (either endpoint's threshold admits the
-/// weight), in neighbourhood order. `th` resolves the *other*
-/// endpoint's threshold and is only consulted when `e`'s own vote
-/// fails. The returned list is in first-touch scan order, so a warm
-/// scan replaying a memoized list (through the same `PairSet` dedup) is
-/// bit-identical to a cold one.
+/// neighbourhood: appends to `out` the neighbours whose edge `e` keeps
+/// under the redefined-WNP union rule (either endpoint's threshold in
+/// `th` admits the weight), in neighbourhood — first-touch scan —
+/// order. The other endpoint's threshold is only read when `e`'s own
+/// vote fails.
 pub(crate) fn survivors_over(
     idx: &TableErIndex,
     scheme: WeightScheme,
     n_blocks: f64,
     e: RecordId,
     nbh: &[(RecordId, u32)],
-    th_e: f64,
-    mut th: impl FnMut(RecordId) -> f64,
-) -> Vec<RecordId> {
-    let mut out = Vec::new();
+    th: &[f64],
+    out: &mut Vec<RecordId>,
+) {
+    let th_e = th[e as usize];
     for &(other, cbs) in nbh {
         let w = weight_of(idx, scheme, n_blocks, e, other, cbs);
-        if keeps(w, th_e) || keeps(w, th(other)) {
+        if keeps(w, th_e) || keeps(w, th[other as usize]) {
             out.push(other);
         }
     }
-    out
 }
 
 /// Bulk node-centric threshold pass: computes the WNP threshold of

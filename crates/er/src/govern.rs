@@ -28,8 +28,8 @@
 //! [`ResolveError`] replaces the panic-shaped API edges: a wrong-table
 //! call returns [`ResolveError::TableMismatch`] instead of asserting, a
 //! worker thread that panics mid-fan-out is caught per-join and
-//! surfaces as [`ResolveError::WorkerPanicked`] (the index and its
-//! caches hold only complete entries, so it keeps serving), and an
+//! surfaces as [`ResolveError::WorkerPanicked`] (workers write no
+//! shared state, so the index keeps serving), and an
 //! index whose cache maintenance was torn by a panic refuses service
 //! with [`ResolveError::Poisoned`].
 //!
@@ -191,7 +191,7 @@ impl ResolveBudget {
 
     /// Stop (with [`Completion::Budget`]) after at most `n` comparisons.
     /// Cache-served decisions count too, so the cap is deterministic
-    /// whatever the memos hold.
+    /// whatever the decision memo holds.
     pub fn with_max_comparisons(mut self, n: u64) -> Self {
         self.max_comparisons = Some(n);
         self
@@ -245,10 +245,10 @@ impl ResolveBudget {
 /// unwound through the index's own cache maintenance
 /// ([`TableErIndex::clear_ep_cache`](crate::TableErIndex::clear_ep_cache)),
 /// so the memo state can no longer be vouched for. Worker panics during
-/// resolve ([`WorkerPanicked`]) do *not* poison: workers publish only
-/// complete entries into the caches, so the index keeps serving
-/// byte-identical decisions (pinned by
-/// `crates/er/tests/fault_injection.rs`).
+/// resolve ([`WorkerPanicked`]) do *not* poison: workers write no shared
+/// state — the decision memo takes a batch's decisions only after every
+/// worker of it has joined — so the index keeps serving byte-identical
+/// decisions (pinned by `crates/er/tests/fault_injection.rs`).
 ///
 /// [`Poisoned`]: ResolveError::Poisoned
 /// [`WorkerPanicked`]: ResolveError::WorkerPanicked
@@ -263,8 +263,8 @@ pub enum ResolveError {
         got: usize,
     },
     /// A worker thread panicked inside a parallel fan-out; the panic
-    /// was caught at its join and the shared state holds only complete
-    /// entries.
+    /// was caught at its join, and the worker had written no shared
+    /// state.
     WorkerPanicked {
         /// Stage whose fan-out lost a worker.
         stage: ResolveStage,

@@ -47,7 +47,6 @@ use queryer_common::failpoints;
 use queryer_common::{Csr, FxHashMap, ShardedMap, TokenArena, TokenInterner};
 use queryer_storage::{Record, RecordId, Table};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// Identifier of a block within a table's TBI.
 pub type BlockId = u32;
@@ -307,37 +306,6 @@ pub(crate) fn count_cooccurrences<'g>(
     }
 }
 
-/// The cross-query resolve cache (see the "hot resolve path" docs in
-/// `lib.rs`): node-centric surviving-neighbour lists keyed by record id,
-/// plus the pair-keyed comparison-decision memo. Both only ever hold
-/// values that are pure functions of the index, so serving them across
-/// queries can never change a decision — which is also why the maps can
-/// be capped ([`ErConfig::ep_cache_cap`] /
-/// [`ErConfig::decision_cache_cap`]): evicting an entry only ever costs
-/// recomputation.
-#[derive(Debug, Default)]
-pub(crate) struct ResolveCache {
-    /// Surviving neighbours per node, in the first-touch scan order of
-    /// [`TableErIndex::cooccurrences_into`] — exactly the edges
-    /// node-centric EP keeps for that node, so a warm frontier scan
-    /// never re-weights an edge.
-    pub(crate) survivors: ShardedMap<Arc<[RecordId]>>,
-    /// Comparison decision per packed unordered pair
-    /// ([`queryer_common::pack_pair`]).
-    pub(crate) decisions: ShardedMap<bool>,
-}
-
-impl ResolveCache {
-    /// Builds the two maps with the config's entry budgets (`0` =
-    /// unbounded, the historical behaviour).
-    pub(crate) fn for_config(cfg: &ErConfig) -> Self {
-        Self {
-            survivors: ShardedMap::bounded(cfg.ep_cache_cap),
-            decisions: ShardedMap::bounded(cfg.decision_cache_cap),
-        }
-    }
-}
-
 /// Immutable per-table ER index. Build once, share freely (`Sync`).
 ///
 /// The blocking graph is CSR-packed in both directions: block→records
@@ -386,13 +354,18 @@ pub struct TableErIndex {
     /// patched in place by [`TableErIndex::apply_delta`]. Index data,
     /// not cache: nothing clears it.
     pub(crate) ep_thresholds: Vec<f64>,
-    /// The cross-query resolve cache (survivors / decisions).
-    pub(crate) resolve_cache: ResolveCache,
+    /// The cross-query comparison-decision memo, keyed by packed
+    /// unordered pair ([`queryer_common::pack_pair`]). A decision is a
+    /// pure function of the two profiles, so serving it across queries
+    /// never changes a result, and the map can be capped
+    /// ([`ErConfig::decision_cache_cap`]): an evicted entry only costs
+    /// recomputation.
+    pub(crate) decisions: ShardedMap<bool>,
     /// Set when a panic unwound through this index's own cache
     /// maintenance ([`TableErIndex::clear_ep_cache`]); every later
     /// resolve then returns [`ResolveError::Poisoned`]. Worker panics
-    /// during resolve never set this — workers publish only complete
-    /// cache entries, so the index stays sound (see `crate::govern`).
+    /// during resolve never set this — workers write no shared state,
+    /// so the index stays sound (see `crate::govern`).
     pub(crate) poisoned: AtomicBool,
     /// The incremental-ingest delta side ([`crate::delta`]): overlays
     /// shadowing exactly the rows mutations touched, `None` until the
@@ -517,7 +490,7 @@ impl TableErIndex {
             attr_meta,
             n_cols,
             ep_thresholds: Vec::new(),
-            resolve_cache: ResolveCache::for_config(cfg),
+            decisions: ShardedMap::bounded(cfg.decision_cache_cap),
             poisoned: AtomicBool::new(false),
             delta: None,
         };
@@ -744,44 +717,27 @@ impl TableErIndex {
         &self.ep_thresholds
     }
 
-    /// The cross-query surviving-neighbour memo, keyed by record id.
-    pub(crate) fn survivor_cache(&self) -> &ShardedMap<Arc<[RecordId]>> {
-        &self.resolve_cache.survivors
-    }
-
-    /// The pair-keyed comparison-decision memo
-    /// ([`queryer_common::pack_pair`] keys).
-    pub(crate) fn decision_cache(&self) -> &ShardedMap<bool> {
-        &self.resolve_cache.decisions
-    }
-
-    /// Sizes of the cross-query resolve caches: `(0, survivor lists,
-    /// pair decisions)` currently memoized. The first slot is always 0
-    /// and stays so that callers destructuring three sizes keep
-    /// compiling. Diagnostics for benches and ablations.
+    /// Size of the cross-query decision memo as `(0, 0, pair
+    /// decisions)`. The first two slots always read 0; they stay while
+    /// the benchmark destructures three sizes. Diagnostics for benches
+    /// and ablations.
     pub fn resolve_cache_sizes(&self) -> (usize, usize, usize) {
-        (
-            0,
-            self.resolve_cache.survivors.len(),
-            self.resolve_cache.decisions.len(),
-        )
+        (0, 0, self.decisions.len())
     }
 
-    /// Drops the cross-query survivor and decision memos
-    /// (test/ablation helper; the benchmark uses it to measure cold
-    /// queries). The WNP thresholds are index data, not cache, and are
-    /// never dropped.
-    /// Panic safety: clearing is the one compound mutation of the
-    /// index's shared state, so it runs under a poison latch — if a
-    /// panic unwinds mid-clear (the `"cache.clear"` failpoint stands in
-    /// for such a fault in tests), the index flips
-    /// [`TableErIndex::is_poisoned`] and refuses further resolves
-    /// instead of serving from state it can no longer vouch for.
+    /// Drops the cross-query decision memo (test/ablation helper; the
+    /// benchmark calls it by this name to measure cold queries). The
+    /// WNP thresholds are index data, not cache, and are never dropped.
+    /// Panic safety: clearing locks the memo shard by shard, so it runs
+    /// under a poison latch — if a panic unwinds mid-clear (the
+    /// `"cache.clear"` failpoint stands in for such a fault in tests),
+    /// the index flips [`TableErIndex::is_poisoned`] and refuses further
+    /// resolves instead of serving from state it can no longer vouch
+    /// for.
     pub fn clear_ep_cache(&self) {
         let guard = PoisonGuard::new(&self.poisoned);
-        self.resolve_cache.survivors.clear();
         failpoints::fire("cache.clear");
-        self.resolve_cache.decisions.clear();
+        self.decisions.clear();
         guard.disarm();
     }
 }
@@ -1165,11 +1121,12 @@ mod tests {
     fn clear_ep_cache_drops_memos_and_keeps_thresholds() {
         let idx = TableErIndex::build(&table(), &ErConfig::default());
         let thresholds = idx.bulk_ep_thresholds().to_vec();
-        idx.survivor_cache().insert_if_absent(1, vec![2u32].into());
-        idx.decision_cache().insert_if_absent(7, true);
-        assert_eq!(idx.resolve_cache_sizes(), (0, 1, 1));
+        idx.decisions.insert_if_absent(7, true);
+        idx.decisions.insert_if_absent(9, false);
+        assert_eq!(idx.resolve_cache_sizes(), (0, 0, 2));
         idx.clear_ep_cache();
         assert_eq!(idx.resolve_cache_sizes(), (0, 0, 0));
+        assert!(idx.decisions.get(7).is_none());
         assert_eq!(idx.bulk_ep_thresholds(), thresholds.as_slice());
     }
 

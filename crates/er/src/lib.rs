@@ -66,30 +66,28 @@
 //!   survival check is two array loads.
 //! * **One node-centric enumerator** — node-centric Edge Pruning counts
 //!   each frontier entity's neighbourhood into a
-//!   [`index::CooccurrenceScratch`] and produces its *survivor row* (the
-//!   neighbours whose edge it keeps, first-touch order), then emits the
-//!   rows in frontier order through one dedup; on the resolve-all shape
-//!   a frontier-rank ownership rule (each edge is emitted only by its
-//!   first-scanned endpoint) replaces the per-edge `PairSet` insert.
-//!   The survivor fill fans out over the same worker partitioning
-//!   (`ErConfig::threads`, env knob `QUERYER_THREADS`); any thread count
-//!   is bit-identical.
-//! * **Cross-query memos** — work done resolving one query pays for the
-//!   next, in two memos that only ever hold pure functions of the index:
-//!   1. *Survivor rows* — keyed by record id in a sharded
-//!      [`queryer_common::ShardedMap`] (cap `ErConfig::ep_cache_cap`). A
-//!      warm frontier scan replays cached rows: no counting, no
-//!      weighting.
-//!   2. *Decisions* — `execute_comparisons` consults a pair-keyed
-//!      decision memo (cap `ErConfig::decision_cache_cap`) before
-//!      running any kernel, so overlapping queries skip comparison work
-//!      entirely.
-//!
-//!   `DedupMetrics` reports `ep_cache_*` and `decision_cache_*` hit/miss
-//!   counters; `comparisons`/`candidate_pairs`/`matches_found` never
-//!   depend on memo state (property-pinned by
-//!   `tests/cache_equivalence.rs` against cleared memos over sequences
-//!   of overlapping point + range queries).
+//!   [`index::CooccurrenceScratch`] and computes its *survivor row* (the
+//!   neighbours whose edge it keeps, first-touch order) from the stored
+//!   thresholds, then emits the rows in frontier order through one
+//!   dedup; on the resolve-all shape a frontier-rank ownership rule
+//!   (each edge is emitted only by its first-scanned endpoint) replaces
+//!   the per-edge `PairSet` insert. The survivor fill fans out over the
+//!   same worker partitioning (`ErConfig::threads`, env knob
+//!   `QUERYER_THREADS`), each worker writing its chunk's rows into one
+//!   flat buffer; any thread count is bit-identical. Rows are not kept
+//!   across queries: the resolve loop marks every finished frontier
+//!   resolved in the Link Index, so a node's row is asked for about
+//!   once per Link-Index lifetime.
+//! * **Cross-query decision memo** — `execute_comparisons` consults a
+//!   pair-keyed decision memo (a sharded [`queryer_common::ShardedMap`],
+//!   cap `ErConfig::decision_cache_cap`) before running any kernel, so
+//!   overlapping queries skip comparison work entirely. A decision is a
+//!   pure function of the index, so the memo never changes one:
+//!   `DedupMetrics` reports `decision_cache_*` hit/miss counters, and
+//!   `comparisons`/`candidate_pairs`/`matches_found` never depend on
+//!   memo state (property-pinned by `tests/cache_equivalence.rs`
+//!   against cleared memos over sequences of overlapping point + range
+//!   queries).
 //! * **Compiled comparison kernels** — [`CompiledMatcher::new`] resolves the
 //!   similarity kind, threshold, and attribute layout once into a
 //!   [`kernel::CompareKernel`] over kernel-ready per-record data
@@ -125,8 +123,9 @@
 //! parallel Comparison-Execution executor bit-identical (decisions,
 //! DR/links) to the canonical [`CompiledMatcher::similarity`] across all
 //! similarity kinds, thresholds at the early-exit boundaries, and thread
-//! counts; and `tests/cache_equivalence.rs` pins the cross-query memos
-//! to cleared ones over query sequences sharing one Link Index.
+//! counts; and `tests/cache_equivalence.rs` pins the cross-query
+//! decision memo to a cleared one over query sequences sharing one Link
+//! Index.
 
 #![warn(missing_docs)]
 

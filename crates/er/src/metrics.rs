@@ -32,11 +32,11 @@ pub struct DedupMetrics {
     pub matches_found: u64,
     /// Entities whose link-sets were computed (not served from the LI).
     pub entities_processed: u64,
-    /// Frontier nodes whose surviving-neighbour list was served from the
-    /// cross-query Edge Pruning memo (capped by `ErConfig::ep_cache_cap`).
+    /// Always 0: Edge Pruning keeps no cross-query memo any more (each
+    /// survivor row is computed where it is used). The field stays until
+    /// the benchmark stops reading it.
     pub ep_cache_hits: u64,
-    /// Frontier nodes whose surviving-neighbour list had to be computed
-    /// (and was then memoized) by this query.
+    /// Always 0, like [`DedupMetrics::ep_cache_hits`].
     pub ep_cache_misses: u64,
     /// Comparisons whose decision was served from the pair-keyed
     /// decision cache — kernel work skipped entirely. These pairs still

@@ -9,7 +9,7 @@
 //! *is* its QBI⋈TBI join, built once at index time, so a resolve never
 //! tokenizes a record and never hash-joins token strings.
 
-use crate::config::{EdgePruningScope, WeightScheme};
+use crate::config::EdgePruningScope;
 use crate::edge_pruning::{prune_global, survivors_over, EdgePruner};
 use crate::govern::{fan_out, Completion, ResolveBudget, ResolveError, ResolveStage, Stop};
 use crate::index::{BlockId, CooccurrenceScratch, TableErIndex};
@@ -20,7 +20,6 @@ use crate::request::LiMode;
 use queryer_common::failpoints;
 use queryer_common::{pack_pair, FxHashMap, FxHashSet, PairSet, Stopwatch};
 use queryer_storage::{RecordId, Table};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Minimum frontier size before the Edge Pruning scans fan out across
@@ -220,12 +219,7 @@ impl TableErIndex {
             // filtered rows, so the enriched QBI would be dead work and
             // is only assembled for the per-block pair path below.
             let pairs: Vec<(RecordId, RecordId)> = if self.config().meta.edge_pruning() {
-                let mut sw = Stopwatch::new();
-                sw.start();
-                let scanned = self.try_edge_pruned_pairs(&frontier, &mut ctx.pair_seen, metrics);
-                sw.stop();
-                metrics.edge_pruning += sw.elapsed();
-                scanned?
+                self.try_edge_pruned_pairs(&frontier, &mut ctx.pair_seen, metrics)?
             } else {
                 // (i) Query Blocking + (ii) Block-Join — for in-table
                 // query entities the ITBI row of each record is exactly
@@ -404,11 +398,10 @@ impl TableErIndex {
     }
 
     /// EP pair generation: weight every edge incident to a frontier
-    /// entity and keep it per the configured pruning scope, counting
-    /// survivor-memo hits and misses into `metrics`. Exposed so the
-    /// equivalence suites can pin the candidate pair sequence across
-    /// memo states and thread counts — every configuration emits the
-    /// bit-identical sequence.
+    /// entity and keep it per the configured pruning scope, adding the
+    /// wall time to `metrics.edge_pruning`. Exposed so the equivalence
+    /// suites can pin the candidate pair sequence across thread counts
+    /// — every configuration emits the bit-identical sequence.
     ///
     /// `frontier` entries must be distinct (the resolve loop always
     /// deduplicates): the scans assign each edge to its first-scanned
@@ -426,30 +419,31 @@ impl TableErIndex {
     /// This is the resolve loop's entry point. The frontier scans and
     /// survivor fills run to completion once started (they are bounded
     /// by the frontier, not the table) but are panic-hardened: a lost
-    /// worker surfaces as [`ResolveError::WorkerPanicked`] with all
-    /// shared caches holding only complete entries.
+    /// worker surfaces as [`ResolveError::WorkerPanicked`], and since
+    /// Edge Pruning writes no shared state the index stays sound.
     pub fn try_edge_pruned_pairs(
         &self,
         frontier: &[RecordId],
         pair_seen: &mut PairSet,
         metrics: &mut DedupMetrics,
     ) -> Result<Vec<(RecordId, RecordId)>, ResolveError> {
-        match self.config().ep_scope {
-            EdgePruningScope::NodeCentric => self.node_centric_pairs(frontier, pair_seen, metrics),
+        let mut sw = Stopwatch::new();
+        let pairs = sw.time(|| match self.config().ep_scope {
+            EdgePruningScope::NodeCentric => self.node_centric_pairs(frontier, pair_seen),
             EdgePruningScope::Global => self.global_pairs(frontier, pair_seen),
-        }
+        });
+        metrics.edge_pruning += sw.elapsed();
+        pairs
     }
 
     /// Node-centric EP, the one enumerator: each frontier entity's
     /// *survivor row* — the neighbours whose edge it keeps, in
-    /// first-touch scan order — is produced from its counted
-    /// neighbourhood and the build-time threshold vector (or replayed
-    /// from the cross-query memo with no neighbourhood weighting at
-    /// all), then the rows are emitted in frontier order through one
-    /// dedup. A row is a pure function of the index, so memo state,
-    /// eviction, and thread count never change the emitted sequence
-    /// (pinned by `tests/cache_equivalence.rs` and
-    /// `tests/ep_equivalence.rs`).
+    /// first-touch scan order — is computed from its counted
+    /// neighbourhood and the build-time threshold vector, then the rows
+    /// are emitted in frontier order through one dedup. A row is a pure
+    /// function of the index and the node, so thread count never
+    /// changes the emitted sequence (pinned by
+    /// `tests/ep_equivalence.rs` and `tests/cache_equivalence.rs`).
     ///
     /// For the resolve-all shape — a duplicate-free frontier spanning
     /// the whole table with no pairs seen yet — the emit loop skips the
@@ -464,36 +458,45 @@ impl TableErIndex {
         &self,
         frontier: &[RecordId],
         pair_seen: &mut PairSet,
-        metrics: &mut DedupMetrics,
     ) -> Result<Vec<(RecordId, RecordId)>, ResolveError> {
-        let ep = NodeCentricEp {
-            idx: self,
-            scheme: self.config().weight_scheme,
-            n_blocks: self.n_unpurged_blocks().max(1) as f64,
-        };
-        // Survivor rows in frontier order, filled across disjoint
-        // frontier chunks when the frontier pays for the threads (racing
-        // fills of one row are benign and bit-identical). Workers only
-        // ever publish *complete* rows to the memo, so a lost worker
-        // fails this call and leaves the caches sound. The rows
-        // themselves are handed to the emit loop: a capped memo may
-        // have evicted one again by then.
+        let scheme = self.config().weight_scheme;
+        let n_blocks = self.n_unpurged_blocks().max(1) as f64;
+        let th = &self.ep_thresholds;
+        // Survivor rows in frontier order, computed across disjoint
+        // frontier chunks when the frontier pays for the threads. Each
+        // worker fills one flat buffer for its chunk — the rows back to
+        // back, `ends[i]` closing the chunk's `i`-th row — and the emit
+        // loop below reads it; nothing outlives the call.
         let workers = if frontier.len() >= PAR_MIN_FRONTIER {
             self.config().effective_threads()
         } else {
             1
         };
-        let rows = fan_out(
+        let chunks = fan_out(
             frontier.len(),
             workers,
             "ep.survivors.worker",
             ResolveStage::EdgePruning,
             |range| {
                 let mut scratch = CooccurrenceScratch::new();
-                let fill = |&q: &RecordId| ep.survivors(q, &mut scratch);
-                frontier[range].iter().map(fill).collect::<Vec<_>>()
+                let mut ends = Vec::with_capacity(range.len());
+                let mut data = Vec::new();
+                for &q in &frontier[range] {
+                    let nbh = self.cooccurrences_into(q, &mut scratch);
+                    survivors_over(self, scheme, n_blocks, q, nbh, th, &mut data);
+                    ends.push(data.len());
+                }
+                (ends, data)
             },
         )?;
+        let rows = chunks.iter().flat_map(|(ends, data)| {
+            let mut start = 0;
+            ends.iter().map(move |&end| {
+                let row = &data[start..end];
+                start = end;
+                row
+            })
+        });
         // Resolve-all fast path: rank-ownership dedup instead of a
         // `PairSet` insert per surviving edge. Only sound when no pair
         // has been recorded yet (nothing to dedup against) and the
@@ -506,20 +509,18 @@ impl TableErIndex {
             None
         };
         let mut out = Vec::new();
-        for (&q, (survivors, hit)) in frontier.iter().zip(rows.into_iter().flatten()) {
-            metrics.ep_cache_hits += u64::from(hit);
-            metrics.ep_cache_misses += u64::from(!hit);
+        for (&q, survivors) in frontier.iter().zip(rows) {
             match &replay_ranks {
                 Some(rank) => {
                     let rq = rank[q as usize];
-                    for &c in survivors.iter() {
+                    for &c in survivors {
                         if rank[c as usize] >= rq {
                             out.push((q, c));
                         }
                     }
                 }
                 None => {
-                    for &c in survivors.iter() {
+                    for &c in survivors {
                         if pair_seen.insert(q, c) {
                             out.push((q, c));
                         }
@@ -642,7 +643,7 @@ impl TableErIndex {
         pairs: &[(RecordId, RecordId)],
         metrics: &mut DedupMetrics,
     ) -> Result<Vec<bool>, ResolveError> {
-        let cache = self.decision_cache();
+        let cache = &self.decisions;
         let keys: Vec<u64> = pairs.iter().map(|&(q, c)| pack_pair(q, c)).collect();
         // First query on a fresh cache: skip the probe pass entirely —
         // every pair is a miss by definition.
@@ -824,44 +825,6 @@ fn decide_pairs_batched(
     }
 }
 
-/// Shared context of one node-centric pruning call: the pruning
-/// parameters resolved once. `Sync` — the parallel survivor fill shares
-/// it by reference.
-struct NodeCentricEp<'a> {
-    idx: &'a TableErIndex,
-    scheme: WeightScheme,
-    n_blocks: f64,
-}
-
-impl NodeCentricEp<'_> {
-    /// Surviving neighbours of `q` (first-touch order); the `bool`
-    /// reports whether the row was served from the cross-query memo
-    /// (`true`) or computed by this call from `q`'s counted
-    /// neighbourhood (through `scratch`) and the index's threshold
-    /// vector — two array loads per edge. Forced inline: it is the body
-    /// of the survivor-fill loop.
-    #[inline(always)]
-    fn survivors(&self, q: RecordId, scratch: &mut CooccurrenceScratch) -> (Arc<[RecordId]>, bool) {
-        let memo = self.idx.survivor_cache();
-        if let Some(cached) = memo.get(u64::from(q)) {
-            return (cached, true);
-        }
-        let th = &self.idx.ep_thresholds;
-        let nbh = self.idx.cooccurrences_into(q, scratch);
-        let row: Arc<[RecordId]> = survivors_over(
-            self.idx,
-            self.scheme,
-            self.n_blocks,
-            q,
-            nbh,
-            th[q as usize],
-            |c| th[c as usize],
-        )
-        .into();
-        (memo.insert_if_absent(u64::from(q), row), false)
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 mod tests {
@@ -922,14 +885,16 @@ mod tests {
         let out_cold = idx
             .run(ResolveRequest::all(&table, &mut li_cold).metrics(&mut m_cold))
             .unwrap();
-        assert_eq!(m_cold.ep_cache_hits, 0, "nothing cached before query 1");
-        assert!(m_cold.ep_cache_misses > 0);
-        assert_eq!(m_cold.decision_cache_hits, 0);
+        assert!(m_cold.comparisons > 0);
+        assert_eq!(
+            m_cold.decision_cache_hits, 0,
+            "nothing cached before query 1"
+        );
         assert_eq!(m_cold.decision_cache_misses, m_cold.comparisons);
 
-        // Same workload, fresh Link Index, hot caches: every survivor
-        // list and decision must be served, and every decision count
-        // must match the cold pass exactly.
+        // Same workload, fresh Link Index, hot memo: every decision must
+        // be served, and every decision count must match the cold pass
+        // exactly.
         let mut li_warm = LinkIndex::new(table.len());
         let mut m_warm = DedupMetrics::default();
         let out_warm = idx
@@ -940,10 +905,12 @@ mod tests {
         assert_eq!(m_warm.comparisons, m_cold.comparisons);
         assert_eq!(m_warm.candidate_pairs, m_cold.candidate_pairs);
         assert_eq!(m_warm.matches_found, m_cold.matches_found);
-        assert_eq!(m_warm.ep_cache_misses, 0, "all survivor lists cached");
-        assert_eq!(m_warm.ep_cache_hits, m_warm.entities_processed);
         assert_eq!(m_warm.decision_cache_misses, 0, "all decisions cached");
         assert_eq!(m_warm.decision_cache_hits, m_warm.comparisons);
+        // Edge Pruning keeps no memo: its counters read 0 either way.
+        for m in [&m_cold, &m_warm] {
+            assert_eq!((m.ep_cache_hits, m.ep_cache_misses), (0, 0));
+        }
     }
 
     #[test]
@@ -954,12 +921,19 @@ mod tests {
         let mut m = DedupMetrics::default();
         idx.run(ResolveRequest::records(&table, &[0], &mut li).metrics(&mut m))
             .unwrap();
-        let (_, survivors, _) = idx.resolve_cache_sizes();
+        let (_, _, point) = idx.resolve_cache_sizes();
         assert_eq!(
-            survivors as u64, m.entities_processed,
-            "survivor lists exist only for processed frontier nodes"
+            point as u64, m.comparisons,
+            "the memo holds exactly the pairs the query decided"
         );
-        assert!(survivors < table.len(), "point query must stay partial");
+        let full = TableErIndex::build(&table, &ErConfig::default());
+        let mut li = LinkIndex::new(table.len());
+        full.run(ResolveRequest::all(&table, &mut li)).unwrap();
+        let (_, _, all) = full.resolve_cache_sizes();
+        assert!(
+            point < all,
+            "point query must stay partial: {point} of {all}"
+        );
     }
 
     #[test]

@@ -1,16 +1,15 @@
-//! Equivalence of the cross-query resolve cache and cold memos.
+//! Equivalence of the cross-query decision memo and a cold one.
 //!
-//! An index memoizes node-centric Edge Pruning surviving-neighbour
-//! lists and pair comparison decisions across queries. These properties
-//! pin that memo state never shows: over random dirty corpora and
-//! *sequences* of overlapping point and range queries sharing one Link
-//! Index — the exact shape the cache exists for — an index whose memos
-//! carry over from query to query matches one whose memos are cleared
-//! before every query (bit-identical DR sets, links, and decision counts
-//! after every query of the sequence), across every `WeightScheme`, both
-//! `EdgePruningScope`s, and several thread counts. Cold and warm
-//! frontier scans must also emit the pair sequence of an in-test
-//! oracle that prunes against a fresh threshold sweep.
+//! An index memoizes pair comparison decisions across queries. These
+//! properties pin that memo state never shows: over random dirty
+//! corpora and *sequences* of overlapping point and range queries
+//! sharing one Link Index — the exact shape the memo exists for — an
+//! index whose memo carries over from query to query matches one whose
+//! memo is cleared before every query (bit-identical DR sets, links,
+//! and decision counts after every query of the sequence), across every
+//! `WeightScheme`, both `EdgePruningScope`s, and several thread counts.
+//! Frontier scans must also emit the pair sequence of an in-test oracle
+//! that prunes against a fresh threshold sweep.
 
 #![allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 
@@ -159,8 +158,8 @@ struct QueryTrace {
 }
 
 /// Runs a query sequence over one shared Link Index and returns per-query
-/// traces plus the final link matrix. With `cold`, the index's memos
-/// are cleared before every query.
+/// traces plus the final link matrix. With `cold`, the index's decision
+/// memo is cleared before every query.
 fn run_sequence(
     table: &Table,
     idx: &TableErIndex,
@@ -222,9 +221,9 @@ fn large_table(n: usize) -> Table {
     t
 }
 
-/// Cold and warm frontier scans — including the parallel survivor-fill
-/// branch — emit exactly the oracle's pair sequence, for every weight
-/// scheme.
+/// Frontier scans — including the parallel survivor fill — emit exactly
+/// the oracle's pair sequence, for every weight scheme, and a second
+/// scan of the same frontier emits it again.
 #[test]
 fn parallel_memo_scan_matches_oracle() {
     let table = large_table(420);
@@ -259,10 +258,10 @@ fn parallel_memo_scan_matches_oracle() {
     }
 }
 
-/// Bounded resolve caches (CLOCK eviction) never change a decision: a
+/// A bounded decision memo (CLOCK eviction) never changes a decision: a
 /// capped index replays the uncapped index's query traces exactly, while
-/// each cache stays under its entry budget after every query. Tiny caps
-/// force heavy eviction on the large parallel workload.
+/// the memo stays under its entry budget after every query. A tiny cap
+/// forces heavy eviction on the large parallel workload.
 #[test]
 fn capped_caches_identical_and_bounded() {
     let table = large_table(420);
@@ -275,7 +274,6 @@ fn capped_caches_identical_and_bounded() {
         4,
     );
     let mut capped_cfg = unbounded_cfg.clone();
-    capped_cfg.ep_cache_cap = 64;
     capped_cfg.decision_cache_cap = 256;
 
     let unbounded = TableErIndex::build(&table, &unbounded_cfg);
@@ -297,53 +295,12 @@ fn capped_caches_identical_and_bounded() {
         assert_eq!(m_c.candidate_pairs, m_u.candidate_pairs, "query {i}");
         assert_eq!(m_c.matches_found, m_u.matches_found, "query {i}");
 
-        let (_, sv, dec) = capped.resolve_cache_sizes();
-        assert!(sv <= 64, "survivor cache over budget: {sv}");
+        let (_, _, dec) = capped.resolve_cache_sizes();
         assert!(dec <= 256, "decision cache over budget: {dec}");
     }
-    // The budgets really bit: the unbounded run kept more entries.
-    let (_, sv_u, dec_u) = unbounded.resolve_cache_sizes();
-    assert!(sv_u > 64 && dec_u > 256, "caps must be exercised");
-}
-
-/// The parallel survivor fill hands its rows to the emit loop, so a
-/// memo too small to hold the frontier (64 entries against 300 nodes,
-/// filled by 2 workers) neither double-counts a re-probe nor perturbs
-/// the emission: every frontier entity is counted exactly once as a hit
-/// or a miss, and the pair sequence equals the uncapped run's.
-#[test]
-fn capped_parallel_fill_counts_each_node_once() {
-    let table = large_table(420);
-    let all: Vec<RecordId> = (0..table.len() as RecordId).collect();
-    let frontier = &all[..300];
-    let uncapped_cfg = cfg_with(
-        WeightScheme::Cbs,
-        EdgePruningScope::NodeCentric,
-        MetaBlockingConfig::All,
-        2,
-    );
-    let mut capped_cfg = uncapped_cfg.clone();
-    capped_cfg.ep_cache_cap = 64;
-    let uncapped = TableErIndex::build(&table, &uncapped_cfg);
-    let capped = TableErIndex::build(&table, &capped_cfg);
-    let want = uncapped
-        .try_edge_pruned_pairs(frontier, &mut PairSet::new(), &mut DedupMetrics::default())
-        .expect("edge pruning");
-    assert!(!want.is_empty(), "workload must generate pairs");
-    // Cold, then again over whatever the eviction left behind.
-    for pass in ["cold", "evicted"] {
-        let mut m = DedupMetrics::default();
-        let got = capped
-            .try_edge_pruned_pairs(frontier, &mut PairSet::new(), &mut m)
-            .expect("edge pruning");
-        assert_eq!(got, want, "{pass} pass");
-        assert_eq!(
-            m.ep_cache_hits + m.ep_cache_misses,
-            frontier.len() as u64,
-            "{pass} pass"
-        );
-        assert!(m.ep_cache_misses > 64, "{pass} pass must overflow the memo");
-    }
+    // The budget really bit: the unbounded run kept more entries.
+    let (_, _, dec_u) = unbounded.resolve_cache_sizes();
+    assert!(dec_u > 256, "cap must be exercised");
 }
 
 proptest! {
@@ -352,16 +309,16 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Entry-capped caches over random tables and query sequences:
-    /// identical per-query traces and final links vs the unbounded
-    /// index, with every cache at or under its budget after each query.
+    /// An entry-capped decision memo over random tables and query
+    /// sequences: identical per-query traces and final links vs the
+    /// unbounded index, with the memo at or under its budget after each
+    /// query.
     #[test]
     fn capped_query_sequences_identical_to_unbounded(
         rows in rows(),
         spec in queries(),
         scheme in 0usize..3,
         meta in 0usize..2,
-        ep_cap in 1usize..8,
         dec_cap in 1usize..64,
         threads in 1usize..5,
     ) {
@@ -374,7 +331,6 @@ proptest! {
             threads,
         );
         let mut capped_cfg = base.clone();
-        capped_cfg.ep_cache_cap = ep_cap;
         capped_cfg.decision_cache_cap = dec_cap;
 
         let unbounded = TableErIndex::build(&table, &base);
@@ -393,8 +349,7 @@ proptest! {
                 candidate_pairs: m.candidate_pairs,
                 matches_found: m.matches_found,
             });
-            let (_, sv, dec) = capped.resolve_cache_sizes();
-            prop_assert!(sv <= ep_cap, "survivor cache {} over cap {}", sv, ep_cap);
+            let (_, _, dec) = capped.resolve_cache_sizes();
             prop_assert!(dec <= dec_cap, "decision cache {} over cap {}", dec, dec_cap);
         }
         prop_assert_eq!(&traces, &want.0, "capped traces diverged");
@@ -409,11 +364,10 @@ proptest! {
     }
 
     /// Sequences of overlapping point + range queries produce identical
-    /// per-query DR sets, links, and decision counts whether the memos
-    /// carry over between queries (at `threads` workers) or start cold
-    /// before every query (sequentially) — later queries served from
-    /// memoized survivor lists and decisions may not change a single
-    /// observable.
+    /// per-query DR sets, links, and decision counts whether the memo
+    /// carries over between queries (at `threads` workers) or starts
+    /// cold before every query (sequentially) — later queries served
+    /// from memoized decisions may not change a single observable.
     #[test]
     fn query_sequences_identical_with_cold_memos(
         rows in rows(),
@@ -435,8 +389,8 @@ proptest! {
     }
 
     /// Re-running the *same* sequence against the same cached index
-    /// (fresh Link Index, hot caches) is served from the caches — zero
-    /// survivor/decision misses on the node-centric path — and remains
+    /// (fresh Link Index, hot memo) is served from the memo — zero
+    /// decision misses on the node-centric path — and remains
     /// bit-identical to the cold run.
     #[test]
     fn warm_rerun_identical_and_served_from_cache(
@@ -460,7 +414,6 @@ proptest! {
         for qe in &qs {
             let mut m = DedupMetrics::default();
             let out = idx.run(ResolveRequest::records(&table, qe, &mut li).metrics(&mut m)).unwrap();
-            prop_assert_eq!(m.ep_cache_misses, 0, "survivor lists must all be hot");
             prop_assert_eq!(m.decision_cache_misses, 0, "decisions must all be hot");
             warm_traces.push(QueryTrace {
                 dr: out.dr,

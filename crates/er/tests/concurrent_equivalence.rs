@@ -174,7 +174,6 @@ fn capped_caches_keep_concurrent_equal_to_serial() {
     let table = workload(400, 31);
     let qes = overlapping_slices(table.len(), 6);
     let mut cfg = ErConfig::default();
-    cfg.ep_cache_cap = 64;
     cfg.decision_cache_cap = 128;
     assert_concurrent_equals_serial(&cfg, &table, &qes);
 }

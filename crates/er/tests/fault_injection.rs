@@ -9,16 +9,17 @@
 //!   `ResolveError::WorkerPanicked { stage }` — never an unwinding
 //!   resolve call;
 //! - after the fault (site disarmed), the *same* index serves
-//!   byte-identical decisions to a freshly built one: the shared caches
-//!   only ever hold complete entries, so a lost worker cannot leave
-//!   half-written state behind;
+//!   byte-identical decisions to a freshly built one: workers write no
+//!   shared state (the decision memo takes a batch only after all its
+//!   workers joined), so a lost worker cannot leave half-written state
+//!   behind;
 //! - a resolve that returns `Err` has committed nothing — the caller's
 //!   Link Index is exactly as it was, whichever kind of handle it passed
 //!   — so the call can simply be retried;
 //! - the one compound mutation (`clear_ep_cache`) poisons the index if
 //!   interrupted mid-flight, and a poisoned index refuses to resolve
 //!   with `ResolveError::Poisoned` instead of serving a half-cleared
-//!   cache hierarchy;
+//!   decision memo;
 //! - delay actions (the CI fault-matrix mode) perturb timing only —
 //!   decisions stay bit-identical.
 //!
@@ -423,14 +424,15 @@ fn interrupted_cache_clear_poisons_the_index() {
     let config = cfg(EdgePruningScope::NodeCentric);
     let idx = TableErIndex::build(&table, &config);
 
-    // Warm the caches so the clear actually has state to tear down.
+    // Warm the decision memo so the clear actually has state to tear
+    // down.
     let mut li = LinkIndex::new(table.len());
     let mut m = DedupMetrics::default();
     idx.run(ResolveRequest::all(&table, &mut li).metrics(&mut m))
         .unwrap();
 
-    // "cache.clear" sits between the survivor-memo clear and the
-    // decision-memo clear — a panic there leaves the memos half-cleared,
+    // "cache.clear" fires inside the clear, before the decision memo
+    // goes — a panic there stands in for one that unwinds mid-clear,
     // which is exactly what the poison latch exists to fence off.
     failpoints::arm("cache.clear", FailAction::Panic);
     let unwound = catch_unwind(AssertUnwindSafe(|| idx.clear_ep_cache()));

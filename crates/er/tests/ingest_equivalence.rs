@@ -524,8 +524,8 @@ fn update_that_changes_blocks() {
 /// edge 0–1 (weight 2) survives only on record 0's vote (threshold 2;
 /// record 1's own is 3), the inserted record shares three blocks with
 /// record 0 alone, and record 0's threshold rises to 7/3. Record 1 is
-/// not dirty — its CBS row is what it was — yet its survivor row and
-/// its link to 0 are stale, and `Affected` must say so.
+/// not dirty — its CBS row is what it was — yet its survivor row
+/// changes and its link to 0 is stale, and `Affected` must say so.
 #[test]
 fn threshold_flip_unlinks_an_untouched_neighbour() {
     let mut cfg = ErConfig::default().with_meta(MetaBlockingConfig::BpEp);
@@ -561,8 +561,9 @@ fn threshold_flip_unlinks_an_untouched_neighbour() {
     assert!(!ids.contains(&3), "record 3 is out of reach: {ids:?}");
     maintain_li(&mut li, &applied.affected, table.len());
     assert!(!li.are_linked(0, 1), "a rebuild never compares 0 and 1");
-    // A point query on 1 replays its survivor row; a resolve-all would
-    // hide a stale one behind 0's ownership of the pair.
+    // A point query on 1 computes its survivor row from the patched
+    // thresholds; a resolve-all would hide a stale one behind 0's
+    // ownership of the pair.
     let (mut m_l, mut m_o) = (DedupMetrics::default(), DedupMetrics::default());
     idx.run(ResolveRequest::records(&table, &[1], &mut li.clone()).metrics(&mut m_l))
         .unwrap();
@@ -578,16 +579,15 @@ fn threshold_flip_unlinks_an_untouched_neighbour() {
 /// counts: on a 1 000-row `dsd` table whose caches and Link Index are
 /// warm, 50 inserts / updates / deletes never invalidate everything,
 /// invalidate over a third of the table in at most 5 writes and under
-/// a quarter on average (survivor rows go for invalidated records
-/// only, under a quarter of those held on average), and leave the
-/// threshold vector what the build of a rebuilt index sweeps.
+/// a quarter on average, and leave the threshold vector what the build
+/// of a rebuilt index sweeps.
 #[test]
 fn single_row_writes_cost_what_they_changed() {
     let cfg = ErConfig::default();
     let mut table = queryer_datagen::scholarly::dblp_scholar(1000, 7).table;
     let n0 = table.len();
     let mut idx = TableErIndex::build(&table, &cfg);
-    // Point queries first, then everything: every survivor row.
+    // Point queries first, then everything: a warm decision memo.
     for r in (0..n0 as RecordId).step_by(50) {
         idx.run(ResolveRequest::records(
             &table,
@@ -599,7 +599,7 @@ fn single_row_writes_cost_what_they_changed() {
     let mut li = LinkIndex::new(n0);
     idx.run(ResolveRequest::all(&table, &mut li)).unwrap();
 
-    let (mut affected, mut survivors_held, mut survivors_lost) = (0, 0, 0);
+    let mut affected = 0;
     let mut wide = 0;
     for i in 0..50usize {
         let of = ((i * 7919 + 13) % n0) as RecordId;
@@ -624,21 +624,13 @@ fn single_row_writes_cost_what_they_changed() {
             _ => DeltaOp::Delete { id: of },
         };
         op.apply_to_table(&mut table).unwrap();
-        let before = idx.resolve_cache_sizes();
         let applied = idx.apply_delta(&table, &[op]).unwrap();
-        let after = idx.resolve_cache_sizes();
         let ids = applied
             .affected
             .ids()
             .expect("the default config never invalidates everything");
         affected += ids.len();
-        survivors_held += before.1;
-        survivors_lost += before.1 - after.1;
         wide += usize::from(ids.len() * 3 > table.len());
-        assert!(
-            before.1 - after.1 <= ids.len(),
-            "only affected records lose their survivor row"
-        );
         let rebuilt = TableErIndex::build(&table, &cfg);
         assert_eq!(idx.bulk_ep_thresholds(), rebuilt.bulk_ep_thresholds());
 
@@ -656,10 +648,6 @@ fn single_row_writes_cost_what_they_changed() {
         affected / 50 <= table.len() / 4,
         "mean affected {}",
         affected / 50
-    );
-    assert!(
-        survivors_lost * 4 <= survivors_held,
-        "{survivors_lost} of {survivors_held}"
     );
 }
 

@@ -412,7 +412,6 @@ fn drift_detected_as_stale_thread_and_cache_retunes_are_not_drift() {
     let mut par_cfg = cfg.clone();
     par_cfg.threads = 7;
     let mut cache_cfg = cfg.clone();
-    cache_cfg.ep_cache_cap = 7;
     cache_cfg.decision_cache_cap = 11;
     for (what, retuned) in [("thread", par_cfg), ("cache-cap", cache_cfg)] {
         let (idx2, _snapshot_links) = open_index_snapshot(&path, &table, &retuned)

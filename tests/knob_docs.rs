@@ -75,10 +75,9 @@ fn names_documented(root: &Path) -> BTreeSet<String> {
 
 /// The knob set itself. A new knob means editing this list, in a test
 /// that says how many there are.
-const KNOBS: [&str; 7] = [
+const KNOBS: [&str; 6] = [
     "QUERYER_DECISION_CACHE_CAP",
     "QUERYER_DELTA_COMPACT_OPS",
-    "QUERYER_EP_CACHE_CAP",
     "QUERYER_FAILPOINT",
     "QUERYER_PROPTEST_CASES",
     "QUERYER_SCALE",
