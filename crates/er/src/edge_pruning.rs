@@ -10,6 +10,8 @@
 use crate::config::WeightScheme;
 use crate::govern::{fan_out, ResolveError, ResolveStage};
 use crate::index::{CooccurrenceScratch, TableErIndex};
+use crate::resolver::RANK_AMORTIZE;
+use queryer_common::{FxHashMap, PairSet};
 use queryer_storage::RecordId;
 
 /// Numeric slack for threshold comparisons, shared by every pruning
@@ -37,7 +39,8 @@ pub struct EdgePruner<'a> {
 
 /// Weight of the edge `(a, b)` under `scheme` given the common-block
 /// count `cbs` (free function so neighbourhood scans can weight while
-/// the pruner's scratch is borrowed).
+/// the pruner's scratch is borrowed). Bit-symmetric in `a` and `b`
+/// under every scheme.
 #[inline]
 pub(crate) fn weight_of(
     idx: &TableErIndex,
@@ -52,7 +55,13 @@ pub(crate) fn weight_of(
         WeightScheme::Ecbs => {
             let ba = idx.retained_blocks(a).len().max(1) as f64;
             let bb = idx.retained_blocks(b).len().max(1) as f64;
-            cbs as f64 * (n_blocks / ba).ln().max(0.0) * (n_blocks / bb).ln().max(0.0)
+            // Multiply the two endpoint factors first: IEEE
+            // multiplication commutes, so `weight_of(a, b)` and
+            // `weight_of(b, a)` are bit-equal — the symmetry the
+            // scan-order emission of node-centric pruning relies on.
+            let la = (n_blocks / ba).ln().max(0.0);
+            let lb = (n_blocks / bb).ln().max(0.0);
+            cbs as f64 * (la * lb)
         }
         WeightScheme::Js => {
             let ba = idx.retained_blocks(a).len() as f64;
@@ -132,27 +141,87 @@ pub(crate) fn threshold_over(
     sum / nbh.len() as f64
 }
 
-/// Node-centric EP survivors of `e` over an already-materialized
-/// neighbourhood: appends to `out` the neighbours whose edge `e` keeps
-/// under the redefined-WNP union rule (either endpoint's threshold in
-/// `th` admits the weight), in neighbourhood — first-touch scan —
-/// order. The other endpoint's threshold is only read when `e`'s own
-/// vote fails.
-pub(crate) fn survivors_over(
-    idx: &TableErIndex,
-    scheme: WeightScheme,
-    n_blocks: f64,
-    e: RecordId,
-    nbh: &[(RecordId, u32)],
-    th: &[f64],
-    out: &mut Vec<RecordId>,
-) {
-    let th_e = th[e as usize];
-    for &(other, cbs) in nbh {
-        let w = weight_of(idx, scheme, n_blocks, e, other, cbs);
-        if keeps(w, th_e) || keeps(w, th[other as usize]) {
-            out.push(other);
+/// The order in which one query scanned the nodes of its frontiers,
+/// which decides where node-centric EP emits each pair: a scanned node
+/// holds its 1-based sequence number, an unscanned one reads 0, and a
+/// pair is emitted only at the endpoint scanned first.
+///
+/// That is exact because a survivor row is a pure function of the
+/// index and the node, and [`weight_of`] and the WNP union rule are
+/// both symmetric — so a pair is in both endpoints' rows or in
+/// neither. Emitting it at the endpoint scanned first therefore
+/// reproduces the first-occurrence order of a carried pair set, with
+/// one order read per edge instead of a hash insert per survivor; a
+/// node scanned before emits nothing, its pairs all went out then.
+///
+/// A point query scans a handful of nodes, so the numbers start in a
+/// small hash map; once the query has scanned 1/[`RANK_AMORTIZE`] of
+/// the table they move, for good, into a dense per-record array — the
+/// amortisation rule of the resolver's frontier dedup.
+#[derive(Debug, Default)]
+pub(crate) struct ScanOrder {
+    /// Nodes numbered so far (= the last number handed out).
+    scanned: u32,
+    sparse: FxHashMap<RecordId, u32>,
+    /// Empty until promoted; then one slot per record.
+    dense: Vec<u32>,
+}
+
+impl ScanOrder {
+    /// `e`'s sequence number, 0 when the query has not scanned it.
+    #[inline]
+    pub(crate) fn get(&self, e: RecordId) -> u32 {
+        if self.dense.is_empty() {
+            self.sparse.get(&e).copied().unwrap_or(0)
+        } else {
+            self.dense[e as usize]
         }
+    }
+
+    /// Gives `e` the next sequence number unless it already has one,
+    /// returning whether it did; `n_records` sizes the dense array.
+    pub(crate) fn assign(&mut self, e: RecordId, n_records: usize) -> bool {
+        if self.get(e) != 0 {
+            return false;
+        }
+        self.scanned += 1;
+        if self.dense.is_empty() && self.scanned as usize * RANK_AMORTIZE >= n_records {
+            self.dense = vec![0; n_records];
+            for (q, s) in std::mem::take(&mut self.sparse) {
+                self.dense[q as usize] = s;
+            }
+        }
+        if self.dense.is_empty() {
+            self.sparse.insert(e, self.scanned);
+        } else {
+            self.dense[e as usize] = self.scanned;
+        }
+        true
+    }
+
+    /// Whether the node numbered `sq` emits its edge to `c`: it does
+    /// unless `c` was scanned first, in which case `c` already has.
+    #[inline]
+    pub(crate) fn owns(&self, sq: u32, c: RecordId) -> bool {
+        let sc = self.get(c);
+        sc == 0 || sc > sq
+    }
+}
+
+/// One query's Edge Pruning dedup state, carried across its rounds so
+/// no pair is emitted twice: node-centric pruning reads and extends the
+/// node scan order; global pruning and the no-EP block path, whose
+/// survival depends on the call, record every emitted pair.
+#[derive(Debug, Default)]
+pub struct EpSeen {
+    pub(crate) order: ScanOrder,
+    pub(crate) pairs: PairSet,
+}
+
+impl EpSeen {
+    /// Fresh state for a new query.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -279,6 +348,64 @@ mod tests {
         // Uniform weights: everything survives.
         let uniform = vec![(0, 1, 2.0), (1, 2, 2.0)];
         assert_eq!(prune_global(&uniform).len(), 2);
+    }
+
+    proptest::proptest! {
+        /// Every scheme weighs `(a, b)` and `(b, a)` to the same bits —
+        /// the symmetry node-centric emission's scan-order rule rests
+        /// on — over random tables whose records sit in 1..8 blocks of a
+        /// 40-token vocabulary, for any common-block count.
+        #[test]
+        fn weight_of_is_bit_symmetric(
+            rows in proptest::collection::vec(proptest::collection::vec(0usize..40, 1..8), 2..16),
+            cbs in 0u32..64,
+        ) {
+            let mut t = Table::new("p", Schema::of_strings(&["title"]));
+            for words in &rows {
+                let text: Vec<String> = words.iter().map(|w| format!("w{w}")).collect();
+                t.push_row(vec![text.join(" ").into()]).unwrap();
+            }
+            let idx = TableErIndex::build(&t, &ErConfig::default().with_meta(MetaBlockingConfig::None));
+            let n_blocks = idx.n_unpurged_blocks().max(1) as f64;
+            for scheme in [WeightScheme::Cbs, WeightScheme::Ecbs, WeightScheme::Js] {
+                for a in 0..idx.n_records() as RecordId {
+                    for b in 0..a {
+                        let ab = weight_of(&idx, scheme, n_blocks, a, b, cbs);
+                        let ba = weight_of(&idx, scheme, n_blocks, b, a, cbs);
+                        proptest::prop_assert_eq!(ab.to_bits(), ba.to_bits(), "{:?} ({}, {})", scheme, a, b);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The scan order numbers nodes 1, 2, … in assignment order, never
+    /// renumbers one, reads 0 for the rest, and moves from the map to
+    /// the dense array exactly when the scanned count reaches
+    /// 1/`RANK_AMORTIZE` of the table (a table size that is a multiple
+    /// of it and one that is not), carrying every number across.
+    #[test]
+    fn scan_order_numbers_once_and_promotes_at_the_amortisation_point() {
+        for n in [13 * RANK_AMORTIZE, 420] {
+            let promote_at = n.div_ceil(RANK_AMORTIZE);
+            let mut order = ScanOrder::default();
+            // 11 is coprime to both sizes: a scan order unlike id order.
+            let ids: Vec<RecordId> = (0..n).map(|i| (i * 11 % n) as RecordId).collect();
+            for (k, &e) in ids.iter().enumerate().take(promote_at + 2) {
+                assert!(order.assign(e, n));
+                assert!(!order.assign(e, n), "renumbered {e}");
+                let scanned = k + 1;
+                assert_eq!(
+                    order.dense.is_empty(),
+                    scanned < promote_at,
+                    "n {n}, after {scanned}"
+                );
+                for (j, &f) in ids.iter().enumerate() {
+                    let want = if j <= k { j as u32 + 1 } else { 0 };
+                    assert_eq!(order.get(f), want, "n {n}, after {scanned}, node {f}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -66,18 +66,19 @@
 //!   survival check is two array loads.
 //! * **One node-centric enumerator** — node-centric Edge Pruning counts
 //!   each frontier entity's neighbourhood into a
-//!   [`index::CooccurrenceScratch`] and computes its *survivor row* (the
-//!   neighbours whose edge it keeps, first-touch order) from the stored
-//!   thresholds, then emits the rows in frontier order through one
-//!   dedup; on the resolve-all shape a frontier-rank ownership rule
-//!   (each edge is emitted only by its first-scanned endpoint) replaces
-//!   the per-edge `PairSet` insert. The survivor fill fans out over the
-//!   same worker partitioning (`ErConfig::threads`, env knob
-//!   `QUERYER_THREADS`), each worker writing its chunk's rows into one
-//!   flat buffer; any thread count is bit-identical. Rows are not kept
-//!   across queries: the resolve loop marks every finished frontier
-//!   resolved in the Link Index, so a node's row is asked for about
-//!   once per Link-Index lifetime.
+//!   [`index::CooccurrenceScratch`] and keeps the edges either
+//!   endpoint's stored threshold admits, emitting each pair once by the
+//!   query's node scan order: a frontier node the query has not scanned
+//!   yet gets the next sequence number, and an edge goes out only at the
+//!   endpoint scanned first (the weight is bit-symmetric, so both
+//!   endpoints agree on survival). One order read per edge replaces a
+//!   per-edge `PairSet` insert, and a node scanned before emits nothing.
+//!   The fill fans out over the same worker partitioning
+//!   (`ErConfig::threads`, env knob `QUERYER_THREADS`), each worker
+//!   emitting its chunk's pairs; any thread count is bit-identical.
+//!   Nothing is kept across queries: the resolve loop marks every
+//!   finished frontier resolved in the Link Index, so a node is scanned
+//!   about once per Link-Index lifetime.
 //! * **Cross-query decision memo** — `execute_comparisons` consults a
 //!   pair-keyed decision memo (a sharded [`queryer_common::ShardedMap`],
 //!   cap `ErConfig::decision_cache_cap`) before running any kernel, so
@@ -116,9 +117,10 @@
 //! tokenizes per comparison) and a full `run` to a reference pipeline
 //! built from public accessors, across similarity kinds and random
 //! corpora; `tests/ep_equivalence.rs` pins the threshold sweep and the
-//! stored vector to a mean-of-weights oracle and the enumerator across
-//! thread counts (pair sequences, DR/links), weight schemes, pruning
-//! scopes, and frontier sizes;
+//! stored vector to a mean-of-weights oracle, the scan-order emission
+//! to an insert-probing oracle over sequences of frontier calls, and
+//! the enumerator across thread counts (pair sequences, DR/links),
+//! weight schemes, pruning scopes, and frontier sizes;
 //! `tests/kernel_equivalence.rs` pins the compiled kernels and the
 //! parallel Comparison-Execution executor bit-identical (decisions,
 //! DR/links) to the canonical [`CompiledMatcher::similarity`] across all

@@ -10,7 +10,7 @@
 //! tokenizes a record and never hash-joins token strings.
 
 use crate::config::EdgePruningScope;
-use crate::edge_pruning::{prune_global, survivors_over, EdgePruner};
+use crate::edge_pruning::{keeps, prune_global, weight_of, EdgePruner, EpSeen, ScanOrder};
 use crate::govern::{fan_out, Completion, ResolveBudget, ResolveError, ResolveStage, Stop};
 use crate::index::{BlockId, CooccurrenceScratch, TableErIndex};
 use crate::kernel::{CompiledMatcher, KernelScratch, QuerySide};
@@ -31,12 +31,12 @@ const PAR_MIN_FRONTIER: usize = 256;
 /// threads; below this the thread spawn overhead outweighs the win.
 const PAR_MIN_PAIRS: usize = 1024;
 
-/// A sequential global-EP scan (and the frontier dedup) builds an
-/// O(`n_records`) array only when the frontier covers at least
-/// 1/`RANK_AMORTIZE` of the table; below that a point query's handful
-/// of neighbourhoods is cheaper to dedup with per-edge hash probes than
-/// to pay a table-sized fill per round.
-const RANK_AMORTIZE: usize = 32;
+/// A sequential global-EP scan, the frontier dedup and the node scan
+/// order build an O(`n_records`) array only once the nodes involved
+/// cover at least 1/`RANK_AMORTIZE` of the table; below that a point
+/// query's handful of neighbourhoods is cheaper to dedup with hash
+/// probes than to pay a table-sized fill.
+pub(crate) const RANK_AMORTIZE: usize = 32;
 
 /// Pairs each worker decides between budget polls when a comparison
 /// budget is in force: batches of `workers × this` keep the governed
@@ -68,14 +68,15 @@ struct CmpRun {
 }
 
 /// Per-query mutable resolve state. Everything a resolve mutates —
-/// the cross-round pair-seen set, the links and resolved marks found so
-/// far, budget progress, completion status — lives here (or in the
-/// round-local frontier/scratch vectors), so N concurrent queries over
-/// one `Arc<TableErIndex>` share nothing mutable except the Link Index,
-/// which they only read until the one commit that ends the query.
+/// the cross-round Edge Pruning dedup state, the links and resolved
+/// marks found so far, budget progress, completion status — lives here
+/// (or in the round-local frontier/scratch vectors), so N concurrent
+/// queries over one `Arc<TableErIndex>` share nothing mutable except
+/// the Link Index, which they only read until the one commit that ends
+/// the query.
 struct ResolveCtx {
-    /// Pairs already emitted by earlier rounds of *this* query.
-    pair_seen: PairSet,
+    /// What earlier rounds of *this* query emitted.
+    seen: EpSeen,
     /// This query's links + resolved marks, private until committed.
     delta: LinkDelta,
     /// Time spent blocked on Link Index lock acquisitions, for
@@ -123,7 +124,7 @@ impl TableErIndex {
     ) -> Result<ResolveOutcome, ResolveError> {
         self.check_serve(table)?;
         let mut ctx = ResolveCtx {
-            pair_seen: PairSet::new(),
+            seen: EpSeen::new(),
             delta: LinkDelta::new(),
             lock_wait: Duration::ZERO,
             comparisons_done: 0,
@@ -219,7 +220,7 @@ impl TableErIndex {
             // filtered rows, so the enriched QBI would be dead work and
             // is only assembled for the per-block pair path below.
             let pairs: Vec<(RecordId, RecordId)> = if self.config().meta.edge_pruning() {
-                self.try_edge_pruned_pairs(&frontier, &mut ctx.pair_seen, metrics)?
+                self.try_edge_pruned_pairs(&frontier, &mut ctx.seen, metrics)?
             } else {
                 // (i) Query Blocking + (ii) Block-Join — for in-table
                 // query entities the ITBI row of each record is exactly
@@ -247,7 +248,7 @@ impl TableErIndex {
                 }
                 metrics.filtering += sw.elapsed();
 
-                self.block_pairs(&eqbi, &mut ctx.pair_seen)
+                self.block_pairs(&eqbi, &mut ctx.seen.pairs)
             };
             metrics.candidate_pairs += pairs.len() as u64;
 
@@ -323,8 +324,8 @@ impl TableErIndex {
     /// an earlier round of this one (in its uncommitted delta).
     /// Point-query shapes keep the hash-set probe; once the candidate
     /// list covers at least 1/[`RANK_AMORTIZE`] of the table, a dense
-    /// seen-array pass (the same amortization rule as the EP
-    /// frontier-rank ownership scan) replaces the per-entity hashing — a
+    /// seen-array pass (the same amortization rule as the EP scan order
+    /// and frontier-rank ownership) replaces the per-entity hashing — a
     /// resolve-all round dedups with two array ops per candidate instead
     /// of a hash insert.
     fn unresolved_frontier(
@@ -403,18 +404,17 @@ impl TableErIndex {
     /// suites can pin the candidate pair sequence across thread counts
     /// — every configuration emits the bit-identical sequence.
     ///
-    /// `frontier` entries must be distinct (the resolve loop always
-    /// deduplicates): the scans assign each edge to its first-scanned
-    /// endpoint, and a repeated entity would own its edges twice.
-    ///
-    /// `pair_seen` carries already-emitted pairs across calls; emitted
-    /// pairs are recorded into it — except on the node-centric
-    /// resolve-all shape (empty `pair_seen`, frontier spanning the whole
-    /// table), where rank ownership performs the dedup and nothing is
-    /// inserted. That shape exhausts every pair the index can emit, and
-    /// the resolve loop marks its whole frontier resolved, so no later
-    /// round can replay one of its pairs (pinned by
-    /// `tests/ep_equivalence.rs`).
+    /// `seen` is one query's dedup state, carried across its calls: a
+    /// pair emitted by an earlier call is never emitted again. Node-
+    /// centric pruning numbers each frontier node the query had not
+    /// scanned yet and emits a pair only at the endpoint it scanned
+    /// first, so a node scanned by an earlier call — or earlier in the
+    /// same frontier — emits nothing and duplicates are harmless.
+    /// Global pruning records its emitted pairs; its scans assign each
+    /// edge to its first-scanned endpoint, so its `frontier` entries
+    /// must be distinct (the resolve loop always deduplicates). The
+    /// emitted sequence equals an insert-probing loop over a carried
+    /// pair set (pinned by `tests/ep_equivalence.rs`).
     ///
     /// This is the resolve loop's entry point. The frontier scans and
     /// survivor fills run to completion once started (they are bounded
@@ -424,128 +424,73 @@ impl TableErIndex {
     pub fn try_edge_pruned_pairs(
         &self,
         frontier: &[RecordId],
-        pair_seen: &mut PairSet,
+        seen: &mut EpSeen,
         metrics: &mut DedupMetrics,
     ) -> Result<Vec<(RecordId, RecordId)>, ResolveError> {
         let mut sw = Stopwatch::new();
         let pairs = sw.time(|| match self.config().ep_scope {
-            EdgePruningScope::NodeCentric => self.node_centric_pairs(frontier, pair_seen),
-            EdgePruningScope::Global => self.global_pairs(frontier, pair_seen),
+            EdgePruningScope::NodeCentric => self.node_centric_pairs(frontier, &mut seen.order),
+            EdgePruningScope::Global => self.global_pairs(frontier, &mut seen.pairs),
         });
         metrics.edge_pruning += sw.elapsed();
         pairs
     }
 
-    /// Node-centric EP, the one enumerator: each frontier entity's
-    /// *survivor row* — the neighbours whose edge it keeps, in
-    /// first-touch scan order — is computed from its counted
-    /// neighbourhood and the build-time threshold vector, then the rows
-    /// are emitted in frontier order through one dedup. A row is a pure
-    /// function of the index and the node, so thread count never
-    /// changes the emitted sequence (pinned by
-    /// `tests/ep_equivalence.rs` and `tests/cache_equivalence.rs`).
-    ///
-    /// For the resolve-all shape — a duplicate-free frontier spanning
-    /// the whole table with no pairs seen yet — the emit loop skips the
-    /// per-surviving-edge `PairSet` hash insert entirely: the
-    /// frontier-rank ownership rule (each edge emitted only by its
-    /// lower-rank endpoint) performs the dedup with two array loads per
-    /// edge. The emitted sequence is bit-identical to the insert-probing
-    /// loop, and later rounds are unaffected: a full-table round
-    /// resolves every record, so no subsequent frontier can replay one
-    /// of its pairs.
+    /// Node-centric EP, the one enumerator: numbers the frontier nodes
+    /// the query has not scanned yet in `order`, then each fill worker
+    /// counts its chunk's nodes' neighbourhoods and emits, in
+    /// first-touch order, every edge the node owns under `order` (see
+    /// [`ScanOrder`]) and keeps under the WNP union rule — either
+    /// endpoint's build-time threshold admits the weight. The round's
+    /// pairs are the chunks concatenated in frontier order. Workers
+    /// only read `order`, and each pair depends only on the index and
+    /// the scan order, so thread count never changes the emitted
+    /// sequence (pinned by `tests/ep_equivalence.rs` and
+    /// `tests/cache_equivalence.rs`).
     fn node_centric_pairs(
         &self,
         frontier: &[RecordId],
-        pair_seen: &mut PairSet,
+        order: &mut ScanOrder,
     ) -> Result<Vec<(RecordId, RecordId)>, ResolveError> {
         let scheme = self.config().weight_scheme;
         let n_blocks = self.n_unpurged_blocks().max(1) as f64;
         let th = &self.ep_thresholds;
-        // Survivor rows in frontier order, computed across disjoint
-        // frontier chunks when the frontier pays for the threads. Each
-        // worker fills one flat buffer for its chunk — the rows back to
-        // back, `ends[i]` closing the chunk's `i`-th row — and the emit
-        // loop below reads it; nothing outlives the call.
-        let workers = if frontier.len() >= PAR_MIN_FRONTIER {
+        // Numbers are handed out before the fan-out, so workers only
+        // read them. A node the query scanned before is left out: it
+        // emitted all of its pairs then.
+        let n = self.n_records();
+        let fresh: Vec<RecordId> = frontier
+            .iter()
+            .copied()
+            .filter(|&q| order.assign(q, n))
+            .collect();
+        let order = &*order;
+        let workers = if fresh.len() >= PAR_MIN_FRONTIER {
             self.config().effective_threads()
         } else {
             1
         };
         let chunks = fan_out(
-            frontier.len(),
+            fresh.len(),
             workers,
             "ep.survivors.worker",
             ResolveStage::EdgePruning,
             |range| {
                 let mut scratch = CooccurrenceScratch::new();
-                let mut ends = Vec::with_capacity(range.len());
-                let mut data = Vec::new();
-                for &q in &frontier[range] {
-                    let nbh = self.cooccurrences_into(q, &mut scratch);
-                    survivors_over(self, scheme, n_blocks, q, nbh, th, &mut data);
-                    ends.push(data.len());
+                let mut out = Vec::new();
+                for &q in &fresh[range] {
+                    let (sq, th_q) = (order.get(q), th[q as usize]);
+                    for &(c, cbs) in self.cooccurrences_into(q, &mut scratch) {
+                        let w = weight_of(self, scheme, n_blocks, q, c, cbs);
+                        if (keeps(w, th_q) || keeps(w, th[c as usize])) && order.owns(sq, c) {
+                            out.push((q, c));
+                        }
+                    }
                 }
-                (ends, data)
+                out
             },
         )?;
-        let rows = chunks.iter().flat_map(|(ends, data)| {
-            let mut start = 0;
-            ends.iter().map(move |&end| {
-                let row = &data[start..end];
-                start = end;
-                row
-            })
-        });
-        // Resolve-all fast path: rank-ownership dedup instead of a
-        // `PairSet` insert per surviving edge. Only sound when no pair
-        // has been recorded yet (nothing to dedup against) and the
-        // frontier covers every record without duplicates (so every
-        // edge endpoint has a rank and each edge one unambiguous
-        // owner); anything else takes the insert-probing arm.
-        let replay_ranks = if pair_seen.is_empty() && frontier.len() == self.n_records() {
-            self.distinct_frontier_ranks(frontier)
-        } else {
-            None
-        };
-        let mut out = Vec::new();
-        for (&q, survivors) in frontier.iter().zip(rows) {
-            match &replay_ranks {
-                Some(rank) => {
-                    let rq = rank[q as usize];
-                    for &c in survivors {
-                        if rank[c as usize] >= rq {
-                            out.push((q, c));
-                        }
-                    }
-                }
-                None => {
-                    for &c in survivors {
-                        if pair_seen.insert(q, c) {
-                            out.push((q, c));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// [`TableErIndex::frontier_ranks`], but `None` when the frontier
-    /// contains a duplicate — the resolve loop always deduplicates its
-    /// frontiers, but the public `try_edge_pruned_pairs` API does not
-    /// promise it, and rank ownership would emit a duplicated node's
-    /// edges twice.
-    fn distinct_frontier_ranks(&self, frontier: &[RecordId]) -> Option<Vec<u32>> {
-        let mut rank = vec![u32::MAX; self.n_records()];
-        for (i, &q) in frontier.iter().enumerate() {
-            let slot = &mut rank[q as usize];
-            if *slot != u32::MAX {
-                return None;
-            }
-            *slot = i as u32;
-        }
-        Some(rank)
+        Ok(chunks.concat())
     }
 
     /// Frontier scan positions: `rank[e]` is the index of `e`'s first

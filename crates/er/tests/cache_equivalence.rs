@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_common::PairSet;
-use queryer_er::edge_pruning::{bulk_node_thresholds, EdgePruner};
+use queryer_er::edge_pruning::{bulk_node_thresholds, EdgePruner, EpSeen};
 use queryer_er::{
     DedupMetrics, EdgePruningScope, ErConfig, LinkIndex, MetaBlockingConfig, ResolveRequest,
     TableErIndex, WeightScheme,
@@ -241,7 +241,7 @@ fn parallel_memo_scan_matches_oracle() {
         for frontier in [&all[..5], &all[..300], &all[..]] {
             let want = oracle_pairs(&idx, frontier);
             idx.clear_ep_cache();
-            let (mut seen_cold, mut seen_warm) = (PairSet::new(), PairSet::new());
+            let (mut seen_cold, mut seen_warm) = (EpSeen::new(), EpSeen::new());
             let cold = idx
                 .try_edge_pruned_pairs(frontier, &mut seen_cold, &mut DedupMetrics::default())
                 .expect("edge pruning");

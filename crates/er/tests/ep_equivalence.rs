@@ -1,22 +1,26 @@
 //! Edge Pruning is one algorithm whatever feeds it.
 //!
 //! Node-centric pruning has one enumerator, which counts each frontier
-//! node's neighbourhood and reads the thresholds the build swept,
+//! node's neighbourhood, reads the thresholds the build swept, and
+//! emits each pair at the endpoint the query scanned first —
 //! sequentially or fanned out across worker threads. These properties
 //! pin that down over random dirty corpora: the threshold sweep — and
 //! the vector the build stored — is bit-equal to a plain in-test
-//! mean-of-weights oracle at every thread count, and an index at 1..8
-//! threads emits the identical candidate pair sequence as a sequential
-//! one for every frontier size from 1 to the whole table — and hence
-//! identical DR sets / links / metrics counts after a full resolve —
-//! across every `WeightScheme` and both `EdgePruningScope`s.
+//! mean-of-weights oracle at every thread count; the enumerator emits,
+//! call by call over random sequences of overlapping, duplicated and
+//! repeated frontiers, exactly what an in-test insert-probing emitter
+//! over a carried pair set emits; and an index at 1..8 threads emits
+//! the identical candidate pair sequence as a sequential one for every
+//! frontier size from 1 to the whole table — and hence identical DR
+//! sets / links / metrics counts after a full resolve — across every
+//! `WeightScheme` and both `EdgePruningScope`s.
 
 #![allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_common::PairSet;
-use queryer_er::edge_pruning::{bulk_node_thresholds, EdgePruner};
+use queryer_er::edge_pruning::{bulk_node_thresholds, EdgePruner, EpSeen};
 use queryer_er::{
     CooccurrenceScratch, DedupMetrics, EdgePruningScope, ErConfig, LinkIndex, MetaBlockingConfig,
     ResolveRequest, TableErIndex, WeightScheme,
@@ -127,14 +131,72 @@ fn oracle_threshold(idx: &TableErIndex, e: RecordId) -> f64 {
     sum / nbh.len() as f64
 }
 
-/// `try_edge_pruned_pairs` without the hit/miss accounting.
+/// `try_edge_pruned_pairs` without the metrics.
 fn pairs_of(
+    idx: &TableErIndex,
+    frontier: &[RecordId],
+    seen: &mut EpSeen,
+) -> Vec<(RecordId, RecordId)> {
+    idx.try_edge_pruned_pairs(frontier, seen, &mut DedupMetrics::default())
+        .expect("edge pruning")
+}
+
+/// The oracle node-centric emission is pinned to: the insert-probing
+/// emitter. Each frontier node's survivor row — the neighbours whose
+/// edge either endpoint's stored threshold admits, in first-touch
+/// order — is emitted in frontier order through a pair set carried
+/// across calls, so a pair goes out the first time any call meets it.
+fn oracle_emit(
     idx: &TableErIndex,
     frontier: &[RecordId],
     seen: &mut PairSet,
 ) -> Vec<(RecordId, RecordId)> {
-    idx.try_edge_pruned_pairs(frontier, seen, &mut DedupMetrics::default())
-        .expect("edge pruning")
+    let th = idx.bulk_ep_thresholds();
+    let keeps = |w: f64, t: f64| w + 1e-12 >= t;
+    let pruner = EdgePruner::new(idx);
+    let mut scratch = CooccurrenceScratch::new();
+    let mut out = Vec::new();
+    for &q in frontier {
+        for &(c, cbs) in idx.cooccurrences_into(q, &mut scratch) {
+            let w = pruner.weight(q, c, cbs);
+            if (keeps(w, th[q as usize]) || keeps(w, th[c as usize])) && seen.insert(q, c) {
+                out.push((q, c));
+            }
+        }
+    }
+    out
+}
+
+/// A node-centric index over `table` with `scheme` and `threads`.
+fn node_centric(table: &Table, scheme: WeightScheme, threads: usize) -> TableErIndex {
+    let mut cfg = ErConfig::default().with_meta(MetaBlockingConfig::All);
+    cfg.weight_scheme = scheme;
+    cfg.threads = threads;
+    TableErIndex::build(table, &cfg)
+}
+
+/// One frontier call of a random sequence over an `n`-record table: a
+/// window of the table starting at `start` (wrapping), whose length
+/// `kind` picks — 5 (a point-query shape, which keeps a fresh query's
+/// scan order sparse), 300, the whole table (both promote it to dense
+/// and reach the resolver's parallel cutoff), any size in 1..=n, or any
+/// size with its first half repeated at the end — optionally scanned
+/// in reverse.
+fn frontier_of(n: usize, (kind, start, len, rev): (usize, usize, usize, bool)) -> Vec<RecordId> {
+    let len = match kind {
+        0 => 5,
+        1 => 300,
+        2 => n,
+        _ => len,
+    };
+    let mut f: Vec<RecordId> = (0..len).map(|i| ((start + i) % n) as RecordId).collect();
+    if kind == 4 {
+        f.extend_from_within(..len / 2);
+    }
+    if rev {
+        f.reverse();
+    }
+    f
 }
 
 /// A deterministic pseudo-random table large enough (> the resolver's
@@ -177,8 +239,8 @@ fn parallel_frontier_scan_matches_sequential() {
         for scheme in [WeightScheme::Cbs, WeightScheme::Ecbs, WeightScheme::Js] {
             let (par_idx, seq_idx) = build_pair(&table, scheme, scope, MetaBlockingConfig::All, 4);
             for frontier in [&all[..5], &all[..300], &all[..]] {
-                let pairs_par = pairs_of(&par_idx, frontier, &mut PairSet::new());
-                let pairs_seq = pairs_of(&seq_idx, frontier, &mut PairSet::new());
+                let pairs_par = pairs_of(&par_idx, frontier, &mut EpSeen::new());
+                let pairs_seq = pairs_of(&seq_idx, frontier, &mut EpSeen::new());
                 assert_eq!(
                     pairs_par,
                     pairs_seq,
@@ -193,74 +255,42 @@ fn parallel_frontier_scan_matches_sequential() {
     }
 }
 
-/// The enumerator's resolve-all fast path — rank-ownership dedup with
-/// no per-surviving-edge `PairSet` insert — emits the exact pair
-/// sequence of the insert-probing loop, on cold and warm memos,
-/// sequentially and across the parallel fan-out. Seeding the carried set with the self-pair
-/// `(0, 0)` forces the insert-probing loop (a non-empty `pair_seen`
-/// disables the fast path) without perturbing output, since EP
-/// survivor lists never contain self-pairs.
+/// The resolve-all shape — the whole table in one frontier — emits the
+/// insert-probing oracle's pair sequence, sequentially and across the
+/// parallel fan-out, and a second call with the same carried state
+/// emits nothing.
 #[test]
-fn resolve_all_fast_path_matches_insert_probing() {
+fn resolve_all_matches_insert_probing_oracle() {
     let table = large_table(420);
     let all: Vec<RecordId> = (0..table.len() as RecordId).collect();
     for scheme in [WeightScheme::Cbs, WeightScheme::Ecbs, WeightScheme::Js] {
         for threads in [1usize, 4] {
-            let mut cfg = ErConfig::default().with_meta(MetaBlockingConfig::All);
-            cfg.weight_scheme = scheme;
-            cfg.threads = threads;
-            let idx = TableErIndex::build(&table, &cfg);
-            // The first pass starts on empty memos, the second replays them.
-            for pass in ["cold", "warm"] {
-                let case = format!("scheme {scheme:?} threads {threads} {pass}");
-
-                let mut fresh = PairSet::new();
-                let fast = pairs_of(&idx, &all, &mut fresh);
-                // The fast path performs no inserts — an empty carried
-                // set after a full-table scan proves it actually ran
-                // (and pins the documented `pair_seen` contract for this
-                // shape).
-                assert!(
-                    fresh.is_empty(),
-                    "fast path must not populate pair_seen ({case})"
-                );
-
-                let mut seeded = PairSet::new();
-                seeded.insert(0, 0);
-                let classic = pairs_of(&idx, &all, &mut seeded);
-                assert!(seeded.len() > 1, "classic path must record its pairs");
-
-                assert_eq!(fast, classic, "{case}");
-                assert!(!fast.is_empty(), "workload must generate pairs");
-            }
+            let idx = node_centric(&table, scheme, threads);
+            let case = format!("scheme {scheme:?} threads {threads}");
+            let (mut seen, mut oracle_seen) = (EpSeen::new(), PairSet::new());
+            let pairs = pairs_of(&idx, &all, &mut seen);
+            assert_eq!(pairs, oracle_emit(&idx, &all, &mut oracle_seen), "{case}");
+            assert!(!pairs.is_empty(), "workload must generate pairs");
+            assert!(pairs_of(&idx, &all, &mut seen).is_empty(), "{case}");
         }
     }
 }
 
-/// A full-length frontier containing a duplicate must fall back to the
-/// insert-probing loop — rank ownership would emit the duplicated
-/// node's edges twice. The trailing duplicate contributes nothing the
-/// insert-probing loop hasn't already recorded, so the emission equals
-/// the duplicate-free prefix's run exactly.
+/// A full-length frontier containing a duplicate: the repeated node was
+/// scanned earlier in the same frontier, so its second occurrence emits
+/// nothing — the oracle's emission, and the duplicate-free prefix's.
 #[test]
-fn duplicate_full_frontier_falls_back_to_classic() {
+fn duplicate_full_frontier_matches_oracle() {
     let table = large_table(420);
     let n = table.len();
-    let cfg = ErConfig::default().with_meta(MetaBlockingConfig::All);
-    let idx = TableErIndex::build(&table, &cfg);
+    let idx = node_centric(&table, WeightScheme::Cbs, 4);
     // Same length as the table, but record 0 appears twice and the last
-    // record never: `frontier.len() == n_records` holds, distinctness
-    // does not.
+    // record never.
     let mut dup: Vec<RecordId> = (0..(n - 1) as RecordId).collect();
     dup.push(0);
-    let mut seen_dup = PairSet::new();
-    let pairs_dup = pairs_of(&idx, &dup, &mut seen_dup);
-    assert!(
-        !seen_dup.is_empty(),
-        "duplicate frontier must take the insert-probing loop"
-    );
-    let mut seen_prefix = PairSet::new();
-    let pairs_prefix = pairs_of(&idx, &dup[..n - 1], &mut seen_prefix);
+    let pairs_dup = pairs_of(&idx, &dup, &mut EpSeen::new());
+    assert_eq!(pairs_dup, oracle_emit(&idx, &dup, &mut PairSet::new()));
+    let pairs_prefix = pairs_of(&idx, &dup[..n - 1], &mut EpSeen::new());
     assert_eq!(pairs_dup, pairs_prefix);
     assert!(!pairs_dup.is_empty(), "workload must generate pairs");
 }
@@ -295,9 +325,33 @@ proptest! {
         }
     }
 
+    /// Node-centric emission over a random sequence of frontier calls
+    /// sharing one query's state — overlapping windows, duplicates,
+    /// re-scans, reversed scans, sizes 1..=n, through the sparse and the
+    /// dense scan order — equals the insert-probing oracle's call by
+    /// call, for every weight scheme at 1..8 threads.
+    #[test]
+    fn scan_order_emission_matches_oracle_over_call_sequences(
+        scheme in 0usize..3,
+        threads in 1usize..9,
+        calls in proptest::collection::vec((0usize..5, 0usize..420, 1usize..=420, any::<bool>()), 1..8),
+    ) {
+        let table = large_table(420);
+        let idx = node_centric(&table, scheme_of(scheme), threads);
+        let (mut seen, mut oracle_seen) = (EpSeen::new(), PairSet::new());
+        for (i, &call) in calls.iter().enumerate() {
+            let frontier = frontier_of(table.len(), call);
+            prop_assert_eq!(
+                pairs_of(&idx, &frontier, &mut seen),
+                oracle_emit(&idx, &frontier, &mut oracle_seen),
+                "call {} {:?}", i, call
+            );
+        }
+    }
+
     /// `try_edge_pruned_pairs` emits the identical pair sequence at any
     /// thread count and sequentially for every frontier prefix of sizes
-    /// 1..=n — including pairs carried over in `pair_seen`.
+    /// 1..=n — including pairs carried over in the query's state.
     #[test]
     fn pair_sets_identical_for_all_frontier_sizes(
         rows in rows(),
@@ -316,22 +370,18 @@ proptest! {
         let all: Vec<RecordId> = (0..table.len() as RecordId).collect();
         for size in 1..=all.len() {
             let frontier = &all[..size];
-            let mut seen_par = PairSet::new();
-            let mut seen_seq = PairSet::new();
+            let mut seen_par = EpSeen::new();
+            let mut seen_seq = EpSeen::new();
             let pairs_par = pairs_of(&par_idx, frontier, &mut seen_par);
             let pairs_seq = pairs_of(&seq_idx, frontier, &mut seen_seq);
             prop_assert_eq!(
                 &pairs_par, &pairs_seq,
                 "pair sequences diverged at frontier size {}", size
             );
-            // A second call with the same carried pair_seen must emit
-            // nothing on either index (all pairs already recorded) —
-            // except after the node-centric resolve-all shape, which
-            // records nothing and so replays in full.
-            if !seen_par.is_empty() {
-                prop_assert!(pairs_of(&par_idx, frontier, &mut seen_par).is_empty());
-                prop_assert!(pairs_of(&seq_idx, frontier, &mut seen_seq).is_empty());
-            }
+            // A second call with the same carried state emits nothing
+            // on either index: every pair already went out.
+            prop_assert!(pairs_of(&par_idx, frontier, &mut seen_par).is_empty());
+            prop_assert!(pairs_of(&seq_idx, frontier, &mut seen_seq).is_empty());
         }
     }
 
