@@ -8,6 +8,26 @@
 //! `row(i)` is two loads and a bounds check, rows are adjacent in
 //! memory, and a full sweep is a linear scan of `data`.
 
+/// A row that would take a [`Csr`] past `u32::MAX` stored elements, the
+/// range its offsets address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CsrOverflow {
+    /// The element count the refused row would have brought the CSR to.
+    pub elements: usize,
+}
+
+impl std::fmt::Display for CsrOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} elements exceed the u32 offset range of a CSR buffer",
+            self.elements
+        )
+    }
+}
+
+impl std::error::Error for CsrOverflow {}
+
 /// A read-mostly CSR matrix: `offsets[i]..offsets[i + 1]` delimits row
 /// `i` inside the flat `data` buffer.
 ///
@@ -43,21 +63,19 @@ impl<T: Copy> Csr<T> {
     /// Appends one row, returning its index. Rows must arrive in row
     /// order — CSR construction is append-only.
     ///
-    /// # Panics
-    /// When the total element count would exceed `u32::MAX` (the offset
-    /// width). At that point the offsets would silently wrap and every
-    /// later row would alias earlier data, so the builder fails loudly
-    /// instead — million-record tables sit orders of magnitude below the
-    /// cap.
-    pub fn push_row(&mut self, row: &[T]) -> usize {
+    /// A row that would take the total element count past `u32::MAX`
+    /// (the offset width) is refused with [`CsrOverflow`] and leaves the
+    /// CSR as it was: the offsets would otherwise wrap and every later
+    /// row alias earlier data. Million-record tables sit orders of
+    /// magnitude below the cap.
+    pub fn push_row(&mut self, row: &[T]) -> Result<usize, CsrOverflow> {
         let total = self.data.len() + row.len();
-        assert!(
-            total <= u32::MAX as usize,
-            "Csr overflow: {total} elements exceed the u32 offset range"
-        );
+        if total > u32::MAX as usize {
+            return Err(CsrOverflow { elements: total });
+        }
         self.data.extend_from_slice(row);
         self.offsets.push(self.data.len() as u32);
-        self.offsets.len() - 2
+        Ok(self.offsets.len() - 2)
     }
 
     /// The row at `i`.
@@ -167,9 +185,9 @@ mod tests {
     fn push_and_read_rows() {
         let mut c: Csr<u32> = Csr::new();
         assert!(c.is_empty());
-        assert_eq!(c.push_row(&[3, 1, 4]), 0);
-        assert_eq!(c.push_row(&[]), 1);
-        assert_eq!(c.push_row(&[1, 5]), 2);
+        assert_eq!(c.push_row(&[3, 1, 4]), Ok(0));
+        assert_eq!(c.push_row(&[]), Ok(1));
+        assert_eq!(c.push_row(&[1, 5]), Ok(2));
         assert_eq!(c.n_rows(), 3);
         assert_eq!(c.row(0), &[3, 1, 4]);
         assert_eq!(c.row(1), &[] as &[u32]);
@@ -181,9 +199,23 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_row_is_a_typed_error() {
+        // Zero-sized elements: four billion of them allocate nothing.
+        let cap = u32::MAX as usize;
+        let big = vec![(); cap + 1];
+        let mut c: Csr<()> = Csr::new();
+        assert_eq!(c.push_row(&big), Err(CsrOverflow { elements: cap + 1 }));
+        assert!(c.is_empty(), "a refused row leaves nothing behind");
+        assert_eq!(c.push_row(&big[..cap]), Ok(0));
+        assert_eq!(c.push_row(&[]), Ok(1));
+        assert_eq!(c.push_row(&[()]), Err(CsrOverflow { elements: cap + 1 }));
+        assert_eq!((c.n_rows(), c.total_len()), (2, cap));
+    }
+
+    #[test]
     fn row_mut_sorts_in_place() {
         let mut c: Csr<u32> = Csr::new();
-        c.push_row(&[9, 2, 7]);
+        c.push_row(&[9, 2, 7]).unwrap();
         c.row_mut(0).sort_unstable();
         assert_eq!(c.row(0), &[2, 7, 9]);
     }
@@ -191,7 +223,7 @@ mod tests {
     #[test]
     fn with_capacity_behaves_like_new() {
         let mut c: Csr<u16> = Csr::with_capacity(2, 8);
-        c.push_row(&[7]);
+        c.push_row(&[7]).unwrap();
         assert_eq!(c.row(0), &[7]);
         assert_eq!(c.n_rows(), 1);
     }
@@ -201,10 +233,10 @@ mod tests {
         // blocks→records example: transpose must equal the pair-vector
         // inversion it replaces, row for row.
         let mut blocks: Csr<u32> = Csr::new();
-        blocks.push_row(&[0, 2, 3]);
-        blocks.push_row(&[]);
-        blocks.push_row(&[1, 2]);
-        blocks.push_row(&[0]);
+        blocks.push_row(&[0, 2, 3]).unwrap();
+        blocks.push_row(&[]).unwrap();
+        blocks.push_row(&[1, 2]).unwrap();
+        blocks.push_row(&[0]).unwrap();
         let n_records = 4;
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         for (b, row) in blocks.rows().enumerate() {
@@ -233,9 +265,9 @@ mod tests {
         // source indices must ascend — the invariant the ER block graph
         // relies on (block contents sorted by record id).
         let mut c: Csr<u32> = Csr::new();
-        c.push_row(&[1, 0]);
-        c.push_row(&[0, 1]);
-        c.push_row(&[1]);
+        c.push_row(&[1, 0]).unwrap();
+        c.push_row(&[0, 1]).unwrap();
+        c.push_row(&[1]).unwrap();
         let t = c.transpose(2);
         assert_eq!(t.row(0), &[0, 1]);
         assert_eq!(t.row(1), &[0, 1, 2]);

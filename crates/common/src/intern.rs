@@ -88,8 +88,9 @@ impl TokenArena {
         }
     }
 
-    /// Appends one slice, returning its slot index.
-    pub fn push(&mut self, slice: &[u32]) -> usize {
+    /// Appends one slice, returning its slot index, or the
+    /// [`crate::CsrOverflow`] of an arena past `u32::MAX` elements.
+    pub fn push(&mut self, slice: &[u32]) -> Result<usize, crate::CsrOverflow> {
         self.csr.push_row(slice)
     }
 
@@ -147,7 +148,7 @@ mod tests {
         let s0 = a.push(&[3, 1, 4]);
         let s1 = a.push(&[]);
         let s2 = a.push(&[1, 5]);
-        assert_eq!((s0, s1, s2), (0, 1, 2));
+        assert_eq!((s0, s1, s2), (Ok(0), Ok(1), Ok(2)));
         assert_eq!(a.get(0), &[3, 1, 4]);
         assert_eq!(a.get(1), &[] as &[u32]);
         assert_eq!(a.get(2), &[1, 5]);
@@ -158,7 +159,7 @@ mod tests {
     #[test]
     fn with_capacity_behaves_like_new() {
         let mut a = TokenArena::with_capacity(4, 16);
-        a.push(&[7]);
+        a.push(&[7]).unwrap();
         assert_eq!(a.get(0), &[7]);
         assert_eq!(a.len(), 1);
     }

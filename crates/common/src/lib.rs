@@ -23,7 +23,7 @@ pub mod timing;
 
 pub use cancel::CancelToken;
 pub use checksum::{crc32c, Crc32c, Fnv64};
-pub use csr::Csr;
+pub use csr::{Csr, CsrOverflow};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use intern::{Symbol, TokenArena, TokenInterner};
 pub use pairkey::{pack_pair, unpack_pair, PairSet};

@@ -195,26 +195,28 @@ impl<V: Clone> ShardedMap<V> {
     }
 
     /// Groups `0..n` key indices by shard with a stable counting sort:
-    /// returns per-shard offsets into the returned order array. One
+    /// returns per-shard offsets into the returned order array. Two
     /// `shard_of` per key, O(n) total — the batch operations below then
     /// lock each shard exactly once and visit only its own keys.
-    fn group_by_shard(&self, keys: &[u64]) -> (Vec<u32>, Vec<u32>) {
+    fn group_by_shard(&self, n: usize, key: impl Fn(usize) -> u64) -> (Vec<u32>, Vec<u32>) {
         let n_shards = self.shards.len();
         let mut offsets = vec![0u32; n_shards + 1];
-        let shard_ids: Vec<u32> = keys.iter().map(|&k| self.shard_of(k) as u32).collect();
-        for &s in &shard_ids {
-            offsets[s as usize + 1] += 1;
+        for i in 0..n {
+            offsets[self.shard_of(key(i)) + 1] += 1;
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
-        let mut cursor = offsets.clone();
-        let mut order = vec![0u32; keys.len()];
-        for (i, &s) in shard_ids.iter().enumerate() {
-            let c = &mut cursor[s as usize];
+        // Each shard's start doubles as its fill cursor, which leaves it
+        // at the shard's end: shifting by one slot restores the starts.
+        let mut order = vec![0u32; n];
+        for i in 0..n {
+            let c = &mut offsets[self.shard_of(key(i))];
             order[*c as usize] = i as u32;
             *c += 1;
         }
+        offsets.rotate_right(1);
+        offsets[0] = 0;
         (offsets, order)
     }
 
@@ -225,7 +227,7 @@ impl<V: Clone> ShardedMap<V> {
     pub fn get_batch(&self, keys: &[u64], out: &mut Vec<Option<V>>) {
         out.clear();
         out.resize(keys.len(), None);
-        let (offsets, order) = self.group_by_shard(keys);
+        let (offsets, order) = self.group_by_shard(keys.len(), |i| keys[i]);
         for (shard_at, shard) in self.shards.iter().enumerate() {
             let mine = &order[offsets[shard_at] as usize..offsets[shard_at + 1] as usize];
             if mine.is_empty() {
@@ -252,8 +254,7 @@ impl<V: Clone> ShardedMap<V> {
     /// Batched first-write-wins insertion, locking each shard at most
     /// once per call.
     pub fn insert_batch(&self, entries: &[(u64, V)]) {
-        let keys: Vec<u64> = entries.iter().map(|&(k, _)| k).collect();
-        let (offsets, order) = self.group_by_shard(&keys);
+        let (offsets, order) = self.group_by_shard(entries.len(), |i| entries[i].0);
         for (shard_at, shard) in self.shards.iter().enumerate() {
             let mine = &order[offsets[shard_at] as usize..offsets[shard_at + 1] as usize];
             if mine.is_empty() {

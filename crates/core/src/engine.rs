@@ -230,15 +230,15 @@ impl QueryEngine {
         };
 
         // Link Index maintenance mirrors the index invalidation scope:
-        // targeted unresolve for the affected ids, full reset otherwise.
+        // targeted unresolve for the affected ids, every record
+        // otherwise. Either way the marks taken back turn stale, so the
+        // decision memo serves their pairs' re-asks.
         {
             let mut li = rt.li.write();
+            li.grow(rt.table.len());
             match &applied.affected {
-                queryer_er::Affected::Ids(ids) => {
-                    li.grow(rt.table.len());
-                    li.invalidate(ids);
-                }
-                queryer_er::Affected::All => *li = LinkIndex::new(rt.table.len()),
+                queryer_er::Affected::Ids(ids) => li.invalidate(ids),
+                queryer_er::Affected::All => li.invalidate_all(),
             }
         }
 

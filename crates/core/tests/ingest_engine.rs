@@ -369,3 +369,78 @@ fn duplication_factor_is_sampled_on_read_and_follows_writes() {
     let from_scratch = queryer_core::planner::stats::compute_table_stats(&table, &rebuilt).unwrap();
     assert_eq!(after, from_scratch.duplication_factor);
 }
+
+/// Canonical rows of one answer.
+type Rows = Vec<Vec<String>>;
+
+/// Runs query, ingest, re-query, ingest, re-query over the catalog —
+/// each write inserts a copy of record 5 — and returns every answer
+/// beside a freshly registered engine's answer on the same rows, the
+/// third query's served decisions, and the memo size after each query.
+/// With `cold_third`, the memo is cleared before the third query.
+fn query_ingest_session(sql: &str, cold_third: bool) -> (Vec<(Rows, Rows)>, u64, Vec<usize>) {
+    let mut e = engine();
+    let copy_of_5 = |e: &QueryEngine| DeltaOp::Insert {
+        values: e.table("P").unwrap().record(5).unwrap().values.clone(),
+    };
+    let (mut answers, mut third_hits, mut memo) = (Vec::new(), 0, Vec::new());
+    for step in 0..3 {
+        if step > 0 {
+            let op = copy_of_5(&e);
+            e.ingest("P", &[op]).unwrap();
+        }
+        if step == 2 && cold_third {
+            e.er_index("P").unwrap().clear_ep_cache();
+        }
+        let live = e.execute(sql).unwrap();
+        if step == 2 {
+            third_hits = live.metrics.er.decision_cache_hits;
+        }
+        let mut fresh = QueryEngine::new(ErConfig::default());
+        fresh
+            .register_table((*e.table("P").unwrap()).clone())
+            .unwrap();
+        answers.push((
+            live.canonical_rows(),
+            fresh.execute(sql).unwrap().canonical_rows(),
+        ));
+        memo.push(e.er_index("P").unwrap().resolve_cache_sizes().2);
+    }
+    (answers, third_hits, memo)
+}
+
+/// The decision memo keeps what writes un-resolve, and nothing else.
+/// Queries without a write leave it empty however many run. A write's
+/// re-query re-resolves the invalidated records through it, and after
+/// the next write touching the same cluster the third query's
+/// re-resolve is served from it: more decisions served than with the
+/// memo cleared first. Every answer equals a freshly registered
+/// engine's.
+#[test]
+fn memo_serves_the_records_writes_unresolve() {
+    let _env = CompactCap::new(None);
+    let e = engine();
+    for _ in 0..3 {
+        e.execute(EDBT_DEDUP).unwrap();
+        e.execute("SELECT DEDUP title FROM P").unwrap();
+    }
+    assert_eq!(
+        e.er_index("P").unwrap().resolve_cache_sizes(),
+        (0, 0, 0),
+        "no write, no memo"
+    );
+
+    let sql = "SELECT DEDUP title, venue FROM P";
+    let (answers, hits, memo) = query_ingest_session(sql, false);
+    for (step, (live, fresh)) in answers.iter().enumerate() {
+        assert_eq!(live, fresh, "query {step} differs from a fresh engine");
+    }
+    assert_eq!(memo[0], 0, "the first query precedes every write");
+    assert!(memo[1] > 0, "the re-query after a write fills the memo");
+    let (cold_answers, cold_hits, _) = query_ingest_session(sql, true);
+    assert_eq!(cold_answers, answers);
+    assert!(
+        hits > cold_hits,
+        "the third query is served from the memo: {hits} vs {cold_hits} served cold"
+    );
+}

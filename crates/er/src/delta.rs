@@ -166,8 +166,9 @@ pub enum Affected {
     /// thresholds were patched in place. Sorted ascending, deduped.
     Ids(Vec<RecordId>),
     /// The active config derives node weights from global index
-    /// statistics, so any record's links may have moved and the whole
-    /// Link Index has to be dropped.
+    /// statistics, so any record's links may have moved and every
+    /// Link Index entry has to go
+    /// ([`crate::LinkIndex::invalidate_all`]).
     All,
 }
 
@@ -184,10 +185,9 @@ impl Affected {
 /// Outcome of [`TableErIndex::apply_delta`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppliedDelta {
-    /// The invalidation scope — feed [`Affected::Ids`] to
-    /// [`crate::LinkIndex::invalidate`] (after
-    /// [`crate::LinkIndex::grow`]), or clear the LI on
-    /// [`Affected::All`].
+    /// The invalidation scope — after [`crate::LinkIndex::grow`], feed
+    /// [`Affected::Ids`] to [`crate::LinkIndex::invalidate`], or call
+    /// [`crate::LinkIndex::invalidate_all`] on [`Affected::All`].
     pub affected: Affected,
     /// Ops accumulated in the delta side since the last compaction
     /// (including this batch) — the auto-compaction trigger input.

@@ -43,7 +43,7 @@
 //! before the call, so concurrent queries are fault-isolated from each
 //! other and a failed call can simply be retried.
 
-use queryer_common::{failpoints, CancelToken};
+use queryer_common::{failpoints, CancelToken, CsrOverflow};
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -282,6 +282,21 @@ pub enum ResolveError {
         /// What was wrong with the batch.
         reason: &'static str,
     },
+    /// The table needs more entries in one of the index's flat buffers
+    /// than their `u32` offsets address; the build stopped before any
+    /// offset wrapped.
+    IndexOverflow {
+        /// The entry count the buffer would have reached.
+        elements: usize,
+    },
+}
+
+impl From<CsrOverflow> for ResolveError {
+    fn from(e: CsrOverflow) -> Self {
+        ResolveError::IndexOverflow {
+            elements: e.elements,
+        }
+    }
 }
 
 impl fmt::Display for ResolveError {
@@ -301,6 +316,10 @@ impl fmt::Display for ResolveError {
             ResolveError::InvalidDelta { reason } => {
                 write!(f, "invalid delta batch: {reason}")
             }
+            ResolveError::IndexOverflow { elements } => write!(
+                f,
+                "index build needs {elements} entries in one buffer, past its u32 offset range"
+            ),
         }
     }
 }
@@ -382,6 +401,13 @@ impl Drop for PoisonGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn csr_overflow_is_a_typed_build_error() {
+        let e = ResolveError::from(CsrOverflow { elements: 1 << 33 });
+        assert_eq!(e, ResolveError::IndexOverflow { elements: 1 << 33 });
+        assert!(e.to_string().contains("8589934592 entries"));
+    }
 
     #[test]
     fn unlimited_budget_never_interrupts() {

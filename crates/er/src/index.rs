@@ -462,7 +462,7 @@ impl TableErIndex {
             } else {
                 unpurged.len()
             };
-            entity_retained.push_row(&unpurged[..keep]);
+            entity_retained.push_row(&unpurged[..keep])?;
         }
 
         // Invert retention by the same counting-pass transpose: per
@@ -912,7 +912,7 @@ fn tokenize_table(
                     .iter()
                     .map(|&s| key_remap[s as usize]),
             );
-            entity_keys.push_row(&row);
+            entity_keys.push_row(&row)?;
             at += len as usize;
         }
         let mut at = 0usize;
@@ -924,7 +924,7 @@ fn tokenize_table(
                     .map(|&s| token_remap[s as usize]),
             );
             row.sort_unstable();
-            profile_tokens.push(&row);
+            profile_tokens.push(&row)?;
             profile_sigs.push(token_sig(&row));
             at += len as usize;
         }

@@ -79,16 +79,22 @@
 //!   Nothing is kept across queries: the resolve loop marks every
 //!   finished frontier resolved in the Link Index, so a node is scanned
 //!   about once per Link-Index lifetime.
-//! * **Cross-query decision memo** — `execute_comparisons` consults a
+//! * **Link-Index-decided pairs, and a decision memo for what writes
+//!   un-resolve** — the Link-Index read that finds linked pairs also
+//!   classes the rest. Under symmetric pair generation (node-centric EP
+//!   or none) an unlinked pair with a resolved endpoint was decided when
+//!   that endpoint was resolved: a non-match, with no kernel and no memo
+//!   probe. Only pairs with a *stale* endpoint — one a write's
+//!   [`LinkIndex::invalidate`] un-resolved — probe and fill the
 //!   pair-keyed decision memo (a sharded [`queryer_common::ShardedMap`],
-//!   cap `ErConfig::decision_cache_cap`) before running any kernel, so
-//!   overlapping queries skip comparison work entirely. A decision is a
-//!   pure function of the index, so the memo never changes one:
-//!   `DedupMetrics` reports `decision_cache_*` hit/miss counters, and
+//!   cap `ErConfig::decision_cache_cap`); a pair of never-resolved
+//!   records runs its kernel and writes nothing. A decision is a pure
+//!   function of the index, so neither changes one: `DedupMetrics`
+//!   reports `decision_cache_*` hit/miss counters, and
 //!   `comparisons`/`candidate_pairs`/`matches_found` never depend on
 //!   memo state (property-pinned by `tests/cache_equivalence.rs`
-//!   against cleared memos over sequences of overlapping point + range
-//!   queries).
+//!   against cleared memos and fresh builds over sessions of
+//!   overlapping point + range queries, writes and invalidations).
 //! * **Compiled comparison kernels** — [`CompiledMatcher::new`] resolves the
 //!   similarity kind, threshold, and attribute layout once into a
 //!   [`kernel::CompareKernel`] over kernel-ready per-record data

@@ -4,15 +4,33 @@
 //!
 //! The LI is what makes QueryER progressively faster with every issued
 //! query (Fig. 11): entities already marked *resolved* skip Query
-//! Blocking and Comparison-Execution entirely.
+//! Blocking and Comparison-Execution entirely, and so does every
+//! unlinked candidate pair with a resolved endpoint: the resolved mark
+//! promises that every match of the entity is linked here.
 
 use queryer_common::{FxHashMap, FxHashSet, PairSet};
 use queryer_storage::RecordId;
 
-/// Per-table link index: resolved flags + symmetric link adjacency.
+/// What the Link Index knows about one record's link-set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mark {
+    /// Never resolved, or forgotten by [`LinkIndex::clear`].
+    Unresolved,
+    /// The link-set is complete: every candidate pair incident to the
+    /// record was decided, and every match among them is linked here.
+    Resolved,
+    /// Was resolved until a write's [`LinkIndex::invalidate`] dropped
+    /// the mark. Unresolved as far as any answer goes; the resolver
+    /// keeps the decision memo for pairs touching such records, since
+    /// only they are asked again.
+    Stale,
+}
+
+/// Per-table link index: a mark per record (unresolved, resolved or
+/// stale) + symmetric link adjacency.
 #[derive(Debug, Clone, Default)]
 pub struct LinkIndex {
-    pub(crate) resolved: Vec<bool>,
+    pub(crate) marks: Vec<Mark>,
     pub(crate) adj: FxHashMap<RecordId, Vec<RecordId>>,
     pub(crate) n_links: usize,
 }
@@ -21,7 +39,7 @@ impl LinkIndex {
     /// Creates an empty index for a table of `n` records.
     pub fn new(n: usize) -> Self {
         Self {
-            resolved: vec![false; n],
+            marks: vec![Mark::Unresolved; n],
             adj: FxHashMap::default(),
             n_links: 0,
         }
@@ -29,30 +47,37 @@ impl LinkIndex {
 
     /// Number of records covered.
     pub fn len(&self) -> usize {
-        self.resolved.len()
+        self.marks.len()
     }
 
     /// `true` when covering no records.
     pub fn is_empty(&self) -> bool {
-        self.resolved.is_empty()
+        self.marks.is_empty()
     }
 
     /// Whether the entity's link-set has already been fully computed by a
     /// previous query.
     #[inline]
     pub fn is_resolved(&self, id: RecordId) -> bool {
-        self.resolved[id as usize]
+        self.marks[id as usize] == Mark::Resolved
+    }
+
+    /// The entity's mark. Only the resolver tells a stale entity from
+    /// an unresolved one, to decide which pairs the decision memo keeps.
+    #[inline]
+    pub(crate) fn mark(&self, id: RecordId) -> Mark {
+        self.marks[id as usize]
     }
 
     /// Marks an entity as fully resolved.
     #[inline]
     pub fn mark_resolved(&mut self, id: RecordId) {
-        self.resolved[id as usize] = true;
+        self.marks[id as usize] = Mark::Resolved;
     }
 
     /// Number of resolved entities.
     pub fn resolved_count(&self) -> usize {
-        self.resolved.iter().filter(|&&r| r).count()
+        self.marks.iter().filter(|&&m| m == Mark::Resolved).count()
     }
 
     /// Number of distinct links (matched pairs) recorded.
@@ -113,15 +138,16 @@ impl LinkIndex {
     /// new tail starts unresolved and linkless. Shrinking is not a thing
     /// — deletes keep their dense id as an all-NULL row.
     pub fn grow(&mut self, n: usize) {
-        if n > self.resolved.len() {
-            self.resolved.resize(n, false);
+        if n > self.marks.len() {
+            self.marks.resize(n, Mark::Unresolved);
         }
     }
 
     /// Drops everything the index claims about `ids`: every link
     /// incident to them (both directions, so the adjacency stays
-    /// symmetric) and the resolved flag of every member of their
-    /// duplicate clusters. A resolve seeds its frontier from the
+    /// symmetric) and the resolved mark of every member of their
+    /// duplicate clusters, which turn stale.
+    /// A resolve seeds its frontier from the
     /// *unresolved* query entities and answers with their closure, so a
     /// resolved mark promises more than a complete link-set: every
     /// member of the closure must be resolved too. Un-resolving only
@@ -132,8 +158,8 @@ impl LinkIndex {
     /// and everything outside them stays warm.
     pub fn invalidate(&mut self, ids: &[RecordId]) {
         for member in self.closure(ids.iter().copied()) {
-            if let Some(resolved) = self.resolved.get_mut(member as usize) {
-                *resolved = false;
+            if let Some(mark) = self.marks.get_mut(member as usize) {
+                unresolve(mark);
             }
         }
         let set: FxHashSet<RecordId> = ids.iter().copied().collect();
@@ -161,9 +187,19 @@ impl LinkIndex {
         }
     }
 
-    /// Forgets everything (used by the "Without LI" ablation of Fig. 11).
+    /// [`LinkIndex::invalidate`] of every record: drops every link and
+    /// turns every resolved mark stale. The ingest path's answer to a
+    /// write whose effect is not targeted ([`crate::Affected::All`]).
+    pub fn invalidate_all(&mut self) {
+        self.marks.iter_mut().for_each(unresolve);
+        self.adj.clear();
+        self.n_links = 0;
+    }
+
+    /// Forgets everything, stale marks included (used by the "Without
+    /// LI" ablation of Fig. 11).
     pub fn clear(&mut self) {
-        self.resolved.iter_mut().for_each(|r| *r = false);
+        self.marks.iter_mut().for_each(|m| *m = Mark::Unresolved);
         self.adj.clear();
         self.n_links = 0;
     }
@@ -189,6 +225,13 @@ impl LinkIndex {
             self.mark_resolved(id);
         }
         added
+    }
+}
+
+/// Takes a resolved mark back; unresolved and stale marks stay.
+fn unresolve(mark: &mut Mark) {
+    if *mark == Mark::Resolved {
+        *mark = Mark::Stale;
     }
 }
 
@@ -368,20 +411,43 @@ mod tests {
         assert_eq!(li.link_count(), 2);
         for id in li.closure([1]) {
             assert!(!li.is_resolved(id), "{id} is in 1's closure");
+            assert_eq!(
+                li.mark(id),
+                Mark::Stale,
+                "{id} was resolved, so it turns stale"
+            );
         }
-        assert!(!li.is_resolved(3));
+        assert_eq!(li.mark(3), Mark::Stale);
         assert!(li.is_resolved(7) && li.is_resolved(8), "7–8 is untouched");
+
+        // A never-resolved member stays unresolved, not stale.
+        li.add_link(1, 9);
+        li.invalidate(&[1]);
+        assert_eq!(li.mark(9), Mark::Unresolved);
     }
 
     #[test]
     fn resolved_flags() {
         let mut li = LinkIndex::new(3);
-        assert!(!li.is_resolved(0));
+        assert_eq!(li.mark(0), Mark::Unresolved);
         li.mark_resolved(0);
+        li.mark_resolved(1);
+        li.add_link(0, 1);
         assert!(li.is_resolved(0));
-        assert_eq!(li.resolved_count(), 1);
+        assert_eq!(li.resolved_count(), 2);
+        li.invalidate_all();
+        assert_eq!((li.resolved_count(), li.link_count()), (0, 0));
+        let marks: Vec<Mark> = (0..3).map(|id| li.mark(id)).collect();
+        assert_eq!(marks, [Mark::Stale, Mark::Stale, Mark::Unresolved]);
+        // Re-resolving a stale entity makes it plainly resolved again.
+        li.mark_resolved(0);
+        assert_eq!(li.mark(0), Mark::Resolved);
         li.clear();
         assert_eq!(li.resolved_count(), 0);
         assert_eq!(li.link_count(), 0);
+        assert!(
+            (0..3).all(|id| li.mark(id) == Mark::Unresolved),
+            "clear forgets stale marks"
+        );
     }
 }

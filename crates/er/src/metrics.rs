@@ -22,8 +22,10 @@ pub struct DedupMetrics {
     pub edge_pruning: Duration,
     /// Comparison-Execution ("Resolution" in Table 6).
     pub resolution: Duration,
-    /// Pairwise comparisons actually executed (the paper's "Comp." /
-    /// "Executed Comparisons" measure).
+    /// Pairwise comparisons executed (the paper's "Comp." / "Executed
+    /// Comparisons" measure): every unlinked candidate pair decided,
+    /// whether its kernel ran or the Link Index or the decision memo
+    /// served it, so the count never depends on what either holds.
     pub comparisons: u64,
     /// Candidate pairs that survived meta-blocking (before the
     /// executed-once / already-linked filters).
@@ -38,12 +40,14 @@ pub struct DedupMetrics {
     pub ep_cache_hits: u64,
     /// Always 0, like [`DedupMetrics::ep_cache_hits`].
     pub ep_cache_misses: u64,
-    /// Comparisons whose decision was served from the pair-keyed
-    /// decision cache — kernel work skipped entirely. These pairs still
-    /// count in `comparisons`: decision counts never depend on cache
-    /// state.
+    /// Comparisons served without a kernel: pairs the Link Index
+    /// decided (an endpoint resolved, the pair not linked — a
+    /// non-match) and hits in the pair-keyed decision memo. These pairs
+    /// still count in `comparisons`: decision counts never depend on
+    /// cache state.
     pub decision_cache_hits: u64,
-    /// Comparisons that ran a kernel and memoized their decision.
+    /// Comparisons that ran a kernel. Only those with a stale endpoint
+    /// (un-resolved by a write) memoize their decision.
     pub decision_cache_misses: u64,
     /// Candidate pairs that were scheduled for comparison but never
     /// compared because the [`ResolveBudget`](crate::ResolveBudget) was

@@ -14,12 +14,13 @@ use crate::edge_pruning::{keeps, prune_global, weight_of, EdgePruner, EpSeen, Sc
 use crate::govern::{fan_out, Completion, ResolveBudget, ResolveError, ResolveStage, Stop};
 use crate::index::{BlockId, CooccurrenceScratch, TableErIndex};
 use crate::kernel::{CompiledMatcher, KernelScratch, QuerySide};
-use crate::link_index::{LinkDelta, LinkIndex};
+use crate::link_index::{LinkDelta, LinkIndex, Mark};
 use crate::metrics::DedupMetrics;
 use crate::request::LiMode;
 use queryer_common::failpoints;
 use queryer_common::{pack_pair, FxHashMap, FxHashSet, PairSet, Stopwatch};
 use queryer_storage::{RecordId, Table};
+use std::cell::RefCell;
 use std::time::Duration;
 
 /// Minimum frontier size before the Edge Pruning scans fan out across
@@ -65,6 +66,61 @@ struct CmpRun {
     decisions: Vec<bool>,
     executed: usize,
     stop: Option<Stop>,
+}
+
+/// How Comparison-Execution treats an unlinked candidate pair, read off
+/// the Link Index in the same view that finds linked pairs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PairClass {
+    /// An endpoint is resolved and pair generation is symmetric, so the
+    /// pair was decided when that endpoint was resolved; it is not
+    /// linked, hence a non-match. No kernel call, no memo probe.
+    Decided,
+    /// An endpoint is stale (or resolved under global-scope EP): the
+    /// pair has been asked before and may be asked again after the next
+    /// write, so the decision memo serves and keeps it.
+    Memo,
+    /// Neither endpoint has been resolved: the pair is new. It runs its
+    /// kernel and leaves the memo alone.
+    Plain,
+}
+
+impl PairClass {
+    /// The class of candidate pair `(q, c)` against the committed view
+    /// `g` and this query's own `delta`, or `None` when the pair is
+    /// already linked (a partner, no decision needed). `symmetric` says
+    /// pair generation keeps a pair whichever endpoint is scanned.
+    ///
+    /// The Decided rule rests on three things. The LI contract: a
+    /// resolved mark is published with every link of the record. The
+    /// write path: `Affected` names every record whose link-set can
+    /// change, and `LinkIndex::invalidate` takes back their marks. And
+    /// symmetric generation: the pair was a candidate when the resolved
+    /// endpoint was resolved, so had it matched, it would be linked.
+    #[inline]
+    fn of(
+        g: &LinkIndex,
+        delta: &LinkDelta,
+        symmetric: bool,
+        q: RecordId,
+        c: RecordId,
+    ) -> Option<PairClass> {
+        if g.are_linked(q, c) || delta.are_linked(q, c) {
+            return None;
+        }
+        // Non-short-circuit operators: the marks are loaded either way,
+        // and the pair mix is too irregular for branches to predict.
+        let (mq, mc) = (g.mark(q), g.mark(c));
+        let resolved = (mq == Mark::Resolved) | (mc == Mark::Resolved);
+        let seen = (mq != Mark::Unresolved) | (mc != Mark::Unresolved);
+        Some(if symmetric & resolved {
+            PairClass::Decided
+        } else if seen {
+            PairClass::Memo
+        } else {
+            PairClass::Plain
+        })
+    }
 }
 
 /// Per-query mutable resolve state. Everything a resolve mutates —
@@ -204,6 +260,12 @@ impl TableErIndex {
         // threshold, and attribute layout resolve here, never per pair.
         let cfg = self.config();
         let matcher = CompiledMatcher::new(cfg.similarity, cfg.match_threshold, self);
+        // Whether a pair survives pair generation independently of which
+        // endpoint is in the frontier: WNP's union rule over symmetric
+        // weights, or the block co-occurrence without EP. Global EP
+        // prunes against the frontier's mean, so a resolved endpoint
+        // proves nothing about a pair it never saw.
+        let symmetric = !cfg.meta.edge_pruning() || cfg.ep_scope == EdgePruningScope::NodeCentric;
 
         let mut frontier = self.unresolved_frontier(li, ctx, qe.iter().copied());
 
@@ -254,24 +316,33 @@ impl TableErIndex {
 
             // (iv) Comparison-Execution. Pairs already linked by previous
             // queries (or earlier rounds of this one) need no comparison
-            // but still contribute partners. One LI view for the whole
-            // batch — the loop body is hash probes only.
+            // but still contribute partners; every other pair is classed
+            // for `execute_comparisons` (see `PairClass`). One LI view
+            // for the whole batch — the loop body is hash probes and
+            // mark loads only.
             let mut sw = Stopwatch::new();
             sw.start();
             let mut partners: Vec<RecordId> = Vec::new();
             let mut to_compare: Vec<(RecordId, RecordId)> = Vec::with_capacity(pairs.len());
+            let mut classes: Vec<PairClass> = Vec::with_capacity(pairs.len());
             li.read(&mut ctx.lock_wait, |g| {
                 for (q, c) in pairs {
-                    if g.are_linked(q, c) || ctx.delta.are_linked(q, c) {
-                        partners.push(c);
-                    } else {
-                        to_compare.push((q, c));
+                    match PairClass::of(g, &ctx.delta, symmetric, q, c) {
+                        None => partners.push(c),
+                        Some(class) => {
+                            if class == PairClass::Decided {
+                                note_decided((q, c));
+                            }
+                            to_compare.push((q, c));
+                            classes.push(class);
+                        }
                     }
                 }
             });
             let run = self.execute_comparisons_governed(
                 &matcher,
                 &to_compare,
+                &classes,
                 metrics,
                 budget,
                 ctx.comparisons_done,
@@ -574,59 +645,85 @@ impl TableErIndex {
             .collect())
     }
 
-    /// Runs the match decisions for `pairs`, consulting the pair-keyed
-    /// decision cache first: pairs
-    /// decided by any earlier (overlapping) query skip kernel work
-    /// entirely, and fresh decisions are memoized for the next query.
-    /// Cache state never changes a decision — a cached value is exactly
-    /// what the kernel returned for that pair — and never changes
-    /// `DedupMetrics::comparisons` (hits and misses are reported in the
-    /// dedicated `decision_cache_*` counters).
+    /// Runs the match decisions for `pairs`, position-aligned with their
+    /// `classes`: a [`PairClass::Decided`] pair is a non-match without
+    /// any work, a [`PairClass::Memo`] pair consults the pair-keyed
+    /// decision memo first and memoizes a fresh decision, and a
+    /// [`PairClass::Plain`] pair runs its kernel and leaves the memo
+    /// alone — a batch without memo pairs never touches it. Neither the
+    /// Link Index nor the memo ever changes a decision: a Decided pair
+    /// is one the kernel rejects, and a memoized value is exactly what
+    /// the kernel returned for that pair. Every pair counts in
+    /// `DedupMetrics::comparisons`; Decided pairs and memo hits count
+    /// as `decision_cache_hits`, kernel runs as `decision_cache_misses`.
     fn execute_comparisons(
         &self,
         matcher: &CompiledMatcher<'_>,
         pairs: &[(RecordId, RecordId)],
+        classes: &[PairClass],
         metrics: &mut DedupMetrics,
     ) -> Result<Vec<bool>, ResolveError> {
-        let cache = &self.decisions;
-        let keys: Vec<u64> = pairs.iter().map(|&(q, c)| pack_pair(q, c)).collect();
-        // First query on a fresh cache: skip the probe pass entirely —
-        // every pair is a miss by definition.
-        let mut cached: Vec<Option<bool>> = Vec::new();
-        if cache.is_empty() {
-            cached.resize(pairs.len(), None);
-        } else {
-            cache.get_batch(&keys, &mut cached);
+        if classes.iter().all(|&k| k == PairClass::Plain) {
+            metrics.decision_cache_misses += pairs.len() as u64;
+            return self.run_comparison_kernels(matcher, pairs);
         }
+        // One pass: Decided pairs stay `false`, memo pairs queue a probe,
+        // plain pairs queue a kernel run.
         let mut decisions = vec![false; pairs.len()];
         let mut miss_at: Vec<u32> = Vec::new();
-        let mut misses: Vec<(RecordId, RecordId)> = Vec::new();
-        for (i, served) in cached.iter().enumerate() {
-            match *served {
-                Some(d) => decisions[i] = d,
-                None => {
-                    miss_at.push(i as u32);
-                    misses.push(pairs[i]);
+        let mut memo_at: Vec<u32> = Vec::new();
+        let mut keys: Vec<u64> = Vec::new();
+        for (i, (&(q, c), &class)) in pairs.iter().zip(classes).enumerate() {
+            match class {
+                PairClass::Decided => {}
+                PairClass::Memo => {
+                    memo_at.push(i as u32);
+                    keys.push(pack_pair(q, c));
+                }
+                PairClass::Plain => miss_at.push(i as u32),
+            }
+        }
+        // Memo misses queue behind the plain pairs: `miss_at[n_plain..]`.
+        let n_plain = miss_at.len();
+        let cache = &self.decisions;
+        if !keys.is_empty() {
+            let mut cached: Vec<Option<bool>> = Vec::new();
+            if cache.is_empty() {
+                cached.resize(keys.len(), None);
+            } else {
+                cache.get_batch(&keys, &mut cached);
+            }
+            for (&at, served) in memo_at.iter().zip(cached) {
+                match served {
+                    Some(d) => decisions[at as usize] = d,
+                    None => miss_at.push(at),
                 }
             }
         }
-        metrics.decision_cache_hits += (pairs.len() - misses.len()) as u64;
-        metrics.decision_cache_misses += misses.len() as u64;
-        if misses.is_empty() {
+        metrics.decision_cache_hits += (pairs.len() - miss_at.len()) as u64;
+        metrics.decision_cache_misses += miss_at.len() as u64;
+        if miss_at.is_empty() {
             return Ok(decisions);
         }
+        let misses: Vec<(RecordId, RecordId)> =
+            miss_at.iter().map(|&at| pairs[at as usize]).collect();
         let fresh = self.run_comparison_kernels(matcher, &misses)?;
-        let mut entries: Vec<(u64, bool)> = Vec::with_capacity(misses.len());
-        for (&at, d) in miss_at.iter().zip(fresh) {
-            entries.push((keys[at as usize], d));
+        for (&at, &d) in miss_at.iter().zip(&fresh) {
             decisions[at as usize] = d;
         }
-        // Pre-size the memo for this batch's misses before the bulk
-        // insert: a resolve_all round can add hundreds of thousands of
-        // decisions at once, and growing shard tables mid-insert would
-        // rehash every existing entry several times.
-        cache.reserve(entries.len());
-        cache.insert_batch(&entries);
+        if miss_at.len() > n_plain {
+            let entries: Vec<(u64, bool)> = misses[n_plain..]
+                .iter()
+                .zip(&fresh[n_plain..])
+                .map(|(&(q, c), &d)| (pack_pair(q, c), d))
+                .collect();
+            // Pre-size the memo for the batch before the bulk insert:
+            // re-resolving a widely invalidated table can add many
+            // decisions at once, and growing shard tables mid-insert
+            // would rehash every existing entry several times.
+            cache.reserve(entries.len());
+            cache.insert_batch(&entries);
+        }
         Ok(decisions)
     }
 
@@ -642,12 +739,13 @@ impl TableErIndex {
         &self,
         matcher: &CompiledMatcher<'_>,
         pairs: &[(RecordId, RecordId)],
+        classes: &[PairClass],
         metrics: &mut DedupMetrics,
         budget: &ResolveBudget,
         comparisons_done: u64,
     ) -> Result<CmpRun, ResolveError> {
         if budget.is_unlimited() {
-            let decisions = self.execute_comparisons(matcher, pairs, metrics)?;
+            let decisions = self.execute_comparisons(matcher, pairs, classes, metrics)?;
             return Ok(CmpRun {
                 executed: pairs.len(),
                 decisions,
@@ -671,7 +769,13 @@ impl TableErIndex {
             let take = batch
                 .min(pairs.len() - at)
                 .min(usize::try_from(allowed).unwrap_or(usize::MAX));
-            decisions.extend(self.execute_comparisons(matcher, &pairs[at..at + take], metrics)?);
+            let range = at..at + take;
+            decisions.extend(self.execute_comparisons(
+                matcher,
+                &pairs[range.clone()],
+                &classes[range],
+                metrics,
+            )?);
             at += take;
         }
         Ok(CmpRun {
@@ -684,9 +788,11 @@ impl TableErIndex {
     /// Runs the match decisions through the compiled kernel, fanning out
     /// across `effective_threads()` workers (`threads: 0` = auto,
     /// `QUERYER_THREADS`) once the batch is big enough to pay for
-    /// them. Decisions are position-aligned with `pairs` — chunk results
-    /// concatenate in pair order — so thread count never affects
-    /// results; a lost worker's chunk is discarded with the `Err`. Every
+    /// them; a smaller batch runs on the caller's thread with its
+    /// [`CALLER_SCRATCH`]. Decisions are position-aligned with `pairs` —
+    /// chunk results concatenate in pair order — so thread count never
+    /// affects results; a lost worker's chunk is discarded with the
+    /// `Err`. Every
     /// comparison reads the kernel-ready per-record data built at index
     /// time (sorted symbol slices, pre-lowercased attributes, attribute
     /// metadata), so this stage tokenizes nothing and allocates nothing
@@ -701,6 +807,13 @@ impl TableErIndex {
         } else {
             1
         };
+        if workers == 1 {
+            let mut decisions = vec![false; pairs.len()];
+            CALLER_SCRATCH.with(|scratch| {
+                decide_pairs_batched(matcher, pairs, &mut decisions, &mut scratch.borrow_mut());
+            });
+            return Ok(decisions);
+        }
         let parts = fan_out(
             pairs.len(),
             workers,
@@ -744,10 +857,18 @@ impl TableErIndex {
     }
 }
 
+thread_local! {
+    /// The kernel scratch of batches decided on the calling thread. Its
+    /// buffers outlive the resolve, so a thread that issues query after
+    /// query decides without allocating; every use overwrites what it
+    /// reads.
+    static CALLER_SCRATCH: RefCell<KernelScratch> = RefCell::new(KernelScratch::new());
+}
+
 /// Decides a slice of pairs with comparison batching by record: pairs
 /// arrive in runs sharing a query record (EP emits each frontier
-/// entity's survivors consecutively; the decision-cache miss list is a
-/// subsequence, so runs survive filtering), and the query-side
+/// entity's survivors consecutively; a batch's kernel list is two
+/// subsequences of it, so runs survive filtering), and the query-side
 /// profile/AttrMeta loads are hoisted to once per run via
 /// [`CompiledMatcher::load_query`]. Decisions land position-aligned in
 /// `out` and are bit-identical to per-pair `decide` calls — the loads
@@ -770,13 +891,33 @@ fn decide_pairs_batched(
     }
 }
 
+/// Where the resolver reports each [`PairClass::Decided`] pair: nowhere
+/// in a build, to the oracle test's recorder in the unit tests.
+#[cfg(not(test))]
+#[inline(always)]
+fn note_decided(_pair: (RecordId, RecordId)) {}
+
+#[cfg(test)]
+fn note_decided(pair: (RecordId, RecordId)) {
+    tests::LI_DECIDED.with(|d| d.borrow_mut().push(pair));
+}
+
 #[cfg(test)]
 #[allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 mod tests {
     use super::*;
-    use crate::config::{ErConfig, MetaBlockingConfig, SimilarityKind};
+    use crate::config::{ErConfig, MetaBlockingConfig, SimilarityKind, WeightScheme};
+    use crate::delta::{Affected, DeltaOp};
     use crate::request::ResolveRequest;
+    use proptest::prelude::*;
     use queryer_storage::{Schema, Table, Value};
+
+    thread_local! {
+        /// The pairs this thread's resolves classed
+        /// [`PairClass::Decided`], drained by the oracle test below.
+        pub(super) static LI_DECIDED: RefCell<Vec<(RecordId, RecordId)>> =
+            const { RefCell::new(Vec::new()) };
+    }
 
     fn dirty_table() -> Table {
         let mut t = Table::new("p", Schema::of_strings(&["id", "title", "venue"]));
@@ -820,59 +961,79 @@ mod tests {
         assert_eq!(m.blocking, std::time::Duration::ZERO);
     }
 
+    /// Without writes the memo stays empty: a resolve-all runs every
+    /// kernel, and a re-ask is served by the Link Index. Once a write
+    /// un-resolves records, their pairs go through the memo: the first
+    /// re-resolve fills it, and after the next write the second one is
+    /// served from it entirely, every decision count equal to the cold
+    /// pass's.
     #[test]
     fn warm_resolve_is_served_from_caches() {
         let table = dirty_table();
         let idx = TableErIndex::build(&table, &ErConfig::default());
-
-        let mut li_cold = LinkIndex::new(table.len());
+        let all: Vec<RecordId> = (0..table.len() as RecordId).collect();
+        let mut li = LinkIndex::new(table.len());
         let mut m_cold = DedupMetrics::default();
-        let out_cold = idx
-            .run(ResolveRequest::all(&table, &mut li_cold).metrics(&mut m_cold))
+        let cold = idx
+            .run(ResolveRequest::all(&table, &mut li).metrics(&mut m_cold))
             .unwrap();
         assert!(m_cold.comparisons > 0);
         assert_eq!(
-            m_cold.decision_cache_hits, 0,
-            "nothing cached before query 1"
+            (m_cold.decision_cache_hits, m_cold.decision_cache_misses),
+            (0, m_cold.comparisons),
+            "nothing served before query 1"
         );
-        assert_eq!(m_cold.decision_cache_misses, m_cold.comparisons);
+        assert_eq!(idx.resolve_cache_sizes(), (0, 0, 0), "no write, no memo");
 
-        // Same workload, fresh Link Index, hot memo: every decision must
-        // be served, and every decision count must match the cold pass
-        // exactly.
-        let mut li_warm = LinkIndex::new(table.len());
-        let mut m_warm = DedupMetrics::default();
-        let out_warm = idx
-            .run(ResolveRequest::all(&table, &mut li_warm).metrics(&mut m_warm))
-            .unwrap();
-        assert_eq!(out_warm.dr, out_cold.dr);
-        assert_eq!(out_warm.new_links, out_cold.new_links);
-        assert_eq!(m_warm.comparisons, m_cold.comparisons);
-        assert_eq!(m_warm.candidate_pairs, m_cold.candidate_pairs);
-        assert_eq!(m_warm.matches_found, m_cold.matches_found);
-        assert_eq!(m_warm.decision_cache_misses, 0, "all decisions cached");
-        assert_eq!(m_warm.decision_cache_hits, m_warm.comparisons);
-        // Edge Pruning keeps no memo: its counters read 0 either way.
-        for m in [&m_cold, &m_warm] {
+        for pass in 0..2 {
+            li.invalidate(&all);
+            let mut m = DedupMetrics::default();
+            let out = idx
+                .run(ResolveRequest::all(&table, &mut li).metrics(&mut m))
+                .unwrap();
+            assert_eq!(out.dr, cold.dr, "pass {pass}");
+            assert_eq!(out.new_links, cold.new_links, "pass {pass}");
+            assert_eq!(m.comparisons, m_cold.comparisons, "pass {pass}");
+            assert_eq!(m.candidate_pairs, m_cold.candidate_pairs, "pass {pass}");
+            assert_eq!(m.matches_found, m_cold.matches_found, "pass {pass}");
+            let want = match pass {
+                0 => (0, m.comparisons),
+                _ => (m.comparisons, 0),
+            };
+            assert_eq!(
+                (m.decision_cache_hits, m.decision_cache_misses),
+                want,
+                "pass {pass}: the first re-resolve fills the memo, the second is served"
+            );
+            assert_eq!(idx.resolve_cache_sizes().2 as u64, m_cold.comparisons);
+            // Edge Pruning keeps no memo: its counters read 0 either way.
             assert_eq!((m.ep_cache_hits, m.ep_cache_misses), (0, 0));
         }
     }
 
+    /// A point query's re-resolve after a write memoizes exactly the
+    /// pairs it decided, which stay fewer than a resolve-all's.
     #[test]
     fn cached_point_query_stays_incremental() {
         let table = dirty_table();
         let idx = TableErIndex::build(&table, &ErConfig::default());
         let mut li = LinkIndex::new(table.len());
+        idx.run(ResolveRequest::records(&table, &[0], &mut li))
+            .unwrap();
+        assert_eq!(idx.resolve_cache_sizes(), (0, 0, 0), "no write, no memo");
+        li.invalidate(&[0]);
         let mut m = DedupMetrics::default();
         idx.run(ResolveRequest::records(&table, &[0], &mut li).metrics(&mut m))
             .unwrap();
         let (_, _, point) = idx.resolve_cache_sizes();
         assert_eq!(
             point as u64, m.comparisons,
-            "the memo holds exactly the pairs the query decided"
+            "the memo holds exactly the pairs the re-resolve decided"
         );
         let full = TableErIndex::build(&table, &ErConfig::default());
         let mut li = LinkIndex::new(table.len());
+        full.run(ResolveRequest::all(&table, &mut li)).unwrap();
+        li.invalidate_all();
         full.run(ResolveRequest::all(&table, &mut li)).unwrap();
         let (_, _, all) = full.resolve_cache_sizes();
         assert!(
@@ -1127,5 +1288,96 @@ mod tests {
         assert_eq!(out.dr, vec![0, 1]);
         assert_eq!(m.comparisons, 0, "all-null records share no blocks");
         assert_eq!(li.link_count(), 0);
+    }
+    /// Small vocabulary so random rows share blocking tokens and
+    /// repeat each other.
+    const WORDS: [&str; 8] = [
+        "entity",
+        "resolution",
+        "collective",
+        "query",
+        "driven",
+        "data",
+        "edbt",
+        "vldb",
+    ];
+
+    fn words(w: &[usize]) -> Value {
+        if w.is_empty() {
+            Value::Null
+        } else {
+            let text: Vec<&str> = w.iter().map(|&i| WORDS[i]).collect();
+            Value::str(text.join(" "))
+        }
+    }
+
+    fn word_list() -> impl Strategy<Value = Vec<usize>> {
+        proptest::collection::vec(0usize..WORDS.len(), 0..4)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: queryer_common::knobs::proptest_cases(64),
+            .. ProptestConfig::default()
+        })]
+
+        /// Every pair the Link Index decides is one the compiled kernel
+        /// rejects, over random sessions of point / range queries and
+        /// one-row writes, under every pair-generation shape: global-
+        /// scope EP (where the rule must not apply), node-centric EP and
+        /// no EP, transitive or not (a non-transitive resolve leaves its
+        /// partners unresolved beside their links).
+        #[test]
+        fn li_decided_pairs_are_kernel_non_matches(
+            rows in proptest::collection::vec(word_list(), 2..20),
+            steps in proptest::collection::vec((0usize..5, 0usize..64, 0usize..64, word_list()), 1..12),
+            scheme in 0usize..3,
+            global in any::<bool>(),
+            meta in 0usize..3,
+            transitive in any::<bool>(),
+        ) {
+            let mut table = Table::new("p", Schema::of_strings(&["id", "title"]));
+            for (i, w) in rows.iter().enumerate() {
+                table.push_row(vec![i.to_string().into(), words(w)]).unwrap();
+            }
+            let metas = [MetaBlockingConfig::All, MetaBlockingConfig::BpEp, MetaBlockingConfig::None];
+            let mut cfg = ErConfig::default().with_meta(metas[meta]);
+            cfg.weight_scheme = [WeightScheme::Cbs, WeightScheme::Ecbs, WeightScheme::Js][scheme];
+            if global {
+                cfg.ep_scope = EdgePruningScope::Global;
+            }
+            cfg.transitive = transitive;
+            let mut idx = TableErIndex::build(&table, &cfg);
+            let mut li = LinkIndex::new(table.len());
+            LI_DECIDED.with(|d| d.borrow_mut().clear());
+            for (kind, a, b, w) in steps {
+                let n = table.len();
+                let (a, b) = (a % n, b % n);
+                let op = match kind {
+                    0..=2 => {
+                        let qe: Vec<RecordId> = (a.min(b)..=a.max(b)).map(|r| r as RecordId).collect();
+                        idx.run(ResolveRequest::records(&table, &qe, &mut li)).unwrap();
+                        let matcher = CompiledMatcher::new(cfg.similarity, cfg.match_threshold, &idx);
+                        let mut scratch = KernelScratch::new();
+                        for (q, c) in LI_DECIDED.with(|d| std::mem::take(&mut *d.borrow_mut())) {
+                            prop_assert!(
+                                !matcher.decide(q, c, &mut scratch),
+                                "the Link Index decided the matching pair ({}, {})", q, c
+                            );
+                        }
+                        continue;
+                    }
+                    3 => DeltaOp::Insert { values: vec![n.to_string().into(), words(&w)] },
+                    _ => DeltaOp::Update { id: a as RecordId, values: vec![a.to_string().into(), words(&w)] },
+                };
+                op.apply_to_table(&mut table).unwrap();
+                let applied = idx.apply_delta(&table, &[op]).unwrap();
+                li.grow(table.len());
+                match applied.affected {
+                    Affected::Ids(ids) => li.invalidate(&ids),
+                    Affected::All => li.invalidate_all(),
+                }
+            }
+        }
     }
 }

@@ -43,7 +43,7 @@
 
 use crate::config::ErConfig;
 use crate::index::TableErIndex;
-use crate::link_index::LinkIndex;
+use crate::link_index::{LinkIndex, Mark};
 use queryer_common::checksum::Fnv64;
 use queryer_common::FxHashMap;
 use queryer_storage::snapshot::wire::{PayloadReader, PayloadWriter};
@@ -166,9 +166,11 @@ pub fn write_index_snapshot(
     // Resolved flags + adjacency (neighbour order is semantic —
     // preserved verbatim; map iteration order is not — sorted by id).
     let mut w = PayloadWriter::new();
-    w.put_u64(li.resolved.len() as u64);
-    for &r in &li.resolved {
-        w.put_u8(r as u8);
+    // Stale marks are a decision-memo hint, not part of the resolution:
+    // they persist as unresolved, so the format keeps one flag byte.
+    w.put_u64(li.marks.len() as u64);
+    for &m in &li.marks {
+        w.put_u8((m == Mark::Resolved) as u8);
     }
     w.put_u64(li.n_links as u64);
     let mut adj: Vec<(RecordId, &Vec<RecordId>)> = li.adj.iter().map(|(&k, v)| (k, v)).collect();
@@ -190,9 +192,13 @@ fn decode_links(payload: &[u8], n_records: usize) -> Result<LinkIndex, SnapshotE
     if n_resolved != n_records {
         return Err(corrupt());
     }
-    let mut resolved = Vec::with_capacity(n_resolved);
+    let mut marks = Vec::with_capacity(n_resolved);
     for _ in 0..n_resolved {
-        resolved.push(r.take_u8()? != 0);
+        marks.push(if r.take_u8()? != 0 {
+            Mark::Resolved
+        } else {
+            Mark::Unresolved
+        });
     }
     let n_links = r.take_u64()? as usize;
     let n_adj = r.take_len(4)?;
@@ -214,7 +220,7 @@ fn decode_links(payload: &[u8], n_records: usize) -> Result<LinkIndex, SnapshotE
         return Err(corrupt());
     }
     Ok(LinkIndex {
-        resolved,
+        marks,
         adj,
         n_links,
     })

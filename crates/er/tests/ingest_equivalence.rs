@@ -222,7 +222,10 @@ fn maintain_li(li: &mut LinkIndex, affected: &Affected, n: usize) {
             li.grow(n);
             li.invalidate(ids);
         }
-        Affected::All => *li = LinkIndex::new(n),
+        Affected::All => {
+            li.grow(n);
+            li.invalidate_all();
+        }
     }
 }
 
