@@ -39,17 +39,6 @@ pub fn threads() -> usize {
     env_usize("QUERYER_THREADS", 0)
 }
 
-/// Entry budget of the pair-keyed comparison-decision cache, read from
-/// `QUERYER_DECISION_CACHE_CAP`. `0` (the default) means *unbounded*;
-/// any other value caps the decision [`crate::ShardedMap`] with
-/// per-shard CLOCK eviction. Eviction never changes a decision — every
-/// cached value is a pure function of the index, so an evicted entry is
-/// recomputed identically on next touch (pinned by
-/// `crates/er/tests/cache_equivalence.rs`). See `docs/TUNING.md`.
-pub fn decision_cache_cap() -> usize {
-    env_usize("QUERYER_DECISION_CACHE_CAP", 0)
-}
-
 /// Auto-compaction trigger of the incremental-ingest path
 /// (`QUERYER_DELTA_COMPACT_OPS`): once a live index has absorbed this
 /// many delta operations since its last full build, the engine folds

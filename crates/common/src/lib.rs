@@ -6,8 +6,7 @@
 //! `rustc-hash`, and the algorithm is tiny), canonical packing of
 //! unordered record-id pairs into `u64` keys, a generic CSR (offsets +
 //! data) packing for ragged row collections, build-once token interning
-//! with flat slice arenas, a sharded concurrent memo map for the
-//! cross-query resolve caches, and a stopwatch for per-stage operator
+//! with flat slice arenas, and a stopwatch for per-stage operator
 //! timing.
 
 pub mod cancel;
@@ -18,7 +17,6 @@ pub mod fxhash;
 pub mod intern;
 pub mod knobs;
 pub mod pairkey;
-pub mod sharded;
 pub mod timing;
 
 pub use cancel::CancelToken;
@@ -27,5 +25,4 @@ pub use csr::{Csr, CsrOverflow};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use intern::{Symbol, TokenArena, TokenInterner};
 pub use pairkey::{pack_pair, unpack_pair, PairSet};
-pub use sharded::ShardedMap;
 pub use timing::Stopwatch;

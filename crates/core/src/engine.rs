@@ -11,7 +11,8 @@ use crate::result::QueryResult;
 use parking_lot::{Mutex, RwLock};
 use queryer_common::FxHashMap;
 use queryer_er::{
-    AppliedDelta, DedupMetrics, DeltaOp, ErConfig, LinkIndex, ResolveRequest, TableErIndex,
+    Affected, AppliedDelta, DedupMetrics, DeltaOp, ErConfig, LinkIndex, ResolveRequest,
+    TableErIndex,
 };
 use queryer_sql::{parse_select, plan_select, LogicalPlan, SchemaProvider, SelectStatement};
 use queryer_storage::{RecordId, Table};
@@ -158,6 +159,8 @@ impl QueryEngine {
     ///
     /// A delta apply or fallback rebuild that fails is a
     /// [`CoreError::Resolve`]; the table then already holds the batch.
+    /// An index a panicked write left poisoned is rebuilt here instead
+    /// of applied to, from rows that include that write's.
     pub fn ingest(&mut self, name: &str, ops: &[DeltaOp]) -> Result<AppliedDelta> {
         let idx = self.table_idx(name)?;
         let rt = &mut self.tables[idx];
@@ -211,8 +214,10 @@ impl QueryEngine {
         // shared (a query context still holds it) the delta cannot be
         // applied in place; rebuild a fresh index instead — same served
         // view, full cost, and the in-flight query keeps its old pair.
+        // A poisoned index is rebuilt too: a panicked earlier write left
+        // it unable to take a delta.
         let compact_cap = queryer_common::knobs::delta_compact_ops();
-        let applied = match Arc::get_mut(&mut rt.er) {
+        let applied = match Arc::get_mut(&mut rt.er).filter(|er| !er.is_poisoned()) {
             Some(er) => {
                 let applied = er.apply_delta(table, ops)?;
                 if compact_cap != 0 && er.pending_delta_ops() >= compact_cap {
@@ -223,51 +228,60 @@ impl QueryEngine {
             None => {
                 rt.er = Arc::new(TableErIndex::try_build(table, &self.cfg)?);
                 AppliedDelta {
-                    affected: queryer_er::Affected::All,
+                    affected: Affected::All,
                     pending_ops: 0,
                 }
             }
         };
-
-        // Link Index maintenance mirrors the index invalidation scope:
-        // targeted unresolve for the affected ids, every record
-        // otherwise. Either way the marks taken back turn stale, so the
-        // decision memo serves their pairs' re-asks.
-        {
-            let mut li = rt.li.write();
-            li.grow(rt.table.len());
-            match &applied.affected {
-                queryer_er::Affected::Ids(ids) => li.invalidate(ids),
-                queryer_er::Affected::All => li.invalidate_all(),
-            }
-        }
-
-        // Derived engine state: the sampled stats, batch cleanings and
-        // join percentages are stale.
-        rt.stats.take();
-        *rt.batch.lock() = None;
-
-        self.join_pct_cache
-            .lock()
-            .retain(|k, _| k.0 != idx && k.2 != idx);
+        self.after_write(idx, &applied.affected);
         Ok(applied)
     }
 
+    /// Brings a table's derived engine state up to a write. The Link
+    /// Index grows to the table and un-resolves the affected ids, or
+    /// every record; either way the marks taken back turn stale, so the
+    /// decision memo serves their pairs' re-asks. The sampled stats,
+    /// batch cleanings and join percentages are dropped.
+    fn after_write(&mut self, idx: usize, affected: &Affected) {
+        let rt = &mut self.tables[idx];
+        {
+            let mut li = rt.li.write();
+            li.grow(rt.table.len());
+            match affected {
+                Affected::Ids(ids) => li.invalidate(ids),
+                Affected::All => li.invalidate_all(),
+            }
+        }
+        rt.stats.take();
+        *rt.batch.lock() = None;
+        self.join_pct_cache
+            .lock()
+            .retain(|k, _| k.0 != idx && k.2 != idx);
+    }
+
     /// Folds a table's pending ingest delta into fresh base buffers
-    /// (decision-identical). A no-op when no delta is live; falls back
-    /// to a rebuild when the index Arc is still shared with an
-    /// in-flight query context. A failed fold or rebuild is a
-    /// [`CoreError::Resolve`] and keeps the index it would replace.
+    /// (decision-identical). With no delta live it only drops the
+    /// decision memo; falls back to a rebuild when the index Arc is
+    /// still shared with an in-flight query context. A poisoned index
+    /// is rebuilt from the table's rows, and since the write that
+    /// poisoned it never reached the Link Index or the derived state,
+    /// the recovery un-resolves every record and drops that state. A
+    /// failed fold or rebuild is a [`CoreError::Resolve`] and keeps the
+    /// index it would replace.
     pub fn compact(&mut self, name: &str) -> Result<()> {
         let idx = self.table_idx(name)?;
         let rt = &mut self.tables[idx];
+        let recovering = rt.er.is_poisoned();
         match Arc::get_mut(&mut rt.er) {
             Some(er) => er.compact(&rt.table)?,
             None => {
-                if rt.er.has_delta() {
+                if rt.er.has_delta() || recovering {
                     rt.er = Arc::new(TableErIndex::try_build(&rt.table, &self.cfg)?);
                 }
             }
+        }
+        if recovering {
+            self.after_write(idx, &Affected::All);
         }
         Ok(())
     }

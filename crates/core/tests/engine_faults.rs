@@ -107,3 +107,55 @@ fn failed_build_is_an_error_of_register_table_not_a_panic() {
     );
     assert!(e.table("P").is_err(), "a failed build registers nothing");
 }
+
+/// A panic inside a table's first delta apply poisons its index before
+/// any delta exists, and skips the Link Index and derived-state upkeep
+/// of that write. `compact`, and separately the next `ingest`, rebuild
+/// the index from the table's rows (the failed write's included) and
+/// un-resolve every record: the engine then answers as one registered
+/// fresh over those rows.
+#[test]
+fn panicked_first_write_is_recovered_by_compact_and_by_the_next_ingest() {
+    let _faults = faults();
+    let sql = "SELECT DEDUP title, venue FROM P WHERE year >= 2008";
+    for recover_by_ingest in [false, true] {
+        let mut e = QueryEngine::new(ErConfig::default());
+        e.register_csv_str("P", PUBS).unwrap();
+        // Resolve everything first, so a Link Index the recovery left
+        // alone would still link 0 and 1 after 1 is rewritten.
+        e.execute(sql).unwrap();
+        let row = |e: &QueryEngine, id| e.table("P").unwrap().record(id).unwrap().values.clone();
+        let failed_write = [
+            DeltaOp::Update {
+                id: 1,
+                values: row(&e, 4),
+            },
+            DeltaOp::Insert { values: row(&e, 0) },
+        ];
+        failpoints::arm("delta.apply", FailAction::Panic);
+        if !failpoints::is_armed("delta.apply") {
+            return; // failpoints are not compiled in
+        }
+        let failed = catch_unwind(AssertUnwindSafe(|| e.ingest("P", &failed_write)));
+        failpoints::disarm("delta.apply");
+        assert!(failed.is_err(), "the armed apply panics");
+
+        if recover_by_ingest {
+            let copy = DeltaOp::Insert { values: row(&e, 2) };
+            e.ingest("P", &[copy]).expect("the next ingest recovers");
+        } else {
+            e.compact("P").expect("compact recovers");
+        }
+        let mut fresh = QueryEngine::new(ErConfig::default());
+        fresh
+            .register_table(e.table("P").unwrap().as_ref().clone())
+            .unwrap();
+        let want = fresh.execute(sql).unwrap().canonical_rows();
+        let got = e.execute(sql).expect("the recovered index serves");
+        assert_eq!(
+            got.canonical_rows(),
+            want,
+            "recovered by ingest: {recover_by_ingest}"
+        );
+    }
+}

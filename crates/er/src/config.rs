@@ -154,13 +154,6 @@ pub struct ErConfig {
     ///
     /// [`TableErIndex::build`]: crate::TableErIndex::build
     pub threads: usize,
-    /// Entry budget for the pair-keyed comparison-decision cache. `0`
-    /// (the default) means unbounded; any other value caps the map at
-    /// that many entries with per-shard CLOCK eviction. Eviction trades
-    /// recomputation for memory and never changes a decision (pinned by
-    /// `tests/cache_equivalence.rs`). Default comes from the
-    /// `QUERYER_DECISION_CACHE_CAP` env knob.
-    pub decision_cache_cap: usize,
 }
 
 impl Default for ErConfig {
@@ -178,7 +171,6 @@ impl Default for ErConfig {
             match_threshold: 0.85,
             transitive: true,
             threads: queryer_common::knobs::threads(),
-            decision_cache_cap: queryer_common::knobs::decision_cache_cap(),
         }
     }
 }

@@ -844,7 +844,7 @@ impl TableErIndex {
         // only updated/deleted records can hold stale entries (inserts
         // never had any).
         if !profile_changed.is_empty() {
-            self.decisions.retain(|key| {
+            self.decisions.get_mut().retain(|&key, _| {
                 let (a, b) = unpack_pair(key);
                 !changed_profiles.contains(&a) && !changed_profiles.contains(&b)
             });
@@ -868,13 +868,21 @@ impl TableErIndex {
     }
 
     /// Folds the delta side back into fresh CSR buffers by rebuilding
-    /// from the mutated table. A no-op (bit-identical, caches kept)
-    /// when no delta is live; otherwise the rebuilt index starts with
-    /// cold caches — decisions are unaffected, the caches only memoize
-    /// pure functions of the index. On error the index is left
+    /// from the mutated table. Either way the decision memo ends empty:
+    /// with no delta live only the memo is dropped (the index data stays
+    /// bit-identical), otherwise the rebuilt index starts cold —
+    /// decisions are unaffected, the memo only holds pure functions of
+    /// the index. A poisoned index is rebuilt from `table` whatever its
+    /// delta state, since a panicked apply may have left no delta
+    /// behind; that is how it recovers. On error the index is left
     /// untouched and still serving the merged view.
     pub fn compact(&mut self, table: &Table) -> Result<(), ResolveError> {
+        if self.is_poisoned() {
+            *self = Self::try_build(table, &self.cfg)?;
+            return Ok(());
+        }
         if self.delta.is_none() {
+            self.decisions.get_mut().clear();
             return Ok(());
         }
         if table.len() != self.n_records() {
@@ -894,8 +902,9 @@ mod tests {
     use crate::config::ErConfig;
     use queryer_storage::Schema;
 
-    /// `compact()` with no live delta leaves the index as it was: the
-    /// same CSR buffers, purge flags and WNP thresholds.
+    /// `compact()` with no live delta leaves the index data as it was
+    /// — the same CSR buffers, purge flags and WNP thresholds — and
+    /// drops the decision memo.
     #[test]
     fn noop_compact_is_bit_identical() {
         let mut table = Table::new("p", Schema::of_strings(&["id", "title", "venue"]));
@@ -927,11 +936,17 @@ mod tests {
         };
         let before = state(&idx);
         assert_eq!(before.2.len(), table.len(), "the build swept thresholds");
+        idx.decisions.lock().insert(1, true);
         idx.compact(&table).unwrap();
         assert_eq!(
             state(&idx),
             before,
             "no-op compact must leave the index bit-identical"
+        );
+        assert_eq!(
+            idx.resolve_cache_sizes(),
+            (0, 0, 0),
+            "compact empties the memo"
         );
     }
 

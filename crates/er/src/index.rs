@@ -43,8 +43,9 @@ use crate::edge_pruning::bulk_node_thresholds;
 use crate::govern::{fan_out, PoisonGuard, ResolveError, ResolveStage};
 use crate::purging::purge_flags;
 use crate::tokenizer::{record_keys, record_tokens};
+use parking_lot::Mutex;
 use queryer_common::failpoints;
-use queryer_common::{Csr, FxHashMap, ShardedMap, TokenArena, TokenInterner};
+use queryer_common::{Csr, FxHashMap, TokenArena, TokenInterner};
 use queryer_storage::{Record, RecordId, Table};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -357,12 +358,13 @@ pub struct TableErIndex {
     /// The cross-query comparison-decision memo, keyed by packed
     /// unordered pair ([`queryer_common::pack_pair`]). A decision is a
     /// pure function of the two profiles, so serving it across queries
-    /// never changes a result, and the map can be capped
-    /// ([`ErConfig::decision_cache_cap`]): an evicted entry only costs
-    /// recomputation.
-    pub(crate) decisions: ShardedMap<bool>,
+    /// never changes a result. It holds only pairs some query compared
+    /// while an endpoint was stale, so it never outgrows the kernel
+    /// runs since the last build; compaction and every rebuild empty it.
+    pub(crate) decisions: Mutex<FxHashMap<u64, bool>>,
     /// Set when a panic unwound through this index's own cache
-    /// maintenance ([`TableErIndex::clear_ep_cache`]); every later
+    /// maintenance ([`TableErIndex::clear_ep_cache`]) or a delta apply
+    /// ([`TableErIndex::apply_delta`]); every later
     /// resolve then returns [`ResolveError::Poisoned`]. Worker panics
     /// during resolve never set this — workers write no shared state,
     /// so the index stays sound (see `crate::govern`).
@@ -490,7 +492,7 @@ impl TableErIndex {
             attr_meta,
             n_cols,
             ep_thresholds: Vec::new(),
-            decisions: ShardedMap::bounded(cfg.decision_cache_cap),
+            decisions: Mutex::default(),
             poisoned: AtomicBool::new(false),
             delta: None,
         };
@@ -503,9 +505,10 @@ impl TableErIndex {
         Ok(idx)
     }
 
-    /// Whether a panic unwound through this index's cache maintenance;
-    /// a poisoned index refuses further resolves with
-    /// [`ResolveError::Poisoned`]. Rebuild it to recover.
+    /// Whether a panic unwound through this index's cache maintenance
+    /// or a delta apply; a poisoned index refuses further resolves with
+    /// [`ResolveError::Poisoned`]. Rebuild or
+    /// [`compact`](TableErIndex::compact) it to recover.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
     }
@@ -722,22 +725,21 @@ impl TableErIndex {
     /// the benchmark destructures three sizes. Diagnostics for benches
     /// and ablations.
     pub fn resolve_cache_sizes(&self) -> (usize, usize, usize) {
-        (0, 0, self.decisions.len())
+        (0, 0, self.decisions.lock().len())
     }
 
     /// Drops the cross-query decision memo (test/ablation helper; the
     /// benchmark calls it by this name to measure cold queries). The
     /// WNP thresholds are index data, not cache, and are never dropped.
-    /// Panic safety: clearing locks the memo shard by shard, so it runs
-    /// under a poison latch — if a panic unwinds mid-clear (the
-    /// `"cache.clear"` failpoint stands in for such a fault in tests),
-    /// the index flips [`TableErIndex::is_poisoned`] and refuses further
-    /// resolves instead of serving from state it can no longer vouch
-    /// for.
+    /// Panic safety: clearing runs under a poison latch — if a panic
+    /// unwinds mid-clear (the `"cache.clear"` failpoint stands in for
+    /// such a fault in tests), the index flips
+    /// [`TableErIndex::is_poisoned`] and refuses further resolves
+    /// instead of serving from state it can no longer vouch for.
     pub fn clear_ep_cache(&self) {
         let guard = PoisonGuard::new(&self.poisoned);
         failpoints::fire("cache.clear");
-        self.decisions.clear();
+        self.decisions.lock().clear();
         guard.disarm();
     }
 }
@@ -1121,12 +1123,10 @@ mod tests {
     fn clear_ep_cache_drops_memos_and_keeps_thresholds() {
         let idx = TableErIndex::build(&table(), &ErConfig::default());
         let thresholds = idx.bulk_ep_thresholds().to_vec();
-        idx.decisions.insert_if_absent(7, true);
-        idx.decisions.insert_if_absent(9, false);
+        idx.decisions.lock().extend([(7, true), (9, false)]);
         assert_eq!(idx.resolve_cache_sizes(), (0, 0, 2));
         idx.clear_ep_cache();
         assert_eq!(idx.resolve_cache_sizes(), (0, 0, 0));
-        assert!(idx.decisions.get(7).is_none());
         assert_eq!(idx.bulk_ep_thresholds(), thresholds.as_slice());
     }
 

@@ -86,9 +86,11 @@
 //!   that endpoint was resolved: a non-match, with no kernel and no memo
 //!   probe. Only pairs with a *stale* endpoint — one a write's
 //!   [`LinkIndex::invalidate`] un-resolved — probe and fill the
-//!   pair-keyed decision memo (a sharded [`queryer_common::ShardedMap`],
-//!   cap `ErConfig::decision_cache_cap`); a pair of never-resolved
-//!   records runs its kernel and writes nothing. A decision is a pure
+//!   pair-keyed decision memo (one mutexed map, filled first write
+//!   wins); a pair of never-resolved records runs its kernel and writes
+//!   nothing. The memo is bounded by what writes un-resolve: every
+//!   entry is a distinct pair some query compared since the last build,
+//!   and compaction or any rebuild empties it. A decision is a pure
 //!   function of the index, so neither changes one: `DedupMetrics`
 //!   reports `decision_cache_*` hit/miss counters, and
 //!   `comparisons`/`candidate_pairs`/`matches_found` never depend on

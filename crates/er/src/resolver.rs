@@ -650,7 +650,7 @@ impl TableErIndex {
     /// any work, a [`PairClass::Memo`] pair consults the pair-keyed
     /// decision memo first and memoizes a fresh decision, and a
     /// [`PairClass::Plain`] pair runs its kernel and leaves the memo
-    /// alone — a batch without memo pairs never touches it. Neither the
+    /// alone — a batch without memo pairs adds nothing to it. Neither the
     /// Link Index nor the memo ever changes a decision: a Decided pair
     /// is one the kernel rejects, and a memoized value is exactly what
     /// the kernel returned for that pair. Every pair counts in
@@ -667,36 +667,21 @@ impl TableErIndex {
             metrics.decision_cache_misses += pairs.len() as u64;
             return self.run_comparison_kernels(matcher, pairs);
         }
-        // One pass: Decided pairs stay `false`, memo pairs queue a probe,
-        // plain pairs queue a kernel run.
+        // One pass under one memo lock: Decided pairs stay `false`, memo
+        // hits take their value, memo misses and plain pairs queue a
+        // kernel run.
         let mut decisions = vec![false; pairs.len()];
         let mut miss_at: Vec<u32> = Vec::new();
-        let mut memo_at: Vec<u32> = Vec::new();
-        let mut keys: Vec<u64> = Vec::new();
-        for (i, (&(q, c), &class)) in pairs.iter().zip(classes).enumerate() {
-            match class {
-                PairClass::Decided => {}
-                PairClass::Memo => {
-                    memo_at.push(i as u32);
-                    keys.push(pack_pair(q, c));
-                }
-                PairClass::Plain => miss_at.push(i as u32),
-            }
-        }
-        // Memo misses queue behind the plain pairs: `miss_at[n_plain..]`.
-        let n_plain = miss_at.len();
-        let cache = &self.decisions;
-        if !keys.is_empty() {
-            let mut cached: Vec<Option<bool>> = Vec::new();
-            if cache.is_empty() {
-                cached.resize(keys.len(), None);
-            } else {
-                cache.get_batch(&keys, &mut cached);
-            }
-            for (&at, served) in memo_at.iter().zip(cached) {
-                match served {
-                    Some(d) => decisions[at as usize] = d,
-                    None => miss_at.push(at),
+        {
+            let memo = self.decisions.lock();
+            for (i, (&(q, c), &class)) in pairs.iter().zip(classes).enumerate() {
+                match class {
+                    PairClass::Decided => {}
+                    PairClass::Memo => match memo.get(&pack_pair(q, c)) {
+                        Some(&d) => decisions[i] = d,
+                        None => miss_at.push(i as u32),
+                    },
+                    PairClass::Plain => miss_at.push(i as u32),
                 }
             }
         }
@@ -708,21 +693,12 @@ impl TableErIndex {
         let misses: Vec<(RecordId, RecordId)> =
             miss_at.iter().map(|&at| pairs[at as usize]).collect();
         let fresh = self.run_comparison_kernels(matcher, &misses)?;
-        for (&at, &d) in miss_at.iter().zip(&fresh) {
+        let mut memo = self.decisions.lock();
+        for ((&at, &(q, c)), &d) in miss_at.iter().zip(&misses).zip(&fresh) {
             decisions[at as usize] = d;
-        }
-        if miss_at.len() > n_plain {
-            let entries: Vec<(u64, bool)> = misses[n_plain..]
-                .iter()
-                .zip(&fresh[n_plain..])
-                .map(|(&(q, c), &d)| (pack_pair(q, c), d))
-                .collect();
-            // Pre-size the memo for the batch before the bulk insert:
-            // re-resolving a widely invalidated table can add many
-            // decisions at once, and growing shard tables mid-insert
-            // would rehash every existing entry several times.
-            cache.reserve(entries.len());
-            cache.insert_batch(&entries);
+            if classes[at as usize] == PairClass::Memo {
+                memo.entry(pack_pair(q, c)).or_insert(d);
+            }
         }
         Ok(decisions)
     }

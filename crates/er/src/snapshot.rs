@@ -23,11 +23,10 @@
 //! over the schema, every record value (type-tagged and framed), and the
 //! *decision-relevant* configuration fields (blocking scheme, token
 //! length, meta-blocking mode, weight scheme, EP scope, similarity,
-//! threshold, transitivity — not thread counts or cache capacities,
-//! which never change decisions). Editing a row or retuning
-//! a decision knob therefore reopens as
-//! [`SnapshotError::StaleTableHash`], and the caller falls back to an
-//! empty Link Index; retuning the thread or cache-cap knobs keeps the
+//! threshold, transitivity — not thread counts, which never change
+//! decisions). Editing a row or retuning a decision knob therefore
+//! reopens as [`SnapshotError::StaleTableHash`], and the caller falls
+//! back to an empty Link Index; retuning the thread knob keeps the
 //! snapshot valid.
 //!
 //! # Validation
@@ -102,10 +101,9 @@ pub fn content_fingerprint(table: &Table, cfg: &ErConfig) -> u64 {
         }
     }
 
-    // Decision-relevant configuration. Thread counts and cache
-    // capacities are excluded on purpose: they never change
-    // decisions (property-pinned by the equivalence suites), so a
-    // snapshot survives retuning them.
+    // Decision-relevant configuration. Thread counts are excluded on
+    // purpose: they never change decisions (property-pinned by the
+    // equivalence suites), so a snapshot survives retuning them.
     match cfg.blocking {
         crate::config::BlockingKind::Token => h.update_u64(0),
         crate::config::BlockingKind::NGram(n) => {

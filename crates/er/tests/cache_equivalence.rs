@@ -13,9 +13,11 @@
 //! (bit-identical DR sets, links, and decision counts after every
 //! query), across every `WeightScheme`, both `EdgePruningScope`s, and
 //! several thread counts. A second re-ask after a write is served from
-//! the memo, and an entry cap bites without changing a decision.
-//! Frontier scans must also emit the pair sequence of an in-test oracle
-//! that prunes against a fresh threshold sweep.
+//! the memo. The memo needs no cap: after every query it holds no more
+//! entries than the kernel runs since the index was built or compacted,
+//! and a compaction empties it. Frontier scans must also emit the pair
+//! sequence of an in-test oracle that prunes against a fresh threshold
+//! sweep.
 
 #![allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 
@@ -292,118 +294,15 @@ fn parallel_memo_scan_matches_oracle() {
     }
 }
 
-/// One query against the unbounded and the capped index: identical
-/// observables, and the capped memo within its budget afterwards.
-fn query_both(
-    table: &Table,
-    qe: &[RecordId],
-    unbounded: (&TableErIndex, &mut LinkIndex),
-    capped: (&TableErIndex, &mut LinkIndex),
-    cap: usize,
-) -> DedupMetrics {
-    let mut m_u = DedupMetrics::default();
-    let mut m_c = DedupMetrics::default();
-    let out_u = unbounded
-        .0
-        .run(ResolveRequest::records(table, qe, unbounded.1).metrics(&mut m_u))
-        .unwrap();
-    let out_c = capped
-        .0
-        .run(ResolveRequest::records(table, qe, capped.1).metrics(&mut m_c))
-        .unwrap();
-    let case = format!("query of {} ids", qe.len());
-    assert_eq!(out_c.dr, out_u.dr, "{case}");
-    assert_eq!(out_c.new_links, out_u.new_links, "{case}");
-    assert_eq!(m_c.comparisons, m_u.comparisons, "{case}");
-    assert_eq!(m_c.candidate_pairs, m_u.candidate_pairs, "{case}");
-    assert_eq!(m_c.matches_found, m_u.matches_found, "{case}");
-    let (_, _, dec) = capped.0.resolve_cache_sizes();
-    assert!(dec <= cap, "decision cache over budget: {dec}");
-    m_u
-}
-
-/// A bounded decision memo (CLOCK eviction) never changes a decision: a
-/// capped index replays the uncapped index's query traces exactly over
-/// a session of queries, `apply_delta` writes and Link-Index
-/// invalidations, while the memo stays under its entry budget after
-/// every query. Each invalidated range is re-resolved through the memo,
-/// which the large parallel workload overflows many times over.
-#[test]
-fn capped_caches_identical_and_bounded() {
-    const CAP: usize = 256;
-    let mut table = large_table(420);
-    let unbounded_cfg = cfg_with(
-        WeightScheme::Ecbs,
-        EdgePruningScope::NodeCentric,
-        MetaBlockingConfig::All,
-        4,
-    );
-    let mut capped_cfg = unbounded_cfg.clone();
-    capped_cfg.decision_cache_cap = CAP;
-
-    let mut unbounded = TableErIndex::build(&table, &unbounded_cfg);
-    let mut capped = TableErIndex::build(&table, &capped_cfg);
-    let mut li_u = LinkIndex::new(table.len());
-    let mut li_c = LinkIndex::new(table.len());
-    let upto = |n: usize| -> Vec<RecordId> { (0..n as RecordId).collect() };
-    macro_rules! query {
-        ($qe:expr) => {
-            query_both(
-                &table,
-                &$qe,
-                (&unbounded, &mut li_u),
-                (&capped, &mut li_c),
-                CAP,
-            )
-        };
-    }
-
-    query!(upto(5));
-    query!(upto(300));
-    assert_eq!(
-        unbounded.resolve_cache_sizes(),
-        (0, 0, 0),
-        "no write, no memo"
-    );
-    li_u.invalidate(&upto(300));
-    li_c.invalidate(&upto(300));
-    query!(upto(table.len()));
-
-    // Row 7 becomes a copy of row 8, and row 3 gains a copy.
-    let row = |t: &Table, id: RecordId| t.record(id).unwrap().values.clone();
-    let (copy_8, copy_3) = (row(&table, 8), row(&table, 3));
-    for op in [
-        DeltaOp::Update {
-            id: 7,
-            values: copy_8,
-        },
-        DeltaOp::Insert { values: copy_3 },
-    ] {
-        let affected = write(&mut table, &mut [&mut unbounded, &mut capped], op);
-        invalidate(&mut li_u, &affected, table.len());
-        invalidate(&mut li_c, &affected, table.len());
-    }
-    query!(upto(300));
-    li_u.invalidate_all();
-    li_c.invalidate_all();
-    let m = query!(upto(table.len()));
-    assert!(m.decision_cache_hits > 0, "the re-asked pairs are served");
-    query!(upto(5));
-
-    // The budget really bit: the unbounded run kept more entries.
-    let (_, _, dec_u) = unbounded.resolve_cache_sizes();
-    assert!(dec_u > CAP, "cap must be exercised");
-}
-
 /// One session step: `(kind, a, b, title, venue)`, ids modulo the
 /// table size. Kinds 0–3 query ids `a..=b` (a point query when they
 /// meet), 4 un-resolves them in the Link Index alone, 5 inserts a row
 /// (a copy of row `a` when `title` is empty), 6 updates row `a`, 7
-/// deletes it.
+/// deletes it, and 8 compacts the index.
 type StepSpec = (usize, usize, usize, Vec<usize>, Vec<usize>);
 
 fn steps() -> impl Strategy<Value = Vec<StepSpec>> {
-    proptest::collection::vec((0usize..8, 0usize..64, 0usize..64, cell(), cell()), 1..12)
+    proptest::collection::vec((0usize..9, 0usize..64, 0usize..64, cell(), cell()), 1..12)
 }
 
 /// How a session serves its queries.
@@ -417,17 +316,23 @@ enum Serve {
     Fresh,
 }
 
-/// Per-query traces, the final link matrix and the largest memo seen
-/// after a query.
-type Session = (Vec<QueryTrace>, Vec<bool>, usize);
-
 /// Runs a session of queries and writes over a copy of `table` with one
-/// shared Link Index, maintained by the engine's rule after each write.
-fn run_session(table: &Table, cfg: &ErConfig, steps: &[StepSpec], serve: Serve) -> Session {
+/// shared Link Index, maintained by the engine's rule after each write,
+/// and returns the per-query traces and the final link matrix. After
+/// every query the serving index's memo holds at most one entry per
+/// kernel run since that index was built or compacted, and after every
+/// compaction it is empty.
+fn run_session(
+    table: &Table,
+    cfg: &ErConfig,
+    steps: &[StepSpec],
+    serve: Serve,
+) -> (Vec<QueryTrace>, Vec<bool>) {
     let mut table = table.clone();
     let mut idx = TableErIndex::build(&table, cfg);
     let mut li = LinkIndex::new(table.len());
-    let (mut traces, mut peak_memo) = (Vec::new(), 0);
+    let mut traces = Vec::new();
+    let mut kernel_runs = 0;
     for (kind, a, b, title, venue) in steps {
         let n = table.len();
         let (a, b) = (a % n, b % n);
@@ -443,6 +348,7 @@ fn run_session(table: &Table, cfg: &ErConfig, steps: &[StepSpec], serve: Serve) 
                     }
                     Serve::Fresh => {
                         fresh = TableErIndex::build(&table, cfg);
+                        kernel_runs = 0;
                         &fresh
                     }
                 };
@@ -457,11 +363,26 @@ fn run_session(table: &Table, cfg: &ErConfig, steps: &[StepSpec], serve: Serve) 
                     candidate_pairs: m.candidate_pairs,
                     matches_found: m.matches_found,
                 });
-                peak_memo = peak_memo.max(served.resolve_cache_sizes().2);
+                kernel_runs += m.decision_cache_misses;
+                let memo = served.resolve_cache_sizes().2;
+                assert!(
+                    memo as u64 <= kernel_runs,
+                    "memo of {memo} entries after {kernel_runs} kernel runs (steps {steps:?})"
+                );
                 continue;
             }
             4 => {
                 li.invalidate(&ids);
+                continue;
+            }
+            8 => {
+                idx.compact(&table).unwrap();
+                assert_eq!(
+                    idx.resolve_cache_sizes().2,
+                    0,
+                    "compaction empties the memo"
+                );
+                kernel_runs = 0;
                 continue;
             }
             5 if title.is_empty() => DeltaOp::Insert {
@@ -479,8 +400,7 @@ fn run_session(table: &Table, cfg: &ErConfig, steps: &[StepSpec], serve: Serve) 
         let affected = write(&mut table, &mut [&mut idx], op);
         invalidate(&mut li, &affected, table.len());
     }
-    let links = link_matrix(&li, table.len());
-    (traces, links, peak_memo)
+    (traces, link_matrix(&li, table.len()))
 }
 
 proptest! {
@@ -489,42 +409,13 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// An entry-capped decision memo over random tables and sessions of
-    /// queries and writes: identical per-query traces and final links
-    /// vs the unbounded index, with the memo at or under its budget
-    /// after each query.
-    #[test]
-    fn capped_query_sequences_identical_to_unbounded(
-        rows in rows(),
-        steps in steps(),
-        scheme in 0usize..3,
-        meta in 0usize..2,
-        dec_cap in 1usize..64,
-        threads in 1usize..5,
-    ) {
-        let table = build_table(&rows);
-        let base = cfg_with(
-            scheme_of(scheme),
-            EdgePruningScope::NodeCentric,
-            meta_of(meta),
-            threads,
-        );
-        let mut capped_cfg = base.clone();
-        capped_cfg.decision_cache_cap = dec_cap;
-
-        let want = run_session(&table, &base, &steps, Serve::Carried);
-        let got = run_session(&table, &capped_cfg, &steps, Serve::Carried);
-        prop_assert_eq!(&got.0, &want.0, "capped traces diverged");
-        prop_assert_eq!(&got.1, &want.1, "capped final links diverged");
-        prop_assert!(got.2 <= dec_cap, "decision cache {} over cap {}", got.2, dec_cap);
-    }
-
     /// Sessions of overlapping point + range queries interleaved with
-    /// `apply_delta` writes and Link-Index invalidations produce
-    /// identical per-query DR sets, links, and decision counts whether
-    /// the memo carries over between queries (at `threads` workers),
-    /// starts cold before every query, or every query is served by a
-    /// from-scratch build of the current table (both sequentially).
+    /// `apply_delta` writes, Link-Index invalidations and compactions
+    /// produce identical per-query DR sets, links, and decision counts
+    /// whether the memo carries over between queries (at `threads`
+    /// workers), starts cold before every query, or every query is
+    /// served by a from-scratch build of the current table (both
+    /// sequentially). The memo stays within its bound throughout.
     #[test]
     fn write_interleaved_sessions_identical_with_cold_memos_and_fresh_builds(
         rows in rows(),

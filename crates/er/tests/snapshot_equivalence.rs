@@ -20,8 +20,8 @@
 //!   as content drift.
 //! - **Drift is detected as drift.** Editing a record or retuning a
 //!   decision-relevant knob reopens as
-//!   [`SnapshotError::StaleTableHash`]; retuning the thread knob or a
-//!   resolve-cache cap keeps the snapshot valid.
+//!   [`SnapshotError::StaleTableHash`]; retuning the thread knob keeps
+//!   the snapshot valid.
 //! - **Falling back to an empty Link Index is decision-identical.** On
 //!   the pinned bench workload, a build beside an empty Link Index after
 //!   a detected corruption serves the exact
@@ -368,10 +368,10 @@ fn bit_flip_at_every_byte_detected() {
 }
 
 /// Content drift — an edited record, a retuned decision knob — reopens
-/// as `StaleTableHash`; a retuned thread knob or resolve-cache cap does
-/// not invalidate, and the reopened index serves identical decisions.
+/// as `StaleTableHash`; a retuned thread knob does not invalidate, and
+/// the reopened index serves identical decisions.
 #[test]
-fn drift_detected_as_stale_thread_and_cache_retunes_are_not_drift() {
+fn drift_detected_as_stale_thread_retunes_are_not_drift() {
     let _io = snapshot_io();
     let (table, cfg, image) = small_snapshot();
     let path = fresh_path("drift");
@@ -401,8 +401,8 @@ fn drift_detected_as_stale_thread_and_cache_retunes_are_not_drift() {
         other => panic!("decision-knob drift must reopen as StaleTableHash, got {other:?}"),
     }
 
-    // A retuned thread knob or cache cap: never decision-relevant, so
-    // the snapshot stays valid and decisions match the original run.
+    // A retuned thread knob: never decision-relevant, so the snapshot
+    // stays valid and decisions match the original run.
     let idx_fresh = TableErIndex::build(&table, &cfg);
     let mut li_fresh = LinkIndex::new(table.len());
     let mut m_fresh = DedupMetrics::default();
@@ -411,21 +411,17 @@ fn drift_detected_as_stale_thread_and_cache_retunes_are_not_drift() {
         .unwrap();
     let mut par_cfg = cfg.clone();
     par_cfg.threads = 7;
-    let mut cache_cfg = cfg.clone();
-    cache_cfg.decision_cache_cap = 11;
-    for (what, retuned) in [("thread", par_cfg), ("cache-cap", cache_cfg)] {
-        let (idx2, _snapshot_links) = open_index_snapshot(&path, &table, &retuned)
-            .unwrap_or_else(|e| panic!("{what} retune must not drift: {e}"));
-        // The snapshot carries the original run's links; resolve from a
-        // fresh Link Index view to compare pure decisions.
-        let mut li2 = LinkIndex::new(table.len());
-        let mut m2 = DedupMetrics::default();
-        let out2 = idx2
-            .run(ResolveRequest::all(&table, &mut li2).metrics(&mut m2))
-            .unwrap();
-        assert_eq!(out_fresh.dr, out2.dr, "{what} retune");
-        assert_eq!(count_triple(&m_fresh), count_triple(&m2), "{what} retune");
-    }
+    let (idx2, _snapshot_links) = open_index_snapshot(&path, &table, &par_cfg)
+        .unwrap_or_else(|e| panic!("thread retune must not drift: {e}"));
+    // The snapshot carries the original run's links; resolve from a
+    // fresh Link Index view to compare pure decisions.
+    let mut li2 = LinkIndex::new(table.len());
+    let mut m2 = DedupMetrics::default();
+    let out2 = idx2
+        .run(ResolveRequest::all(&table, &mut li2).metrics(&mut m2))
+        .unwrap();
+    assert_eq!(out_fresh.dr, out2.dr, "thread retune");
+    assert_eq!(count_triple(&m_fresh), count_triple(&m2), "thread retune");
 }
 
 /// A resolved table stays resolved across a reopen: resolve all of the

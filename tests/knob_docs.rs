@@ -75,8 +75,7 @@ fn names_documented(root: &Path) -> BTreeSet<String> {
 
 /// The knob set itself. A new knob means editing this list, in a test
 /// that says how many there are.
-const KNOBS: [&str; 6] = [
-    "QUERYER_DECISION_CACHE_CAP",
+const KNOBS: [&str; 5] = [
     "QUERYER_DELTA_COMPACT_OPS",
     "QUERYER_FAILPOINT",
     "QUERYER_PROPTEST_CASES",
