@@ -1,8 +1,8 @@
 //! Checksums for the on-disk snapshot format.
 //!
 //! Two hand-rolled primitives (the build is offline, so no external
-//! crates): CRC-32C (Castagnoli polynomial, table-driven) guards every
-//! snapshot section against bit rot and torn writes, and FNV-1a 64
+//! crates): CRC-32C (Castagnoli polynomial, table-driven) guards a
+//! snapshot file against bit rot and torn writes, and FNV-1a 64
 //! fingerprints table content + decision-relevant configuration so a
 //! stale snapshot is detected instead of served.
 
@@ -31,46 +31,13 @@ const fn build_crc32c_table() -> [u32; 256] {
     table
 }
 
-/// Incremental CRC-32C hasher. Feed bytes with [`Crc32c::update`],
-/// finish with [`Crc32c::finish`]; [`crc32c`] is the one-shot form.
-#[derive(Debug, Clone)]
-pub struct Crc32c {
-    state: u32,
-}
-
-impl Default for Crc32c {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32c {
-    /// Creates a fresh hasher.
-    pub fn new() -> Self {
-        Self { state: !0 }
-    }
-
-    /// Absorbs `bytes` into the running checksum.
-    #[inline]
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut crc = self.state;
-        for &b in bytes {
-            crc = (crc >> 8) ^ CRC32C_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-        }
-        self.state = crc;
-    }
-
-    /// Returns the final checksum value.
-    pub fn finish(&self) -> u32 {
-        !self.state
-    }
-}
-
-/// One-shot CRC-32C of `bytes`.
+/// CRC-32C of `bytes`.
 pub fn crc32c(bytes: &[u8]) -> u32 {
-    let mut h = Crc32c::new();
-    h.update(bytes);
-    h.finish()
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc = (crc >> 8) ^ CRC32C_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    }
+    !crc
 }
 
 /// FNV-1a 64 offset basis.
@@ -142,15 +109,6 @@ mod tests {
             crc32c(b"The quick brown fox jumps over the lazy dog"),
             0x2262_0404
         );
-    }
-
-    #[test]
-    fn crc32c_incremental_matches_oneshot() {
-        let data = b"hello snapshot world";
-        let mut h = Crc32c::new();
-        h.update(&data[..5]);
-        h.update(&data[5..]);
-        assert_eq!(h.finish(), crc32c(data));
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub mod pairkey;
 pub mod timing;
 
 pub use cancel::CancelToken;
-pub use checksum::{crc32c, Crc32c, Fnv64};
+pub use checksum::{crc32c, Fnv64};
 pub use csr::{Csr, CsrOverflow};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use intern::{Symbol, TokenArena, TokenInterner};

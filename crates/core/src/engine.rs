@@ -157,10 +157,17 @@ impl QueryEngine {
     /// compacted — folded into fresh base buffers — automatically;
     /// [`QueryEngine::compact`] does it on demand.
     ///
-    /// A delta apply or fallback rebuild that fails is a
-    /// [`CoreError::Resolve`]; the table then already holds the batch.
     /// An index a panicked write left poisoned is rebuilt here instead
-    /// of applied to, from rows that include that write's.
+    /// of applied to, from rows that include that write's. A failed
+    /// rebuild (this one, or the one that replaces an index a query
+    /// still holds) is a [`CoreError::Resolve`] and, like a validation
+    /// error, leaves table, index and Link Index untouched. A delta
+    /// apply that fails in place is a [`CoreError::Resolve`] too; the
+    /// table then holds the batch and the index is poisoned, so queries
+    /// fail until [`QueryEngine::compact`] or the next `ingest` rebuilds
+    /// it. A failed automatic compaction is reported after the batch is
+    /// in and the Link Index follows it: the index keeps serving the
+    /// merged view.
     pub fn ingest(&mut self, name: &str, ops: &[DeltaOp]) -> Result<AppliedDelta> {
         let idx = self.table_idx(name)?;
         let rt = &mut self.tables[idx];
@@ -203,30 +210,29 @@ impl QueryEngine {
             }
         }
 
-        // Mutate the rows. Copy-on-write: in-flight query contexts keep
-        // the Arc they cloned; contexts made after this see the new rows.
-        let table = Arc::make_mut(&mut rt.table);
-        for op in ops {
-            op.apply_to_table(table)?;
-        }
-
-        // Fold the same batch into the ER index. If the index Arc is
-        // shared (a query context still holds it) the delta cannot be
-        // applied in place; rebuild a fresh index instead — same served
-        // view, full cost, and the in-flight query keeps its old pair.
-        // A poisoned index is rebuilt too: a panicked earlier write left
-        // it unable to take a delta.
-        let compact_cap = queryer_common::knobs::delta_compact_ops();
+        // Fold the batch into the rows and the ER index. Copy-on-write:
+        // in-flight query contexts keep the Arcs they cloned; contexts
+        // made after this see the new pair. When the index Arc is
+        // shared (a query context still holds it) or poisoned (a
+        // panicked earlier write left it unable to take a delta), the
+        // delta cannot be applied in place: the batch goes into a copy
+        // of the rows, a fresh index is built from it, and the two are
+        // published together only once the build succeeded.
         let applied = match Arc::get_mut(&mut rt.er).filter(|er| !er.is_poisoned()) {
             Some(er) => {
-                let applied = er.apply_delta(table, ops)?;
-                if compact_cap != 0 && er.pending_delta_ops() >= compact_cap {
-                    er.compact(table)?;
+                let table = Arc::make_mut(&mut rt.table);
+                for op in ops {
+                    op.apply_to_table(table)?;
                 }
-                applied
+                er.apply_delta(table, ops)?
             }
             None => {
-                rt.er = Arc::new(TableErIndex::try_build(table, &self.cfg)?);
+                let mut table = Table::clone(&rt.table);
+                for op in ops {
+                    op.apply_to_table(&mut table)?;
+                }
+                rt.er = Arc::new(TableErIndex::try_build(&table, &self.cfg)?);
+                rt.table = Arc::new(table);
                 AppliedDelta {
                     affected: Affected::All,
                     pending_ops: 0,
@@ -234,6 +240,17 @@ impl QueryEngine {
             }
         };
         self.after_write(idx, &applied.affected);
+
+        // Auto-compaction runs once the write is wholly in: a failed
+        // fold leaves the index serving the merged view, which the Link
+        // Index already follows.
+        let compact_cap = queryer_common::knobs::delta_compact_ops();
+        let rt = &mut self.tables[idx];
+        if let Some(er) = Arc::get_mut(&mut rt.er) {
+            if compact_cap != 0 && er.pending_delta_ops() >= compact_cap {
+                er.compact(&rt.table)?;
+            }
+        }
         Ok(applied)
     }
 
@@ -244,14 +261,7 @@ impl QueryEngine {
     /// batch cleanings and join percentages are dropped.
     fn after_write(&mut self, idx: usize, affected: &Affected) {
         let rt = &mut self.tables[idx];
-        {
-            let mut li = rt.li.write();
-            li.grow(rt.table.len());
-            match affected {
-                Affected::Ids(ids) => li.invalidate(ids),
-                Affected::All => li.invalidate_all(),
-            }
-        }
+        rt.li.write().follow_write(rt.table.len(), affected);
         rt.stats.take();
         *rt.batch.lock() = None;
         self.join_pct_cache

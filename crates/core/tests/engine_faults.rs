@@ -10,6 +10,7 @@ use queryer_common::failpoints::{self, FailAction};
 use queryer_core::{CoreError, QueryEngine};
 use queryer_er::{DeltaOp, ErConfig, ResolveError, ResolveStage, WeightScheme};
 use queryer_storage::csv::table_from_csv_str_infer;
+use queryer_storage::Value;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Serializes the tests: failpoints are process-global state.
@@ -158,4 +159,111 @@ fn panicked_first_write_is_recovered_by_compact_and_by_the_next_ingest() {
             "recovered by ingest: {recover_by_ingest}"
         );
     }
+}
+
+/// An ingest that cannot apply in place — a query context still holds
+/// the index — builds a fresh index from a copy of the rows. A worker
+/// lost in that build fails the ingest and publishes nothing: the
+/// table keeps its pre-batch rows, and the engine answers as one
+/// registered fresh over them.
+#[test]
+fn failed_fallback_rebuild_leaves_table_and_index_untouched() {
+    let _faults = faults();
+    let sql = "SELECT DEDUP title, venue FROM P WHERE year >= 2008";
+    let mut e = QueryEngine::new(ErConfig::default());
+    e.register_csv_str("P", PUBS).unwrap();
+    let before = e.table("P").unwrap();
+    let held = e.er_index("P").unwrap();
+    let update = DeltaOp::Update {
+        id: 1,
+        values: before.record(4).unwrap().values.clone(),
+    };
+    failpoints::arm("build.thresholds.worker", FailAction::Panic);
+    if !failpoints::is_armed("build.thresholds.worker") {
+        return; // failpoints are not compiled in
+    }
+    let failed = catch_unwind(AssertUnwindSafe(|| e.ingest("P", &[update]))).expect("unwound");
+    failpoints::disarm("build.thresholds.worker");
+    drop(held);
+    assert!(
+        matches!(
+            failed,
+            Err(CoreError::Resolve(ResolveError::WorkerPanicked {
+                stage: ResolveStage::Build
+            }))
+        ),
+        "{failed:?}"
+    );
+    assert_eq!(
+        e.table("P").unwrap().records(),
+        before.records(),
+        "a failed batch leaves the rows as they were"
+    );
+
+    let mut fresh = QueryEngine::new(ErConfig::default());
+    fresh.register_table(before.as_ref().clone()).unwrap();
+    let want = fresh.execute(sql).unwrap().canonical_rows();
+    let got = e.execute(sql).expect("the old index serves");
+    assert_eq!(got.canonical_rows(), want);
+}
+
+/// A batch that fills the delta to the auto-compaction threshold is
+/// compacted in place. A worker lost in that compaction's build fails
+/// the ingest after the batch is in; the index keeps serving the merged
+/// view and the Link Index must follow the batch all the same, or the
+/// links the batch broke are served and its new records are not
+/// covered. The engine then answers as one registered fresh over the
+/// new rows.
+#[test]
+fn failed_auto_compaction_still_brings_the_link_index_along() {
+    let _faults = faults();
+    let cap = queryer_common::knobs::delta_compact_ops();
+    if cap == 0 {
+        return; // auto-compaction is off
+    }
+    let sql = "SELECT DEDUP title, venue FROM P WHERE year >= 2008";
+    let mut e = QueryEngine::new(ErConfig::default());
+    e.register_csv_str("P", PUBS).unwrap();
+    // Resolve everything first, so a Link Index left alone would still
+    // link 0 and 1 after 1 is rewritten.
+    e.execute(sql).unwrap();
+    let row4 = e.table("P").unwrap().record(4).unwrap().values.clone();
+    let mut batch = vec![DeltaOp::Update {
+        id: 1,
+        values: row4,
+    }];
+    batch.extend((1..cap).map(|i| {
+        DeltaOp::Insert {
+            values: ["id", "title", "author", "venue"]
+                .iter()
+                .map(|c| format!("{c}{i}"))
+                .chain([format!("{}", 1000 + i % 1000)])
+                .map(|v| Value::Str(v.into()))
+                .collect(),
+        }
+    }));
+    failpoints::arm("build.thresholds.worker", FailAction::Panic);
+    if !failpoints::is_armed("build.thresholds.worker") {
+        return; // failpoints are not compiled in
+    }
+    let failed = catch_unwind(AssertUnwindSafe(|| e.ingest("P", &batch))).expect("unwound");
+    failpoints::disarm("build.thresholds.worker");
+    assert!(
+        matches!(
+            failed,
+            Err(CoreError::Resolve(ResolveError::WorkerPanicked {
+                stage: ResolveStage::Build
+            }))
+        ),
+        "{failed:?}"
+    );
+    assert_eq!(e.table("P").unwrap().len(), 5 + cap - 1, "the batch is in");
+
+    let mut fresh = QueryEngine::new(ErConfig::default());
+    fresh
+        .register_table(e.table("P").unwrap().as_ref().clone())
+        .unwrap();
+    let want = fresh.execute(sql).unwrap().canonical_rows();
+    let got = catch_unwind(AssertUnwindSafe(|| e.execute(sql))).expect("execute unwound");
+    assert_eq!(got.expect("the merged view serves").canonical_rows(), want);
 }

@@ -153,6 +153,8 @@ pub(crate) fn threshold_over(
 /// reproduces the first-occurrence order of a carried pair set, with
 /// one order read per edge instead of a hash insert per survivor; a
 /// node scanned before emits nothing, its pairs all went out then.
+/// Global pruning numbers each call's frontier in an order of its own,
+/// to collect every edge of the call's subgraph exactly once.
 ///
 /// A point query scans a handful of nodes, so the numbers start in a
 /// small hash map; once the query has scanned 1/[`RANK_AMORTIZE`] of

@@ -8,6 +8,7 @@
 //! unlinked candidate pair with a resolved endpoint: the resolved mark
 //! promises that every match of the entity is linked here.
 
+use crate::delta::Affected;
 use queryer_common::{FxHashMap, FxHashSet, PairSet};
 use queryer_storage::RecordId;
 
@@ -189,11 +190,24 @@ impl LinkIndex {
 
     /// [`LinkIndex::invalidate`] of every record: drops every link and
     /// turns every resolved mark stale. The ingest path's answer to a
-    /// write whose effect is not targeted ([`crate::Affected::All`]).
+    /// write whose effect is not targeted ([`Affected::All`]).
     pub fn invalidate_all(&mut self) {
         self.marks.iter_mut().for_each(unresolve);
         self.adj.clear();
         self.n_links = 0;
+    }
+
+    /// Follows one write applied to the table and its ER index: grows
+    /// to the table's `n_records`, then un-resolves the ids the write
+    /// affected ([`LinkIndex::invalidate`]) or every record
+    /// ([`LinkIndex::invalidate_all`]). The ingest path's Link-Index
+    /// rule.
+    pub fn follow_write(&mut self, n_records: usize, affected: &Affected) {
+        self.grow(n_records);
+        match affected {
+            Affected::Ids(ids) => self.invalidate(ids),
+            Affected::All => self.invalidate_all(),
+        }
     }
 
     /// Forgets everything, stale marks included (used by the "Without

@@ -32,11 +32,11 @@ const PAR_MIN_FRONTIER: usize = 256;
 /// threads; below this the thread spawn overhead outweighs the win.
 const PAR_MIN_PAIRS: usize = 1024;
 
-/// A sequential global-EP scan, the frontier dedup and the node scan
-/// order build an O(`n_records`) array only once the nodes involved
-/// cover at least 1/`RANK_AMORTIZE` of the table; below that a point
-/// query's handful of neighbourhoods is cheaper to dedup with hash
-/// probes than to pay a table-sized fill.
+/// The frontier dedup and the Edge Pruning scan order build an
+/// O(`n_records`) array only once the nodes involved cover at least
+/// 1/`RANK_AMORTIZE` of the table; below that a point query's handful
+/// of neighbourhoods is cheaper to dedup with hash probes than to pay
+/// a table-sized fill.
 pub(crate) const RANK_AMORTIZE: usize = 32;
 
 /// Pairs each worker decides between budget polls when a comparison
@@ -395,10 +395,9 @@ impl TableErIndex {
     /// an earlier round of this one (in its uncommitted delta).
     /// Point-query shapes keep the hash-set probe; once the candidate
     /// list covers at least 1/[`RANK_AMORTIZE`] of the table, a dense
-    /// seen-array pass (the same amortization rule as the EP scan order
-    /// and frontier-rank ownership) replaces the per-entity hashing — a
-    /// resolve-all round dedups with two array ops per candidate instead
-    /// of a hash insert.
+    /// seen-array pass (the same amortization rule as the EP scan order)
+    /// replaces the per-entity hashing — a resolve-all round dedups with
+    /// two array ops per candidate instead of a hash insert.
     fn unresolved_frontier(
         &self,
         li: &LiMode<'_>,
@@ -481,11 +480,13 @@ impl TableErIndex {
     /// scanned yet and emits a pair only at the endpoint it scanned
     /// first, so a node scanned by an earlier call — or earlier in the
     /// same frontier — emits nothing and duplicates are harmless.
-    /// Global pruning records its emitted pairs; its scans assign each
-    /// edge to its first-scanned endpoint, so its `frontier` entries
-    /// must be distinct (the resolve loop always deduplicates). The
-    /// emitted sequence equals an insert-probing loop over a carried
-    /// pair set (pinned by `tests/ep_equivalence.rs`).
+    /// Global pruning numbers each call's frontier in a scan order of
+    /// its own, so within a call every edge is collected once, at its
+    /// first-scanned endpoint, and records its emitted pairs against
+    /// the query's earlier calls. Node-centric emission equals an
+    /// insert-probing loop over a carried pair set, global emission a
+    /// collector with a pair set per call (both pinned by
+    /// `tests/ep_equivalence.rs`).
     ///
     /// This is the resolve loop's entry point. The frontier scans and
     /// survivor fills run to completion once started (they are bounded
@@ -564,81 +565,53 @@ impl TableErIndex {
         Ok(chunks.concat())
     }
 
-    /// Frontier scan positions: `rank[e]` is the index of `e`'s first
-    /// occurrence in `frontier` (`u32::MAX` when absent). An edge whose
-    /// endpoints are both in the frontier is visited twice by the scan;
-    /// the endpoint with the lower rank *owns* it — emitting only at the
-    /// owner reproduces the first-occurrence order (and the dedup) of
-    /// per-edge `PairSet` probes without paying a hash lookup per edge
-    /// occurrence.
-    fn frontier_ranks(&self, frontier: &[RecordId]) -> Vec<u32> {
-        let mut rank = vec![u32::MAX; self.n_records()];
-        for (i, &q) in frontier.iter().enumerate() {
-            let slot = &mut rank[q as usize];
-            if *slot == u32::MAX {
-                *slot = i as u32;
-            }
-        }
-        rank
-    }
-
     /// Global (WEP-style) EP: collect every distinct edge of the
     /// examined subgraph (fanning out across frontier chunks when the
     /// frontier pays for the threads), prune against the global mean,
-    /// then de-duplicate against prior queries.
+    /// then de-duplicate against prior queries. The call numbers its
+    /// frontier in a fresh [`ScanOrder`] and collects each edge at the
+    /// endpoint it scans first, so the parts concatenated in frontier
+    /// order (and hence the pruning mean) equal one sequential
+    /// collection exactly.
     fn global_pairs(
         &self,
         frontier: &[RecordId],
         pair_seen: &mut PairSet,
     ) -> Result<Vec<(RecordId, RecordId)>, ResolveError> {
         let pruner = EdgePruner::new(self);
-        let workers = if frontier.len() >= PAR_MIN_FRONTIER {
+        let n = self.n_records();
+        let mut order = ScanOrder::default();
+        let fresh: Vec<RecordId> = frontier
+            .iter()
+            .copied()
+            .filter(|&q| order.assign(q, n))
+            .collect();
+        let order = &order;
+        let workers = if fresh.len() >= PAR_MIN_FRONTIER {
             self.config().effective_threads()
         } else {
             1
         };
-        let edges: Vec<(RecordId, RecordId, f64)> =
-            if workers == 1 && frontier.len() * RANK_AMORTIZE < self.n_records() {
-                // Point-query shape: hash-probe dedup instead of the
-                // O(n_records) rank fill — a handful of neighbourhoods
-                // is cheaper to dedup per edge than a table-sized array.
+        let edges = fan_out(
+            fresh.len(),
+            workers,
+            "ep.scan.worker",
+            ResolveStage::EdgePruning,
+            |range| {
                 let mut scratch = CooccurrenceScratch::new();
-                let mut edge_seen = PairSet::new();
-                let mut edges = Vec::new();
-                for &q in frontier {
+                let mut part = Vec::new();
+                for &q in &fresh[range] {
+                    let sq = order.get(q);
                     for &(c, cbs) in self.cooccurrences_into(q, &mut scratch) {
-                        if edge_seen.insert(q, c) {
-                            edges.push((q, c, pruner.weight(q, c, cbs)));
+                        if order.owns(sq, c) {
+                            part.push((q, c, pruner.weight(q, c, cbs)));
                         }
                     }
                 }
-                edges
-            } else {
-                // Rank ownership already makes each edge unique, so the
-                // parts concatenated in frontier order (and hence the
-                // pruning mean) equal one sequential collection exactly.
-                let rank = self.frontier_ranks(frontier);
-                fan_out(
-                    frontier.len(),
-                    workers,
-                    "ep.scan.worker",
-                    ResolveStage::EdgePruning,
-                    |range| {
-                        let mut scratch = CooccurrenceScratch::new();
-                        let mut part = Vec::new();
-                        for &q in &frontier[range] {
-                            let rq = rank[q as usize];
-                            for &(c, cbs) in self.cooccurrences_into(q, &mut scratch) {
-                                if rank[c as usize] >= rq {
-                                    part.push((q, c, pruner.weight(q, c, cbs)));
-                                }
-                            }
-                        }
-                        part
-                    },
-                )?
-                .concat()
-            };
+                part
+            },
+        )?
+        .concat();
         Ok(prune_global(&edges)
             .into_iter()
             .filter(|&(a, b)| pair_seen.insert(a, b))

@@ -4,23 +4,19 @@
 //! QueryER builds its indexes once per table and keeps them in memory
 //! (Sec. 3); what accumulates across queries is the Link Index, the one
 //! piece of state a rebuild cannot reproduce. So the file keeps exactly
-//! that, as one section of the generic crash-safe container of
-//! [`queryer_storage::snapshot`]:
-//!
-//! | section | contents                                            |
-//! |---------|-----------------------------------------------------|
-//! | `links` | resolved flag per record + duplicate adjacency      |
-//!
-//! and [`open_index_snapshot`] rebuilds the blocking graph, profiles and
-//! WNP thresholds with [`TableErIndex::build`]. Decoding those structures
-//! measured no cheaper than building them at any table size, so a
-//! reopened index is by construction a rebuild and cannot diverge from
-//! one; the resolve caches start cold, as after any build.
+//! that — a resolved flag per record and the duplicate adjacency — as
+//! the one payload of the crash-safe framing of
+//! [`queryer_storage::snapshot`], and [`open_index_snapshot`] rebuilds
+//! the blocking graph, profiles and WNP thresholds with
+//! [`TableErIndex::build`]. Decoding those structures measured no
+//! cheaper than building them at any table size, so a reopened index is
+//! by construction a rebuild and cannot diverge from one; the resolve
+//! caches start cold, as after any build.
 //!
 //! # Invalidation
 //!
-//! The container's table hash is [`content_fingerprint`]: FNV-1a 64
-//! over the schema, every record value (type-tagged and framed), and the
+//! The file's fingerprint is [`content_fingerprint`]: FNV-1a 64 over
+//! the schema, every record value (type-tagged and framed), and the
 //! *decision-relevant* configuration fields (blocking scheme, token
 //! length, meta-blocking mode, weight scheme, EP scope, similarity,
 //! threshold, transitivity — not thread counts, which never change
@@ -31,11 +27,11 @@
 //!
 //! # Validation
 //!
-//! The container layer already rejects truncation, bit flips, torn
-//! writes, version skew, and stale content before any section is
-//! readable. On top of it the `links` decoder checks that the resolved
-//! flags cover exactly the table's records, that every stored id is in
-//! range and that no record's adjacency appears twice — so even a
+//! The framing already rejects truncation, bit flips, torn writes,
+//! version skew, and stale content before the payload is readable. On
+//! top of it the payload decoder checks that the resolved flags cover
+//! exactly the table's records, that every stored id is in range and
+//! that no record's adjacency appears twice — so even a
 //! checksum-colliding file can never produce a Link Index that panics
 //! or aliases at query time. Any such failure is
 //! [`SnapshotError::Corrupt`], and is reported before the build starts.
@@ -45,21 +41,11 @@ use crate::index::TableErIndex;
 use crate::link_index::{LinkIndex, Mark};
 use queryer_common::checksum::Fnv64;
 use queryer_common::FxHashMap;
-use queryer_storage::snapshot::wire::{PayloadReader, PayloadWriter};
-use queryer_storage::snapshot::{SnapshotReader, SnapshotWriter};
+use queryer_storage::snapshot::{read_snapshot, write_snapshot, PayloadReader};
 use queryer_storage::{RecordId, Table, Value};
 use std::path::Path;
 
 pub use queryer_storage::snapshot::SnapshotError;
-
-/// The one section a snapshot holds.
-const LINKS: &str = "links";
-
-fn corrupt() -> SnapshotError {
-    SnapshotError::Corrupt {
-        section: LINKS.to_string(),
-    }
-}
 
 /// Fingerprint of everything a snapshot's validity depends on: schema,
 /// record values, and the decision-relevant configuration. See the
@@ -157,38 +143,36 @@ pub fn write_index_snapshot(
     table: &Table,
 ) -> Result<(), SnapshotError> {
     if li.len() != table.len() || index.n_records() != table.len() {
-        return Err(corrupt());
+        return Err(SnapshotError::Corrupt);
     }
-    let mut snap = SnapshotWriter::new(content_fingerprint(table, &index.cfg));
-
-    // Resolved flags + adjacency (neighbour order is semantic —
-    // preserved verbatim; map iteration order is not — sorted by id).
-    let mut w = PayloadWriter::new();
-    // Stale marks are a decision-memo hint, not part of the resolution:
-    // they persist as unresolved, so the format keeps one flag byte.
-    w.put_u64(li.marks.len() as u64);
-    for &m in &li.marks {
-        w.put_u8((m == Mark::Resolved) as u8);
-    }
-    w.put_u64(li.n_links as u64);
+    // Resolved flags + adjacency, little-endian (neighbour order is
+    // semantic — preserved verbatim; map iteration order is not —
+    // sorted by id). Stale marks are a decision-memo hint, not part of
+    // the resolution: they persist as unresolved, so the format keeps
+    // one flag byte.
+    let mut out = Vec::new();
+    out.extend_from_slice(&(li.marks.len() as u64).to_le_bytes());
+    out.extend(li.marks.iter().map(|&m| (m == Mark::Resolved) as u8));
+    out.extend_from_slice(&(li.n_links as u64).to_le_bytes());
     let mut adj: Vec<(RecordId, &Vec<RecordId>)> = li.adj.iter().map(|(&k, v)| (k, v)).collect();
     adj.sort_unstable_by_key(|&(k, _)| k);
-    w.put_u64(adj.len() as u64);
+    out.extend_from_slice(&(adj.len() as u64).to_le_bytes());
     for (id, nbrs) in adj {
-        w.put_u32(id);
-        w.put_u32_slice(nbrs);
+        out.extend_from_slice(&id.to_le_bytes());
+        out.extend_from_slice(&(nbrs.len() as u64).to_le_bytes());
+        for &v in nbrs {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
     }
-    snap.section(LINKS, w.into_bytes());
-
-    snap.write_to(path)
+    write_snapshot(path, content_fingerprint(table, &index.cfg), &out)
 }
 
-/// Decodes and validates the `links` payload against `n_records`.
+/// Decodes and validates the Link-Index payload against `n_records`.
 fn decode_links(payload: &[u8], n_records: usize) -> Result<LinkIndex, SnapshotError> {
     let mut r = PayloadReader::new(payload);
     let n_resolved = r.take_len(1)?;
     if n_resolved != n_records {
-        return Err(corrupt());
+        return Err(SnapshotError::Corrupt);
     }
     let mut marks = Vec::with_capacity(n_resolved);
     for _ in 0..n_resolved {
@@ -206,16 +190,16 @@ fn decode_links(payload: &[u8], n_records: usize) -> Result<LinkIndex, SnapshotE
     for _ in 0..n_adj {
         let id = r.take_u32()?;
         if !in_range(id) {
-            return Err(corrupt());
+            return Err(SnapshotError::Corrupt);
         }
         let nbrs = r.take_u32_vec()?;
         if !nbrs.iter().all(|&v| in_range(v)) || adj.insert(id, nbrs).is_some() {
-            return Err(corrupt());
+            return Err(SnapshotError::Corrupt);
         }
     }
     // Trailing bytes mean a different (buggy or hostile) encoder.
     if !r.is_exhausted() {
-        return Err(corrupt());
+        return Err(SnapshotError::Corrupt);
     }
     Ok(LinkIndex {
         marks,
@@ -236,7 +220,7 @@ pub fn open_index_snapshot(
     table: &Table,
     cfg: &ErConfig,
 ) -> Result<(TableErIndex, LinkIndex), SnapshotError> {
-    let snap = SnapshotReader::open(path, content_fingerprint(table, cfg))?;
-    let li = decode_links(snap.expect_section(LINKS)?, table.len())?;
+    let payload = read_snapshot(path, content_fingerprint(table, cfg))?;
+    let li = decode_links(&payload, table.len())?;
     Ok((TableErIndex::build(table, cfg), li))
 }

@@ -166,16 +166,6 @@ struct QueryTrace {
     matches_found: u64,
 }
 
-/// The engine's Link-Index rule for one applied write: grow to the
-/// table, then un-resolve the affected ids, or every record.
-fn invalidate(li: &mut LinkIndex, affected: &Affected, n: usize) {
-    li.grow(n);
-    match affected {
-        Affected::Ids(ids) => li.invalidate(ids),
-        Affected::All => li.invalidate_all(),
-    }
-}
-
 /// Applies `op` to `table` and to every index in `idxs`, returning the
 /// first index's invalidation scope.
 fn write(table: &mut Table, idxs: &mut [&mut TableErIndex], op: DeltaOp) -> Affected {
@@ -398,7 +388,7 @@ fn run_session(
             _ => DeltaOp::Delete { id: a as RecordId },
         };
         let affected = write(&mut table, &mut [&mut idx], op);
-        invalidate(&mut li, &affected, table.len());
+        li.follow_write(table.len(), &affected);
     }
     (traces, link_matrix(&li, table.len()))
 }
@@ -492,7 +482,7 @@ proptest! {
                 // no block), then every record un-resolved.
                 let null_row = DeltaOp::Insert { values: vec![Value::Null; 3] };
                 let affected = write(&mut table, &mut [&mut idx], null_row);
-                invalidate(&mut li, &affected, table.len());
+                li.follow_write(table.len(), &affected);
                 li.invalidate_all();
             }
             let mut traces = Vec::new();

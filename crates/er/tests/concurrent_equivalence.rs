@@ -37,8 +37,8 @@ use parking_lot::RwLock;
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_er::{
-    Affected, DedupMetrics, DeltaOp, ErConfig, LinkDelta, LinkIndex, ResolveOutcome,
-    ResolveRequest, TableErIndex,
+    DedupMetrics, DeltaOp, ErConfig, LinkDelta, LinkIndex, ResolveOutcome, ResolveRequest,
+    TableErIndex,
 };
 use queryer_storage::{RecordId, Table, Value};
 use std::collections::BTreeSet;
@@ -396,14 +396,7 @@ fn query_insert_mix_drained_by_four_workers_equals_a_rebuild() {
         let (table, idx) = &mut *guard;
         op.apply_to_table(table).expect("insert row");
         let applied = idx.apply_delta(table, &[op]).expect("apply delta");
-        let mut li = li.write();
-        match &applied.affected {
-            Affected::Ids(ids) => {
-                li.grow(table.len());
-                li.invalidate(ids);
-            }
-            Affected::All => *li = LinkIndex::new(table.len()),
-        }
+        li.write().follow_write(table.len(), &applied.affected);
         true
     });
     assert_eq!(inserted.iter().filter(|&&w| w).count(), 25);

@@ -9,18 +9,20 @@
 //! mean-of-weights oracle at every thread count; the enumerator emits,
 //! call by call over random sequences of overlapping, duplicated and
 //! repeated frontiers, exactly what an in-test insert-probing emitter
-//! over a carried pair set emits; and an index at 1..8 threads emits
-//! the identical candidate pair sequence as a sequential one for every
-//! frontier size from 1 to the whole table — and hence identical DR
-//! sets / links / metrics counts after a full resolve — across every
-//! `WeightScheme` and both `EdgePruningScope`s.
+//! over a carried pair set emits; global pruning emits, over the same
+//! sequences, exactly what an in-test collector with a per-call edge
+//! set keeps against the call's mean weight; and an index at 1..8
+//! threads emits the identical candidate pair sequence as a sequential
+//! one for every frontier size from 1 to the whole table — and hence
+//! identical DR sets / links / metrics counts after a full resolve —
+//! across every `WeightScheme` and both `EdgePruningScope`s.
 
 #![allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_common::PairSet;
-use queryer_er::edge_pruning::{bulk_node_thresholds, EdgePruner, EpSeen};
+use queryer_er::edge_pruning::{bulk_node_thresholds, prune_global, EdgePruner, EpSeen};
 use queryer_er::{
     CooccurrenceScratch, DedupMetrics, EdgePruningScope, ErConfig, LinkIndex, MetaBlockingConfig,
     ResolveRequest, TableErIndex, WeightScheme,
@@ -167,12 +169,50 @@ fn oracle_emit(
     out
 }
 
-/// A node-centric index over `table` with `scheme` and `threads`.
-fn node_centric(table: &Table, scheme: WeightScheme, threads: usize) -> TableErIndex {
+/// The oracle global emission is pinned to: each call collects the
+/// distinct edges of its frontier nodes' neighbourhoods in scan order
+/// through a pair set of its own, keeps those whose weight reaches the
+/// mean over the collected edges, and emits the kept pairs no earlier
+/// call emitted.
+fn oracle_global(
+    idx: &TableErIndex,
+    frontier: &[RecordId],
+    seen: &mut PairSet,
+) -> Vec<(RecordId, RecordId)> {
+    let pruner = EdgePruner::new(idx);
+    let mut scratch = CooccurrenceScratch::new();
+    let mut edge_seen = PairSet::new();
+    let mut edges = Vec::new();
+    for &q in frontier {
+        for &(c, cbs) in idx.cooccurrences_into(q, &mut scratch) {
+            if edge_seen.insert(q, c) {
+                edges.push((q, c, pruner.weight(q, c, cbs)));
+            }
+        }
+    }
+    prune_global(&edges)
+        .into_iter()
+        .filter(|&(a, b)| seen.insert(a, b))
+        .collect()
+}
+
+/// An index over `table` with `scheme`, `scope` and `threads`.
+fn ep_index(
+    table: &Table,
+    scheme: WeightScheme,
+    scope: EdgePruningScope,
+    threads: usize,
+) -> TableErIndex {
     let mut cfg = ErConfig::default().with_meta(MetaBlockingConfig::All);
     cfg.weight_scheme = scheme;
+    cfg.ep_scope = scope;
     cfg.threads = threads;
     TableErIndex::build(table, &cfg)
+}
+
+/// A node-centric index over `table` with `scheme` and `threads`.
+fn node_centric(table: &Table, scheme: WeightScheme, threads: usize) -> TableErIndex {
+    ep_index(table, scheme, EdgePruningScope::NodeCentric, threads)
 }
 
 /// One frontier call of a random sequence over an `n`-record table: a
@@ -344,6 +384,30 @@ proptest! {
             prop_assert_eq!(
                 pairs_of(&idx, &frontier, &mut seen),
                 oracle_emit(&idx, &frontier, &mut oracle_seen),
+                "call {} {:?}", i, call
+            );
+        }
+    }
+
+    /// Global emission over the same random call sequences — each call
+    /// collecting, pruning against its own mean and de-duplicating
+    /// against the query's earlier calls — equals the per-call
+    /// edge-set oracle's call by call, for every weight scheme at 1..8
+    /// threads.
+    #[test]
+    fn global_emission_matches_oracle_over_call_sequences(
+        scheme in 0usize..3,
+        threads in 1usize..9,
+        calls in proptest::collection::vec((0usize..5, 0usize..420, 1usize..=420, any::<bool>()), 1..8),
+    ) {
+        let table = large_table(420);
+        let idx = ep_index(&table, scheme_of(scheme), EdgePruningScope::Global, threads);
+        let (mut seen, mut oracle_seen) = (EpSeen::new(), PairSet::new());
+        for (i, &call) in calls.iter().enumerate() {
+            let frontier = frontier_of(table.len(), call);
+            prop_assert_eq!(
+                pairs_of(&idx, &frontier, &mut seen),
+                oracle_global(&idx, &frontier, &mut oracle_seen),
                 "call {} {:?}", i, call
             );
         }

@@ -215,20 +215,6 @@ fn assert_rebuild_equivalent(
     );
 }
 
-/// Applies the engine's Link-Index maintenance rule for one delta.
-fn maintain_li(li: &mut LinkIndex, affected: &Affected, n: usize) {
-    match affected {
-        Affected::Ids(ids) => {
-            li.grow(n);
-            li.invalidate(ids);
-        }
-        Affected::All => {
-            li.grow(n);
-            li.invalidate_all();
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: proptest_cases(12),
@@ -264,7 +250,7 @@ proptest! {
         for batch in &batches {
             let ops: Vec<DeltaOp> = batch.iter().map(|s| make_op(s, &mut table)).collect();
             let applied = idx.apply_delta(&table, &ops).unwrap();
-            maintain_li(&mut li, &applied.affected, table.len());
+            li.follow_write(table.len(), &applied.affected);
 
             // Point-query-only history, before anything resolves the
             // whole table (which would repair a Link Index the delta
@@ -387,7 +373,7 @@ proptest! {
 
         let ops: Vec<DeltaOp> = batch.iter().map(|s| make_op(s, &mut table)).collect();
         let applied = idx.apply_delta(&table, &ops).unwrap();
-        maintain_li(&mut li, &applied.affected, table.len());
+        li.follow_write(table.len(), &applied.affected);
 
         let before = full_resolve(&idx, &table);
         // Pin the maintained LI's links before compaction...
@@ -441,7 +427,7 @@ fn duplicate_insert_links_not_dedups() {
     op.apply_to_table(&mut table).unwrap();
     assert_eq!(table.len(), n_before + 1, "ingest must keep the row");
     let applied = idx.apply_delta(&table, &[op]).unwrap();
-    maintain_li(&mut li, &applied.affected, table.len());
+    li.follow_write(table.len(), &applied.affected);
 
     let new_id = n_before as RecordId;
     let mut m = DedupMetrics::default();
@@ -485,7 +471,7 @@ fn delete_of_matched_record() {
         }
         Affected::All => {}
     }
-    maintain_li(&mut li, &applied.affected, table.len());
+    li.follow_write(table.len(), &applied.affected);
     assert!(!li.are_linked(0, 1), "links to a deleted record must drop");
     assert_rebuild_equivalent(&idx, &table, &cfg, &mut li);
 }
@@ -512,7 +498,7 @@ fn update_that_changes_blocks() {
     };
     op.apply_to_table(&mut table).unwrap();
     let applied = idx.apply_delta(&table, &[op]).unwrap();
-    maintain_li(&mut li, &applied.affected, table.len());
+    li.follow_write(table.len(), &applied.affected);
     assert!(!li.are_linked(0, 1), "stale link must not survive the move");
 
     let mut m = DedupMetrics::default();
@@ -562,7 +548,7 @@ fn threshold_flip_unlinks_an_untouched_neighbour() {
         .expect("CBS + node-centric is targeted");
     assert!(ids.contains(&1), "record 1 lost a surviving edge: {ids:?}");
     assert!(!ids.contains(&3), "record 3 is out of reach: {ids:?}");
-    maintain_li(&mut li, &applied.affected, table.len());
+    li.follow_write(table.len(), &applied.affected);
     assert!(!li.are_linked(0, 1), "a rebuild never compares 0 and 1");
     // A point query on 1 computes its survivor row from the patched
     // thresholds; a resolve-all would hide a stale one behind 0's
@@ -638,7 +624,7 @@ fn single_row_writes_cost_what_they_changed() {
         assert_eq!(idx.bulk_ep_thresholds(), rebuilt.bulk_ep_thresholds());
 
         // The engine's maintenance, then reads that warm things again.
-        maintain_li(&mut li, &applied.affected, table.len());
+        li.follow_write(table.len(), &applied.affected);
         idx.run(ResolveRequest::all(&table, &mut li)).unwrap();
     }
     // One write in ten here moves a record into or out of a block most
@@ -682,7 +668,7 @@ fn pinned_workload_batch_insert_then_compact() {
         op.apply_to_table(&mut table).unwrap();
     }
     let applied = idx.apply_delta(&table, &ops).unwrap();
-    maintain_li(&mut li, &applied.affected, table.len());
+    li.follow_write(table.len(), &applied.affected);
     assert_eq!(counts(&idx, &table, &mut li), (25455, 278), "post-ingest");
 
     idx.compact(&table).unwrap();
@@ -742,7 +728,7 @@ fn snapshot_of_live_delta_reopens_identically() {
     };
     op.apply_to_table(&mut table).unwrap();
     let applied = idx.apply_delta(&table, &[op]).unwrap();
-    maintain_li(&mut li, &applied.affected, table.len());
+    li.follow_write(table.len(), &applied.affected);
     assert!(idx.has_delta());
 
     let dir = std::env::temp_dir().join(format!("queryer_ingest_snap_{}", std::process::id()));
@@ -751,7 +737,7 @@ fn snapshot_of_live_delta_reopens_identically() {
     assert!(
         matches!(
             queryer_er::write_index_snapshot(&path, &idx, &ungrown, &table),
-            Err(queryer_er::SnapshotError::Corrupt { .. })
+            Err(queryer_er::SnapshotError::Corrupt)
         ) && !path.exists(),
         "a Link Index that misses the inserted record must not be written"
     );

@@ -1,7 +1,7 @@
 //! Snapshot round-trip fidelity and corruption handling.
 //!
 //! The crash-safety contract this suite pins, end to end at the ER
-//! level (the container-level byte checks live in
+//! level (the framing-level byte checks live in
 //! `queryer-storage/src/snapshot.rs`):
 //!
 //! - **Round trip is bit-identical.** The file holds the Link Index;
@@ -297,7 +297,7 @@ fn assert_structural_rejection(err: Result<(TableErIndex, LinkIndex), SnapshotEr
             SnapshotError::Truncated
             | SnapshotError::BadMagic
             | SnapshotError::VersionMismatch { .. }
-            | SnapshotError::ChecksumMismatch { .. },
+            | SnapshotError::ChecksumMismatch,
         ) => {}
         Err(e) => panic!("{what}: damage misreported as {e}"),
     }
@@ -325,7 +325,7 @@ fn small_snapshot() -> (Table, ErConfig, Vec<u8>) {
 }
 
 /// Truncation at every possible length — a torn write can stop
-/// anywhere, including mid-header, mid-section, and inside the commit
+/// anywhere, including mid-header, mid-payload, and inside the trailing
 /// checksum — is detected at open as a structural error.
 #[test]
 fn truncation_at_every_length_detected() {
@@ -347,9 +347,9 @@ fn truncation_at_every_length_detected() {
 }
 
 /// A single flipped bit anywhere in the file — magic, version, hash,
-/// section payloads, checksums, the commit record — is detected at
-/// open. The bit position rotates per byte; the container's own suite
-/// covers every bit of every byte at the `from_bytes` level.
+/// payload length, payload, the trailing CRC — is detected at open.
+/// The bit position rotates per byte; the framing's own unit tests
+/// flip a bit in every byte of an in-memory image.
 #[test]
 fn bit_flip_at_every_byte_detected() {
     let _io = snapshot_io();

@@ -5,9 +5,9 @@
 //! (Sec. 4). This crate provides exactly that model: dynamically-typed
 //! [`Value`]s, [`Schema`]s, row-oriented [`Table`]s whose records are
 //! addressed by dense [`RecordId`]s, a from-scratch CSV reader/writer,
-//! and the crash-safe sectioned [`snapshot`] container the persistent ER
-//! index serializes into. Naming tables is the engine's business: it
-//! keeps its own name → table map.
+//! and the crash-safe [`snapshot`] framing the persisted Link Index is
+//! written in. Naming tables is the engine's business: it keeps its own
+//! name → table map.
 
 pub mod csv;
 pub mod error;
@@ -20,6 +20,6 @@ pub mod value;
 pub use error::{Result, StorageError};
 pub use record::{Record, RecordId};
 pub use schema::{DataType, Field, Schema};
-pub use snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+pub use snapshot::SnapshotError;
 pub use table::Table;
 pub use value::Value;
