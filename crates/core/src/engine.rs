@@ -287,6 +287,8 @@ impl QueryEngine {
             None => {
                 if rt.er.has_delta() || recovering {
                     rt.er = Arc::new(TableErIndex::try_build(&rt.table, &self.cfg)?);
+                } else {
+                    rt.er.clear_ep_cache();
                 }
             }
         }
@@ -435,17 +437,14 @@ impl QueryEngine {
         // hands out the same lock) never observe a half-applied round.
         let li = Arc::new(RwLock::new(LinkIndex::new(rt.table.len())));
         let mut metrics = DedupMetrics::default();
-        rt.er
+        // DR_E of every record is the whole table, so the outcome's
+        // cluster ids are indexed by record id.
+        let outcome = rt
+            .er
             .run(ResolveRequest::all(&rt.table, &*li).metrics(&mut metrics))?;
-        let all: Vec<RecordId> = (0..rt.table.len() as RecordId).collect();
-        let cluster_map = rt.er.cluster_map(&li.read(), &all);
-        let cluster_of: Vec<RecordId> = all
-            .iter()
-            .map(|id| *cluster_map.get(id).unwrap_or(id))
-            .collect();
         let batch = Arc::new(BatchClean {
             li,
-            cluster_of: Arc::new(cluster_of),
+            cluster_of: Arc::new(outcome.clusters),
             duration: t0.elapsed(),
             metrics,
         });

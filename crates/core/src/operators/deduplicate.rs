@@ -49,9 +49,9 @@ impl Operator for DeduplicateOp {
 
 /// Shared resolution plumbing (also used by the Deduplicate-Join
 /// operator): resolves `qe` against its table, merges ER metrics into the
-/// query metrics, and returns DR_E as one-slot rows annotated with their
-/// clusters. A failed resolve (a poisoned index, a lost worker) is the
-/// query's error.
+/// query metrics, and returns DR_E as one-slot rows annotated with the
+/// cluster ids the resolve read off the Link Index. A failed resolve (a
+/// poisoned index, a lost worker) is the query's error.
 pub fn resolve_to_refs(ctx: &ExecContext, table_idx: usize, qe: &[RecordId]) -> Result<Batch> {
     let table = &ctx.tables[table_idx];
     let er = &ctx.er[table_idx];
@@ -64,26 +64,13 @@ pub fn resolve_to_refs(ctx: &ExecContext, table_idx: usize, qe: &[RecordId]) -> 
     let outcome =
         er.run(ResolveRequest::records(table, qe, &*ctx.li[table_idx]).metrics(&mut er_metrics))?;
 
-    // One cluster pass over DR_E, which is already a closure: a record
-    // with no link is its own cluster, and only the linked rest goes
-    // through the union-find.
     let mut refs = Batch::with_capacity(1, outcome.dr.len());
-    {
-        let li = ctx.li[table_idx].read();
-        let linked: Vec<RecordId> = outcome
-            .dr
-            .iter()
-            .copied()
-            .filter(|&id| !li.neighbors(id).is_empty())
-            .collect();
-        let cluster_of = er.cluster_map(&li, &linked);
-        for &id in &outcome.dr {
-            refs.push(&[EntityRef {
-                table: table_idx,
-                record: id,
-                cluster: *cluster_of.get(&id).unwrap_or(&id),
-            }]);
-        }
+    for (&record, &cluster) in outcome.dr.iter().zip(&outcome.clusters) {
+        refs.push(&[EntityRef {
+            table: table_idx,
+            record,
+            cluster,
+        }]);
     }
 
     let mut m = ctx.metrics.lock();

@@ -48,7 +48,7 @@ pub fn compute_table_stats(table: &Table, er: &TableErIndex) -> Result<TableStat
     let mut li = LinkIndex::new(n);
     let mut metrics = DedupMetrics::default();
     let outcome = er.run(ResolveRequest::records(table, &sample, &mut li).metrics(&mut metrics))?;
-    let clusters: FxHashSet<RecordId> = er.cluster_map(&li, &outcome.dr).into_values().collect();
+    let clusters: FxHashSet<RecordId> = outcome.clusters.into_iter().collect();
     Ok(TableStats {
         duplication_factor: (outcome.dr.len() as f64 / clusters.len().max(1) as f64).max(1.0),
         sample_size: sample.len(),

@@ -161,6 +161,30 @@ fn explicit_compact_is_decision_identical() {
     );
 }
 
+/// With no delta live, `compact` drops the decision memo even while
+/// a query context still holds the index `Arc`.
+#[test]
+fn compact_empties_the_memo_of_a_shared_index() {
+    let _env = CompactCap::new(Some(0)); // never auto-compact
+    let mut e = engine();
+    e.execute(EDBT_DEDUP).unwrap();
+    let row = e.table("P").unwrap().record(0).unwrap().values.clone();
+    e.ingest("P", &[DeltaOp::Insert { values: row }]).unwrap();
+    e.compact("P").unwrap();
+    assert!(!e.er_index("P").unwrap().has_delta());
+
+    // The write left cluster {0,1} stale: its re-query fills the memo.
+    e.execute(EDBT_DEDUP).unwrap();
+    let held = e.er_index("P").unwrap();
+    assert!(
+        held.resolve_cache_sizes().2 > 0,
+        "the stale re-query fills the memo"
+    );
+    e.compact("P").unwrap();
+    assert_eq!(held.resolve_cache_sizes().2, 0, "compact empties the memo");
+    assert!(std::sync::Arc::ptr_eq(&held, &e.er_index("P").unwrap()));
+}
+
 #[test]
 fn shared_index_falls_back_to_rebuild() {
     let _env = CompactCap::new(None);

@@ -28,19 +28,23 @@ fn full_clean_quality(ds: &queryer_datagen::Dataset, name: &str) -> (f64, f64) {
     // Evaluate the links recorded in the LI.
     let all: Vec<RecordId> = (0..ds.table.len() as RecordId).collect();
     let qe: FxHashSet<RecordId> = all.iter().copied().collect();
-    // Re-derive the cluster map through the public engine pieces.
+    // Re-derive the cluster ids through the public engine pieces.
     let (resolved, links) = e.link_index_stats(name).unwrap();
     assert_eq!(resolved, ds.table.len());
     assert!(links > 0);
     // Access the LI indirectly: compare via a fresh resolve on the index.
     let mut li = queryer_er::LinkIndex::new(ds.table.len());
     let mut m = queryer_er::DedupMetrics::default();
-    er.run(ResolveRequest::all(&ds.table, &mut li).metrics(&mut m))
+    let outcome = er
+        .run(ResolveRequest::all(&ds.table, &mut li).metrics(&mut m))
         .unwrap();
-    let cluster = er.cluster_map(&li, &all);
+    // DR_E of every record is the whole table: the labels are indexed
+    // by record id.
+    assert_eq!(outcome.dr, all);
+    let cluster = outcome.clusters;
     let pc = ds
         .truth
-        .pc_for_qe(&qe, |a, b| cluster.get(&a) == cluster.get(&b));
+        .pc_for_qe(&qe, |a, b| cluster[a as usize] == cluster[b as usize]);
     // Precision over predicted same-cluster pairs within true clusters'
     // neighbourhoods is expensive to enumerate exactly; measure over the
     // direct links instead.

@@ -1,5 +1,8 @@
 //! Configuration of the ER pipeline.
 
+use std::sync::OnceLock;
+use std::thread::available_parallelism;
+
 /// Which meta-blocking methods run, mirroring the configurations of
 /// Table 8 in the paper: `ALL` (BP + BF + EP), `BP+BF`, `BP+EP`, plus
 /// `BP`-only and `None` for ablations.
@@ -196,14 +199,14 @@ impl ErConfig {
     }
 
     /// The concrete worker count: `threads`, with `0` resolved to the
-    /// machine's available parallelism.
+    /// machine's available parallelism. That is read once per process:
+    /// on Linux each read parses the cgroup quota files, and every
+    /// fan-out asks.
     pub fn effective_threads(&self) -> usize {
-        if self.threads != 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+        static AUTO: OnceLock<usize> = OnceLock::new();
+        match self.threads {
+            0 => *AUTO.get_or_init(|| available_parallelism().map_or(1, |n| n.get())),
+            n => n,
         }
     }
 }

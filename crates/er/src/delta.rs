@@ -411,9 +411,9 @@ impl TableErIndex {
     /// EP) report [`Affected::All`] instead, and ECBS / JS under
     /// node-centric EP get one threshold re-sweep.
     ///
-    /// Panic safety: like [`TableErIndex::clear_ep_cache`], the apply
-    /// is a compound mutation under a poison latch — the `"delta.apply"`
-    /// failpoint stands in for a mid-apply fault in tests.
+    /// Panic safety: the apply is the index's one compound mutation,
+    /// run under a poison latch — the `"delta.apply"` failpoint stands
+    /// in for a mid-apply fault in tests.
     pub fn apply_delta(
         &mut self,
         table: &Table,

@@ -30,7 +30,7 @@
 //! worker thread that panics mid-fan-out is caught per-join and
 //! surfaces as [`ResolveError::WorkerPanicked`] (workers write no
 //! shared state, so the index keeps serving), and an
-//! index whose cache maintenance was torn by a panic refuses service
+//! index whose delta apply was torn by a panic refuses service
 //! with [`ResolveError::Poisoned`].
 //!
 //! All of the above holds on either kind of Link Index handle
@@ -242,13 +242,14 @@ impl ResolveBudget {
 ///
 /// None of these leave the index unusable except [`Poisoned`], which is
 /// precisely the case where continuing *would* be unsound: a panic
-/// unwound through the index's own cache maintenance
-/// ([`TableErIndex::clear_ep_cache`](crate::TableErIndex::clear_ep_cache)),
-/// so the memo state can no longer be vouched for. Worker panics during
-/// resolve ([`WorkerPanicked`]) do *not* poison: workers write no shared
-/// state — the decision memo takes a batch's decisions only after every
-/// worker of it has joined — so the index keeps serving byte-identical
-/// decisions (pinned by `crates/er/tests/fault_injection.rs`).
+/// unwound through a delta apply
+/// ([`TableErIndex::apply_delta`](crate::TableErIndex::apply_delta)),
+/// so the half-patched index can no longer be vouched for. Worker
+/// panics during resolve ([`WorkerPanicked`]) do *not* poison: workers
+/// write no shared state — the decision memo takes a batch's decisions
+/// only after every worker of it has joined — so the index keeps
+/// serving byte-identical decisions (pinned by
+/// `crates/er/tests/fault_injection.rs`).
 ///
 /// [`Poisoned`]: ResolveError::Poisoned
 /// [`WorkerPanicked`]: ResolveError::WorkerPanicked
@@ -269,8 +270,8 @@ pub enum ResolveError {
         /// Stage whose fan-out lost a worker.
         stage: ResolveStage,
     },
-    /// A previous panic unwound through the index's cache maintenance;
-    /// the index refuses further resolves. Rebuild it.
+    /// A previous panic unwound through a delta apply; the index
+    /// refuses further resolves. Rebuild it.
     Poisoned,
     /// A delta batch handed to
     /// [`TableErIndex::apply_delta`](crate::TableErIndex::apply_delta)
@@ -311,7 +312,7 @@ impl fmt::Display for ResolveError {
                 write!(f, "a {stage} worker thread panicked")
             }
             ResolveError::Poisoned => {
-                f.write_str("index poisoned by a panic during cache maintenance; rebuild it")
+                f.write_str("index poisoned by a panic during a delta apply; rebuild it")
             }
             ResolveError::InvalidDelta { reason } => {
                 write!(f, "invalid delta batch: {reason}")

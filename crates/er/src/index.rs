@@ -40,11 +40,10 @@
 
 use crate::config::ErConfig;
 use crate::edge_pruning::bulk_node_thresholds;
-use crate::govern::{fan_out, PoisonGuard, ResolveError, ResolveStage};
+use crate::govern::{fan_out, ResolveError, ResolveStage};
 use crate::purging::purge_flags;
 use crate::tokenizer::{record_keys, record_tokens};
 use parking_lot::Mutex;
-use queryer_common::failpoints;
 use queryer_common::{Csr, FxHashMap, TokenArena, TokenInterner};
 use queryer_storage::{Record, RecordId, Table};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -362,12 +361,11 @@ pub struct TableErIndex {
     /// while an endpoint was stale, so it never outgrows the kernel
     /// runs since the last build; compaction and every rebuild empty it.
     pub(crate) decisions: Mutex<FxHashMap<u64, bool>>,
-    /// Set when a panic unwound through this index's own cache
-    /// maintenance ([`TableErIndex::clear_ep_cache`]) or a delta apply
-    /// ([`TableErIndex::apply_delta`]); every later
-    /// resolve then returns [`ResolveError::Poisoned`]. Worker panics
-    /// during resolve never set this — workers write no shared state,
-    /// so the index stays sound (see `crate::govern`).
+    /// Set when a panic unwound through a delta apply
+    /// ([`TableErIndex::apply_delta`]); every later resolve then returns
+    /// [`ResolveError::Poisoned`]. Worker panics during resolve never
+    /// set this — workers write no shared state, so the index stays
+    /// sound (see `crate::govern`).
     pub(crate) poisoned: AtomicBool,
     /// The incremental-ingest delta side ([`crate::delta`]): overlays
     /// shadowing exactly the rows mutations touched, `None` until the
@@ -505,10 +503,9 @@ impl TableErIndex {
         Ok(idx)
     }
 
-    /// Whether a panic unwound through this index's cache maintenance
-    /// or a delta apply; a poisoned index refuses further resolves with
-    /// [`ResolveError::Poisoned`]. Rebuild or
-    /// [`compact`](TableErIndex::compact) it to recover.
+    /// Whether a panic unwound through a delta apply; a poisoned index
+    /// refuses further resolves with [`ResolveError::Poisoned`].
+    /// Rebuild or [`compact`](TableErIndex::compact) it to recover.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
     }
@@ -731,16 +728,11 @@ impl TableErIndex {
     /// Drops the cross-query decision memo (test/ablation helper; the
     /// benchmark calls it by this name to measure cold queries). The
     /// WNP thresholds are index data, not cache, and are never dropped.
-    /// Panic safety: clearing runs under a poison latch — if a panic
-    /// unwinds mid-clear (the `"cache.clear"` failpoint stands in for
-    /// such a fault in tests), the index flips
-    /// [`TableErIndex::is_poisoned`] and refuses further resolves
-    /// instead of serving from state it can no longer vouch for.
+    /// Every memo entry is the kernel's exact decision for its pair, so
+    /// any subset of the memo is a valid memo: a clear cut short leaves
+    /// nothing wrong, and needs no poison latch.
     pub fn clear_ep_cache(&self) {
-        let guard = PoisonGuard::new(&self.poisoned);
-        failpoints::fire("cache.clear");
         self.decisions.lock().clear();
-        guard.disarm();
     }
 }
 

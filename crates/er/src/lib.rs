@@ -118,7 +118,11 @@
 //!   private [`LinkDelta`], and publishes them with one
 //!   [`LinkIndex::commit`], whether the caller passed `&mut LinkIndex`
 //!   or a shared `&RwLock<LinkIndex>` (see [`TableErIndex::run`]). A
-//!   resolve that returns `Err` commits nothing.
+//!   resolve that returns `Err` commits nothing. One post-commit walk
+//!   of the linked components yields both DR_E and each member's
+//!   cluster id (the component's minimum member,
+//!   [`LinkIndex::labelled_closure`]); the outcome carries both, so no
+//!   caller walks the Link Index again to group a result.
 //!
 //! `tests/interned_equivalence.rs` pins the index's interned profiles
 //! to the raw records (a test-side oracle that renders, lowercases and
@@ -153,7 +157,6 @@ pub mod resolver;
 pub mod similarity;
 pub mod snapshot;
 pub mod tokenizer;
-pub mod union_find;
 
 pub use config::{
     BlockingKind, EdgePruningScope, ErConfig, MetaBlockingConfig, SimilarityKind, WeightScheme,
@@ -168,4 +171,3 @@ pub use queryer_common::CancelToken;
 pub use request::{LiMode, ResolveRequest, ResolveTarget};
 pub use resolver::ResolveOutcome;
 pub use snapshot::{content_fingerprint, open_index_snapshot, write_index_snapshot, SnapshotError};
-pub use union_find::UnionFind;

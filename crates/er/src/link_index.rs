@@ -114,25 +114,56 @@ impl LinkIndex {
     /// duplicate clusters touching the seeds. Output is sorted and
     /// includes the seeds themselves.
     pub fn closure(&self, seeds: impl IntoIterator<Item = RecordId>) -> Vec<RecordId> {
-        let mut seen: Vec<RecordId> = Vec::new();
-        let mut visited = queryer_common::FxHashSet::default();
-        let mut stack: Vec<RecordId> = Vec::new();
+        let mut members = self.walk_components(seeds, |_| {});
+        members.sort_unstable();
+        members
+    }
+
+    /// [`LinkIndex::closure`] of `seeds` with each member's cluster id,
+    /// aligned: `(members, labels)`, members sorted, `labels[i]` the
+    /// minimum member of the linked component holding `members[i]`.
+    pub fn labelled_closure(
+        &self,
+        seeds: impl IntoIterator<Item = RecordId>,
+    ) -> (Vec<RecordId>, Vec<RecordId>) {
+        let mut labelled: Vec<(RecordId, RecordId)> = Vec::new();
+        self.walk_components(seeds, |component| {
+            let label = component.iter().copied().min().unwrap_or_default();
+            labelled.extend(component.iter().map(|&m| (m, label)));
+        });
+        labelled.sort_unstable();
+        labelled.into_iter().unzip()
+    }
+
+    /// The one component walk: a breadth-first search from each seed
+    /// not reached yet, queued in the member list itself. Returns every
+    /// member reached, one component after another, and hands each
+    /// component's members to `component` as it completes.
+    fn walk_components(
+        &self,
+        seeds: impl IntoIterator<Item = RecordId>,
+        mut component: impl FnMut(&[RecordId]),
+    ) -> Vec<RecordId> {
+        let mut members: Vec<RecordId> = Vec::new();
+        let mut visited = FxHashSet::default();
         for s in seeds {
-            if visited.insert(s) {
-                stack.push(s);
-                seen.push(s);
+            if !visited.insert(s) {
+                continue;
             }
-        }
-        while let Some(x) = stack.pop() {
-            for &n in self.neighbors(x) {
-                if visited.insert(n) {
-                    stack.push(n);
-                    seen.push(n);
+            let start = members.len();
+            members.push(s);
+            let mut next = start;
+            while let Some(&x) = members.get(next) {
+                next += 1;
+                for &n in self.neighbors(x) {
+                    if visited.insert(n) {
+                        members.push(n);
+                    }
                 }
             }
+            component(&members[start..]);
         }
-        seen.sort_unstable();
-        seen
+        members
     }
 
     /// Extends coverage to a table that has grown to `n` records; the

@@ -18,7 +18,7 @@ use crate::link_index::{LinkDelta, LinkIndex, Mark};
 use crate::metrics::DedupMetrics;
 use crate::request::LiMode;
 use queryer_common::failpoints;
-use queryer_common::{pack_pair, FxHashMap, FxHashSet, PairSet, Stopwatch};
+use queryer_common::{pack_pair, FxHashSet, PairSet, Stopwatch};
 use queryer_storage::{RecordId, Table};
 use std::cell::RefCell;
 use std::time::Duration;
@@ -50,6 +50,10 @@ const CMP_BATCH_PER_WORKER: usize = 2048;
 pub struct ResolveOutcome {
     /// The deduplicated result set DR_E = QE_E ∪ duplicates, sorted.
     pub dr: Vec<RecordId>,
+    /// The cluster id of each DR_E member, aligned with `dr`: the
+    /// minimum member of its linked component, read in the same Link
+    /// Index view as `dr`. An unlinked record is its own cluster.
+    pub clusters: Vec<RecordId>,
     /// Links newly added to the Link Index by this resolution.
     pub new_links: usize,
     /// How the resolve finished. Always [`Completion::Complete`] under
@@ -197,12 +201,13 @@ impl TableErIndex {
             } else {
                 li.commit(&ctx.delta, &mut ctx.lock_wait)
             };
-            // DR_E reads the post-commit LI, so this query's own links
-            // are visible; concurrent commits may enlarge clusters, which
-            // only moves the result closer to the full batch answer.
-            let dr = li.read(&mut ctx.lock_wait, |g| self.dr_of(g, qe));
+            // DR_E and its cluster ids read the post-commit LI, so this query's
+            // own links are visible; concurrent commits may enlarge clusters,
+            // which only moves the result closer to the full batch answer.
+            let (dr, clusters) = li.read(&mut ctx.lock_wait, |g| self.dr_of(g, qe));
             ResolveOutcome {
                 dr,
+                clusters,
                 new_links,
                 completion: ctx.completion,
             }
@@ -228,19 +233,24 @@ impl TableErIndex {
         Ok(())
     }
 
-    /// DR_E: the query entities plus every duplicate reachable in `li`.
-    fn dr_of(&self, li: &LinkIndex, qe: &[RecordId]) -> Vec<RecordId> {
+    /// DR_E — the query entities plus every duplicate reachable in `li`
+    /// — and the cluster id of each member, from one component walk.
+    /// Without transitivity DR_E stops at direct duplicates, but a
+    /// cluster id is still the minimum of the member's whole component.
+    fn dr_of(&self, li: &LinkIndex, qe: &[RecordId]) -> (Vec<RecordId>, Vec<RecordId>) {
+        let (dr, clusters) = li.labelled_closure(qe.iter().copied());
         if self.config().transitive {
-            li.closure(qe.iter().copied())
-        } else {
-            let mut out: FxHashSet<RecordId> = qe.iter().copied().collect();
-            for &q in qe {
-                out.extend(li.neighbors(q).iter().copied());
-            }
-            let mut v: Vec<RecordId> = out.into_iter().collect();
-            v.sort_unstable();
-            v
+            return (dr, clusters);
         }
+        let direct: FxHashSet<RecordId> = qe
+            .iter()
+            .chain(qe.iter().flat_map(|&q| li.neighbors(q)))
+            .copied()
+            .collect();
+        dr.into_iter()
+            .zip(clusters)
+            .filter(|(id, _)| direct.contains(id))
+            .unzip()
     }
 
     /// The resolve round loop. Reads the Link Index only through
@@ -777,33 +787,6 @@ impl TableErIndex {
         )?;
         Ok(parts.concat())
     }
-
-    /// Duplicate clusters among `ids` according to the links in `li`
-    /// (connected components, cluster id = min member id). Returns a map
-    /// record → cluster id for every id in the closure of `ids`.
-    pub fn cluster_map(&self, li: &LinkIndex, ids: &[RecordId]) -> FxHashMap<RecordId, RecordId> {
-        let members = li.closure(ids.iter().copied());
-        // Union-find over the (small) closure only.
-        let pos: FxHashMap<RecordId, u32> = members
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (r, i as u32))
-            .collect();
-        let mut uf = crate::union_find::UnionFind::new(members.len());
-        for (&r, &i) in &pos {
-            for &n in li.neighbors(r) {
-                if let Some(&j) = pos.get(&n) {
-                    uf.union(i, j);
-                }
-            }
-        }
-        let clusters = uf.clusters();
-        members
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (r, members[clusters[i] as usize]))
-            .collect()
-    }
 }
 
 thread_local! {
@@ -1040,6 +1023,14 @@ mod tests {
             .run(ResolveRequest::records(&t, &[0], &mut li).metrics(&mut m))
             .unwrap();
         assert_eq!(out.dr, vec![0, 1], "no expansion without transitivity");
+        assert_eq!(out.clusters, vec![0, 0]);
+        // Resolving C links it to B. Its DR_E stops at B, but the cluster
+        // id is the minimum of the whole linked component: A.
+        let out = idx
+            .run(ResolveRequest::records(&t, &[2], &mut li).metrics(&mut m))
+            .unwrap();
+        assert_eq!(out.dr, vec![1, 2]);
+        assert_eq!(out.clusters, vec![0, 0]);
     }
 
     #[test]
@@ -1071,15 +1062,14 @@ mod tests {
     }
 
     #[test]
-    fn cluster_map_groups_components() {
-        let (_, _, li) = resolve_qe(&ErConfig::default(), &[0, 1, 2, 3, 4]);
-        let table = dirty_table();
-        let idx = TableErIndex::build(&table, &ErConfig::default());
-        let cm = idx.cluster_map(&li, &[0, 1, 2, 3, 4]);
-        assert_eq!(cm[&0], cm[&1]);
-        assert_eq!(cm[&2], cm[&3]);
-        assert_ne!(cm[&0], cm[&2]);
-        assert_eq!(cm[&4], 4);
+    fn outcome_labels_group_components() {
+        let (out, _, _) = resolve_qe(&ErConfig::default(), &[0, 1, 2, 3, 4]);
+        assert_eq!(out.dr, vec![0, 1, 2, 3, 4]);
+        let cm = &out.clusters;
+        assert_eq!(cm[0], cm[1]);
+        assert_eq!(cm[2], cm[3]);
+        assert_ne!(cm[0], cm[2]);
+        assert_eq!(cm[4], 4);
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //! - a resolve that returns `Err` has committed nothing — the caller's
 //!   Link Index is exactly as it was, whichever kind of handle it passed
 //!   — so the call can simply be retried;
-//! - the one compound mutation (`clear_ep_cache`) poisons the index if
+//! - the one compound mutation (`apply_delta`) poisons the index if
 //!   interrupted mid-flight, and a poisoned index refuses to resolve
-//!   with `ResolveError::Poisoned` instead of serving a half-cleared
-//!   decision memo;
+//!   with `ResolveError::Poisoned` instead of serving a half-patched
+//!   index;
 //! - delay actions (the CI fault-matrix mode) perturb timing only —
 //!   decisions stay bit-identical.
 //!
@@ -415,42 +415,6 @@ fn concurrent_worker_panics_commit_nothing_and_retry_converges() {
         links, reference.links,
         "retry must converge to the reference"
     );
-}
-
-#[test]
-fn interrupted_cache_clear_poisons_the_index() {
-    let _guard = faults();
-    let table = workload();
-    let config = cfg(EdgePruningScope::NodeCentric);
-    let idx = TableErIndex::build(&table, &config);
-
-    // Warm the decision memo so the clear actually has state to tear
-    // down.
-    let mut li = LinkIndex::new(table.len());
-    let mut m = DedupMetrics::default();
-    idx.run(ResolveRequest::all(&table, &mut li).metrics(&mut m))
-        .unwrap();
-
-    // "cache.clear" fires inside the clear, before the decision memo
-    // goes — a panic there stands in for one that unwinds mid-clear,
-    // which is exactly what the poison latch exists to fence off.
-    failpoints::arm("cache.clear", FailAction::Panic);
-    let unwound = catch_unwind(AssertUnwindSafe(|| idx.clear_ep_cache()));
-    assert!(unwound.is_err(), "armed cache.clear must panic");
-    assert!(idx.is_poisoned(), "interrupted clear must poison");
-
-    failpoints::disarm("cache.clear");
-    let mut li = LinkIndex::new(table.len());
-    let mut m = DedupMetrics::default();
-    let err = idx
-        .run(ResolveRequest::all(&table, &mut li).metrics(&mut m))
-        .unwrap_err();
-    assert_eq!(err, ResolveError::Poisoned);
-
-    // A completed clear on a healthy index does not poison.
-    let fresh = TableErIndex::build(&table, &config);
-    fresh.clear_ep_cache();
-    assert!(!fresh.is_poisoned());
 }
 
 #[test]

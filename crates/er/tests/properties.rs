@@ -5,7 +5,7 @@ use queryer_common::knobs::proptest_cases;
 use queryer_er::similarity::{
     jaccard_sorted, jaro, jaro_winkler, levenshtein, levenshtein_sim, overlap_sorted,
 };
-use queryer_er::{DedupMetrics, ErConfig, LinkIndex, ResolveRequest, TableErIndex, UnionFind};
+use queryer_er::{DedupMetrics, ErConfig, LinkIndex, ResolveRequest, TableErIndex};
 use queryer_storage::{Schema, Table};
 
 fn word() -> impl Strategy<Value = String> {
@@ -72,7 +72,7 @@ proptest! {
     }
 
     #[test]
-    fn union_find_matches_naive_connectivity(
+    fn link_index_labels_match_naive_connectivity(
         n in 2usize..40,
         edges in proptest::collection::vec((0usize..40, 0usize..40), 0..60),
     ) {
@@ -80,9 +80,9 @@ proptest! {
             .into_iter()
             .map(|(a, b)| ((a % n) as u32, (b % n) as u32))
             .collect();
-        let mut uf = UnionFind::new(n);
+        let mut li = LinkIndex::new(n);
         for &(a, b) in &edges {
-            uf.union(a, b);
+            li.add_link(a, b);
         }
         // Naive reference: repeated relabeling.
         let mut label: Vec<u32> = (0..n as u32).collect();
@@ -101,19 +101,21 @@ proptest! {
                 break;
             }
         }
-        for a in 0..n as u32 {
-            for b in 0..n as u32 {
-                prop_assert_eq!(
-                    uf.connected(a, b),
-                    label[a as usize] == label[b as usize],
-                    "connectivity mismatch for ({}, {})", a, b
-                );
-            }
+        // Every record seeded: the members are the whole table, and each
+        // label is the oracle's minimum label and its closure's minimum.
+        let (members, labels) = li.labelled_closure(0..n as u32);
+        prop_assert_eq!(&members, &(0..n as u32).collect::<Vec<_>>());
+        prop_assert_eq!(&labels, &label);
+        for &m in &members {
+            prop_assert_eq!(li.closure([m])[0], labels[m as usize]);
         }
-        // Cluster ids are minimum members.
-        let clusters = uf.clusters();
-        for a in 0..n as u32 {
-            prop_assert!(clusters[a as usize] <= a);
+        // A sparse seed set: the members are the seeds' closure, and the
+        // labels still come from whole components.
+        let seeds: Vec<u32> = (0..n as u32).filter(|id| id % 3 == 0).collect();
+        let (members, labels) = li.labelled_closure(seeds.iter().copied());
+        prop_assert_eq!(&members, &li.closure(seeds));
+        for (&m, &l) in members.iter().zip(&labels) {
+            prop_assert_eq!(l, label[m as usize], "label of {}", m);
         }
     }
 

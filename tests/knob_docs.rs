@@ -5,7 +5,8 @@
 //! here instead of surfacing as a docs bug later. The same holds for
 //! failpoint sites: `failpoints` does not validate site names, so a
 //! site named in CI or in TUNING.md that no code fires would silently
-//! arm nothing.
+//! arm nothing, and a site the code fires but TUNING.md does not name
+//! is one nobody knows to arm.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -99,11 +100,10 @@ fn tuning_md_documents_exactly_the_knobs_the_code_reads() {
 }
 
 /// Failpoint sites armed by a `QUERYER_FAILPOINT` spec in CI
-/// (`failpoint: "<site>:<action>,…"` matrix entries) or listed in the
-/// `QUERYER_FAILPOINT` row of TUNING.md (backticked dotted names).
-fn sites_named(root: &Path) -> BTreeSet<String> {
+/// (`failpoint: "<site>:<action>,…"` matrix entries).
+fn sites_armed_by_ci(root: &Path) -> BTreeSet<String> {
     let ci = fs::read_to_string(root.join(".github/workflows/ci.yml")).unwrap();
-    let mut sites: BTreeSet<String> = ci
+    let sites: BTreeSet<String> = ci
         .lines()
         .filter_map(|line| line.trim().strip_prefix("failpoint: \""))
         .flat_map(|spec| spec.trim_end_matches('"').split(','))
@@ -112,46 +112,82 @@ fn sites_named(root: &Path) -> BTreeSet<String> {
         .map(str::to_owned)
         .collect();
     assert!(!sites.is_empty(), "ci.yml arms no failpoint site");
+    sites
+}
+
+/// Failpoint sites listed in the `QUERYER_FAILPOINT` row of TUNING.md
+/// (backticked dotted names).
+fn sites_documented(root: &Path) -> BTreeSet<String> {
     let tuning = fs::read_to_string(root.join("docs/TUNING.md")).unwrap();
     let row = tuning
         .lines()
         .find(|line| line.starts_with("| `QUERYER_FAILPOINT`"))
         .expect("TUNING.md documents QUERYER_FAILPOINT");
-    sites.extend(
-        row.split('`')
-            .skip(1)
-            .step_by(2)
-            .filter(|name| {
-                name.contains('.')
-                    && name
-                        .chars()
-                        .all(|c| c.is_ascii_lowercase() || c == '.' || c == '-')
-            })
-            .map(str::to_owned),
-    );
+    row.split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|name| {
+            name.contains('.')
+                && name
+                    .chars()
+                    .all(|c| c.is_ascii_lowercase() || c == '.' || c == '-')
+        })
+        .map(str::to_owned)
+        .collect()
+}
+
+/// Failpoint sites production code fires: the string literal passed to
+/// `failpoints::fire` and the one passed as `fan_out`'s third (site)
+/// argument. A call that forwards a variable names no site. Comment
+/// lines may quote a site without firing it.
+fn sites_fired_by_code(root: &Path) -> BTreeSet<String> {
+    let code: String = production_code(root)
+        .iter()
+        .flat_map(|text| text.lines())
+        .filter(|line| !line.trim_start().starts_with("//"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let mut sites = BTreeSet::new();
+    for (call, arg) in [("failpoints::fire(", 0), ("fan_out(", 2)] {
+        for (at, _) in code.match_indices(call) {
+            let literal = code[at + call.len()..]
+                .split(',')
+                .nth(arg)
+                .and_then(|a| a.trim().strip_prefix('"'))
+                .and_then(|a| a.split_once('"'));
+            if let Some((site, _)) = literal {
+                sites.insert(site.to_owned());
+            }
+        }
+    }
+    assert!(!sites.is_empty(), "no code fires a failpoint site");
     sites
 }
 
 #[test]
 fn every_named_failpoint_site_is_fired_by_code() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    // Comment lines may quote a site (as an example) without firing it.
-    let code: Vec<String> = production_code(root)
-        .iter()
-        .flat_map(|text| text.lines())
-        .filter(|line| !line.trim_start().starts_with("//"))
-        .map(str::to_owned)
-        .collect();
-    let dead: Vec<String> = sites_named(root)
-        .into_iter()
-        .filter(|site| {
-            let literal = format!("\"{site}\"");
-            !code.iter().any(|line| line.contains(&literal))
-        })
-        .collect();
+    let fired = sites_fired_by_code(root);
+    let mut named = sites_armed_by_ci(root);
+    named.extend(sites_documented(root));
+    let dead: Vec<_> = named.difference(&fired).collect();
     assert!(
         dead.is_empty(),
         "failpoint sites named in ci.yml or TUNING.md that no code under \
          crates/*/src fires: {dead:?}"
+    );
+}
+
+#[test]
+fn every_fired_failpoint_site_is_documented() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let undocumented: Vec<_> = sites_fired_by_code(root)
+        .difference(&sites_documented(root))
+        .cloned()
+        .collect();
+    assert!(
+        undocumented.is_empty(),
+        "failpoint sites fired by code under crates/*/src that the \
+         QUERYER_FAILPOINT row of docs/TUNING.md does not name: {undocumented:?}"
     );
 }
