@@ -32,8 +32,7 @@ impl std::error::Error for CsrOverflow {}
 /// `i` inside the flat `data` buffer.
 ///
 /// Offsets are `u32` (matching the workspace-wide dense `u32` id types),
-/// capping total stored elements at `u32::MAX` — the same bound
-/// [`crate::TokenArena`] has always had.
+/// capping total stored elements at `u32::MAX`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Csr<T> {
     offsets: Vec<u32>,

@@ -39,30 +39,9 @@ pub fn threads() -> usize {
     env_usize("QUERYER_THREADS", 0)
 }
 
-/// Auto-compaction trigger of the incremental-ingest path
-/// (`QUERYER_DELTA_COMPACT_OPS`): once a live index has absorbed this
-/// many delta operations since its last full build, the engine folds
-/// the delta overlay into fresh CSR buffers (a rebuild of the mutated
-/// table). `0` disables auto-compaction — the overlay grows until
-/// `compact()` is called explicitly. Compaction never changes a
-/// decision (pinned by `crates/er/tests/ingest_equivalence.rs`); it
-/// trades one rebuild for restoring flat-CSR probe speed. See
-/// `docs/TUNING.md`.
-pub fn delta_compact_ops() -> usize {
-    env_usize("QUERYER_DELTA_COMPACT_OPS", 4096)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn delta_compact_ops_falls_back_when_unset() {
-        // Only the unset path is asserted (see below on set/restore races).
-        if std::env::var("QUERYER_DELTA_COMPACT_OPS").is_err() {
-            assert_eq!(delta_compact_ops(), 4096);
-        }
-    }
 
     #[test]
     fn falls_back_to_default() {

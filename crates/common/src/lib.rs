@@ -5,8 +5,8 @@
 //! needs — a fast non-cryptographic hasher (the offline crate set has no
 //! `rustc-hash`, and the algorithm is tiny), canonical packing of
 //! unordered record-id pairs into `u64` keys, a generic CSR (offsets +
-//! data) packing for ragged row collections, build-once token interning
-//! with flat slice arenas, and a stopwatch for per-stage operator
+//! data) packing for ragged row collections, build-once token interning,
+//! and a stopwatch for per-stage operator
 //! timing.
 
 pub mod cancel;
@@ -23,6 +23,6 @@ pub use cancel::CancelToken;
 pub use checksum::{crc32c, Fnv64};
 pub use csr::{Csr, CsrOverflow};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use intern::{Symbol, TokenArena, TokenInterner};
+pub use intern::{Symbol, TokenInterner};
 pub use pairkey::{pack_pair, unpack_pair, PairSet};
 pub use timing::Stopwatch;

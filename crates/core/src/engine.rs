@@ -151,11 +151,15 @@ impl QueryEngine {
     /// pair their context cloned (copy-on-write); queries planned after
     /// `ingest` returns see the mutated data.
     ///
-    /// Once the delta side accumulates
-    /// [`queryer_common::knobs::delta_compact_ops`] pending ops
-    /// (`QUERYER_DELTA_COMPACT_OPS`, `0` = never), the index is
-    /// compacted — folded into fresh base buffers — automatically;
+    /// Once the delta side has absorbed as many ops as the index's base
+    /// was built from records ([`TableErIndex::compaction_due`]), the
+    /// index is compacted — rebuilt from the table's rows — before
+    /// `ingest` returns, so each rebuild costs O(1) per write amortized;
     /// [`QueryEngine::compact`] does it on demand.
+    ///
+    /// An empty batch is a no-op: it reports [`Affected::Ids`] with no
+    /// ids and leaves table, index, Link Index and derived state as
+    /// they were (a poisoned index included).
     ///
     /// An index a panicked write left poisoned is rebuilt here instead
     /// of applied to, from rows that include that write's. A failed
@@ -171,6 +175,12 @@ impl QueryEngine {
     pub fn ingest(&mut self, name: &str, ops: &[DeltaOp]) -> Result<AppliedDelta> {
         let idx = self.table_idx(name)?;
         let rt = &mut self.tables[idx];
+        if ops.is_empty() {
+            return Ok(AppliedDelta {
+                affected: Affected::Ids(Vec::new()),
+                pending_ops: rt.er.pending_delta_ops(),
+            });
+        }
 
         // Up-front validation so the table mutations below cannot fail
         // partway: id in range at its point in the batch, row arity.
@@ -244,12 +254,8 @@ impl QueryEngine {
         // Auto-compaction runs once the write is wholly in: a failed
         // fold leaves the index serving the merged view, which the Link
         // Index already follows.
-        let compact_cap = queryer_common::knobs::delta_compact_ops();
-        let rt = &mut self.tables[idx];
-        if let Some(er) = Arc::get_mut(&mut rt.er) {
-            if compact_cap != 0 && er.pending_delta_ops() >= compact_cap {
-                er.compact(&rt.table)?;
-            }
+        if self.tables[idx].er.compaction_due() {
+            self.fold(idx)?;
         }
         Ok(applied)
     }
@@ -271,26 +277,28 @@ impl QueryEngine {
 
     /// Folds a table's pending ingest delta into fresh base buffers
     /// (decision-identical). With no delta live it only drops the
-    /// decision memo; falls back to a rebuild when the index Arc is
-    /// still shared with an in-flight query context. A poisoned index
-    /// is rebuilt from the table's rows, and since the write that
-    /// poisoned it never reached the Link Index or the derived state,
-    /// the recovery un-resolves every record and drops that state. A
-    /// failed fold or rebuild is a [`CoreError::Resolve`] and keeps the
-    /// index it would replace.
+    /// decision memo, even while a query context holds the index `Arc`.
+    /// A poisoned index is rebuilt from the table's rows, and since the
+    /// write that poisoned it never reached the Link Index or the
+    /// derived state, the recovery un-resolves every record and drops
+    /// that state. A failed rebuild is a [`CoreError::Resolve`] and
+    /// keeps the index it would replace.
     pub fn compact(&mut self, name: &str) -> Result<()> {
         let idx = self.table_idx(name)?;
+        self.fold(idx)
+    }
+
+    /// The one fold path of [`QueryEngine::compact`] and `ingest`'s
+    /// automatic compaction: a rebuild into a fresh `Arc` when a delta
+    /// is live or the index is poisoned, otherwise a memo clear. Query
+    /// contexts holding the old `Arc` keep serving from it.
+    fn fold(&mut self, idx: usize) -> Result<()> {
         let rt = &mut self.tables[idx];
         let recovering = rt.er.is_poisoned();
-        match Arc::get_mut(&mut rt.er) {
-            Some(er) => er.compact(&rt.table)?,
-            None => {
-                if rt.er.has_delta() || recovering {
-                    rt.er = Arc::new(TableErIndex::try_build(&rt.table, &self.cfg)?);
-                } else {
-                    rt.er.clear_ep_cache();
-                }
-            }
+        if rt.er.has_delta() || recovering {
+            rt.er = Arc::new(TableErIndex::try_build(&rt.table, &self.cfg)?);
+        } else {
+            rt.er.clear_ep_cache();
         }
         if recovering {
             self.after_write(idx, &Affected::All);

@@ -207,8 +207,8 @@ fn failed_fallback_rebuild_leaves_table_and_index_untouched() {
     assert_eq!(got.canonical_rows(), want);
 }
 
-/// A batch that fills the delta to the auto-compaction threshold is
-/// compacted in place. A worker lost in that compaction's build fails
+/// A batch that fills the delta to as many ops as the base has records
+/// makes compaction due. A worker lost in that compaction's build fails
 /// the ingest after the batch is in; the index keeps serving the merged
 /// view and the Link Index must follow the batch all the same, or the
 /// links the batch broke are served and its new records are not
@@ -217,13 +217,10 @@ fn failed_fallback_rebuild_leaves_table_and_index_untouched() {
 #[test]
 fn failed_auto_compaction_still_brings_the_link_index_along() {
     let _faults = faults();
-    let cap = queryer_common::knobs::delta_compact_ops();
-    if cap == 0 {
-        return; // auto-compaction is off
-    }
     let sql = "SELECT DEDUP title, venue FROM P WHERE year >= 2008";
     let mut e = QueryEngine::new(ErConfig::default());
     e.register_csv_str("P", PUBS).unwrap();
+    let base = e.table("P").unwrap().len();
     // Resolve everything first, so a Link Index left alone would still
     // link 0 and 1 after 1 is rewritten.
     e.execute(sql).unwrap();
@@ -232,7 +229,7 @@ fn failed_auto_compaction_still_brings_the_link_index_along() {
         id: 1,
         values: row4,
     }];
-    batch.extend((1..cap).map(|i| {
+    batch.extend((1..base).map(|i| {
         DeltaOp::Insert {
             values: ["id", "title", "author", "venue"]
                 .iter()
@@ -257,7 +254,7 @@ fn failed_auto_compaction_still_brings_the_link_index_along() {
         ),
         "{failed:?}"
     );
-    assert_eq!(e.table("P").unwrap().len(), 5 + cap - 1, "the batch is in");
+    assert_eq!(e.table("P").unwrap().len(), 2 * base - 1, "the batch is in");
 
     let mut fresh = QueryEngine::new(ErConfig::default());
     fresh

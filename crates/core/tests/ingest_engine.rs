@@ -2,41 +2,11 @@
 //! registered table in place, folds the batch into the live ER index,
 //! and queries planned afterwards see the new rows — no re-register,
 //! no full rebuild on the happy path.
-//!
-//! The auto-compaction knob (`QUERYER_DELTA_COMPACT_OPS`) is
-//! process-global environment, so every test here serializes on one
-//! mutex and this file is the only test binary that sets the delta
-//! knobs.
 
-use parking_lot::Mutex;
 use queryer_core::engine::QueryEngine;
 use queryer_core::CoreError;
 use queryer_er::{Affected, DeltaOp, ErConfig};
-
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// Holds the env lock and restores `QUERYER_DELTA_COMPACT_OPS` on drop
-/// so a panicking assertion can't leak a tiny cap into another test.
-struct CompactCap<'a> {
-    _guard: parking_lot::MutexGuard<'a, ()>,
-}
-
-impl CompactCap<'_> {
-    fn new(cap: Option<usize>) -> Self {
-        let guard = ENV_LOCK.lock();
-        match cap {
-            Some(c) => std::env::set_var("QUERYER_DELTA_COMPACT_OPS", c.to_string()),
-            None => std::env::remove_var("QUERYER_DELTA_COMPACT_OPS"),
-        }
-        CompactCap { _guard: guard }
-    }
-}
-
-impl Drop for CompactCap<'_> {
-    fn drop(&mut self) {
-        std::env::remove_var("QUERYER_DELTA_COMPACT_OPS");
-    }
-}
+use std::sync::Arc;
 
 /// Dirty publications: duplicate clusters {0,1}, {2,3}, {5,6} and two
 /// singletons (same catalog as `engine_integration.rs`).
@@ -63,7 +33,6 @@ const EDBT_PLAIN: &str = "SELECT title FROM P WHERE venue = 'edbt'";
 
 #[test]
 fn inserted_duplicate_joins_its_cluster() {
-    let _env = CompactCap::new(None);
     let mut e = engine();
     assert_eq!(e.execute(EDBT_DEDUP).unwrap().rows.len(), 2);
 
@@ -84,7 +53,6 @@ fn inserted_duplicate_joins_its_cluster() {
 
 #[test]
 fn update_merges_and_delete_shrinks() {
-    let _env = CompactCap::new(None);
     let mut e = engine();
     let vldb = "SELECT DEDUP title FROM P WHERE venue = 'vldb'";
     assert_eq!(e.execute(vldb).unwrap().rows.len(), 2);
@@ -114,38 +82,60 @@ fn update_merges_and_delete_shrinks() {
     assert_eq!(e.execute(EDBT_DEDUP).unwrap().rows.len(), 2);
 }
 
+/// Compaction is due once the delta holds as many ops as the base has
+/// records: on the 8-row table, 7 pending ops leave the delta live and
+/// the 8th compacts it, with answers unchanged.
 #[test]
-fn auto_compaction_triggers_at_the_cap() {
-    let _env = CompactCap::new(Some(2));
+fn auto_compaction_triggers_once_the_delta_matches_the_base() {
     let mut e = engine();
-    let row = e.table("P").unwrap().record(2).unwrap().values.clone();
-    e.ingest(
-        "P",
-        &[
-            DeltaOp::Insert {
-                values: row.clone(),
-            },
-            DeltaOp::Insert { values: row },
-        ],
-    )
-    .unwrap();
+    let copy_of_2 = |e: &QueryEngine| DeltaOp::Insert {
+        values: e.table("P").unwrap().record(2).unwrap().values.clone(),
+    };
+    let batch = vec![copy_of_2(&e); 7];
+    assert_eq!(e.ingest("P", &batch).unwrap().pending_ops, 7);
     let er = e.er_index("P").unwrap();
-    assert!(!er.has_delta(), "2 pending ops >= cap 2 must auto-compact");
+    assert!(er.has_delta(), "7 pending ops < 8 base records");
+    drop(er);
+
+    let applied = e.ingest("P", &[copy_of_2(&e)]).unwrap();
+    assert_eq!(applied.pending_ops, 8);
+    let er = e.er_index("P").unwrap();
+    assert!(!er.has_delta(), "8 pending ops >= 8 base records");
     assert_eq!(er.pending_delta_ops(), 0);
-    assert_eq!(e.table("P").unwrap().len(), 10);
+    assert_eq!(er.n_records(), 16);
+
+    let sql = "SELECT DEDUP title FROM P WHERE venue = 'sigmod'";
+    let mut fresh = QueryEngine::new(ErConfig::default());
+    fresh
+        .register_table((*e.table("P").unwrap()).clone())
+        .unwrap();
+    let live = e.execute(sql).unwrap().canonical_rows();
+    assert_eq!(live, fresh.execute(sql).unwrap().canonical_rows());
     assert_eq!(
-        e.execute("SELECT DEDUP title FROM P WHERE venue = 'sigmod'")
-            .unwrap()
-            .rows
-            .len(),
+        live.len(),
         1,
-        "both inserted copies fold into cluster {{2,3}}"
+        "every inserted copy folds into cluster {{2,3}}"
     );
+}
+
+/// An empty batch is a no-op, even while a query context holds the
+/// index `Arc`: no rebuild, no invalidation, no ids affected.
+#[test]
+fn empty_batch_leaves_a_shared_index_and_its_links_alone() {
+    let mut e = engine();
+    e.execute("SELECT DEDUP title FROM P").unwrap();
+    let links = e.link_index_stats("P").unwrap();
+    assert!(links.1 > 0, "the resolve linked the duplicates");
+    let held = e.er_index("P").unwrap();
+
+    let applied = e.ingest("P", &[]).unwrap();
+    assert_eq!(applied.affected, Affected::Ids(vec![]));
+    assert_eq!(e.link_index_stats("P").unwrap(), links);
+    assert!(Arc::ptr_eq(&held, &e.er_index("P").unwrap()));
 }
 
 #[test]
 fn explicit_compact_is_decision_identical() {
-    let _env = CompactCap::new(Some(0)); // never auto-compact
     let mut e = engine();
     let row = e.table("P").unwrap().record(0).unwrap().values.clone();
     e.ingest("P", &[DeltaOp::Insert { values: row }]).unwrap();
@@ -165,7 +155,6 @@ fn explicit_compact_is_decision_identical() {
 /// a query context still holds the index `Arc`.
 #[test]
 fn compact_empties_the_memo_of_a_shared_index() {
-    let _env = CompactCap::new(Some(0)); // never auto-compact
     let mut e = engine();
     e.execute(EDBT_DEDUP).unwrap();
     let row = e.table("P").unwrap().record(0).unwrap().values.clone();
@@ -182,12 +171,11 @@ fn compact_empties_the_memo_of_a_shared_index() {
     );
     e.compact("P").unwrap();
     assert_eq!(held.resolve_cache_sizes().2, 0, "compact empties the memo");
-    assert!(std::sync::Arc::ptr_eq(&held, &e.er_index("P").unwrap()));
+    assert!(Arc::ptr_eq(&held, &e.er_index("P").unwrap()));
 }
 
 #[test]
 fn shared_index_falls_back_to_rebuild() {
-    let _env = CompactCap::new(None);
     let mut e = engine();
     // An in-flight query context still holds the index Arc: the delta
     // cannot be folded in place, so ingest rebuilds a fresh index and
@@ -198,7 +186,7 @@ fn shared_index_falls_back_to_rebuild() {
     assert!(matches!(applied.affected, Affected::All));
 
     let fresh = e.er_index("P").unwrap();
-    assert!(!std::sync::Arc::ptr_eq(&held, &fresh), "index was replaced");
+    assert!(!Arc::ptr_eq(&held, &fresh), "index was replaced");
     assert_eq!(held.n_records(), 8, "the held index still serves old rows");
     assert_eq!(fresh.n_records(), 9);
     assert!(!fresh.has_delta(), "a rebuild starts delta-free");
@@ -207,7 +195,6 @@ fn shared_index_falls_back_to_rebuild() {
 
 #[test]
 fn invalid_batches_are_rejected_atomically() {
-    let _env = CompactCap::new(None);
     let mut e = engine();
 
     // Second op is bad: nothing from the batch may stick.
@@ -254,7 +241,6 @@ fn invalid_batches_are_rejected_atomically() {
 /// the index hands it.
 #[test]
 fn point_and_range_queries_see_each_write_at_once() {
-    let _env = CompactCap::new(None);
     let mut e = engine();
     let ids = |e: &QueryEngine, filter: &str| {
         let r = e
@@ -329,7 +315,6 @@ fn point_and_range_queries_see_each_write_at_once() {
 /// back with the whole cluster — as a freshly registered engine does.
 #[test]
 fn point_query_after_a_write_sees_the_whole_cluster() {
-    let _env = CompactCap::new(None);
     let mut cfg = ErConfig::default().with_meta(queryer_er::MetaBlockingConfig::None);
     cfg.similarity = queryer_er::SimilarityKind::TokenJaccard;
     cfg.match_threshold = 0.3;
@@ -371,7 +356,6 @@ fn point_query_after_a_write_sees_the_whole_cluster() {
 /// statistic computed from scratch on the written table.
 #[test]
 fn duplication_factor_is_sampled_on_read_and_follows_writes() {
-    let _env = CompactCap::new(None);
     let mut e = engine();
     let copy_of = |e: &QueryEngine, id| DeltaOp::Insert {
         values: e.table("P").unwrap().record(id).unwrap().values.clone(),
@@ -442,7 +426,6 @@ fn query_ingest_session(sql: &str, cold_third: bool) -> (Vec<(Rows, Rows)>, u64,
 /// engine's.
 #[test]
 fn memo_serves_the_records_writes_unresolve() {
-    let _env = CompactCap::new(None);
     let e = engine();
     for _ in 0..3 {
         e.execute(EDBT_DEDUP).unwrap();

@@ -190,7 +190,8 @@ pub struct AppliedDelta {
     /// [`crate::LinkIndex::invalidate_all`] on [`Affected::All`].
     pub affected: Affected,
     /// Ops accumulated in the delta side since the last compaction
-    /// (including this batch) — the auto-compaction trigger input.
+    /// (including this batch) — what [`TableErIndex::compaction_due`]
+    /// weighs against the base.
     pub pending_ops: usize,
 }
 
@@ -392,6 +393,15 @@ impl TableErIndex {
     /// Ops accumulated in the delta side since the base was built.
     pub fn pending_delta_ops(&self) -> usize {
         self.delta.as_ref().map_or(0, |d| d.pending_ops)
+    }
+
+    /// Whether [`TableErIndex::compact`] is due: the delta side has
+    /// absorbed as many ops as the base was built from records (an
+    /// empty base counts as one). Each rebuild is then paid for by as
+    /// many writes as it re-indexes records, O(1) per write amortized,
+    /// and the overlay never outgrows the base.
+    pub fn compaction_due(&self) -> bool {
+        self.pending_delta_ops() >= self.n_records.max(1)
     }
 
     /// Applies one batch of mutations to the index, after the same ops
@@ -948,6 +958,34 @@ mod tests {
             (0, 0, 0),
             "compact empties the memo"
         );
+    }
+
+    /// Compaction is due once the delta has absorbed as many ops as the
+    /// base was built from records. An empty base counts as one record,
+    /// so its first write makes compaction due.
+    #[test]
+    fn compaction_is_due_once_the_delta_matches_the_base() {
+        let mut table = Table::new("p", Schema::of_strings(&["title"]));
+        let mut idx = TableErIndex::build(&table, &ErConfig::default());
+        let write = |idx: &mut TableErIndex, table: &mut Table| {
+            let op = DeltaOp::Insert {
+                values: vec![Value::str("entity resolution")],
+            };
+            op.apply_to_table(table).unwrap();
+            idx.apply_delta(table, &[op]).unwrap();
+        };
+        assert!(!idx.compaction_due(), "nothing pending");
+        write(&mut idx, &mut table);
+        assert!(idx.compaction_due(), "an empty base is due at its first op");
+        idx.compact(&table).unwrap();
+        assert!(!idx.compaction_due(), "compaction empties the delta");
+
+        write(&mut idx, &mut table);
+        idx.compact(&table).unwrap();
+        write(&mut idx, &mut table);
+        assert!(!idx.compaction_due(), "1 pending op < 2 base records");
+        write(&mut idx, &mut table);
+        assert!(idx.compaction_due(), "2 pending ops >= 2 base records");
     }
 
     /// A row of words `w<n>` for each `n`, as one title value.

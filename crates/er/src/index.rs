@@ -44,7 +44,7 @@ use crate::govern::{fan_out, ResolveError, ResolveStage};
 use crate::purging::purge_flags;
 use crate::tokenizer::{record_keys, record_tokens};
 use parking_lot::Mutex;
-use queryer_common::{Csr, FxHashMap, TokenArena, TokenInterner};
+use queryer_common::{Csr, FxHashMap, TokenInterner};
 use queryer_storage::{Record, RecordId, Table};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -337,7 +337,7 @@ pub struct TableErIndex {
     /// Interner over the table's profile tokens.
     pub(crate) interner: TokenInterner,
     /// Per record, its sorted interned profile-token slice.
-    pub(crate) profile_tokens: TokenArena,
+    pub(crate) profile_tokens: Csr<u32>,
     /// Per record, the [`token_sig`] of its `profile_tokens` slice.
     pub(crate) profile_sigs: Vec<TokenSig>,
     /// Per record × column (stride = schema width), the pre-lowercased
@@ -649,7 +649,7 @@ impl TableErIndex {
         let base = id as usize * self.n_cols;
         InternedProfile {
             attrs: &self.lower_attrs[base..base + self.n_cols],
-            tokens: self.profile_tokens.get(id as usize),
+            tokens: self.profile_tokens.row(id as usize),
             sig: &self.profile_sigs[id as usize],
         }
     }
@@ -662,7 +662,7 @@ impl TableErIndex {
                 return tokens;
             }
         }
-        self.profile_tokens.get(id as usize)
+        self.profile_tokens.row(id as usize)
     }
 
     /// Kernel-ready per-attribute metadata of a record, one entry per
@@ -752,7 +752,7 @@ struct TokenizedTable {
     /// Interner over the table's profile tokens.
     interner: TokenInterner,
     /// Per record, its sorted interned profile-token slice.
-    profile_tokens: TokenArena,
+    profile_tokens: Csr<u32>,
     /// Per record, the signature of its profile-token slice.
     profile_sigs: Vec<TokenSig>,
     /// Per record × column, the pre-lowercased rendered attribute text.
@@ -870,7 +870,7 @@ fn tokenize_table(
     let mut key_to_block: FxHashMap<String, BlockId> = FxHashMap::default();
     let mut interner = TokenInterner::new();
     let mut entity_keys: Csr<BlockId> = Csr::with_capacity(records.len(), total_keys);
-    let mut profile_tokens = TokenArena::with_capacity(records.len(), total_tokens);
+    let mut profile_tokens = Csr::with_capacity(records.len(), total_tokens);
     let mut profile_sigs: Vec<TokenSig> = Vec::with_capacity(records.len());
     let mut lower_attrs: Vec<Option<Box<str>>> = Vec::with_capacity(records.len() * n_cols);
     let mut attr_meta: Vec<AttrMeta> = Vec::with_capacity(records.len() * n_cols);
@@ -918,7 +918,7 @@ fn tokenize_table(
                     .map(|&s| token_remap[s as usize]),
             );
             row.sort_unstable();
-            profile_tokens.push(&row)?;
+            profile_tokens.push_row(&row)?;
             profile_sigs.push(token_sig(&row));
             at += len as usize;
         }

@@ -29,8 +29,8 @@
 //!
 //! * **Interned token arena** — every profile token is mapped to a dense
 //!   `u32` symbol ([`queryer_common::TokenInterner`]) and each record's
-//!   sorted symbol slice is packed into one flat
-//!   [`queryer_common::TokenArena`]. Token-set similarities
+//!   sorted symbol slice is a row of one flat
+//!   [`queryer_common::Csr`]. Token-set similarities
 //!   (Jaccard/overlap) sorted-merge two `&[u32]` slices; no strings, no
 //!   hashing, no allocation.
 //! * **Pre-lowercased attributes** — mean Jaro-Winkler reads rendered,

@@ -76,8 +76,7 @@ fn names_documented(root: &Path) -> BTreeSet<String> {
 
 /// The knob set itself. A new knob means editing this list, in a test
 /// that says how many there are.
-const KNOBS: [&str; 5] = [
-    "QUERYER_DELTA_COMPACT_OPS",
+const KNOBS: [&str; 4] = [
     "QUERYER_FAILPOINT",
     "QUERYER_PROPTEST_CASES",
     "QUERYER_SCALE",
