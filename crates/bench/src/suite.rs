@@ -150,8 +150,7 @@ pub fn qe_ids(
 pub fn pc_of(engine: &QueryEngine, table: &str, ds: &Dataset, qe: &FxHashSet<RecordId>) -> f64 {
     engine
         .with_link_index(table, |li| {
-            ds.truth
-                .pc_for_qe(qe, |a, b| li.closure([a]).binary_search(&b).is_ok())
+            ds.truth.pc_for_qe(qe, |a, b| li.label(a) == li.label(b))
         })
         .expect("table registered")
 }

@@ -12,10 +12,11 @@ use crate::error::Result;
 use crate::operators::{drain, ExecContext, Operator};
 use crate::tuple::{Batch, EntityRef};
 use parking_lot::RwLockReadGuard;
-use queryer_common::{FxHashMap, FxHashSet, Stopwatch};
+use queryer_common::{FxHashSet, Stopwatch};
 use queryer_er::LinkIndex;
 use queryer_storage::{RecordId, Value};
 use std::fmt::Write;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Separator used when fusing contradicting attribute values.
@@ -24,8 +25,9 @@ pub const GROUP_SEPARATOR: &str = " | ";
 /// Pipeline-breaking grouping operator, and the materialisation point of
 /// every ER plan: one output row per distinct cluster combination,
 /// rendering each requested column over the **full** cluster membership
-/// (fetched through the Link Index closure, so members that never passed
-/// the filter still contribute their values). It builds only the
+/// (walked off the Link Index's member ring, so members that never
+/// passed the filter or the join still contribute their values, in
+/// member-id order). It builds only the
 /// columns the operator above it reads.
 pub struct GroupEntitiesOp {
     ctx: Arc<ExecContext>,
@@ -87,40 +89,35 @@ impl GroupEntitiesOp {
             .map(|&t| &*guards.iter().find(|(g, _)| *g == t).expect("guarded").1)
             .collect();
 
-        // Membership of the multi-member clusters, computed once per
-        // (table, cluster); a cluster with no link is its own member.
-        let mut member_lists: Vec<Vec<RecordId>> = Vec::new();
-        let mut list_of: FxHashMap<(usize, RecordId), usize> = FxHashMap::default();
-        let mut slot_members: Vec<Option<usize>> = Vec::new();
+        // Each slot's cluster members, walked off its Link-Index ring
+        // into one buffer per row and sorted, so values fuse in member-id
+        // order; `spans[slot]` is the slot's run of the buffer.
+        let mut members: Vec<RecordId> = Vec::new();
+        let mut spans: Vec<Range<usize>> = Vec::new();
         let mut distinct: Vec<&Value> = Vec::new();
         let mut scratch = String::new();
         let mut out = Vec::with_capacity(representatives.len());
         for rep in representatives {
-            slot_members.clear();
+            members.clear();
+            spans.clear();
             for (slot, e) in rep.iter().enumerate() {
-                let li = slot_li[slot];
-                slot_members.push((!li.neighbors(e.cluster).is_empty()).then(|| {
-                    *list_of.entry((e.table, e.cluster)).or_insert_with(|| {
-                        member_lists.push(li.closure([e.cluster]));
-                        member_lists.len() - 1
-                    })
-                }));
+                let start = members.len();
+                members.extend(slot_li[slot].ring(e.cluster));
+                members[start..].sort_unstable();
+                spans.push(start..members.len());
             }
             let row = self
                 .columns
                 .iter()
                 .map(|&(slot, col)| {
                     let table = &self.ctx.tables[self.slot_tables[slot]];
-                    match slot_members[slot] {
-                        None => table.record_unchecked(rep[slot].cluster).value(col).clone(),
-                        Some(list) => fuse_column(
-                            member_lists[list]
-                                .iter()
-                                .map(|&m| table.record_unchecked(m).value(col)),
-                            &mut distinct,
-                            &mut scratch,
-                        ),
-                    }
+                    fuse_column(
+                        members[spans[slot].clone()]
+                            .iter()
+                            .map(|&m| table.record_unchecked(m).value(col)),
+                        &mut distinct,
+                        &mut scratch,
+                    )
                 })
                 .collect();
             out.push(row);
@@ -211,19 +208,21 @@ mod tests {
             .unwrap();
         t.push_row(vec!["2".into(), "other paper".into(), "2017".into()])
             .unwrap();
-        let er = TableErIndex::build(&t, &ErConfig::default());
         let mut li = LinkIndex::new(t.len());
         li.add_link(0, 1);
         let schema = BoundSchema::from_table("p", 0, &t);
-        (
-            Arc::new(ExecContext {
-                tables: vec![Arc::new(t)],
-                er: vec![Arc::new(er)],
-                li: vec![Arc::new(RwLock::new(li))],
-                metrics: Mutex::new(Default::default()),
-            }),
-            schema,
-        )
+        (ctx_over(t, li), schema)
+    }
+
+    /// A one-table context holding `t` and its Link Index `li`.
+    fn ctx_over(t: Table, li: LinkIndex) -> Arc<ExecContext> {
+        let er = TableErIndex::build(&t, &ErConfig::default());
+        Arc::new(ExecContext {
+            tables: vec![Arc::new(t)],
+            er: vec![Arc::new(er)],
+            li: vec![Arc::new(RwLock::new(li))],
+            metrics: Mutex::new(Default::default()),
+        })
     }
 
     /// Groups one-slot rows of `(record, cluster)` into rows of the
@@ -292,6 +291,55 @@ mod tests {
         let out = group(&ctx, &schema, &[(0, 0)], &[0, 1, 2]);
         assert_eq!(out.len(), 1);
         assert!(out[0][1].render().contains("collective e.r"));
+    }
+
+    #[test]
+    fn members_fuse_in_id_order_and_include_what_the_join_dropped() {
+        let mut t = Table::new("p", Schema::of_strings(&["id", "title"]));
+        for (id, title) in ["a", "b", "c", "d"].into_iter().enumerate() {
+            t.push_row(vec![id.to_string().into(), title.into()])
+                .unwrap();
+        }
+        let mut li = LinkIndex::new(t.len());
+        li.add_link(0, 1);
+        li.add_link(0, 2);
+        assert_eq!(li.label(2), 0);
+        assert_eq!(
+            li.ring(0).collect::<Vec<_>>(),
+            [0, 2, 1],
+            "the ring is not in id order"
+        );
+        let one = BoundSchema::from_table("l", 0, &t);
+        let schema = BoundSchema::concat(&one, &BoundSchema::from_table("r", 0, &t));
+        let ctx = ctx_over(t, li);
+        // A self-join row that kept only member 2 of cluster {0, 1, 2}
+        // on its left side, and the linkless record 3 on its right.
+        let e = |record, cluster| EntityRef {
+            table: 0,
+            record,
+            cluster,
+        };
+        let mut input = Batch::new(2);
+        input.push(&[e(2, 0), e(3, 3)]);
+        let mut op = GroupEntitiesOp::new(
+            ctx.clone(),
+            Box::new(VecOperator::new(input)),
+            &schema,
+            &[1, 3, 0],
+        );
+        assert_eq!(
+            drain_rows(&mut op).unwrap(),
+            vec![vec![
+                Value::str("a | b | c"),
+                Value::str("d"),
+                Value::str("0 | 1 | 2"),
+            ]]
+        );
+        // One slot, through a member that is not the label.
+        assert_eq!(
+            group(&ctx, &one, &[(1, 0)], &[1]),
+            vec![vec![Value::str("a | b | c")]]
+        );
     }
 
     #[test]

@@ -118,10 +118,17 @@
 //!   private [`LinkDelta`], and publishes them with one
 //!   [`LinkIndex::commit`], whether the caller passed `&mut LinkIndex`
 //!   or a shared `&RwLock<LinkIndex>` (see [`TableErIndex::run`]). A
-//!   resolve that returns `Err` commits nothing. One post-commit walk
-//!   of the linked components yields both DR_E and each member's
-//!   cluster id (the component's minimum member,
-//!   [`LinkIndex::labelled_closure`]); the outcome carries both, so no
+//!   resolve that returns `Err` commits nothing.
+//! * **Clusters as Link-Index data** — the Link Index keeps every
+//!   record's linked component: a label (the component's minimum
+//!   member, [`LinkIndex::label`]) and a member ring
+//!   ([`LinkIndex::ring`]). A commit's new link splices two rings in
+//!   O(1) and relabels in O(smaller component) by repointing the smaller
+//!   side to the larger side's root; a write's invalidation rebuilds
+//!   only the components it un-resolves; the snapshot format does not
+//!   change, since decoding derives the rings. After its commit a
+//!   resolve reads DR_E and each member's cluster id off the rings
+//!   ([`LinkIndex::labelled_closure`]); the outcome carries both, so no
 //!   caller walks the Link Index again to group a result.
 //!
 //! `tests/interned_equivalence.rs` pins the index's interned profiles

@@ -28,13 +28,57 @@ pub(crate) enum Mark {
 }
 
 /// Per-table link index: a mark per record (unresolved, resolved or
-/// stale) + symmetric link adjacency.
+/// stale), the symmetric link adjacency, and each record's linked
+/// component kept as data.
+///
+/// The component is a member ring plus a label. Following
+/// [`LinkIndex::ring`] from any member visits each member of its
+/// component once; [`LinkIndex::label`] is the component's minimum
+/// member, the cluster id of [`crate::ResolveOutcome::clusters`]. A link
+/// between two components splices their rings by swapping two `next`
+/// pointers and repoints the smaller component's members to the larger
+/// one's root, so a merge costs O(smaller component) however large a
+/// hub grows. A write's [`LinkIndex::invalidate`] rebuilds only the
+/// components it un-resolves. The three per-record words (`next`,
+/// `root`, and at a root its component's minimum) are derived from the
+/// adjacency, so the snapshot format does not carry them and does not
+/// change. Every id passed to the index must be below
+/// [`LinkIndex::len`]; [`LinkIndex::grow`] extends the range.
 #[derive(Debug, Clone, Default)]
 pub struct LinkIndex {
     pub(crate) marks: Vec<Mark>,
     pub(crate) adj: FxHashMap<RecordId, Vec<RecordId>>,
     pub(crate) n_links: usize,
+    ring: Vec<RingNode>,
 }
+
+/// One record's place in its linked component.
+#[derive(Debug, Clone, Copy)]
+struct RingNode {
+    /// The next member of the component's ring.
+    next: RecordId,
+    /// The component's representative; only the smaller side of a merge
+    /// is repointed.
+    root: RecordId,
+    /// At a representative, its component's minimum member; meaningless
+    /// elsewhere.
+    min: RecordId,
+}
+
+impl RingNode {
+    /// A record with no link: a ring of one, its own root and label.
+    fn alone(id: RecordId) -> Self {
+        Self {
+            next: id,
+            root: id,
+            min: id,
+        }
+    }
+}
+
+/// A `root` no record has: marks a member [`LinkIndex::relink`] has not
+/// reached yet.
+const UNSEEN: RecordId = RecordId::MAX;
 
 impl LinkIndex {
     /// Creates an empty index for a table of `n` records.
@@ -43,7 +87,27 @@ impl LinkIndex {
             marks: vec![Mark::Unresolved; n],
             adj: FxHashMap::default(),
             n_links: 0,
+            ring: (0..n as RecordId).map(RingNode::alone).collect(),
         }
+    }
+
+    /// An index over decoded marks and adjacency, its components derived
+    /// from the adjacency. The caller has checked that every id is
+    /// below `marks.len()` and that the adjacency is symmetric.
+    pub(crate) fn from_parts(
+        marks: Vec<Mark>,
+        adj: FxHashMap<RecordId, Vec<RecordId>>,
+        n_links: usize,
+    ) -> Self {
+        let all: Vec<RecordId> = (0..marks.len() as RecordId).collect();
+        let mut li = Self {
+            marks,
+            adj,
+            n_links,
+            ring: all.iter().map(|&id| RingNode::alone(id)).collect(),
+        };
+        li.relink(&all);
+        li
     }
 
     /// Number of records covered.
@@ -86,7 +150,8 @@ impl LinkIndex {
         self.n_links
     }
 
-    /// Records a duplicate link (both directions). Returns `true` if new.
+    /// Records a duplicate link (both directions) and joins the two
+    /// records' components. Returns `true` if new.
     pub fn add_link(&mut self, a: RecordId, b: RecordId) -> bool {
         if a == b || self.are_linked(a, b) {
             return false;
@@ -94,6 +159,7 @@ impl LinkIndex {
         self.adj.entry(a).or_default().push(b);
         self.adj.entry(b).or_default().push(a);
         self.n_links += 1;
+        self.merge(a, b);
         true
     }
 
@@ -110,13 +176,31 @@ impl LinkIndex {
         self.adj.get(&id).map(Vec::as_slice).unwrap_or(&[])
     }
 
+    /// The cluster id of `id`: the minimum member of its linked
+    /// component (`id` itself when it has no link). Two records are in
+    /// one cluster exactly when their labels are equal.
+    #[inline]
+    pub fn label(&self, id: RecordId) -> RecordId {
+        let root = self.ring[id as usize].root;
+        self.ring[root as usize].min
+    }
+
+    /// The members of `id`'s linked component, each once, in ring order
+    /// starting at `id` — not in id order.
+    pub fn ring(&self, id: RecordId) -> impl Iterator<Item = RecordId> + '_ {
+        std::iter::successors(Some(id), move |&x| {
+            Some(self.ring[x as usize].next).filter(|&n| n != id)
+        })
+    }
+
     /// Transitive closure over links starting from `seeds`: the full
     /// duplicate clusters touching the seeds. Output is sorted and
     /// includes the seeds themselves.
     pub fn closure(&self, seeds: impl IntoIterator<Item = RecordId>) -> Vec<RecordId> {
-        let mut members = self.walk_components(seeds, |_| {});
-        members.sort_unstable();
-        members
+        self.labelled_members(seeds)
+            .into_iter()
+            .map(|(m, _)| m)
+            .collect()
     }
 
     /// [`LinkIndex::closure`] of `seeds` with each member's cluster id,
@@ -126,44 +210,118 @@ impl LinkIndex {
         &self,
         seeds: impl IntoIterator<Item = RecordId>,
     ) -> (Vec<RecordId>, Vec<RecordId>) {
-        let mut labelled: Vec<(RecordId, RecordId)> = Vec::new();
-        self.walk_components(seeds, |component| {
-            let label = component.iter().copied().min().unwrap_or_default();
-            labelled.extend(component.iter().map(|&m| (m, label)));
-        });
-        labelled.sort_unstable();
-        labelled.into_iter().unzip()
+        self.labelled_members(seeds).into_iter().unzip()
     }
 
-    /// The one component walk: a breadth-first search from each seed
-    /// not reached yet, queued in the member list itself. Returns every
-    /// member reached, one component after another, and hands each
-    /// component's members to `component` as it completes.
-    fn walk_components(
+    /// `(member, label)` of every member of the seeds' components,
+    /// sorted and distinct. A seed with no link is its own pair; each
+    /// other component is walked once, from its root.
+    fn labelled_members(
         &self,
         seeds: impl IntoIterator<Item = RecordId>,
-        mut component: impl FnMut(&[RecordId]),
-    ) -> Vec<RecordId> {
-        let mut members: Vec<RecordId> = Vec::new();
-        let mut visited = FxHashSet::default();
+    ) -> Vec<(RecordId, RecordId)> {
+        let mut labelled: Vec<(RecordId, RecordId)> = Vec::new();
+        let mut roots: Vec<RecordId> = Vec::new();
         for s in seeds {
-            if !visited.insert(s) {
+            let node = self.ring[s as usize];
+            if node.next == s {
+                labelled.push((s, s));
+            } else {
+                roots.push(node.root);
+            }
+        }
+        roots.sort_unstable();
+        roots.dedup();
+        for root in roots {
+            let label = self.ring[root as usize].min;
+            labelled.extend(self.ring(root).map(|m| (m, label)));
+        }
+        labelled.sort_unstable();
+        labelled.dedup();
+        labelled
+    }
+
+    /// Joins the components of `a` and `b`. The smaller ring's members
+    /// are repointed to the larger ring's root, which takes the smaller
+    /// of the two labels, and swapping `a`'s and `b`'s `next` splices
+    /// the two rings into one. O(smaller component).
+    fn merge(&mut self, a: RecordId, b: RecordId) {
+        let (root_a, root_b) = (self.ring[a as usize].root, self.ring[b as usize].root);
+        if root_a == root_b {
+            return;
+        }
+        let (small, keep) = if self.ring_closes_first(a, b) {
+            (a, root_b)
+        } else {
+            (b, root_a)
+        };
+        let label = self.ring[root_a as usize]
+            .min
+            .min(self.ring[root_b as usize].min);
+        let mut x = small;
+        loop {
+            let node = &mut self.ring[x as usize];
+            node.root = keep;
+            x = node.next;
+            if x == small {
+                break;
+            }
+        }
+        self.ring[keep as usize].min = label;
+        let next_a = self.ring[a as usize].next;
+        self.ring[a as usize].next = self.ring[b as usize].next;
+        self.ring[b as usize].next = next_a;
+    }
+
+    /// Whether `a`'s ring is no longer than `b`'s: both are walked in
+    /// lockstep until one closes, so the cost is O(the shorter ring).
+    fn ring_closes_first(&self, a: RecordId, b: RecordId) -> bool {
+        let (mut x, mut y) = (a, b);
+        loop {
+            x = self.ring[x as usize].next;
+            y = self.ring[y as usize].next;
+            if x == a {
+                return true;
+            }
+            if y == b {
+                return false;
+            }
+        }
+    }
+
+    /// Rebuilds the components of `members` from the adjacency.
+    /// `members` must hold whole components of the adjacency, in
+    /// ascending id order. A breadth-first search runs from each member
+    /// not reached yet, which is the minimum of its component and
+    /// becomes its root; the search order is the new ring.
+    /// O(members + their links).
+    fn relink(&mut self, members: &[RecordId]) {
+        for &m in members {
+            self.ring[m as usize].root = UNSEEN;
+        }
+        let mut queue: Vec<RecordId> = Vec::new();
+        for &start in members {
+            if self.ring[start as usize].root != UNSEEN {
                 continue;
             }
-            let start = members.len();
-            members.push(s);
-            let mut next = start;
-            while let Some(&x) = members.get(next) {
-                next += 1;
-                for &n in self.neighbors(x) {
-                    if visited.insert(n) {
-                        members.push(n);
+            self.ring[start as usize] = RingNode::alone(start);
+            queue.clear();
+            queue.push(start);
+            let mut i = 0;
+            while let Some(&x) = queue.get(i) {
+                i += 1;
+                for &n in self.adj.get(&x).map_or(&[][..], Vec::as_slice) {
+                    let node = &mut self.ring[n as usize];
+                    if node.root == UNSEEN {
+                        node.root = start;
+                        queue.push(n);
                     }
                 }
             }
-            component(&members[start..]);
+            for (i, &x) in queue.iter().enumerate() {
+                self.ring[x as usize].next = queue.get(i + 1).copied().unwrap_or(start);
+            }
         }
-        members
     }
 
     /// Extends coverage to a table that has grown to `n` records; the
@@ -171,7 +329,9 @@ impl LinkIndex {
     /// — deletes keep their dense id as an all-NULL row.
     pub fn grow(&mut self, n: usize) {
         if n > self.marks.len() {
+            let old = self.marks.len() as RecordId;
             self.marks.resize(n, Mark::Unresolved);
+            self.ring.extend((old..n as RecordId).map(RingNode::alone));
         }
     }
 
@@ -187,12 +347,12 @@ impl LinkIndex {
     /// of a chain a–b–c resolved after `invalidate([c])`, and a query on
     /// `a` would answer {a, b} without ever looking at `c` again. This
     /// is the ingest path's targeted invalidation — clusters are small,
-    /// and everything outside them stays warm.
+    /// and everything outside them stays warm. The same closure is the
+    /// set of components that can split, and only those are rebuilt.
     pub fn invalidate(&mut self, ids: &[RecordId]) {
-        for member in self.closure(ids.iter().copied()) {
-            if let Some(mark) = self.marks.get_mut(member as usize) {
-                unresolve(mark);
-            }
+        let members = self.closure(ids.iter().copied());
+        for &member in &members {
+            unresolve(&mut self.marks[member as usize]);
         }
         let set: FxHashSet<RecordId> = ids.iter().copied().collect();
         for &id in &set {
@@ -217,6 +377,7 @@ impl LinkIndex {
                 }
             }
         }
+        self.relink(&members);
     }
 
     /// [`LinkIndex::invalidate`] of every record: drops every link and
@@ -224,8 +385,7 @@ impl LinkIndex {
     /// write whose effect is not targeted ([`Affected::All`]).
     pub fn invalidate_all(&mut self) {
         self.marks.iter_mut().for_each(unresolve);
-        self.adj.clear();
-        self.n_links = 0;
+        self.unlink_all();
     }
 
     /// Follows one write applied to the table and its ER index: grows
@@ -245,8 +405,16 @@ impl LinkIndex {
     /// LI" ablation of Fig. 11).
     pub fn clear(&mut self) {
         self.marks.iter_mut().for_each(|m| *m = Mark::Unresolved);
+        self.unlink_all();
+    }
+
+    /// Drops every link: each record is a component of its own again.
+    fn unlink_all(&mut self) {
         self.adj.clear();
         self.n_links = 0;
+        for (id, node) in self.ring.iter_mut().enumerate() {
+            *node = RingNode::alone(id as RecordId);
+        }
     }
 
     /// Applies a query's private [`LinkDelta`] under the caller's write
@@ -258,7 +426,8 @@ impl LinkIndex {
     /// Links and resolved marks land atomically with respect to readers
     /// (the caller holds the write lock), preserving the LI contract:
     /// once `is_resolved(x)` is observable, every link incident to `x`
-    /// is observable too.
+    /// is observable too. Each new link's component merge costs
+    /// O(smaller component) inside that critical section.
     pub fn commit(&mut self, delta: &LinkDelta) -> usize {
         let mut added = 0;
         for &(a, b) in &delta.links {
@@ -375,6 +544,54 @@ mod tests {
         assert_eq!(li.closure([1]), vec![1, 2, 5]);
         assert_eq!(li.closure([1, 7]), vec![1, 2, 5, 7, 8]);
         assert_eq!(li.closure([9]), vec![9]);
+    }
+
+    #[test]
+    fn labels_and_rings_follow_merges_and_splits() {
+        let mut li = LinkIndex::new(10);
+        li.add_link(5, 6);
+        li.add_link(6, 7);
+        assert_eq!([li.label(5), li.label(6), li.label(7)], [5, 5, 5]);
+        li.add_link(2, 7);
+        assert!((2..=7)
+            .filter(|&id| id != 3 && id != 4)
+            .all(|id| li.label(id) == 2));
+        let mut ring: Vec<RecordId> = li.ring(6).collect();
+        assert_eq!(ring[0], 6, "a ring starts where it is entered");
+        ring.sort_unstable();
+        assert_eq!(ring, [2, 5, 6, 7]);
+        assert_eq!(
+            li.ring(3).collect::<Vec<_>>(),
+            [3],
+            "no link, a ring of one"
+        );
+
+        // Cutting 7 out splits {2, 5, 6, 7} into {2}, {5, 6} and {7}.
+        li.invalidate(&[7]);
+        assert_eq!(
+            [li.label(2), li.label(5), li.label(6), li.label(7)],
+            [2, 5, 5, 7]
+        );
+        assert_eq!(li.closure([6]), [5, 6]);
+        assert_eq!(li.ring(2).collect::<Vec<_>>(), [2]);
+        li.invalidate_all();
+        assert!((0..10).all(|id| li.label(id) == id && li.ring(id).count() == 1));
+    }
+
+    #[test]
+    fn a_merge_repoints_only_the_smaller_component() {
+        // A hub of 50 members whose minimum is 50 takes a link to the
+        // singleton 3: the label drops to 3, and only 3 is repointed.
+        let mut li = LinkIndex::new(100);
+        for x in 51..100 {
+            li.add_link(50, x);
+        }
+        let roots = |li: &LinkIndex| (50..100).map(|x| li.ring[x].root).collect::<Vec<_>>();
+        let before = roots(&li);
+        li.add_link(99, 3);
+        assert_eq!(roots(&li), before, "the larger side keeps its root");
+        assert!((50..100).chain([3]).all(|id| li.label(id) == 3));
+        assert_eq!(li.ring(3).count(), 51);
     }
 
     #[test]

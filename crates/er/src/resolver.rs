@@ -234,9 +234,10 @@ impl TableErIndex {
     }
 
     /// DR_E — the query entities plus every duplicate reachable in `li`
-    /// — and the cluster id of each member, from one component walk.
-    /// Without transitivity DR_E stops at direct duplicates, but a
-    /// cluster id is still the minimum of the member's whole component.
+    /// — and the cluster id of each member, read off the Link Index's
+    /// member rings and labels. Without transitivity DR_E stops at
+    /// direct duplicates, but a cluster id is still the minimum of the
+    /// member's whole component.
     fn dr_of(&self, li: &LinkIndex, qe: &[RecordId]) -> (Vec<RecordId>, Vec<RecordId>) {
         let (dr, clusters) = li.labelled_closure(qe.iter().copied());
         if self.config().transitive {

@@ -30,10 +30,14 @@
 //! The framing already rejects truncation, bit flips, torn writes,
 //! version skew, and stale content before the payload is readable. On
 //! top of it the payload decoder checks that the resolved flags cover
-//! exactly the table's records, that every stored id is in range and
-//! that no record's adjacency appears twice — so even a
-//! checksum-colliding file can never produce a Link Index that panics
-//! or aliases at query time. Any such failure is
+//! exactly the table's records, that every stored id is in range, that
+//! no record's adjacency appears twice, and that the adjacency is a
+//! link set: symmetric, with no self-link, no repeated neighbour, and
+//! as many links as the stored count. So even a checksum-colliding file
+//! can never produce a Link Index that panics or aliases at query time,
+//! or whose derived clusters disagree with its links. The clusters
+//! themselves (each record's label and member ring) are not stored;
+//! decoding derives them from the adjacency. Any such failure is
 //! [`SnapshotError::Corrupt`], and is reported before the build starts.
 
 use crate::config::ErConfig;
@@ -186,6 +190,10 @@ fn decode_links(payload: &[u8], n_records: usize) -> Result<LinkIndex, SnapshotE
     let n_adj = r.take_len(4)?;
     let mut adj: FxHashMap<RecordId, Vec<RecordId>> = FxHashMap::default();
     adj.reserve(n_adj);
+    // Every entry `id → v` as the unordered pair it claims, split by
+    // which endpoint's list holds it: a symmetric adjacency lists each
+    // link once from each side, so the two sorted halves are equal.
+    let (mut from_low, mut from_high) = (Vec::new(), Vec::new());
     let in_range = |v: RecordId| (v as usize) < n_records;
     for _ in 0..n_adj {
         let id = r.take_u32()?;
@@ -193,7 +201,17 @@ fn decode_links(payload: &[u8], n_records: usize) -> Result<LinkIndex, SnapshotE
             return Err(SnapshotError::Corrupt);
         }
         let nbrs = r.take_u32_vec()?;
-        if !nbrs.iter().all(|&v| in_range(v)) || adj.insert(id, nbrs).is_some() {
+        for &v in &nbrs {
+            if !in_range(v) || v == id {
+                return Err(SnapshotError::Corrupt);
+            }
+            if id < v {
+                from_low.push((id, v));
+            } else {
+                from_high.push((v, id));
+            }
+        }
+        if adj.insert(id, nbrs).is_some() {
             return Err(SnapshotError::Corrupt);
         }
     }
@@ -201,11 +219,14 @@ fn decode_links(payload: &[u8], n_records: usize) -> Result<LinkIndex, SnapshotE
     if !r.is_exhausted() {
         return Err(SnapshotError::Corrupt);
     }
-    Ok(LinkIndex {
-        marks,
-        adj,
-        n_links,
-    })
+    from_low.sort_unstable();
+    from_high.sort_unstable();
+    // A repeated neighbour repeats its pair within one half.
+    let repeats = |pairs: &[(RecordId, RecordId)]| pairs.windows(2).any(|w| w[0] == w[1]);
+    if from_low != from_high || repeats(&from_low) || from_low.len() != n_links {
+        return Err(SnapshotError::Corrupt);
+    }
+    Ok(LinkIndex::from_parts(marks, adj, n_links))
 }
 
 /// Opens the snapshot at `path` and returns a freshly built index of
@@ -223,4 +244,72 @@ pub fn open_index_snapshot(
     let payload = read_snapshot(path, content_fingerprint(table, cfg))?;
     let li = decode_links(&payload, table.len())?;
     Ok((TableErIndex::build(table, cfg), li))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A links payload written out by hand: `n` unresolved records, the
+    /// stored link count, and the adjacency entries as given.
+    fn payload(n: usize, n_links: u64, adj: &[(RecordId, &[RecordId])]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&(n as u64).to_le_bytes());
+        out.resize(out.len() + n, 0);
+        out.extend_from_slice(&n_links.to_le_bytes());
+        out.extend_from_slice(&(adj.len() as u64).to_le_bytes());
+        for &(id, nbrs) in adj {
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&(nbrs.len() as u64).to_le_bytes());
+            for &v in nbrs {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        out
+    }
+
+    fn corrupt(payload: &[u8], n: usize) -> bool {
+        matches!(decode_links(payload, n), Err(SnapshotError::Corrupt))
+    }
+
+    #[test]
+    fn a_link_set_decodes_with_its_clusters() {
+        let li = decode_links(&payload(4, 2, &[(0, &[2]), (2, &[0, 3]), (3, &[2])]), 4).unwrap();
+        assert_eq!(li.link_count(), 2);
+        assert_eq!(
+            (0..4).map(|id| li.label(id)).collect::<Vec<_>>(),
+            [0, 1, 0, 0]
+        );
+        assert_eq!(li.closure([3]), [0, 2, 3]);
+    }
+
+    #[test]
+    fn an_asymmetric_adjacency_is_corrupt() {
+        // 0 lists 1, but 1 does not list 0: the first `invalidate(&[0])`
+        // would count one link down that was never counted up.
+        let p = payload(3, 1, &[(0, &[1]), (1, &[2]), (2, &[1])]);
+        assert!(corrupt(&p, 3));
+        let p = payload(3, 1, &[(0, &[1])]);
+        assert!(corrupt(&p, 3));
+    }
+
+    #[test]
+    fn a_self_link_is_corrupt() {
+        let p = payload(3, 1, &[(1, &[1])]);
+        assert!(corrupt(&p, 3));
+    }
+
+    #[test]
+    fn a_repeated_neighbour_is_corrupt() {
+        let p = payload(3, 2, &[(0, &[1, 1]), (1, &[0, 0])]);
+        assert!(corrupt(&p, 3));
+    }
+
+    #[test]
+    fn a_link_count_off_the_entries_is_corrupt() {
+        for n_links in [0, 2, u64::MAX] {
+            let p = payload(3, n_links, &[(0, &[1]), (1, &[0])]);
+            assert!(corrupt(&p, 3), "n_links {n_links}");
+        }
+    }
 }

@@ -58,8 +58,7 @@ fn pair_completeness_meets_paper_floor() {
     let qe: FxHashSet<u32> = (0..ds.len() as u32).collect();
     let pc = e
         .with_link_index("oagp", |li| {
-            ds.truth
-                .pc_for_qe(&qe, |a, b| li.closure([a]).binary_search(&b).is_ok())
+            ds.truth.pc_for_qe(&qe, |a, b| li.label(a) == li.label(b))
         })
         .unwrap();
     assert!(pc >= 0.82, "paper floor: PC never below 0.82, got {pc}");
