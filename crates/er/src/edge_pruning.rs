@@ -142,9 +142,10 @@ pub(crate) fn threshold_over(
 }
 
 /// The order in which one query scanned the nodes of its frontiers,
-/// which decides where node-centric EP emits each pair: a scanned node
-/// holds its 1-based sequence number, an unscanned one reads 0, and a
-/// pair is emitted only at the endpoint scanned first.
+/// which decides where the node scan (node-centric EP, or no EP) emits
+/// each pair: a scanned node holds its 1-based sequence number, an
+/// unscanned one reads 0, and a pair is emitted only at the endpoint
+/// scanned first.
 ///
 /// That is exact because a survivor row is a pure function of the
 /// index and the node, and [`weight_of`] and the WNP union rule are
@@ -210,10 +211,10 @@ impl ScanOrder {
     }
 }
 
-/// One query's Edge Pruning dedup state, carried across its rounds so
-/// no pair is emitted twice: node-centric pruning reads and extends the
-/// node scan order; global pruning and the no-EP block path, whose
-/// survival depends on the call, record every emitted pair.
+/// One query's pair-generation dedup state, carried across its rounds
+/// so no pair is emitted twice: the node scan reads and extends the
+/// node scan order; global pruning, whose survival depends on the call,
+/// records every emitted pair.
 #[derive(Debug, Default)]
 pub struct EpSeen {
     pub(crate) order: ScanOrder,

@@ -14,9 +14,10 @@
 //! `crates/er/tests/budget_equivalence.rs`):
 //!
 //! * **Unlimited is free and bit-identical** — a default
-//!   [`ResolveBudget::unlimited`] never interrupts and takes the exact
-//!   code path of the historical ungoverned resolve, so decisions,
-//!   links, DR sets, and metrics are unchanged.
+//!   [`ResolveBudget::unlimited`] never interrupts: Comparison-Execution
+//!   runs each round's pairs as one batch of the governed loop, so
+//!   decisions, links, DR sets, and metrics equal those of any budget
+//!   that never trips.
 //! * **Partial is a prefix** — comparisons are truncated only at batch
 //!   boundaries, every executed pair's decision is the same pure
 //!   function of the immutable index as in a full run, and a truncated
@@ -56,7 +57,8 @@ pub enum ResolveStage {
     /// tokenization / WNP-threshold fan-outs, and the threshold re-sweep
     /// of a delta apply under ECBS / JS weights).
     Build,
-    /// Meta-Blocking's Edge Pruning: survivor fill, frontier scan.
+    /// Pair generation: the node scan (node-centric Edge Pruning, or no
+    /// Edge Pruning) and the global-scope frontier scan.
     EdgePruning,
     /// Comparison-Execution: the chunked kernel executor.
     ComparisonExecution,
@@ -142,8 +144,8 @@ impl Stop {
 }
 
 /// Work limits for one resolve call. The default ([`unlimited`]) never
-/// interrupts and adds no overhead — the resolver takes the historical
-/// ungoverned path bit-for-bit.
+/// interrupts and adds no overhead: each round's comparisons run as one
+/// batch, with one budget poll before it.
 ///
 /// Budgets compose: chain the builders to combine a deadline, a
 /// comparison cap, and a cancel token. The first limit to trip wins.
@@ -204,8 +206,8 @@ impl ResolveBudget {
         self
     }
 
-    /// `true` iff no limit is set: the resolver then skips every
-    /// governance branch.
+    /// `true` iff no limit is set: the resolver then runs each round's
+    /// comparisons as one batch.
     pub fn is_unlimited(&self) -> bool {
         self.deadline.is_none() && self.max_comparisons.is_none() && self.cancel.is_none()
     }

@@ -43,9 +43,9 @@
 //!   Deduplicate-Join), and the ITBI row of a record *is* its QBI
 //!   already joined against the TBI, so the resolve loop's Query
 //!   Blocking + Block-Join stages are index lookups paid at build time
-//!   (`DedupMetrics::blocking` reads zero). The enriched QBI itself is
-//!   one flat `(block, entity)` vector grouped by a stable sort — no
-//!   per-block candidate `Vec` is allocated per query.
+//!   (`DedupMetrics::blocking` reads zero). BP and BF are baked into
+//!   the retained / filtered rows at build too, so no enriched QBI is
+//!   assembled per query.
 //! * **CSR-packed blocking graph** — all four block-graph relations
 //!   (block→records raw and filtered, record→blocks full and retained)
 //!   are flat [`queryer_common::Csr`] offsets+data buffers built once at
@@ -64,15 +64,16 @@
 //!   ([`TableErIndex::bulk_ep_thresholds`]). A delta patches the slots
 //!   whose neighbourhood changed; no query computes a threshold, and a
 //!   survival check is two array loads.
-//! * **One node-centric enumerator** — node-centric Edge Pruning counts
-//!   each frontier entity's neighbourhood into a
-//!   [`index::CooccurrenceScratch`] and keeps the edges either
-//!   endpoint's stored threshold admits, emitting each pair once by the
-//!   query's node scan order: a frontier node the query has not scanned
-//!   yet gets the next sequence number, and an edge goes out only at the
-//!   endpoint scanned first (the weight is bit-symmetric, so both
-//!   endpoints agree on survival). One order read per edge replaces a
-//!   per-edge `PairSet` insert, and a node scanned before emits nothing.
+//! * **One node-scan enumerator** — node-centric Edge Pruning, and
+//!   every config without it (BP+BF, BP, NONE), counts each frontier
+//!   entity's neighbourhood into a [`index::CooccurrenceScratch`] and
+//!   keeps the edges either endpoint's stored threshold admits (every
+//!   edge with EP off, by a compile-time keep rule), emitting each pair
+//!   once by the query's node scan order: a frontier node the query has
+//!   not scanned yet gets the next sequence number, and an edge goes out
+//!   only at the endpoint scanned first (the weight is bit-symmetric, so
+//!   both endpoints agree on survival). One order read per edge replaces
+//!   a per-edge `PairSet` insert, and a node scanned before emits nothing.
 //!   The fill fans out over the same worker partitioning
 //!   (`ErConfig::threads`, env knob `QUERYER_THREADS`), each worker
 //!   emitting its chunk's pairs; any thread count is bit-identical.
@@ -137,14 +138,15 @@
 //! built from public accessors, across similarity kinds and random
 //! corpora; `tests/ep_equivalence.rs` pins the threshold sweep and the
 //! stored vector to a mean-of-weights oracle, the scan-order emission
-//! to an insert-probing oracle over sequences of frontier calls, and
-//! the enumerator across thread counts (pair sequences, DR/links),
+//! to an insert-probing oracle over sequences of frontier calls, the
+//! EP-off emission to a block-major collector (with and without a live
+//! delta), and the enumerator across thread counts (pair sequences, DR/links),
 //! weight schemes, pruning scopes, and frontier sizes;
 //! `tests/kernel_equivalence.rs` pins the compiled kernels and the
 //! parallel Comparison-Execution executor bit-identical (decisions,
 //! DR/links) to the canonical [`CompiledMatcher::similarity`] across all
-//! similarity kinds, thresholds at the early-exit boundaries, and thread
-//! counts; and `tests/cache_equivalence.rs` pins the cross-query
+//! similarity kinds, thresholds at the early-exit boundaries, thread
+//! counts and both orientations of a pair; and `tests/cache_equivalence.rs` pins the cross-query
 //! decision memo to a cleared one over query sequences sharing one Link
 //! Index.
 

@@ -12,13 +12,14 @@ pub struct DedupMetrics {
     /// (the Block-Join lookup is timed in `block_join`). Kept so a
     /// Table 6 breakdown still has the column.
     pub blocking: Duration,
-    /// Block-Join: hash-joining QBI keys against the TBI.
+    /// Block-Join: the pair scan of a config without Edge Pruning, whose
+    /// candidate set is the join's output (zero with Edge Pruning).
     pub block_join: Duration,
-    /// Block Purging share of meta-blocking.
+    /// Block Purging. Always zero: paid at build, like `blocking`.
     pub purging: Duration,
-    /// Block Filtering share of meta-blocking.
+    /// Block Filtering. Always zero: paid at build, like `blocking`.
     pub filtering: Duration,
-    /// Edge Pruning share of meta-blocking.
+    /// Edge Pruning: the pair scan of a config that prunes edges.
     pub edge_pruning: Duration,
     /// Comparison-Execution ("Resolution" in Table 6).
     pub resolution: Duration,

@@ -7,12 +7,14 @@
 //! Every query entity is a record of the indexed table, so the first two
 //! stages collapse into ITBI lookups: a record's `entity_blocks` row
 //! *is* its QBI⋈TBI join, built once at index time, so a resolve never
-//! tokenizes a record and never hash-joins token strings.
+//! tokenizes a record and never hash-joins token strings. BP and BF are
+//! table-level and baked into the retained / filtered rows at build, so
+//! pair generation is one scan of each frontier node's co-occurrences.
 
 use crate::config::EdgePruningScope;
 use crate::edge_pruning::{keeps, prune_global, weight_of, EdgePruner, EpSeen, ScanOrder};
 use crate::govern::{fan_out, Completion, ResolveBudget, ResolveError, ResolveStage, Stop};
-use crate::index::{BlockId, CooccurrenceScratch, TableErIndex};
+use crate::index::{CooccurrenceScratch, TableErIndex};
 use crate::kernel::{CompiledMatcher, KernelScratch, QuerySide};
 use crate::link_index::{LinkDelta, LinkIndex, Mark};
 use crate::metrics::DedupMetrics;
@@ -60,16 +62,6 @@ pub struct ResolveOutcome {
     /// an unlimited budget; a budgeted/cancelled run reports the stage
     /// it stopped in, and its links are a subset of the full run's.
     pub completion: Completion,
-}
-
-/// Outcome of one governed comparison batch run: decisions for the
-/// first `executed` pairs of the input (a prefix — truncation only ever
-/// happens at batch boundaries) and why the run stopped early, if it
-/// did.
-struct CmpRun {
-    decisions: Vec<bool>,
-    executed: usize,
-    stop: Option<Stop>,
 }
 
 /// How Comparison-Execution treats an unlinked candidate pair, read off
@@ -159,21 +151,12 @@ impl TableErIndex {
     /// the link-sets of those entities in QE_E that are not already in
     /// LI_E", Sec. 6.1).
     ///
-    /// The round loop polls the budget at round starts and
-    /// Comparison-Execution runs in budget-clamped batches — so an
-    /// exhausted budget or an external cancel stops work at the next
-    /// round or batch boundary and the call returns a partial-but-valid
-    /// outcome whose [`ResolveOutcome::completion`] reports the stage
-    /// and comparison count.
-    ///
-    /// Partial-run guarantees (pinned by `tests/budget_equivalence.rs`):
-    /// under any budget, every executed comparison's decision — and
-    /// hence every committed link — equals the full run's, so the links
-    /// are a subset of the full run's links; and a truncated round's
-    /// marks never enter the delta, so re-resolving with more budget
-    /// converges to the full answer. On error (worker panic, poisoned
-    /// index) the delta is dropped uncommitted — a failed query leaves
-    /// the Link Index exactly as it found it.
+    /// The budget is polled at round starts and between comparison
+    /// batches; a stopped run returns a partial-but-valid outcome whose
+    /// [`ResolveOutcome::completion`] reports the stage and comparison
+    /// count, with the guarantees of [`crate::govern`]. On error
+    /// (worker panic, poisoned index) the delta is dropped uncommitted —
+    /// a failed query leaves the Link Index exactly as it found it.
     pub(crate) fn resolve_and_commit(
         &self,
         table: &Table,
@@ -287,42 +270,12 @@ impl TableErIndex {
                 break;
             }
 
-            // Pair generation. With Edge Pruning on, the frontier's
-            // neighbourhoods are read straight off the CSR blocking
-            // graph — BP and BF are already baked into the retained /
-            // filtered rows, so the enriched QBI would be dead work and
-            // is only assembled for the per-block pair path below.
-            let pairs: Vec<(RecordId, RecordId)> = if self.config().meta.edge_pruning() {
-                self.try_edge_pruned_pairs(&frontier, &mut ctx.seen, metrics)?
-            } else {
-                // (i) Query Blocking + (ii) Block-Join — for in-table
-                // query entities the ITBI row of each record is exactly
-                // the QBI of that record already joined against the TBI
-                // (same blocking function, joined at build time).
-                // Assembling the enriched QBI is therefore a pure index
-                // lookup: no tokenization, no string hashing.
-                let mut sw = Stopwatch::new();
-                let mut eqbi: Vec<(BlockId, RecordId)> =
-                    sw.time(|| self.itbi_query_blocks(&frontier));
-                metrics.block_join += sw.elapsed();
-
-                // (iii) Meta-Blocking, in the strict order BP → BF —
-                // flat retains over the (block, entity) entries; blocks
-                // whose last entry goes vanish implicitly.
-                let mut sw = Stopwatch::new();
-                if self.config().meta.purging() {
-                    sw.time(|| eqbi.retain(|&(b, _)| !self.is_purged(b)));
-                }
-                metrics.purging += sw.elapsed();
-
-                let mut sw = Stopwatch::new();
-                if self.config().meta.filtering() {
-                    sw.time(|| eqbi.retain(|&(b, q)| self.retains(q, b)));
-                }
-                metrics.filtering += sw.elapsed();
-
-                self.block_pairs(&eqbi, &mut ctx.seen.pairs)
-            };
+            // (i) Query Blocking + (ii) Block-Join + (iii) Meta-Blocking:
+            // the ITBI row of an in-table query entity is its QBI already
+            // joined against the TBI, and BP and BF are baked into the
+            // retained / filtered rows, so the frontier's neighbourhoods
+            // are read straight off the CSR blocking graph.
+            let pairs = self.try_edge_pruned_pairs(&frontier, &mut ctx.seen, metrics)?;
             metrics.candidate_pairs += pairs.len() as u64;
 
             // (iv) Comparison-Execution. Pairs already linked by previous
@@ -350,7 +303,7 @@ impl TableErIndex {
                     }
                 }
             });
-            let run = self.execute_comparisons_governed(
+            let (decisions, stop) = self.execute_comparisons_governed(
                 &matcher,
                 &to_compare,
                 &classes,
@@ -358,9 +311,10 @@ impl TableErIndex {
                 budget,
                 ctx.comparisons_done,
             )?;
-            metrics.comparisons += run.executed as u64;
-            ctx.comparisons_done += run.executed as u64;
-            for (&(q, c), matched) in to_compare[..run.executed].iter().zip(run.decisions) {
+            let executed = decisions.len();
+            metrics.comparisons += executed as u64;
+            ctx.comparisons_done += executed as u64;
+            for (&(q, c), matched) in to_compare.iter().zip(decisions) {
                 if matched {
                     ctx.delta.add_link(q, c);
                     metrics.matches_found += 1;
@@ -370,14 +324,14 @@ impl TableErIndex {
             sw.stop();
             metrics.resolution += sw.elapsed();
 
-            if let Some(stop) = run.stop {
+            if let Some(stop) = stop {
                 // Truncated round: its frontier is NOT marked resolved —
                 // some of its pairs were never decided, and marking
                 // would make the Link Index claim completeness it does
                 // not have. Every decided link is still committed; a
                 // later resolve redoes this frontier and converges to
                 // the full answer.
-                metrics.pairs_uncompared += (to_compare.len() - run.executed) as u64;
+                metrics.pairs_uncompared += (to_compare.len() - executed) as u64;
                 ctx.completion =
                     stop.completion(ResolveStage::ComparisonExecution, ctx.comparisons_done);
                 break;
@@ -432,145 +386,89 @@ impl TableErIndex {
         })
     }
 
-    /// Assembles the enriched QBI of in-table query entities from the
-    /// ITBI as one flat `(block, entity)` vector, grouped by block id
-    /// via a stable sort (so entities within a block keep frontier
-    /// order, exactly like the old per-block grouping). One vector, one
-    /// sort — no per-block allocation per query.
-    fn itbi_query_blocks(&self, frontier: &[RecordId]) -> Vec<(BlockId, RecordId)> {
-        let mut eqbi: Vec<(BlockId, RecordId)> = Vec::new();
-        for &q in frontier {
-            for &b in self.blocks_of(q) {
-                eqbi.push((b, q));
-            }
-        }
-        eqbi.sort_by_key(|&(b, _)| b);
-        eqbi
-    }
-
-    /// Plain per-block pair generation (no EP): within each enriched
-    /// block, each query entity is compared against every other entity,
-    /// each distinct pair once across all blocks. `eqbi` is grouped by
-    /// block id, so block contents are looked up once per group.
-    fn block_pairs(
-        &self,
-        eqbi: &[(BlockId, RecordId)],
-        pair_seen: &mut PairSet,
-    ) -> Vec<(RecordId, RecordId)> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < eqbi.len() {
-            let b = eqbi[i].0;
-            let others = if self.config().meta.filtering() {
-                self.filtered_block(b)
-            } else {
-                self.raw_block(b)
-            };
-            while i < eqbi.len() && eqbi[i].0 == b {
-                let q = eqbi[i].1;
-                for &c in others {
-                    if c != q && pair_seen.insert(q, c) {
-                        out.push((q, c));
-                    }
-                }
-                i += 1;
-            }
-        }
-        out
-    }
-
-    /// EP pair generation: weight every edge incident to a frontier
-    /// entity and keep it per the configured pruning scope, adding the
-    /// wall time to `metrics.edge_pruning`. Exposed so the equivalence
-    /// suites can pin the candidate pair sequence across thread counts
-    /// — every configuration emits the bit-identical sequence.
+    /// Pair generation, the resolve loop's entry point: every edge of the
+    /// blocking graph incident to a frontier entity that Edge Pruning
+    /// keeps — every one with EP off, where a node's co-occurrences are
+    /// its Block-Join output. The wall time goes to
+    /// `metrics.edge_pruning`, or to `metrics.block_join` with EP off.
+    /// Every thread count emits the bit-identical sequence.
     ///
     /// `seen` is one query's dedup state, carried across its calls: a
-    /// pair emitted by an earlier call is never emitted again. Node-
-    /// centric pruning numbers each frontier node the query had not
-    /// scanned yet and emits a pair only at the endpoint it scanned
-    /// first, so a node scanned by an earlier call — or earlier in the
-    /// same frontier — emits nothing and duplicates are harmless.
-    /// Global pruning numbers each call's frontier in a scan order of
-    /// its own, so within a call every edge is collected once, at its
-    /// first-scanned endpoint, and records its emitted pairs against
-    /// the query's earlier calls. Node-centric emission equals an
-    /// insert-probing loop over a carried pair set, global emission a
-    /// collector with a pair set per call (both pinned by
-    /// `tests/ep_equivalence.rs`).
+    /// pair emitted by an earlier call is never emitted again. The node
+    /// scan (node-centric EP and every EP-off config) emits a pair only
+    /// at the endpoint the query scanned first, so a node scanned by an
+    /// earlier call, or earlier in the same frontier, emits nothing.
+    /// Global pruning numbers each call's frontier in an order of its
+    /// own and records its emitted pairs against the query's earlier
+    /// calls. Node-centric emission equals an insert-probing loop over a
+    /// carried pair set, EP-off emission a block-major collector over
+    /// one, and global emission a collector with a pair set per call (all
+    /// pinned by `tests/ep_equivalence.rs`).
     ///
-    /// This is the resolve loop's entry point. The frontier scans and
-    /// survivor fills run to completion once started (they are bounded
-    /// by the frontier, not the table) but are panic-hardened: a lost
-    /// worker surfaces as [`ResolveError::WorkerPanicked`], and since
-    /// Edge Pruning writes no shared state the index stays sound.
+    /// The scans are bounded by the frontier and run to completion once
+    /// started. A lost worker surfaces as
+    /// [`ResolveError::WorkerPanicked`]; pair generation writes no shared
+    /// state, so the index stays sound.
     pub fn try_edge_pruned_pairs(
         &self,
         frontier: &[RecordId],
         seen: &mut EpSeen,
         metrics: &mut DedupMetrics,
     ) -> Result<Vec<(RecordId, RecordId)>, ResolveError> {
+        let prune = self.config().meta.edge_pruning();
         let mut sw = Stopwatch::new();
-        let pairs = sw.time(|| match self.config().ep_scope {
-            EdgePruningScope::NodeCentric => self.node_centric_pairs(frontier, &mut seen.order),
-            EdgePruningScope::Global => self.global_pairs(frontier, &mut seen.pairs),
+        let pairs = sw.time(|| match (prune, self.config().ep_scope) {
+            (false, _) => self.node_scan_pairs::<false>(frontier, &mut seen.order),
+            (true, EdgePruningScope::NodeCentric) => {
+                self.node_scan_pairs::<true>(frontier, &mut seen.order)
+            }
+            (true, EdgePruningScope::Global) => self.global_pairs(frontier, &mut seen.pairs),
         });
-        metrics.edge_pruning += sw.elapsed();
+        let stage = if prune {
+            &mut metrics.edge_pruning
+        } else {
+            &mut metrics.block_join
+        };
+        *stage += sw.elapsed();
         pairs
     }
 
-    /// Node-centric EP, the one enumerator: numbers the frontier nodes
-    /// the query has not scanned yet in `order`, then each fill worker
-    /// counts its chunk's nodes' neighbourhoods and emits, in
-    /// first-touch order, every edge the node owns under `order` (see
-    /// [`ScanOrder`]) and keeps under the WNP union rule — either
-    /// endpoint's build-time threshold admits the weight. The round's
-    /// pairs are the chunks concatenated in frontier order. Workers
-    /// only read `order`, and each pair depends only on the index and
-    /// the scan order, so thread count never changes the emitted
-    /// sequence (pinned by `tests/ep_equivalence.rs` and
-    /// `tests/cache_equivalence.rs`).
-    fn node_centric_pairs(
+    /// The node scan, the one enumerator of node-centric EP and of every
+    /// EP-off config: numbers the frontier nodes the query has not
+    /// scanned yet in `order`, then each worker emits, in first-touch
+    /// order, every edge of its chunk's nodes that the node owns under
+    /// `order` (see [`ScanOrder`]) and keeps. With `PRUNE` an edge is kept
+    /// under the WNP union rule (either endpoint's build-time threshold
+    /// admits the weight); without it every edge is, and no weight is
+    /// computed. Workers only read `order`, so the chunks concatenated in
+    /// frontier order are the same sequence at any thread count.
+    fn node_scan_pairs<const PRUNE: bool>(
         &self,
         frontier: &[RecordId],
         order: &mut ScanOrder,
     ) -> Result<Vec<(RecordId, RecordId)>, ResolveError> {
         let scheme = self.config().weight_scheme;
         let n_blocks = self.n_unpurged_blocks().max(1) as f64;
-        let th = &self.ep_thresholds;
-        // Numbers are handed out before the fan-out, so workers only
-        // read them. A node the query scanned before is left out: it
-        // emitted all of its pairs then.
-        let n = self.n_records();
-        let fresh: Vec<RecordId> = frontier
-            .iter()
-            .copied()
-            .filter(|&q| order.assign(q, n))
-            .collect();
+        let th = self.ep_thresholds.as_slice();
+        let (fresh, workers) = self.number_fresh(frontier, order);
         let order = &*order;
-        let workers = if fresh.len() >= PAR_MIN_FRONTIER {
-            self.config().effective_threads()
-        } else {
-            1
-        };
         let chunks = fan_out(
             fresh.len(),
             workers,
             "ep.survivors.worker",
             ResolveStage::EdgePruning,
             |range| {
-                let mut scratch = CooccurrenceScratch::new();
-                let mut out = Vec::new();
-                for &q in &fresh[range] {
-                    let (sq, th_q) = (order.get(q), th[q as usize]);
-                    for &(c, cbs) in self.cooccurrences_into(q, &mut scratch) {
-                        let w = weight_of(self, scheme, n_blocks, q, c, cbs);
-                        if (keeps(w, th_q) || keeps(w, th[c as usize])) && order.owns(sq, c) {
-                            out.push((q, c));
+                self.owned_edges(
+                    &fresh[range],
+                    order,
+                    |q, c, cbs| {
+                        !PRUNE || {
+                            let w = weight_of(self, scheme, n_blocks, q, c, cbs);
+                            keeps(w, th[q as usize]) || keeps(w, th[c as usize])
                         }
-                    }
-                }
-                out
+                    },
+                    |q, c, _| (q, c),
+                )
             },
         )?;
         Ok(chunks.concat())
@@ -590,36 +488,21 @@ impl TableErIndex {
         pair_seen: &mut PairSet,
     ) -> Result<Vec<(RecordId, RecordId)>, ResolveError> {
         let pruner = EdgePruner::new(self);
-        let n = self.n_records();
         let mut order = ScanOrder::default();
-        let fresh: Vec<RecordId> = frontier
-            .iter()
-            .copied()
-            .filter(|&q| order.assign(q, n))
-            .collect();
+        let (fresh, workers) = self.number_fresh(frontier, &mut order);
         let order = &order;
-        let workers = if fresh.len() >= PAR_MIN_FRONTIER {
-            self.config().effective_threads()
-        } else {
-            1
-        };
         let edges = fan_out(
             fresh.len(),
             workers,
             "ep.scan.worker",
             ResolveStage::EdgePruning,
             |range| {
-                let mut scratch = CooccurrenceScratch::new();
-                let mut part = Vec::new();
-                for &q in &fresh[range] {
-                    let sq = order.get(q);
-                    for &(c, cbs) in self.cooccurrences_into(q, &mut scratch) {
-                        if order.owns(sq, c) {
-                            part.push((q, c, pruner.weight(q, c, cbs)));
-                        }
-                    }
-                }
-                part
+                self.owned_edges(
+                    &fresh[range],
+                    order,
+                    |_, _, _| true,
+                    |q, c, cbs| (q, c, pruner.weight(q, c, cbs)),
+                )
             },
         )?
         .concat();
@@ -627,6 +510,50 @@ impl TableErIndex {
             .into_iter()
             .filter(|&(a, b)| pair_seen.insert(a, b))
             .collect())
+    }
+
+    /// Numbers the `frontier` nodes `order` has not scanned yet (a node
+    /// scanned before emitted all its pairs then) before any fan-out, so
+    /// workers only read the order, and returns them with the worker
+    /// count their scan pays for.
+    fn number_fresh(&self, frontier: &[RecordId], order: &mut ScanOrder) -> (Vec<RecordId>, usize) {
+        let n = self.n_records();
+        let fresh: Vec<RecordId> = frontier
+            .iter()
+            .copied()
+            .filter(|&q| order.assign(q, n))
+            .collect();
+        let workers = if fresh.len() >= PAR_MIN_FRONTIER {
+            self.config().effective_threads()
+        } else {
+            1
+        };
+        (fresh, workers)
+    }
+
+    /// The per-chunk body both scan scopes share: counts the
+    /// neighbourhood of each of `nodes` and collects `emit(q, c, cbs)`,
+    /// in first-touch order, for every edge `(q, c)` that `keep` admits
+    /// and `q` owns under `order`. `keep` is asked first, so an edge it
+    /// refuses costs no scan-order read.
+    fn owned_edges<T>(
+        &self,
+        nodes: &[RecordId],
+        order: &ScanOrder,
+        keep: impl Fn(RecordId, RecordId, u32) -> bool,
+        emit: impl Fn(RecordId, RecordId, u32) -> T,
+    ) -> Vec<T> {
+        let mut scratch = CooccurrenceScratch::new();
+        let mut out = Vec::new();
+        for &q in nodes {
+            let sq = order.get(q);
+            for &(c, cbs) in self.cooccurrences_into(q, &mut scratch) {
+                if keep(q, c, cbs) && order.owns(sq, c) {
+                    out.push(emit(q, c, cbs));
+                }
+            }
+        }
+        out
     }
 
     /// Runs the match decisions for `pairs`, position-aligned with their
@@ -687,14 +614,16 @@ impl TableErIndex {
         Ok(decisions)
     }
 
-    /// [`TableErIndex::execute_comparisons`] under a budget. Unlimited
-    /// budgets take the historical single-batch path (bit-identical, no
-    /// polls); otherwise pairs run in batches of
-    /// `workers ×`[`CMP_BATCH_PER_WORKER`], each batch clamped to the
-    /// remaining comparison allowance, with a budget poll between
-    /// batches. Decisions are a prefix of `pairs` — batch splitting
-    /// cannot change them, since each decision is a pure function of the
-    /// pair — so a truncated run's links are a subset of the full run's.
+    /// [`TableErIndex::execute_comparisons`] under a budget: pairs run in
+    /// batches, with a budget poll and a clamp to the remaining
+    /// comparison allowance before each. An unlimited budget never
+    /// trips, so its pairs run as one batch, whose decision vector is the
+    /// result as it stands; any other budget takes batches of
+    /// `workers ×`[`CMP_BATCH_PER_WORKER`]. Returns the decisions of a
+    /// prefix of `pairs` and why the run stopped early, if it did.
+    /// Batch splitting cannot change a decision, since each is a pure
+    /// function of the pair, so a truncated run's links are a subset of
+    /// the full run's.
     fn execute_comparisons_governed(
         &self,
         matcher: &CompiledMatcher<'_>,
@@ -703,46 +632,35 @@ impl TableErIndex {
         metrics: &mut DedupMetrics,
         budget: &ResolveBudget,
         comparisons_done: u64,
-    ) -> Result<CmpRun, ResolveError> {
-        if budget.is_unlimited() {
-            let decisions = self.execute_comparisons(matcher, pairs, classes, metrics)?;
-            return Ok(CmpRun {
-                executed: pairs.len(),
-                decisions,
-                stop: None,
-            });
-        }
-        let batch = (self.config().effective_threads() * CMP_BATCH_PER_WORKER).max(PAR_MIN_PAIRS);
-        let mut decisions: Vec<bool> = Vec::with_capacity(pairs.len());
-        let mut at = 0usize;
-        let mut stop = None;
-        while at < pairs.len() {
-            if let Some(s) = budget.interrupted() {
-                stop = Some(s);
-                break;
+    ) -> Result<(Vec<bool>, Option<Stop>), ResolveError> {
+        let batch = if budget.is_unlimited() {
+            pairs.len()
+        } else {
+            (self.config().effective_threads() * CMP_BATCH_PER_WORKER).max(PAR_MIN_PAIRS)
+        };
+        let mut decisions: Vec<bool> = Vec::new();
+        while decisions.len() < pairs.len() {
+            let at = decisions.len();
+            if let Some(stop) = budget.interrupted() {
+                return Ok((decisions, Some(stop)));
             }
             let allowed = budget.remaining_comparisons(comparisons_done + at as u64);
             if allowed == 0 {
-                stop = Some(Stop::Comparisons);
-                break;
+                return Ok((decisions, Some(Stop::Comparisons)));
             }
             let take = batch
                 .min(pairs.len() - at)
                 .min(usize::try_from(allowed).unwrap_or(usize::MAX));
             let range = at..at + take;
-            decisions.extend(self.execute_comparisons(
-                matcher,
-                &pairs[range.clone()],
-                &classes[range],
-                metrics,
-            )?);
-            at += take;
+            let part =
+                self.execute_comparisons(matcher, &pairs[range.clone()], &classes[range], metrics)?;
+            if at == 0 {
+                decisions = part;
+            } else {
+                decisions.extend(part);
+            }
         }
-        Ok(CmpRun {
-            decisions,
-            executed: at,
-            stop,
-        })
+        Ok((decisions, None))
     }
 
     /// Runs the match decisions through the compiled kernel, fanning out
@@ -888,10 +806,60 @@ mod tests {
         assert!(m.comparisons > 0);
     }
 
+    /// Query Blocking, BP and BF are paid at build, so they read 0 under
+    /// every config; with Edge Pruning off the node scan's time is the
+    /// Block-Join's, and Edge Pruning reads 0 too.
     #[test]
     fn query_blocking_is_paid_at_build() {
-        let (_, m, _) = resolve_qe(&ErConfig::default(), &[0, 1, 2, 3, 4]);
-        assert_eq!(m.blocking, std::time::Duration::ZERO);
+        for meta in [
+            MetaBlockingConfig::All,
+            MetaBlockingConfig::BpBf,
+            MetaBlockingConfig::Bp,
+            MetaBlockingConfig::None,
+        ] {
+            let (_, m, _) = resolve_qe(&ErConfig::default().with_meta(meta), &[0, 1, 2, 3, 4]);
+            assert!(m.candidate_pairs > 0, "{}", meta.label());
+            assert_eq!(m.blocking, Duration::ZERO, "{}", meta.label());
+            assert_eq!(m.meta_blocking(), m.edge_pruning, "{}", meta.label());
+            if !meta.edge_pruning() {
+                assert_eq!(m.edge_pruning, Duration::ZERO, "{}", meta.label());
+            }
+        }
+    }
+
+    /// With Edge Pruning off, `try_edge_pruned_pairs` emits every
+    /// co-occurring pair exactly once under either scope: no threshold
+    /// is read (an EP-off build sweeps none) and no mean prunes.
+    #[test]
+    fn ep_off_pairs_are_every_cooccurrence_once() {
+        let table = dirty_table();
+        let all: Vec<RecordId> = (0..table.len() as RecordId).collect();
+        for meta in [
+            MetaBlockingConfig::BpBf,
+            MetaBlockingConfig::Bp,
+            MetaBlockingConfig::None,
+        ] {
+            for scope in [EdgePruningScope::NodeCentric, EdgePruningScope::Global] {
+                let mut cfg = ErConfig::default().with_meta(meta);
+                cfg.ep_scope = scope;
+                let idx = TableErIndex::build(&table, &cfg);
+                let mut scratch = CooccurrenceScratch::new();
+                let mut want = std::collections::BTreeSet::new();
+                for &q in &all {
+                    for &(c, _) in idx.cooccurrences_into(q, &mut scratch) {
+                        want.insert((q.min(c), q.max(c)));
+                    }
+                }
+                let pairs = idx
+                    .try_edge_pruned_pairs(&all, &mut EpSeen::new(), &mut DedupMetrics::default())
+                    .unwrap();
+                let got: std::collections::BTreeSet<_> =
+                    pairs.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
+                let case = format!("{} {scope:?}", meta.label());
+                assert_eq!(got.len(), pairs.len(), "{case}: a pair emitted twice");
+                assert_eq!(got, want, "{case}");
+            }
+        }
     }
 
     /// Without writes the memo stays empty: a resolve-all runs every

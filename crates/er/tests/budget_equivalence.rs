@@ -19,8 +19,8 @@
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_er::{
-    CancelToken, Completion, DedupMetrics, ErConfig, LinkIndex, MetaBlockingConfig, ResolveBudget,
-    ResolveRequest, TableErIndex, WeightScheme,
+    CancelToken, Completion, DedupMetrics, EdgePruningScope, ErConfig, LinkIndex,
+    MetaBlockingConfig, ResolveBudget, ResolveRequest, TableErIndex, WeightScheme,
 };
 use queryer_storage::{RecordId, Schema, Table, Value};
 use std::time::{Duration, Instant};
@@ -421,4 +421,36 @@ fn pinned_workload_unlimited_governed_matches_baseline() {
     assert_eq!(m.matches_found, 201);
     assert_eq!(out.dr, out_plain.dr);
     assert_eq!(li.link_count(), li_plain.link_count());
+}
+
+/// The Edge-Pruning-off configs on the same workload, resolve-all:
+/// every pair co-occurring in the retained (BP+BF), unpurged (BP) or raw
+/// (NONE) blocks is a candidate and is compared once. The pair scope
+/// prunes nothing without EP, so both scopes give the same counts.
+#[test]
+fn pinned_workload_ep_off_counts() {
+    let ds = queryer_datagen::scholarly::dblp_scholar(2000, 99);
+    for (meta, want) in [
+        (MetaBlockingConfig::BpBf, (250_205, 250_205, 218)),
+        (MetaBlockingConfig::Bp, (398_336, 398_336, 227)),
+        (MetaBlockingConfig::None, (1_252_086, 1_252_086, 231)),
+    ] {
+        for scope in [EdgePruningScope::NodeCentric, EdgePruningScope::Global] {
+            let mut cfg = ErConfig::default().with_meta(meta);
+            cfg.ep_scope = scope;
+            let idx = TableErIndex::build(&ds.table, &cfg);
+            let mut li = LinkIndex::new(ds.table.len());
+            let mut m = DedupMetrics::default();
+            let out = idx
+                .run(ResolveRequest::all(&ds.table, &mut li).metrics(&mut m))
+                .unwrap();
+            assert_eq!(out.completion, Completion::Complete);
+            assert_eq!(
+                (m.candidate_pairs, m.comparisons, m.matches_found),
+                want,
+                "{} {scope:?}",
+                meta.label()
+            );
+        }
+    }
 }

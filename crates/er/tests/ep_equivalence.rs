@@ -11,7 +11,10 @@
 //! repeated frontiers, exactly what an in-test insert-probing emitter
 //! over a carried pair set emits; global pruning emits, over the same
 //! sequences, exactly what an in-test collector with a per-call edge
-//! set keeps against the call's mean weight; and an index at 1..8
+//! set keeps against the call's mean weight; with Edge Pruning off, the
+//! same node scan emits, call by call, the unordered pairs of an in-test
+//! block-major collector over a carried pair set, with and without a
+//! live delta; and an index at 1..8
 //! threads emits the identical candidate pair sequence as a sequential
 //! one for every frontier size from 1 to the whole table — and hence
 //! identical DR sets / links / metrics counts after a full resolve —
@@ -24,8 +27,8 @@ use queryer_common::knobs::proptest_cases;
 use queryer_common::PairSet;
 use queryer_er::edge_pruning::{bulk_node_thresholds, prune_global, EdgePruner, EpSeen};
 use queryer_er::{
-    CooccurrenceScratch, DedupMetrics, EdgePruningScope, ErConfig, LinkIndex, MetaBlockingConfig,
-    ResolveRequest, TableErIndex, WeightScheme,
+    BlockId, CooccurrenceScratch, DedupMetrics, DeltaOp, EdgePruningScope, ErConfig, LinkIndex,
+    MetaBlockingConfig, ResolveRequest, TableErIndex, WeightScheme,
 };
 use queryer_storage::{RecordId, Schema, Table, Value};
 
@@ -53,17 +56,19 @@ fn rows() -> impl Strategy<Value = Vec<(Vec<usize>, Vec<usize>)>> {
     proptest::collection::vec((cell(), cell()), 2..24)
 }
 
+/// A cell of `words` from the vocabulary (NULL when empty).
+fn render(words: &[usize]) -> Value {
+    if words.is_empty() {
+        Value::Null
+    } else {
+        let text: Vec<&str> = words.iter().map(|&w| VOCAB[w]).collect();
+        Value::str(text.join(" "))
+    }
+}
+
 fn build_table(rows: &[(Vec<usize>, Vec<usize>)]) -> Table {
     let mut t = Table::new("p", Schema::of_strings(&["id", "title", "venue"]));
     for (i, (a, b)) in rows.iter().enumerate() {
-        let render = |words: &[usize]| {
-            if words.is_empty() {
-                Value::Null
-            } else {
-                let text: Vec<&str> = words.iter().map(|&w| VOCAB[w]).collect();
-                Value::str(text.join(" "))
-            }
-        };
         t.push_row(vec![format!("{i}").into(), render(a), render(b)])
             .unwrap();
     }
@@ -87,7 +92,7 @@ fn scope_of(s: usize) -> EdgePruningScope {
 }
 
 fn meta_of(m: usize) -> MetaBlockingConfig {
-    // Only the EP-running configs matter here.
+    // The EP-running configs; the EP-off ones have a property of their own.
     if m.is_multiple_of(2) {
         MetaBlockingConfig::All
     } else {
@@ -196,6 +201,52 @@ fn oracle_global(
         .collect()
 }
 
+/// The oracle EP-off emission is pinned to: the block-major collector.
+/// The frontier's `(block, entity)` entries — each entity's blocks off
+/// the ITBI, less the purged ones under BP and the ones the entity does
+/// not retain under BF — are grouped by block, and each entity pairs
+/// with every other member of the block's filtered (BF) or raw row
+/// through a pair set carried across calls.
+fn oracle_blocks(
+    idx: &TableErIndex,
+    frontier: &[RecordId],
+    seen: &mut PairSet,
+) -> Vec<(RecordId, RecordId)> {
+    let meta = idx.config().meta;
+    let mut eqbi: Vec<(BlockId, RecordId)> = frontier
+        .iter()
+        .flat_map(|&q| idx.blocks_of(q).iter().map(move |&b| (b, q)))
+        .collect();
+    if meta.purging() {
+        eqbi.retain(|&(b, _)| !idx.is_purged(b));
+    }
+    if meta.filtering() {
+        eqbi.retain(|&(b, q)| idx.retains(q, b));
+    }
+    eqbi.sort_by_key(|&(b, _)| b);
+    let mut out = Vec::new();
+    for (b, q) in eqbi {
+        let others = if meta.filtering() {
+            idx.filtered_block(b)
+        } else {
+            idx.raw_block(b)
+        };
+        for &c in others {
+            if c != q && seen.insert(q, c) {
+                out.push((q, c));
+            }
+        }
+    }
+    out
+}
+
+/// `pairs` as unordered pairs, sorted; a pair emitted twice stays twice.
+fn unordered(pairs: &[(RecordId, RecordId)]) -> Vec<(RecordId, RecordId)> {
+    let mut v: Vec<_> = pairs.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
+    v.sort_unstable();
+    v
+}
+
 /// An index over `table` with `scheme`, `scope` and `threads`.
 fn ep_index(
     table: &Table,
@@ -257,6 +308,34 @@ fn large_table(n: usize) -> Table {
             .map(|_| VOCAB[next() as usize % VOCAB.len()])
             .collect();
         let venue = VOCAB[9 + (next() as usize % 3)];
+        t.push_row(vec![
+            format!("{i}").into(),
+            Value::str(words.join(" ")),
+            Value::str(venue),
+        ])
+        .unwrap();
+    }
+    t
+}
+
+/// A pseudo-random table of `n` records drawn from `seed`: 2..8 title
+/// words over a 64-word vocabulary skewed to its low end, so block sizes
+/// spread (Block Purging drops the largest) and most records sit in more
+/// blocks than Block Filtering retains, plus one of three venues.
+fn random_corpus(n: usize, seed: u64) -> Table {
+    let mut t = Table::new("p", Schema::of_strings(&["id", "title", "venue"]));
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state as usize
+    };
+    for i in 0..n {
+        let words: Vec<String> = (0..2 + next() % 6)
+            .map(|_| format!("t{}", (next() % 64).min(next() % 64)))
+            .collect();
+        let venue = VOCAB[9 + next() % 3];
         t.push_row(vec![
             format!("{i}").into(),
             Value::str(words.join(" ")),
@@ -408,6 +487,51 @@ proptest! {
             prop_assert_eq!(
                 pairs_of(&idx, &frontier, &mut seen),
                 oracle_global(&idx, &frontier, &mut oracle_seen),
+                "call {} {:?}", i, call
+            );
+        }
+    }
+
+    /// With Edge Pruning off — BP+BF, BP and NONE, under either scope —
+    /// the node scan emits, over random corpora and call by call over
+    /// random sequences of overlapping, duplicated and repeated
+    /// frontiers, exactly the unordered pairs the block-major collector
+    /// emits through a carried pair set, each once, at 1, 2 and 4
+    /// threads: on the built index, and served merged with a live delta
+    /// of random inserts, updates and deletes.
+    #[test]
+    fn ep_off_emission_matches_block_collector_over_call_sequences(
+        seed in any::<u64>(),
+        meta in 0usize..3,
+        scope in 0usize..2,
+        threads in prop_oneof![Just(1usize), Just(2), Just(4)],
+        writes in proptest::collection::vec((0usize..3, 0usize..300, cell(), cell()), 0..6),
+        calls in proptest::collection::vec((0usize..5, 0usize..420, 1usize..=420, any::<bool>()), 1..8),
+    ) {
+        let mut table = random_corpus(300, seed);
+        let metas = [MetaBlockingConfig::BpBf, MetaBlockingConfig::Bp, MetaBlockingConfig::None];
+        let mut cfg = ErConfig::default().with_meta(metas[meta]);
+        cfg.ep_scope = scope_of(scope);
+        cfg.threads = threads;
+        let mut idx = TableErIndex::build(&table, &cfg);
+        for &(kind, id, ref title, ref venue) in &writes {
+            let id = (id % table.len()) as RecordId;
+            let values = vec![format!("{id}").into(), render(title), render(venue)];
+            let op = match kind {
+                0 => DeltaOp::Insert { values },
+                1 => DeltaOp::Update { id, values },
+                _ => DeltaOp::Delete { id },
+            };
+            op.apply_to_table(&mut table).unwrap();
+            idx.apply_delta(&table, &[op]).unwrap();
+        }
+        prop_assert_eq!(idx.has_delta(), !writes.is_empty());
+        let (mut seen, mut oracle_seen) = (EpSeen::new(), PairSet::new());
+        for (i, &call) in calls.iter().enumerate() {
+            let frontier = frontier_of(table.len(), call);
+            prop_assert_eq!(
+                unordered(&pairs_of(&idx, &frontier, &mut seen)),
+                unordered(&oracle_blocks(&idx, &frontier, &mut oracle_seen)),
                 "call {} {:?}", i, call
             );
         }

@@ -13,7 +13,8 @@
 //! sets / links / decision counts after full resolves — across every
 //! `SimilarityKind`, thresholds sitting exactly on the early-exit
 //! decision boundaries, thread counts 1..8, and non-ASCII / oversized /
-//! NULL attributes.
+//! NULL attributes. Decisions and similarities are also pinned to be
+//! independent of which endpoint of a pair is the query side.
 
 #![allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 
@@ -93,6 +94,29 @@ fn next_up(x: f64) -> f64 {
         return x;
     }
     f64::from_bits(x.to_bits() + 1)
+}
+
+/// Thresholds on the decision boundary of `idx`'s data under `kind`: up
+/// to four similarity values in (0, 1) of actual pairs, each with the
+/// threshold one ulp above it. The mean kinds' early abort reads the
+/// threshold, so the values are probed at the default one.
+fn boundary_thresholds(idx: &TableErIndex, kind: SimilarityKind) -> Vec<f64> {
+    let probe = CompiledMatcher::new(kind, ErConfig::default().match_threshold, idx);
+    let n = idx.n_records() as RecordId;
+    let mut thresholds: Vec<f64> = Vec::new();
+    for a in 0..n {
+        for b in (a + 1)..n {
+            let s = probe.similarity(a, b);
+            if s.is_finite() && s > 0.0 && s < 1.0 {
+                thresholds.push(s);
+                thresholds.push(next_up(s));
+                if thresholds.len() >= 8 {
+                    return thresholds;
+                }
+            }
+        }
+    }
+    thresholds
 }
 
 /// Pins compiled decisions against the canonical similarity for every
@@ -223,26 +247,54 @@ proptest! {
         let table = build_table(&rows);
         let idx = TableErIndex::build(&table, &ErConfig::default());
         let kind = kind_of(kind);
-        // Collect boundary thresholds from actual pair similarities
-        // (the mean kinds' early abort reads the threshold, so probe at
-        // the default one).
-        let probe = CompiledMatcher::new(kind, ErConfig::default().match_threshold, &idx);
+        for thr in boundary_thresholds(&idx, kind) {
+            assert_pairs_equivalent(&table, &idx, kind, thr);
+        }
+    }
+
+    /// A pair's decision and similarity do not depend on which endpoint
+    /// is the query side: `decide(q, c) == decide(c, q)`, the batched
+    /// path agrees both ways, and `similarity` is bit-equal both ways —
+    /// for every similarity kind, at fixed thresholds and at thresholds
+    /// on (and one ulp above) similarity values of the data. The
+    /// decision memo keys unordered pairs, and pair generation emits a
+    /// pair from whichever endpoint it scans first.
+    #[test]
+    fn kernel_decisions_do_not_depend_on_orientation(
+        rows in rows(),
+        kind in 0usize..5,
+    ) {
+        let table = build_table(&rows);
+        let idx = TableErIndex::build(&table, &ErConfig::default());
+        let kind = kind_of(kind);
         let n = table.len() as RecordId;
-        let mut thresholds: Vec<f64> = Vec::new();
-        'outer: for a in 0..n {
-            for b in (a + 1)..n {
-                let s = probe.similarity(a, b);
-                if s.is_finite() && s > 0.0 && s < 1.0 {
-                    thresholds.push(s);
-                    thresholds.push(next_up(s));
-                    if thresholds.len() >= 8 {
-                        break 'outer;
-                    }
+        let mut thresholds = vec![0.0, 0.5, 0.85, 1.0];
+        thresholds.extend(boundary_thresholds(&idx, kind));
+        for thr in thresholds {
+            let matcher = CompiledMatcher::new(kind, thr, &idx);
+            let mut scratch = KernelScratch::new();
+            for a in 0..n {
+                let qa = matcher.load_query(a);
+                for b in 0..a {
+                    let qb = matcher.load_query(b);
+                    prop_assert_eq!(
+                        matcher.similarity(a, b).to_bits(),
+                        matcher.similarity(b, a).to_bits(),
+                        "similarity of ({}, {}) kind {:?}", a, b, kind
+                    );
+                    let ab = matcher.decide(a, b, &mut scratch);
+                    prop_assert_eq!(
+                        ab,
+                        matcher.decide(b, a, &mut scratch),
+                        "decision of ({}, {}) kind {:?} thr {}", a, b, kind, thr
+                    );
+                    prop_assert_eq!(
+                        matcher.decide_loaded(&qa, b, &mut scratch),
+                        matcher.decide_loaded(&qb, a, &mut scratch),
+                        "batched decision of ({}, {}) kind {:?} thr {}", a, b, kind, thr
+                    );
                 }
             }
-        }
-        for thr in thresholds {
-            assert_pairs_equivalent(&table, &idx, kind, thr);
         }
     }
 
