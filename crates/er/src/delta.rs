@@ -31,7 +31,10 @@
 //!   Block Filtering retains the same prefix. Blocks whose key did not
 //!   move are still in order among themselves, so a row whose moved
 //!   blocks all sit between the right neighbours is left alone and any
-//!   other row of R is sorted again.
+//!   other row of R is sorted again. A moved block can change sides
+//!   only with a block whose size lies within its old..=new size span,
+//!   or with a moved block whose span overlaps its own; short of both,
+//!   its members' rows are not revisited at all.
 //! - **Emptied blocks are force-purged** (even with purging disabled)
 //!   so the unpurged-block count — an input of the ECBS/JS edge
 //!   weights — matches the rebuild, which has no such blocks at all.
@@ -40,29 +43,42 @@
 //!
 //! A write costs what it changed. Call a record *dirty* when its
 //! candidate neighbourhood (CBS row) changed: the touched records, the
-//! records whose retained blocks changed, and the current retainers of
-//! every block whose filtered contents changed. The candidate relation
-//! is symmetric (`q` co-occurs with `p` iff they retain a common
-//! block), so a changed edge weight makes *both* endpoints dirty. Every
-//! dirty record's row is counted afresh, in the first-touch order a
-//! rebuild would give it. (A stored row follows the retained
-//! *sequence* — under ECBS/JS the f64 sum behind a threshold depends on
-//! that order — so a record whose retained prefix was merely reordered
-//! counts as dirty too: 137 of the 117 470 ids the traced `live_ingest`
-//! run invalidates.)
+//! *movers* (records whose own retained blocks changed), and the
+//! current retainers of every block whose filtered contents changed.
+//! The candidate relation is symmetric (`q` co-occurs with `p` iff they
+//! retain a common block), so a changed edge weight makes *both*
+//! endpoints dirty. (A stored row follows the retained *sequence* —
+//! under ECBS/JS the f64 sum behind a threshold depends on that order —
+//! so a record whose retained prefix was merely reordered is a mover
+//! too: 137 of the 117 470 ids the traced `live_ingest` run
+//! invalidates.)
 //!
 //! Under a config whose node weights are purely local — CBS weights
 //! with node-centric EP, or no EP at all — the apply then
 //!
 //! - overwrites each dirty record's slot of the index's threshold
-//!   vector with the mean of its new row: nothing is swept again;
+//!   vector with its new value: nothing is swept again. The touched
+//!   records and the movers have their rows counted afresh, in the
+//!   first-touch order a rebuild would give them. Any other dirty
+//!   record `p` kept its retained blocks `ret(p)`, so its CBS row
+//!   changed only at the movers, and its new threshold follows from
+//!   block sizes without a recount. The row's counts sum to
+//!   `S = Σ_{b∈ret(p)} (|filtered(b)| − 1)`, before and after. Its old
+//!   neighbour count is `round(S_old / th_old)` (0 when `S_old` is 0),
+//!   which is exact because `th_old` is that integer quotient as an
+//!   f64. The count then moves only at the movers `q` that left or
+//!   joined a block of `ret(p)`: by one when `ret(p)` meets `q`'s new
+//!   retained row but not its old, by minus one the other way round.
+//!   The new threshold is `S_new` over the new count as f64, the very
+//!   expression a count would give;
 //! - finds the non-dirty neighbours `q` whose survivor row changes:
 //!   those where the vote of a dirty `p` on their edge *flips*. The
 //!   edge's weight is unchanged (else `q` would be dirty) and so is
 //!   `q`'s own threshold, so under the union rule the edge can change
 //!   sides only through `keeps(w, th_old(p)) != keeps(w, th_new(p))`.
 //!   CBS weights are whole numbers and one mover shifts a threshold by
-//!   about 1/|row|, so this is rare;
+//!   about 1/|row|, so this is rare; only then is a size-derived row
+//!   counted, to walk it;
 //! - drops the comparison decisions that touch an updated or deleted
 //!   profile;
 //! - reports [`Affected::Ids`] = dirty ∪ flipped ∪ the current
@@ -383,6 +399,60 @@ fn rebuild_order(
         })
 }
 
+/// Blocks somebody left or joined in one apply → (filtered size before
+/// the apply, the records that left or joined).
+type Changed = FxHashMap<BlockId, (usize, Vec<RecordId>)>;
+
+/// Whether an edge can change sides when a node's CBS threshold moves
+/// from `a` to `b`. CBS weights are whole numbers and one mover shifts a
+/// threshold by about 1/|row|: unless a whole number separates the two
+/// thresholds no edge can flip, and the row need not be walked.
+fn may_flip(a: f64, b: f64) -> bool {
+    let (lo, hi) = (a.min(b), a.max(b));
+    (lo.floor() as i64 - 1..=hi.ceil() as i64 + 1)
+        .any(|w| keeps(w as f64, lo) != keeps(w as f64, hi))
+}
+
+/// The new CBS threshold of a dirty record `p` that kept its retained
+/// blocks, from block sizes instead of a recount (the module docs give
+/// the argument). `changed` and `movers` are phase 4's; `near` is
+/// scratch.
+fn sized_threshold(
+    idx: &TableErIndex,
+    d: &DeltaIndex,
+    changed: &Changed,
+    movers: &FxHashMap<RecordId, Vec<BlockId>>,
+    p: RecordId,
+    th_old: f64,
+    near: &mut Vec<RecordId>,
+) -> f64 {
+    let ret = d.retained_row(idx, p);
+    let (mut s_old, mut s_new) = (0u64, 0u64);
+    near.clear();
+    for &b in ret {
+        // `p` retains `b`, so it is one of the block's filtered members.
+        let now = d.filtered_row(idx, b).len() as u64 - 1;
+        s_new += now;
+        match changed.get(&b) {
+            Some((was, who)) => {
+                s_old += *was as u64 - 1;
+                near.extend_from_slice(who);
+            }
+            None => s_old += now,
+        }
+    }
+    near.sort_unstable();
+    near.dedup();
+    let meets = |row: &[BlockId]| row.iter().any(|b| ret.contains(b));
+    let old_len = (s_old > 0).then(|| (s_old as f64 / th_old).round() as i64);
+    let mut len = old_len.unwrap_or(0);
+    for q in near.iter() {
+        len += i64::from(meets(d.retained_row(idx, *q))) - i64::from(meets(&movers[q]));
+    }
+    // No neighbours left means `S_new` is 0 too: `threshold_over`'s 0.
+    s_new as f64 / len.max(1) as f64
+}
+
 impl TableErIndex {
     /// Whether a delta side is live (served merged with the base until
     /// [`TableErIndex::compact`]).
@@ -511,7 +581,8 @@ impl TableErIndex {
 
         // -- Phase 1: re-tokenize each touched record once (its final
         // contents), patch raw block memberships, overlay profiles. --
-        let mut t0: FxHashSet<BlockId> = FxHashSet::default(); // raw membership changed
+        // Blocks whose raw membership changed → their size before the apply.
+        let mut t0: FxHashMap<BlockId, usize> = FxHashMap::default();
         for &rid in &touched {
             let record = table.record_unchecked(rid);
             let keys = record_keys(
@@ -553,10 +624,10 @@ impl TableErIndex {
                         .raw_rows
                         .entry(b)
                         .or_insert_with(|| self.raw_blocks.row(b as usize).to_vec());
+                    t0.entry(b).or_insert(row.len());
                     if let Ok(at) = row.binary_search(&rid) {
                         row.remove(at);
                     }
-                    t0.insert(b);
                 }
             }
             for &b in &new_blocks {
@@ -568,10 +639,10 @@ impl TableErIndex {
                             Vec::new()
                         }
                     });
+                    t0.entry(b).or_insert(row.len());
                     if let Err(at) = row.binary_search(&rid) {
                         row.insert(at, rid);
                     }
-                    t0.insert(b);
                 }
             }
             d.row_blocks.insert(rid, new_blocks); // re-sorted in phase 4
@@ -643,10 +714,18 @@ impl TableErIndex {
 
         // -- Phase 3: the ITBI rows to revisit. A block's sort key
         // `(size, first member, key position)` moved when its raw
-        // membership changed (`t0`) or when its first member's key set
-        // did; R = the touched rows plus every member of a block whose
-        // sort key or purge flag moved. --
-        let mut key_moved: Vec<BlockId> = t0.into_iter().collect();
+        // membership changed (`t0` holds its old size) or when its
+        // first member's key set did. A moved block changes sides only
+        // with a block whose size lies within its old..=new size span,
+        // or with a moved block whose span overlaps its own; short of
+        // both, every row holding it stays in order, and phase 4 would
+        // find each untouched member in order with its retained prefix
+        // unchanged. R = the touched rows, the members of the moved
+        // blocks that can change sides, and every member of a block
+        // whose purge flag flipped. --
+        let mut moved = vec![false; d.n_blocks];
+        let mut spans: Vec<(usize, usize, BlockId)> = Vec::new();
+        let mut key_moved: Vec<BlockId> = t0.keys().copied().collect();
         for &rid in &touched {
             for &b in &d.row_blocks[&rid] {
                 if d.raw_row(self, b).first() == Some(&rid) {
@@ -654,11 +733,33 @@ impl TableErIndex {
                 }
             }
         }
-        let mut moved = vec![false; d.n_blocks];
+        for b in key_moved {
+            if !std::mem::replace(&mut moved[b as usize], true) {
+                let now = lens[b as usize];
+                let was = t0.get(&b).copied().unwrap_or(now);
+                spans.push((was.min(now), was.max(now), b));
+            }
+        }
+        let mut by_size = vec![0u32; lens.iter().max().map_or(1, |&m| m + 1)];
+        for &n in &lens {
+            by_size[n] += 1;
+        }
+        spans.sort_unstable();
         let mut r_set: FxHashSet<RecordId> = touched_set.clone();
-        for &b in &key_moved {
-            moved[b as usize] = true;
-            r_set.extend(d.raw_row(self, b).iter().copied());
+        // Sorted by start, a span overlaps an earlier one iff the
+        // furthest earlier end reaches it, and a later one iff the next
+        // start lies within it.
+        let mut reach: Option<usize> = None;
+        for (i, &(lo, hi, b)) in spans.iter().enumerate() {
+            let crosses =
+                reach.is_some_and(|r| r >= lo) || spans.get(i + 1).is_some_and(|n| n.0 <= hi);
+            reach = reach.max(Some(hi));
+            // `by_size` counts `b` itself at its new size; no block is
+            // larger than its last slot.
+            let within = &by_size[lo..by_size.len().min(hi + 1)];
+            if crosses || within.iter().sum::<u32>() > 1 {
+                r_set.extend(d.raw_row(self, b).iter().copied());
+            }
         }
         for &b in &flips {
             r_set.extend(d.raw_row(self, b).iter().copied());
@@ -670,12 +771,13 @@ impl TableErIndex {
         // re-filter it; patch the filtered block contents it
         // leaves/joins. Blocks whose key did not move are still in
         // order among themselves, so an untouched row whose moved blocks
-        // all sit between the right neighbours is left alone. `dirty`
-        // collects the records whose own retained blocks changed,
-        // `changed_blocks` the blocks somebody left or joined. --
+        // all sit between the right neighbours is left alone. `movers`
+        // keeps the old retained row of each record whose retained
+        // blocks changed, `changed` the filtered size before the apply
+        // of each block somebody left or joined, and who did. --
         let mut keypos = KeyPositions::default();
-        let mut dirty: FxHashSet<RecordId> = touched_set.clone();
-        let mut changed_blocks: FxHashSet<BlockId> = FxHashSet::default();
+        let mut movers: FxHashMap<RecordId, Vec<BlockId>> = FxHashMap::default();
+        let mut changed: Changed = FxHashMap::default();
         let mut unpurged: Vec<BlockId> = Vec::new();
         for &rid in &r_list {
             let cur: &[BlockId] = match d.row_blocks.get(&rid) {
@@ -726,10 +828,11 @@ impl TableErIndex {
                         .filtered_rows
                         .entry(b)
                         .or_insert_with(|| self.filtered_blocks.row(b as usize).to_vec());
+                    let (_, who) = changed.entry(b).or_insert((frow.len(), Vec::new()));
+                    who.push(rid);
                     if let Ok(at) = frow.binary_search(&rid) {
                         frow.remove(at);
                     }
-                    changed_blocks.insert(b);
                 }
             }
             for &b in new_retained {
@@ -741,17 +844,18 @@ impl TableErIndex {
                             Vec::new()
                         }
                     });
+                    let (_, who) = changed.entry(b).or_insert((frow.len(), Vec::new()));
+                    who.push(rid);
                     if let Err(at) = frow.binary_search(&rid) {
                         frow.insert(at, rid);
                     }
-                    changed_blocks.insert(b);
                 }
             }
             // A CBS row is stored in first-touch order over the
             // retained *sequence*, so a reordered prefix is recounted
             // even when it holds the same blocks.
             if new_retained != old_retained {
-                dirty.insert(rid);
+                movers.insert(rid, old_retained.to_vec());
             }
             d.row_retained.insert(rid, new_retained.to_vec());
             if let Some(row) = resorted {
@@ -759,18 +863,22 @@ impl TableErIndex {
             }
         }
         // -- Phase 5: the dirty set — the records whose candidate
-        // neighbourhood (CBS row) changed: those whose own retained
-        // blocks changed, plus the current retainers of every block
-        // somebody left or joined — and their new rows, counted afresh
-        // in a rebuild's first-touch order.
+        // neighbourhood (CBS row) changed: the touched records, the
+        // movers, and the current retainers of every block somebody
+        // left or joined.
         //
         // Under a targeted config the old threshold is the record's slot
-        // of the index's vector and the new one falls out of the new
-        // row, and with them the non-dirty neighbours whose surviving
-        // edge to the record flips; the new
-        // neighbours of an updated/deleted record are collected too —
-        // their links to it were decided against the old profile. --
-        for &b in &changed_blocks {
+        // of the index's vector. A dirty record that is neither touched
+        // nor a mover gets its new one from block sizes; any other dirty
+        // row is counted afresh in a rebuild's first-touch order. A row
+        // is also counted when its threshold's move may flip an edge, to
+        // find the non-dirty neighbours whose surviving edge to it
+        // flips; the new neighbours of an updated/deleted record are
+        // collected too — their links to it were decided against the
+        // old profile. --
+        let mut dirty: FxHashSet<RecordId> = touched_set.clone();
+        dirty.extend(movers.keys().copied());
+        for &b in changed.keys() {
             dirty.extend(d.filtered_row(self, b).iter().copied());
         }
         let mut dirty_list: Vec<RecordId> = dirty.iter().copied().collect();
@@ -783,6 +891,7 @@ impl TableErIndex {
         let mut relinked: Vec<RecordId> = Vec::new();
         let mut counts: Vec<u32> = vec![0; d.n_records];
         let mut row: Vec<(RecordId, u32)> = Vec::new();
+        let mut near: Vec<RecordId> = Vec::new();
         for &p in &dirty_list {
             let relinks = targeted && changed_profiles.contains(&p);
             if !(ep_targeted || relinks) {
@@ -797,25 +906,29 @@ impl TableErIndex {
             } else {
                 None
             };
-            count_cooccurrences(
-                p,
-                d.retained_row(self, p),
-                |b| d.filtered_row(self, b),
-                &mut counts,
-                &mut row,
-            );
+            let sized = th_old.is_some() && !touched_set.contains(&p) && !movers.contains_key(&p);
+            let mut count = |row: &mut Vec<(RecordId, u32)>| {
+                let ret = d.retained_row(self, p);
+                count_cooccurrences(p, ret, |b| d.filtered_row(self, b), &mut counts, row);
+            };
+            if !sized {
+                count(&mut row);
+            }
             if ep_targeted {
-                let th_new = threshold_over(self, scheme, n_blocks, p, &row);
-                // CBS weights are whole numbers and one mover shifts a
-                // threshold by about 1/|row|: unless a whole number
-                // separates the two thresholds no edge can flip, and
-                // the row need not be walked.
-                let may_flip = |th_old: f64| {
-                    let (lo, hi) = (th_old.min(th_new), th_old.max(th_new));
-                    (lo.floor() as i64 - 1..=hi.ceil() as i64 + 1)
-                        .any(|w| keeps(w as f64, lo) != keeps(w as f64, hi))
+                let th_new = match th_old {
+                    Some(th_old) if sized => {
+                        sized_threshold(self, &d, &changed, &movers, p, th_old, &mut near)
+                    }
+                    _ => threshold_over(self, scheme, n_blocks, p, &row),
                 };
-                if let Some(th_old) = th_old.filter(|&th| may_flip(th)) {
+                if let Some(th_old) = th_old.filter(|&th| may_flip(th, th_new)) {
+                    if sized {
+                        count(&mut row);
+                        debug_assert_eq!(
+                            th_new.to_bits(),
+                            threshold_over(self, scheme, n_blocks, p, &row).to_bits()
+                        );
+                    }
                     for &(q, cbs) in &row {
                         let w = weight_of(self, scheme, n_blocks, p, q, cbs);
                         if keeps(w, th_old) != keeps(w, th_new) && !dirty.contains(&q) {

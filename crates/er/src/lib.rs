@@ -138,7 +138,8 @@
 //! built from public accessors, across similarity kinds and random
 //! corpora; `tests/ep_equivalence.rs` pins the threshold sweep and the
 //! stored vector to a mean-of-weights oracle, the scan-order emission
-//! to an insert-probing oracle over sequences of frontier calls, the
+//! to an insert-probing oracle over sequences of frontier calls (also
+//! over a live delta, whose patched thresholds it checks too), the
 //! EP-off emission to a block-major collector (with and without a live
 //! delta), and the enumerator across thread counts (pair sequences, DR/links),
 //! weight schemes, pruning scopes, and frontier sizes;

@@ -9,9 +9,12 @@
 //! mean-of-weights oracle at every thread count; the enumerator emits,
 //! call by call over random sequences of overlapping, duplicated and
 //! repeated frontiers, exactly what an in-test insert-probing emitter
-//! over a carried pair set emits; global pruning emits, over the same
-//! sequences, exactly what an in-test collector with a per-call edge
-//! set keeps against the call's mean weight; with Edge Pruning off, the
+//! over a carried pair set emits — also over a skewed corpus, where
+//! Block Filtering drops blocks, served merged with a live delta whose
+//! patched thresholds must equal the oracle's; global pruning emits,
+//! over the same sequences, exactly what an in-test collector with a
+//! per-call edge set keeps against the call's mean weight; with Edge
+//! Pruning off, the
 //! same node scan emits, call by call, the unordered pairs of an in-test
 //! block-major collector over a carried pair set, with and without a
 //! live delta; and an index at 1..8
@@ -346,6 +349,31 @@ fn random_corpus(n: usize, seed: u64) -> Table {
     t
 }
 
+/// Up to five single-row writes over a 300-record corpus: `(kind,
+/// target, title words, venue words)`, kind 0 = insert, 1 = update,
+/// 2 = delete.
+type Write = (usize, usize, Vec<usize>, Vec<usize>);
+
+fn writes() -> impl Strategy<Value = Vec<Write>> {
+    proptest::collection::vec((0usize..3, 0usize..300, cell(), cell()), 0..6)
+}
+
+/// Applies each write to `table` and then, as a batch of its own, to
+/// `idx`, which serves the result as a live delta.
+fn apply_writes(table: &mut Table, idx: &mut TableErIndex, writes: &[Write]) {
+    for (kind, id, title, venue) in writes {
+        let id = (id % table.len()) as RecordId;
+        let values = vec![format!("{id}").into(), render(title), render(venue)];
+        let op = match kind {
+            0 => DeltaOp::Insert { values },
+            1 => DeltaOp::Update { id, values },
+            _ => DeltaOp::Delete { id },
+        };
+        op.apply_to_table(table).unwrap();
+        idx.apply_delta(table, &[op]).unwrap();
+    }
+}
+
 /// The three frontier shapes — point query (frontier well under
 /// `n_records`/32), sequential broad frontier, and the parallel fan-out
 /// (frontier ≥ 256 with several workers) — all emit exactly the
@@ -492,6 +520,43 @@ proptest! {
         }
     }
 
+    /// Node-centric pruning over the skewed corpus, where Block
+    /// Filtering drops blocks, served merged with a live delta of 0–5
+    /// random writes: every record's stored threshold is bit-equal to
+    /// the mean-of-weights oracle's, and the enumerator emits, call by
+    /// call over random frontier sequences, exactly the insert-probing
+    /// oracle's pairs — for every weight scheme at 1, 2 and 4 threads.
+    #[test]
+    fn node_centric_over_skewed_corpus_and_live_delta(
+        seed in any::<u64>(),
+        scheme in 0usize..3,
+        threads in prop_oneof![Just(1usize), Just(2), Just(4)],
+        writes in writes(),
+        calls in proptest::collection::vec((0usize..5, 0usize..420, 1usize..=420, any::<bool>()), 1..8),
+    ) {
+        let mut table = random_corpus(300, seed);
+        let mut idx = node_centric(&table, scheme_of(scheme), threads);
+        apply_writes(&mut table, &mut idx, &writes);
+        let stored = idx.bulk_ep_thresholds();
+        prop_assert_eq!(stored.len(), table.len());
+        for e in 0..table.len() as RecordId {
+            prop_assert_eq!(
+                stored[e as usize].to_bits(),
+                oracle_threshold(&idx, e).to_bits(),
+                "threshold of {}", e
+            );
+        }
+        let (mut seen, mut oracle_seen) = (EpSeen::new(), PairSet::new());
+        for (i, &call) in calls.iter().enumerate() {
+            let frontier = frontier_of(table.len(), call);
+            prop_assert_eq!(
+                pairs_of(&idx, &frontier, &mut seen),
+                oracle_emit(&idx, &frontier, &mut oracle_seen),
+                "call {} {:?}", i, call
+            );
+        }
+    }
+
     /// With Edge Pruning off — BP+BF, BP and NONE, under either scope —
     /// the node scan emits, over random corpora and call by call over
     /// random sequences of overlapping, duplicated and repeated
@@ -505,7 +570,7 @@ proptest! {
         meta in 0usize..3,
         scope in 0usize..2,
         threads in prop_oneof![Just(1usize), Just(2), Just(4)],
-        writes in proptest::collection::vec((0usize..3, 0usize..300, cell(), cell()), 0..6),
+        writes in writes(),
         calls in proptest::collection::vec((0usize..5, 0usize..420, 1usize..=420, any::<bool>()), 1..8),
     ) {
         let mut table = random_corpus(300, seed);
@@ -514,17 +579,7 @@ proptest! {
         cfg.ep_scope = scope_of(scope);
         cfg.threads = threads;
         let mut idx = TableErIndex::build(&table, &cfg);
-        for &(kind, id, ref title, ref venue) in &writes {
-            let id = (id % table.len()) as RecordId;
-            let values = vec![format!("{id}").into(), render(title), render(venue)];
-            let op = match kind {
-                0 => DeltaOp::Insert { values },
-                1 => DeltaOp::Update { id, values },
-                _ => DeltaOp::Delete { id },
-            };
-            op.apply_to_table(&mut table).unwrap();
-            idx.apply_delta(&table, &[op]).unwrap();
-        }
+        apply_writes(&mut table, &mut idx, &writes);
         prop_assert_eq!(idx.has_delta(), !writes.is_empty());
         let (mut seen, mut oracle_seen) = (EpSeen::new(), PairSet::new());
         for (i, &call) in calls.iter().enumerate() {

@@ -15,8 +15,9 @@
 //!
 //! Explicit cases cover the sharp edges — duplicate insert (a
 //! byte-identical record must *link*, never dedup at ingest), delete of
-//! a matched record, an update that changes a record's blocks, the
-//! empty batch, a snapshot written over a live delta, and pinned
+//! a matched record, an update that changes a record's blocks, one
+//! batch in which two blocks cross in size, the empty batch, a
+//! snapshot written over a live delta, and pinned
 //! decisions surviving compaction (the no-op `compact()` is a unit test
 //! in `src/delta.rs`) — and a property test drives
 //! random op/query interleavings across weight schemes, EP scopes,
@@ -215,6 +216,75 @@ fn assert_rebuild_equivalent(
     );
 }
 
+/// What a live index serves after a delta is `oracle`'s, a rebuild of
+/// the mutated table: every neighbourhood holds the same edges in the
+/// same order, and the threshold vector the apply patched in place
+/// (CBS) or re-swept (ECBS / JS) is bit-equal to a sweep over the
+/// rebuild. Then a point-query-only history, before anything resolves
+/// the whole table (which would repair a Link Index the delta left
+/// stale, or one `Affected` was too narrow for): a point query for
+/// every record, each on its own clone of the maintained Link Index
+/// `li`, does the work the rebuild does from that same Link Index and
+/// answers with the rebuild's cluster.
+fn graph_and_point_queries_match_rebuild(
+    idx: &TableErIndex,
+    oracle: &TableErIndex,
+    table: &Table,
+    cfg: &ErConfig,
+    li: &LinkIndex,
+) -> Result<(), TestCaseError> {
+    let (mut s_l, mut s_o) = (CooccurrenceScratch::new(), CooccurrenceScratch::new());
+    for r in 0..table.len() as RecordId {
+        prop_assert_eq!(
+            idx.cooccurrences_into(r, &mut s_l),
+            oracle.cooccurrences_into(r, &mut s_o),
+            "neighbourhood of {}",
+            r
+        );
+    }
+    let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<u64>>();
+    let want = if cfg.node_centric_ep() {
+        bulk_node_thresholds(oracle, cfg.effective_threads()).unwrap()
+    } else {
+        Vec::new()
+    };
+    prop_assert_eq!(
+        bits(idx.bulk_ep_thresholds()),
+        bits(&want),
+        "stored thresholds diverged from a sweep over the rebuild"
+    );
+
+    let mut li_all = LinkIndex::new(table.len());
+    oracle.run(ResolveRequest::all(table, &mut li_all)).unwrap();
+    let query_stable = !cfg.meta.edge_pruning() || cfg.ep_scope == EdgePruningScope::NodeCentric;
+    for r in 0..table.len() as RecordId {
+        let (mut li_l, mut li_o) = (li.clone(), li.clone());
+        let (mut m_l, mut m_o) = (DedupMetrics::default(), DedupMetrics::default());
+        let out_l = idx
+            .run(ResolveRequest::records(table, &[r], &mut li_l).metrics(&mut m_l))
+            .unwrap();
+        let out_o = oracle
+            .run(ResolveRequest::records(table, &[r], &mut li_o).metrics(&mut m_o))
+            .unwrap();
+        prop_assert_eq!(&out_l.dr, &out_o.dr, "point query {} after delta", r);
+        prop_assert_eq!(
+            m_l.candidate_pairs,
+            m_o.candidate_pairs,
+            "point query {} candidate pairs after delta",
+            r
+        );
+        if query_stable {
+            prop_assert_eq!(
+                out_l.dr,
+                li_all.closure([r]),
+                "point query {} on the maintained LI missed the rebuild's cluster",
+                r
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: proptest_cases(12),
@@ -252,64 +322,8 @@ proptest! {
             let applied = idx.apply_delta(&table, &ops).unwrap();
             li.follow_write(table.len(), &applied.affected);
 
-            // Point-query-only history, before anything resolves the
-            // whole table (which would repair a Link Index the delta
-            // left stale, or one `Affected` was too narrow for): a
-            // point query for every record, each on its own clone of
-            // the maintained LI, does the work a rebuilt index does
-            // from that same LI and answers with the rebuild's cluster.
             let oracle = TableErIndex::build(&table, &cfg);
-            let mut li_all = LinkIndex::new(table.len());
-            oracle.run(ResolveRequest::all(&table, &mut li_all)).unwrap();
-            let query_stable =
-                !cfg.meta.edge_pruning() || cfg.ep_scope == EdgePruningScope::NodeCentric;
-
-            // The blocking graph the delta left behind is the rebuild's:
-            // every neighbourhood holds the same edges in the same order,
-            // and the threshold vector the apply patched in place (CBS)
-            // or re-swept (ECBS / JS) is bit-equal to a sweep over the
-            // rebuild.
-            let (mut s_l, mut s_o) = (CooccurrenceScratch::new(), CooccurrenceScratch::new());
-            for r in 0..table.len() as RecordId {
-                prop_assert_eq!(
-                    idx.cooccurrences_into(r, &mut s_l),
-                    oracle.cooccurrences_into(r, &mut s_o),
-                    "neighbourhood of {}", r
-                );
-            }
-            let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<u64>>();
-            let want = if cfg.node_centric_ep() {
-                bulk_node_thresholds(&oracle, threads).unwrap()
-            } else {
-                Vec::new()
-            };
-            prop_assert_eq!(
-                bits(idx.bulk_ep_thresholds()),
-                bits(&want),
-                "stored thresholds diverged from a sweep over the rebuild"
-            );
-            for r in 0..table.len() as RecordId {
-                let (mut li_l, mut li_o) = (li.clone(), li.clone());
-                let (mut m_l, mut m_o) = (DedupMetrics::default(), DedupMetrics::default());
-                let out_l = idx
-                    .run(ResolveRequest::records(&table, &[r], &mut li_l).metrics(&mut m_l))
-                    .unwrap();
-                let out_o = oracle
-                    .run(ResolveRequest::records(&table, &[r], &mut li_o).metrics(&mut m_o))
-                    .unwrap();
-                prop_assert_eq!(&out_l.dr, &out_o.dr, "point query {} after delta", r);
-                prop_assert_eq!(
-                    m_l.candidate_pairs, m_o.candidate_pairs,
-                    "point query {} candidate pairs after delta", r
-                );
-                if query_stable {
-                    prop_assert_eq!(
-                        out_l.dr, li_all.closure([r]),
-                        "point query {} on the maintained LI missed the rebuild's cluster", r
-                    );
-                }
-            }
-
+            graph_and_point_queries_match_rebuild(&idx, &oracle, &table, &cfg, &li)?;
             assert_rebuild_equivalent(&idx, &table, &cfg, &mut li);
 
             // Interleaved point queries between batches, compared
@@ -562,6 +576,58 @@ fn threshold_flip_unlinks_an_untouched_neighbour() {
     assert_eq!(m_l.candidate_pairs, m_o.candidate_pairs);
     assert_rebuild_equivalent(&idx, &table, &cfg, &mut li);
     assert!(!li.are_linked(0, 1) && li.are_linked(0, 4) && li.are_linked(1, 3));
+}
+
+/// One batch in which a block shrinks past another while that one
+/// grows: records 1 and 2 leave `bee` (4 → 2 members) for `cee` (3 →
+/// 5). No other block's size lies within either block's old..=new span,
+/// so neither move alone can reorder a row — but the two spans overlap,
+/// and record 0, which the batch does not touch, holds both blocks. Its
+/// ITBI row must swap them, which reorders its neighbourhood and, with
+/// three singleton blocks ahead of them, changes which of the two Block
+/// Filtering drops. Under every meta-blocking config.
+#[test]
+fn blocks_crossing_in_size_within_one_batch() {
+    for meta in [
+        MetaBlockingConfig::All,
+        MetaBlockingConfig::BpEp,
+        MetaBlockingConfig::BpBf,
+        MetaBlockingConfig::Bp,
+        MetaBlockingConfig::None,
+    ] {
+        let cfg = ErConfig::default().with_meta(meta);
+        let mut table = Table::new("p", Schema::of_strings(&["id", "words"]));
+        for (id, words) in [
+            ("0", "bee cee u1 u2 u3"),
+            ("1", "bee"),
+            ("2", "bee"),
+            ("3", "bee"),
+            ("4", "cee"),
+            ("5", "cee"),
+        ] {
+            table.push_row(vec![id.into(), words.into()]).unwrap();
+        }
+        let mut idx = TableErIndex::build(&table, &cfg);
+        let mut li = LinkIndex::new(table.len());
+        idx.run(ResolveRequest::all(&table, &mut li)).unwrap();
+
+        let ops: Vec<DeltaOp> = [1, 2]
+            .map(|id: RecordId| DeltaOp::Update {
+                id,
+                values: vec![format!("{id}").into(), "cee".into()],
+            })
+            .to_vec();
+        for op in &ops {
+            op.apply_to_table(&mut table).unwrap();
+        }
+        let applied = idx.apply_delta(&table, &ops).unwrap();
+        li.follow_write(table.len(), &applied.affected);
+
+        let oracle = TableErIndex::build(&table, &cfg);
+        graph_and_point_queries_match_rebuild(&idx, &oracle, &table, &cfg, &li)
+            .unwrap_or_else(|e| panic!("{meta:?}: {e:?}"));
+        assert_rebuild_equivalent(&idx, &table, &cfg, &mut li);
+    }
 }
 
 /// The cost shape of a single-row write under the default config, in
