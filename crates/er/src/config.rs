@@ -121,7 +121,10 @@ pub enum SimilarityKind {
 pub struct ErConfig {
     /// Blocking-key function.
     pub blocking: BlockingKind,
-    /// Minimum token length for blocking keys.
+    /// Minimum token length, in bytes of the trimmed original token
+    /// (before lowercasing), for Token Blocking keys and for profile
+    /// tokens. N-gram keys ignore it: they slide over every token,
+    /// however short.
     pub min_token_len: usize,
     /// Skip the table's `id` column (case-insensitive name match) when
     /// blocking/matching, so identifiers never act as blocking keys.

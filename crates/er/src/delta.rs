@@ -79,8 +79,9 @@
 //!   CBS weights are whole numbers and one mover shifts a threshold by
 //!   about 1/|row|, so this is rare; only then is a size-derived row
 //!   counted, to walk it;
-//! - drops the comparison decisions that touch an updated or deleted
-//!   profile;
+//! - stamps every updated or deleted record with a new write epoch, so
+//!   the memoised decisions taken against its old profile miss from
+//!   then on (no scan of the memo; see `DeltaIndex::write_epoch`);
 //! - reports [`Affected::Ids`] = dirty ∪ flipped ∪ the current
 //!   neighbours of updated/deleted records.
 //!
@@ -108,8 +109,8 @@ use crate::index::{
     cardinality, count_cooccurrences, token_sig, AttrMeta, BlockId, TableErIndex, TokenSig,
 };
 use crate::purging::purge_flags;
-use crate::tokenizer::{record_keys, record_tokens};
-use queryer_common::{failpoints, unpack_pair, FxHashMap, FxHashSet};
+use crate::tokenizer::{AttrColumns, RecordTokenizer};
+use queryer_common::{failpoints, FxHashMap, FxHashSet};
 use queryer_storage::{RecordId, StorageError, Table, Value};
 use std::cmp::Ordering;
 
@@ -262,6 +263,18 @@ pub(crate) struct DeltaIndex {
     pub(crate) row_attrs: FxHashMap<RecordId, Vec<Option<Box<str>>>>,
     /// Kernel attribute metadata for touched records (schema width).
     pub(crate) row_meta: FxHashMap<RecordId, Vec<AttrMeta>>,
+    /// The applies since the base was built that updated or deleted a
+    /// record. A decision memoised now carries it, and serves only while
+    /// neither endpoint has a newer write (`epochs`). It counts applies,
+    /// each of at least one op, and the engine compacts (a rebuild, which
+    /// drops the delta with its epochs and empties the memo) once the
+    /// delta holds as many ops as the base has records, whose ids are
+    /// `u32`: it cannot wrap before a rebuild.
+    pub(crate) write_epoch: u32,
+    /// Per record, the `write_epoch` of its last update or delete since
+    /// the base was built (0 for none, and past the end); grown on the
+    /// first such apply.
+    pub(crate) epochs: Vec<u32>,
 }
 
 impl DeltaIndex {
@@ -287,6 +300,8 @@ impl DeltaIndex {
             row_tokens: FxHashMap::default(),
             row_attrs: FxHashMap::default(),
             row_meta: FxHashMap::default(),
+            write_epoch: 0,
+            epochs: Vec::new(),
         }
     }
 
@@ -343,6 +358,14 @@ impl DeltaIndex {
         idx.entity_retained.row(id as usize)
     }
 
+    /// Merged block of a key, if some record emits it.
+    fn block_of_key(&self, idx: &TableErIndex, key: &str) -> Option<BlockId> {
+        idx.key_to_block
+            .get(key)
+            .or_else(|| self.new_key_to_block.get(key))
+            .copied()
+    }
+
     /// Merged block key.
     #[inline]
     pub(crate) fn key_of<'a>(&'a self, idx: &'a TableErIndex, b: BlockId) -> &'a str {
@@ -354,9 +377,13 @@ impl DeltaIndex {
     }
 }
 
-/// Per-apply memo behind [`rebuild_order`]: record → (blocking key →
-/// position in that record's key iteration).
-type KeyPositions = FxHashMap<RecordId, FxHashMap<String, u32>>;
+/// Per-apply memo behind [`rebuild_order`]: a tokenizer, and per record
+/// tokenized so far, each of its blocks → the position of the block's
+/// key in that record's key iteration.
+struct KeyPositions {
+    tokenizer: RecordTokenizer,
+    of: FxHashMap<RecordId, FxHashMap<BlockId, u32>>,
+}
 
 /// Orders two blocks the way a rebuild's ITBI would: by `(merged size,
 /// first raw member, position of the block's key within that member's
@@ -382,20 +409,20 @@ fn rebuild_order(
         .cmp(&lens[b as usize])
         .then(first_a.cmp(&first_b))
         .then_with(|| {
-            let pos = keypos.entry(first_a).or_insert_with(|| {
-                record_keys(
-                    table.record_unchecked(first_a),
-                    idx.cfg.blocking,
-                    idx.cfg.min_token_len,
-                    idx.skip_col,
-                )
-                .into_iter()
-                .enumerate()
-                .map(|(i, k)| (k, i as u32))
-                .collect()
+            let KeyPositions { tokenizer, of } = keypos;
+            let pos = of.entry(first_a).or_insert_with(|| {
+                let rec = tokenizer.tokenize(table.record_unchecked(first_a), None);
+                rec.keys()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, k)| {
+                        let b = d.block_of_key(idx, k).expect("a record's keys are blocks");
+                        (b, i as u32)
+                    })
+                    .collect()
             });
             // A block's first member emits its key.
-            pos[d.key_of(idx, a)].cmp(&pos[d.key_of(idx, b)])
+            pos[&a].cmp(&pos[&b])
         })
 }
 
@@ -485,7 +512,7 @@ impl TableErIndex {
     /// neighbourhood changed are overwritten with their new values,
     /// only those records (and the rare neighbour whose edge to one of
     /// them changes sides) are reported affected, and only pairs with
-    /// an updated or deleted record lose their comparison decisions —
+    /// an updated or deleted record stop serving memoised decisions —
     /// see the module docs and [`Affected`]. Configs whose edge weights
     /// read global index statistics (ECBS / JS schemes, global-scope
     /// EP) report [`Affected::All`] instead, and ECBS / JS under
@@ -583,30 +610,22 @@ impl TableErIndex {
         // contents), patch raw block memberships, overlay profiles. --
         // Blocks whose raw membership changed → their size before the apply.
         let mut t0: FxHashMap<BlockId, usize> = FxHashMap::default();
+        let mut tokenizer = RecordTokenizer::new(&self.cfg, self.skip_col);
         for &rid in &touched {
-            let record = table.record_unchecked(rid);
-            let keys = record_keys(
-                record,
-                self.cfg.blocking,
-                self.cfg.min_token_len,
-                self.skip_col,
-            );
-            let mut new_blocks: Vec<BlockId> = Vec::with_capacity(keys.len());
-            for key in keys {
-                let b = if let Some(&b) = self.key_to_block.get(&key) {
-                    b
-                } else if let Some(&b) = d.new_key_to_block.get(&key) {
-                    b
-                } else {
+            let mut attrs = AttrColumns::with_capacity(self.n_cols);
+            let rec = tokenizer.tokenize(table.record_unchecked(rid), Some(&mut attrs));
+            let mut new_blocks: Vec<BlockId> = Vec::with_capacity(rec.keys().len());
+            for &key in rec.keys() {
+                let b = d.block_of_key(self, key).unwrap_or_else(|| {
                     let b = d.n_blocks as BlockId;
                     d.n_blocks += 1;
-                    d.new_keys.push(key.clone());
-                    d.new_key_to_block.insert(key, b);
+                    d.new_keys.push(key.to_owned());
+                    d.new_key_to_block.insert(key.to_owned(), b);
                     d.raw_rows.insert(b, Vec::new());
                     d.filtered_rows.insert(b, Vec::new());
                     d.purged.push(false);
                     b
-                };
+                });
                 new_blocks.push(b);
             }
             let old_blocks: Vec<BlockId> = if let Some(row) = d.row_blocks.get(&rid) {
@@ -648,14 +667,14 @@ impl TableErIndex {
             d.row_blocks.insert(rid, new_blocks); // re-sorted in phase 4
 
             let mut syms: Vec<u32> = Vec::new();
-            for tok in record_tokens(record, self.cfg.min_token_len, self.skip_col) {
-                let s = if let Some(s) = self.interner.get(&tok) {
+            for &tok in rec.tokens() {
+                let s = if let Some(s) = self.interner.get(tok) {
                     s
-                } else if let Some(&s) = d.ext_map.get(&tok) {
+                } else if let Some(&s) = d.ext_map.get(tok) {
                     s
                 } else {
                     let s = (self.interner.len() + d.ext_map.len()) as u32;
-                    d.ext_map.insert(tok, s);
+                    d.ext_map.insert(tok.to_owned(), s);
                     s
                 };
                 syms.push(s);
@@ -663,20 +682,8 @@ impl TableErIndex {
             syms.sort_unstable();
             let sig = token_sig(&syms);
             d.row_tokens.insert(rid, (syms, sig));
-            let mut lower: Vec<Option<Box<str>>> = Vec::with_capacity(self.n_cols);
-            let mut meta: Vec<AttrMeta> = Vec::with_capacity(self.n_cols);
-            for (i, v) in record.values.iter().enumerate() {
-                if Some(i) == self.skip_col || v.is_null() {
-                    lower.push(None);
-                    meta.push(AttrMeta::default());
-                } else {
-                    let lowered = v.render().to_lowercase().into_boxed_str();
-                    meta.push(AttrMeta::of(&lowered));
-                    lower.push(Some(lowered));
-                }
-            }
-            d.row_attrs.insert(rid, lower);
-            d.row_meta.insert(rid, meta);
+            d.row_attrs.insert(rid, attrs.lower);
+            d.row_meta.insert(rid, attrs.meta);
         }
         d.n_records = table.len();
 
@@ -775,7 +782,10 @@ impl TableErIndex {
         // keeps the old retained row of each record whose retained
         // blocks changed, `changed` the filtered size before the apply
         // of each block somebody left or joined, and who did. --
-        let mut keypos = KeyPositions::default();
+        let mut keypos = KeyPositions {
+            tokenizer,
+            of: FxHashMap::default(),
+        };
         let mut movers: FxHashMap<RecordId, Vec<BlockId>> = FxHashMap::default();
         let mut changed: Changed = FxHashMap::default();
         let mut unpurged: Vec<BlockId> = Vec::new();
@@ -964,13 +974,17 @@ impl TableErIndex {
             Affected::All
         };
         // Comparison decisions are pure functions of the two profiles:
-        // only updated/deleted records can hold stale entries (inserts
-        // never had any).
+        // only updated/deleted records can have stale ones (inserts never
+        // had any), and their new epoch makes those miss.
         if !profile_changed.is_empty() {
-            self.decisions.get_mut().retain(|&key, _| {
-                let (a, b) = unpack_pair(key);
-                !changed_profiles.contains(&a) && !changed_profiles.contains(&b)
-            });
+            d.write_epoch = d
+                .write_epoch
+                .checked_add(1)
+                .expect("the delta is compacted before its epoch wraps");
+            d.epochs.resize(d.n_records, 0);
+            for &id in &profile_changed {
+                d.epochs[id as usize] = d.write_epoch;
+            }
         }
 
         d.pending_ops += ops.len();
@@ -1023,6 +1037,7 @@ impl TableErIndex {
 mod tests {
     use super::*;
     use crate::config::ErConfig;
+    use crate::index::MemoEntry;
     use queryer_storage::Schema;
 
     /// `compact()` with no live delta leaves the index data as it was
@@ -1059,7 +1074,13 @@ mod tests {
         };
         let before = state(&idx);
         assert_eq!(before.2.len(), table.len(), "the build swept thresholds");
-        idx.decisions.lock().insert(1, true);
+        idx.decisions.lock().insert(
+            1,
+            MemoEntry {
+                epoch: 0,
+                matched: true,
+            },
+        );
         idx.compact(&table).unwrap();
         assert_eq!(
             state(&idx),

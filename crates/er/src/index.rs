@@ -16,7 +16,10 @@
 //! 1. **Tokenize + intern** (`tokenize_table`): one sweep over the
 //!    records produces the blocking keys, the record→key CSR, the
 //!    profile-token interner and arena, and the pre-lowercased
-//!    attributes with their kernel metadata. The sweep is chunked across
+//!    attributes with their kernel metadata. Each record is tokenized
+//!    once ([`crate::tokenizer::RecordTokenizer`]); under Token Blocking
+//!    its profile tokens are its key set, so a chunk's token vocabulary
+//!    is its key vocabulary. The sweep is chunked across
 //!    `ErConfig::threads` workers (`QUERYER_THREADS`, `0` = auto); each
 //!    worker interns into chunk-local tables and the sequential merge
 //!    re-interns the chunk vocabularies in chunk order,
@@ -38,13 +41,13 @@
 //!    build-thread pool and kept as one `Vec<f64>`, a table-level fact
 //!    like the purge threshold and the retained prefixes.
 
-use crate::config::ErConfig;
+use crate::config::{BlockingKind, ErConfig};
 use crate::edge_pruning::bulk_node_thresholds;
 use crate::govern::{fan_out, ResolveError, ResolveStage};
 use crate::purging::purge_flags;
-use crate::tokenizer::{record_keys, record_tokens};
+use crate::tokenizer::{AttrColumns, RecordTokenizer};
 use parking_lot::Mutex;
-use queryer_common::{Csr, FxHashMap, TokenInterner};
+use queryer_common::{Csr, FxHashMap, FxHashSet, TokenInterner};
 use queryer_storage::{Record, RecordId, Table};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -127,6 +130,18 @@ pub(crate) fn sig_common(a: &TokenSig, b: &TokenSig) -> usize {
         usize::from(sum)
     }
 }
+
+/// One decision-memo entry: the kernel's decision on a pair and the
+/// write epoch it was taken at.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MemoEntry {
+    pub(crate) epoch: u32,
+    pub(crate) matched: bool,
+}
+
+// The stamp fits in the padding of a `(u64, bool)` slot: an entry stays
+// 16 B with its key.
+const _: () = assert!(std::mem::size_of::<(u64, MemoEntry)>() == 16);
 
 /// Kernel-ready per-attribute metadata, precomputed at index-build time
 /// alongside [`InternedProfile`] so the compiled comparison kernels
@@ -357,10 +372,12 @@ pub struct TableErIndex {
     /// The cross-query comparison-decision memo, keyed by packed
     /// unordered pair ([`queryer_common::pack_pair`]). A decision is a
     /// pure function of the two profiles, so serving it across queries
-    /// never changes a result. It holds only pairs some query compared
-    /// while an endpoint was stale, so it never outgrows the kernel
-    /// runs since the last build; compaction and every rebuild empty it.
-    pub(crate) decisions: Mutex<FxHashMap<u64, bool>>,
+    /// never changes a result; an entry taken before a write to either
+    /// endpoint no longer serves ([`TableErIndex::memo_serves`]). It
+    /// holds only pairs some query compared while an endpoint was stale,
+    /// one entry per pair, so it never outgrows the kernel runs since
+    /// the last build; compaction and every rebuild empty it.
+    pub(crate) decisions: Mutex<FxHashMap<u64, MemoEntry>>,
     /// Set when a panic unwound through a delta apply
     /// ([`TableErIndex::apply_delta`]); every later resolve then returns
     /// [`ResolveError::Poisoned`]. Worker panics during resolve never
@@ -717,6 +734,22 @@ impl TableErIndex {
         &self.ep_thresholds
     }
 
+    /// The write epoch a decision memoised now is stamped with.
+    pub(crate) fn write_epoch(&self) -> u32 {
+        self.delta.as_ref().map_or(0, |d| d.write_epoch)
+    }
+
+    /// Whether a memo entry still serves the pair `(q, c)`: neither
+    /// endpoint was updated or deleted after the entry was taken.
+    #[inline]
+    pub(crate) fn memo_serves(&self, entry: MemoEntry, q: RecordId, c: RecordId) -> bool {
+        let Some(d) = &self.delta else {
+            return true;
+        };
+        let epoch = |id: RecordId| d.epochs.get(id as usize).copied().unwrap_or(0);
+        entry.epoch >= epoch(q).max(epoch(c))
+    }
+
     /// Size of the cross-query decision memo as `(0, 0, pair
     /// decisions)`. The first two slots always read 0; they stay while
     /// the benchmark destructures three sizes. Diagnostics for benches
@@ -761,30 +794,50 @@ struct TokenizedTable {
     attr_meta: Vec<AttrMeta>,
 }
 
-/// One worker's chunk of the tokenize/intern sweep: blocking keys and
-/// profile tokens as *chunk-local* ids over chunk-local vocabularies
-/// (first-seen order within the chunk), plus the chunk's attribute
-/// columns. The merge re-interns the vocabularies into the global
-/// tables in chunk order, which reproduces the sequential first-seen id
-/// assignment exactly — see [`tokenize_table`].
+/// Per-record rows of ids over a chunk-local vocabulary, which assigns
+/// ids in chunk-first-seen order.
 #[derive(Default)]
+struct LocalRows {
+    vocab: TokenInterner,
+    /// Per record in the chunk, how many ids it emitted.
+    lens: Vec<u32>,
+    /// Flat per-record chunk-local ids.
+    syms: Vec<u32>,
+}
+
+impl LocalRows {
+    /// Appends one record's row, interning in the set's iteration order.
+    fn push_row(&mut self, items: &FxHashSet<&str>) {
+        self.lens.push(items.len() as u32);
+        for item in items {
+            let id = self.vocab.intern(item);
+            self.syms.push(id);
+        }
+    }
+
+    /// The rows, each as a slice of chunk-local ids.
+    fn rows(&self) -> impl Iterator<Item = &[u32]> {
+        self.lens.iter().scan(0usize, |at, &len| {
+            let row = &self.syms[*at..*at + len as usize];
+            *at += len as usize;
+            Some(row)
+        })
+    }
+}
+
+/// One worker's chunk of the tokenize/intern sweep: blocking keys and
+/// profile tokens as *chunk-local* ids over chunk-local vocabularies,
+/// plus the chunk's attribute columns. The merge re-interns the
+/// vocabularies into the global tables in chunk order, which reproduces
+/// the sequential first-seen id assignment exactly — see
+/// [`tokenize_table`].
 struct TokenizeChunk {
-    /// Distinct blocking keys, chunk-first-seen order.
-    keys: Vec<String>,
-    /// Per record in the chunk, how many blocking keys it emitted.
-    key_lens: Vec<u32>,
-    /// Flat per-record blocking keys as chunk-local ids.
-    key_syms: Vec<u32>,
-    /// Distinct profile tokens, chunk-first-seen order.
-    tokens: Vec<String>,
-    /// Per record in the chunk, how many profile tokens it emitted.
-    token_lens: Vec<u32>,
-    /// Flat per-record profile tokens as chunk-local symbols.
-    token_syms: Vec<u32>,
-    /// Pre-lowercased attribute text, record-major (chunk × n_cols).
-    lower: Vec<Option<Box<str>>>,
-    /// Kernel metadata aligned with `lower`.
-    meta: Vec<AttrMeta>,
+    keys: LocalRows,
+    /// The profile tokens under n-gram blocking; `None` under Token
+    /// Blocking, where they are `keys`.
+    tokens: Option<LocalRows>,
+    /// Lowered attributes, record-major (chunk × n_cols).
+    attrs: AttrColumns,
 }
 
 /// Tokenizes one record chunk into chunk-local vocabularies. The
@@ -793,41 +846,17 @@ struct TokenizeChunk {
 /// contributes the same id sequence whichever chunk it lands in — the
 /// property the bit-identical merge relies on.
 fn tokenize_chunk(records: &[Record], cfg: &ErConfig, skip_col: Option<usize>) -> TokenizeChunk {
-    let mut out = TokenizeChunk::default();
-    let mut key_ids: FxHashMap<Box<str>, u32> = FxHashMap::default();
-    let mut token_ids: FxHashMap<Box<str>, u32> = FxHashMap::default();
-    let local =
-        |text: String, ids: &mut FxHashMap<Box<str>, u32>, vocab: &mut Vec<String>| -> u32 {
-            if let Some(&id) = ids.get(text.as_str()) {
-                return id;
-            }
-            let id = vocab.len() as u32;
-            vocab.push(text.clone());
-            ids.insert(text.into_boxed_str(), id);
-            id
-        };
+    let mut tokenizer = RecordTokenizer::new(cfg, skip_col);
+    let mut out = TokenizeChunk {
+        keys: LocalRows::default(),
+        tokens: matches!(cfg.blocking, BlockingKind::NGram(_)).then(LocalRows::default),
+        attrs: AttrColumns::default(),
+    };
     for record in records {
-        let keys = record_keys(record, cfg.blocking, cfg.min_token_len, skip_col);
-        out.key_lens.push(keys.len() as u32);
-        for key in keys {
-            let id = local(key, &mut key_ids, &mut out.keys);
-            out.key_syms.push(id);
-        }
-        let tokens = record_tokens(record, cfg.min_token_len, skip_col);
-        out.token_lens.push(tokens.len() as u32);
-        for tok in tokens {
-            let id = local(tok, &mut token_ids, &mut out.tokens);
-            out.token_syms.push(id);
-        }
-        for (i, v) in record.values.iter().enumerate() {
-            if Some(i) == skip_col || v.is_null() {
-                out.lower.push(None);
-                out.meta.push(AttrMeta::default());
-            } else {
-                let lowered = v.render().to_lowercase().into_boxed_str();
-                out.meta.push(AttrMeta::of(&lowered));
-                out.lower.push(Some(lowered));
-            }
+        let rec = tokenizer.tokenize(record, Some(&mut out.attrs));
+        out.keys.push_row(rec.keys());
+        if let Some(tokens) = &mut out.tokens {
+            tokens.push_row(rec.tokens());
         }
     }
     out
@@ -864,8 +893,11 @@ fn tokenize_table(
     )?;
 
     let n_cols = table.schema().len();
-    let total_keys: usize = chunks.iter().map(|c| c.key_syms.len()).sum();
-    let total_tokens: usize = chunks.iter().map(|c| c.token_syms.len()).sum();
+    let total_keys: usize = chunks.iter().map(|c| c.keys.syms.len()).sum();
+    let total_tokens: usize = chunks
+        .iter()
+        .map(|c| c.tokens.as_ref().unwrap_or(&c.keys).syms.len())
+        .sum();
     let mut keys: Vec<String> = Vec::new();
     let mut key_to_block: FxHashMap<String, BlockId> = FxHashMap::default();
     let mut interner = TokenInterner::new();
@@ -880,50 +912,38 @@ fn tokenize_table(
 
     for chunk in chunks {
         key_remap.clear();
-        key_remap.reserve(chunk.keys.len());
-        for key in chunk.keys {
-            let bid = match key_to_block.get(&key) {
+        for sym in 0..chunk.keys.vocab.len() as u32 {
+            let key = chunk.keys.vocab.resolve(sym);
+            let bid = match key_to_block.get(key) {
                 Some(&bid) => bid,
                 None => {
                     let bid = keys.len() as BlockId;
-                    keys.push(key.clone());
-                    key_to_block.insert(key, bid);
+                    keys.push(key.to_owned());
+                    key_to_block.insert(key.to_owned(), bid);
                     bid
                 }
             };
             key_remap.push(bid);
         }
-        token_remap.clear();
-        token_remap.reserve(chunk.tokens.len());
-        for tok in &chunk.tokens {
-            token_remap.push(interner.intern(tok));
-        }
-        let mut at = 0usize;
-        for &len in &chunk.key_lens {
+        for ids in chunk.keys.rows() {
             row.clear();
-            row.extend(
-                chunk.key_syms[at..at + len as usize]
-                    .iter()
-                    .map(|&s| key_remap[s as usize]),
-            );
+            row.extend(ids.iter().map(|&s| key_remap[s as usize]));
             entity_keys.push_row(&row)?;
-            at += len as usize;
         }
-        let mut at = 0usize;
-        for &len in &chunk.token_lens {
+        let tokens = chunk.tokens.as_ref().unwrap_or(&chunk.keys);
+        token_remap.clear();
+        for sym in 0..tokens.vocab.len() as u32 {
+            token_remap.push(interner.intern(tokens.vocab.resolve(sym)));
+        }
+        for ids in tokens.rows() {
             row.clear();
-            row.extend(
-                chunk.token_syms[at..at + len as usize]
-                    .iter()
-                    .map(|&s| token_remap[s as usize]),
-            );
+            row.extend(ids.iter().map(|&s| token_remap[s as usize]));
             row.sort_unstable();
             profile_tokens.push_row(&row)?;
             profile_sigs.push(token_sig(&row));
-            at += len as usize;
         }
-        lower_attrs.extend(chunk.lower);
-        attr_meta.extend(chunk.meta);
+        lower_attrs.extend(chunk.attrs.lower);
+        attr_meta.extend(chunk.attrs.meta);
     }
 
     Ok(TokenizedTable {
@@ -1115,7 +1135,10 @@ mod tests {
     fn clear_ep_cache_drops_memos_and_keeps_thresholds() {
         let idx = TableErIndex::build(&table(), &ErConfig::default());
         let thresholds = idx.bulk_ep_thresholds().to_vec();
-        idx.decisions.lock().extend([(7, true), (9, false)]);
+        let entry = |matched| MemoEntry { epoch: 0, matched };
+        idx.decisions
+            .lock()
+            .extend([(7, entry(true)), (9, entry(false))]);
         assert_eq!(idx.resolve_cache_sizes(), (0, 0, 2));
         idx.clear_ep_cache();
         assert_eq!(idx.resolve_cache_sizes(), (0, 0, 0));

@@ -27,6 +27,14 @@
 //! once at [`TableErIndex::build`] time and the query path is pure
 //! lookup:
 //!
+//! * **One tokenization per record** — [`tokenizer::RecordTokenizer`]
+//!   renders each value once and yields the record's blocking keys,
+//!   profile tokens and lowered attributes in one pass, lowercasing into
+//!   a reused buffer so a token allocates nothing; the build and a
+//!   delta's re-tokenization share it. Block ids follow a record's key
+//!   iteration order, which the tokenizer keeps by reproducing the
+//!   inserts and reserves of a per-record `FxHashSet<String>` (see the
+//!   module docs).
 //! * **Interned token arena** — every profile token is mapped to a dense
 //!   `u32` symbol ([`queryer_common::TokenInterner`]) and each record's
 //!   sorted symbol slice is a row of one flat
@@ -87,8 +95,10 @@
 //!   that endpoint was resolved: a non-match, with no kernel and no memo
 //!   probe. Only pairs with a *stale* endpoint — one a write's
 //!   [`LinkIndex::invalidate`] un-resolved — probe and fill the
-//!   pair-keyed decision memo (one mutexed map, filled first write
-//!   wins); a pair of never-resolved records runs its kernel and writes
+//!   pair-keyed decision memo (one mutexed map; each entry carries
+//!   the write epoch it was taken at, and serves only while neither
+//!   endpoint was updated or deleted since, so a write never scans the
+//!   memo); a pair of never-resolved records runs its kernel and writes
 //!   nothing. The memo is bounded by what writes un-resolve: every
 //!   entry is a distinct pair some query compared since the last build,
 //!   and compaction or any rebuild empties it. A decision is a pure

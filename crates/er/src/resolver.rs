@@ -14,7 +14,7 @@
 use crate::config::EdgePruningScope;
 use crate::edge_pruning::{keeps, prune_global, weight_of, EdgePruner, EpSeen, ScanOrder};
 use crate::govern::{fan_out, Completion, ResolveBudget, ResolveError, ResolveStage, Stop};
-use crate::index::{CooccurrenceScratch, TableErIndex};
+use crate::index::{CooccurrenceScratch, MemoEntry, TableErIndex};
 use crate::kernel::{CompiledMatcher, KernelScratch, QuerySide};
 use crate::link_index::{LinkDelta, LinkIndex, Mark};
 use crate::metrics::DedupMetrics;
@@ -589,8 +589,8 @@ impl TableErIndex {
                 match class {
                     PairClass::Decided => {}
                     PairClass::Memo => match memo.get(&pack_pair(q, c)) {
-                        Some(&d) => decisions[i] = d,
-                        None => miss_at.push(i as u32),
+                        Some(&e) if self.memo_serves(e, q, c) => decisions[i] = e.matched,
+                        _ => miss_at.push(i as u32),
                     },
                     PairClass::Plain => miss_at.push(i as u32),
                 }
@@ -604,11 +604,14 @@ impl TableErIndex {
         let misses: Vec<(RecordId, RecordId)> =
             miss_at.iter().map(|&at| pairs[at as usize]).collect();
         let fresh = self.run_comparison_kernels(matcher, &misses)?;
+        // A fresh decision overwrites a stale entry, so a pair keeps one.
+        let epoch = self.write_epoch();
         let mut memo = self.decisions.lock();
         for ((&at, &(q, c)), &d) in miss_at.iter().zip(&misses).zip(&fresh) {
             decisions[at as usize] = d;
             if classes[at as usize] == PairClass::Memo {
-                memo.entry(pack_pair(q, c)).or_insert(d);
+                let entry = MemoEntry { epoch, matched: d };
+                memo.insert(pack_pair(q, c), entry);
             }
         }
         Ok(decisions)

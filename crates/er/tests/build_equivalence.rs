@@ -12,13 +12,19 @@
 //! 1..8 and corpora including the empty, single-record, and
 //! all-duplicate edge cases, and additionally pin the fused sweep's
 //! blocking output to the standalone `build_blocks` reference below.
+//! The one-pass record tokenizer is pinned to the two-pass oracle in
+//! `oracle/mod.rs` over a corpus that exercises its lowercasing and its
+//! key iteration order.
 
 #![allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 
+mod oracle;
+
+use oracle::{record_keys, record_tokens};
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_common::FxHashMap;
-use queryer_er::tokenizer::record_keys;
+use queryer_er::tokenizer::{AttrColumns, RecordTokenizer};
 use queryer_er::{BlockingKind, DedupMetrics, ErConfig, LinkIndex, ResolveRequest, TableErIndex};
 use queryer_storage::{RecordId, Schema, Table, Value};
 
@@ -37,6 +43,53 @@ const VOCAB: [&str; 12] = [
     "vldb",
     "2008",
 ];
+
+/// Words for the tokenizer oracle: mixed case; tokens of punctuation
+/// only or wrapped in it; Greek words whose capital sigma lowercases to
+/// the final `ς` only at a word's end; the dotted capital `İ`, whose
+/// lowercase is a byte longer and ends in a combining mark; `ß` and its
+/// capital; combining marks alone and after a letter; digits.
+const MIXED: [&str; 20] = [
+    "Entity",
+    "RESOLUTION",
+    "e.R.",
+    "(EDBT),",
+    "---",
+    "..",
+    "ΟΔΟΣ",
+    "ΣΟΦΟΣ.",
+    "ΣΑΣ-ΣΑΣ",
+    "Σ",
+    "İstanbul",
+    "İ",
+    "Straße",
+    "ẞ",
+    "Cafe\u{301}s",
+    "\u{301}",
+    "x",
+    "ab",
+    "2008",
+    "DaTa",
+];
+
+/// A value of the tokenizer corpus: NULL, an `Int`, a `Float`, or up to
+/// five `MIXED` words behind assorted whitespace.
+fn mixed_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        (-300i64..300).prop_map(Value::Int),
+        (-40i32..40).prop_map(|k| Value::Float(f64::from(k) * 0.75)),
+        proptest::collection::vec((0..MIXED.len(), 0usize..3), 0..6).prop_map(|words| {
+            let mut text = String::new();
+            for (w, sep) in words {
+                text.push_str(["", " ", "\t "][sep]);
+                text.push_str(MIXED[w]);
+                text.push(' ');
+            }
+            Value::str(text)
+        }),
+    ]
+}
 
 fn cell() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(0usize..VOCAB.len(), 0..4)
@@ -297,5 +350,65 @@ proptest! {
         let reference = TableErIndex::build(&table, &cfg_with_threads(1));
         let parallel = TableErIndex::build(&table, &cfg_with_threads(threads));
         assert_same_decisions(&reference, &parallel, &table);
+    }
+
+    /// The one-pass tokenizer equals the two-pass oracle on every
+    /// record: the key sequence in its iteration order, the token set,
+    /// and the lowered attributes. The index built from it has the
+    /// oracle's block keys and ids, profiles and attributes, at any
+    /// thread count.
+    #[test]
+    fn one_pass_tokenizer_matches_two_pass_oracle(
+        rows in proptest::collection::vec(proptest::collection::vec(mixed_value(), 3), 0..16),
+        min_len in 1usize..5,
+        ngram in any::<bool>(),
+        threads in 1usize..4,
+    ) {
+        let mut cfg = cfg_with_threads(threads);
+        cfg.min_token_len = min_len;
+        if ngram {
+            cfg.blocking = BlockingKind::NGram(3);
+        }
+        let mut table = Table::new("p", Schema::of_strings(&["id", "title", "venue"]));
+        for row in rows {
+            table.push_row(row).unwrap();
+        }
+        let idx = TableErIndex::build(&table, &cfg);
+        let skip = idx.skip_col();
+        let mut tokenizer = RecordTokenizer::new(&cfg, skip);
+        for record in table.records() {
+            let mut attrs = AttrColumns::default();
+            let rec = tokenizer.tokenize(record, Some(&mut attrs));
+            let keys: Vec<&str> = rec.keys().iter().copied().collect();
+            let oracle_keys = record_keys(record, cfg.blocking, min_len, skip);
+            let oracle_keys: Vec<&str> = oracle_keys.iter().map(String::as_str).collect();
+            prop_assert_eq!(keys, oracle_keys, "key sequence of record {}", record.id);
+
+            let mut tokens: Vec<&str> = rec.tokens().iter().copied().collect();
+            tokens.sort_unstable();
+            let mut oracle_tokens: Vec<String> =
+                record_tokens(record, min_len, skip).into_iter().collect();
+            oracle_tokens.sort_unstable();
+            prop_assert_eq!(&tokens, &oracle_tokens, "tokens of record {}", record.id);
+            let p = idx.profile(record.id);
+            let mut interned: Vec<&str> =
+                p.tokens.iter().map(|&s| idx.interner().resolve(s)).collect();
+            interned.sort_unstable();
+            prop_assert_eq!(&interned, &oracle_tokens, "profile of record {}", record.id);
+
+            let lowered: Vec<Option<Box<str>>> = record
+                .values
+                .iter()
+                .enumerate()
+                .map(|(i, v)| {
+                    (Some(i) != skip && !v.is_null())
+                        .then(|| v.render().to_lowercase().into_boxed_str())
+                })
+                .collect();
+            prop_assert_eq!(&attrs.lower, &lowered, "attributes of record {}", record.id);
+            prop_assert_eq!(p.attrs, &lowered[..], "stored attributes of record {}", record.id);
+            prop_assert_eq!(idx.attr_meta(record.id), &attrs.meta[..]);
+        }
+        assert_matches_build_blocks(&idx, &table);
     }
 }

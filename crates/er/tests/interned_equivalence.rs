@@ -13,6 +13,9 @@
 
 #![allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 
+mod oracle;
+
+use oracle::{record_keys, record_tokens};
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_common::{FxHashMap, FxHashSet, PairSet};
@@ -20,7 +23,6 @@ use queryer_er::config::EdgePruningScope;
 use queryer_er::edge_pruning::{prune_global, EdgePruner};
 use queryer_er::index::{BlockId, CooccurrenceScratch};
 use queryer_er::similarity::{jaccard_sorted, jaro_winkler, levenshtein_sim, overlap_sorted};
-use queryer_er::tokenizer::{record_keys, record_tokens};
 use queryer_er::{
     BlockingKind, CompiledMatcher, DedupMetrics, ErConfig, KernelScratch, LinkIndex,
     MetaBlockingConfig, ResolveRequest, SimilarityKind, TableErIndex,
