@@ -74,7 +74,7 @@ pub fn all() -> Vec<Experiment> {
         },
         Experiment {
             id: "ablations",
-            description: "Design-choice ablations: blocking / weighting / EP scope (extra)",
+            description: "Design-choice ablations: blocking / weighting (extra)",
             run: ablations::run,
         },
     ]

@@ -79,21 +79,6 @@ pub enum WeightScheme {
     Js,
 }
 
-/// Scope of the Edge Pruning threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EdgePruningScope {
-    /// Node-centric (WNP-style): each entity prunes its own edges against
-    /// the mean weight of its table-level neighbourhood; a pair survives
-    /// if either endpoint keeps it. Deterministic w.r.t. the table, hence
-    /// query-stable (DQ ≡ BAQ testable).
-    #[default]
-    NodeCentric,
-    /// Global (WEP-style): one mean-weight threshold over all edges of the
-    /// examined (query) subgraph. Faster, but only approximately
-    /// query-stable — provided for ablation.
-    Global,
-}
-
 /// Profile similarity used by Comparison-Execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimilarityKind {
@@ -117,6 +102,11 @@ pub enum SimilarityKind {
 }
 
 /// Full configuration of the ER side of QueryER.
+///
+/// Every setting is table-level, and every resolve expands its
+/// duplicates transitively to a fixpoint, so under each config a
+/// Dedupe query returns what the batch-cleaned query returns (DQ ≡ BAQ,
+/// property-tested over drawn configs by `tests/dq_equals_baq.rs`).
 #[derive(Debug, Clone)]
 pub struct ErConfig {
     /// Blocking-key function.
@@ -136,21 +126,19 @@ pub struct ErConfig {
     pub filtering_ratio: f64,
     /// Which meta-blocking methods run.
     pub meta: MetaBlockingConfig,
-    /// Edge weighting scheme for EP.
+    /// Edge weighting scheme for EP. Pruning is node-centric (WNP):
+    /// each entity prunes its edges against the mean weight of its
+    /// table-level neighbourhood, and a pair survives if either endpoint
+    /// keeps it, so the survivors are a function of the table alone.
     pub weight_scheme: WeightScheme,
-    /// Threshold scope for EP.
-    pub ep_scope: EdgePruningScope,
     /// Profile similarity function.
     pub similarity: SimilarityKind,
     /// Match decision threshold in `[0, 1]`.
     pub match_threshold: f64,
-    /// Resolve newly-found duplicates transitively until fixpoint, so the
-    /// result groups equal the batch approach's connected components.
-    pub transitive: bool,
     /// Worker threads for every parallel stage: the
     /// [`TableErIndex::build`] sweeps (tokenization, interning,
     /// attribute lowering/metadata, WNP thresholds), the Edge Pruning
-    /// fan-outs (survivor fill, frontier scan) and
+    /// node scan and
     /// Comparison-Execution. `0` = auto (available parallelism), `1` =
     /// sequential (the paper's single-machine setting). Thread count
     /// never affects the built index or a decision: every stage merges
@@ -172,10 +160,8 @@ impl Default for ErConfig {
             filtering_ratio: 0.8,
             meta: MetaBlockingConfig::All,
             weight_scheme: WeightScheme::Cbs,
-            ep_scope: EdgePruningScope::NodeCentric,
             similarity: SimilarityKind::Hybrid,
             match_threshold: 0.85,
-            transitive: true,
             threads: queryer_common::knobs::threads(),
         }
     }
@@ -193,12 +179,6 @@ impl ErConfig {
     pub fn with_threshold(mut self, t: f64) -> Self {
         self.match_threshold = t;
         self
-    }
-
-    /// Whether this config runs node-centric (WNP) Edge Pruning — the
-    /// configs whose index carries a threshold per record.
-    pub fn node_centric_ep(&self) -> bool {
-        self.meta.edge_pruning() && self.ep_scope == EdgePruningScope::NodeCentric
     }
 
     /// The concrete worker count: `threads`, with `0` resolved to the

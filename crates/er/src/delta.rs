@@ -53,8 +53,8 @@
 //! too: 137 of the 117 470 ids the traced `live_ingest` run
 //! invalidates.)
 //!
-//! Under a config whose node weights are purely local — CBS weights
-//! with node-centric EP, or no EP at all — the apply then
+//! Under a config whose node weights are purely local — CBS weights,
+//! or no EP at all — the apply then
 //!
 //! - overwrites each dirty record's slot of the index's threshold
 //!   vector with its new value: nothing is swept again. The touched
@@ -95,14 +95,12 @@
 //! to their whole duplicate clusters, which is what keeps a point query
 //! two links away from a write honest.
 //!
-//! Only when the active config makes node weights depend on *global*
-//! index statistics (ECBS/JS read the unpurged-block count;
-//! global-scope EP averages over every edge) does the apply fall back
-//! to reporting [`Affected::All`]; under node-centric EP it then
-//! re-sweeps the whole threshold vector once, since every node's
-//! weights may have moved.
+//! Only when EP weighs edges with *global* index statistics (ECBS and
+//! JS read the unpurged-block count) does the apply fall back to
+//! reporting [`Affected::All`]; it then re-sweeps the whole threshold
+//! vector once, since every node's weights may have moved.
 
-use crate::config::{EdgePruningScope, WeightScheme};
+use crate::config::WeightScheme;
 use crate::edge_pruning::{bulk_node_thresholds, keeps, threshold_over, weight_of};
 use crate::govern::{PoisonGuard, ResolveError};
 use crate::index::{
@@ -182,8 +180,8 @@ pub enum Affected {
     /// Link Index entries of everything else stay valid, and the EP
     /// thresholds were patched in place. Sorted ascending, deduped.
     Ids(Vec<RecordId>),
-    /// The active config derives node weights from global index
-    /// statistics, so any record's links may have moved and every
+    /// The active config weighs EP edges with global index statistics
+    /// (ECBS / JS), so any record's links may have moved and every
     /// Link Index entry has to go
     /// ([`crate::LinkIndex::invalidate_all`]).
     All,
@@ -513,10 +511,9 @@ impl TableErIndex {
     /// only those records (and the rare neighbour whose edge to one of
     /// them changes sides) are reported affected, and only pairs with
     /// an updated or deleted record stop serving memoised decisions —
-    /// see the module docs and [`Affected`]. Configs whose edge weights
-    /// read global index statistics (ECBS / JS schemes, global-scope
-    /// EP) report [`Affected::All`] instead, and ECBS / JS under
-    /// node-centric EP get one threshold re-sweep.
+    /// see the module docs and [`Affected`]. EP configs whose edge
+    /// weights read global index statistics (ECBS / JS schemes) report
+    /// [`Affected::All`] instead and get one threshold re-sweep.
     ///
     /// Panic safety: the apply is the index's one compound mutation,
     /// run under a poison latch — the `"delta.apply"` failpoint stands
@@ -593,10 +590,8 @@ impl TableErIndex {
         }
 
         // Invalidation is targeted when node weights are purely local:
-        // CBS weights under node-centric EP, or no EP at all.
-        let targeted = !self.cfg.meta.edge_pruning()
-            || (self.cfg.weight_scheme == WeightScheme::Cbs
-                && self.cfg.ep_scope == EdgePruningScope::NodeCentric);
+        // CBS weights, or no EP at all.
+        let targeted = !self.cfg.meta.edge_pruning() || self.cfg.weight_scheme == WeightScheme::Cbs;
         let ep_targeted = targeted && self.cfg.meta.edge_pruning();
 
         let guard = PoisonGuard::new(&self.poisoned);
@@ -991,10 +986,10 @@ impl TableErIndex {
         let pending_ops = d.pending_ops;
         self.delta = Some(Box::new(d));
         // ECBS / JS weights read the merged unpurged-block count, so
-        // under node-centric EP every threshold may have moved: one
-        // sweep over the merged graph replaces the vector. A worker
-        // panic leaves the index poisoned (the delta is already in).
-        if !targeted && self.cfg.node_centric_ep() {
+        // every threshold may have moved: one sweep over the merged
+        // graph replaces the vector. A worker panic leaves the index
+        // poisoned (the delta is already in).
+        if !targeted {
             self.ep_thresholds = bulk_node_thresholds(self, self.cfg.effective_threads())?;
         }
         guard.disarm();

@@ -3,29 +3,35 @@
 //! per co-occurring pair, weight each edge with the likelihood that the
 //! incident entities match, and discard low-weight edges.
 //!
-//! Two threshold scopes are provided (see [`crate::config::EdgePruningScope`]):
-//! node-centric (WNP-style, the default — deterministic per table, hence
-//! query-stable) and global (WEP-style over the examined subgraph).
+//! The threshold is node-centric (WNP): each entity's is the mean edge
+//! weight of its neighbourhood in the whole blocking graph, swept once
+//! at build ([`bulk_node_thresholds`]), and an edge survives if either
+//! endpoint's threshold admits it. Survival is thus a function of the
+//! table alone, never of the query that asks, which is what keeps a
+//! Dedupe query equal to the batch approach under every weight scheme.
 
 use crate::config::WeightScheme;
 use crate::govern::{fan_out, ResolveError, ResolveStage};
 use crate::index::{CooccurrenceScratch, TableErIndex};
 use crate::resolver::RANK_AMORTIZE;
-use queryer_common::{FxHashMap, PairSet};
+use queryer_common::FxHashMap;
 use queryer_storage::RecordId;
 
-/// Numeric slack for threshold comparisons, shared by every pruning
-/// rule so the node-centric and global scopes can never drift apart.
+/// Numeric slack for threshold comparisons, shared by every reader of
+/// a WNP threshold (the node scan and a delta apply's vote-flip test),
+/// so they can never disagree on an edge.
 pub(crate) const EPS: f64 = 1e-12;
 
-/// The one threshold comparison all pruning rules are built from: the
+/// The one threshold comparison the pruning rule is built from: the
 /// edge survives a threshold when its weight reaches it within [`EPS`].
 #[inline]
 pub(crate) fn keeps(w: f64, threshold: f64) -> bool {
     w + EPS >= threshold
 }
 
-/// Edge-weight and pruning computations over a table's blocking graph.
+/// Edge-weight computations over a table's blocking graph, kept as the
+/// test oracles' public way to weigh edges: the resolver and the
+/// threshold sweep call `weight_of` directly.
 ///
 /// Owns a reusable [`CooccurrenceScratch`], so neighbourhood scans are
 /// dense counter sweeps instead of per-entity hash maps — hence the
@@ -141,28 +147,27 @@ pub(crate) fn threshold_over(
     sum / nbh.len() as f64
 }
 
-/// The order in which one query scanned the nodes of its frontiers,
-/// which decides where the node scan (node-centric EP, or no EP) emits
-/// each pair: a scanned node holds its 1-based sequence number, an
+/// One query's pair-generation dedup state, carried across its rounds
+/// so no pair is emitted twice: the order in which the query scanned
+/// the nodes of its frontiers, which decides where the node scan emits
+/// each pair. A scanned node holds its 1-based sequence number, an
 /// unscanned one reads 0, and a pair is emitted only at the endpoint
 /// scanned first.
 ///
 /// That is exact because a survivor row is a pure function of the
-/// index and the node, and [`weight_of`] and the WNP union rule are
+/// index and the node, and `weight_of` and the WNP union rule are
 /// both symmetric — so a pair is in both endpoints' rows or in
 /// neither. Emitting it at the endpoint scanned first therefore
 /// reproduces the first-occurrence order of a carried pair set, with
 /// one order read per edge instead of a hash insert per survivor; a
 /// node scanned before emits nothing, its pairs all went out then.
-/// Global pruning numbers each call's frontier in an order of its own,
-/// to collect every edge of the call's subgraph exactly once.
 ///
 /// A point query scans a handful of nodes, so the numbers start in a
-/// small hash map; once the query has scanned 1/[`RANK_AMORTIZE`] of
+/// small hash map; once the query has scanned 1/`RANK_AMORTIZE` of
 /// the table they move, for good, into a dense per-record array — the
 /// amortisation rule of the resolver's frontier dedup.
 #[derive(Debug, Default)]
-pub(crate) struct ScanOrder {
+pub struct EpSeen {
     /// Nodes numbered so far (= the last number handed out).
     scanned: u32,
     sparse: FxHashMap<RecordId, u32>,
@@ -170,7 +175,12 @@ pub(crate) struct ScanOrder {
     dense: Vec<u32>,
 }
 
-impl ScanOrder {
+impl EpSeen {
+    /// Fresh state for a new query.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// `e`'s sequence number, 0 when the query has not scanned it.
     #[inline]
     pub(crate) fn get(&self, e: RecordId) -> u32 {
@@ -211,23 +221,6 @@ impl ScanOrder {
     }
 }
 
-/// One query's pair-generation dedup state, carried across its rounds
-/// so no pair is emitted twice: the node scan reads and extends the
-/// node scan order; global pruning, whose survival depends on the call,
-/// records every emitted pair.
-#[derive(Debug, Default)]
-pub struct EpSeen {
-    pub(crate) order: ScanOrder,
-    pub(crate) pairs: PairSet,
-}
-
-impl EpSeen {
-    /// Fresh state for a new query.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Bulk node-centric threshold pass: computes the WNP threshold of
 /// *every* node of the table in one sweep, partitioning the node set
 /// across `threads` workers (each with its own [`CooccurrenceScratch`]).
@@ -258,20 +251,6 @@ pub fn bulk_node_thresholds(idx: &TableErIndex, threads: usize) -> Result<Vec<f6
         },
     )?;
     Ok(parts.concat())
-}
-
-/// Global (WEP-style) pruning over an explicit edge list: keeps edges
-/// whose weight is at least the mean weight of the list.
-pub fn prune_global(edges: &[(RecordId, RecordId, f64)]) -> Vec<(RecordId, RecordId)> {
-    if edges.is_empty() {
-        return Vec::new();
-    }
-    let mean = edges.iter().map(|(_, _, w)| w).sum::<f64>() / edges.len() as f64;
-    edges
-        .iter()
-        .filter(|(_, _, w)| keeps(*w, mean))
-        .map(|&(a, b, _)| (a, b))
-        .collect()
 }
 
 #[cfg(test)]
@@ -342,17 +321,6 @@ mod tests {
         assert_eq!(idx.bulk_ep_thresholds(), swept.as_slice());
     }
 
-    #[test]
-    fn global_pruning_keeps_at_least_mean() {
-        let edges = vec![(0, 1, 4.0), (0, 2, 1.0), (1, 2, 1.0)];
-        let kept = prune_global(&edges);
-        assert_eq!(kept, vec![(0, 1)]);
-        assert!(prune_global(&[]).is_empty());
-        // Uniform weights: everything survives.
-        let uniform = vec![(0, 1, 2.0), (1, 2, 2.0)];
-        assert_eq!(prune_global(&uniform).len(), 2);
-    }
-
     proptest::proptest! {
         /// Every scheme weighs `(a, b)` and `(b, a)` to the same bits —
         /// the symmetry node-centric emission's scan-order rule rests
@@ -391,7 +359,7 @@ mod tests {
     fn scan_order_numbers_once_and_promotes_at_the_amortisation_point() {
         for n in [13 * RANK_AMORTIZE, 420] {
             let promote_at = n.div_ceil(RANK_AMORTIZE);
-            let mut order = ScanOrder::default();
+            let mut order = EpSeen::new();
             // 11 is coprime to both sizes: a scan order unlike id order.
             let ids: Vec<RecordId> = (0..n).map(|i| (i * 11 % n) as RecordId).collect();
             for (k, &e) in ids.iter().enumerate().take(promote_at + 2) {

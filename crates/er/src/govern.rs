@@ -57,8 +57,8 @@ pub enum ResolveStage {
     /// tokenization / WNP-threshold fan-outs, and the threshold re-sweep
     /// of a delta apply under ECBS / JS weights).
     Build,
-    /// Pair generation: the node scan (node-centric Edge Pruning, or no
-    /// Edge Pruning) and the global-scope frontier scan.
+    /// Pair generation: the node scan, with Edge Pruning's WNP keep
+    /// rule or (EP off) every co-occurring pair.
     EdgePruning,
     /// Comparison-Execution: the chunked kernel executor.
     ComparisonExecution,

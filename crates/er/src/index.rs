@@ -34,7 +34,7 @@
 //!    `(block size, block id)`; no second buffer.
 //! 5. **Block Filtering** — each record's retained prefix is appended to
 //!    the `entity_retained` CSR; `filtered_blocks` is its transpose.
-//! 6. **WNP thresholds** — under node-centric Edge Pruning, every
+//! 6. **WNP thresholds** — under Edge Pruning, every
 //!    node's threshold (the mean edge weight of its neighbourhood in the
 //!    whole blocking graph) is swept once
 //!    ([`crate::edge_pruning::bulk_node_thresholds`]) on the same
@@ -365,7 +365,7 @@ pub struct TableErIndex {
     /// Schema width (the `lower_attrs` stride).
     pub(crate) n_cols: usize,
     /// The node-centric (WNP) Edge Pruning threshold of every record,
-    /// swept at build for node-centric EP configs (empty otherwise) and
+    /// swept at build for EP configs (empty otherwise) and
     /// patched in place by [`TableErIndex::apply_delta`]. Index data,
     /// not cache: nothing clears it.
     pub(crate) ep_thresholds: Vec<f64>,
@@ -514,7 +514,7 @@ impl TableErIndex {
         // Phase 6, WNP thresholds: one sweep over the finished blocking
         // graph gives every node its node-centric EP threshold, so no
         // query ever computes one.
-        if cfg.node_centric_ep() {
+        if cfg.meta.edge_pruning() {
             idx.ep_thresholds = bulk_node_thresholds(&idx, cfg.effective_threads())?;
         }
         Ok(idx)
@@ -728,8 +728,8 @@ impl TableErIndex {
 
     /// The node-centric EP threshold of every record — the vector the
     /// build swept ([`crate::edge_pruning::bulk_node_thresholds`]) and
-    /// every delta since has patched. Empty unless the config runs
-    /// node-centric Edge Pruning.
+    /// every delta since has patched. Empty unless the config runs Edge
+    /// Pruning.
     pub fn bulk_ep_thresholds(&self) -> &[f64] {
         &self.ep_thresholds
     }
@@ -1094,14 +1094,9 @@ mod tests {
     fn thresholds_swept_only_for_node_centric_ep() {
         let with_ep = TableErIndex::build(&table(), &ErConfig::default());
         assert_eq!(with_ep.bulk_ep_thresholds().len(), with_ep.n_records());
-        // No Edge Pruning, or global-scope EP → no per-node thresholds.
+        // No Edge Pruning → no per-node thresholds.
         let no_ep = ErConfig::default().with_meta(MetaBlockingConfig::BpBf);
         assert!(TableErIndex::build(&table(), &no_ep)
-            .bulk_ep_thresholds()
-            .is_empty());
-        let mut global = ErConfig::default();
-        global.ep_scope = crate::config::EdgePruningScope::Global;
-        assert!(TableErIndex::build(&table(), &global)
             .bulk_ep_thresholds()
             .is_empty());
     }

@@ -16,9 +16,10 @@
 //!
 //! All purging/filtering/pruning decisions are *table-level* (computed on
 //! the TBI/ITBI at build time), which makes them identical between a
-//! query-restricted run and a whole-table run — the determinism the
-//! paper's DQ-correctness argument relies on (see `ARCHITECTURE.md` at
-//! the repository root).
+//! query-restricted run and a whole-table run, and every resolve expands
+//! its duplicates transitively to a fixpoint — the determinism the
+//! paper's DQ-correctness argument relies on, under every
+//! [`ErConfig`] (see `ARCHITECTURE.md` at the repository root).
 //!
 //! # The hot resolve path
 //!
@@ -72,8 +73,8 @@
 //!   ([`TableErIndex::bulk_ep_thresholds`]). A delta patches the slots
 //!   whose neighbourhood changed; no query computes a threshold, and a
 //!   survival check is two array loads.
-//! * **One node-scan enumerator** — node-centric Edge Pruning, and
-//!   every config without it (BP+BF, BP, NONE), counts each frontier
+//! * **One node-scan enumerator** — Edge Pruning, and every config
+//!   without it (BP+BF, BP, NONE), counts each frontier
 //!   entity's neighbourhood into a [`index::CooccurrenceScratch`] and
 //!   keeps the edges either endpoint's stored threshold admits (every
 //!   edge with EP off, by a compile-time keep rule), emitting each pair
@@ -90,10 +91,10 @@
 //!   about once per Link-Index lifetime.
 //! * **Link-Index-decided pairs, and a decision memo for what writes
 //!   un-resolve** — the Link-Index read that finds linked pairs also
-//!   classes the rest. Under symmetric pair generation (node-centric EP
-//!   or none) an unlinked pair with a resolved endpoint was decided when
-//!   that endpoint was resolved: a non-match, with no kernel and no memo
-//!   probe. Only pairs with a *stale* endpoint — one a write's
+//!   classes the rest. Pair generation is symmetric (a pair survives
+//!   whichever endpoint the node scan reaches first), so an unlinked
+//!   pair with a resolved endpoint was decided when that endpoint was
+//!   resolved: a non-match, with no kernel and no memo probe. Only pairs with a *stale* endpoint — one a write's
 //!   [`LinkIndex::invalidate`] un-resolved — probe and fill the
 //!   pair-keyed decision memo (one mutexed map; each entry carries
 //!   the write epoch it was taken at, and serves only while neither
@@ -152,7 +153,7 @@
 //! over a live delta, whose patched thresholds it checks too), the
 //! EP-off emission to a block-major collector (with and without a live
 //! delta), and the enumerator across thread counts (pair sequences, DR/links),
-//! weight schemes, pruning scopes, and frontier sizes;
+//! weight schemes and frontier sizes;
 //! `tests/kernel_equivalence.rs` pins the compiled kernels and the
 //! parallel Comparison-Execution executor bit-identical (decisions,
 //! DR/links) to the canonical [`CompiledMatcher::similarity`] across all
@@ -178,9 +179,7 @@ pub mod similarity;
 pub mod snapshot;
 pub mod tokenizer;
 
-pub use config::{
-    BlockingKind, EdgePruningScope, ErConfig, MetaBlockingConfig, SimilarityKind, WeightScheme,
-};
+pub use config::{BlockingKind, ErConfig, MetaBlockingConfig, SimilarityKind, WeightScheme};
 pub use delta::{Affected, AppliedDelta, DeltaOp};
 pub use govern::{Completion, ResolveBudget, ResolveError, ResolveStage};
 pub use index::{AttrMeta, BlockId, CooccurrenceScratch, InternedProfile, TableErIndex};

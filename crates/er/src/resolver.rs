@@ -7,12 +7,13 @@
 //! Every query entity is a record of the indexed table, so the first two
 //! stages collapse into ITBI lookups: a record's `entity_blocks` row
 //! *is* its QBI⋈TBI join, built once at index time, so a resolve never
-//! tokenizes a record and never hash-joins token strings. BP and BF are
-//! table-level and baked into the retained / filtered rows at build, so
-//! pair generation is one scan of each frontier node's co-occurrences.
+//! tokenizes a record and never hash-joins token strings. BP, BF and the
+//! node-centric EP thresholds are table-level and baked into the index
+//! at build, so pair generation is one scan of each frontier node's
+//! co-occurrences, and which pairs survive does not depend on the query
+//! that asks.
 
-use crate::config::EdgePruningScope;
-use crate::edge_pruning::{keeps, prune_global, weight_of, EdgePruner, EpSeen, ScanOrder};
+use crate::edge_pruning::{keeps, weight_of, EpSeen};
 use crate::govern::{fan_out, Completion, ResolveBudget, ResolveError, ResolveStage, Stop};
 use crate::index::{CooccurrenceScratch, MemoEntry, TableErIndex};
 use crate::kernel::{CompiledMatcher, KernelScratch, QuerySide};
@@ -20,7 +21,7 @@ use crate::link_index::{LinkDelta, LinkIndex, Mark};
 use crate::metrics::DedupMetrics;
 use crate::request::LiMode;
 use queryer_common::failpoints;
-use queryer_common::{pack_pair, FxHashSet, PairSet, Stopwatch};
+use queryer_common::{pack_pair, FxHashSet, Stopwatch};
 use queryer_storage::{RecordId, Table};
 use std::cell::RefCell;
 use std::time::Duration;
@@ -68,13 +69,13 @@ pub struct ResolveOutcome {
 /// the Link Index in the same view that finds linked pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PairClass {
-    /// An endpoint is resolved and pair generation is symmetric, so the
-    /// pair was decided when that endpoint was resolved; it is not
-    /// linked, hence a non-match. No kernel call, no memo probe.
+    /// An endpoint is resolved, so the pair was decided when that
+    /// endpoint was resolved; it is not linked, hence a non-match. No
+    /// kernel call, no memo probe.
     Decided,
-    /// An endpoint is stale (or resolved under global-scope EP): the
-    /// pair has been asked before and may be asked again after the next
-    /// write, so the decision memo serves and keeps it.
+    /// An endpoint is stale and neither is resolved: the pair has been
+    /// asked before and may be asked again after the next write, so the
+    /// decision memo serves and keeps it.
     Memo,
     /// Neither endpoint has been resolved: the pair is new. It runs its
     /// kernel and leaves the memo alone.
@@ -84,23 +85,19 @@ enum PairClass {
 impl PairClass {
     /// The class of candidate pair `(q, c)` against the committed view
     /// `g` and this query's own `delta`, or `None` when the pair is
-    /// already linked (a partner, no decision needed). `symmetric` says
-    /// pair generation keeps a pair whichever endpoint is scanned.
+    /// already linked (a partner, no decision needed).
     ///
     /// The Decided rule rests on three things. The LI contract: a
     /// resolved mark is published with every link of the record. The
     /// write path: `Affected` names every record whose link-set can
     /// change, and `LinkIndex::invalidate` takes back their marks. And
-    /// symmetric generation: the pair was a candidate when the resolved
-    /// endpoint was resolved, so had it matched, it would be linked.
+    /// symmetric generation: the node scan keeps a pair whichever
+    /// endpoint it scans (WNP's union rule over symmetric weights, or
+    /// the block co-occurrence without EP), so the pair was a candidate
+    /// when the resolved endpoint was resolved; had it matched, it would
+    /// be linked.
     #[inline]
-    fn of(
-        g: &LinkIndex,
-        delta: &LinkDelta,
-        symmetric: bool,
-        q: RecordId,
-        c: RecordId,
-    ) -> Option<PairClass> {
+    fn of(g: &LinkIndex, delta: &LinkDelta, q: RecordId, c: RecordId) -> Option<PairClass> {
         if g.are_linked(q, c) || delta.are_linked(q, c) {
             return None;
         }
@@ -109,7 +106,7 @@ impl PairClass {
         let (mq, mc) = (g.mark(q), g.mark(c));
         let resolved = (mq == Mark::Resolved) | (mc == Mark::Resolved);
         let seen = (mq != Mark::Unresolved) | (mc != Mark::Unresolved);
-        Some(if symmetric & resolved {
+        Some(if resolved {
             PairClass::Decided
         } else if seen {
             PairClass::Memo
@@ -184,10 +181,14 @@ impl TableErIndex {
             } else {
                 li.commit(&ctx.delta, &mut ctx.lock_wait)
             };
-            // DR_E and its cluster ids read the post-commit LI, so this query's
-            // own links are visible; concurrent commits may enlarge clusters,
+            // DR_E — the query entities plus every duplicate reachable in
+            // the LI — and each member's cluster id, read off the member
+            // rings and labels of the post-commit LI, so this query's own
+            // links are visible; concurrent commits may enlarge clusters,
             // which only moves the result closer to the full batch answer.
-            let (dr, clusters) = li.read(&mut ctx.lock_wait, |g| self.dr_of(g, qe));
+            let (dr, clusters) = li.read(&mut ctx.lock_wait, |g| {
+                g.labelled_closure(qe.iter().copied())
+            });
             ResolveOutcome {
                 dr,
                 clusters,
@@ -216,27 +217,6 @@ impl TableErIndex {
         Ok(())
     }
 
-    /// DR_E — the query entities plus every duplicate reachable in `li`
-    /// — and the cluster id of each member, read off the Link Index's
-    /// member rings and labels. Without transitivity DR_E stops at
-    /// direct duplicates, but a cluster id is still the minimum of the
-    /// member's whole component.
-    fn dr_of(&self, li: &LinkIndex, qe: &[RecordId]) -> (Vec<RecordId>, Vec<RecordId>) {
-        let (dr, clusters) = li.labelled_closure(qe.iter().copied());
-        if self.config().transitive {
-            return (dr, clusters);
-        }
-        let direct: FxHashSet<RecordId> = qe
-            .iter()
-            .chain(qe.iter().flat_map(|&q| li.neighbors(q)))
-            .copied()
-            .collect();
-        dr.into_iter()
-            .zip(clusters)
-            .filter(|(id, _)| direct.contains(id))
-            .unzip()
-    }
-
     /// The resolve round loop. Reads the Link Index only through
     /// short-lived [`LiMode::read`] views (hash probes, never held
     /// across Edge Pruning or comparison work) overlaid with this
@@ -254,12 +234,6 @@ impl TableErIndex {
         // threshold, and attribute layout resolve here, never per pair.
         let cfg = self.config();
         let matcher = CompiledMatcher::new(cfg.similarity, cfg.match_threshold, self);
-        // Whether a pair survives pair generation independently of which
-        // endpoint is in the frontier: WNP's union rule over symmetric
-        // weights, or the block co-occurrence without EP. Global EP
-        // prunes against the frontier's mean, so a resolved endpoint
-        // proves nothing about a pair it never saw.
-        let symmetric = !cfg.meta.edge_pruning() || cfg.ep_scope == EdgePruningScope::NodeCentric;
 
         let mut frontier = self.unresolved_frontier(li, ctx, qe.iter().copied());
 
@@ -291,7 +265,7 @@ impl TableErIndex {
             let mut classes: Vec<PairClass> = Vec::with_capacity(pairs.len());
             li.read(&mut ctx.lock_wait, |g| {
                 for (q, c) in pairs {
-                    match PairClass::of(g, &ctx.delta, symmetric, q, c) {
+                    match PairClass::of(g, &ctx.delta, q, c) {
                         None => partners.push(c),
                         Some(class) => {
                             if class == PairClass::Decided {
@@ -346,11 +320,7 @@ impl TableErIndex {
 
             // Transitive expansion: newly discovered duplicates must be
             // resolved too, so DR groups equal batch connected components.
-            frontier = if self.config().transitive {
-                self.unresolved_frontier(li, ctx, partners.into_iter())
-            } else {
-                Vec::new()
-            };
+            frontier = self.unresolved_frontier(li, ctx, partners.into_iter());
         }
         Ok(())
     }
@@ -395,15 +365,11 @@ impl TableErIndex {
     ///
     /// `seen` is one query's dedup state, carried across its calls: a
     /// pair emitted by an earlier call is never emitted again. The node
-    /// scan (node-centric EP and every EP-off config) emits a pair only
-    /// at the endpoint the query scanned first, so a node scanned by an
-    /// earlier call, or earlier in the same frontier, emits nothing.
-    /// Global pruning numbers each call's frontier in an order of its
-    /// own and records its emitted pairs against the query's earlier
-    /// calls. Node-centric emission equals an insert-probing loop over a
-    /// carried pair set, EP-off emission a block-major collector over
-    /// one, and global emission a collector with a pair set per call (all
-    /// pinned by `tests/ep_equivalence.rs`).
+    /// scan emits a pair only at the endpoint the query scanned first,
+    /// so a node scanned by an earlier call, or earlier in the same
+    /// frontier, emits nothing. EP-on emission equals an insert-probing
+    /// loop over a carried pair set, EP-off emission a block-major
+    /// collector over one (both pinned by `tests/ep_equivalence.rs`).
     ///
     /// The scans are bounded by the frontier and run to completion once
     /// started. A lost worker surfaces as
@@ -417,12 +383,12 @@ impl TableErIndex {
     ) -> Result<Vec<(RecordId, RecordId)>, ResolveError> {
         let prune = self.config().meta.edge_pruning();
         let mut sw = Stopwatch::new();
-        let pairs = sw.time(|| match (prune, self.config().ep_scope) {
-            (false, _) => self.node_scan_pairs::<false>(frontier, &mut seen.order),
-            (true, EdgePruningScope::NodeCentric) => {
-                self.node_scan_pairs::<true>(frontier, &mut seen.order)
+        let pairs = sw.time(|| {
+            if prune {
+                self.node_scan_pairs::<true>(frontier, seen)
+            } else {
+                self.node_scan_pairs::<false>(frontier, seen)
             }
-            (true, EdgePruningScope::Global) => self.global_pairs(frontier, &mut seen.pairs),
         });
         let stage = if prune {
             &mut metrics.edge_pruning
@@ -433,19 +399,18 @@ impl TableErIndex {
         pairs
     }
 
-    /// The node scan, the one enumerator of node-centric EP and of every
-    /// EP-off config: numbers the frontier nodes the query has not
-    /// scanned yet in `order`, then each worker emits, in first-touch
-    /// order, every edge of its chunk's nodes that the node owns under
-    /// `order` (see [`ScanOrder`]) and keeps. With `PRUNE` an edge is kept
-    /// under the WNP union rule (either endpoint's build-time threshold
-    /// admits the weight); without it every edge is, and no weight is
-    /// computed. Workers only read `order`, so the chunks concatenated in
+    /// The node scan, the one pair enumerator of every config: numbers
+    /// the frontier nodes the query has not scanned yet in `order`, then
+    /// each worker emits, in first-touch order, every edge of its chunk's
+    /// nodes that the node owns under `order` (see [`EpSeen`]) and
+    /// keeps. With `PRUNE` an edge is kept under the WNP union rule
+    /// (either endpoint's build-time threshold admits the weight);
+    /// without it every edge is, and no weight is computed. Workers only read `order`, so the chunks concatenated in
     /// frontier order are the same sequence at any thread count.
     fn node_scan_pairs<const PRUNE: bool>(
         &self,
         frontier: &[RecordId],
-        order: &mut ScanOrder,
+        order: &mut EpSeen,
     ) -> Result<Vec<(RecordId, RecordId)>, ResolveError> {
         let scheme = self.config().weight_scheme;
         let n_blocks = self.n_unpurged_blocks().max(1) as f64;
@@ -458,65 +423,22 @@ impl TableErIndex {
             "ep.survivors.worker",
             ResolveStage::EdgePruning,
             |range| {
-                self.owned_edges(
-                    &fresh[range],
-                    order,
-                    |q, c, cbs| {
-                        !PRUNE || {
-                            let w = weight_of(self, scheme, n_blocks, q, c, cbs);
-                            keeps(w, th[q as usize]) || keeps(w, th[c as usize])
-                        }
-                    },
-                    |q, c, _| (q, c),
-                )
+                self.owned_edges(&fresh[range], order, |q, c, cbs| {
+                    !PRUNE || {
+                        let w = weight_of(self, scheme, n_blocks, q, c, cbs);
+                        keeps(w, th[q as usize]) || keeps(w, th[c as usize])
+                    }
+                })
             },
         )?;
         Ok(chunks.concat())
-    }
-
-    /// Global (WEP-style) EP: collect every distinct edge of the
-    /// examined subgraph (fanning out across frontier chunks when the
-    /// frontier pays for the threads), prune against the global mean,
-    /// then de-duplicate against prior queries. The call numbers its
-    /// frontier in a fresh [`ScanOrder`] and collects each edge at the
-    /// endpoint it scans first, so the parts concatenated in frontier
-    /// order (and hence the pruning mean) equal one sequential
-    /// collection exactly.
-    fn global_pairs(
-        &self,
-        frontier: &[RecordId],
-        pair_seen: &mut PairSet,
-    ) -> Result<Vec<(RecordId, RecordId)>, ResolveError> {
-        let pruner = EdgePruner::new(self);
-        let mut order = ScanOrder::default();
-        let (fresh, workers) = self.number_fresh(frontier, &mut order);
-        let order = &order;
-        let edges = fan_out(
-            fresh.len(),
-            workers,
-            "ep.scan.worker",
-            ResolveStage::EdgePruning,
-            |range| {
-                self.owned_edges(
-                    &fresh[range],
-                    order,
-                    |_, _, _| true,
-                    |q, c, cbs| (q, c, pruner.weight(q, c, cbs)),
-                )
-            },
-        )?
-        .concat();
-        Ok(prune_global(&edges)
-            .into_iter()
-            .filter(|&(a, b)| pair_seen.insert(a, b))
-            .collect())
     }
 
     /// Numbers the `frontier` nodes `order` has not scanned yet (a node
     /// scanned before emitted all its pairs then) before any fan-out, so
     /// workers only read the order, and returns them with the worker
     /// count their scan pays for.
-    fn number_fresh(&self, frontier: &[RecordId], order: &mut ScanOrder) -> (Vec<RecordId>, usize) {
+    fn number_fresh(&self, frontier: &[RecordId], order: &mut EpSeen) -> (Vec<RecordId>, usize) {
         let n = self.n_records();
         let fresh: Vec<RecordId> = frontier
             .iter()
@@ -531,25 +453,23 @@ impl TableErIndex {
         (fresh, workers)
     }
 
-    /// The per-chunk body both scan scopes share: counts the
-    /// neighbourhood of each of `nodes` and collects `emit(q, c, cbs)`,
-    /// in first-touch order, for every edge `(q, c)` that `keep` admits
-    /// and `q` owns under `order`. `keep` is asked first, so an edge it
-    /// refuses costs no scan-order read.
-    fn owned_edges<T>(
+    /// The node scan's per-chunk body: counts the neighbourhood of each
+    /// of `nodes` and collects, in first-touch order, every edge
+    /// `(q, c)` that `keep` admits and `q` owns under `order`. `keep` is
+    /// asked first, so an edge it refuses costs no scan-order read.
+    fn owned_edges(
         &self,
         nodes: &[RecordId],
-        order: &ScanOrder,
+        order: &EpSeen,
         keep: impl Fn(RecordId, RecordId, u32) -> bool,
-        emit: impl Fn(RecordId, RecordId, u32) -> T,
-    ) -> Vec<T> {
+    ) -> Vec<(RecordId, RecordId)> {
         let mut scratch = CooccurrenceScratch::new();
         let mut out = Vec::new();
         for &q in nodes {
             let sq = order.get(q);
             for &(c, cbs) in self.cooccurrences_into(q, &mut scratch) {
                 if keep(q, c, cbs) && order.owns(sq, c) {
-                    out.push(emit(q, c, cbs));
+                    out.push((q, c));
                 }
             }
         }
@@ -831,8 +751,8 @@ mod tests {
     }
 
     /// With Edge Pruning off, `try_edge_pruned_pairs` emits every
-    /// co-occurring pair exactly once under either scope: no threshold
-    /// is read (an EP-off build sweeps none) and no mean prunes.
+    /// co-occurring pair exactly once: no threshold is read (an EP-off
+    /// build sweeps none).
     #[test]
     fn ep_off_pairs_are_every_cooccurrence_once() {
         let table = dirty_table();
@@ -842,26 +762,22 @@ mod tests {
             MetaBlockingConfig::Bp,
             MetaBlockingConfig::None,
         ] {
-            for scope in [EdgePruningScope::NodeCentric, EdgePruningScope::Global] {
-                let mut cfg = ErConfig::default().with_meta(meta);
-                cfg.ep_scope = scope;
-                let idx = TableErIndex::build(&table, &cfg);
-                let mut scratch = CooccurrenceScratch::new();
-                let mut want = std::collections::BTreeSet::new();
-                for &q in &all {
-                    for &(c, _) in idx.cooccurrences_into(q, &mut scratch) {
-                        want.insert((q.min(c), q.max(c)));
-                    }
+            let idx = TableErIndex::build(&table, &ErConfig::default().with_meta(meta));
+            let mut scratch = CooccurrenceScratch::new();
+            let mut want = std::collections::BTreeSet::new();
+            for &q in &all {
+                for &(c, _) in idx.cooccurrences_into(q, &mut scratch) {
+                    want.insert((q.min(c), q.max(c)));
                 }
-                let pairs = idx
-                    .try_edge_pruned_pairs(&all, &mut EpSeen::new(), &mut DedupMetrics::default())
-                    .unwrap();
-                let got: std::collections::BTreeSet<_> =
-                    pairs.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
-                let case = format!("{} {scope:?}", meta.label());
-                assert_eq!(got.len(), pairs.len(), "{case}: a pair emitted twice");
-                assert_eq!(got, want, "{case}");
             }
+            let pairs = idx
+                .try_edge_pruned_pairs(&all, &mut EpSeen::new(), &mut DedupMetrics::default())
+                .unwrap();
+            let got: std::collections::BTreeSet<_> =
+                pairs.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
+            let case = meta.label();
+            assert_eq!(got.len(), pairs.len(), "{case}: a pair emitted twice");
+            assert_eq!(got, want, "{case}");
         }
     }
 
@@ -986,23 +902,7 @@ mod tests {
             .run(ResolveRequest::records(&t, &[0], &mut li).metrics(&mut m))
             .unwrap();
         assert_eq!(out.dr, vec![0, 1, 2], "C reachable only through B");
-
-        cfg.transitive = false;
-        let idx = TableErIndex::build(&t, &cfg);
-        let mut li = LinkIndex::new(t.len());
-        let mut m = DedupMetrics::default();
-        let out = idx
-            .run(ResolveRequest::records(&t, &[0], &mut li).metrics(&mut m))
-            .unwrap();
-        assert_eq!(out.dr, vec![0, 1], "no expansion without transitivity");
-        assert_eq!(out.clusters, vec![0, 0]);
-        // Resolving C links it to B. Its DR_E stops at B, but the cluster
-        // id is the minimum of the whole linked component: A.
-        let out = idx
-            .run(ResolveRequest::records(&t, &[2], &mut li).metrics(&mut m))
-            .unwrap();
-        assert_eq!(out.dr, vec![1, 2]);
-        assert_eq!(out.clusters, vec![0, 0]);
+        assert_eq!(out.clusters, vec![0, 0, 0]);
     }
 
     #[test]
@@ -1234,18 +1134,14 @@ mod tests {
 
         /// Every pair the Link Index decides is one the compiled kernel
         /// rejects, over random sessions of point / range queries and
-        /// one-row writes, under every pair-generation shape: global-
-        /// scope EP (where the rule must not apply), node-centric EP and
-        /// no EP, transitive or not (a non-transitive resolve leaves its
-        /// partners unresolved beside their links).
+        /// one-row writes, with EP on (under each weight scheme, with and
+        /// without Block Filtering) and off.
         #[test]
         fn li_decided_pairs_are_kernel_non_matches(
             rows in proptest::collection::vec(word_list(), 2..20),
             steps in proptest::collection::vec((0usize..5, 0usize..64, 0usize..64, word_list()), 1..12),
             scheme in 0usize..3,
-            global in any::<bool>(),
             meta in 0usize..3,
-            transitive in any::<bool>(),
         ) {
             let mut table = Table::new("p", Schema::of_strings(&["id", "title"]));
             for (i, w) in rows.iter().enumerate() {
@@ -1254,10 +1150,6 @@ mod tests {
             let metas = [MetaBlockingConfig::All, MetaBlockingConfig::BpEp, MetaBlockingConfig::None];
             let mut cfg = ErConfig::default().with_meta(metas[meta]);
             cfg.weight_scheme = [WeightScheme::Cbs, WeightScheme::Ecbs, WeightScheme::Js][scheme];
-            if global {
-                cfg.ep_scope = EdgePruningScope::Global;
-            }
-            cfg.transitive = transitive;
             let mut idx = TableErIndex::build(&table, &cfg);
             let mut li = LinkIndex::new(table.len());
             LI_DECIDED.with(|d| d.borrow_mut().clear());

@@ -18,9 +18,8 @@
 //! The file's fingerprint is [`content_fingerprint`]: FNV-1a 64 over
 //! the schema, every record value (type-tagged and framed), and the
 //! *decision-relevant* configuration fields (blocking scheme, token
-//! length, meta-blocking mode, weight scheme, EP scope, similarity,
-//! threshold, transitivity — not thread counts, which never change
-//! decisions). Editing a row or retuning a decision knob therefore
+//! length, meta-blocking mode, weight scheme, similarity, threshold —
+//! not thread counts, which never change decisions). Editing a row or retuning a decision knob therefore
 //! reopens as [`SnapshotError::StaleTableHash`], and the caller falls
 //! back to an empty Link Index; retuning the thread knob keeps the
 //! snapshot valid.
@@ -117,10 +116,6 @@ pub fn content_fingerprint(table: &Table, cfg: &ErConfig) -> u64 {
         crate::config::WeightScheme::Ecbs => 1,
         crate::config::WeightScheme::Js => 2,
     });
-    h.update_u64(match cfg.ep_scope {
-        crate::config::EdgePruningScope::NodeCentric => 0,
-        crate::config::EdgePruningScope::Global => 1,
-    });
     h.update_u64(match cfg.similarity {
         crate::config::SimilarityKind::MeanJaroWinkler => 0,
         crate::config::SimilarityKind::TokenJaccard => 1,
@@ -129,7 +124,6 @@ pub fn content_fingerprint(table: &Table, cfg: &ErConfig) -> u64 {
         crate::config::SimilarityKind::Hybrid => 4,
     });
     h.update_u64(cfg.match_threshold.to_bits());
-    h.update_u64(cfg.transitive as u64);
 
     h.finish()
 }

@@ -19,8 +19,8 @@
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_er::{
-    CancelToken, Completion, DedupMetrics, EdgePruningScope, ErConfig, LinkIndex,
-    MetaBlockingConfig, ResolveBudget, ResolveRequest, TableErIndex, WeightScheme,
+    CancelToken, Completion, DedupMetrics, ErConfig, LinkIndex, MetaBlockingConfig, ResolveBudget,
+    ResolveRequest, TableErIndex, WeightScheme,
 };
 use queryer_storage::{RecordId, Schema, Table, Value};
 use std::time::{Duration, Instant};
@@ -373,60 +373,75 @@ proptest! {
 /// The pinned workload (2000 scholarly records, seed 99): 21384
 /// candidate pairs, 21384 comparisons, 201 matches — cold, again warm
 /// (fresh Link Index, resolve caches left hot: cache state never
-/// changes a decision), and under an unlimited governed budget.
+/// changes a decision), and under an unlimited governed budget; at the
+/// default worker count and 4-way chunked (build and threshold sweep,
+/// node scan, Comparison-Execution), whatever the host's core count.
 #[test]
 fn pinned_workload_unlimited_governed_matches_baseline() {
     let ds = queryer_datagen::scholarly::dblp_scholar(2000, 99);
-    let cfg = ErConfig::default();
-    let idx = TableErIndex::build(&ds.table, &cfg);
+    for threads in [ErConfig::default().threads, 4] {
+        let mut cfg = ErConfig::default();
+        cfg.threads = threads;
+        let idx = TableErIndex::build(&ds.table, &cfg);
 
-    let mut li_plain = LinkIndex::new(ds.table.len());
-    let mut m_plain = DedupMetrics::default();
-    let out_plain = idx
-        .run(ResolveRequest::all(&ds.table, &mut li_plain).metrics(&mut m_plain))
-        .unwrap();
-    assert_eq!(m_plain.candidate_pairs, 21384, "pinned candidate pairs");
-    assert_eq!(m_plain.comparisons, 21384, "pinned comparison count");
-    assert_eq!(m_plain.matches_found, 201, "pinned match count");
-    assert_eq!(out_plain.completion, Completion::Complete);
+        let mut li_plain = LinkIndex::new(ds.table.len());
+        let mut m_plain = DedupMetrics::default();
+        let out_plain = idx
+            .run(ResolveRequest::all(&ds.table, &mut li_plain).metrics(&mut m_plain))
+            .unwrap();
+        assert_eq!(
+            m_plain.candidate_pairs, 21384,
+            "pinned candidate pairs, threads {threads}"
+        );
+        assert_eq!(
+            m_plain.comparisons, 21384,
+            "pinned comparison count, threads {threads}"
+        );
+        assert_eq!(
+            m_plain.matches_found, 201,
+            "pinned match count, threads {threads}"
+        );
+        assert_eq!(out_plain.completion, Completion::Complete);
 
-    let mut m_warm = DedupMetrics::default();
-    idx.run(
-        ResolveRequest::all(&ds.table, &mut LinkIndex::new(ds.table.len())).metrics(&mut m_warm),
-    )
-    .unwrap();
-    let warm = (
-        m_warm.candidate_pairs,
-        m_warm.comparisons,
-        m_warm.matches_found,
-    );
-    assert_eq!(warm, (21384, 21384, 201), "warm pass");
-
-    idx.clear_ep_cache();
-    let budget = ResolveBudget::unlimited()
-        .with_deadline(Duration::from_secs(3600))
-        .with_max_comparisons(u64::MAX)
-        .with_cancel(CancelToken::new());
-    let mut li = LinkIndex::new(ds.table.len());
-    let mut m = DedupMetrics::default();
-    let out = idx
-        .run(
-            ResolveRequest::all(&ds.table, &mut li)
-                .budget(budget.clone())
-                .metrics(&mut m),
+        let mut m_warm = DedupMetrics::default();
+        idx.run(
+            ResolveRequest::all(&ds.table, &mut LinkIndex::new(ds.table.len()))
+                .metrics(&mut m_warm),
         )
         .unwrap();
-    assert_eq!(out.completion, Completion::Complete);
-    assert_eq!(m.comparisons, 21384);
-    assert_eq!(m.matches_found, 201);
-    assert_eq!(out.dr, out_plain.dr);
-    assert_eq!(li.link_count(), li_plain.link_count());
+        let warm = (
+            m_warm.candidate_pairs,
+            m_warm.comparisons,
+            m_warm.matches_found,
+        );
+        assert_eq!(warm, (21384, 21384, 201), "warm pass, threads {threads}");
+
+        idx.clear_ep_cache();
+        let budget = ResolveBudget::unlimited()
+            .with_deadline(Duration::from_secs(3600))
+            .with_max_comparisons(u64::MAX)
+            .with_cancel(CancelToken::new());
+        let mut li = LinkIndex::new(ds.table.len());
+        let mut m = DedupMetrics::default();
+        let out = idx
+            .run(
+                ResolveRequest::all(&ds.table, &mut li)
+                    .budget(budget.clone())
+                    .metrics(&mut m),
+            )
+            .unwrap();
+        assert_eq!(out.completion, Completion::Complete);
+        assert_eq!(m.comparisons, 21384, "threads {threads}");
+        assert_eq!(m.matches_found, 201, "threads {threads}");
+        assert_eq!(out.dr, out_plain.dr);
+        assert_eq!(li.link_count(), li_plain.link_count());
+    }
 }
 
 /// The Edge-Pruning-off configs on the same workload, resolve-all:
 /// every pair co-occurring in the retained (BP+BF), unpurged (BP) or raw
-/// (NONE) blocks is a candidate and is compared once. The pair scope
-/// prunes nothing without EP, so both scopes give the same counts.
+/// (NONE) blocks is a candidate and is compared once — at the default
+/// worker count and 4-way chunked.
 #[test]
 fn pinned_workload_ep_off_counts() {
     let ds = queryer_datagen::scholarly::dblp_scholar(2000, 99);
@@ -435,9 +450,9 @@ fn pinned_workload_ep_off_counts() {
         (MetaBlockingConfig::Bp, (398_336, 398_336, 227)),
         (MetaBlockingConfig::None, (1_252_086, 1_252_086, 231)),
     ] {
-        for scope in [EdgePruningScope::NodeCentric, EdgePruningScope::Global] {
+        for threads in [ErConfig::default().threads, 4] {
             let mut cfg = ErConfig::default().with_meta(meta);
-            cfg.ep_scope = scope;
+            cfg.threads = threads;
             let idx = TableErIndex::build(&ds.table, &cfg);
             let mut li = LinkIndex::new(ds.table.len());
             let mut m = DedupMetrics::default();
@@ -448,7 +463,7 @@ fn pinned_workload_ep_off_counts() {
             assert_eq!(
                 (m.candidate_pairs, m.comparisons, m.matches_found),
                 want,
-                "{} {scope:?}",
+                "{} threads {threads}",
                 meta.label()
             );
         }

@@ -11,8 +11,7 @@
 //! index whose memo carries over matches one whose memo is cleared
 //! before every query, and one built from scratch for every query
 //! (bit-identical DR sets, links, and decision counts after every
-//! query), across every `WeightScheme`, both `EdgePruningScope`s, and
-//! several thread counts. A second re-ask after a write is served from
+//! query), across every `WeightScheme` and several thread counts. A second re-ask after a write is served from
 //! the memo. The memo needs no cap: after every query it holds no more
 //! entries than the kernel runs since the index was built or compacted,
 //! and a compaction empties it. Frontier scans must also emit the pair
@@ -26,8 +25,8 @@ use queryer_common::knobs::proptest_cases;
 use queryer_common::PairSet;
 use queryer_er::edge_pruning::{bulk_node_thresholds, EdgePruner, EpSeen};
 use queryer_er::{
-    Affected, DedupMetrics, DeltaOp, EdgePruningScope, ErConfig, LinkIndex, MetaBlockingConfig,
-    ResolveRequest, TableErIndex, WeightScheme,
+    Affected, DedupMetrics, DeltaOp, ErConfig, LinkIndex, MetaBlockingConfig, ResolveRequest,
+    TableErIndex, WeightScheme,
 };
 use queryer_storage::{RecordId, Schema, Table, Value};
 
@@ -88,14 +87,6 @@ fn scheme_of(w: usize) -> WeightScheme {
     }
 }
 
-fn scope_of(s: usize) -> EdgePruningScope {
-    if s.is_multiple_of(2) {
-        EdgePruningScope::NodeCentric
-    } else {
-        EdgePruningScope::Global
-    }
-}
-
 fn meta_of(m: usize) -> MetaBlockingConfig {
     // Only the EP-running configs matter here.
     if m.is_multiple_of(2) {
@@ -105,15 +96,9 @@ fn meta_of(m: usize) -> MetaBlockingConfig {
     }
 }
 
-fn cfg_with(
-    scheme: WeightScheme,
-    scope: EdgePruningScope,
-    meta: MetaBlockingConfig,
-    threads: usize,
-) -> ErConfig {
+fn cfg_with(scheme: WeightScheme, meta: MetaBlockingConfig, threads: usize) -> ErConfig {
     let mut cfg = ErConfig::default().with_meta(meta);
     cfg.weight_scheme = scheme;
-    cfg.ep_scope = scope;
     cfg.threads = threads;
     cfg
 }
@@ -255,15 +240,7 @@ fn parallel_memo_scan_matches_oracle() {
     let table = large_table(420);
     let all: Vec<RecordId> = (0..table.len() as RecordId).collect();
     for scheme in [WeightScheme::Cbs, WeightScheme::Ecbs, WeightScheme::Js] {
-        let idx = TableErIndex::build(
-            &table,
-            &cfg_with(
-                scheme,
-                EdgePruningScope::NodeCentric,
-                MetaBlockingConfig::All,
-                4,
-            ),
-        );
+        let idx = TableErIndex::build(&table, &cfg_with(scheme, MetaBlockingConfig::All, 4));
         for frontier in [&all[..5], &all[..300], &all[..]] {
             let want = oracle_pairs(&idx, frontier);
             idx.clear_ep_cache();
@@ -411,12 +388,11 @@ proptest! {
         rows in rows(),
         steps in steps(),
         scheme in 0usize..3,
-        scope in 0usize..2,
         meta in 0usize..2,
         threads in 1usize..5,
     ) {
         let table = build_table(&rows);
-        let cfg = cfg_with(scheme_of(scheme), scope_of(scope), meta_of(meta), threads);
+        let cfg = cfg_with(scheme_of(scheme), meta_of(meta), threads);
         let got = run_session(&table, &cfg, &steps, Serve::Carried);
         let mut seq_cfg = cfg.clone();
         seq_cfg.threads = 1;
@@ -437,13 +413,12 @@ proptest! {
         rows in rows(),
         spec in queries(),
         scheme in 0usize..3,
-        scope in 0usize..2,
         meta in 0usize..2,
         threads in 1usize..5,
     ) {
         let table = build_table(&rows);
         let qs = concrete_queries(&spec, table.len());
-        let cfg = cfg_with(scheme_of(scheme), scope_of(scope), meta_of(meta), threads);
+        let cfg = cfg_with(scheme_of(scheme), meta_of(meta), threads);
         let got = run_sequence(&table, &TableErIndex::build(&table, &cfg), &qs, false);
         let mut seq_cfg = cfg.clone();
         seq_cfg.threads = 1;
@@ -456,7 +431,7 @@ proptest! {
     /// sequence after a write that un-resolves every record goes
     /// through the memo and is bit-identical to the first run; after
     /// the next such write, the second re-run is served from it —
-    /// zero decision misses on the node-centric path.
+    /// zero decision misses.
     #[test]
     fn warm_rerun_identical_and_served_from_cache(
         rows in rows(),
@@ -466,12 +441,7 @@ proptest! {
     ) {
         let mut table = build_table(&rows);
         let qs = concrete_queries(&spec, table.len());
-        let cfg = cfg_with(
-            scheme_of(scheme),
-            EdgePruningScope::NodeCentric,
-            meta_of(meta),
-            1,
-        );
+        let cfg = cfg_with(scheme_of(scheme), meta_of(meta), 1);
         let mut idx = TableErIndex::build(&table, &cfg);
         let cold = run_sequence(&table, &idx, &qs, false);
         prop_assert_eq!(idx.resolve_cache_sizes(), (0, 0, 0), "no write, no memo");

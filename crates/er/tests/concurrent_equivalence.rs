@@ -27,7 +27,9 @@
 //!   query / insert mix (readers under a read lock on the table and
 //!   index, `apply_delta` under the write lock) leaves the live
 //!   overlay, the maintained Link Index and the compacted index
-//!   deciding what a rebuild decides.
+//!   deciding what a rebuild decides — each at the default worker count
+//!   and with `threads: 4`, so the pinned counts are seen 4-way chunked
+//!   on any host.
 //!
 //! That concurrently *failing* queries commit nothing is pinned in
 //! `fault_injection.rs`: an armed failpoint is process-global, and only
@@ -327,54 +329,78 @@ fn drain<T: Send>(len: usize, workers: usize, serve: impl Fn(usize) -> T + Sync)
     served.into_iter().map(|(_, t)| t).collect()
 }
 
+/// The pinned workload's seeded stream, at the default worker count and
+/// with every stage of the index and the resolver 4-way chunked.
 #[test]
 fn warm_stream_drained_by_four_workers_equals_serial() {
     let table = workload(2000, 99);
-    let idx = TableErIndex::build(&table, &ErConfig::default());
     let stream = serving_stream(&table);
-    // Serial warm-up: afterwards the Link Index answers every query, so
-    // each answer is a function of the stream alone.
-    let li = RwLock::new(LinkIndex::new(table.len()));
-    let mut m = DedupMetrics::default();
-    idx.run(ResolveRequest::all(&table, &li).metrics(&mut m))
-        .expect("warm-up");
-    assert_eq!((m.comparisons, m.matches_found), (21384, 201), "warm-up");
-
-    let drain_with = |workers| {
-        drain(stream.len(), workers, |i| {
-            let mut m = DedupMetrics::default();
-            let out = idx
-                .run(ResolveRequest::records(&table, &stream[i], &li).metrics(&mut m))
-                .expect("stream resolve");
-            (m.comparisons, m.matches_found, out.dr)
-        })
-    };
-    let serial = drain_with(1);
-    for (i, (concurrent, serial)) in drain_with(4).iter().zip(&serial).enumerate() {
+    for threads in [ErConfig::default().threads, 4] {
+        let cfg = ErConfig {
+            threads,
+            ..ErConfig::default()
+        };
+        let idx = TableErIndex::build(&table, &cfg);
+        // Serial warm-up: afterwards the Link Index answers every query,
+        // so each answer is a function of the stream alone.
+        let li = RwLock::new(LinkIndex::new(table.len()));
+        let mut m = DedupMetrics::default();
+        idx.run(ResolveRequest::all(&table, &li).metrics(&mut m))
+            .expect("warm-up");
         assert_eq!(
-            concurrent, serial,
-            "query {i}: 4 workers vs the serial drain"
+            (m.comparisons, m.matches_found),
+            (21384, 201),
+            "warm-up, threads {threads}"
         );
+
+        let drain_with = |workers| {
+            drain(stream.len(), workers, |i| {
+                let mut m = DedupMetrics::default();
+                let out = idx
+                    .run(ResolveRequest::records(&table, &stream[i], &li).metrics(&mut m))
+                    .expect("stream resolve");
+                (m.comparisons, m.matches_found, out.dr)
+            })
+        };
+        let serial = drain_with(1);
+        for (i, (concurrent, serial)) in drain_with(4).iter().zip(&serial).enumerate() {
+            assert_eq!(
+                concurrent, serial,
+                "query {i}: 4 workers vs the serial drain, threads {threads}"
+            );
+        }
+        assert_eq!(serial.len(), 512);
+        assert!(serial.iter().all(|(cmp, matches, _)| cmp + matches == 0));
+        let dr_rows: usize = serial.iter().map(|(_, _, dr)| dr.len()).sum();
+        assert_eq!(dr_rows, 102111, "threads {threads}");
     }
-    assert_eq!(serial.len(), 512);
-    assert!(serial.iter().all(|(cmp, matches, _)| cmp + matches == 0));
-    let dr_rows: usize = serial.iter().map(|(_, _, dr)| dr.len()).sum();
-    assert_eq!(dr_rows, 102111);
 }
 
+/// A query / insert mix on the pinned workload, at the default worker
+/// count and 4-way chunked.
 #[test]
 fn query_insert_mix_drained_by_four_workers_equals_a_rebuild() {
-    let cfg = ErConfig::default();
     let base = workload(2000, 99);
     let queries = serving_stream(&base);
+    for threads in [ErConfig::default().threads, 4] {
+        let cfg = ErConfig {
+            threads,
+            ..ErConfig::default()
+        };
+        query_insert_mix_equals_a_rebuild(&cfg, &base, &queries);
+    }
+}
+
+fn query_insert_mix_equals_a_rebuild(cfg: &ErConfig, base: &Table, queries: &[Vec<RecordId>]) {
+    let threads = cfg.threads;
     // One lock over the (table, index) pair: a query can never see a
     // table the index has not absorbed.
-    let state = RwLock::new((base.clone(), TableErIndex::build(&base, &cfg)));
+    let state = RwLock::new((base.clone(), TableErIndex::build(base, cfg)));
     let li = RwLock::new(LinkIndex::new(base.len()));
     state
         .read()
         .1
-        .run(ResolveRequest::all(&base, &li))
+        .run(ResolveRequest::all(base, &li))
         .expect("warm-up");
 
     // Every tenth item inserts a copy of a base row; the rest query.
@@ -399,11 +425,19 @@ fn query_insert_mix_drained_by_four_workers_equals_a_rebuild() {
         li.write().follow_write(table.len(), &applied.affected);
         true
     });
-    assert_eq!(inserted.iter().filter(|&&w| w).count(), 25);
-    assert_eq!(inserted.iter().filter(|&&w| !w).count(), 231);
+    assert_eq!(
+        inserted.iter().filter(|&&w| w).count(),
+        25,
+        "threads {threads}"
+    );
+    assert_eq!(
+        inserted.iter().filter(|&&w| !w).count(),
+        231,
+        "threads {threads}"
+    );
 
     let (table, mut idx) = state.into_inner();
-    assert_eq!(table.len(), 2025);
+    assert_eq!(table.len(), 2025, "threads {threads}");
     let resolve_all = |idx: &TableErIndex, mut li: LinkIndex| {
         let mut m = DedupMetrics::default();
         let out = idx
@@ -412,23 +446,23 @@ fn query_insert_mix_drained_by_four_workers_equals_a_rebuild() {
         (out.dr, fingerprint(&li), m.comparisons, m.matches_found)
     };
     let fresh = || LinkIndex::new(table.len());
-    let rebuilt = resolve_all(&TableErIndex::build(&table, &cfg), fresh());
+    let rebuilt = resolve_all(&TableErIndex::build(&table, cfg), fresh());
     assert!(rebuilt.3 > 201, "the copies must match their originals");
     // (`assert!`, not `assert_eq!`: a failure should not print 2025 ids.)
     assert!(
         resolve_all(&idx, fresh()) == rebuilt,
-        "live overlay vs rebuilt"
+        "live overlay vs rebuilt, threads {threads}"
     );
     let maintained = resolve_all(&idx, li.into_inner());
     assert!(
         maintained.0 == rebuilt.0 && maintained.1 == rebuilt.1,
-        "maintained Link Index vs rebuilt"
+        "maintained Link Index vs rebuilt, threads {threads}"
     );
     idx.compact(&table).expect("compact");
     assert!(!idx.has_delta());
     assert!(
         resolve_all(&idx, fresh()) == rebuilt,
-        "compacted vs rebuilt"
+        "compacted vs rebuilt, threads {threads}"
     );
 }
 

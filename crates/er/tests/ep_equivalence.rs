@@ -1,6 +1,6 @@
 //! Edge Pruning is one algorithm whatever feeds it.
 //!
-//! Node-centric pruning has one enumerator, which counts each frontier
+//! Node-centric (WNP) pruning has one enumerator, which counts each frontier
 //! node's neighbourhood, reads the thresholds the build swept, and
 //! emits each pair at the endpoint the query scanned first —
 //! sequentially or fanned out across worker threads. These properties
@@ -11,27 +11,24 @@
 //! repeated frontiers, exactly what an in-test insert-probing emitter
 //! over a carried pair set emits — also over a skewed corpus, where
 //! Block Filtering drops blocks, served merged with a live delta whose
-//! patched thresholds must equal the oracle's; global pruning emits,
-//! over the same sequences, exactly what an in-test collector with a
-//! per-call edge set keeps against the call's mean weight; with Edge
-//! Pruning off, the
-//! same node scan emits, call by call, the unordered pairs of an in-test
+//! patched thresholds must equal the oracle's; with Edge Pruning off,
+//! the same node scan emits, call by call, the unordered pairs of an in-test
 //! block-major collector over a carried pair set, with and without a
 //! live delta; and an index at 1..8
 //! threads emits the identical candidate pair sequence as a sequential
 //! one for every frontier size from 1 to the whole table — and hence
 //! identical DR sets / links / metrics counts after a full resolve —
-//! across every `WeightScheme` and both `EdgePruningScope`s.
+//! across every `WeightScheme`.
 
 #![allow(clippy::field_reassign_with_default)] // config tweaks read clearer as assignments
 
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_common::PairSet;
-use queryer_er::edge_pruning::{bulk_node_thresholds, prune_global, EdgePruner, EpSeen};
+use queryer_er::edge_pruning::{bulk_node_thresholds, EdgePruner, EpSeen};
 use queryer_er::{
-    BlockId, CooccurrenceScratch, DedupMetrics, DeltaOp, EdgePruningScope, ErConfig, LinkIndex,
-    MetaBlockingConfig, ResolveRequest, TableErIndex, WeightScheme,
+    BlockId, CooccurrenceScratch, DedupMetrics, DeltaOp, ErConfig, LinkIndex, MetaBlockingConfig,
+    ResolveRequest, TableErIndex, WeightScheme,
 };
 use queryer_storage::{RecordId, Schema, Table, Value};
 
@@ -86,14 +83,6 @@ fn scheme_of(w: usize) -> WeightScheme {
     }
 }
 
-fn scope_of(s: usize) -> EdgePruningScope {
-    if s.is_multiple_of(2) {
-        EdgePruningScope::NodeCentric
-    } else {
-        EdgePruningScope::Global
-    }
-}
-
 fn meta_of(m: usize) -> MetaBlockingConfig {
     // The EP-running configs; the EP-off ones have a property of their own.
     if m.is_multiple_of(2) {
@@ -108,13 +97,11 @@ fn meta_of(m: usize) -> MetaBlockingConfig {
 fn build_pair(
     table: &Table,
     scheme: WeightScheme,
-    scope: EdgePruningScope,
     meta: MetaBlockingConfig,
     threads: usize,
 ) -> (TableErIndex, TableErIndex) {
     let mut par_cfg = ErConfig::default().with_meta(meta);
     par_cfg.weight_scheme = scheme;
-    par_cfg.ep_scope = scope;
     par_cfg.threads = threads;
     let mut seq_cfg = par_cfg.clone();
     seq_cfg.threads = 1;
@@ -177,33 +164,6 @@ fn oracle_emit(
     out
 }
 
-/// The oracle global emission is pinned to: each call collects the
-/// distinct edges of its frontier nodes' neighbourhoods in scan order
-/// through a pair set of its own, keeps those whose weight reaches the
-/// mean over the collected edges, and emits the kept pairs no earlier
-/// call emitted.
-fn oracle_global(
-    idx: &TableErIndex,
-    frontier: &[RecordId],
-    seen: &mut PairSet,
-) -> Vec<(RecordId, RecordId)> {
-    let pruner = EdgePruner::new(idx);
-    let mut scratch = CooccurrenceScratch::new();
-    let mut edge_seen = PairSet::new();
-    let mut edges = Vec::new();
-    for &q in frontier {
-        for &(c, cbs) in idx.cooccurrences_into(q, &mut scratch) {
-            if edge_seen.insert(q, c) {
-                edges.push((q, c, pruner.weight(q, c, cbs)));
-            }
-        }
-    }
-    prune_global(&edges)
-        .into_iter()
-        .filter(|&(a, b)| seen.insert(a, b))
-        .collect()
-}
-
 /// The oracle EP-off emission is pinned to: the block-major collector.
 /// The frontier's `(block, entity)` entries — each entity's blocks off
 /// the ITBI, less the purged ones under BP and the ones the entity does
@@ -250,23 +210,12 @@ fn unordered(pairs: &[(RecordId, RecordId)]) -> Vec<(RecordId, RecordId)> {
     v
 }
 
-/// An index over `table` with `scheme`, `scope` and `threads`.
-fn ep_index(
-    table: &Table,
-    scheme: WeightScheme,
-    scope: EdgePruningScope,
-    threads: usize,
-) -> TableErIndex {
+/// An EP index over `table` with `scheme` and `threads`.
+fn node_centric(table: &Table, scheme: WeightScheme, threads: usize) -> TableErIndex {
     let mut cfg = ErConfig::default().with_meta(MetaBlockingConfig::All);
     cfg.weight_scheme = scheme;
-    cfg.ep_scope = scope;
     cfg.threads = threads;
     TableErIndex::build(table, &cfg)
-}
-
-/// A node-centric index over `table` with `scheme` and `threads`.
-fn node_centric(table: &Table, scheme: WeightScheme, threads: usize) -> TableErIndex {
-    ep_index(table, scheme, EdgePruningScope::NodeCentric, threads)
 }
 
 /// One frontier call of a random sequence over an `n`-record table: a
@@ -295,7 +244,7 @@ fn frontier_of(n: usize, (kind, start, len, rev): (usize, usize, usize, bool)) -
 
 /// A deterministic pseudo-random table large enough (> the resolver's
 /// parallel cutoff of 256) that a broad frontier actually takes the
-/// multi-threaded survivor fill / frontier scan, which the small
+/// multi-threaded survivor fill, which the small
 /// proptest corpora never reach.
 fn large_table(n: usize) -> Table {
     let mut t = Table::new("p", Schema::of_strings(&["id", "title", "venue"]));
@@ -377,26 +326,24 @@ fn apply_writes(table: &mut Table, idx: &mut TableErIndex, writes: &[Write]) {
 /// The three frontier shapes — point query (frontier well under
 /// `n_records`/32), sequential broad frontier, and the parallel fan-out
 /// (frontier ≥ 256 with several workers) — all emit exactly the
-/// sequential index's pair sequence, for both EP scopes.
+/// sequential index's pair sequence, for every weight scheme.
 #[test]
 fn parallel_frontier_scan_matches_sequential() {
     let table = large_table(420);
     let all: Vec<RecordId> = (0..table.len() as RecordId).collect();
-    for scope in [EdgePruningScope::NodeCentric, EdgePruningScope::Global] {
-        for scheme in [WeightScheme::Cbs, WeightScheme::Ecbs, WeightScheme::Js] {
-            let (par_idx, seq_idx) = build_pair(&table, scheme, scope, MetaBlockingConfig::All, 4);
-            for frontier in [&all[..5], &all[..300], &all[..]] {
-                let pairs_par = pairs_of(&par_idx, frontier, &mut EpSeen::new());
-                let pairs_seq = pairs_of(&seq_idx, frontier, &mut EpSeen::new());
-                assert_eq!(
-                    pairs_par,
-                    pairs_seq,
-                    "scope {scope:?} scheme {scheme:?} frontier {}",
-                    frontier.len()
-                );
-                if frontier.len() == all.len() {
-                    assert!(!pairs_par.is_empty(), "workload must generate pairs");
-                }
+    for scheme in [WeightScheme::Cbs, WeightScheme::Ecbs, WeightScheme::Js] {
+        let (par_idx, seq_idx) = build_pair(&table, scheme, MetaBlockingConfig::All, 4);
+        for frontier in [&all[..5], &all[..300], &all[..]] {
+            let pairs_par = pairs_of(&par_idx, frontier, &mut EpSeen::new());
+            let pairs_seq = pairs_of(&seq_idx, frontier, &mut EpSeen::new());
+            assert_eq!(
+                pairs_par,
+                pairs_seq,
+                "scheme {scheme:?} frontier {}",
+                frontier.len()
+            );
+            if frontier.len() == all.len() {
+                assert!(!pairs_par.is_empty(), "workload must generate pairs");
             }
         }
     }
@@ -496,30 +443,6 @@ proptest! {
         }
     }
 
-    /// Global emission over the same random call sequences — each call
-    /// collecting, pruning against its own mean and de-duplicating
-    /// against the query's earlier calls — equals the per-call
-    /// edge-set oracle's call by call, for every weight scheme at 1..8
-    /// threads.
-    #[test]
-    fn global_emission_matches_oracle_over_call_sequences(
-        scheme in 0usize..3,
-        threads in 1usize..9,
-        calls in proptest::collection::vec((0usize..5, 0usize..420, 1usize..=420, any::<bool>()), 1..8),
-    ) {
-        let table = large_table(420);
-        let idx = ep_index(&table, scheme_of(scheme), EdgePruningScope::Global, threads);
-        let (mut seen, mut oracle_seen) = (EpSeen::new(), PairSet::new());
-        for (i, &call) in calls.iter().enumerate() {
-            let frontier = frontier_of(table.len(), call);
-            prop_assert_eq!(
-                pairs_of(&idx, &frontier, &mut seen),
-                oracle_global(&idx, &frontier, &mut oracle_seen),
-                "call {} {:?}", i, call
-            );
-        }
-    }
-
     /// Node-centric pruning over the skewed corpus, where Block
     /// Filtering drops blocks, served merged with a live delta of 0–5
     /// random writes: every record's stored threshold is bit-equal to
@@ -557,7 +480,7 @@ proptest! {
         }
     }
 
-    /// With Edge Pruning off — BP+BF, BP and NONE, under either scope —
+    /// With Edge Pruning off — BP+BF, BP and NONE —
     /// the node scan emits, over random corpora and call by call over
     /// random sequences of overlapping, duplicated and repeated
     /// frontiers, exactly the unordered pairs the block-major collector
@@ -568,7 +491,6 @@ proptest! {
     fn ep_off_emission_matches_block_collector_over_call_sequences(
         seed in any::<u64>(),
         meta in 0usize..3,
-        scope in 0usize..2,
         threads in prop_oneof![Just(1usize), Just(2), Just(4)],
         writes in writes(),
         calls in proptest::collection::vec((0usize..5, 0usize..420, 1usize..=420, any::<bool>()), 1..8),
@@ -576,7 +498,6 @@ proptest! {
         let mut table = random_corpus(300, seed);
         let metas = [MetaBlockingConfig::BpBf, MetaBlockingConfig::Bp, MetaBlockingConfig::None];
         let mut cfg = ErConfig::default().with_meta(metas[meta]);
-        cfg.ep_scope = scope_of(scope);
         cfg.threads = threads;
         let mut idx = TableErIndex::build(&table, &cfg);
         apply_writes(&mut table, &mut idx, &writes);
@@ -599,17 +520,11 @@ proptest! {
     fn pair_sets_identical_for_all_frontier_sizes(
         rows in rows(),
         scheme in 0usize..3,
-        scope in 0usize..2,
         threads in 1usize..9,
     ) {
         let table = build_table(&rows);
-        let (par_idx, seq_idx) = build_pair(
-            &table,
-            scheme_of(scheme),
-            scope_of(scope),
-            MetaBlockingConfig::All,
-            threads,
-        );
+        let (par_idx, seq_idx) =
+            build_pair(&table, scheme_of(scheme), MetaBlockingConfig::All, threads);
         let all: Vec<RecordId> = (0..table.len() as RecordId).collect();
         for size in 1..=all.len() {
             let frontier = &all[..size];
@@ -635,19 +550,12 @@ proptest! {
     fn resolve_decisions_identical(
         rows in rows(),
         scheme in 0usize..3,
-        scope in 0usize..2,
         meta in 0usize..2,
         threads in 1usize..9,
         qe_mask in 1u32..255,
     ) {
         let table = build_table(&rows);
-        let (par_idx, seq_idx) = build_pair(
-            &table,
-            scheme_of(scheme),
-            scope_of(scope),
-            meta_of(meta),
-            threads,
-        );
+        let (par_idx, seq_idx) = build_pair(&table, scheme_of(scheme), meta_of(meta), threads);
         let qe: Vec<RecordId> = (0..table.len() as RecordId)
             .filter(|&r| qe_mask & (1 << (r % 8)) != 0)
             .collect();

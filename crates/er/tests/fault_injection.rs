@@ -32,8 +32,8 @@
 use parking_lot::{Mutex, RwLock};
 use queryer_common::failpoints::{self, FailAction};
 use queryer_er::{
-    DedupMetrics, DeltaOp, EdgePruningScope, ErConfig, LinkIndex, MetaBlockingConfig, ResolveError,
-    ResolveRequest, ResolveStage, SimilarityKind, TableErIndex, WeightScheme,
+    DedupMetrics, DeltaOp, ErConfig, LinkIndex, MetaBlockingConfig, ResolveError, ResolveRequest,
+    ResolveStage, SimilarityKind, TableErIndex, WeightScheme,
 };
 use queryer_storage::{RecordId, Schema, Table};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -65,10 +65,9 @@ fn workload() -> Table {
 }
 
 /// All knobs pinned to 4 threads so the scoped fan-outs (and their
-/// failpoints) run on every machine, plus a choice of EP scope.
-fn cfg(scope: EdgePruningScope) -> ErConfig {
+/// failpoints) run on every machine.
+fn cfg() -> ErConfig {
     let mut cfg = ErConfig::default();
-    cfg.ep_scope = scope;
     cfg.threads = 4;
     cfg
 }
@@ -144,7 +143,7 @@ fn assert_worker_panic_isolated(site: &str, config: &ErConfig, stage: ResolveSta
 fn tokenize_worker_panic_fails_build_with_typed_error() {
     let _guard = faults();
     let table = workload();
-    let config = cfg(EdgePruningScope::NodeCentric);
+    let config = cfg();
 
     failpoints::arm("build.tokenize.worker", FailAction::Panic);
     let err = TableErIndex::try_build(&table, &config).unwrap_err();
@@ -164,8 +163,8 @@ fn tokenize_worker_panic_fails_build_with_typed_error() {
 fn threshold_worker_panic_fails_build_with_typed_error() {
     let _guard = faults();
     let table = workload();
-    // WNP thresholds are swept at build for node-centric EP configs.
-    let config = cfg(EdgePruningScope::NodeCentric);
+    // WNP thresholds are swept at build for EP configs.
+    let config = cfg();
 
     failpoints::arm("build.thresholds.worker", FailAction::Panic);
     let err = TableErIndex::try_build(&table, &config).unwrap_err();
@@ -190,7 +189,7 @@ fn threshold_worker_panic_fails_build_with_typed_error() {
 fn threshold_resweep_panic_poisons_the_apply_until_compact() {
     let _guard = faults();
     let mut table = workload();
-    let mut config = cfg(EdgePruningScope::NodeCentric);
+    let mut config = cfg();
     config.weight_scheme = WeightScheme::Ecbs;
     let mut idx = TableErIndex::build(&table, &config);
     let op = DeltaOp::Insert {
@@ -222,39 +221,20 @@ fn threshold_resweep_panic_poisons_the_apply_until_compact() {
 #[test]
 fn survivor_fill_worker_panic_is_isolated() {
     let _guard = faults();
-    assert_worker_panic_isolated(
-        "ep.survivors.worker",
-        &cfg(EdgePruningScope::NodeCentric),
-        ResolveStage::EdgePruning,
-    );
-}
-
-#[test]
-fn global_scan_worker_panic_is_isolated() {
-    let _guard = faults();
-    // "ep.scan.worker" belongs to the Global (WEP) frontier scan alone.
-    assert_worker_panic_isolated(
-        "ep.scan.worker",
-        &cfg(EdgePruningScope::Global),
-        ResolveStage::EdgePruning,
-    );
+    assert_worker_panic_isolated("ep.survivors.worker", &cfg(), ResolveStage::EdgePruning);
 }
 
 #[test]
 fn comparison_worker_panic_is_isolated() {
     let _guard = faults();
-    assert_worker_panic_isolated(
-        "cmp.worker",
-        &cfg(EdgePruningScope::NodeCentric),
-        ResolveStage::ComparisonExecution,
-    );
+    assert_worker_panic_isolated("cmp.worker", &cfg(), ResolveStage::ComparisonExecution);
 }
 
 #[test]
 fn resolver_thread_panic_leaves_index_clean() {
     let _guard = faults();
     let table = workload();
-    let config = cfg(EdgePruningScope::NodeCentric);
+    let config = cfg();
     let idx = TableErIndex::build(&table, &config);
 
     // "resolve.round" fires on the *caller's* thread, so the panic
@@ -365,7 +345,7 @@ fn failed_later_round_commits_nothing_and_retry_converges() {
 fn concurrent_worker_panics_commit_nothing_and_retry_converges() {
     let _guard = faults();
     let table = workload();
-    let config = cfg(EdgePruningScope::NodeCentric);
+    let config = cfg();
     let idx = TableErIndex::build(&table, &config);
     // Reference on a *separate* build: running it on `idx` would fill
     // the decision cache and shrink the faulted attempt's kernel batch
@@ -421,7 +401,7 @@ fn concurrent_worker_panics_commit_nothing_and_retry_converges() {
 fn delay_actions_change_no_decisions() {
     let _guard = faults();
     let table = workload();
-    let config = cfg(EdgePruningScope::NodeCentric);
+    let config = cfg();
 
     let baseline = {
         let idx = TableErIndex::build(&table, &config);
@@ -434,7 +414,6 @@ fn delay_actions_change_no_decisions() {
         "build.tokenize.worker",
         "build.thresholds.worker",
         "ep.survivors.worker",
-        "ep.scan.worker",
         "cmp.worker",
         "resolve.round",
     ] {

@@ -20,7 +20,7 @@
 //! snapshot written over a live delta, and pinned
 //! decisions surviving compaction (the no-op `compact()` is a unit test
 //! in `src/delta.rs`) — and a property test drives
-//! random op/query interleavings across weight schemes, EP scopes,
+//! random op/query interleavings across weight schemes,
 //! meta-blocking configs, and thread counts, checking after every batch
 //! that the threshold vector the index patched (or re-swept) is the
 //! rebuild's, bit for bit.
@@ -31,8 +31,8 @@ use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_er::edge_pruning::bulk_node_thresholds;
 use queryer_er::{
-    Affected, CooccurrenceScratch, DedupMetrics, DeltaOp, EdgePruningScope, ErConfig, LinkIndex,
-    MetaBlockingConfig, ResolveRequest, TableErIndex, WeightScheme,
+    Affected, CooccurrenceScratch, DedupMetrics, DeltaOp, ErConfig, LinkIndex, MetaBlockingConfig,
+    ResolveRequest, TableErIndex, WeightScheme,
 };
 use queryer_storage::{RecordId, Schema, Table, Value};
 
@@ -100,14 +100,6 @@ fn scheme_of(w: usize) -> WeightScheme {
     }
 }
 
-fn scope_of(s: usize) -> EdgePruningScope {
-    if s.is_multiple_of(2) {
-        EdgePruningScope::NodeCentric
-    } else {
-        EdgePruningScope::Global
-    }
-}
-
 fn meta_of(m: usize) -> MetaBlockingConfig {
     match m % 5 {
         0 => MetaBlockingConfig::All,
@@ -118,10 +110,9 @@ fn meta_of(m: usize) -> MetaBlockingConfig {
     }
 }
 
-fn cfg_of(scheme: usize, scope: usize, meta: usize, threads: usize) -> ErConfig {
+fn cfg_of(scheme: usize, meta: usize, threads: usize) -> ErConfig {
     let mut cfg = ErConfig::default().with_meta(meta_of(meta));
     cfg.weight_scheme = scheme_of(scheme);
-    cfg.ep_scope = scope_of(scope);
     cfg.threads = threads;
     cfg
 }
@@ -243,7 +234,7 @@ fn graph_and_point_queries_match_rebuild(
         );
     }
     let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<u64>>();
-    let want = if cfg.node_centric_ep() {
+    let want = if cfg.meta.edge_pruning() {
         bulk_node_thresholds(oracle, cfg.effective_threads()).unwrap()
     } else {
         Vec::new()
@@ -256,7 +247,6 @@ fn graph_and_point_queries_match_rebuild(
 
     let mut li_all = LinkIndex::new(table.len());
     oracle.run(ResolveRequest::all(table, &mut li_all)).unwrap();
-    let query_stable = !cfg.meta.edge_pruning() || cfg.ep_scope == EdgePruningScope::NodeCentric;
     for r in 0..table.len() as RecordId {
         let (mut li_l, mut li_o) = (li.clone(), li.clone());
         let (mut m_l, mut m_o) = (DedupMetrics::default(), DedupMetrics::default());
@@ -273,14 +263,12 @@ fn graph_and_point_queries_match_rebuild(
             "point query {} candidate pairs after delta",
             r
         );
-        if query_stable {
-            prop_assert_eq!(
-                out_l.dr,
-                li_all.closure([r]),
-                "point query {} on the maintained LI missed the rebuild's cluster",
-                r
-            );
-        }
+        prop_assert_eq!(
+            out_l.dr,
+            li_all.closure([r]),
+            "point query {} on the maintained LI missed the rebuild's cluster",
+            r
+        );
     }
     Ok(())
 }
@@ -293,18 +281,17 @@ proptest! {
 
     /// Random interleavings of delta batches and resolves are
     /// decision-identical to rebuild-from-scratch after every batch,
-    /// across schemes × scopes × meta configs × thread counts.
+    /// across schemes × meta configs × thread counts.
     #[test]
     fn interleaved_deltas_equal_rebuild(
         rows in rows(),
         batches in batches(),
         scheme in 0usize..3,
-        scope in 0usize..2,
         meta in 0usize..5,
         threads in 1usize..5,
         probe in 0usize..64,
     ) {
-        let cfg = cfg_of(scheme, scope, meta, threads);
+        let cfg = cfg_of(scheme, meta, threads);
         let mut table = build_table(&rows);
         let mut idx = TableErIndex::build(&table, &cfg);
         let mut li = LinkIndex::new(table.len());
@@ -328,9 +315,7 @@ proptest! {
 
             // Interleaved point queries between batches, compared
             // like-for-like against an oracle with the same query
-            // history (point and batch resolves may legitimately keep
-            // different edges under Global EP scope, so the oracle must
-            // run the same sequence, not a different one).
+            // history.
             let qe = [(probe % table.len()) as RecordId];
 
             // Cold path: both indexes resolve the point query from a
@@ -380,7 +365,7 @@ proptest! {
         scheme in 0usize..3,
         meta in 0usize..5,
     ) {
-        let cfg = cfg_of(scheme, 0, meta, 2);
+        let cfg = cfg_of(scheme, meta, 2);
         let mut table = build_table(&rows);
         let mut idx = TableErIndex::build(&table, &cfg);
         let mut li = LinkIndex::new(table.len());
@@ -710,47 +695,60 @@ fn single_row_writes_cost_what_they_changed() {
 /// batch of 64 near-duplicate inserts: the maintained Link Index
 /// re-resolves only what the batch invalidated (25455 comparisons, 278
 /// matches), links pinned before a compaction keep serving after it,
-/// and the compacted index decides what a rebuild decides.
+/// and the compacted index decides what a rebuild decides — at the
+/// default worker count and 4-way chunked.
 #[test]
 fn pinned_workload_batch_insert_then_compact() {
-    let cfg = ErConfig::default();
-    let mut table = queryer_datagen::scholarly::dblp_scholar(2000, 99).table;
-    let mut idx = TableErIndex::build(&table, &cfg);
-    let mut li = LinkIndex::new(table.len());
+    let base = queryer_datagen::scholarly::dblp_scholar(2000, 99).table;
     let counts = |idx: &TableErIndex, table: &Table, li: &mut LinkIndex| {
         let mut m = DedupMetrics::default();
         idx.run(ResolveRequest::all(table, li).metrics(&mut m))
             .unwrap();
         (m.comparisons, m.matches_found)
     };
-    assert_eq!(counts(&idx, &table, &mut li), (21384, 201), "pre-ingest");
+    for threads in [ErConfig::default().threads, 4] {
+        let mut cfg = ErConfig::default();
+        cfg.threads = threads;
+        let mut table = base.clone();
+        let mut idx = TableErIndex::build(&table, &cfg);
+        let mut li = LinkIndex::new(table.len());
+        assert_eq!(
+            counts(&idx, &table, &mut li),
+            (21384, 201),
+            "pre-ingest, threads {threads}"
+        );
 
-    let ops: Vec<DeltaOp> = (0..64)
-        .map(|i| DeltaOp::Insert {
-            values: table.record(i * 37 % 2000).unwrap().values.clone(),
-        })
-        .collect();
-    for op in &ops {
-        op.apply_to_table(&mut table).unwrap();
+        let ops: Vec<DeltaOp> = (0..64)
+            .map(|i| DeltaOp::Insert {
+                values: table.record(i * 37 % 2000).unwrap().values.clone(),
+            })
+            .collect();
+        for op in &ops {
+            op.apply_to_table(&mut table).unwrap();
+        }
+        let applied = idx.apply_delta(&table, &ops).unwrap();
+        li.follow_write(table.len(), &applied.affected);
+        assert_eq!(
+            counts(&idx, &table, &mut li),
+            (25455, 278),
+            "post-ingest, threads {threads}"
+        );
+
+        idx.compact(&table).unwrap();
+        assert!(!idx.has_delta(), "compact must clear the delta side");
+        assert_eq!(
+            counts(&idx, &table, &mut li).0,
+            0,
+            "re-resolve after compact"
+        );
+
+        let rebuilt = TableErIndex::build(&table, &cfg);
+        assert_eq!(
+            counts(&idx, &table, &mut LinkIndex::new(table.len())),
+            counts(&rebuilt, &table, &mut LinkIndex::new(table.len())),
+            "compacted vs rebuilt"
+        );
     }
-    let applied = idx.apply_delta(&table, &ops).unwrap();
-    li.follow_write(table.len(), &applied.affected);
-    assert_eq!(counts(&idx, &table, &mut li), (25455, 278), "post-ingest");
-
-    idx.compact(&table).unwrap();
-    assert!(!idx.has_delta(), "compact must clear the delta side");
-    assert_eq!(
-        counts(&idx, &table, &mut li).0,
-        0,
-        "re-resolve after compact"
-    );
-
-    let rebuilt = TableErIndex::build(&table, &cfg);
-    assert_eq!(
-        counts(&idx, &table, &mut LinkIndex::new(table.len())),
-        counts(&rebuilt, &table, &mut LinkIndex::new(table.len())),
-        "compacted vs rebuilt"
-    );
 }
 
 /// The empty batch is a true no-op: no delta side is created, nothing

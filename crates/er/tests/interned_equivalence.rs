@@ -19,8 +19,7 @@ use oracle::{record_keys, record_tokens};
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_common::{FxHashMap, FxHashSet, PairSet};
-use queryer_er::config::EdgePruningScope;
-use queryer_er::edge_pruning::{prune_global, EdgePruner};
+use queryer_er::edge_pruning::EdgePruner;
 use queryer_er::index::{BlockId, CooccurrenceScratch};
 use queryer_er::similarity::{jaccard_sorted, jaro_winkler, levenshtein_sim, overlap_sorted};
 use queryer_er::{
@@ -89,18 +88,6 @@ fn meta_of(m: usize) -> MetaBlockingConfig {
         2 => MetaBlockingConfig::BpEp,
         3 => MetaBlockingConfig::Bp,
         _ => MetaBlockingConfig::None,
-    }
-}
-
-fn scope_of(s: usize) -> EdgePruningScope {
-    // Both scopes are safe to pin bit-wise here because the test keeps
-    // the default CBS weights: integer-valued f64s sum exactly, so
-    // prune_global's mean is identical whichever order the two paths
-    // enumerate edges in.
-    if s.is_multiple_of(2) {
-        EdgePruningScope::NodeCentric
-    } else {
-        EdgePruningScope::Global
     }
 }
 
@@ -283,42 +270,23 @@ fn reference_resolve(
         let pairs: Vec<(RecordId, RecordId)> = if cfg.meta.edge_pruning() {
             let pruner = EdgePruner::new(idx);
             let mut scratch = CooccurrenceScratch::new();
-            match cfg.ep_scope {
-                EdgePruningScope::NodeCentric => {
-                    let mut out = Vec::new();
-                    for &q in &frontier {
-                        for &(c, cbs) in idx.cooccurrences_into(q, &mut scratch) {
-                            if pair_seen.contains(q, c) {
-                                continue;
-                            }
-                            // Union rule: either endpoint's mean admits
-                            // the weight (same 1e-12 slack as production).
-                            let w = pruner.weight(q, c, cbs);
-                            let kept = w + 1e-12 >= mean_edge_weight(idx, &pruner, q)
-                                || w + 1e-12 >= mean_edge_weight(idx, &pruner, c);
-                            if kept && pair_seen.insert(q, c) {
-                                out.push((q, c));
-                            }
-                        }
+            let mut out = Vec::new();
+            for &q in &frontier {
+                for &(c, cbs) in idx.cooccurrences_into(q, &mut scratch) {
+                    if pair_seen.contains(q, c) {
+                        continue;
                     }
-                    out
-                }
-                EdgePruningScope::Global => {
-                    let mut edges = Vec::new();
-                    let mut edge_seen = PairSet::new();
-                    for &q in &frontier {
-                        for &(c, cbs) in idx.cooccurrences_into(q, &mut scratch) {
-                            if edge_seen.insert(q, c) {
-                                edges.push((q, c, pruner.weight(q, c, cbs)));
-                            }
-                        }
+                    // Union rule: either endpoint's mean admits the
+                    // weight (same 1e-12 slack as production).
+                    let w = pruner.weight(q, c, cbs);
+                    let kept = w + 1e-12 >= mean_edge_weight(idx, &pruner, q)
+                        || w + 1e-12 >= mean_edge_weight(idx, &pruner, c);
+                    if kept && pair_seen.insert(q, c) {
+                        out.push((q, c));
                     }
-                    prune_global(&edges)
-                        .into_iter()
-                        .filter(|&(a, b)| pair_seen.insert(a, b))
-                        .collect()
                 }
             }
+            out
         } else {
             let mut out = Vec::new();
             for (b, q_list) in &eqbi {
@@ -352,27 +320,15 @@ fn reference_resolve(
         for &q in &frontier {
             li.mark_resolved(q);
         }
-        frontier = if cfg.transitive {
+        frontier = {
             let mut seen = FxHashSet::default();
             partners
                 .into_iter()
                 .filter(|&c| !li.is_resolved(c) && seen.insert(c))
                 .collect()
-        } else {
-            Vec::new()
         };
     }
-    if cfg.transitive {
-        li.closure(qe.iter().copied())
-    } else {
-        let mut out: FxHashSet<RecordId> = qe.iter().copied().collect();
-        for &q in qe {
-            out.extend(li.neighbors(q).iter().copied());
-        }
-        let mut v: Vec<RecordId> = out.into_iter().collect();
-        v.sort_unstable();
-        v
-    }
+    li.closure(qe.iter().copied())
 }
 
 proptest! {
@@ -427,14 +383,12 @@ proptest! {
         rows in rows(),
         kind in 0usize..5,
         meta in 0usize..5,
-        scope in 0usize..2,
         blk in 0usize..2,
         qe_mask in 1u32..255,
     ) {
         let table = build_table(&rows);
         let mut cfg = ErConfig::default().with_meta(meta_of(meta));
         cfg.similarity = kind_of(kind);
-        cfg.ep_scope = scope_of(scope);
         cfg.blocking = blocking_of(blk);
         let idx = TableErIndex::build(&table, &cfg);
         let qe: Vec<RecordId> = (0..table.len() as RecordId)

@@ -7,7 +7,7 @@
 //! - **Round trip is bit-identical.** The file holds the Link Index;
 //!   re-serializing a reopened pair reproduces the original image byte
 //!   for byte — every resolved mark and link survives — across weight
-//!   schemes, pruning scopes, thread counts, warm and cold
+//!   schemes, thread counts, warm and cold
 //!   Link Indexes, and degenerate (empty / one-record) tables. A
 //!   reopened pair then *behaves* identically: same DR sets and
 //!   decision counts on the next query as the index that wrote it, and
@@ -34,7 +34,7 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 use queryer_common::knobs::proptest_cases;
 use queryer_er::{
-    open_index_snapshot, write_index_snapshot, DedupMetrics, EdgePruningScope, ErConfig, LinkIndex,
+    open_index_snapshot, write_index_snapshot, DedupMetrics, ErConfig, LinkIndex,
     MetaBlockingConfig, ResolveRequest, SimilarityKind, SnapshotError, TableErIndex, WeightScheme,
 };
 use queryer_storage::{RecordId, Schema, Table, Value};
@@ -183,7 +183,6 @@ proptest! {
     fn round_trip_is_bit_identical_and_behaviour_preserving(
         rows in rows(),
         scheme in 0usize..3,
-        scope in 0usize..2,
         threads in 1usize..4,
         warm_mask in 0u32..255,
         query_mask in 1u32..255,
@@ -192,11 +191,6 @@ proptest! {
         let table = build_table(&rows);
         let mut cfg = ErConfig::default().with_meta(MetaBlockingConfig::All);
         cfg.weight_scheme = scheme_of(scheme);
-        cfg.ep_scope = if scope == 0 {
-            EdgePruningScope::NodeCentric
-        } else {
-            EdgePruningScope::Global
-        };
         cfg.threads = threads;
         let idx1 = TableErIndex::build(&table, &cfg);
         let mut li1 = LinkIndex::new(table.len());
