@@ -138,8 +138,7 @@ pub struct ErConfig {
     /// Worker threads for every parallel stage: the
     /// [`TableErIndex::build`] sweeps (tokenization, interning,
     /// attribute lowering/metadata, WNP thresholds), the Edge Pruning
-    /// node scan and
-    /// Comparison-Execution. `0` = auto (available parallelism), `1` =
+    /// node scan and Comparison-Execution. `0` = auto (available parallelism), `1` =
     /// sequential (the paper's single-machine setting). Thread count
     /// never affects the built index or a decision: every stage merges
     /// its chunks in input order (pinned by `tests/build_equivalence.rs`,

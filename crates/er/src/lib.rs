@@ -94,7 +94,8 @@
 //!   classes the rest. Pair generation is symmetric (a pair survives
 //!   whichever endpoint the node scan reaches first), so an unlinked
 //!   pair with a resolved endpoint was decided when that endpoint was
-//!   resolved: a non-match, with no kernel and no memo probe. Only pairs with a *stale* endpoint — one a write's
+//!   resolved: a non-match, with no kernel and no memo probe. Only
+//!   pairs with a *stale* endpoint — one a write's
 //!   [`LinkIndex::invalidate`] un-resolved — probe and fill the
 //!   pair-keyed decision memo (one mutexed map; each entry carries
 //!   the write epoch it was taken at, and serves only while neither

@@ -19,10 +19,10 @@
 //! the schema, every record value (type-tagged and framed), and the
 //! *decision-relevant* configuration fields (blocking scheme, token
 //! length, meta-blocking mode, weight scheme, similarity, threshold —
-//! not thread counts, which never change decisions). Editing a row or retuning a decision knob therefore
-//! reopens as [`SnapshotError::StaleTableHash`], and the caller falls
-//! back to an empty Link Index; retuning the thread knob keeps the
-//! snapshot valid.
+//! not thread counts, which never change decisions). Editing a row or
+//! retuning a decision knob therefore reopens as
+//! [`SnapshotError::StaleTableHash`], and the caller falls back to an
+//! empty Link Index; retuning the thread knob keeps the snapshot valid.
 //!
 //! # Validation
 //!
